@@ -19,10 +19,13 @@ import (
 	"viyojit/internal/dist"
 	"viyojit/internal/experiments"
 	"viyojit/internal/kvstore"
+	"viyojit/internal/mmu"
 	"viyojit/internal/nvfs"
 	"viyojit/internal/pheap"
 	"viyojit/internal/ptx"
+	"viyojit/internal/scrub"
 	"viyojit/internal/sim"
+	"viyojit/internal/ssd"
 	"viyojit/internal/trace"
 	"viyojit/internal/wal"
 	"viyojit/internal/ycsb"
@@ -626,6 +629,73 @@ func BenchmarkMicro_PowerFailFlush(b *testing.B) {
 		if !report.Survived {
 			b.Fatal("flush did not survive")
 		}
+	}
+}
+
+// BenchmarkScrubBurst is one paced scrubber burst — 8 pages verified —
+// against durable sets of growing size: the cost must follow the burst,
+// not the set. (A burst used to rebuild and sort the whole durable list.)
+func BenchmarkScrubBurst(b *testing.B) {
+	for _, pages := range []int{1 << 10, 8 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("durable=%d", pages), func(b *testing.B) {
+			clock, events := sim.NewClock(), sim.NewQueue()
+			dev := ssd.New(clock, events, ssd.Config{})
+			data := make([]byte, 4096)
+			for p := 0; p < pages; p++ {
+				dev.SeedDurable(mmu.PageID(p), data)
+			}
+			scr := scrub.New(clock, events, dev, nil, scrub.Config{})
+			scr.Start()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The scrubber's bursts are the only events queued.
+				events.Step(clock)
+			}
+			b.StopTimer()
+			if got := scr.Stats().Bursts; got != uint64(b.N) {
+				b.Fatalf("%d bursts in %d steps", got, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkEpochTick is one epoch tick over D dirty pages that all stay
+// dirty (the budget is far away): dirty-bit scan, history aging, victim
+// ordering.
+func BenchmarkEpochTick(b *testing.B) {
+	for _, d := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+			sys, err := New(Config{
+				NVDRAMSize:           64 << 20,
+				Battery:              BatteryConfig{CapacityJoules: 1e6},
+				DisableHealthMonitor: true,
+				DisableScrubber:      true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			m, err := sys.Map("bench", int64(d)*4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for p := 0; p < d; p++ {
+				if err := m.WriteAt([]byte{1}, int64(p)*4096); err != nil {
+					b.Fatal(err)
+				}
+			}
+			epoch := sys.Manager().Config().Epoch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.AdvanceTime(epoch)
+			}
+			b.StopTimer()
+			if sys.DirtyCount() != d {
+				b.Fatalf("%d pages dirty after the ticks, want %d", sys.DirtyCount(), d)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"viyojit/internal/faultinject"
+	"viyojit/internal/mmu"
+	"viyojit/internal/power"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
@@ -18,7 +20,6 @@ func newFaultedHarness(t testing.TB, pages int, cfg Config, fcfg faultinject.Con
 	h.dev.SetFaultInjector(inj)
 	return h, inj
 }
-
 
 // retryPending reports whether any dirty page is waiting on a scheduled
 // clean retry (failed at least once, not currently being cleaned).
@@ -286,5 +287,76 @@ func TestBudgetInvariantUnderSSDFaults(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recountInflight is what inflight used to be computed as on every use:
+// a walk of the dirty map.
+func (m *Manager) recountInflight() int {
+	n := 0
+	for _, dp := range m.dirty {
+		if dp.cleaning {
+			n++
+		}
+	}
+	return n
+}
+
+// TestInflightCounterMatchesRecount drives every path that starts,
+// fails, retries, completes or abandons a clean — forced and proactive
+// cleans under transient, torn and spiked writes, backoff retries,
+// repairs, budget retunes, emergency drains with bounded attempts,
+// resumes, in both trap and hardware-assist mode — and checks after each
+// step that the maintained counter equals a recount of the dirty map.
+func TestInflightCounterMatchesRecount(t *testing.T) {
+	for _, hw := range []bool{false, true} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			const pages = 48
+			h, _ := newFaultedHarness(t, pages, Config{DirtyBudgetPages: 10, HardwareAssist: hw}, faultinject.Config{
+				Seed:          seed,
+				TransientProb: 0.25,
+				TornProb:      0.10,
+				SpikeProb:     0.10,
+			})
+			check := func(step int, what string) {
+				t.Helper()
+				if got, want := h.mgr.inflight, h.mgr.recountInflight(); got != want {
+					t.Fatalf("hw=%v seed %d step %d (%s): inflight counter %d, recount %d", hw, seed, step, what, got, want)
+				}
+			}
+			rng := sim.NewRNG(seed)
+			for step := 0; step < 600; step++ {
+				switch r := rng.Intn(20); {
+				case r == 0:
+					h.mgr.EnterEmergencyFlush() // bounded attempts: may leave pages dirty
+					check(step, "emergency drain")
+					h.mgr.RetryDrain()
+					check(step, "retry drain")
+					if err := h.mgr.Resume(StateHealthy); err != nil {
+						t.Fatal(err)
+					}
+				case r == 1:
+					if err := h.mgr.SetDirtyBudget(4 + rng.Intn(8)); err != nil {
+						t.Fatal(err)
+					}
+				case r == 2:
+					_ = h.mgr.RepairPage(mmu.PageID(rng.Intn(pages)))
+				case r < 6:
+					h.clock.Advance(sim.Duration(rng.Intn(1500)) * sim.Microsecond)
+					h.mgr.Pump()
+				default:
+					if err := h.region.WriteAt([]byte{byte(step) | 1}, int64(rng.Intn(pages))*4096); err != nil {
+						t.Fatalf("hw=%v seed %d step %d: write: %v", hw, seed, step, err)
+					}
+					h.mgr.Pump()
+				}
+				check(step, "step")
+			}
+			if st := h.mgr.Stats(); st.CleanErrors == 0 || st.CleanRetries == 0 || st.EmergencyCleans == 0 || st.ForcedCleans == 0 {
+				t.Fatalf("hw=%v seed %d: schedule missed a path: %+v", hw, seed, st)
+			}
+			h.mgr.PowerFail(power.Default(), 1e6)
+			check(600, "power-fail flush")
+		}
 	}
 }

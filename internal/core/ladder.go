@@ -158,12 +158,12 @@ func (m *Manager) emergencyDrain() int {
 				submitted = true
 			}
 		}
-		if !submitted && m.inflightCleans() == 0 {
+		if !submitted && m.inflight == 0 {
 			// Every remaining page burned its attempts.
 			break
 		}
 		if !m.events.Step(m.clock) {
-			if m.inflightCleans() == 0 {
+			if m.inflight == 0 {
 				break
 			}
 			panic("core: emergency drain blocked with no pending events")

@@ -178,6 +178,10 @@ type Manager struct {
 	// effective budget.
 	dirty    map[mmu.PageID]*dirtyPage
 	dirtySeq uint64
+	// inflight counts the dirty entries with cleaning set — SSD
+	// write-backs on the wire. It moves only in setCleaning, so nothing
+	// has to walk the dirty map to know it.
+	inflight int
 
 	// history is the per-page 64-epoch aging word (see PageInfo.History).
 	// Aging is applied lazily: histEpoch records the epoch index at
@@ -527,6 +531,12 @@ func (m *Manager) rebuildVictimQueue() {
 		}
 		m.victimQueue = append(m.victimQueue, PageInfo{Page: page, History: m.history[page], DirtiedSeq: dp.seq})
 	}
+	m.orderVictimQueue()
+}
+
+// orderVictimQueue sorts the collected candidates victim-first and
+// rewinds the queue.
+func (m *Manager) orderVictimQueue() {
 	m.cfg.Policy.Order(m.victimQueue)
 	m.victimPos = 0
 }
@@ -536,7 +546,7 @@ func (m *Manager) rebuildVictimQueue() {
 // the IO completes. Returns false if no victim was available.
 func (m *Manager) startClean(page mmu.PageID) {
 	dp := m.dirty[page]
-	dp.cleaning = true
+	m.setCleaning(dp, true)
 	pt := m.region.PageTable()
 	if m.cfg.HardwareAssist {
 		// §5.4: no protection exists. Clear the dirty bit (re-arming the
@@ -568,7 +578,7 @@ func (m *Manager) startClean(page mmu.PageID) {
 			if !ok || cur != dp {
 				return
 			}
-			dp.cleaning = false
+			m.setCleaning(dp, false)
 			dp.rewritten = false
 			dp.attempts++
 			if m.writesBlocked() {
@@ -597,11 +607,12 @@ func (m *Manager) startClean(page mmu.PageID) {
 			// Hardware assist: the page was written after the snapshot;
 			// the durable copy is stale, so the page stays dirty and
 			// becomes cleanable again.
-			dp.cleaning = false
+			m.setCleaning(dp, false)
 			dp.rewritten = false
 			return
 		}
 		// The snapshot's contents are now durable.
+		m.setCleaning(dp, false)
 		delete(m.dirty, page)
 		pt.ClearDirty(page)
 		m.noteDirtyLevel()
@@ -689,14 +700,14 @@ func (m *Manager) cleanOneSync() bool {
 	before := len(m.dirty)
 	started := false
 	for len(m.dirty) >= before {
-		if !started || m.inflightCleans() == 0 {
+		if !started || m.inflight == 0 {
 			// Start a victim immediately (paper §5.1 steps 6–7); pick
 			// again only if everything in flight completed without
 			// shrinking the set (the hardware-assist rewritten case).
 			if page, ok := m.nextVictim(); ok {
 				m.startClean(page)
 				started = true
-			} else if m.inflightCleans() == 0 {
+			} else if m.inflight == 0 {
 				return false
 			}
 		}
@@ -707,14 +718,17 @@ func (m *Manager) cleanOneSync() bool {
 	return true
 }
 
-func (m *Manager) inflightCleans() int {
-	n := 0
-	for _, dp := range m.dirty {
-		if dp.cleaning {
-			n++
-		}
+// setCleaning moves dp into or out of the in-flight state; the only
+// place dirtyPage.cleaning is written. Every caller is a transition: a
+// clean starts on an entry that is not cleaning, and its completion
+// finds the entry still cleaning.
+func (m *Manager) setCleaning(dp *dirtyPage, on bool) {
+	dp.cleaning = on
+	if on {
+		m.inflight++
+	} else {
+		m.inflight--
 	}
-	return n
 }
 
 // epochTick is the periodic maintenance task (paper §5.2–§5.3).
@@ -751,18 +765,22 @@ func (m *Manager) epochTick(at sim.Time) {
 	// only — clean pages are write-protected and cannot have been updated
 	// without a fault — flushing the TLB first so the bits are fresh
 	// (unless the §6.3 ablation disables it).
+	//
+	// This is the tick's one walk of the dirty map: it lists the pages to
+	// scan, ages their histories to this epoch (clean pages age lazily
+	// when they are next dirtied; see ageHistory) and collects the
+	// not-in-flight ones as this epoch's victim candidates.
 	m.dirtyPagesBuf = m.dirtyPagesBuf[:0]
-	for page := range m.dirty {
+	m.victimQueue = m.victimQueue[:0]
+	for page, dp := range m.dirty {
 		m.dirtyPagesBuf = append(m.dirtyPagesBuf, page)
+		m.ageHistory(page)
+		if !dp.cleaning {
+			m.victimQueue = append(m.victimQueue, PageInfo{Page: page, DirtiedSeq: dp.seq})
+		}
 	}
 	m.scanBuf = m.region.PageTable().CheckAndClearDirtyPages(m.dirtyPagesBuf, m.scanBuf[:0], !m.cfg.DisableTLBFlush)
-
-	// Age the dirty pages' histories to this epoch, then mark the ones
-	// the scan observed as updated. (Clean pages age lazily when they
-	// are next dirtied; see ageHistory.)
-	for _, p := range m.dirtyPagesBuf {
-		m.ageHistory(p)
-	}
+	// Mark the pages the scan observed as updated.
 	for _, p := range m.scanBuf {
 		m.history[p] |= 1 << 63
 	}
@@ -788,9 +806,13 @@ func (m *Manager) epochTick(at sim.Time) {
 		m.st.degradedEpochs.Inc()
 		threshold /= 2
 	}
-	m.rebuildVictimQueue()
+	// Order the candidates on their histories as of this scan.
+	for i := range m.victimQueue {
+		m.victimQueue[i].History = m.history[m.victimQueue[i].Page]
+	}
+	m.orderVictimQueue()
 	// Count in-flight cleans as already-on-their-way reductions.
-	target := len(m.dirty) - m.inflightCleans()
+	target := len(m.dirty) - m.inflight
 	for target > threshold {
 		page, ok := m.nextVictim()
 		if !ok {
@@ -905,7 +927,7 @@ func (m *Manager) CompleteDrain() error {
 // forced cleans on, and the next epoch tick may be most of a
 // millisecond away).
 func (m *Manager) kickDrain() {
-	excess := len(m.dirty) - m.inflightCleans() - m.budget
+	excess := len(m.dirty) - m.inflight - m.budget
 	for excess > 0 {
 		page, ok := m.nextVictim()
 		if !ok {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/sim"
@@ -44,14 +45,16 @@ func (LRUUpdate) Name() string { return "lru-update" }
 
 // Order implements VictimPolicy.
 func (LRUUpdate) Order(cands []PageInfo) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].History != cands[j].History {
-			return cands[i].History < cands[j].History
+	slices.SortFunc(cands, func(a, b PageInfo) int {
+		// Spelled out rather than cmp.Or: this comparator is most of an
+		// epoch tick, and cmp.Or evaluates all three keys every time.
+		if a.History != b.History {
+			return cmp.Compare(a.History, b.History)
 		}
-		if cands[i].DirtiedSeq != cands[j].DirtiedSeq {
-			return cands[i].DirtiedSeq < cands[j].DirtiedSeq
+		if a.DirtiedSeq != b.DirtiedSeq {
+			return cmp.Compare(a.DirtiedSeq, b.DirtiedSeq)
 		}
-		return cands[i].Page < cands[j].Page
+		return cmp.Compare(a.Page, b.Page)
 	})
 }
 
@@ -65,11 +68,10 @@ func (FIFO) Name() string { return "fifo" }
 
 // Order implements VictimPolicy.
 func (FIFO) Order(cands []PageInfo) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].DirtiedSeq != cands[j].DirtiedSeq {
-			return cands[i].DirtiedSeq < cands[j].DirtiedSeq
-		}
-		return cands[i].Page < cands[j].Page
+	slices.SortFunc(cands, func(a, b PageInfo) int {
+		return cmp.Or(
+			cmp.Compare(a.DirtiedSeq, b.DirtiedSeq),
+			cmp.Compare(a.Page, b.Page))
 	})
 }
 
@@ -83,15 +85,11 @@ func (LFU) Name() string { return "lfu" }
 
 // Order implements VictimPolicy.
 func (LFU) Order(cands []PageInfo) {
-	sort.Slice(cands, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(cands[i].History), bits.OnesCount64(cands[j].History)
-		if pi != pj {
-			return pi < pj
-		}
-		if cands[i].History != cands[j].History {
-			return cands[i].History < cands[j].History
-		}
-		return cands[i].Page < cands[j].Page
+	slices.SortFunc(cands, func(a, b PageInfo) int {
+		return cmp.Or(
+			cmp.Compare(bits.OnesCount64(a.History), bits.OnesCount64(b.History)),
+			cmp.Compare(a.History, b.History),
+			cmp.Compare(a.Page, b.Page))
 	})
 }
 
@@ -111,7 +109,7 @@ func (*Random) Name() string { return "random" }
 func (r *Random) Order(cands []PageInfo) {
 	// Sort first so the shuffle is a deterministic function of the
 	// candidate set, not of map iteration order upstream.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Page < cands[j].Page })
+	slices.SortFunc(cands, func(a, b PageInfo) int { return cmp.Compare(a.Page, b.Page) })
 	for i := len(cands) - 1; i > 0; i-- {
 		j := r.rng.Intn(i + 1)
 		cands[i], cands[j] = cands[j], cands[i]
@@ -128,10 +126,9 @@ func (MRUUpdate) Name() string { return "mru-update" }
 
 // Order implements VictimPolicy.
 func (MRUUpdate) Order(cands []PageInfo) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].History != cands[j].History {
-			return cands[i].History > cands[j].History
-		}
-		return cands[i].Page < cands[j].Page
+	slices.SortFunc(cands, func(a, b PageInfo) int {
+		return cmp.Or(
+			cmp.Compare(b.History, a.History),
+			cmp.Compare(a.Page, b.Page))
 	})
 }

@@ -61,7 +61,7 @@ func TestAblationsDeterministic(t *testing.T) {
 	}
 	opts := smallOpts()
 	run := map[string]func() (any, error){
-		"TLB": func() (any, error) { return RunTLBAblation(opts) },
+		"TLB":    func() (any, error) { return RunTLBAblation(opts) },
 		"policy": func() (any, error) { return RunPolicyAblation(opts, 0.23) },
 		"epoch": func() (any, error) {
 			return RunEpochAblation(opts, 0.23, []sim.Duration{sim.Millisecond})

@@ -114,8 +114,10 @@ type Scrubber struct {
 	mgr    *core.Manager // nil = verify/quarantine only
 	cfg    Config
 
-	cursor     mmu.PageID // walk position: next burst starts above this page
-	started    bool       // cursor is meaningful (mid-pass)
+	cursor     mmu.PageID   // walk position: next burst starts above this page
+	started    bool         // cursor is meaningful (mid-pass)
+	passDone   bool         // the walk reached the end of the set (pass counted) and has not wrapped yet
+	burst      []mmu.PageID // the pages of the burst in progress; reused
 	running    bool
 	inBurst    bool // re-entrancy guard: RepairPage pumps events
 	next       *sim.Event
@@ -268,33 +270,44 @@ func (s *Scrubber) burstEvent(sim.Time) {
 	s.scheduleNext()
 }
 
-// scanBurst verifies the next BurstPages pages of the walk.
+// scanBurst verifies the next BurstPages pages of the walk: the durable
+// pages above the cursor, or, when none is left there, the walk wraps
+// and the burst starts again from the lowest page. The pages are taken
+// once, before the first check — a repair pumps the event queue, and
+// pages that turn durable meanwhile wait for a later burst. A burst
+// never crosses the end of the set, so it visits no page twice; reaching
+// the end completes a pass, counted there, or at the wrap when the last
+// burst stopped exactly on the last page.
 func (s *Scrubber) scanBurst() {
-	pages := s.dev.DurablePageList()
-	if len(pages) == 0 {
-		return
-	}
-	// Resume above the cursor; wrap (completing the pass) when the tail
-	// is shorter than the burst.
-	start := 0
+	pages := s.burst[:0]
 	if s.started {
-		start = sort.Search(len(pages), func(i int) bool { return pages[i] > s.cursor })
+		pages = s.dev.DurablePagesFrom(s.cursor+1, s.cfg.BurstPages, pages)
 	}
-	s.started = true
-	for n := 0; n < s.cfg.BurstPages; n++ {
-		if start >= len(pages) {
-			s.stats.Passes++
-			s.st.passes.Inc()
-			start = 0
-			if n > 0 {
-				break // don't re-scan pages within one burst
-			}
+	if len(pages) == 0 {
+		pages = s.dev.DurablePagesFrom(0, s.cfg.BurstPages, pages)
+		if len(pages) == 0 {
+			return
 		}
-		p := pages[start]
-		start++
+		if s.started && !s.passDone {
+			s.notePass()
+		}
+		s.passDone = false
+	}
+	s.burst = pages
+	s.started = true
+	for _, p := range pages {
 		s.cursor = p
 		s.checkPage(p)
 	}
+	if len(pages) < s.cfg.BurstPages && !s.passDone {
+		s.notePass()
+		s.passDone = true
+	}
+}
+
+func (s *Scrubber) notePass() {
+	s.stats.Passes++
+	s.st.passes.Inc()
 }
 
 // ScrubAll runs one full synchronous pass over the durable set,
@@ -310,8 +323,7 @@ func (s *Scrubber) ScrubAll() uint64 {
 	for _, p := range s.dev.DurablePageList() {
 		s.checkPage(p)
 	}
-	s.stats.Passes++
-	s.st.passes.Inc()
+	s.notePass()
 	return s.stats.Detections - before
 }
 

@@ -1,6 +1,8 @@
 package scrub
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"viyojit/internal/core"
@@ -214,5 +216,182 @@ func TestScrubVerifyOnly(t *testing.T) {
 	det, q := scr.ScrubErrors()
 	if det != 1 || q != 1 {
 		t.Fatalf("ScrubErrors = (%d, %d), want (1, 1)", det, q)
+	}
+}
+
+// refWalker is the paced walk as it was specified before the device kept
+// a page index: every burst takes the whole sorted durable list, finds
+// its place above the cursor, and visits up to burst pages without
+// crossing the end of the list. It stays here as the reference the
+// indexed walk must reproduce.
+type refWalker struct {
+	cursor  mmu.PageID
+	started bool
+}
+
+func (w *refWalker) burst(pages []mmu.PageID, burst int) (visited []mmu.PageID) {
+	if len(pages) == 0 {
+		return nil
+	}
+	start := 0
+	if w.started {
+		start = sort.Search(len(pages), func(i int) bool { return pages[i] > w.cursor })
+	}
+	w.started = true
+	for n := 0; n < burst; n++ {
+		if start >= len(pages) {
+			start = 0
+			if n > 0 {
+				break
+			}
+		}
+		w.cursor = pages[start]
+		visited = append(visited, pages[start])
+		start++
+	}
+	return visited
+}
+
+// walkStep runs one burst on the scrubber and on the reference — the
+// reference sees the durable list as it is when the burst starts — and
+// compares the pages visited, in order, and the cursor.
+func walkStep(t *testing.T, scr *Scrubber, dev *ssd.SSD, ref *refWalker, label string) []mmu.PageID {
+	t.Helper()
+	want := ref.burst(dev.DurablePageList(), scr.cfg.BurstPages)
+	scanned := scr.stats.PagesScanned
+	scr.scanBurst()
+	got := scr.burst
+	if n := int(scr.stats.PagesScanned - scanned); n != len(want) {
+		t.Fatalf("%s: burst checked %d pages, reference %v", label, n, want)
+	}
+	if len(want) > 0 && (!slices.Equal(got, want) || scr.cursor != ref.cursor) {
+		t.Fatalf("%s: visited %v cursor %d, reference %v cursor %d", label, got, scr.cursor, want, ref.cursor)
+	}
+	return want
+}
+
+func seedPages(dev *ssd.SSD, pages ...mmu.PageID) {
+	data := make([]byte, 4096)
+	for _, p := range pages {
+		dev.SeedDurable(p, data)
+	}
+}
+
+// TestScanBurstWalkMatchesListReference: burst by burst, the indexed walk
+// visits the same pages in the same order as the list-based reference —
+// on an empty set, on a set smaller than one burst (every burst wraps),
+// across word-sized gaps, and as the set grows above and below the
+// cursor between bursts.
+func TestScanBurstWalkMatchesListReference(t *testing.T) {
+	clock, events := sim.NewClock(), sim.NewQueue()
+	dev := ssd.New(clock, events, ssd.Config{})
+	scr := New(clock, events, dev, nil, Config{BurstPages: 4})
+	ref := &refWalker{}
+
+	walkStep(t, scr, dev, ref, "empty set")
+	seedPages(dev, 5, 70, 200)
+	for i := 0; i < 3; i++ {
+		if got := walkStep(t, scr, dev, ref, "set smaller than a burst"); len(got) != 3 {
+			t.Fatalf("burst over a 3-page set visited %v, want all 3 once", got)
+		}
+	}
+	rng := sim.NewRNG(7)
+	for i := 0; i < 200; i++ {
+		if rng.Intn(3) == 0 {
+			seedPages(dev, mmu.PageID(rng.Intn(400)))
+		}
+		walkStep(t, scr, dev, ref, "growing set")
+	}
+	if scr.stats.Passes == 0 {
+		t.Fatal("walk never completed a pass")
+	}
+}
+
+// TestScanBurstSnapshotSurvivesRepair: a detection's RepairPage forces a
+// clean at a full budget, which pumps the event queue until the clean
+// lands — a page turns durable in the middle of the burst, inside the
+// range the burst is walking. The burst must still visit exactly the
+// pages that were durable when it started.
+func TestScanBurstSnapshotSurvivesRepair(t *testing.T) {
+	h := newHarness(t, 32, 2, Config{BurstPages: 8})
+	h.seed(t, 6) // durable: 0..5
+	data := make([]byte, 4096)
+	for p := mmu.PageID(10); p < 16; p++ {
+		h.dev.SeedDurable(p, data) // durable: 0..5, 10..15; region pages 10..15 are zero too
+	}
+	for p := 6; p < 8; p++ { // fill the budget with never-cleaned pages 6, 7
+		if err := h.region.WriteAt([]byte{0xEE}, int64(p)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.dev.CorruptPage(1, 0, 0x01)
+	ref := &refWalker{}
+
+	before := len(h.dev.DurablePageList())
+	got := walkStep(t, h.scr, h.dev, ref, "burst with repair")
+	if want := []mmu.PageID{0, 1, 2, 3, 4, 5, 10, 11}; !slices.Equal(got, want) {
+		t.Fatalf("burst visited %v, want %v", got, want)
+	}
+	if h.scr.Stats().Repairs != 1 || h.mgr.Stats().ForcedCleans == 0 {
+		t.Fatalf("repair did not force a clean: scrub %+v", h.scr.Stats())
+	}
+	if after := h.dev.DurablePageList(); len(after) == before {
+		t.Fatal("no page turned durable mid-burst; the test exercises nothing")
+	}
+	// The walk goes on from the cursor; the late page waits for the next pass.
+	walkStep(t, h.scr, h.dev, ref, "tail")
+	walkStep(t, h.scr, h.dev, ref, "wrap")
+	if h.scr.Stats().Passes != 1 {
+		t.Fatalf("passes = %d after one walk of the set, want 1", h.scr.Stats().Passes)
+	}
+}
+
+// TestScrubPassCountedOnce: a walk whose tail is shorter than a burst
+// used to count twice — at the short burst and again at the next burst's
+// empty tail. 20 pages at 8 per burst is three bursts a pass.
+func TestScrubPassCountedOnce(t *testing.T) {
+	clock, events := sim.NewClock(), sim.NewQueue()
+	dev := ssd.New(clock, events, ssd.Config{})
+	for p := mmu.PageID(0); p < 20; p++ {
+		seedPages(dev, p)
+	}
+	scr := New(clock, events, dev, nil, Config{BurstPages: 8})
+	for burst, want := range []uint64{0, 0, 1, 1, 1, 2, 2} {
+		scr.scanBurst()
+		if got := scr.Stats().Passes; got != want {
+			t.Fatalf("after burst %d: passes = %d, want %d", burst+1, got, want)
+		}
+	}
+	// A set that is a whole number of bursts completes its pass at the wrap.
+	dev16 := ssd.New(clock, events, ssd.Config{})
+	for p := mmu.PageID(0); p < 16; p++ {
+		seedPages(dev16, p)
+	}
+	scr = New(clock, events, dev16, nil, Config{BurstPages: 8})
+	for burst, want := range []uint64{0, 0, 1, 1, 2} {
+		scr.scanBurst()
+		if got := scr.Stats().Passes; got != want {
+			t.Fatalf("16 pages, after burst %d: passes = %d, want %d", burst+1, got, want)
+		}
+	}
+}
+
+// TestScanBurstZeroAlloc: a burst that finds nothing wrong costs its
+// eight checksums and nothing else — no list, no map, no sort — however
+// large the durable set.
+func TestScanBurstZeroAlloc(t *testing.T) {
+	clock, events := sim.NewClock(), sim.NewQueue()
+	dev := ssd.New(clock, events, ssd.Config{})
+	data := make([]byte, 4096)
+	for p := mmu.PageID(0); p < 8192; p++ {
+		dev.SeedDurable(p, data)
+	}
+	scr := New(clock, events, dev, nil, Config{})
+	scr.scanBurst() // sizes the reused buffer
+	if allocs := testing.AllocsPerRun(200, scr.scanBurst); allocs != 0 {
+		t.Fatalf("clean scan burst over 8192 durable pages allocates %.1f times, want 0", allocs)
+	}
+	if st := scr.Stats(); st.Detections != 0 || st.PagesScanned != 8*202 {
+		t.Fatalf("bursts did not scan cleanly: %+v", st)
 	}
 }

@@ -94,6 +94,6 @@ func (d *SSD) applyTorn(page mmu.PageID, data []byte) {
 		copy(torn, prev)
 	}
 	copy(torn[:len(data)/2], data[:len(data)/2])
-	d.store[page] = torn
+	d.putData(page, torn)
 	d.noteCorrupt(page)
 }

@@ -28,7 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
-	"sort"
+	"slices"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/sim"
@@ -85,29 +85,26 @@ func (d *SSD) CorruptOracle() []mmu.PageID {
 	for p := range d.corruptAt {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // DurablePageList returns, sorted, every page the host or device has any
 // durable claim about: pages with stored contents plus pages whose
-// checksum was acked but whose data was lost entirely. Scrubbers and
-// verified restore walk this list so a fully lost write (checksum
+// checksum was acked but whose data was lost entirely. Verified restore
+// and full scrub passes walk this list so a fully lost write (checksum
 // recorded, nothing in the store) is still visited and detected.
 func (d *SSD) DurablePageList() []mmu.PageID {
-	seen := make(map[mmu.PageID]struct{}, len(d.store)+len(d.sums))
-	out := make([]mmu.PageID, 0, len(d.store)+len(d.sums))
-	for p := range d.store {
-		seen[p] = struct{}{}
-		out = append(out, p)
-	}
-	for p := range d.sums {
-		if _, ok := seen[p]; !ok {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return d.claimed.appendFrom(make([]mmu.PageID, 0, d.claimed.n), 0, d.claimed.n)
+}
+
+// DurablePagesFrom appends to buf, ascending, the first max pages of
+// DurablePageList numbered from or above, and returns the extended
+// slice: the paced scrubber's successor query. Its cost follows the
+// pages returned, not the size of the durable set, and it allocates
+// only if buf lacks the capacity.
+func (d *SSD) DurablePagesFrom(from mmu.PageID, max int, buf []mmu.PageID) []mmu.PageID {
+	return d.claimed.appendFrom(buf, from, max)
 }
 
 // DurableChecksum returns the recorded checksum for page — the
@@ -177,39 +174,41 @@ func (d *SSD) CorruptPage(page mmu.PageID, off int, pattern byte) bool {
 
 // applyRot flips one deterministically chosen bit in one at-rest durable
 // page — the FaultDecision.Rot path. seed selects both the victim page
-// (from the sorted durable list, so the choice is stable for a given
-// store) and the bit. No-op on an empty store.
+// (by rank among the stored pages in ascending order, so the choice is
+// stable for a given store) and the bit. No-op on an empty store.
 func (d *SSD) applyRot(seed uint64) {
-	if len(d.store) == 0 {
+	n := uint64(d.stored.n)
+	if n == 0 {
 		return
 	}
-	pages := make([]mmu.PageID, 0, len(d.store))
-	for p := range d.store {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	victim := pages[seed%uint64(len(pages))]
+	victim := d.stored.kth(int(seed % n))
 	data := d.store[victim]
-	bit := (seed / uint64(len(pages))) % uint64(len(data)*8)
+	bit := (seed / n) % uint64(len(data)*8)
 	data[bit/8] ^= 1 << (bit % 8)
 	d.stats.RotEvents++
 	d.noteCorrupt(victim)
 }
 
 // misdirectTarget picks the page a misdirected write actually lands on:
-// a deterministic other member of the durable set. If the store has no
-// other page to hit, the write degrades to a fully lost write (the data
-// lands nowhere), which the caller models by returning (0, false).
+// a deterministic other member of the durable set, by rank among the
+// stored pages other than intended. If the store has no other page to
+// hit, the write degrades to a fully lost write (the data lands
+// nowhere), which the caller models by returning (0, false).
 func (d *SSD) misdirectTarget(intended mmu.PageID, seed uint64) (mmu.PageID, bool) {
-	candidates := make([]mmu.PageID, 0, len(d.store))
-	for p := range d.store {
-		if p != intended {
-			candidates = append(candidates, p)
-		}
+	others := d.stored.n
+	_, skip := d.store[intended]
+	if skip {
+		others--
 	}
-	if len(candidates) == 0 {
+	if others == 0 {
 		return 0, false
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return candidates[seed%uint64(len(candidates))], true
+	k := int(seed % uint64(others))
+	victim := d.stored.kth(k)
+	if skip && victim >= intended {
+		// intended ranks at or below k among all stored pages, so the
+		// k-th of the others is one further on.
+		victim = d.stored.kth(k + 1)
+	}
+	return victim, true
 }

@@ -39,10 +39,10 @@ func TestEstimateCompressedSizeExact(t *testing.T) {
 		want int
 	}{
 		{"empty input", nil, 0},
-		{"single byte", []byte{7}, 1},                              // header would exceed input: capped
-		{"short run below threshold", []byte{5, 5, 5}, 3},          // capped at input size
-		{"run at threshold", []byte{5, 5, 5, 5}, 4},                // token+header still ≥ input: capped
-		{"all zero page", make([]byte, 4096), 11},                  // header + one token
+		{"single byte", []byte{7}, 1},                     // header would exceed input: capped
+		{"short run below threshold", []byte{5, 5, 5}, 3}, // capped at input size
+		{"run at threshold", []byte{5, 5, 5, 5}, 4},       // token+header still ≥ input: capped
+		{"all zero page", make([]byte, 4096), 11},         // header + one token
 		{"two runs", append(bytes.Repeat([]byte{1}, 100), bytes.Repeat([]byte{2}, 100)...), 14},
 	}
 	for _, c := range cases {

@@ -128,6 +128,8 @@ type SSD struct {
 
 	store     map[mmu.PageID][]byte   // durable page contents
 	sums      map[mmu.PageID]uint64   // per-page checksums of last acked contents (integrity.go)
+	stored    pageSet                 // the pages with an entry in store (putData)
+	claimed   pageSet                 // the pages with an entry in store or sums (putData, putSum)
 	corruptAt map[mmu.PageID]sim.Time // oracle: first unrepaired silent corruption per page
 	dedup     map[uint64]struct{}     // content fingerprints (Dedup)
 	faults    FaultInjector           // nil = never errors (fault.go)
@@ -165,6 +167,23 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) *SSD {
 		store:  make(map[mmu.PageID][]byte),
 		sums:   make(map[mmu.PageID]uint64),
 	}
+}
+
+// putData installs data as page's stored contents. Every insertion into
+// store goes through here: neither map ever loses an entry, so the two
+// page sets only grow, and "bit set ⇔ page has an entry" holds by
+// construction.
+func (d *SSD) putData(page mmu.PageID, data []byte) {
+	d.store[page] = data
+	d.stored.add(page)
+	d.claimed.add(page)
+}
+
+// putSum records sum as the checksum of page's last acked contents; the
+// only way into sums (see putData).
+func (d *SSD) putSum(page mmu.PageID, sum uint64) {
+	d.sums[page] = sum
+	d.claimed.add(page)
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -261,7 +280,7 @@ func (d *SSD) WritePageAsync(page mmu.PageID, data []byte, onComplete func(sim.T
 			d.stats.LostWrites++
 			d.stats.BytesWritten += uint64(len(data))
 			goodput = len(data)
-			d.sums[page] = Checksum(data)
+			d.putSum(page, Checksum(data))
 			d.noteCorrupt(page)
 		case FaultMisdirected:
 			// Acked for the intended page, landed on a victim: the
@@ -272,17 +291,17 @@ func (d *SSD) WritePageAsync(page mmu.PageID, data []byte, onComplete func(sim.T
 			d.stats.Misdirected++
 			d.stats.BytesWritten += uint64(len(data))
 			goodput = len(data)
-			d.sums[page] = Checksum(data)
+			d.putSum(page, Checksum(data))
 			d.noteCorrupt(page)
 			if victim, ok := d.misdirectTarget(page, fault.MisdirectSeed); ok {
-				d.store[victim] = data
+				d.putData(victim, data)
 				d.noteCorrupt(victim)
 			} else {
 				d.stats.LostWrites++
 			}
 		default:
-			d.store[page] = data
-			d.sums[page] = Checksum(data)
+			d.putData(page, data)
+			d.putSum(page, Checksum(data))
 			d.clearCorrupt(page)
 			d.stats.BytesWritten += uint64(len(data))
 			goodput = len(data)
@@ -355,8 +374,8 @@ func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
 	for page, data := range pages {
 		cp := make([]byte, len(data))
 		copy(cp, data)
-		d.store[page] = cp
-		d.sums[page] = Checksum(cp)
+		d.putData(page, cp)
+		d.putSum(page, Checksum(cp))
 		d.clearCorrupt(page)
 		d.stats.BytesWritten += uint64(len(data))
 		d.stats.WritesCompleted++
@@ -396,8 +415,8 @@ func (d *SSD) SeedDurable(page mmu.PageID, data []byte) {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	d.store[page] = cp
-	d.sums[page] = Checksum(cp)
+	d.putData(page, cp)
+	d.putSum(page, Checksum(cp))
 }
 
 // Durable returns the stored contents of page without charging time, for

@@ -84,9 +84,9 @@ func FuzzReplay(f *testing.F) {
 		return ms.data
 	}
 	img := pristine(f)
-	f.Add(uint32(recordBase), uint8(7), uint8(200))  // clobber first record
-	f.Add(uint32(offHead), uint8(8), uint8(0x55))    // tear the header head field
-	f.Add(uint32(len(img)-40), uint8(40), uint8(1))  // tail corruption
+	f.Add(uint32(recordBase), uint8(7), uint8(200))      // clobber first record
+	f.Add(uint32(offHead), uint8(8), uint8(0x55))        // tear the header head field
+	f.Add(uint32(len(img)-40), uint8(40), uint8(1))      // tail corruption
 	f.Add(uint32(recordBase+100), uint8(1), uint8(0x80)) // single bit-ish flip mid-log
 
 	f.Fuzz(func(t *testing.T, off uint32, length uint8, xor uint8) {
