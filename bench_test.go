@@ -660,12 +660,23 @@ func BenchmarkScrubBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochTick is one epoch tick over D dirty pages that all stay
-// dirty (the budget is far away): dirty-bit scan, history aging, victim
-// ordering.
+// BenchmarkEpochTick is one epoch tick over D dirty pages. In the plain
+// and no-victim cases the budget is far away and every page stays dirty:
+// dirty-bit scan and candidate collection, nothing ordered. In the k=8
+// case the set sits at the cleaning threshold and each epoch dirties 8
+// clean pages, so each tick orders the candidates and cleans 8 — the
+// timed region then also holds those 8 faults and 8 SSD completions.
 func BenchmarkEpochTick(b *testing.B) {
-	for _, d := range []int{256, 4096} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		d, k int
+	}{
+		{"D=256", 256, 0},
+		{"D=4096", 4096, 0},
+		{"D=8192/no-victim", 8192, 0},
+		{"D=8192/k=8", 8192, 8},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			sys, err := New(Config{
 				NVDRAMSize:           64 << 20,
 				Battery:              BatteryConfig{CapacityJoules: 1e6},
@@ -676,24 +687,59 @@ func BenchmarkEpochTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sys.Close()
-			m, err := sys.Map("bench", int64(d)*4096)
+			// Written round-robin under least-recently-updated cleaning,
+			// a mapping twice the dirty set always has its next k pages
+			// clean.
+			span := 2 * c.d
+			m, err := sys.Map("bench", int64(span)*4096)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for p := 0; p < d; p++ {
-				if err := m.WriteAt([]byte{1}, int64(p)*4096); err != nil {
-					b.Fatal(err)
+			next := 0
+			dirty := func(n int) {
+				for ; n > 0; n-- {
+					if err := m.WriteAt([]byte{1}, int64(next%span)*4096); err != nil {
+						b.Fatal(err)
+					}
+					next++
 				}
 			}
 			epoch := sys.Manager().Config().Epoch
+			dirty(c.d - c.k)
+			// Let the pressure estimate forget the initial fill, stop just
+			// after a tick, and put the budget at D.
+			sys.AdvanceTime(64 * epoch)
+			for e := sys.Stats().Epochs; sys.Stats().Epochs == e; {
+				sys.AdvanceTime(epoch / 100)
+			}
+			if c.k > 0 {
+				if err := sys.Manager().SetDirtyBudget(c.d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// One iteration is one epoch: the k writes land mid-epoch, after
+			// the previous tick's cleans have completed, and the tick follows.
+			base, iter := sys.Now(), 0
+			advanceTo := func(t sim.Time) { sys.AdvanceTime(t.Sub(sys.Now())) }
+			run := func(n int) {
+				for ; n > 0; n-- {
+					advanceTo(base.Add(sim.Duration(iter)*epoch + epoch/2))
+					dirty(c.k)
+					iter++
+					advanceTo(base.Add(sim.Duration(iter) * epoch))
+				}
+			}
+			run(64) // the pressure estimate learns k per epoch
+			before := sys.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.AdvanceTime(epoch)
-			}
+			run(b.N)
 			b.StopTimer()
-			if sys.DirtyCount() != d {
-				b.Fatalf("%d pages dirty after the ticks, want %d", sys.DirtyCount(), d)
+			st := sys.Stats()
+			if got, want := st.ProactiveCleans-before.ProactiveCleans, uint64(c.k*b.N); got != want ||
+				st.Epochs-before.Epochs != uint64(b.N) || st.ForcedCleans != before.ForcedCleans || sys.DirtyCount() != c.d {
+				b.Fatalf("%d ticks cleaned %d pages with %d forced cleans in %d epochs, %d dirty; want %d ticks, %d pages, none forced, %d dirty",
+					st.Epochs-before.Epochs, got, st.ForcedCleans-before.ForcedCleans, b.N, sys.DirtyCount(), b.N, want, c.d)
 			}
 		})
 	}

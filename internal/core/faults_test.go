@@ -24,8 +24,8 @@ func newFaultedHarness(t testing.TB, pages int, cfg Config, fcfg faultinject.Con
 // retryPending reports whether any dirty page is waiting on a scheduled
 // clean retry (failed at least once, not currently being cleaned).
 func (m *Manager) retryPending() bool {
-	for _, dp := range m.dirty {
-		if !dp.cleaning && dp.attempts > 0 {
+	for _, page := range m.dirty.list() {
+		if dp := m.dirty.get(page); !dp.cleaning && dp.attempts > 0 {
 			return true
 		}
 	}
@@ -291,11 +291,11 @@ func TestBudgetInvariantUnderSSDFaults(t *testing.T) {
 }
 
 // recountInflight is what inflight used to be computed as on every use:
-// a walk of the dirty map.
+// a walk of the dirty set.
 func (m *Manager) recountInflight() int {
 	n := 0
-	for _, dp := range m.dirty {
-		if dp.cleaning {
+	for _, page := range m.dirty.list() {
+		if m.dirty.get(page).cleaning {
 			n++
 		}
 	}

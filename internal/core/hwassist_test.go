@@ -76,7 +76,7 @@ func TestHWRewriteDuringCleanStaysDirty(t *testing.T) {
 	}
 	h.dev.WaitIdle()
 	h.mgr.Pump()
-	if _, ok := h.mgr.dirty[3]; !ok {
+	if !h.mgr.IsDirty(3) {
 		t.Fatal("rewritten page marked clean; its latest bytes are not durable")
 	}
 	// A full flush then makes the new contents durable.
@@ -119,11 +119,11 @@ func TestHWEpochScansStillTrackRecency(t *testing.T) {
 		h.writePage(t, 2, byte(20+e))
 	}
 	h.writePage(t, 3, 9) // forces eviction of the cold page
-	if _, still := h.mgr.dirty[0]; still {
+	if h.mgr.IsDirty(0) {
 		t.Fatal("cold page not chosen as victim in hardware mode")
 	}
 	for _, hot := range []mmu.PageID{1, 2} {
-		if _, ok := h.mgr.dirty[hot]; !ok {
+		if !h.mgr.IsDirty(hot) {
 			t.Fatalf("hot page %d evicted in hardware mode", hot)
 		}
 	}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/obs"
@@ -120,7 +120,7 @@ func (m *Manager) Stats() Stats {
 // noteDirtyLevel publishes the dirty-set size after a mutation; the
 // high-water mark ratchets with it.
 func (m *Manager) noteDirtyLevel() {
-	n := int64(len(m.dirty))
+	n := int64(m.dirty.len())
 	m.st.dirtyPages.Set(n)
 	m.st.maxDirty.SetMax(n)
 }
@@ -147,15 +147,17 @@ func (m *Manager) setState(s HealthState) {
 	m.st.healthState.Set(int64(s))
 }
 
-// sortedDirtyPages returns the dirty set's page IDs in ascending order.
-// Whole-set drain paths (FlushAll, emergency drain) iterate this instead
-// of ranging the map so submission order — and therefore completion
-// times, span order, and exports — is identical across same-seed runs.
-func (m *Manager) sortedDirtyPages() []mmu.PageID {
-	pages := make([]mmu.PageID, 0, len(m.dirty))
-	for page := range m.dirty {
-		pages = append(pages, page)
+// drainOrder returns the dirty set's page IDs in ascending order — the
+// submission order of the whole-set drains (FlushAll, emergency drain),
+// which completion times, span order and exports all follow. A drain asks
+// on every event it steps; while every dirty page is already in flight
+// there is nothing to submit and the answer is nil, so the set is listed
+// and sorted only after a completion has left a page behind.
+func (m *Manager) drainOrder() []mmu.PageID {
+	if m.dirty.len() == m.inflight {
+		return nil
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	pages := slices.Clone(m.dirty.list())
+	slices.Sort(pages)
 	return pages
 }

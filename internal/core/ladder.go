@@ -101,8 +101,8 @@ func (m *Manager) unblockWrites() {
 		}
 		return
 	}
-	for page, dp := range m.dirty {
-		if !dp.cleaning {
+	for _, page := range m.dirty.list() {
+		if !m.dirty.get(page).cleaning {
 			pt.Unprotect(page)
 		}
 	}
@@ -130,7 +130,7 @@ func (m *Manager) EnterEmergencyFlush() int {
 // elsewhere it reports the dirty count unchanged.
 func (m *Manager) RetryDrain() int {
 	if m.state != StateEmergencyFlush {
-		return len(m.dirty)
+		return m.dirty.len()
 	}
 	return m.emergencyDrain()
 }
@@ -142,17 +142,15 @@ func (m *Manager) RetryDrain() int {
 // the auto-retry while writes are blocked (see startClean), so attempt
 // accounting stays entirely here.
 func (m *Manager) emergencyDrain() int {
-	for _, dp := range m.dirty {
-		if !dp.cleaning {
+	for _, page := range m.dirty.list() {
+		if dp := m.dirty.get(page); !dp.cleaning {
 			dp.attempts = 0
 		}
 	}
-	for len(m.dirty) > 0 {
+	for m.dirty.len() > 0 {
 		submitted := false
-		// Sorted submission order keeps the drain's timing and trace
-		// deterministic across same-seed runs (map order is not).
-		for _, page := range m.sortedDirtyPages() {
-			if dp, ok := m.dirty[page]; ok && !dp.cleaning && dp.attempts < m.cfg.EmergencyMaxAttempts {
+		for _, page := range m.drainOrder() {
+			if dp := m.dirty.get(page); dp != nil && !dp.cleaning && dp.attempts < m.cfg.EmergencyMaxAttempts {
 				m.st.emergencyCleans.Inc()
 				m.startClean(page)
 				submitted = true
@@ -169,7 +167,7 @@ func (m *Manager) emergencyDrain() int {
 			panic("core: emergency drain blocked with no pending events")
 		}
 	}
-	return len(m.dirty)
+	return m.dirty.len()
 }
 
 // EnterReadOnly escalates to the terminal ReadOnly rung: writes are

@@ -176,28 +176,28 @@ type Manager struct {
 	// including pages re-protected and in flight to the SSD. Its size is
 	// the quantity the battery must cover and never exceeds the
 	// effective budget.
-	dirty    map[mmu.PageID]*dirtyPage
+	dirty    dirtySet
 	dirtySeq uint64
 	// inflight counts the dirty entries with cleaning set — SSD
 	// write-backs on the wire. It moves only in setCleaning, so nothing
-	// has to walk the dirty map to know it.
+	// has to walk the dirty set to know it.
 	inflight int
 
 	// history is the per-page 64-epoch aging word (see PageInfo.History).
 	// Aging is applied lazily: histEpoch records the epoch index at
 	// which history[p] was last brought current, and ageHistory shifts
-	// by the elapsed delta on demand. This keeps each epoch tick O(dirty
-	// set) instead of O(region pages) — only dirty pages can be victims,
-	// so only their histories need to be current.
+	// by the elapsed delta where a history is written (a scan observed
+	// the page, the page is admitted) or read (the page is ordered as a
+	// victim candidate). An epoch tick therefore touches the histories
+	// of the pages written that epoch, not of every dirty page.
 	history    []uint64
 	histEpoch  []uint64
 	epochIndex uint64
 
-	// victimQueue is the policy-ordered list of clean candidates, rebuilt
-	// each epoch; entries are skipped lazily if their page is no longer
-	// eligible.
-	victimQueue []PageInfo
-	victimPos   int
+	// victims holds this epoch's clean candidates — the not-in-flight
+	// dirty pages as of the last tick — and orders them on demand;
+	// candidates no longer eligible are skipped as they come out.
+	victims *VictimSelector
 
 	newDirtyThisEpoch int
 	pressure          float64
@@ -211,9 +211,9 @@ type Manager struct {
 	healthyStreak int      // consecutive successful cleans since last error
 	lastErrorAt   sim.Time // when the last clean error completed (time-based heal)
 
-	epochEvent    *sim.Event
-	scanBuf       []mmu.PageID
-	dirtyPagesBuf []mmu.PageID
+	epochEvent *sim.Event
+	epochFn    func(sim.Time) // m.epochTick, bound once
+	scanBuf    []mmu.PageID
 
 	// mmap-like allocator state (mapping.go).
 	mappings  []*Mapping
@@ -238,19 +238,6 @@ type Sample struct {
 
 // MaxSamples bounds the sampling ring.
 const MaxSamples = 4096
-
-// dirtyPage is the tracked state of one dirty page.
-type dirtyPage struct {
-	seq      uint64
-	cleaning bool // SSD write in flight (page re-protected in SW mode)
-	// rewritten marks a hardware-assist page written again after its
-	// clean's snapshot was taken: the completing IO must not mark it
-	// clean.
-	rewritten bool
-	// attempts counts consecutive failed cleans of this page; it drives
-	// the exponential retry backoff and resets on success.
-	attempts int
-}
 
 // NewManager wires a manager onto a region and backing device sharing one
 // clock and event queue, write-protects every page (paper step 1), and
@@ -277,12 +264,13 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		dev:       dev,
 		cfg:       cfg,
 		budget:    cfg.DirtyBudgetPages,
-		dirty:     make(map[mmu.PageID]*dirtyPage),
+		dirty:     newDirtySet(region.NumPages()),
 		history:   make([]uint64, region.NumPages()),
 		histEpoch: make([]uint64, region.NumPages()),
 		st:        newInstruments(reg),
 		tr:        reg.Tracer(),
 	}
+	m.victims = NewVictimSelector(cfg.Policy, m.agedHistory)
 	m.noteBudgetLevel()
 	pt := region.PageTable()
 	if cfg.HardwareAssist {
@@ -308,7 +296,7 @@ func (m *Manager) scheduleSample(at sim.Time) {
 		if m.closed {
 			return
 		}
-		m.samples = append(m.samples, Sample{At: t, Dirty: len(m.dirty), Pressure: m.pressure})
+		m.samples = append(m.samples, Sample{At: t, Dirty: m.dirty.len(), Pressure: m.pressure})
 		if len(m.samples) > MaxSamples {
 			m.samples = m.samples[len(m.samples)-MaxSamples:]
 		}
@@ -335,7 +323,7 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // DirtyCount returns the current size of the dirty set (including pages
 // in flight to the SSD, whose latest contents are not yet durable).
-func (m *Manager) DirtyCount() int { return len(m.dirty) }
+func (m *Manager) DirtyCount() int { return m.dirty.len() }
 
 // DirtyBudget returns the current budget in pages.
 func (m *Manager) DirtyBudget() int { return m.budget }
@@ -364,15 +352,17 @@ func (m *Manager) Close() {
 
 // scheduleEpoch arms the first epoch tick.
 func (m *Manager) scheduleEpoch() {
-	m.scheduleEpochAt(m.clock.Now().Add(m.cfg.Epoch))
+	m.epochFn = m.epochTick
+	m.epochEvent = m.events.Schedule(m.clock.Now().Add(m.cfg.Epoch), m.epochFn)
 }
 
-// scheduleEpochAt arms an epoch tick at an absolute time. Ticks chain off
-// their *scheduled* time, not the (possibly far ahead) clock, so a driver
-// that advances the clock in large steps still observes one tick per
-// epoch when it pumps events.
+// scheduleEpochAt arms the next epoch tick, from inside the one that just
+// fired: its event (and the bound method value) is used again, so a tick
+// allocates nothing. Ticks chain off their *scheduled* time, not the
+// (possibly far ahead) clock, so a driver that advances the clock in
+// large steps still observes one tick per epoch when it pumps events.
 func (m *Manager) scheduleEpochAt(at sim.Time) {
-	m.epochEvent = m.events.Schedule(at, m.epochTick)
+	m.events.Rearm(m.epochEvent, at, m.epochFn)
 }
 
 // handleFault is the write-protection fault handler (flowchart steps 3–8).
@@ -391,15 +381,16 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	// before the copy started precisely so this write traps (paper §5.1);
 	// wait for the IO to complete, after which the page is clean and the
 	// fault proceeds as a fresh dirtying.
-	if dp, ok := m.dirty[page]; ok {
+	if dp := m.dirty.get(page); dp != nil {
 		if !dp.cleaning {
 			// The page is dirty and unprotected; a fault here means the
 			// protection state and dirty set disagree.
 			panic(fmt.Sprintf("core: fault on dirty, unprotected page %d", page))
 		}
+		seq := dp.seq
 		for {
-			cur, still := m.dirty[page]
-			if !still || cur != dp {
+			cur := m.dirty.live(page, seq)
+			if cur == nil {
 				break
 			}
 			if !cur.cleaning {
@@ -421,10 +412,10 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	// the drain ratchet, so a fault taken mid-drain pays for the whole
 	// remaining drain — the backpressure that lets the transition make
 	// progress against a sustained write burst.
-	for len(m.dirty) >= m.effectiveBudget() {
+	for m.dirty.len() >= m.effectiveBudget() {
 		m.st.forcedCleans.Inc()
 		if !m.cleanOneSync() {
-			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", len(m.dirty), m.effectiveBudget()))
+			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
 	m.noteFaultWait(m.clock.Now().Sub(waitStart))
@@ -436,13 +427,19 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	// the §6.3 TLB ablation bite: without flushes the walk misses
 	// re-updates and hot pages look cold.)
 	m.region.PageTable().Unprotect(page)
-	m.dirtySeq++
-	m.dirty[page] = &dirtyPage{seq: m.dirtySeq}
-	m.ageHistory(page) // bring the page's decayed history current
+	m.admit(page)
 	m.newDirtyThisEpoch++
 	m.st.pagesDirtied.Inc()
 	m.noteDirtyLevel()
 	m.checkInvariant()
+}
+
+// admit enters page into the dirty set under the next sequence number and
+// brings its decayed history current.
+func (m *Manager) admit(page mmu.PageID) {
+	m.dirtySeq++
+	m.dirty.add(page, m.dirtySeq)
+	m.ageHistory(page)
 }
 
 // ageHistory applies the epochs of decay that have accrued since page's
@@ -457,13 +454,19 @@ func (m *Manager) ageHistory(page mmu.PageID) {
 	m.histEpoch[page] = m.epochIndex
 }
 
+// agedHistory returns page's history as of the current epoch.
+func (m *Manager) agedHistory(page mmu.PageID) uint64 {
+	m.ageHistory(page)
+	return m.history[page]
+}
+
 // handleDirtyNotify is the §5.4 hardware path: the MMU signals that a
 // write set a clear dirty bit. The store is modelled as stalling until
 // this handler returns, so budget enforcement here is as strict as the
 // software fault path — but the common case (budget slack available) is
 // nearly free.
 func (m *Manager) handleDirtyNotify(page mmu.PageID) {
-	if dp, ok := m.dirty[page]; ok {
+	if dp := m.dirty.get(page); dp != nil {
 		// Already tracked. A notification for a tracked page means its
 		// dirty bit had been cleared — by an epoch scan (nothing to do)
 		// or by an in-progress clean's snapshot (the copy is stale).
@@ -473,20 +476,18 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 		return
 	}
 	waitStart := m.clock.Now()
-	for len(m.dirty) >= m.effectiveBudget() {
+	for m.dirty.len() >= m.effectiveBudget() {
 		// The at-budget case pays the interrupt the §5.4 MMU raises.
 		m.st.faults.Inc()
 		m.clock.Advance(hwInterruptCost)
 		m.st.forcedCleans.Inc()
 		if !m.cleanOneSync() {
-			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", len(m.dirty), m.effectiveBudget()))
+			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
 	m.noteFaultWait(m.clock.Now().Sub(waitStart))
 
-	m.dirtySeq++
-	m.dirty[page] = &dirtyPage{seq: m.dirtySeq}
-	m.ageHistory(page)
+	m.admit(page)
 	m.newDirtyThisEpoch++
 	m.st.pagesDirtied.Inc()
 	m.noteDirtyLevel()
@@ -498,54 +499,45 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 // invalidation, no retry) but not free.
 const hwInterruptCost = 2 * sim.Microsecond
 
-// nextVictim returns the next eligible victim page from the policy-ordered
-// queue, or false if none is eligible (all dirty pages already cleaning).
+// nextVictim returns the next eligible victim page in policy order, or
+// false if none is eligible (all dirty pages already cleaning).
 func (m *Manager) nextVictim() (mmu.PageID, bool) {
-	for m.victimPos < len(m.victimQueue) {
-		cand := m.victimQueue[m.victimPos]
-		m.victimPos++
-		if dp, ok := m.dirty[cand.Page]; ok && !dp.cleaning && dp.seq == cand.DirtiedSeq {
-			return cand.Page, true
+	for collected := false; ; collected = true {
+		for {
+			cand, ok := m.victims.Pop()
+			if !ok {
+				break
+			}
+			if dp := m.dirty.live(cand.Page, cand.DirtiedSeq); dp != nil && !dp.cleaning {
+				return cand.Page, true
+			}
 		}
-	}
-	// Queue exhausted (or stale mid-epoch): rebuild from the live dirty
-	// set so the fault path can always find a victim.
-	m.rebuildVictimQueue()
-	for m.victimPos < len(m.victimQueue) {
-		cand := m.victimQueue[m.victimPos]
-		m.victimPos++
-		if dp, ok := m.dirty[cand.Page]; ok && !dp.cleaning && dp.seq == cand.DirtiedSeq {
-			return cand.Page, true
+		if collected {
+			return 0, false
 		}
+		// Candidates exhausted (or stale mid-epoch): collect again from
+		// the live dirty set so the fault path can always find a victim.
+		m.collectVictims()
 	}
-	return 0, false
 }
 
-// rebuildVictimQueue re-sorts the live, not-in-flight dirty pages with the
-// configured policy.
-func (m *Manager) rebuildVictimQueue() {
-	m.victimQueue = m.victimQueue[:0]
-	for page, dp := range m.dirty {
-		if dp.cleaning {
-			continue
+// collectVictims replaces the candidate set with the dirty pages that are
+// not in flight. It compares nothing; see VictimSelector.
+func (m *Manager) collectVictims() {
+	m.victims.Reset()
+	for _, page := range m.dirty.list() {
+		if dp := m.dirty.get(page); !dp.cleaning {
+			m.victims.Add(page, dp.seq)
 		}
-		m.victimQueue = append(m.victimQueue, PageInfo{Page: page, History: m.history[page], DirtiedSeq: dp.seq})
 	}
-	m.orderVictimQueue()
-}
-
-// orderVictimQueue sorts the collected candidates victim-first and
-// rewinds the queue.
-func (m *Manager) orderVictimQueue() {
-	m.cfg.Policy.Order(m.victimQueue)
-	m.victimPos = 0
 }
 
 // startClean re-protects page and submits its contents to the SSD. The
 // page stays in the dirty set (its latest contents are not durable) until
 // the IO completes. Returns false if no victim was available.
 func (m *Manager) startClean(page mmu.PageID) {
-	dp := m.dirty[page]
+	dp := m.dirty.get(page)
+	seq := dp.seq
 	m.setCleaning(dp, true)
 	pt := m.region.PageTable()
 	if m.cfg.HardwareAssist {
@@ -559,12 +551,13 @@ func (m *Manager) startClean(page mmu.PageID) {
 		// clean (paper §5.1 step 6).
 		pt.Protect(page)
 	}
-	data := m.region.PageData(page)
+	// PageData's copy is the submission snapshot; the device takes it over.
+	snap := m.region.PageData(page)
 	sp := m.tr.Begin("core.clean", m.clock.Now())
-	m.dev.WritePageAsync(page, data, func(at sim.Time, err error) {
+	m.dev.WriteSnapshotAsync(page, snap, func(at sim.Time, err error) {
 		// If the entry was replaced (page re-dirtied after a waiter saw
 		// this clean complete), leave the new entry alone.
-		cur, ok := m.dirty[page]
+		dp := m.dirty.live(page, seq)
 		if err != nil {
 			// The write failed (transient error or torn program): the
 			// page's latest contents are NOT durable, so it must stay in
@@ -575,7 +568,7 @@ func (m *Manager) startClean(page mmu.PageID) {
 			m.st.cleanErrors.Inc()
 			m.tr.Finish(sp, at, "error")
 			m.noteCleanError(at)
-			if !ok || cur != dp {
+			if dp == nil {
 				return
 			}
 			m.setCleaning(dp, false)
@@ -591,7 +584,7 @@ func (m *Manager) startClean(page mmu.PageID) {
 				pt.Unprotect(page)
 			}
 			if !m.closed {
-				m.scheduleCleanRetry(page, dp, at.Add(m.retryBackoff(dp.attempts)))
+				m.scheduleCleanRetry(page, seq, at.Add(m.retryBackoff(dp.attempts)))
 			}
 			return
 		}
@@ -599,7 +592,7 @@ func (m *Manager) startClean(page mmu.PageID) {
 		m.st.cleanLatency.Record(at.Sub(sp.Start))
 		m.tr.Finish(sp, at, "ok")
 		m.noteCleanSuccess()
-		if !ok || cur != dp {
+		if dp == nil {
 			return
 		}
 		dp.attempts = 0
@@ -613,7 +606,7 @@ func (m *Manager) startClean(page mmu.PageID) {
 		}
 		// The snapshot's contents are now durable.
 		m.setCleaning(dp, false)
-		delete(m.dirty, page)
+		m.dirty.remove(page)
 		pt.ClearDirty(page)
 		m.noteDirtyLevel()
 		m.noteDrainProgress()
@@ -638,13 +631,12 @@ func (m *Manager) retryBackoff(attempts int) sim.Duration {
 // time. The retry is skipped if by then the manager closed, the page
 // left the dirty set, its entry was replaced, or another path (forced
 // clean, Unmap, epoch task) already restarted the clean.
-func (m *Manager) scheduleCleanRetry(page mmu.PageID, dp *dirtyPage, at sim.Time) {
+func (m *Manager) scheduleCleanRetry(page mmu.PageID, seq uint64, at sim.Time) {
 	m.events.Schedule(at, func(sim.Time) {
 		if m.closed {
 			return
 		}
-		cur, ok := m.dirty[page]
-		if !ok || cur != dp || cur.cleaning {
+		if dp := m.dirty.live(page, seq); dp == nil || dp.cleaning {
 			return
 		}
 		m.st.cleanRetries.Inc()
@@ -697,9 +689,9 @@ func (m *Manager) ErrorStreak() int { return m.errorStreak }
 // so the victim must be picked again (now with fresh contents). Returns
 // false if no victim is eligible and nothing is in flight.
 func (m *Manager) cleanOneSync() bool {
-	before := len(m.dirty)
+	before := m.dirty.len()
 	started := false
-	for len(m.dirty) >= before {
+	for m.dirty.len() >= before {
 		if !started || m.inflight == 0 {
 			// Start a victim immediately (paper §5.1 steps 6–7); pick
 			// again only if everything in flight completed without
@@ -766,22 +758,12 @@ func (m *Manager) epochTick(at sim.Time) {
 	// without a fault — flushing the TLB first so the bits are fresh
 	// (unless the §6.3 ablation disables it).
 	//
-	// This is the tick's one walk of the dirty map: it lists the pages to
-	// scan, ages their histories to this epoch (clean pages age lazily
-	// when they are next dirtied; see ageHistory) and collects the
-	// not-in-flight ones as this epoch's victim candidates.
-	m.dirtyPagesBuf = m.dirtyPagesBuf[:0]
-	m.victimQueue = m.victimQueue[:0]
-	for page, dp := range m.dirty {
-		m.dirtyPagesBuf = append(m.dirtyPagesBuf, page)
-		m.ageHistory(page)
-		if !dp.cleaning {
-			m.victimQueue = append(m.victimQueue, PageInfo{Page: page, DirtiedSeq: dp.seq})
-		}
-	}
-	m.scanBuf = m.region.PageTable().CheckAndClearDirtyPages(m.dirtyPagesBuf, m.scanBuf[:0], !m.cfg.DisableTLBFlush)
-	// Mark the pages the scan observed as updated.
+	// The scan reads the dirty set's own page list, and only the pages it
+	// observed have their histories touched: aged to this epoch, then
+	// marked updated. Every other history ages when it is next read.
+	m.scanBuf = m.region.PageTable().CheckAndClearDirtyPages(m.dirty.list(), m.scanBuf[:0], !m.cfg.DisableTLBFlush)
 	for _, p := range m.scanBuf {
+		m.ageHistory(p)
 		m.history[p] |= 1 << 63
 	}
 
@@ -806,13 +788,14 @@ func (m *Manager) epochTick(at sim.Time) {
 		m.st.degradedEpochs.Inc()
 		threshold /= 2
 	}
-	// Order the candidates on their histories as of this scan.
-	for i := range m.victimQueue {
-		m.victimQueue[i].History = m.history[m.victimQueue[i].Page]
-	}
-	m.orderVictimQueue()
+	// This epoch's victim candidates are the pages not in flight now.
+	// Nothing is ordered until a victim is asked for — here, if the set
+	// is over the threshold, or on the fault path later in the epoch —
+	// and histories do not change before the next tick, so whenever that
+	// happens the order is the one as of this scan.
+	m.collectVictims()
 	// Count in-flight cleans as already-on-their-way reductions.
-	target := len(m.dirty) - m.inflight
+	target := m.dirty.len() - m.inflight
 	for target > threshold {
 		page, ok := m.nextVictim()
 		if !ok {
@@ -833,10 +816,10 @@ func (m *Manager) epochTick(at sim.Time) {
 // contents are durable. Pages are submitted in sorted order so flush
 // timing and the trace log are identical across same-seed runs.
 func (m *Manager) FlushAll() {
-	for len(m.dirty) > 0 {
+	for m.dirty.len() > 0 {
 		started := false
-		for _, page := range m.sortedDirtyPages() {
-			if dp, ok := m.dirty[page]; ok && !dp.cleaning {
+		for _, page := range m.drainOrder() {
+			if dp := m.dirty.get(page); dp != nil && !dp.cleaning {
 				m.startClean(page)
 				started = true
 			}
@@ -864,7 +847,7 @@ func (m *Manager) SetDirtyBudget(pages int) error {
 	if pages < 1 {
 		return fmt.Errorf("core: dirty budget %d pages; need at least 1", pages)
 	}
-	if pages >= len(m.dirty) {
+	if pages >= m.dirty.len() {
 		// The dirty set already fits: no transition needed. This also
 		// ends any in-progress drain whose target just rose above the
 		// current level.
@@ -887,7 +870,7 @@ func (m *Manager) SetDirtyBudget(pages int) error {
 	}
 	if !m.draining {
 		m.draining = true
-		m.drainBound = len(m.dirty)
+		m.drainBound = m.dirty.len()
 	}
 	m.budget = pages
 	m.st.budgetShrinks.Inc()
@@ -916,7 +899,7 @@ func (m *Manager) CompleteDrain() error {
 	for m.draining {
 		m.st.retuneCleans.Inc()
 		if !m.cleanOneSync() {
-			return fmt.Errorf("core: cannot drain dirty set %d to budget %d", len(m.dirty), m.budget)
+			return fmt.Errorf("core: cannot drain dirty set %d to budget %d", m.dirty.len(), m.budget)
 		}
 	}
 	return nil
@@ -927,7 +910,7 @@ func (m *Manager) CompleteDrain() error {
 // forced cleans on, and the next epoch tick may be most of a
 // millisecond away).
 func (m *Manager) kickDrain() {
-	excess := len(m.dirty) - m.inflight - m.budget
+	excess := m.dirty.len() - m.inflight - m.budget
 	for excess > 0 {
 		page, ok := m.nextVictim()
 		if !ok {
@@ -947,8 +930,8 @@ func (m *Manager) noteDrainProgress() {
 	if !m.draining {
 		return
 	}
-	if len(m.dirty) < m.drainBound {
-		m.drainBound = len(m.dirty)
+	if m.dirty.len() < m.drainBound {
+		m.drainBound = m.dirty.len()
 	}
 	if m.drainBound <= m.budget {
 		m.draining = false
@@ -973,12 +956,12 @@ func (m *Manager) EffectiveDirtyBudget() int { return m.effectiveBudget() }
 // Draining reports whether a staged budget shrink is in progress.
 func (m *Manager) Draining() bool { return m.draining }
 
-// checkInvariant asserts the durability bound. It is cheap (a map length
+// checkInvariant asserts the durability bound. It is cheap (a length
 // comparison) and runs on every state transition; a violation is a bug in
 // the manager, never a recoverable condition.
 func (m *Manager) checkInvariant() {
-	if len(m.dirty) > m.effectiveBudget() {
+	if m.dirty.len() > m.effectiveBudget() {
 		panic(fmt.Sprintf("core: INVARIANT VIOLATED: %d dirty pages > effective budget %d (budget %d, draining %v)",
-			len(m.dirty), m.effectiveBudget(), m.budget, m.draining))
+			m.dirty.len(), m.effectiveBudget(), m.budget, m.draining))
 	}
 }

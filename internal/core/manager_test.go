@@ -120,11 +120,11 @@ func TestForcedCleanEvictsColdestPage(t *testing.T) {
 	}
 	// Budget full: writing page 3 must evict page 0 (the cold one).
 	h.writePage(t, 3, 9)
-	if _, stillDirty := h.mgr.dirty[0]; stillDirty {
+	if h.mgr.IsDirty(0) {
 		t.Fatal("cold page 0 not chosen as victim")
 	}
 	for _, hot := range []mmu.PageID{1, 2} {
-		if _, ok := h.mgr.dirty[hot]; !ok {
+		if !h.mgr.IsDirty(hot) {
 			t.Fatalf("hot page %d was evicted instead of the cold one", hot)
 		}
 	}
@@ -190,7 +190,7 @@ func TestWriteToCleaningPageWaitsAndRedirties(t *testing.T) {
 	// re-admitted with fresh contents.
 	var cleaned int
 	for p := 0; p < 2; p++ {
-		if _, ok := h.mgr.dirty[mmu.PageID(p)]; !ok {
+		if !h.mgr.IsDirty(mmu.PageID(p)) {
 			cleaned = p
 			break
 		}

@@ -78,7 +78,7 @@ func (mp *Mapping) TelemetryWritable(off, n int64) bool {
 	last := mmu.PageID((mp.base + off + n - 1) / ps)
 	need := 0
 	for p := first; p <= last; p++ {
-		if dp, ok := m.dirty[p]; ok {
+		if dp := m.dirty.get(p); dp != nil {
 			if dp.cleaning {
 				return false
 			}
@@ -92,7 +92,7 @@ func (mp *Mapping) TelemetryWritable(off, n int64) bool {
 	if m.writesBlocked() {
 		return false
 	}
-	return len(m.dirty)+need <= m.effectiveBudget()
+	return m.dirty.len()+need <= m.effectiveBudget()
 }
 
 // pageRange returns the half-open page range [first, last) the mapping
@@ -157,8 +157,8 @@ func (m *Manager) Unmap(mp *Mapping) error {
 		pending := false
 		started := false
 		for page := first; page < last; page++ {
-			dp, ok := m.dirty[page]
-			if !ok {
+			dp := m.dirty.get(page)
+			if dp == nil {
 				continue
 			}
 			pending = true

@@ -3,10 +3,8 @@ package core
 import (
 	"cmp"
 	"math/bits"
-	"slices"
 
 	"viyojit/internal/mmu"
-	"viyojit/internal/sim"
 )
 
 // PageInfo is the per-page evidence a victim policy orders by.
@@ -22,15 +20,16 @@ type PageInfo struct {
 	DirtiedSeq uint64
 }
 
-// VictimPolicy orders dirty pages victim-first: after Order returns,
-// cands[0] is the page the manager should clean next. Implementations
-// must be deterministic given their inputs (Random carries its own seeded
-// generator).
+// VictimPolicy ranks dirty pages for cleaning. Compare must be a total
+// order over candidates with distinct pages (every policy ends on the
+// page number) and a pure function of its arguments: the selector relies
+// on both to hand out victims one at a time in exactly the order a full
+// sort would produce.
 type VictimPolicy interface {
 	// Name identifies the policy in stats and benchmark output.
 	Name() string
-	// Order sorts cands in place, best victim first.
-	Order(cands []PageInfo)
+	// Compare is negative when a should be cleaned before b.
+	Compare(a, b PageInfo) int
 }
 
 // LRUUpdate is the paper's policy (§5.2): clean the least recently
@@ -43,19 +42,17 @@ type LRUUpdate struct{}
 // Name implements VictimPolicy.
 func (LRUUpdate) Name() string { return "lru-update" }
 
-// Order implements VictimPolicy.
-func (LRUUpdate) Order(cands []PageInfo) {
-	slices.SortFunc(cands, func(a, b PageInfo) int {
-		// Spelled out rather than cmp.Or: this comparator is most of an
-		// epoch tick, and cmp.Or evaluates all three keys every time.
-		if a.History != b.History {
-			return cmp.Compare(a.History, b.History)
-		}
-		if a.DirtiedSeq != b.DirtiedSeq {
-			return cmp.Compare(a.DirtiedSeq, b.DirtiedSeq)
-		}
-		return cmp.Compare(a.Page, b.Page)
-	})
+// Compare implements VictimPolicy.
+func (LRUUpdate) Compare(a, b PageInfo) int {
+	// Spelled out rather than cmp.Or: this comparator is most of victim
+	// selection, and cmp.Or evaluates all three keys every time.
+	if a.History != b.History {
+		return cmp.Compare(a.History, b.History)
+	}
+	if a.DirtiedSeq != b.DirtiedSeq {
+		return cmp.Compare(a.DirtiedSeq, b.DirtiedSeq)
+	}
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // FIFO cleans pages in the order they became dirty, ignoring update
@@ -66,13 +63,11 @@ type FIFO struct{}
 // Name implements VictimPolicy.
 func (FIFO) Name() string { return "fifo" }
 
-// Order implements VictimPolicy.
-func (FIFO) Order(cands []PageInfo) {
-	slices.SortFunc(cands, func(a, b PageInfo) int {
-		return cmp.Or(
-			cmp.Compare(a.DirtiedSeq, b.DirtiedSeq),
-			cmp.Compare(a.Page, b.Page))
-	})
+// Compare implements VictimPolicy.
+func (FIFO) Compare(a, b PageInfo) int {
+	return cmp.Or(
+		cmp.Compare(a.DirtiedSeq, b.DirtiedSeq),
+		cmp.Compare(a.Page, b.Page))
 }
 
 // LFU cleans the page with the fewest updates in the history window,
@@ -83,37 +78,47 @@ type LFU struct{}
 // Name implements VictimPolicy.
 func (LFU) Name() string { return "lfu" }
 
-// Order implements VictimPolicy.
-func (LFU) Order(cands []PageInfo) {
-	slices.SortFunc(cands, func(a, b PageInfo) int {
-		return cmp.Or(
-			cmp.Compare(bits.OnesCount64(a.History), bits.OnesCount64(b.History)),
-			cmp.Compare(a.History, b.History),
-			cmp.Compare(a.Page, b.Page))
-	})
+// Compare implements VictimPolicy.
+func (LFU) Compare(a, b PageInfo) int {
+	return cmp.Or(
+		cmp.Compare(bits.OnesCount64(a.History), bits.OnesCount64(b.History)),
+		cmp.Compare(a.History, b.History),
+		cmp.Compare(a.Page, b.Page))
 }
 
-// Random cleans a uniformly random dirty page. It is the ablation floor:
-// any useful recency signal must beat it.
+// Random cleans dirty pages in a seeded pseudo-random order: candidates
+// rank by a hash of (seed, page, admission sequence, history), so a
+// page's rank says nothing about how recently it was updated and is
+// redrawn whenever it re-enters the dirty set or an epoch moves its
+// history word. It is the ablation floor: any useful recency signal must
+// beat it.
 type Random struct {
-	rng *sim.RNG
+	seed uint64
 }
 
-// NewRandom returns a Random policy with its own deterministic stream.
-func NewRandom(seed uint64) *Random { return &Random{rng: sim.NewRNG(seed)} }
+// NewRandom returns a Random policy whose order is a deterministic
+// function of seed.
+func NewRandom(seed uint64) *Random { return &Random{seed: seed} }
 
 // Name implements VictimPolicy.
 func (*Random) Name() string { return "random" }
 
-// Order implements VictimPolicy.
-func (r *Random) Order(cands []PageInfo) {
-	// Sort first so the shuffle is a deterministic function of the
-	// candidate set, not of map iteration order upstream.
-	slices.SortFunc(cands, func(a, b PageInfo) int { return cmp.Compare(a.Page, b.Page) })
-	for i := len(cands) - 1; i > 0; i-- {
-		j := r.rng.Intn(i + 1)
-		cands[i], cands[j] = cands[j], cands[i]
-	}
+// Compare implements VictimPolicy.
+func (r *Random) Compare(a, b PageInfo) int {
+	return cmp.Or(
+		cmp.Compare(r.priority(a), r.priority(b)),
+		cmp.Compare(a.Page, b.Page))
+}
+
+// priority is the splitmix64 finaliser over the candidate.
+func (r *Random) priority(c PageInfo) uint64 {
+	x := r.seed + uint64(c.Page)*0x9e3779b97f4a7c15 + c.DirtiedSeq*0xd1342543de82ef95 + c.History*0xa0761d6478bd642f
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // MRUUpdate cleans the MOST recently updated page first — a deliberately
@@ -124,11 +129,9 @@ type MRUUpdate struct{}
 // Name implements VictimPolicy.
 func (MRUUpdate) Name() string { return "mru-update" }
 
-// Order implements VictimPolicy.
-func (MRUUpdate) Order(cands []PageInfo) {
-	slices.SortFunc(cands, func(a, b PageInfo) int {
-		return cmp.Or(
-			cmp.Compare(b.History, a.History),
-			cmp.Compare(a.Page, b.Page))
-	})
+// Compare implements VictimPolicy.
+func (MRUUpdate) Compare(a, b PageInfo) int {
+	return cmp.Or(
+		cmp.Compare(b.History, a.History),
+		cmp.Compare(a.Page, b.Page))
 }

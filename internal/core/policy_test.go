@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"viyojit/internal/mmu"
@@ -14,7 +15,7 @@ func firstPage(t *testing.T, p VictimPolicy, cands []PageInfo) mmu.PageID {
 	t.Helper()
 	cp := make([]PageInfo, len(cands))
 	copy(cp, cands)
-	p.Order(cp)
+	slices.SortFunc(cp, p.Compare)
 	return cp[0].Page
 }
 
@@ -33,7 +34,7 @@ func TestLRUUpdateTieBreaksByDirtiedSeqThenPage(t *testing.T) {
 	cands := []PageInfo{pi(9, 0, 5), pi(4, 0, 3), pi(7, 0, 3)}
 	cp := make([]PageInfo, len(cands))
 	copy(cp, cands)
-	LRUUpdate{}.Order(cp)
+	slices.SortFunc(cp, LRUUpdate{}.Compare)
 	if cp[0].Page != 4 || cp[1].Page != 7 || cp[2].Page != 9 {
 		t.Fatalf("tie-break order = %v", cp)
 	}
@@ -77,8 +78,8 @@ func TestRandomIsDeterministicPerSeed(t *testing.T) {
 	b := make([]PageInfo, len(cands))
 	copy(a, cands)
 	copy(b, cands)
-	NewRandom(7).Order(a)
-	NewRandom(7).Order(b)
+	slices.SortFunc(a, NewRandom(7).Compare)
+	slices.SortFunc(b, NewRandom(7).Compare)
 	for i := range a {
 		if a[i].Page != b[i].Page {
 			t.Fatalf("same-seed Random orders differ: %v vs %v", a, b)
@@ -91,7 +92,7 @@ func TestRandomIsAPermutation(t *testing.T) {
 	for i := range cands {
 		cands[i] = pi(mmu.PageID(i), 0, uint64(i))
 	}
-	NewRandom(1).Order(cands)
+	slices.SortFunc(cands, NewRandom(1).Compare)
 	seen := map[mmu.PageID]bool{}
 	for _, c := range cands {
 		if seen[c.Page] {

@@ -60,7 +60,7 @@ func (m *Manager) PowerFail(pm power.Model, availableJoules float64) PowerFailRe
 // it".
 func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerFailReport {
 	report := PowerFailReport{
-		DirtyAtFailure:        len(m.dirty),
+		DirtyAtFailure:        m.dirty.len(),
 		EnergyAvailableJoules: available(),
 	}
 	m.events.Cancel(m.epochEvent)
@@ -79,9 +79,9 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 	// wire); the remainder of the dirty set streams out as one
 	// sequential backup write at full device bandwidth.
 	m.dev.WaitIdle()
-	batch := make(map[mmu.PageID][]byte, len(m.dirty))
+	batch := make(map[mmu.PageID][]byte, m.dirty.len())
 	pt := m.region.PageTable()
-	for page := range m.dirty {
+	for _, page := range m.dirty.list() {
 		pt.Protect(page) // no further mutation during the backup
 		// RawPage, not PageData: during the streaming backup the
 		// DRAM-side copy is DMA that overlaps the (5× slower) device
@@ -90,8 +90,9 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 		batch[page] = m.region.RawPage(page)
 	}
 	m.dev.WriteBatch(batch)
-	for page := range m.dirty {
-		delete(m.dirty, page)
+	for m.dirty.len() > 0 {
+		page := m.dirty.list()[m.dirty.len()-1]
+		m.dirty.remove(page)
 		pt.ClearDirty(page)
 	}
 	m.noteDirtyLevel()

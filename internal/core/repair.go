@@ -46,7 +46,7 @@ func (m *Manager) RepairPage(page mmu.PageID) error {
 	if int(page) >= m.region.NumPages() {
 		return fmt.Errorf("%w: page %d, region has %d pages", ErrRepairNoSource, page, m.region.NumPages())
 	}
-	if dp, ok := m.dirty[page]; ok {
+	if dp := m.dirty.get(page); dp != nil {
 		// The latest contents are already queued to become durable; an
 		// in-flight or fresh clean overwrites the corrupt image.
 		if !dp.cleaning {
@@ -58,10 +58,10 @@ func (m *Manager) RepairPage(page mmu.PageID) error {
 
 	// Budget-enforced admission, mirroring the fault path: the repair
 	// must never push the dirty set past what the battery covers.
-	for len(m.dirty) >= m.effectiveBudget() {
+	for m.dirty.len() >= m.effectiveBudget() {
 		m.st.forcedCleans.Inc()
 		if !m.cleanOneSync() {
-			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", len(m.dirty), m.effectiveBudget()))
+			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
 	// cleanOneSync pumps events; the world may have changed under us.
@@ -72,9 +72,7 @@ func (m *Manager) RepairPage(page mmu.PageID) error {
 		return ErrRepairBlocked
 	}
 
-	m.dirtySeq++
-	m.dirty[page] = &dirtyPage{seq: m.dirtySeq}
-	m.ageHistory(page)
+	m.admit(page)
 	m.st.repairRedirties.Inc()
 	m.noteDirtyLevel()
 	m.checkInvariant()
@@ -87,8 +85,7 @@ func (m *Manager) RepairPage(page mmu.PageID) error {
 // dirty page's SSD copy is expected to be stale, so a checksum mismatch
 // there is not yet corruption of record.
 func (m *Manager) IsDirty(page mmu.PageID) bool {
-	_, ok := m.dirty[page]
-	return ok
+	return m.dirty.get(page) != nil
 }
 
 // Closed reports whether the manager has been detached (Close called).

@@ -204,7 +204,13 @@ func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
 		return out, err
 	}
 
+	// The healthy pair is one closed-loop client doing all the clients'
+	// operations: with nothing concurrent, virtual time repeats exactly
+	// from run to run, so the recorder's cost is a number, not a sample
+	// from a distribution of goroutine interleavings.
 	full := cfg.withDefaults()
+	full.OpsPerClient *= full.Clients
+	full.Clients = 1
 	keys := makeKeys(full.Keys)
 	offCfg := full
 	offCfg.BlackBoxPages = 0

@@ -6,6 +6,28 @@ import (
 	"testing"
 )
 
+// checkHealthyPair asserts the recorder-off / recorder-on healthy runs on
+// their exact virtual-time results. The pair is driven by one closed-loop
+// client, so the numbers repeat from run to run and from host to host; a
+// change that moves them changed the modelled system (cost model, serve
+// path, recorder traffic) and re-records them on purpose.
+func checkHealthyPair(t *testing.T, res BlackBoxResult, offNs, onNs int64, acked, appends uint64) {
+	t.Helper()
+	if res.HealthyOffAcked != acked || res.HealthyOnAcked != acked {
+		t.Errorf("healthy runs acked %d (off) and %d (on) mutations, want %d each", res.HealthyOffAcked, res.HealthyOnAcked, acked)
+	}
+	if res.HealthyOffNs != offNs || res.HealthyOnNs != onNs {
+		t.Errorf("healthy runs took %d ns (off) and %d ns (on) of virtual time, want %d and %d", res.HealthyOffNs, res.HealthyOnNs, offNs, onNs)
+	}
+	if res.HealthyRecorderAppends != appends {
+		t.Errorf("healthy recorder-on run appended %d records, want %d", res.HealthyRecorderAppends, appends)
+	}
+	// The overhead bound: always-on forensics costs < 2% of goodput.
+	if res.GoodputDeltaFrac >= 0.02 {
+		t.Errorf("recorder-on goodput delta %.4f, want < 0.02", res.GoodputDeltaFrac)
+	}
+}
+
 func logBlackBox(t *testing.T, res BlackBoxResult) {
 	t.Helper()
 	sw := res.Serve
@@ -21,7 +43,7 @@ func logBlackBox(t *testing.T, res BlackBoxResult) {
 // serving, every one recovering a forensic report audited against the
 // crash-instant oracle, the recorder's pages audited inside the dirty
 // budget, and the healthy-run overhead of the always-on recorder
-// bounded under 2% of goodput.
+// bounded under 2% of goodput (and pinned to its exact value).
 func TestSweepBlackBox(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full blackbox crash sweep is slow; run without -short")
@@ -52,16 +74,7 @@ func TestSweepBlackBox(t *testing.T) {
 	if res.Serve.RecorderAppends == 0 {
 		t.Error("the recorder never appended during crashed runs")
 	}
-	// The overhead bound: always-on forensics costs < 2% of goodput.
-	if res.HealthyOnAcked != res.HealthyOffAcked {
-		t.Errorf("healthy runs did different work: %d vs %d acked", res.HealthyOnAcked, res.HealthyOffAcked)
-	}
-	if res.GoodputDeltaFrac >= 0.02 {
-		t.Errorf("recorder-on goodput delta %.4f, want < 0.02", res.GoodputDeltaFrac)
-	}
-	if res.HealthyRecorderAppends == 0 {
-		t.Error("healthy recorder-on run appended nothing; the overhead measurement is vacuous")
-	}
+	checkHealthyPair(t, res, 9175065, 9218238, 202, 31) // 0.47 % of goodput
 }
 
 // A small always-on sweep so the forensic audit machinery runs on every
@@ -86,9 +99,7 @@ func TestSweepBlackBoxQuick(t *testing.T) {
 	if got := res.Serve.ForensicExact + res.Serve.ForensicDropped; got != res.Serve.CrashPoints {
 		t.Errorf("forensic audits cover %d of %d crash points", got, res.Serve.CrashPoints)
 	}
-	if res.GoodputDeltaFrac >= 0.02 {
-		t.Errorf("recorder-on goodput delta %.4f, want < 0.02", res.GoodputDeltaFrac)
-	}
+	checkHealthyPair(t, res, 2230615, 2258336, 49, 9) // 1.23 % of goodput
 }
 
 // CI seed matrix: CRASHSWEEP_SEED varies client schedules and key draws

@@ -130,7 +130,7 @@ func NewPageTable(clock *sim.Clock, costs Costs, numPages int, tlbEntries int) *
 		clock:   clock,
 		costs:   costs,
 		entries: make([]entry, numPages),
-		tlb:     newTLB(tlbEntries),
+		tlb:     newTLB(tlbEntries, numPages),
 	}
 	for i := range pt.entries {
 		pt.entries[i].present = true

@@ -6,7 +6,9 @@ package mmu
 // further writes do not touch the PTE, which is exactly how stale dirty
 // bits arise when the TLB is not flushed between epoch scans.
 type tlbEntry struct {
-	page            PageID
+	// gen is the flush generation the translation was filled in; it is
+	// cached while gen equals the TLB's current generation (0 never does).
+	gen             uint64
 	writeProtected  bool
 	dirtyPropagated bool
 }
@@ -15,37 +17,50 @@ type tlbEntry struct {
 // chosen over random eviction to keep the simulation deterministic; the
 // experiments are insensitive to the replacement policy because the
 // effects that matter are full flushes and single-page invalidations.
+//
+// Translations live in a page-indexed table stamped with the flush
+// generation, so a lookup is an array read and a full flush is one
+// increment however large the capacity or the cached set: the epoch scan
+// flushes every millisecond of virtual time, and the §6.3 ablation runs
+// with a million-entry TLB.
 type tlb struct {
 	capacity int
-	entries  map[PageID]*tlbEntry
-	fifo     []PageID // insertion order ring
-	head     int      // index of oldest live slot in fifo
+	slots    []tlbEntry // indexed by page
+	gen      uint64     // current flush generation, never 0
+	live     int        // translations cached in this generation
+	fifo     []PageID   // insertion order ring
+	head     int        // index of oldest live slot in fifo
 }
 
-func newTLB(capacity int) *tlb {
+func newTLB(capacity, numPages int) *tlb {
 	return &tlb{
 		capacity: capacity,
-		entries:  make(map[PageID]*tlbEntry, capacity),
+		slots:    make([]tlbEntry, numPages),
+		gen:      1,
 	}
 }
 
 // lookup returns the cached translation for page, or nil on a miss.
 func (t *tlb) lookup(page PageID) *tlbEntry {
-	return t.entries[page]
+	if e := &t.slots[page]; e.gen == t.gen {
+		return e
+	}
+	return nil
 }
 
 // fill inserts a translation for page, evicting the oldest entry if the
 // TLB is full, and returns the new entry.
 func (t *tlb) fill(page PageID, writeProtected bool) *tlbEntry {
-	if e, ok := t.entries[page]; ok {
+	if e := t.lookup(page); e != nil {
 		e.writeProtected = writeProtected
 		return e
 	}
-	for len(t.entries) >= t.capacity {
+	for t.live >= t.capacity {
 		t.evictOldest()
 	}
-	e := &tlbEntry{page: page, writeProtected: writeProtected}
-	t.entries[page] = e
+	e := &t.slots[page]
+	*e = tlbEntry{gen: t.gen, writeProtected: writeProtected}
+	t.live++
 	t.fifo = append(t.fifo, page)
 	return e
 }
@@ -56,10 +71,8 @@ func (t *tlb) evictOldest() {
 	for t.head < len(t.fifo) {
 		page := t.fifo[t.head]
 		t.head++
-		if e, ok := t.entries[page]; ok && e != nil {
-			delete(t.entries, page)
-			t.compact()
-			return
+		if t.invalidate(page) {
+			break
 		}
 	}
 	t.compact()
@@ -76,19 +89,22 @@ func (t *tlb) compact() {
 
 // invalidate removes page's translation, reporting whether one was cached.
 func (t *tlb) invalidate(page PageID) bool {
-	if _, ok := t.entries[page]; !ok {
+	e := t.lookup(page)
+	if e == nil {
 		return false
 	}
-	delete(t.entries, page)
+	e.gen = 0
+	t.live--
 	return true
 }
 
 // flush removes every cached translation.
 func (t *tlb) flush() {
-	clear(t.entries)
+	t.gen++
+	t.live = 0
 	t.fifo = t.fifo[:0]
 	t.head = 0
 }
 
 // size returns the number of live translations (for tests).
-func (t *tlb) size() int { return len(t.entries) }
+func (t *tlb) size() int { return t.live }

@@ -3,7 +3,7 @@ package mmu
 import "testing"
 
 func TestTLBFillAndLookup(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 16)
 	tl.fill(10, false)
 	if tl.lookup(10) == nil {
 		t.Fatal("lookup missed after fill")
@@ -14,7 +14,7 @@ func TestTLBFillAndLookup(t *testing.T) {
 }
 
 func TestTLBCapacityEviction(t *testing.T) {
-	tl := newTLB(3)
+	tl := newTLB(3, 16)
 	for p := PageID(0); p < 5; p++ {
 		tl.fill(p, false)
 	}
@@ -33,7 +33,7 @@ func TestTLBCapacityEviction(t *testing.T) {
 }
 
 func TestTLBInvalidate(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 16)
 	tl.fill(7, true)
 	if !tl.invalidate(7) {
 		t.Fatal("invalidate of cached page returned false")
@@ -47,7 +47,7 @@ func TestTLBInvalidate(t *testing.T) {
 }
 
 func TestTLBFlush(t *testing.T) {
-	tl := newTLB(8)
+	tl := newTLB(8, 16)
 	for p := PageID(0); p < 8; p++ {
 		tl.fill(p, false)
 	}
@@ -63,7 +63,7 @@ func TestTLBFlush(t *testing.T) {
 }
 
 func TestTLBRefillSameEntryUpdatesProtection(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 16)
 	e1 := tl.fill(3, false)
 	e1.dirtyPropagated = true
 	e2 := tl.fill(3, true)
@@ -76,7 +76,7 @@ func TestTLBRefillSameEntryUpdatesProtection(t *testing.T) {
 }
 
 func TestTLBEvictionSkipsInvalidatedSlots(t *testing.T) {
-	tl := newTLB(3)
+	tl := newTLB(3, 16)
 	tl.fill(0, false)
 	tl.fill(1, false)
 	tl.fill(2, false)
@@ -96,7 +96,7 @@ func TestTLBEvictionSkipsInvalidatedSlots(t *testing.T) {
 }
 
 func TestTLBCompactBoundsFIFO(t *testing.T) {
-	tl := newTLB(4)
+	tl := newTLB(4, 10000)
 	// Churn enough entries to force many evictions and check the fifo ring
 	// does not grow without bound.
 	for p := PageID(0); p < 10000; p++ {

@@ -87,8 +87,7 @@ type Tracker struct {
 	updatedThisEpoch  map[SectorID]struct{}
 	newDirtyThisEpoch int
 	pressure          float64
-	victimQueue       []core.PageInfo
-	victimPos         int
+	victims           *core.VictimSelector
 	epochEvent        *sim.Event
 	closed            bool
 
@@ -144,6 +143,7 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) (*Tracker, error) {
 		histEpoch:        make([]uint64, nSectors),
 		updatedThisEpoch: make(map[SectorID]struct{}),
 	}
+	t.victims = core.NewVictimSelector(cfg.Policy, t.agedHistory)
 	t.scheduleEpoch(clock.Now().Add(cfg.Epoch))
 	return t, nil
 }
@@ -278,30 +278,40 @@ func (t *Tracker) ageHistory(s SectorID) {
 	t.histEpoch[s] = t.epochIndex
 }
 
-func (t *Tracker) rebuildVictimQueue() {
-	t.victimQueue = t.victimQueue[:0]
+// agedHistory returns s's history as of the current epoch.
+func (t *Tracker) agedHistory(s SectorID) uint64 {
+	t.ageHistory(s)
+	return t.history[s]
+}
+
+// collectVictims replaces the selector's candidates with the dirty
+// sectors not in flight (see core.VictimSelector: nothing is ordered
+// until a victim is asked for).
+func (t *Tracker) collectVictims() {
+	t.victims.Reset()
 	for s, ds := range t.dirty {
-		if ds.cleaning {
-			continue
+		if !ds.cleaning {
+			t.victims.Add(s, ds.seq)
 		}
-		t.victimQueue = append(t.victimQueue, core.PageInfo{Page: s, History: t.history[s], DirtiedSeq: ds.seq})
 	}
-	t.cfg.Policy.Order(t.victimQueue)
-	t.victimPos = 0
 }
 
 func (t *Tracker) nextVictim() (SectorID, bool) {
-	for pass := 0; pass < 2; pass++ {
-		for t.victimPos < len(t.victimQueue) {
-			cand := t.victimQueue[t.victimPos]
-			t.victimPos++
+	for collected := false; ; collected = true {
+		for {
+			cand, ok := t.victims.Pop()
+			if !ok {
+				break
+			}
 			if ds, ok := t.dirty[cand.Page]; ok && !ds.cleaning && ds.seq == cand.DirtiedSeq {
 				return cand.Page, true
 			}
 		}
-		t.rebuildVictimQueue()
+		if collected {
+			return 0, false
+		}
+		t.collectVictims()
 	}
-	return 0, false
 }
 
 func (t *Tracker) startClean(s SectorID) {
@@ -310,7 +320,7 @@ func (t *Tracker) startClean(s SectorID) {
 	start := int64(s) * int64(t.sectorSize)
 	buf := make([]byte, t.sectorSize)
 	copy(buf, t.data[start:])
-	t.dev.WritePageAsync(s, buf, func(_ sim.Time, err error) {
+	t.dev.WriteSnapshotAsync(s, buf, func(_ sim.Time, err error) {
 		if err != nil {
 			// The sector's latest contents are not durable: keep it dirty
 			// and cleanable so the forced/epoch paths re-pick it.
@@ -362,11 +372,9 @@ func (t *Tracker) epochTick(at sim.Time) {
 	}
 	t.stats.Epochs++
 	t.epochIndex++
-	for s := range t.dirty {
-		t.ageHistory(s)
-	}
 	for s := range t.updatedThisEpoch {
 		if _, ok := t.dirty[s]; ok {
+			t.ageHistory(s)
 			t.history[s] |= 1 << 63
 		}
 		delete(t.updatedThisEpoch, s)
@@ -379,7 +387,7 @@ func (t *Tracker) epochTick(at sim.Time) {
 	if threshold < 0 {
 		threshold = 0
 	}
-	t.rebuildVictimQueue()
+	t.collectVictims()
 	target := len(t.dirty) - t.inflight()
 	for target > threshold {
 		s, ok := t.nextVictim()

@@ -55,6 +55,20 @@ func (q *Queue) Schedule(at Time, fn func(Time)) *Event {
 	return e
 }
 
+// Rearm schedules an event that has fired or been cancelled to run fn at
+// time at, reusing its allocation: a periodic task re-arms its one event
+// from inside the callback instead of allocating an Event per period. The
+// event takes its place among same-time events as if newly scheduled.
+// Rearming a pending event is a bug and panics.
+func (q *Queue) Rearm(e *Event, at Time, fn func(Time)) {
+	if e.index >= 0 {
+		panic("sim: Queue.Rearm of a pending event")
+	}
+	e.At, e.Fn, e.seq = at, fn, q.seq
+	q.seq++
+	heap.Push(&q.events, e)
+}
+
 // Cancel removes a pending event from the queue. Cancelling an event that
 // has already fired (or was already cancelled) is a no-op.
 func (q *Queue) Cancel(e *Event) {

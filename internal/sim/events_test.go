@@ -281,3 +281,47 @@ func TestQueueOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueRearmReusesFiredEvent: a periodic task re-arms its one event
+// from inside the callback; the re-armed event orders among same-time
+// events as a newly scheduled one would, Cancel applies to the new
+// arming, and re-arming a pending event panics.
+func TestQueueRearmReusesFiredEvent(t *testing.T) {
+	q := NewQueue()
+	c := NewClock()
+	var order []string
+	var tick *Event
+	var fn func(Time)
+	fn = func(at Time) {
+		order = append(order, "tick")
+		if at < 30 {
+			q.Rearm(tick, at+10, fn)
+		}
+	}
+	tick = q.Schedule(10, fn)
+	q.Schedule(20, func(Time) { order = append(order, "other") })
+	q.RunUntil(c, 100)
+	want := []string{"tick", "other", "tick", "tick"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+
+	q.Rearm(tick, 200, fn)
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.Cancel(tick)
+		q.Rearm(tick, 200, fn)
+	}); allocs != 0 {
+		t.Fatalf("Rearm allocates %.0f per call", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rearm of a pending event did not panic")
+		}
+	}()
+	q.Rearm(tick, 300, fn)
+}

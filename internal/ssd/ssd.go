@@ -7,6 +7,7 @@
 package ssd
 
 import (
+	"bytes"
 	"fmt"
 
 	"viyojit/internal/mmu"
@@ -209,18 +210,24 @@ func transferTime(n int, bw int64) sim.Duration {
 // resubmit. The page bytes are snapshotted at submission, so the caller
 // may reuse or mutate data as soon as WritePageAsync returns.
 func (d *SSD) WritePageAsync(page mmu.PageID, data []byte, onComplete func(sim.Time, error)) {
+	// Snapshot before anything can yield to the event loop: the stall
+	// loop and the completion both run arbitrary events, and the caller's
+	// buffer may be a live DRAM page that keeps changing. A durable write
+	// must persist the bytes as of submission, not as of completion —
+	// without the copy, later DRAM stores would silently rewrite
+	// "durable" contents through the retained slice.
+	d.WriteSnapshotAsync(page, bytes.Clone(data), onComplete)
+}
+
+// WriteSnapshotAsync is WritePageAsync for a caller that has already
+// taken the submission snapshot (the clean path copies the page out of
+// NV-DRAM, charging the copy, and needs no second one): ownership of
+// data passes to the device, which keeps it as the page's durable
+// contents. The caller must not read or write data afterwards.
+func (d *SSD) WriteSnapshotAsync(page mmu.PageID, data []byte, onComplete func(sim.Time, error)) {
 	if len(data) != d.cfg.PageSize {
 		panic(fmt.Sprintf("ssd: write of %d bytes, want page size %d", len(data), d.cfg.PageSize))
 	}
-	// Snapshot before anything can yield to the event loop: the stall
-	// loop below and the completion both run arbitrary events, and the
-	// caller's buffer may be a live DRAM page that keeps changing. A
-	// durable write must persist the bytes as of submission, not as of
-	// completion — without the copy, later DRAM stores would silently
-	// rewrite "durable" contents through the retained slice.
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	data = snap
 	for d.inflight >= d.cfg.MaxOutstanding {
 		d.stats.SubmitStalls++
 		d.st.submitStalls.Inc()
