@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -631,6 +632,100 @@ func BenchmarkMicro_PowerFailFlush(b *testing.B) {
 		}
 	}
 }
+
+// durableSystem returns a 64 MiB system — the repo benchmark's scale —
+// whose first pages pages of a 32 MiB mapping have been written and
+// flushed, so exactly those (and nothing else of the region's 16 384) are
+// durable.
+func durableSystem(b *testing.B, pages int) *System {
+	b.Helper()
+	sys, err := New(Config{NVDRAMSize: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sys.Map("heap", 32<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	for p := 0; p < pages; p++ {
+		for i := range page {
+			page[i] = byte(p + i)
+		}
+		if err := m.WriteAt(page, int64(p)*4096); err != nil {
+			b.Fatal(err)
+		}
+		sys.Pump()
+	}
+	sys.FlushAll()
+	return sys
+}
+
+// BenchmarkRecover is one power cycle through the facade at the repo
+// benchmark's scale, ≈ 8 000 durable pages: SimulatePowerFailure, then
+// Recover — every page verified once, adopted by the new device, read
+// into the new region — stack construction included. ns/page and
+// allocs/page are the cost of "one checksum, one copy per page".
+func BenchmarkRecover(b *testing.B) {
+	const pages = 8000
+	sys := durableSystem(b, pages)
+	defer func() { sys.Close() }()
+	var before, after runtime.MemStats
+	restored := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sys.SimulatePowerFailure().Survived {
+			b.Fatal("flush did not survive")
+		}
+		next, report, err := sys.Recover()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if report.PagesRestored < pages || !report.Integrity.Clean() {
+			b.Fatalf("restore report %+v", report)
+		}
+		restored += report.PagesRestored
+		sys = next
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(restored), "ns/page")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(restored), "allocs/page")
+}
+
+// BenchmarkVerifyDurability is the post-flush durability check over a
+// 16 384-page region of which half was never written: 8 192 page
+// compares against durable copies, 8 192 all-zero checks.
+func BenchmarkVerifyDurability(b *testing.B) {
+	sys := durableSystem(b, 8192)
+	defer sys.Close()
+	b.SetBytes(64 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.VerifyDurability(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPageChecksum is the integrity checksum of one 4 KiB page —
+// paid on every clean, every scrub visit and every restored page.
+func BenchmarkPageChecksum(b *testing.B) {
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(page)))
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += ssd.Checksum(page)
+	}
+	checksumSink = sum
+}
+
+// checksumSink keeps BenchmarkPageChecksum's result alive.
+var checksumSink uint64
 
 // BenchmarkScrubBurst is one paced scrubber burst — 8 pages verified —
 // against durable sets of growing size: the cost must follow the burst,

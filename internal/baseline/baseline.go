@@ -7,7 +7,6 @@
 package baseline
 
 import (
-	"bytes"
 	"fmt"
 
 	"viyojit/internal/mmu"
@@ -164,18 +163,8 @@ func (m *Manager) FullBatteryJoules(pm power.Model) float64 {
 func (m *Manager) VerifyDurability() error {
 	for p := 0; p < m.region.NumPages(); p++ {
 		page := mmu.PageID(p)
-		live := m.region.RawPage(page)
-		durable, ok := m.dev.Durable(page)
-		if ok {
-			if !bytes.Equal(live, durable) {
-				return fmt.Errorf("baseline: page %d diverges from durable copy", page)
-			}
-			continue
-		}
-		for _, b := range live {
-			if b != 0 {
-				return fmt.Errorf("baseline: page %d has data but no durable copy", page)
-			}
+		if err := m.dev.CheckRestorable(page, m.region.RawPage(page)); err != nil {
+			return fmt.Errorf("baseline: %w", err)
 		}
 	}
 	return nil

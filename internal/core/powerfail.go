@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"viyojit/internal/mmu"
@@ -125,26 +124,9 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 func (m *Manager) VerifyDurability() error {
 	for p := 0; p < m.region.NumPages(); p++ {
 		page := mmu.PageID(p)
-		live := m.region.RawPage(page)
-		durable, ok := m.dev.Durable(page)
-		if ok {
-			if !bytes.Equal(live, durable) {
-				return fmt.Errorf("core: page %d diverges from durable copy", page)
-			}
-			continue
-		}
-		if !allZero(live) {
-			return fmt.Errorf("core: page %d has data but no durable copy", page)
+		if err := m.dev.CheckRestorable(page, m.region.RawPage(page)); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -521,25 +521,10 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	if cfg.Corruption {
 		for p := 0; p < st.region.NumPages(); p++ {
 			page := mmu.PageID(p)
-			live := st.region.RawPage(page)
-			durable, ok := st.dev.Durable(page)
 			detected := st.dev.VerifyPage(page) != nil
-			if ok {
-				if !bytes.Equal(live, durable) && !detected {
-					res.SilentEscapes++
-					fail("page %d: durable copy diverges from NV-DRAM and passes verification (silent escape)", page)
-				}
-				continue
-			}
-			if detected {
-				continue
-			}
-			for _, b := range live {
-				if b != 0 {
-					res.SilentEscapes++
-					fail("page %d: NV-DRAM has data, SSD has no copy, nothing detected (silent escape)", page)
-					break
-				}
+			if err := st.dev.CheckRestorable(page, st.region.RawPage(page)); err != nil && !detected {
+				res.SilentEscapes++
+				fail("%v and passes verification (silent escape)", err)
 			}
 		}
 	} else if err := st.mgr.VerifyDurability(); err != nil {

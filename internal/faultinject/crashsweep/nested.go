@@ -216,14 +216,14 @@ func (att *nestedAttempt) build(cfg NestedConfig, clock *sim.Clock, events *sim.
 	// be a whole durable source for the next attempt.
 	pages := prev.DurablePageList()
 	for _, page := range pages {
-		if data, ok := prev.Durable(page); ok {
-			st.dev.SeedDurable(page, data)
+		if err := st.dev.AdoptVerified(prev, page); err != nil {
+			return err
 		}
 	}
 	// Region restore: volatile effects, re-run every attempt. One
 	// marker per page puts crash points inside the phase.
 	for _, page := range pages {
-		if err := st.region.RestorePage(page, st.dev.ReadPage(page)); err != nil {
+		if _, err := st.region.RestorePageFrom(st.dev, page); err != nil {
 			return err
 		}
 		marker(clock, events)

@@ -371,15 +371,14 @@ func recoverServe(cfg ServeConfig, old *serveRun) (*serveRun, error) {
 		return nil, err
 	}
 	st.dev = ssd.New(st.clock, st.events, cfg.SSD)
-	for _, page := range old.dev.DurablePageList() {
-		data, ok := old.dev.Durable(page)
-		if !ok {
-			continue
-		}
-		st.dev.SeedDurable(page, data)
-		if err := st.region.RestorePage(page, st.dev.ReadPage(page)); err != nil {
-			return nil, err
-		}
+	rrep, err := recovery.RestoreVerified(st.clock, st.region, st.dev, old.dev, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !rrep.Integrity.Clean() {
+		// This sweep injects no silent faults, so a page failing
+		// verification is a bug, not a modelled loss.
+		return nil, fmt.Errorf("restore quarantined pages %v", rrep.Integrity.Quarantined)
 	}
 	if cfg.BlackBoxPages > 0 {
 		st.reg = obs.NewRegistry()

@@ -17,7 +17,6 @@
 package mondrian
 
 import (
-	"bytes"
 	"fmt"
 
 	"viyojit/internal/core"
@@ -451,18 +450,8 @@ func (t *Tracker) VerifyDurability() error {
 	for i := 0; i < nSectors; i++ {
 		s := SectorID(i)
 		off := int64(i) * int64(t.sectorSize)
-		live := t.data[off : off+int64(t.sectorSize)]
-		durable, ok := t.dev.Durable(s)
-		if ok {
-			if !bytes.Equal(live, durable) {
-				return fmt.Errorf("mondrian: sector %d diverges from durable copy", s)
-			}
-			continue
-		}
-		for _, b := range live {
-			if b != 0 {
-				return fmt.Errorf("mondrian: sector %d has data but no durable copy", s)
-			}
+		if err := t.dev.CheckRestorable(s, t.data[off:off+int64(t.sectorSize)]); err != nil {
+			return fmt.Errorf("mondrian: %w", err)
 		}
 	}
 	return nil

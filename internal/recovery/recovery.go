@@ -5,7 +5,6 @@
 package recovery
 
 import (
-	"bytes"
 	"fmt"
 
 	"viyojit/internal/mmu"
@@ -73,53 +72,68 @@ func RestoreRegion(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config) (*nvdram.R
 	return RestoreRegionVerified(clock, dev, cfg, nil)
 }
 
-// RestoreRegionVerified is the verify-on-restore path: it walks every
-// page the device has a durable claim about (stored contents or an
-// acked checksum — a fully lost write must be detected, not skipped),
-// verifies each against its recorded checksum, and restores only bytes
-// that pass. Failures are repaired from repair when it has the page, or
-// quarantined (left zero, listed in the report) when it doesn't.
+// RestoreRegionVerified is the verify-on-restore path onto a fresh
+// region, in place: the surviving device keeps serving the restored
+// system (RestoreVerified with dev as its own source).
 func RestoreRegionVerified(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config, repair RepairSource) (*nvdram.Region, RestoreReport, error) {
 	region, err := nvdram.New(clock, cfg)
 	if err != nil {
 		return nil, RestoreReport{}, err
 	}
+	report, err := RestoreVerified(clock, region, dev, dev, repair)
+	if err != nil {
+		return nil, RestoreReport{}, err
+	}
+	return region, report, nil
+}
+
+// RestoreVerified is the restore walk every reboot path shares. src is
+// the device that survived the power cycle; dev is the device object of
+// the system coming up — src itself, or a fresh one standing for the same
+// physical SSD. The walk covers every page src has a durable claim about
+// (stored contents or an acked checksum — a fully lost write must be
+// detected, not skipped) and costs one verified transfer per page: the
+// page is verified once on src, dev adopts it with its recorded checksum
+// (ssd.AdoptVerified), and the charged restore read lands straight in
+// region's page. Only bytes that pass are restored. Failures are repaired
+// from repair when it has the page, or quarantined (left zero, listed in
+// the report, absent from dev) when it doesn't.
+func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD, repair RepairSource) (RestoreReport, error) {
 	if dev.Config().PageSize != region.PageSize() {
-		return nil, RestoreReport{}, fmt.Errorf("recovery: SSD page size %d != region page size %d", dev.Config().PageSize, region.PageSize())
+		return RestoreReport{}, fmt.Errorf("recovery: SSD page size %d != region page size %d", dev.Config().PageSize, region.PageSize())
 	}
 	start := clock.Now()
-	restored := 0
-	var integ IntegrityReport
-	for _, page := range dev.DurablePageList() {
+	var report RestoreReport
+	integ := &report.Integrity
+	for _, page := range src.DurablePageList() {
 		if int(page) >= region.NumPages() {
-			return nil, RestoreReport{}, fmt.Errorf("recovery: durable page %d outside region of %d pages", page, region.NumPages())
+			return RestoreReport{}, fmt.Errorf("recovery: durable page %d outside region of %d pages", page, region.NumPages())
 		}
 		integ.PagesVerified++
-		data, verr := dev.ReadPageVerified(page)
-		if verr == nil {
-			if err := region.RestorePage(page, data); err != nil {
-				return nil, RestoreReport{}, err
+		if verr := dev.AdoptVerified(src, page); verr == nil {
+			ok, err := region.RestorePageFrom(dev, page)
+			if err != nil {
+				return RestoreReport{}, err
 			}
-			restored++
+			if ok {
+				report.PagesRestored++
+			}
 			continue
 		}
 		if repair != nil {
 			if good, ok := repair(page); ok {
 				if err := region.RestorePage(page, good); err != nil {
-					return nil, RestoreReport{}, err
+					return RestoreReport{}, err
 				}
-				restored++
+				report.PagesRestored++
 				integ.Repaired = append(integ.Repaired, page)
 				continue
 			}
 		}
 		integ.Quarantined = append(integ.Quarantined, page)
 	}
-	return region, RestoreReport{
-		PagesRestored: restored,
-		RestoreTime:   clock.Now().Sub(start),
-		Integrity:     integ,
-	}, nil
+	report.RestoreTime = clock.Now().Sub(start)
+	return report, nil
 }
 
 // VerifyRestored checks, byte for byte, that region matches the durable
@@ -129,23 +143,7 @@ func RestoreRegionVerified(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config, re
 // half is core.Manager.VerifyDurability) and is what the crash-point
 // sweep asserts after every injected power failure.
 func VerifyRestored(region *nvdram.Region, dev *ssd.SSD) error {
-	for p := 0; p < region.NumPages(); p++ {
-		page := mmu.PageID(p)
-		live := region.RawPage(page)
-		durable, ok := dev.Durable(page)
-		if ok {
-			if !bytes.Equal(live, durable) {
-				return fmt.Errorf("recovery: restored page %d diverges from durable copy", page)
-			}
-			continue
-		}
-		for _, b := range live {
-			if b != 0 {
-				return fmt.Errorf("recovery: restored page %d has data but no durable copy", page)
-			}
-		}
-	}
-	return nil
+	return VerifyRestoredWith(region, dev, IntegrityReport{})
 }
 
 // VerifyRestoredWith is VerifyRestored made aware of a verified
@@ -167,18 +165,8 @@ func VerifyRestoredWith(region *nvdram.Region, dev *ssd.SSD, report IntegrityRep
 		if _, ok := skip[page]; ok {
 			continue
 		}
-		live := region.RawPage(page)
-		durable, ok := dev.Durable(page)
-		if ok {
-			if !bytes.Equal(live, durable) {
-				return fmt.Errorf("recovery: restored page %d diverges from durable copy", page)
-			}
-			continue
-		}
-		for _, b := range live {
-			if b != 0 {
-				return fmt.Errorf("recovery: restored page %d has data but no durable copy", page)
-			}
+		if err := dev.CheckRestorable(page, region.RawPage(page)); err != nil {
+			return fmt.Errorf("recovery: restored %w", err)
 		}
 	}
 	return nil

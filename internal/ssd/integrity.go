@@ -23,30 +23,48 @@ package ssd
 // and repairs from the authoritative NV-DRAM copy; recovery
 // (internal/recovery) verifies on restore so a power cycle never
 // silently reloads corrupt bytes.
+//
+// The checksum is CRC32C (Castagnoli), the polynomial ext4, btrfs, iSCSI
+// and RocksDB put on 4 KiB blocks and the one SSE4.2 / ARMv8 compute in
+// hardware. What it guarantees on a 4 KiB page: Hamming distance ≥ 4
+// (every 1-, 2- and 3-bit error is caught, so every bit of rot and every
+// single-byte CorruptPage pattern), and every error burst no longer than
+// 32 bits. What is probabilistic: an image unrelated to the acked one — a
+// torn mix over a previous image, a lost write's stale page, a
+// misdirected write's foreign page — passes with probability 2⁻³².
+//
+// The recorded sum is the host's claim about what it was acked for, so it
+// must outlive the device *object*: a rebooted system adopts each page
+// together with its recorded sum (AdoptVerified), never a sum recomputed
+// from whatever bytes the store holds — recomputing would turn a
+// divergent page into a "verified" one.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"slices"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/sim"
 )
 
-// ErrCorruptPage is returned by VerifyPage/ReadPageVerified when a page's
+// ErrCorruptPage is returned by VerifyPage and AdoptVerified when a page's
 // durable contents do not match its recorded checksum: the bytes in the
 // store are not the bytes the host was acked for.
 var ErrCorruptPage = errors.New("ssd: page contents do not match checksum (silent corruption)")
 
-// crcTab is the checksum polynomial table. CRC-64/ECMA is deterministic
-// across runs and platforms, which the seeded sweeps require.
-var crcTab = crc64.MakeTable(crc64.ECMA)
+// crcTab is the checksum polynomial table: CRC32C, deterministic across
+// runs and platforms (the hardware and table paths agree bit for bit),
+// which the seeded sweeps require.
+var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the integrity checksum of a page image — exposed so
 // tests and recovery tooling can compute the same fingerprint the device
-// records.
-func Checksum(data []byte) uint64 { return crc64.Checksum(data, crcTab) }
+// records. The 32-bit CRC is widened into the uint64 every sum is
+// carried in.
+func Checksum(data []byte) uint64 { return uint64(crc32.Checksum(data, crcTab)) }
 
 // noteCorrupt records that page's durable copy no longer matches what the
 // host was acked for — a simulation-side oracle keyed by the time the
@@ -120,40 +138,87 @@ func (d *SSD) DurableChecksum(page mmu.PageID) (uint64, bool) {
 // returns nil for an intact page or a page with no durable claim, and an
 // error wrapping ErrCorruptPage otherwise.
 func (d *SSD) VerifyPage(page mmu.PageID) error {
+	_, _, err := d.verify(page)
+	return err
+}
+
+// verify is VerifyPage that also hands back what it looked at: the stored
+// bytes (nil for a page with no durable claim) and the recorded sum.
+func (d *SSD) verify(page mmu.PageID) ([]byte, uint64, error) {
 	d.stats.VerifyChecks++
 	d.st.verifyChecks.Inc()
 	data, hasData := d.store[page]
 	sum, hasSum := d.sums[page]
+	var err error
 	switch {
 	case !hasData && !hasSum:
-		return nil
+		return nil, 0, nil
 	case !hasData:
-		d.stats.VerifyFailures++
-		d.st.verifyFailures.Inc()
-		return fmt.Errorf("%w: page %d acked but absent from the store (lost write)", ErrCorruptPage, page)
+		err = fmt.Errorf("%w: page %d acked but absent from the store (lost write)", ErrCorruptPage, page)
 	case !hasSum:
-		d.stats.VerifyFailures++
-		d.st.verifyFailures.Inc()
-		return fmt.Errorf("%w: page %d present with no acked checksum (misdirected or torn write)", ErrCorruptPage, page)
+		err = fmt.Errorf("%w: page %d present with no acked checksum (misdirected or torn write)", ErrCorruptPage, page)
 	case Checksum(data) != sum:
+		err = fmt.Errorf("%w: page %d", ErrCorruptPage, page)
+	}
+	if err != nil {
 		d.stats.VerifyFailures++
 		d.st.verifyFailures.Inc()
-		return fmt.Errorf("%w: page %d", ErrCorruptPage, page)
 	}
+	return data, sum, err
+}
+
+// AdoptVerified is the device half of a power-cycle restore: d, the
+// device object a rebooted system constructed, stands for the same
+// physical SSD as src, whose contents survived. The page is verified once
+// on src; if intact, d takes a private copy of the stored bytes together
+// with the recorded — just verified — sum, so nothing is recomputed and a
+// divergent page cannot be laundered into a verified one. No IO is
+// modelled (the charged restore read is ReadPageInto on d). A page that
+// fails verification returns the error wrapping ErrCorruptPage and is not
+// adopted. d may be src itself — an in-place restore — in which case
+// verification is all there is to do.
+func (d *SSD) AdoptVerified(src *SSD, page mmu.PageID) error {
+	data, sum, err := src.verify(page)
+	if err != nil || data == nil || d == src {
+		return err
+	}
+	if len(data) != d.cfg.PageSize {
+		panic(fmt.Sprintf("ssd: adopting a page of %d bytes, want page size %d", len(data), d.cfg.PageSize))
+	}
+	d.putData(page, bytes.Clone(data))
+	d.putSum(page, sum)
 	return nil
 }
 
-// ReadPageVerified is ReadPage with integrity checking: read bandwidth
-// and latency are charged, then the contents are validated against the
-// recorded checksum. On corruption it returns the (untrusted) bytes that
-// are present along with an error wrapping ErrCorruptPage; a page with
-// no durable claim returns (nil, nil) like ReadPage.
-func (d *SSD) ReadPageVerified(page mmu.PageID) ([]byte, error) {
-	data := d.ReadPage(page)
-	if err := d.VerifyPage(page); err != nil {
-		return data, err
+// zeroes is what allZero compares against, a page at a time.
+var zeroes [4096]byte
+
+// allZero reports whether b holds only zero bytes, at memory-compare
+// speed.
+func allZero(b []byte) bool {
+	for len(b) > len(zeroes) {
+		if !bytes.Equal(b[:len(zeroes)], zeroes[:]) {
+			return false
+		}
+		b = b[len(zeroes):]
 	}
-	return data, nil
+	return bytes.Equal(b, zeroes[:len(b)])
+}
+
+// CheckRestorable is the per-page durability invariant: live — a page of
+// NV-DRAM — must be what a restore from this device would reproduce,
+// byte-equal to the stored copy, or all zero when nothing is stored for
+// the page. No time is charged. The error names the page and which half
+// failed; callers prefix their own context.
+func (d *SSD) CheckRestorable(page mmu.PageID, live []byte) error {
+	durable, ok := d.store[page]
+	switch {
+	case ok && !bytes.Equal(live, durable):
+		return fmt.Errorf("page %d diverges from durable copy", page)
+	case !ok && !allZero(live):
+		return fmt.Errorf("page %d has data but no durable copy", page)
+	}
+	return nil
 }
 
 // CorruptPage XORs pattern into the stored byte at off — the direct

@@ -398,24 +398,39 @@ func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
 // (nil if the page was never written). Read bandwidth and latency are
 // charged.
 func (d *SSD) ReadPage(page mmu.PageID) []byte {
+	out := make([]byte, d.cfg.PageSize)
+	if !d.ReadPageInto(page, out) {
+		return nil
+	}
+	return out
+}
+
+// ReadPageInto is ReadPage into the caller's page-sized buffer — the
+// restore read, landing straight in the NV-DRAM page it reloads. It
+// reports whether the page had durable contents; dst is untouched when it
+// had none.
+func (d *SSD) ReadPageInto(page mmu.PageID, dst []byte) bool {
+	if len(dst) != d.cfg.PageSize {
+		panic(fmt.Sprintf("ssd: read into %d bytes, want page size %d", len(dst), d.cfg.PageSize))
+	}
 	d.clock.Advance(d.cfg.PerIOLatency + transferTime(d.cfg.PageSize, d.cfg.ReadBandwidth))
 	d.stats.ReadsCompleted++
 	d.stats.BytesRead += uint64(d.cfg.PageSize)
 	d.st.readsCompleted.Inc()
 	d.st.bytesRead.Add(uint64(d.cfg.PageSize))
 	data, ok := d.store[page]
-	if !ok {
-		return nil
+	if ok {
+		copy(dst, data)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out
+	return ok
 }
 
 // SeedDurable installs contents into the durable store without modelling
-// an IO. It exists for power-cycle recovery: the "new" device object a
-// rebooted system constructs represents the same physical SSD, whose
-// contents survived, so seeding is a modelling operation, not a write.
+// an IO, recording the checksum of whatever bytes it is handed. It is a
+// test-harness modelling hook — how a test or benchmark conjures a
+// populated device — not a recovery API: carrying pages across a reboot
+// is AdoptVerified's job, which keeps the recorded sum instead of
+// recomputing one.
 func (d *SSD) SeedDurable(page mmu.PageID, data []byte) {
 	if len(data) != d.cfg.PageSize {
 		panic(fmt.Sprintf("ssd: seed of %d bytes, want page size %d", len(data), d.cfg.PageSize))

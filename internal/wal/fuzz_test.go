@@ -88,6 +88,11 @@ func FuzzReplay(f *testing.F) {
 	f.Add(uint32(offHead), uint8(8), uint8(0x55))        // tear the header head field
 	f.Add(uint32(len(img)-40), uint8(40), uint8(1))      // tail corruption
 	f.Add(uint32(recordBase+100), uint8(1), uint8(0x80)) // single bit-ish flip mid-log
+	// One bit in each field of the first record: length, seq, the CRC's
+	// low word, the widened sum's zero high word, first payload byte.
+	for _, off := range []uint32{0, 4, 12, 19, recordHeaderSize} {
+		f.Add(recordBase+off, uint8(1), uint8(0x01))
+	}
 
 	f.Fuzz(func(t *testing.T, off uint32, length uint8, xor uint8) {
 		data := pristine(t)

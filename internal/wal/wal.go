@@ -7,10 +7,11 @@
 // Viyojit guarantees that every NV-DRAM *byte* survives power failure;
 // it does not order application writes. The log provides the
 // crash-consistency layer on top: records carry length, sequence number
-// and an FNV checksum; a record's bytes are written before the head
-// pointer advances; and Replay stops at the first torn or corrupt
-// record. A power failure in the middle of an append therefore loses at
-// most the in-flight record, never a committed prefix.
+// and a CRC32C checksum (the page checksum's polynomial, internal/ssd,
+// computed in hardware where the CPU has it); a record's bytes are
+// written before the head pointer advances; and Replay stops at the first
+// torn or corrupt record. A power failure in the middle of an append
+// therefore loses at most the in-flight record, never a committed prefix.
 //
 // Layout within the store:
 //
@@ -18,6 +19,11 @@
 //	  magic u64 | head u64 | sequence u64
 //	records from recordBase:
 //	  length u32 | seq u64 | checksum u64 | payload bytes
+//
+// The checksum field is 8 bytes wide and holds the 32-bit CRC widened.
+// The format carries no version: nothing written by one process outlives
+// it — logs live in simulated NV-DRAM and are never carried across a
+// commit of this repository, so the checksum algorithm may change freely.
 //
 // The store is any pheap.Store-shaped surface: a Viyojit mapping, a
 // baseline mapping, or a Mondrian tracker.
@@ -27,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 )
 
 // Store is the NV-DRAM surface the log lives in (same shape as
@@ -91,20 +98,14 @@ type Log struct {
 	lastStop StopReason // why the most recent Replay stopped
 }
 
-// checksum is FNV-1a over seq and the payload.
-func checksum(seq uint64, payload []byte) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	var seqBytes [8]byte
-	binary.LittleEndian.PutUint64(seqBytes[:], seq)
-	for _, b := range seqBytes {
-		h ^= uint64(b)
-		h *= 0x100000001B3
-	}
-	for _, b := range payload {
-		h ^= uint64(b)
-		h *= 0x100000001B3
-	}
-	return h
+var crcTab = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is CRC32C over a record's encoded seq field and its payload.
+// It takes the seq as the 8 bytes already sitting in the record buffer:
+// crc32.Update's argument escapes, so a local array would cost a heap
+// allocation per record.
+func checksum(seqField, payload []byte) uint64 {
+	return uint64(crc32.Update(crc32.Update(0, crcTab, seqField), crcTab, payload))
 }
 
 // Create formats a fresh, empty log across the store.
@@ -184,8 +185,8 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 	buf := make([]byte, need)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(buf[4:], l.seq)
-	binary.LittleEndian.PutUint64(buf[12:], checksum(l.seq, payload))
 	copy(buf[recordHeaderSize:], payload)
+	binary.LittleEndian.PutUint64(buf[12:], checksum(buf[4:12], buf[recordHeaderSize:]))
 	if err := l.store.WriteAt(buf, l.head); err != nil {
 		return 0, err
 	}
@@ -226,7 +227,7 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 		if err := l.store.ReadAt(payload, off+recordHeaderSize); err != nil {
 			return err
 		}
-		if checksum(seq, payload) != sum {
+		if checksum(hdr[4:12], payload) != sum {
 			l.lastStop = StopTorn
 			break // torn record
 		}

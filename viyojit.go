@@ -997,62 +997,58 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
-	conservativeBW := int64(float64(ns.dev.Config().WriteBandwidth) * ns.cfg.BandwidthDerating)
-	recBudget := health.RecoveryBudget(ns.pm, effective, scale, conservativeBW,
-		ns.region.Size(), ns.region.PageSize(), fixedFlushOverhead)
-	if err := ns.manager.SetDirtyBudget(recBudget); err != nil {
-		ns.Close()
+	report, err := ns.restoreFrom(s.dev, effective, scale)
+	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
-	// The new System's device object represents the same physical SSD,
-	// whose contents survived the power cycle: verify, seed its durable
-	// store, then reload each page into NV-DRAM, charging the reboot's
-	// clock for the reads. The walk covers every page with any durable
-	// claim — a fully lost write (checksum acked, store empty) must be
-	// detected, not skipped. Quarantined pages are not seeded: seeding
-	// recomputes the checksum from the stored bytes, which would launder
-	// corrupt data into a "verified" page.
-	start := ns.clock.Now()
-	restored := 0
-	var integ recovery.IntegrityReport
-	for _, page := range s.dev.DurablePageList() {
-		integ.PagesVerified++
-		if verr := s.dev.VerifyPage(page); verr != nil {
-			integ.Quarantined = append(integ.Quarantined, page)
-			continue
+	return ns, report, nil
+}
+
+// restoreFrom brings the freshly built s up as the reboot of the system
+// whose device src survived: the budget the battery charge on hand
+// affords, the verified reload of NV-DRAM, the flight recorder's
+// pre-crash timeline. On any error s is closed — a half-built system's
+// health monitor, scrubber and epoch task are already armed on its queue
+// and must not outlive a failed recovery.
+func (s *System) restoreFrom(src *ssd.SSD, effectiveJoules, scale float64) (report recovery.RestoreReport, err error) {
+	defer func() {
+		if err != nil {
+			s.Close()
 		}
-		data, ok := s.dev.Durable(page)
-		if !ok {
-			continue
-		}
-		ns.dev.SeedDurable(page, data)
-		loaded := ns.dev.ReadPage(page) // charges restore read time
-		if err := ns.region.RestorePage(page, loaded); err != nil {
-			return nil, recovery.RestoreReport{}, err
-		}
-		restored++
+	}()
+	conservativeBW := int64(float64(s.dev.Config().WriteBandwidth) * s.cfg.BandwidthDerating)
+	recBudget := health.RecoveryBudget(s.pm, effectiveJoules, scale, conservativeBW,
+		s.region.Size(), s.region.PageSize(), fixedFlushOverhead)
+	if err := s.manager.SetDirtyBudget(recBudget); err != nil {
+		return recovery.RestoreReport{}, err
 	}
+	// s's device object represents the same physical SSD, whose contents
+	// survived the power cycle: each durable page is verified there,
+	// adopted with its recorded checksum, and reloaded into NV-DRAM with
+	// the reboot's clock charged for the read. A page that fails is
+	// quarantined — listed in the report, absent from the new device and
+	// the region; after a true power cycle there is no repair source.
+	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, src, nil)
+	if err != nil {
+		return recovery.RestoreReport{}, err
+	}
+	report.BudgetPages = recBudget
 	// Walk the restored flight-recorder ring into the forensic report
 	// and adopt its sequence, so post-recovery records extend the
 	// pre-crash timeline monotonically. (The fresh boot record New wrote
 	// was overwritten wherever the restore reloaded ring pages — the
 	// crash's view wins.)
-	if ns.recorder != nil {
-		w, werr := blackbox.ReadAndWalk(ns.bbMap)
-		if werr != nil {
-			return nil, recovery.RestoreReport{}, werr
+	if s.recorder != nil {
+		w, err := blackbox.ReadAndWalk(s.bbMap)
+		if err != nil {
+			return recovery.RestoreReport{}, err
 		}
 		rep := blackbox.BuildReport(w)
-		ns.forensics = &rep
-		ns.recorder.Adopt(w)
-		ns.recorder.Append(blackbox.KindRecover, 0, int64(w.LastSeq), int64(w.Torn), 0, 0)
+		s.forensics = &rep
+		s.recorder.Adopt(w)
+		s.recorder.Append(blackbox.KindRecover, 0, int64(w.LastSeq), int64(w.Torn), 0, 0)
 	}
-	return ns, recovery.RestoreReport{
-		PagesRestored: restored,
-		RestoreTime:   ns.clock.Now().Sub(start),
-		BudgetPages:   recBudget,
-		Integrity:     integ,
-	}, nil
+	return report, nil
 }
 
 // Close stops the serving front-end (if any), the health monitor, the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"viyojit/internal/mmu"
 )
 
 // TestCloseIdempotent: Close twice (and after a power failure) must be
@@ -158,5 +160,93 @@ func TestRecoverWithBudgetScale(t *testing.T) {
 	}
 	if _, _, err := sys.RecoverWith(RecoverOptions{BudgetScale: -0.1}); err == nil {
 		t.Fatal("budget scale -0.1 accepted")
+	}
+}
+
+// TestRecoverErrorLeavesNothingScheduled: a recovery that fails late —
+// here in the restore walk, on a durable page outside the region — must
+// close the system it had half built. Before, only the budget error did:
+// the health monitor, scrubber and epoch task stayed armed on the
+// abandoned queue.
+func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
+	sys := newTestSystem(t, Config{BlackBox: true})
+	m, err := sys.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteAt([]byte("durable"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+	beyond := mmu.PageID(sys.region.NumPages() + 3)
+	sys.SSD().SeedDurable(beyond, bytes.Repeat([]byte{0x5A}, sys.region.PageSize()))
+
+	if ns, _, err := sys.Recover(); err == nil || ns != nil {
+		t.Fatalf("Recover with a durable page outside the region: system %v, err %v", ns, err)
+	}
+
+	// The same failure one level down, where the half-built system is
+	// still in hand to inspect.
+	ns, err := New(sys.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns.events.Len() == 0 {
+		t.Fatal("a fresh system has nothing scheduled: the test would prove nothing")
+	}
+	if _, err := ns.restoreFrom(sys.dev, sys.batt.EffectiveJoules(), 1); err == nil {
+		t.Fatal("restore of a durable page outside the region succeeded")
+	}
+	if !ns.closed || ns.events.Len() != 0 || ns.scrubber.Running() {
+		t.Fatalf("failed recovery left its system live: closed %v, %d events scheduled, scrubber running %v",
+			ns.closed, ns.events.Len(), ns.scrubber.Running())
+	}
+}
+
+// TestRecoverAllocationsPerPage is the restore walk's allocation guard:
+// beyond what building the stack costs, a recovery allocates the new
+// device's private copy of each page and nothing else per page (the
+// remainder is the amortised growth of the device's page maps).
+func TestRecoverAllocationsPerPage(t *testing.T) {
+	cfg := Config{NVDRAMSize: 16 << 20}
+	sys := newTestSystem(t, cfg)
+	m, err := sys.Map("heap", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	for i := 0; i < 1500; i++ {
+		page[0], page[1] = byte(i), byte(i>>8)
+		if err := m.WriteAt(page, int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+	build := testing.AllocsPerRun(5, func() {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+	restored := 0
+	rec := testing.AllocsPerRun(5, func() {
+		ns, rr, err := sys.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored = rr.PagesRestored
+		ns.Close()
+	})
+	if restored < 1500 {
+		t.Fatalf("restored %d pages, want at least the 1500 written", restored)
+	}
+	if perPage := (rec - build) / float64(restored); perPage > 1.1 {
+		t.Fatalf("Recover allocates %.2f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want 1",
+			perPage, rec, build, restored)
 	}
 }
