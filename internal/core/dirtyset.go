@@ -25,10 +25,14 @@ type dirtyPage struct {
 // plus a dense list of the member pages. Invariant: entries[p].seq != 0
 // ⇔ p is in pages, at pages[entries[p].pos]. Lookup, insertion and
 // removal are O(1) and allocate nothing; the list is what an epoch scan
-// hands to the MMU.
+// hands to the MMU. seqs[i] is the admission sequence number of pages[i],
+// kept beside the list so the victim candidates of an epoch with no clean
+// in flight are read in one sequential pass instead of one table lookup
+// per page.
 type dirtySet struct {
 	entries []dirtyPage
 	pages   []mmu.PageID
+	seqs    []uint64
 }
 
 func newDirtySet(numPages int) dirtySet {
@@ -70,6 +74,7 @@ func (s *dirtySet) add(page mmu.PageID, seq uint64) *dirtyPage {
 	}
 	*e = dirtyPage{seq: seq, pos: len(s.pages)}
 	s.pages = append(s.pages, page)
+	s.seqs = append(s.seqs, seq)
 	return e
 }
 
@@ -80,9 +85,10 @@ func (s *dirtySet) remove(page mmu.PageID) {
 	if e.seq == 0 {
 		panic("core: dirtySet.remove of a page not in the set")
 	}
-	last := s.pages[len(s.pages)-1]
-	s.pages[e.pos] = last
+	n := len(s.pages) - 1
+	last := s.pages[n]
+	s.pages[e.pos], s.seqs[e.pos] = last, s.seqs[n]
 	s.entries[last].pos = e.pos
-	s.pages = s.pages[:len(s.pages)-1]
+	s.pages, s.seqs = s.pages[:n], s.seqs[:n]
 	*e = dirtyPage{}
 }

@@ -13,7 +13,7 @@ import (
 // re-admissions under new sequence numbers, and after every step checks
 // lookups (current and stale sequence numbers, absent pages), the length,
 // and that the list holds exactly the live pages, each at the position
-// its entry records.
+// its entry records and beside its sequence number.
 func TestDirtySetMatchesMapModel(t *testing.T) {
 	const pages = 64
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -57,9 +57,15 @@ func TestDirtySetMatchesMapModel(t *testing.T) {
 				}
 			}
 			got := slices.Clone(set.list())
+			if len(set.seqs) != len(got) {
+				t.Fatalf("seed %d step %d: %d sequence numbers beside %d pages", seed, step, len(set.seqs), len(got))
+			}
 			for i, p := range got {
 				if set.get(p).pos != i {
 					t.Fatalf("seed %d step %d: page %d at list[%d] records pos %d", seed, step, p, i, set.get(p).pos)
+				}
+				if set.seqs[i] != model[p] {
+					t.Fatalf("seed %d step %d: seqs[%d] = %d beside page %d, admitted as %d", seed, step, i, set.seqs[i], p, model[p])
 				}
 			}
 			slices.Sort(got)

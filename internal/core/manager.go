@@ -525,6 +525,11 @@ func (m *Manager) nextVictim() (mmu.PageID, bool) {
 // not in flight. It compares nothing; see VictimSelector.
 func (m *Manager) collectVictims() {
 	m.victims.Reset()
+	if m.inflight == 0 {
+		// No page is cleaning, so every dirty page is a candidate.
+		m.victims.AddAll(m.dirty.pages, m.dirty.seqs)
+		return
+	}
 	for _, page := range m.dirty.list() {
 		if dp := m.dirty.get(page); !dp.cleaning {
 			m.victims.Add(page, dp.seq)

@@ -42,6 +42,13 @@ func (s *VictimSelector) Add(page mmu.PageID, seq uint64) {
 	s.cands = append(s.cands, PageInfo{Page: page, DirtiedSeq: seq})
 }
 
+// AddAll adds pages[i], dirtied at seqs[i], for every i.
+func (s *VictimSelector) AddAll(pages []mmu.PageID, seqs []uint64) {
+	for i, page := range pages {
+		s.cands = append(s.cands, PageInfo{Page: page, DirtiedSeq: seqs[i]})
+	}
+}
+
 // Pop removes and returns the best remaining victim, or false when none
 // is left. The caller checks that the candidate is still eligible (it
 // may have been cleaned, or dirtied again, since it was added).

@@ -141,10 +141,17 @@ func TestVictimSelectionMatchesEagerSort(t *testing.T) {
 				rng := sim.NewRNG(seed * 977)
 
 				selections, victims, ticks, rewrites := 0, 0, 0, 0
+				// Collections with nothing in flight take the dense pass, the
+				// others the lookup loop: count a sample of each.
+				idleTicks, busyCollects := 0, 0
 				sel := func() {
 					selections++
 					got, gotOK := m.nextVictim()
+					collects := ref.collects
 					want, wantOK := ref.next(m)
+					if ref.collects > collects && m.inflight > 0 {
+						busyCollects++
+					}
 					if got != want || gotOK != wantOK {
 						t.Fatalf("%s: selection %d = page %d (ok=%v), eager sort picks page %d (ok=%v)",
 							name, selections, got, gotOK, want, wantOK)
@@ -156,7 +163,7 @@ func TestVictimSelectionMatchesEagerSort(t *testing.T) {
 				}
 				// step fires one event and reports whether it was an epoch tick.
 				step := func() bool {
-					before := m.epochIndex
+					before, inflight := m.epochIndex, m.inflight
 					if !events.Step(clock) {
 						t.Fatalf("%s: no pending event (the epoch tick always is)", name)
 					}
@@ -164,6 +171,9 @@ func TestVictimSelectionMatchesEagerSort(t *testing.T) {
 						return false
 					}
 					ticks++
+					if inflight == 0 {
+						idleTicks++
+					}
 					ref.tick(m)
 					return true
 				}
@@ -194,9 +204,9 @@ func TestVictimSelectionMatchesEagerSort(t *testing.T) {
 					}
 				}
 				st := m.Stats()
-				if ticks < 100 || victims < 100 || st.CleanRetries == 0 || ref.collects-ticks < 10 || (hw && rewrites == 0) {
-					t.Fatalf("%s: schedule too thin: %d ticks, %d victims of %d selections, %d retries, %d mid-epoch collections, %d writes to in-flight pages",
-						name, ticks, victims, selections, st.CleanRetries, ref.collects-ticks, rewrites)
+				if ticks < 100 || idleTicks < 10 || busyCollects < 10 || victims < 100 || st.CleanRetries == 0 || ref.collects-ticks < 10 || (hw && rewrites == 0) {
+					t.Fatalf("%s: schedule too thin: %d ticks (%d with nothing in flight), %d victims of %d selections, %d retries, %d mid-epoch collections (%d with cleans in flight), %d writes to in-flight pages",
+						name, ticks, idleTicks, victims, selections, st.CleanRetries, ref.collects-ticks, busyCollects, rewrites)
 				}
 			}
 		}

@@ -230,6 +230,11 @@ type Journal struct {
 
 	torn bool // last Open stopped on a torn tail (crash signature)
 
+	// Grow-only record buffers. append may compact while it still holds
+	// the record it was asked to write, so snapshot records have their own.
+	rec  []byte // the intent or result record being appended
+	snap []byte // Compact's snapshot records
+
 	st    instruments
 	stats Stats
 }
@@ -434,8 +439,8 @@ func (j *Journal) Begin(client, seq, opSum uint64, redoKey, redoVal []byte, tomb
 	if w.entries[seq] != nil {
 		return ErrSeqReuse
 	}
-	payload := encodeIntent(client, seq, opSum, redoKey, redoVal, tombstone)
-	if err := j.append(payload); err != nil {
+	j.rec = encodeIntent(j.rec, client, seq, opSum, redoKey, redoVal, tombstone)
+	if err := j.append(j.rec); err != nil {
 		return err
 	}
 	e := &entry{opSum: opSum, tombstone: tombstone,
@@ -468,7 +473,8 @@ func (j *Journal) Complete(client, seq uint64, code byte, result []byte) error {
 	if e == nil {
 		return fmt.Errorf("intent: Complete for unjournaled seq %d (client %d)", seq, client)
 	}
-	err := j.append(encodeResult(client, seq, code, result))
+	j.rec = encodeResult(j.rec, client, seq, code, result)
+	err := j.append(j.rec)
 	if err != nil {
 		j.stats.Completes++ // table still advances; see doc comment
 		j.st.unjournaled.Inc()
@@ -521,22 +527,22 @@ func (j *Journal) Compact() error {
 	var snapBytes uint64
 	for _, c := range clients {
 		w := j.table[c]
-		p := encodeSnapClient(c, w.low, w.maxSeq)
-		if _, err := nl.Append(p); err != nil {
+		j.snap = encodeSnapClient(j.snap, c, w.low, w.maxSeq)
+		if _, err := nl.Append(j.snap); err != nil {
 			return snapErr(err)
 		}
-		snapBytes += uint64(len(p))
+		snapBytes += uint64(len(j.snap))
 		seqs := make([]uint64, 0, len(w.entries))
 		for s := range w.entries {
 			seqs = append(seqs, s)
 		}
 		sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 		for _, s := range seqs {
-			p := encodeSnapEntry(c, s, w.entries[s])
-			if _, err := nl.Append(p); err != nil {
+			j.snap = encodeSnapEntry(j.snap, c, s, w.entries[s])
+			if _, err := nl.Append(j.snap); err != nil {
 				return snapErr(err)
 			}
-			snapBytes += uint64(len(p))
+			snapBytes += uint64(len(j.snap))
 		}
 	}
 	// Commit point: flip the generation word.

@@ -344,3 +344,30 @@ func TestCrashCutPrefix(t *testing.T) {
 		_ = hist
 	}
 }
+
+// TestBeginCompleteAllocations pins a steady-state Begin+Complete pair.
+// Both records are encoded into the journal's buffer and appended through
+// the log's, so what is left is the dedup table's own state, which the
+// journal hands back on a retry: the entry, its copy of the redo key, its
+// copy of the redo value, and its copy of the result. (The window's map
+// reuses the slot of the entry it drops.)
+func TestBeginCompleteAllocations(t *testing.T) {
+	j, _ := mustCreate(t, 1<<22, 8)
+	key, val := []byte("user0001"), bytes.Repeat([]byte{'v'}, 100)
+	seq := uint64(0)
+	pair := func() {
+		seq++
+		if err := j.Begin(1, seq, 7, key, val, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Complete(1, seq, 0, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		pair() // fill the window, size the buffers
+	}
+	if allocs := testing.AllocsPerRun(500, pair); allocs != 4 {
+		t.Fatalf("Begin+Complete allocate %v times, want 4", allocs)
+	}
+}

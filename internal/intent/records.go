@@ -2,6 +2,7 @@ package intent
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"viyojit/internal/obs"
 	"viyojit/internal/wal"
@@ -22,12 +23,19 @@ import (
 
 const flagTombstone = 1
 
-func encodeIntent(client, seq, opSum uint64, key, val []byte, tombstone bool) []byte {
-	p := make([]byte, 1+8+8+8+1+2+4+len(key)+len(val))
+// The encoders build a record in buf's storage, grown if it is too small,
+// and return it; every byte of the record is written, so what buf held
+// does not matter.
+
+func sized(buf []byte, n int) []byte { return slices.Grow(buf[:0], n)[:n] }
+
+func encodeIntent(buf []byte, client, seq, opSum uint64, key, val []byte, tombstone bool) []byte {
+	p := sized(buf, 1+8+8+8+1+2+4+len(key)+len(val))
 	p[0] = kIntent
 	binary.LittleEndian.PutUint64(p[1:], client)
 	binary.LittleEndian.PutUint64(p[9:], seq)
 	binary.LittleEndian.PutUint64(p[17:], opSum)
+	p[25] = 0
 	if tombstone {
 		p[25] = flagTombstone
 	}
@@ -38,8 +46,8 @@ func encodeIntent(client, seq, opSum uint64, key, val []byte, tombstone bool) []
 	return p
 }
 
-func encodeResult(client, seq uint64, code byte, res []byte) []byte {
-	p := make([]byte, 1+8+8+1+4+len(res))
+func encodeResult(buf []byte, client, seq uint64, code byte, res []byte) []byte {
+	p := sized(buf, 1+8+8+1+4+len(res))
 	p[0] = kResult
 	binary.LittleEndian.PutUint64(p[1:], client)
 	binary.LittleEndian.PutUint64(p[9:], seq)
@@ -49,8 +57,8 @@ func encodeResult(client, seq uint64, code byte, res []byte) []byte {
 	return p
 }
 
-func encodeSnapClient(client, low, maxSeq uint64) []byte {
-	p := make([]byte, 1+8+8+8)
+func encodeSnapClient(buf []byte, client, low, maxSeq uint64) []byte {
+	p := sized(buf, 1+8+8+8)
 	p[0] = kSnapClient
 	binary.LittleEndian.PutUint64(p[1:], client)
 	binary.LittleEndian.PutUint64(p[9:], low)
@@ -58,16 +66,18 @@ func encodeSnapClient(client, low, maxSeq uint64) []byte {
 	return p
 }
 
-func encodeSnapEntry(client, seq uint64, e *entry) []byte {
-	p := make([]byte, 1+8+8+1+8+1+1+2+4+4+len(e.key)+len(e.val)+len(e.result))
+func encodeSnapEntry(buf []byte, client, seq uint64, e *entry) []byte {
+	p := sized(buf, 1+8+8+1+8+1+1+2+4+4+len(e.key)+len(e.val)+len(e.result))
 	p[0] = kSnapEntry
 	binary.LittleEndian.PutUint64(p[1:], client)
 	binary.LittleEndian.PutUint64(p[9:], seq)
+	p[17] = 0
 	if e.done {
 		p[17] = 1
 	}
 	binary.LittleEndian.PutUint64(p[18:], e.opSum)
 	p[26] = e.code
+	p[27] = 0
 	if e.tombstone {
 		p[27] = flagTombstone
 	}

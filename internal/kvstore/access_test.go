@@ -1,0 +1,238 @@
+package kvstore
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"viyojit/internal/pheap"
+)
+
+// recStore is a pheap.Store that folds every call it serves — kind,
+// offset, length and, for writes, the bytes — into a running hash.
+type recStore struct {
+	memStore
+	sum   [sha256.Size]byte
+	calls int
+}
+
+func (r *recStore) note(kind byte, p []byte, off int64) {
+	h := sha256.New()
+	h.Write(r.sum[:])
+	var hdr [17]byte
+	hdr[0] = kind
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(off))
+	binary.LittleEndian.PutUint64(hdr[9:], uint64(len(p)))
+	h.Write(hdr[:])
+	if kind == 'W' {
+		h.Write(p)
+	}
+	h.Sum(r.sum[:0])
+	r.calls++
+}
+
+func (r *recStore) ReadAt(p []byte, off int64) error {
+	r.note('R', p, off)
+	return r.memStore.ReadAt(p, off)
+}
+
+func (r *recStore) WriteAt(p []byte, off int64) error {
+	r.note('W', p, off)
+	return r.memStore.WriteAt(p, off)
+}
+
+// TestAccessSequenceGolden pins the exact sequence of region accesses
+// (read/write, offset, length, written bytes) a seeded script of
+// Create/Put/Get/Delete/grow/ForEach/Len/Open issues. The golden was
+// recorded at the commit before the store kept its own scratch buffers:
+// where the bytes of a temporary live must not change which region
+// accesses happen, because each one is a charged mapping call
+// (kvstore.mapping_calls_per_op) and a possible page fault.
+func TestAccessSequenceGolden(t *testing.T) {
+	const (
+		goldenCalls = 82778
+		goldenSum   = "8bb2ab54c6134d9ce5f7aada530df9b24c425590c64bdcd7fe79cc7c69f3d461"
+	)
+	rs := &recStore{memStore: *newMemStore(4 << 20)}
+	heap, err := pheap.Format(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Create(heap, 37) // few buckets: chains several entries long
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetMetaInterval(4)
+	rng := rand.New(rand.NewSource(15))
+	shadow := map[string][]byte{}
+	key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(300))) }
+	for i := 0; i < 3000; i++ {
+		k := key()
+		switch r := rng.Intn(10); {
+		case r < 4:
+			v, ok, err := s.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, has := shadow[string(k)]; ok != has || !bytes.Equal(v, want) {
+				t.Fatalf("step %d: Get(%s) = %q, %v; want %q, %v", i, k, v, ok, want, has)
+			}
+		case r < 8:
+			// Lengths straddle size classes, so some updates are in
+			// place and some grow into a new block.
+			v := bytes.Repeat([]byte{byte(i)}, 1+rng.Intn(200))
+			if err := s.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			shadow[string(k)] = v
+		case r < 9:
+			found, err := s.Delete(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, has := shadow[string(k)]; found != has {
+				t.Fatalf("step %d: Delete(%s) = %v, want %v", i, k, found, has)
+			}
+			delete(shadow, string(k))
+		default:
+			if _, err := s.ReadModifyWrite(k, func(old []byte) []byte { return append(old, 'x') }); err != nil {
+				t.Fatal(err)
+			}
+			if old, has := shadow[string(k)]; has {
+				shadow[string(k)] = append(append([]byte(nil), old...), 'x')
+			}
+		}
+	}
+	walk := func(st *Store) {
+		n := 0
+		err := st.ForEach(func(k, v []byte) error {
+			if !bytes.Equal(shadow[string(k)], v) {
+				return fmt.Errorf("ForEach: %s = %q, want %q", k, v, shadow[string(k)])
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := st.Len(); err != nil || int(got) != n || n != len(shadow) {
+			t.Fatalf("walked %d records, Len %d (%v), shadow %d", n, got, err, len(shadow))
+		}
+	}
+	walk(s)
+	heap2, err := pheap.Open(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(heap2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(s2)
+	if got := hex.EncodeToString(rs.sum[:]); rs.calls != goldenCalls || got != goldenSum {
+		t.Fatalf("access sequence changed: %d calls, sum %s; golden %d calls, sum %s",
+			rs.calls, got, goldenCalls, goldenSum)
+	}
+}
+
+// The steady-state request path allocates only what it hands back.
+func TestHotPathAllocations(t *testing.T) {
+	s, _ := newTestStore(t, 1<<20, 8)
+	keys := make([][]byte, 64) // 8 per chain: the compare buffer is exercised
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%04d", i))
+		if err := s.Put(keys[i], bytes.Repeat([]byte{'v'}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	val := bytes.Repeat([]byte{'w'}, 100)
+	i := 0
+	get := testing.AllocsPerRun(200, func() {
+		i++
+		if _, ok, err := s.Get(keys[i%len(keys)]); err != nil || !ok {
+			t.Fatalf("get: %v %v", ok, err)
+		}
+	})
+	if get != 1 { // the returned value
+		t.Errorf("Get hit: %v allocs, want 1 (the value it returns)", get)
+	}
+	miss := testing.AllocsPerRun(200, func() {
+		if _, ok, err := s.Get([]byte("user-not-there")); err != nil || ok {
+			t.Fatalf("miss: %v %v", ok, err)
+		}
+	})
+	if miss != 0 {
+		t.Errorf("Get miss: %v allocs, want 0", miss)
+	}
+	put := testing.AllocsPerRun(200, func() {
+		i++
+		if err := s.Put(keys[i%len(keys)], val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if put != 0 {
+		t.Errorf("in-place Put: %v allocs, want 0", put)
+	}
+}
+
+// Get's result is the caller's: later operations on the store — which
+// reuse its scratch — must not change it.
+func TestGetResultIsNotScratch(t *testing.T) {
+	s, _ := newTestStore(t, 1<<20, 1)
+	if err := s.Put([]byte("aaaa"), []byte("first-value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("bbbb"), []byte("other-value")); err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := s.Get([]byte("aaaa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get([]byte("bbbb")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("cccc"), []byte("third-value")); err != nil {
+		t.Fatal(err)
+	}
+	if string(v) != "first-value" {
+		t.Fatalf("value returned by Get changed under later operations: %q", v)
+	}
+}
+
+// A corrupt entry header must be refused before it sizes a buffer.
+func TestCorruptEntryHeaderRejected(t *testing.T) {
+	s, ms := newTestStore(t, 1<<20, 4)
+	key := []byte("victim")
+	if err := s.Put(key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	entry, _, _, _, found, err := s.findEntry(key)
+	if err != nil || !found {
+		t.Fatalf("findEntry: %v %v", found, err)
+	}
+	for _, tc := range []struct {
+		name           string
+		keyLen, valLen uint32
+	}{
+		{"huge value", uint32(len(key)), 0xFFFFFFFF},
+		{"huge key", 0xFFFFFFFF, 5},
+		{"sum just over the largest block", uint32(len(key)), pheap.MaxAlloc - entryHeaderSize - uint32(len(key)) + 1},
+	} {
+		binary.LittleEndian.PutUint32(ms.data[int(entry)+16:], tc.keyLen)
+		binary.LittleEndian.PutUint32(ms.data[int(entry)+20:], tc.valLen)
+		_, _, err := s.Get(key)
+		if err == nil || !strings.Contains(err.Error(), "corrupt entry") {
+			t.Errorf("%s: Get error = %v, want a corrupt-entry error", tc.name, err)
+		}
+		err = s.ForEach(func(k, v []byte) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "corrupt entry") {
+			t.Errorf("%s: ForEach error = %v, want a corrupt-entry error", tc.name, err)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"viyojit/internal/pheap"
 )
@@ -52,6 +53,20 @@ type Store struct {
 
 	metaInterval uint64
 	stats        Stats
+
+	// Scratch for region accesses. A buffer handed to the heap escapes
+	// through the pheap.Store interface, so a local one costs a heap
+	// allocation per access; these are reused instead. Nothing a caller
+	// receives aliases them: Get and ForEach return fresh copies.
+	word [8]byte               // pointers, counters, the access clock
+	hdr  [entryHeaderSize]byte // entryHeader
+	buf  []byte                // grow-only: key compare, writeEntry's image
+}
+
+// scratch returns s.buf resized to n bytes, contents undefined.
+func (s *Store) scratch(n int) []byte {
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	return s.buf
 }
 
 // SetMetaInterval overrides how often reads write per-entry metadata: an
@@ -175,29 +190,30 @@ func (s *Store) bucketLoc(key []byte) (pheap.Ptr, int) {
 }
 
 func (s *Store) readPtr(block pheap.Ptr, off int) (pheap.Ptr, error) {
-	var buf [8]byte
-	if err := s.heap.Read(block, off, buf[:]); err != nil {
+	if err := s.heap.Read(block, off, s.word[:]); err != nil {
 		return 0, err
 	}
-	return pheap.Ptr(binary.LittleEndian.Uint64(buf[:])), nil
+	return pheap.Ptr(binary.LittleEndian.Uint64(s.word[:])), nil
 }
 
 func (s *Store) writePtr(block pheap.Ptr, off int, p pheap.Ptr) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(p))
-	return s.heap.Write(block, off, buf[:])
+	binary.LittleEndian.PutUint64(s.word[:], uint64(p))
+	return s.heap.Write(block, off, s.word[:])
 }
 
-// entryMeta reads an entry's header fields.
+// entryHeader reads an entry's header fields. Lengths that no heap block
+// could hold are refused here, before any caller sizes a buffer from
+// them.
 func (s *Store) entryHeader(e pheap.Ptr) (next pheap.Ptr, keyLen, valLen int, err error) {
-	var hdr [entryHeaderSize]byte
-	if err = s.heap.Read(e, 0, hdr[:]); err != nil {
+	if err = s.heap.Read(e, 0, s.hdr[:]); err != nil {
 		return
 	}
-	next = pheap.Ptr(binary.LittleEndian.Uint64(hdr[0:]))
-	keyLen = int(binary.LittleEndian.Uint32(hdr[16:]))
-	valLen = int(binary.LittleEndian.Uint32(hdr[20:]))
-	return
+	next = pheap.Ptr(binary.LittleEndian.Uint64(s.hdr[0:]))
+	kl, vl := binary.LittleEndian.Uint32(s.hdr[16:]), binary.LittleEndian.Uint32(s.hdr[20:])
+	if uint64(kl)+uint64(vl)+entryHeaderSize > pheap.MaxAlloc {
+		return 0, 0, 0, fmt.Errorf("kvstore: corrupt entry at %d: key %d + value %d bytes exceed the largest block", e, kl, vl)
+	}
+	return next, int(kl), int(vl), nil
 }
 
 // findEntry walks key's chain, returning the entry, its predecessor link
@@ -217,7 +233,7 @@ func (s *Store) findEntry(key []byte) (entry pheap.Ptr, prevBlock pheap.Ptr, pre
 			return 0, 0, 0, 0, false, err
 		}
 		if kl == len(key) {
-			kbuf := make([]byte, kl)
+			kbuf := s.scratch(kl)
 			if err := s.heap.Read(cur, entryHeaderSize, kbuf); err != nil {
 				return 0, 0, 0, 0, false, err
 			}
@@ -237,17 +253,17 @@ func (s *Store) findEntry(key []byte) (entry pheap.Ptr, prevBlock pheap.Ptr, pre
 // per-entry meta field only on every metaInterval-th hit, modelling
 // Redis's coarse-resolution LRU clock.
 func (s *Store) touch(entry pheap.Ptr) error {
-	var clk [8]byte
-	if err := s.heap.Read(s.root, 16, clk[:]); err != nil {
+	clk := s.word[:]
+	if err := s.heap.Read(s.root, 16, clk); err != nil {
 		return err
 	}
-	c := binary.LittleEndian.Uint64(clk[:]) + 1
-	binary.LittleEndian.PutUint64(clk[:], c)
-	if err := s.heap.Write(s.root, 16, clk[:]); err != nil {
+	c := binary.LittleEndian.Uint64(clk) + 1
+	binary.LittleEndian.PutUint64(clk, c)
+	if err := s.heap.Write(s.root, 16, clk); err != nil {
 		return err
 	}
 	if s.metaInterval <= 1 || s.stats.Hits%s.metaInterval == 1 {
-		return s.heap.Write(entry, 8, clk[:]) // entry meta = current clock
+		return s.heap.Write(entry, 8, clk) // entry meta = current clock
 	}
 	return nil
 }
@@ -292,9 +308,9 @@ func (s *Store) Put(key, value []byte) error {
 			if err := s.heap.Write(entry, entryHeaderSize+len(key), value); err != nil {
 				return err
 			}
-			var vl [4]byte
-			binary.LittleEndian.PutUint32(vl[:], uint32(len(value)))
-			if err := s.heap.Write(entry, 20, vl[:]); err != nil {
+			vl := s.word[:4]
+			binary.LittleEndian.PutUint32(vl, uint32(len(value)))
+			if err := s.heap.Write(entry, 20, vl); err != nil {
 				return err
 			}
 			return s.touch(entry)
@@ -337,7 +353,7 @@ func (s *Store) writeEntry(next pheap.Ptr, key, value []byte) (pheap.Ptr, error)
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]byte, total)
+	buf := s.scratch(total)
 	binary.LittleEndian.PutUint64(buf[0:], uint64(next))
 	binary.LittleEndian.PutUint64(buf[8:], 0) // meta
 	binary.LittleEndian.PutUint32(buf[16:], uint32(len(key)))
@@ -382,22 +398,20 @@ func (s *Store) ReadModifyWrite(key []byte, fn func(old []byte) []byte) (bool, e
 
 // Len returns the number of records.
 func (s *Store) Len() (uint64, error) {
-	var buf [8]byte
-	if err := s.heap.Read(s.root, 8, buf[:]); err != nil {
+	if err := s.heap.Read(s.root, 8, s.word[:]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return binary.LittleEndian.Uint64(s.word[:]), nil
 }
 
 func (s *Store) adjustCount(delta int64) error {
-	var buf [8]byte
-	if err := s.heap.Read(s.root, 8, buf[:]); err != nil {
+	if err := s.heap.Read(s.root, 8, s.word[:]); err != nil {
 		return err
 	}
-	c := binary.LittleEndian.Uint64(buf[:])
+	c := binary.LittleEndian.Uint64(s.word[:])
 	c = uint64(int64(c) + delta)
-	binary.LittleEndian.PutUint64(buf[:], c)
-	return s.heap.Write(s.root, 8, buf[:])
+	binary.LittleEndian.PutUint64(s.word[:], c)
+	return s.heap.Write(s.root, 8, s.word[:])
 }
 
 // ForEach invokes fn for every record (in unspecified order), passing

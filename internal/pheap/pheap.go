@@ -63,9 +63,14 @@ const MaxAlloc = 1 << maxClassShift
 
 // Heap is a persistent heap over a Store. The struct itself holds no
 // state beyond the store handle: everything lives in NV-DRAM, so a Heap
-// can be reopened over recovered contents.
+// can be reopened over recovered contents. It is not safe for concurrent
+// use.
 type Heap struct {
 	store Store
+	// word is the buffer every header read and write goes through: a
+	// local array would escape through the Store interface and cost a
+	// heap allocation per access. No call holds it across another.
+	word [8]byte
 }
 
 // classFor returns the size-class index for an allocation of n bytes.
@@ -137,17 +142,15 @@ func Open(store Store) (*Heap, error) {
 }
 
 func (h *Heap) readU64(off int64) (uint64, error) {
-	var buf [8]byte
-	if err := h.store.ReadAt(buf[:], off); err != nil {
+	if err := h.store.ReadAt(h.word[:], off); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return binary.LittleEndian.Uint64(h.word[:]), nil
 }
 
 func (h *Heap) writeU64(off int64, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return h.store.WriteAt(buf[:], off)
+	binary.LittleEndian.PutUint64(h.word[:], v)
+	return h.store.WriteAt(h.word[:], off)
 }
 
 // Alloc allocates n bytes and returns a pointer to the payload. The

@@ -308,3 +308,38 @@ func ExampleHeap() {
 	fmt.Println(string(buf))
 	// Output: hello
 }
+
+// Block reads and writes go through the heap's own word buffer for the
+// header check: the only bytes in flight are the caller's.
+func TestReadWriteAllocations(t *testing.T) {
+	h, err := Format(newMemStore(1 << 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 100)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := h.Write(p, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Read(p, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Write+Read allocate %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		q, err := h.Alloc(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Free(q); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Alloc+Free allocate %v times, want 0", allocs)
+	}
+}

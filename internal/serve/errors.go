@@ -40,6 +40,10 @@ var (
 	// double-apply.
 	ErrPowerFailure = errors.New("serve: power failure, request outcome unknown")
 
+	// ErrHandleSpent means Wait was called on a Handle whose one Wait has
+	// already returned. The request's outcome went to that first call.
+	ErrHandleSpent = errors.New("serve: handle already waited on")
+
 	// ErrRetriesExhausted means a RetryingClient gave up: every attempt
 	// drew a retryable rejection and the attempt or deadline budget ran
 	// out. The wrapped error chain carries the last rejection.

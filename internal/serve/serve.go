@@ -239,6 +239,45 @@ type item struct {
 	cancelled  atomic.Bool
 	delivered  bool         // outcome sent; dispatch-goroutine only
 	done       chan outcome // buffered(1): dispatch never blocks on it
+	// gen counts the waits this item has been through. A waiter remembers
+	// the value it was admitted under and wait advances it, so a second
+	// Wait on a handle is refused instead of receiving the outcome of the
+	// item's next request.
+	gen atomic.Uint64
+}
+
+// itemPool recycles items, with their channel, once the waiter has
+// received the outcome: the dispatcher's send is its last touch of an
+// item, so from then on the waiter is the only one holding it. An item
+// abandoned through its context is never returned — the dispatcher may
+// still be about to send on it — and is left to the collector.
+var itemPool = sync.Pool{New: func() any { return &item{done: make(chan outcome, 1)} }}
+
+// fifo is one bucket's queue: a ring that doubles when full and keeps its
+// storage when it drains, so a closed loop's one-deep queue costs nothing.
+type fifo struct {
+	buf     []*item
+	head, n int
+}
+
+func (f *fifo) push(it *item) {
+	if f.n == len(f.buf) {
+		grown := make([]*item, max(4, 2*f.n))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)%len(f.buf)] = it
+	f.n++
+}
+
+// pop removes the oldest item; the queue must not be empty.
+func (f *fifo) pop() *item {
+	it := f.buf[f.head]
+	f.buf[f.head] = nil
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
+	return it
 }
 
 type waiter struct {
@@ -268,7 +307,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	buckets  [numBuckets][]*item
+	buckets  [numBuckets]fifo
 	waiters  []*waiter
 	started  bool
 	stopping bool
@@ -466,30 +505,46 @@ func (s *Server) Stats() Stats {
 // done. Rejections are typed: match with errors.Is against
 // ErrOverloaded, ErrDeadlineExceeded, ErrReadOnly, ErrClosed.
 func (s *Server) Submit(ctx context.Context, req Request) (Result, error) {
-	h, err := s.SubmitAsync(req)
+	it, err := s.admit(req)
 	if err != nil {
 		return Result{}, err
 	}
-	return h.Wait(ctx)
+	return s.wait(ctx, it, it.gen.Load())
 }
 
 // Handle is an in-flight request admitted by SubmitAsync.
 type Handle struct {
-	s  *Server
-	it *item
+	s   *Server
+	it  *item
+	gen uint64 // it.gen at admission
 }
 
 // Wait blocks until the request completes, is shed at dequeue, or ctx is
-// done. It must be called exactly once.
+// done. It must be called exactly once; a later call returns
+// ErrHandleSpent.
 func (h *Handle) Wait(ctx context.Context) (Result, error) {
-	select {
-	case out := <-h.it.done:
-		return out.res, out.err
-	case <-ctx.Done():
-		h.it.cancelled.Store(true)
-		h.s.st.cancelled.Inc()
-		return Result{}, ctx.Err()
+	return h.s.wait(ctx, h.it, h.gen)
+}
+
+func (s *Server) wait(ctx context.Context, it *item, gen uint64) (Result, error) {
+	if !it.gen.CompareAndSwap(gen, gen+1) {
+		return Result{}, ErrHandleSpent
 	}
+	var out outcome
+	if cancel := ctx.Done(); cancel == nil {
+		out = <-it.done
+	} else {
+		select {
+		case out = <-it.done:
+		case <-cancel:
+			it.cancelled.Store(true)
+			s.st.cancelled.Inc()
+			return Result{}, ctx.Err()
+		}
+	}
+	it.req = Request{} // drop the closure and keys the pool would pin
+	itemPool.Put(it)
+	return out.res, out.err
 }
 
 // SubmitAsync runs admission control synchronously on the calling
@@ -500,6 +555,15 @@ func (h *Handle) Wait(ctx context.Context) (Result, error) {
 // or an idle dispatch loop advances virtual time past the next arrival
 // while the submission is still in flight on some other goroutine.
 func (s *Server) SubmitAsync(req Request) (*Handle, error) {
+	it, err := s.admit(req)
+	if err != nil {
+		return nil, err
+	}
+	return &Handle{s: s, it: it, gen: it.gen.Load()}, nil
+}
+
+// admit is SubmitAsync without the handle.
+func (s *Server) admit(req Request) (*item, error) {
 	if req.Op == nil && req.Idem == nil {
 		return nil, fmt.Errorf("serve: request has no Op")
 	}
@@ -556,17 +620,18 @@ func (s *Server) SubmitAsync(req Request) (*Handle, error) {
 			return nil, fmt.Errorf("%w: low-priority write shed while %v", ErrOverloaded, state)
 		}
 	}
-	it := &item{req: req, enqueuedAt: now, done: make(chan outcome, 1)}
+	it := itemPool.Get().(*item)
+	it.req, it.enqueuedAt, it.deadline, it.delivered = req, now, 0, false
 	if req.Timeout > 0 {
 		it.deadline = now.Add(req.Timeout)
 	}
-	s.buckets[bucketOf(req)] = append(s.buckets[bucketOf(req)], it)
+	s.buckets[bucketOf(req)].push(it)
 	n := s.occupancy.Add(1)
 	s.st.queueDepth.Set(n)
 	s.st.queueMax.SetMax(n)
 	s.cond.Signal()
 	s.mu.Unlock()
-	return &Handle{s: s, it: it}, nil
+	return it, nil
 }
 
 // WaitUntil blocks the calling goroutine until virtual time reaches t —
@@ -622,7 +687,7 @@ func (s *Server) loop() {
 		s.mu.Lock()
 		for {
 			if s.stopping {
-				s.failAllLocked()
+				s.failAllLocked(ErrServerClosed, ErrServerClosed)
 				s.mu.Unlock()
 				return
 			}
@@ -651,20 +716,13 @@ func (s *Server) loop() {
 }
 
 func (s *Server) popLocked() *item {
-	for b := 0; b < numBuckets; b++ {
-		q := s.buckets[b]
-		if len(q) == 0 {
+	for b := range s.buckets {
+		if s.buckets[b].n == 0 {
 			continue
-		}
-		it := q[0]
-		q[0] = nil
-		s.buckets[b] = q[1:]
-		if len(s.buckets[b]) == 0 {
-			s.buckets[b] = nil // let the backing array go
 		}
 		s.st.queueDepth.Set(s.occupancy.Add(-1))
 		s.pops.Add(1)
-		return it
+		return s.buckets[b].pop()
 	}
 	return nil
 }
@@ -716,17 +774,16 @@ func (s *Server) deliver(it *item, out outcome) {
 	it.done <- out
 }
 
-// failAllLocked rejects everything still queued and wakes all waiters
-// with ErrClosed — the shutdown path.
-func (s *Server) failAllLocked() {
+// failAllLocked rejects everything still queued with queued and wakes all
+// waiters with woken — the shutdown and power-failure path.
+func (s *Server) failAllLocked(queued, woken error) {
 	for b := range s.buckets {
-		for _, it := range s.buckets[b] {
-			s.deliver(it, outcome{err: ErrServerClosed})
+		for s.buckets[b].n > 0 {
+			s.deliver(s.buckets[b].pop(), outcome{err: queued})
 			s.st.queueDepth.Set(s.occupancy.Add(-1))
 		}
-		s.buckets[b] = nil
 	}
-	s.wakeWaitersLocked(ErrServerClosed)
+	s.wakeWaitersLocked(woken)
 }
 
 // noteCrash is the power-failure epilogue, run on the dying dispatch
@@ -743,14 +800,8 @@ func (s *Server) noteCrash() {
 		s.deliver(it, outcome{err: fmt.Errorf("%w: failed mid-request", ErrPowerFailure)})
 		s.inflight = nil
 	}
-	for b := range s.buckets {
-		for _, it := range s.buckets[b] {
-			s.deliver(it, outcome{err: fmt.Errorf("%w: queued at failure", ErrPowerFailure)})
-			s.st.queueDepth.Set(s.occupancy.Add(-1))
-		}
-		s.buckets[b] = nil
-	}
-	s.wakeWaitersLocked(fmt.Errorf("%w: server lost power", ErrPowerFailure))
+	s.failAllLocked(fmt.Errorf("%w: queued at failure", ErrPowerFailure),
+		fmt.Errorf("%w: server lost power", ErrPowerFailure))
 	s.mu.Unlock()
 }
 

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Store is the NV-DRAM surface the log lives in (same shape as
@@ -96,6 +97,11 @@ type Log struct {
 	seq   uint64 // next sequence number
 
 	lastStop StopReason // why the most recent Replay stopped
+
+	// Append's scratch: a buffer handed to the store escapes through the
+	// interface, so locals would cost two heap allocations per record.
+	hdr [16]byte // writeHeader's head ‖ seq image
+	rec []byte   // grow-only: the record being appended
 }
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
@@ -165,10 +171,9 @@ func (l *Log) rebuild() error {
 }
 
 func (l *Log) writeHeader() error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(l.head))
-	binary.LittleEndian.PutUint64(hdr[8:], l.seq)
-	return l.store.WriteAt(hdr[:], offHead)
+	binary.LittleEndian.PutUint64(l.hdr[0:], uint64(l.head))
+	binary.LittleEndian.PutUint64(l.hdr[8:], l.seq)
+	return l.store.WriteAt(l.hdr[:], offHead)
 }
 
 // Append commits one record. The payload bytes and checksum are written
@@ -182,7 +187,8 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 	if l.head+need > l.store.Size() {
 		return 0, ErrFull
 	}
-	buf := make([]byte, need)
+	l.rec = slices.Grow(l.rec[:0], int(need))[:need]
+	buf := l.rec
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(buf[4:], l.seq)
 	copy(buf[recordHeaderSize:], payload)
