@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"viyojit/internal/sim"
+)
 
 // TestAdmissionAndIdleTickZeroAlloc guards the two manager paths every
 // served write and every epoch go through: admitting a faulting page to
@@ -42,5 +46,26 @@ func TestAdmissionAndIdleTickZeroAlloc(t *testing.T) {
 	if st.Epochs-epochs < 100 || st.ProactiveCleans != cleans || h.mgr.DirtyCount() != d {
 		t.Fatalf("%d ticks, %d proactive cleans, %d dirty; want ≥ 100 idle ticks over %d pages",
 			st.Epochs-epochs, st.ProactiveCleans-cleans, h.mgr.DirtyCount(), d)
+	}
+}
+
+// TestSampleTickZeroAlloc: the observability sampler re-arms its one event
+// and, once its ring is full, only slides it.
+func TestSampleTickZeroAlloc(t *testing.T) {
+	const every = 10 * sim.Microsecond
+	h := newHarness(t, 16, Config{DirtyBudgetPages: 8, SampleEvery: every})
+	tick := func() {
+		h.clock.Advance(every)
+		h.mgr.Pump()
+	}
+	for i := 0; i < MaxSamples+100; i++ {
+		tick()
+	}
+	before := h.mgr.Samples()[MaxSamples-1].At
+	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
+		t.Errorf("a sample tick allocates %.0f times, want 0", allocs)
+	}
+	if got := h.mgr.Samples()[MaxSamples-1].At; got.Sub(before) < 1000*every {
+		t.Fatalf("newest sample moved from %v to %v over 1000 ticks", before, got)
 	}
 }

@@ -11,7 +11,9 @@
 //     DRAM speed.
 //  3. If the dirty set is at the budget, the handler first cleans a victim
 //     (re-protect → copy to SSD → remove from the dirty set) before
-//     admitting the new page, so the bound holds at every instant.
+//     admitting the new page, so the bound holds at every instant. The
+//     write waits for that one page; the handler also runs step 4's
+//     proactive copier, since a budget hit means its estimate was low.
 //  4. An epoch timer (1 ms default) walks the page table, reading and
 //     clearing hardware dirty bits (flushing the TLB first so the bits are
 //     fresh), maintains a 64-epoch per-page update history, estimates the
@@ -130,8 +132,8 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Faults           uint64 // write-protection traps taken
 	PagesDirtied     uint64 // admissions to the dirty set
-	ForcedCleans     uint64 // synchronous cleans on the fault path (budget hit)
-	ProactiveCleans  uint64 // background cleans initiated by the epoch task
+	ForcedCleans     uint64 // budget hits: a write blocked until one clean completed
+	ProactiveCleans  uint64 // background cleans started by the proactive copier (epoch tick or budget hit)
 	UnmapCleans      uint64 // cleans forced by Unmap
 	RetuneCleans     uint64 // cleans forced by a budget decrease
 	CleansCompleted  uint64 // SSD write-backs that finished
@@ -222,6 +224,7 @@ type Manager struct {
 
 	samples     []Sample
 	sampleEvent *sim.Event
+	sampleFn    func(sim.Time) // m.sampleTick, bound once
 
 	// st holds the registry-backed atomic counters/gauges/histograms
 	// (instruments.go); tr records clean operations as trace spans.
@@ -285,23 +288,22 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 	}
 	m.scheduleEpoch()
 	if cfg.SampleEvery > 0 {
-		m.scheduleSample(clock.Now().Add(cfg.SampleEvery))
+		m.sampleFn = m.sampleTick
+		m.sampleEvent = events.Schedule(clock.Now().Add(cfg.SampleEvery), m.sampleFn)
 	}
 	return m, nil
 }
 
-// scheduleSample arms the next observability sample.
-func (m *Manager) scheduleSample(at sim.Time) {
-	m.sampleEvent = m.events.Schedule(at, func(t sim.Time) {
-		if m.closed {
-			return
-		}
-		m.samples = append(m.samples, Sample{At: t, Dirty: m.dirty.len(), Pressure: m.pressure})
-		if len(m.samples) > MaxSamples {
-			m.samples = m.samples[len(m.samples)-MaxSamples:]
-		}
-		m.scheduleSample(t.Add(m.cfg.SampleEvery))
-	})
+// sampleTick records one observability sample and re-arms its event.
+func (m *Manager) sampleTick(t sim.Time) {
+	if m.closed {
+		return
+	}
+	m.samples = append(m.samples, Sample{At: t, Dirty: m.dirty.len(), Pressure: m.pressure})
+	if len(m.samples) > MaxSamples {
+		m.samples = m.samples[len(m.samples)-MaxSamples:]
+	}
+	m.events.Rearm(m.sampleEvent, t.Add(m.cfg.SampleEvery), m.sampleFn)
 }
 
 // Samples returns the recorded observability ring (most recent
@@ -412,8 +414,14 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	// the drain ratchet, so a fault taken mid-drain pays for the whole
 	// remaining drain — the backpressure that lets the transition make
 	// progress against a sustained write burst.
+	//
+	// A budget hit also means this epoch's pressure estimate was too low,
+	// so the handler wakes the proactive copier before it blocks: the
+	// write resumes after one completion, the rest of the burst lands in
+	// the background and the next ≈ pressure admissions find headroom.
 	for m.dirty.len() >= m.effectiveBudget() {
 		m.st.forcedCleans.Inc()
+		m.cleanToThreshold()
 		if !m.cleanOneSync() {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
@@ -481,6 +489,7 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 		m.st.faults.Inc()
 		m.clock.Advance(hwInterruptCost)
 		m.st.forcedCleans.Inc()
+		m.cleanToThreshold()
 		if !m.cleanOneSync() {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
@@ -539,7 +548,8 @@ func (m *Manager) collectVictims() {
 
 // startClean re-protects page and submits its contents to the SSD. The
 // page stays in the dirty set (its latest contents are not durable) until
-// the IO completes. Returns false if no victim was available.
+// the IO completes. A full device queue stalls the submission, which
+// pumps events: callers re-read manager state afterwards.
 func (m *Manager) startClean(page mmu.PageID) {
 	dp := m.dirty.get(page)
 	seq := dp.seq
@@ -734,9 +744,11 @@ func (m *Manager) epochTick(at sim.Time) {
 		return
 	}
 	if m.inEpoch {
-		// A previous tick is still running (its proactive IO submissions
-		// stalled past a full epoch). Skip this round rather than
-		// corrupting shared state; the system is overloaded anyway.
+		// A previous tick is still on the stack. Nothing in a tick waits
+		// on the event loop (cleanToThreshold stops at a full device
+		// queue instead of stalling), so this takes a tick that yields
+		// again; if one ever does, skip and count the round rather than
+		// run two ticks over shared state.
 		m.st.skippedEpochs.Inc()
 		m.scheduleEpochAt(at.Add(m.cfg.Epoch))
 		return
@@ -778,42 +790,60 @@ func (m *Manager) epochTick(at sim.Time) {
 	m.newDirtyThisEpoch = 0
 	m.st.pressure.Set(int64(m.pressure * 1000))
 
-	// Proactive copying: clean least-recently-updated pages until the
-	// dirty set can absorb the predicted burst without blocking.
+	// This epoch's victim candidates are the pages not in flight now.
+	// Nothing is ordered until a victim is asked for — below, if the set
+	// is over the threshold, or on the fault path later in the epoch —
+	// and histories do not change before the next tick, so whenever that
+	// happens the order is the one as of this scan.
+	m.collectVictims()
+	if m.state == StateDegraded {
+		m.st.degradedEpochs.Inc()
+	}
+	m.cleanToThreshold()
+
+	m.inEpoch = false
+	m.scheduleEpochAt(at.Add(m.cfg.Epoch))
+	m.checkInvariant()
+}
+
+// cleanThreshold is the dirty level the proactive copier cleans down to:
+// budget − pressure, so the dirty set can absorb the predicted burst
+// without blocking (paper §5.3).
+func (m *Manager) cleanThreshold() int {
 	threshold := m.effectiveBudget() - int(m.pressure+0.5)
 	if threshold < 0 {
 		threshold = 0
 	}
 	if m.state == StateDegraded {
 		// Graceful degradation: while the SSD is erroring, halve the
-		// effective cleaning threshold (clean down further) so the dirty
-		// set keeps extra headroom for retries before the budget blocks
-		// writers. Restored automatically once cleans succeed again
-		// (noteCleanSuccess).
-		m.st.degradedEpochs.Inc()
+		// threshold (clean down further) so the dirty set keeps extra
+		// headroom for retries before the budget blocks writers. Restored
+		// automatically once cleans succeed again (noteCleanSuccess).
 		threshold /= 2
 	}
-	// This epoch's victim candidates are the pages not in flight now.
-	// Nothing is ordered until a victim is asked for — here, if the set
-	// is over the threshold, or on the fault path later in the epoch —
-	// and histories do not change before the next tick, so whenever that
-	// happens the order is the one as of this scan.
-	m.collectVictims()
-	// Count in-flight cleans as already-on-their-way reductions.
-	target := m.dirty.len() - m.inflight
-	for target > threshold {
+	return threshold
+}
+
+// cleanToThreshold is the proactive copier's one step: start cleans of
+// least-recently-updated pages until the pages not already on their way
+// out fit under cleanThreshold. The epoch tick runs it with a fresh
+// pressure estimate; a budget hit runs it because that estimate proved too
+// low. It only submits — in-flight pages stay in the dirty set until their
+// IO completes, so it cannot affect dirty ≤ budget — and it never waits:
+// it stops when the device queue is full (whoever runs next, tick or
+// budget hit, picks up the rest) rather than holding the clock, and with
+// it the writer, behind a queue slot.
+func (m *Manager) cleanToThreshold() {
+	threshold := m.cleanThreshold()
+	maxOutstanding := m.dev.Config().MaxOutstanding
+	for m.dirty.len()-m.inflight > threshold && m.dev.Outstanding() < maxOutstanding {
 		page, ok := m.nextVictim()
 		if !ok {
-			break
+			return
 		}
 		m.st.proactiveCleans.Inc()
 		m.startClean(page)
-		target--
 	}
-
-	m.inEpoch = false
-	m.scheduleEpochAt(at.Add(m.cfg.Epoch))
-	m.checkInvariant()
 }
 
 // FlushAll synchronously cleans every dirty page — the clean-shutdown

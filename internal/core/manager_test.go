@@ -22,13 +22,19 @@ type harness struct {
 
 func newHarness(t testing.TB, pages int, cfg Config) *harness {
 	t.Helper()
+	return newDevHarness(t, pages, cfg, ssd.Config{})
+}
+
+// newDevHarness is newHarness on a caller-shaped device.
+func newDevHarness(t testing.TB, pages int, cfg Config, devCfg ssd.Config) *harness {
+	t.Helper()
 	clock := sim.NewClock()
 	events := sim.NewQueue()
 	region, err := nvdram.New(clock, nvdram.Config{Size: int64(pages) * 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := ssd.New(clock, events, ssd.Config{})
+	dev := ssd.New(clock, events, devCfg)
 	mgr, err := NewManager(clock, events, region, dev, cfg)
 	if err != nil {
 		t.Fatal(err)

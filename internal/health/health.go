@@ -248,6 +248,7 @@ type Monitor struct {
 	recoverStreak int
 	snapshots     []Snapshot
 	event         *sim.Event
+	fireFn        func(sim.Time) // m.fire, bound once
 	closed        bool
 	stats         Stats
 
@@ -325,7 +326,8 @@ func NewMonitor(events *sim.Queue, clock *sim.Clock, batt *battery.Battery, mgr 
 		lastBudget: mgr.DirtyBudget(),
 		st:         newInstruments(cfg.Obs),
 	}
-	m.schedule(clock.Now().Add(cfg.Interval))
+	m.fireFn = m.fire
+	m.event = events.Schedule(clock.Now().Add(cfg.Interval), m.fireFn)
 	return m, nil
 }
 
@@ -351,14 +353,13 @@ func (m *Monitor) Snapshots() []Snapshot {
 // LastBudget returns the most recent budget the monitor derived.
 func (m *Monitor) LastBudget() int { return m.lastBudget }
 
-func (m *Monitor) schedule(at sim.Time) {
-	m.event = m.events.Schedule(at, func(t sim.Time) {
-		if m.closed {
-			return
-		}
-		m.tick(t)
-		m.schedule(t.Add(m.cfg.Interval))
-	})
+// fire runs one monitor tick and re-arms the monitor's event.
+func (m *Monitor) fire(t sim.Time) {
+	if m.closed {
+		return
+	}
+	m.tick(t)
+	m.events.Rearm(m.event, t.Add(m.cfg.Interval), m.fireFn)
 }
 
 // BudgetPages converts effective battery joules into a dirty budget the

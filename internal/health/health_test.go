@@ -342,3 +342,20 @@ func TestMonitorScrubQuarantineEscalates(t *testing.T) {
 		t.Fatalf("ScrubEmergencies = %d, want 1", r.mon.Stats().ScrubEmergencies)
 	}
 }
+
+// TestMonitorTickZeroAlloc: a tick that finds nothing to retune re-arms
+// the monitor's one event and allocates nothing.
+func TestMonitorTickZeroAlloc(t *testing.T) {
+	r := newRig(t, rigOpts{pages: 64, budget: 32, targetPages: 32.3, ssd: ssd.Config{WriteBandwidth: 16 << 20}})
+	interval := r.mon.cfg.Interval
+	for i := 0; i < 2*r.mon.cfg.MaxSnapshots; i++ {
+		r.run(interval) // fill the snapshot ring
+	}
+	before := r.mon.Stats().Ticks
+	if allocs := testing.AllocsPerRun(200, func() { r.run(interval) }); allocs != 0 {
+		t.Fatalf("an uneventful monitor tick allocates %.0f times, want 0", allocs)
+	}
+	if st := r.mon.Stats(); st.Ticks-before < 200 || st.Retunes != 0 {
+		t.Fatalf("%d ticks, %d retunes over 200 intervals", st.Ticks-before, st.Retunes)
+	}
+}

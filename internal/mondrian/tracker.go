@@ -77,8 +77,11 @@ type Tracker struct {
 	sectorSize int
 	budget     int // sectors
 
-	dirty      map[SectorID]*dirtySector
-	dirtySeq   uint64
+	dirty    map[SectorID]*dirtySector
+	dirtySeq uint64
+	// inflight counts the dirty sectors with cleaning set; it moves with
+	// that flag in startClean and its completion.
+	inflight   int
 	history    []uint64
 	histEpoch  []uint64
 	epochIndex uint64
@@ -201,11 +204,9 @@ func (t *Tracker) WriteAt(p []byte, off int64) error {
 			// Wait for the in-flight copy of this sector, as the
 			// page-granularity fault handler does; afterwards the sector
 			// is clean and is RE-ADMITTED below, so the incoming bytes
-			// stay tracked.
-			for {
-				if now, still := t.dirty[s]; !still || now != ds {
-					break
-				}
+			// stay tracked. A copy that failed leaves the sector dirty and
+			// no longer cleaning: the write proceeds on the existing entry.
+			for t.dirty[s] == ds && ds.cleaning {
 				if !t.events.Step(t.clock) {
 					panic("mondrian: waiting on in-flight clean with no events")
 				}
@@ -215,7 +216,10 @@ func (t *Tracker) WriteAt(p []byte, off int64) error {
 			// Admit a newly dirty sector.
 			t.clock.Advance(t.cfg.TrapCost)
 			for len(t.dirty) >= t.budget {
+				// A budget hit wakes the proactive copier before it
+				// blocks, as core.Manager's fault handler does.
 				t.stats.ForcedCleans++
+				t.cleanToThreshold()
 				if !t.cleanOneSync() {
 					panic(fmt.Sprintf("mondrian: dirty %d at budget %d with no victim", len(t.dirty), t.budget))
 				}
@@ -316,21 +320,21 @@ func (t *Tracker) nextVictim() (SectorID, bool) {
 func (t *Tracker) startClean(s SectorID) {
 	ds := t.dirty[s]
 	ds.cleaning = true
+	t.inflight++
 	start := int64(s) * int64(t.sectorSize)
 	buf := make([]byte, t.sectorSize)
 	copy(buf, t.data[start:])
 	t.dev.WriteSnapshotAsync(s, buf, func(_ sim.Time, err error) {
+		ds.cleaning = false
+		t.inflight--
 		if err != nil {
 			// The sector's latest contents are not durable: keep it dirty
 			// and cleanable so the forced/epoch paths re-pick it.
 			t.stats.CleanErrors++
-			if cur, ok := t.dirty[s]; ok && cur == ds {
-				ds.cleaning = false
-			}
 			return
 		}
 		t.stats.CleansCompleted++
-		if cur, ok := t.dirty[s]; ok && cur == ds {
+		if t.dirty[s] == ds {
 			delete(t.dirty, s)
 		}
 	})
@@ -340,11 +344,11 @@ func (t *Tracker) cleanOneSync() bool {
 	before := len(t.dirty)
 	started := false
 	for len(t.dirty) >= before {
-		if !started || t.inflight() == 0 {
+		if !started || t.inflight == 0 {
 			if s, ok := t.nextVictim(); ok {
 				t.startClean(s)
 				started = true
-			} else if t.inflight() == 0 {
+			} else if t.inflight == 0 {
 				return false
 			}
 		}
@@ -355,14 +359,24 @@ func (t *Tracker) cleanOneSync() bool {
 	return true
 }
 
-func (t *Tracker) inflight() int {
-	n := 0
-	for _, ds := range t.dirty {
-		if ds.cleaning {
-			n++
-		}
+// cleanToThreshold is core.Manager's proactive-copier step at sector
+// granularity: start cleans of least-recently-updated sectors until the
+// ones not already in flight fit under budget − pressure, stopping (never
+// waiting) when the device queue is full.
+func (t *Tracker) cleanToThreshold() {
+	threshold := t.budget - int(t.pressure+0.5)
+	if threshold < 0 {
+		threshold = 0
 	}
-	return n
+	maxOutstanding := t.dev.Config().MaxOutstanding
+	for len(t.dirty)-t.inflight > threshold && t.dev.Outstanding() < maxOutstanding {
+		s, ok := t.nextVictim()
+		if !ok {
+			return
+		}
+		t.stats.ProactiveCleans++
+		t.startClean(s)
+	}
 }
 
 func (t *Tracker) epochTick(at sim.Time) {
@@ -382,21 +396,8 @@ func (t *Tracker) epochTick(at sim.Time) {
 	t.pressure = w*float64(t.newDirtyThisEpoch) + (1-w)*t.pressure
 	t.newDirtyThisEpoch = 0
 
-	threshold := t.budget - int(t.pressure+0.5)
-	if threshold < 0 {
-		threshold = 0
-	}
 	t.collectVictims()
-	target := len(t.dirty) - t.inflight()
-	for target > threshold {
-		s, ok := t.nextVictim()
-		if !ok {
-			break
-		}
-		t.stats.ProactiveCleans++
-		t.startClean(s)
-		target--
-	}
+	t.cleanToThreshold()
 	t.scheduleEpoch(at.Add(t.cfg.Epoch))
 }
 

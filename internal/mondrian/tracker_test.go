@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"viyojit/internal/faultinject"
 	"viyojit/internal/power"
 	"viyojit/internal/sim"
+	"viyojit/internal/ssd"
 )
 
 func newTestTracker(t testing.TB, cfg Config) (*Tracker, *sim.Clock) {
@@ -259,5 +261,71 @@ func TestBudgetInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The page manager's budget-hit bound, at sector granularity: seeded
+// bursts through a small, slow, faulty device. Before every event the
+// dirty set fits the budget and the in-flight counter equals a recount;
+// at the first event after a budget hit — fired from the writer's own wait
+// — the sectors not in flight fit under budget − pressure, unless the
+// device queue was full. The faults also put writers behind sector copies
+// that fail, which must release them.
+func TestBudgetHitRestoresThreshold(t *testing.T) {
+	var bounded, queueFull int
+	for seed := uint64(1); seed <= 4; seed++ {
+		tr, clock := newTestTracker(t, Config{
+			Size: 256 << 10, BudgetBytes: 40 * 256,
+			SSD: ssd.Config{MaxOutstanding: 4, WriteBandwidth: 1 << 20},
+		})
+		tr.dev.SetFaultInjector(faultinject.New(faultinject.Config{Seed: seed, TransientProb: 0.1}))
+		inWrite, forcedSeen := false, uint64(0)
+		tr.events.SetFireHook(func(uint64, sim.Time) {
+			if len(tr.dirty) > tr.budget {
+				t.Fatalf("%d dirty sectors over the budget %d", len(tr.dirty), tr.budget)
+			}
+			recount := 0
+			for _, ds := range tr.dirty {
+				if ds.cleaning {
+					recount++
+				}
+			}
+			if tr.inflight != recount {
+				t.Fatalf("inflight counter %d, recount %d", tr.inflight, recount)
+			}
+			if !inWrite || tr.stats.ForcedCleans == forcedSeen {
+				return
+			}
+			forcedSeen = tr.stats.ForcedCleans
+			threshold := max(tr.budget-int(tr.pressure+0.5), 0)
+			switch rest := len(tr.dirty) - tr.inflight; {
+			case rest <= threshold:
+				bounded++
+			case tr.dev.Outstanding() >= tr.dev.Config().MaxOutstanding:
+				queueFull++
+			default:
+				t.Fatalf("budget hit left %d sectors not in flight, threshold %d, device queue %d", rest, threshold, tr.dev.Outstanding())
+			}
+		})
+		rng := sim.NewRNG(seed)
+		for step := 0; step < 1500; step++ {
+			if rng.Intn(6) == 0 {
+				clock.Advance(sim.Duration(rng.Intn(3000)) * sim.Microsecond)
+			} else {
+				inWrite = true
+				err := tr.WriteAt([]byte{byte(step) | 1}, rng.Int63n(tr.Size()))
+				inWrite = false
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.Pump()
+		}
+		if st := tr.Stats(); st.ForcedCleans == 0 || st.ProactiveCleans == 0 || st.CleanErrors == 0 {
+			t.Fatalf("seed %d: schedule missed a path: %+v", seed, st)
+		}
+	}
+	if bounded == 0 || queueFull == 0 {
+		t.Fatalf("%d hits bounded, %d excused by a full queue: a case went unwitnessed", bounded, queueFull)
 	}
 }

@@ -121,6 +121,7 @@ type Scrubber struct {
 	running    bool
 	inBurst    bool // re-entrancy guard: RepairPage pumps events
 	next       *sim.Event
+	burstFn    func(sim.Time) // s.burstEvent, bound once
 	quarantine map[mmu.PageID]Quarantined
 	stats      Stats
 
@@ -165,7 +166,7 @@ func newInstruments(r *obs.Registry) instruments {
 // verify-only scrubber). It does not start scanning; call Start.
 func New(clock *sim.Clock, events *sim.Queue, dev *ssd.SSD, mgr *core.Manager, cfg Config) *Scrubber {
 	cfg = cfg.withDefaults()
-	return &Scrubber{
+	s := &Scrubber{
 		clock:      clock,
 		events:     events,
 		dev:        dev,
@@ -175,6 +176,8 @@ func New(clock *sim.Clock, events *sim.Queue, dev *ssd.SSD, mgr *core.Manager, c
 		st:         newInstruments(cfg.Obs),
 		tr:         cfg.Obs.Tracer(),
 	}
+	s.burstFn = s.burstEvent
+	return s
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -230,8 +233,16 @@ func (s *Scrubber) Stop() {
 	}
 }
 
+// scheduleNext arms the next burst one pacing gap from now, on the
+// scrubber's one event: re-armed once it exists, so a burst allocates no
+// timer state.
 func (s *Scrubber) scheduleNext() {
-	s.next = s.events.Schedule(s.clock.Now().Add(s.burstGap()), s.burstEvent)
+	at := s.clock.Now().Add(s.burstGap())
+	if s.next == nil {
+		s.next = s.events.Schedule(at, s.burstFn)
+		return
+	}
+	s.events.Rearm(s.next, at, s.burstFn)
 }
 
 // burstEvent is one paced scan step. It skips (but keeps the cadence)

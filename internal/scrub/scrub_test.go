@@ -395,3 +395,24 @@ func TestScanBurstZeroAlloc(t *testing.T) {
 		t.Fatalf("bursts did not scan cleanly: %+v", st)
 	}
 }
+
+// TestBackgroundBurstZeroAlloc: the paced scan re-arms its one event; a
+// clean background burst costs its checksums and nothing else.
+func TestBackgroundBurstZeroAlloc(t *testing.T) {
+	h := newHarness(t, 64, 32, Config{})
+	h.seed(t, 48)
+	h.scr.Start()
+	gap := h.scr.burstGap()
+	burst := func() {
+		h.clock.Advance(gap)
+		h.mgr.Pump()
+	}
+	burst() // sizes the reused buffer
+	before := h.scr.Stats().Bursts
+	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+		t.Fatalf("a clean background burst allocates %.0f times, want 0", allocs)
+	}
+	if st := h.scr.Stats(); st.Bursts-before < 200 || st.Detections != 0 {
+		t.Fatalf("%d bursts, %d detections over 200 gaps", st.Bursts-before, st.Detections)
+	}
+}

@@ -174,6 +174,11 @@ type Fused struct {
 	cap  func() float64 // physical upper bound (nameplate · DoD · derating ceiling); nil = unbounded
 	ests []*Estimator
 	st   []estState
+	// usable and vals are Sample's per-call lists (which estimators speak
+	// this sample, and with what value), kept here so a sample allocates
+	// nothing; each holds at most one entry per estimator.
+	usable []int
+	vals   []float64
 
 	lastFused float64
 	lastAt    sim.Time
@@ -196,7 +201,8 @@ func New(cfg Config, capBound func() float64, ests ...*Estimator) (*Fused, error
 	if len(ests) == 0 {
 		return nil, fmt.Errorf("%w: need at least one estimator", ErrConfig)
 	}
-	f := &Fused{cfg: cfg, cap: capBound, ests: ests, st: make([]estState, len(ests))}
+	f := &Fused{cfg: cfg, cap: capBound, ests: ests, st: make([]estState, len(ests)),
+		usable: make([]int, 0, len(ests)), vals: make([]float64, 0, len(ests))}
 	f.ins.attach(cfg.Obs, ests)
 	return f, nil
 }
@@ -241,8 +247,7 @@ func riseEps(v float64) float64 { return 1e-9 + 1e-9*math.Abs(v) }
 func (f *Fused) Sample(at sim.Time) float64 {
 	f.stats.Samples++
 
-	usable := make([]int, 0, len(f.ests))
-	vals := make([]float64, 0, len(f.ests))
+	usable, vals := f.usable[:0], f.vals[:0]
 	live := 0 // estimators that produced an OK raw this sample
 
 	for i, e := range f.ests {

@@ -388,3 +388,16 @@ func TestObsInstrumentsPublished(t *testing.T) {
 		t.Fatalf("sensor_samples_total = %d, want 1", got)
 	}
 }
+
+// A sample reuses the fusion layer's own lists: the health monitor's tick
+// pays nothing for reading the gauges.
+func TestSampleZeroAlloc(t *testing.T) {
+	r := newTestRig(t, Config{})
+	r.sample()
+	if allocs := testing.AllocsPerRun(200, func() { r.sample() }); allocs != 0 {
+		t.Fatalf("a healthy sample allocates %.0f times, want 0", allocs)
+	}
+	if got := r.f.Stats().Samples; got < 201 {
+		t.Fatalf("%d samples taken", got)
+	}
+}

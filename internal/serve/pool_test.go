@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
 
@@ -180,5 +181,106 @@ func TestPoolSubmitAllocations(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Fatalf("Submit round trip allocates %v times, want at most 1", allocs)
+	}
+}
+
+// A pacing wait that really waits recycles its waiter, channel included,
+// once it has received the wake: in steady state WaitUntil allocates
+// nothing on either goroutine.
+func TestWaitUntilAllocations(t *testing.T) {
+	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
+	next, waited := h.srv.Now(), 0
+	if allocs := testing.AllocsPerRun(500, func() {
+		next = next.Add(20 * sim.Microsecond)
+		if h.srv.Now() < next {
+			waited++
+		}
+		if err := h.srv.WaitUntil(next); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("WaitUntil allocates %v times per call, want 0", allocs)
+	}
+	if waited < 400 {
+		t.Fatalf("only %d of 501 calls had to wait", waited)
+	}
+}
+
+// Each wait here spans one watchdog interval (and one epoch): the watchdog
+// re-arms its one event, so its tick allocates nothing either.
+func TestWatchdogTickAllocations(t *testing.T) {
+	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
+	next := h.srv.Now()
+	if allocs := testing.AllocsPerRun(200, func() {
+		next = next.Add(h.srv.Config().WatchdogInterval)
+		if err := h.srv.WaitUntil(next); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a watchdog interval allocates %v times, want 0", allocs)
+	}
+}
+
+// parkWaiters blocks n goroutines in WaitUntil behind a gated op and
+// returns once all are registered; their outcomes arrive on the channel.
+func parkWaiters(t *testing.T, srv *Server, n int) (release chan struct{}, errs chan error) {
+	t.Helper()
+	_, release, _ = gate(t, srv)
+	errs = make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { errs <- srv.WaitUntil(srv.Now().Add(sim.Second)) }()
+	}
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.waiters) == n
+	})
+	return release, errs
+}
+
+// Waiters woken by Stop, and by a power failure, get the typed error and
+// go back to the pool spent: a later wait on another server that draws
+// them wakes at its own target with its own outcome, never a stale one.
+func TestPoolWaitersWokenByStopAndCrash(t *testing.T) {
+	const n = 8
+	stopped := newHarness(t, 16, ssd.Config{}, Config{}, nil)
+	release, errs := parkWaiters(t, stopped.srv, n)
+	stopDone := make(chan struct{})
+	go func() { stopped.srv.Stop(); close(stopDone) }()
+	waitFor(t, func() bool {
+		stopped.srv.mu.Lock()
+		defer stopped.srv.mu.Unlock()
+		return stopped.srv.stopping
+	})
+	close(release)
+	<-stopDone
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("waiter woken by Stop got %v, want ErrServerClosed", err)
+		}
+	}
+
+	crashed, crasher, events := newCrashHarness(t, 64)
+	crasher.ArmAt(events.Fired() + 1) // the idle advance toward the waiters fires it
+	if err := crashed.srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	release, errs = parkWaiters(t, crashed.srv, n)
+	close(release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, ErrPowerFailure) {
+			t.Fatalf("waiter woken by the crash got %v, want ErrPowerFailure", err)
+		}
+	}
+
+	fresh := newHarness(t, 16, ssd.Config{}, Config{}, nil)
+	for i := 0; i < 4*n; i++ {
+		target := fresh.srv.Now().Add(50 * sim.Microsecond)
+		if err := fresh.srv.WaitUntil(target); err != nil {
+			t.Fatalf("wait %d on a fresh server: %v", i, err)
+		}
+		if now := fresh.srv.Now(); now < target {
+			t.Fatalf("wait %d returned at %v, before its target %v", i, now, target)
+		}
 	}
 }

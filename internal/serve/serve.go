@@ -282,8 +282,14 @@ func (f *fifo) pop() *item {
 
 type waiter struct {
 	target sim.Time
-	ch     chan error
+	ch     chan error // buffered(1): the wake never blocks
 }
+
+// waiterPool recycles waiters, with their channel, the way itemPool does
+// items: only once WaitUntil has received the wake, which is the
+// dispatcher's last touch of a waiter. WaitUntil has no other way out, so
+// every waiter comes back.
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan error, 1)} }}
 
 // numBuckets = 3 priorities × 2 classes; lower index pops first.
 const numBuckets = 6
@@ -326,6 +332,7 @@ type Server struct {
 
 	// Watchdog state, touched only on the dispatch goroutine.
 	wdEvent  *sim.Event
+	wdFn     func(sim.Time) // s.watchdogTick, bound once
 	wdStrike int
 	wdLast   uint64
 	wdDead   atomic.Bool // stops rescheduling after Stop
@@ -440,7 +447,8 @@ func (s *Server) Start() error {
 	s.publish()
 	if !s.cfg.DisableWatchdog {
 		s.wdLast = s.pops.Load()
-		s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.watchdogTick)
+		s.wdFn = s.watchdogTick
+		s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.wdFn)
 	}
 	go s.loop()
 	return nil
@@ -655,11 +663,14 @@ func (s *Server) WaitUntil(t sim.Time) error {
 		s.mu.Unlock()
 		return nil
 	}
-	w := &waiter{target: t, ch: make(chan error, 1)}
+	w := waiterPool.Get().(*waiter)
+	w.target = t
 	s.waiters = append(s.waiters, w)
 	s.cond.Signal()
 	s.mu.Unlock()
-	return <-w.ch
+	err := <-w.ch
+	waiterPool.Put(w)
+	return err
 }
 
 // loop is the dispatch goroutine: the sole owner of the clock, event
@@ -975,7 +986,7 @@ func (s *Server) watchdogTick(now sim.Time) {
 		s.wdStrike = 0
 	}
 	s.wdLast = pops
-	s.wdEvent = s.events.Schedule(now.Add(s.cfg.WatchdogInterval), s.watchdogTick)
+	s.events.Rearm(s.wdEvent, now.Add(s.cfg.WatchdogInterval), s.wdFn)
 }
 
 // maybeTrip executes a watchdog-requested ladder trip. It runs on the
