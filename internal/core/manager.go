@@ -358,13 +358,21 @@ func (m *Manager) scheduleEpoch() {
 	m.epochEvent = m.events.Schedule(m.clock.Now().Add(m.cfg.Epoch), m.epochFn)
 }
 
-// scheduleEpochAt arms the next epoch tick, from inside the one that just
-// fired: its event (and the bound method value) is used again, so a tick
-// allocates nothing. Ticks chain off their *scheduled* time, not the
-// (possibly far ahead) clock, so a driver that advances the clock in
-// large steps still observes one tick per epoch when it pumps events.
-func (m *Manager) scheduleEpochAt(at sim.Time) {
-	m.events.Rearm(m.epochEvent, at, m.epochFn)
+// scheduleNextEpoch arms the tick after the one scheduled for at, from
+// inside it: its event (and the bound method value) is used again, so a
+// tick allocates nothing. Ticks chain off their *scheduled* time, so a
+// tick that fires late — the operation that was running ran past it —
+// does not stretch the period. But when the successor's own time has
+// already passed — the clock moved more than a period with no event
+// pumped, as across a restore — the chain restarts one period from now:
+// a periodic timer does not replay the periods it missed, and each replay
+// would charge a TLB flush to scan a dirty set nothing has touched.
+func (m *Manager) scheduleNextEpoch(at sim.Time) {
+	next := at.Add(m.cfg.Epoch)
+	if now := m.clock.Now(); next < now {
+		next = now.Add(m.cfg.Epoch)
+	}
+	m.events.Rearm(m.epochEvent, next, m.epochFn)
 }
 
 // handleFault is the write-protection fault handler (flowchart steps 3–8).
@@ -750,7 +758,7 @@ func (m *Manager) epochTick(at sim.Time) {
 		// again; if one ever does, skip and count the round rather than
 		// run two ticks over shared state.
 		m.st.skippedEpochs.Inc()
-		m.scheduleEpochAt(at.Add(m.cfg.Epoch))
+		m.scheduleNextEpoch(at)
 		return
 	}
 	m.inEpoch = true
@@ -802,7 +810,7 @@ func (m *Manager) epochTick(at sim.Time) {
 	m.cleanToThreshold()
 
 	m.inEpoch = false
-	m.scheduleEpochAt(at.Add(m.cfg.Epoch))
+	m.scheduleNextEpoch(at)
 	m.checkInvariant()
 }
 

@@ -221,9 +221,10 @@ func (att *nestedAttempt) build(cfg NestedConfig, clock *sim.Clock, events *sim.
 		}
 	}
 	// Region restore: volatile effects, re-run every attempt. One
-	// marker per page puts crash points inside the phase.
+	// marker per streamed page puts crash points inside the phase.
+	stream := st.dev.OpenReadStream(clock)
 	for _, page := range pages {
-		if _, err := st.region.RestorePageFrom(st.dev, page); err != nil {
+		if _, err := st.region.RestorePageFrom(stream, page); err != nil {
 			return err
 		}
 		marker(clock, events)

@@ -192,26 +192,22 @@ func (r *Region) RestorePage(page mmu.PageID, data []byte) error {
 
 // PageReader is the durable device a page is reloaded from: it fills dst
 // with page's durable contents, charging its own read, and reports
-// whether it had any (*ssd.SSD's ReadPageInto).
+// whether it had any (*ssd.ReadStream).
 type PageReader interface {
 	ReadPageInto(page mmu.PageID, dst []byte) bool
 }
 
 // RestorePageFrom is RestorePage with the device read landing straight in
-// the page: src's read is charged first, then the copy bandwidth, exactly
-// as ReadPage followed by RestorePage would, without the intermediate
-// buffer. It reports whether src had contents for the page; a page it had
-// none for is left as it was.
+// the page. Only src's read is charged: the DRAM-side copy is DMA that
+// overlaps the slower device transfer, as in the power-fail flush, so
+// there is no serial copy time to add. It reports whether src had
+// contents for the page; a page it had none for is left as it was.
 func (r *Region) RestorePageFrom(src PageReader, page mmu.PageID) (bool, error) {
 	start := int64(page) * int64(r.pageSize)
 	if err := r.checkRange(start, r.pageSize); err != nil {
 		return false, err
 	}
-	if !src.ReadPageInto(page, r.data[start:start+int64(r.pageSize)]) {
-		return false, nil
-	}
-	r.chargeCopy(r.pageSize)
-	return true, nil
+	return src.ReadPageInto(page, r.data[start:start+int64(r.pageSize)]), nil
 }
 
 // RawPage returns the live backing bytes of a page without charging time

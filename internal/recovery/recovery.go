@@ -63,7 +63,7 @@ type RepairSource func(page mmu.PageID) ([]byte, bool)
 
 // RestoreRegion builds a fresh NV-DRAM region of the given configuration
 // and reloads every durable page from the SSD — the sequential-read
-// restore path after a power cycle. SSD read bandwidth is charged, so the
+// restore path after a power cycle. The read is charged to clock, so the
 // returned report carries the realistic warm-up time. Every page is
 // checksum-verified on the way through (equivalent to
 // RestoreRegionVerified with no repair source): corrupt pages are
@@ -92,17 +92,24 @@ func RestoreRegionVerified(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config, re
 // the system coming up — src itself, or a fresh one standing for the same
 // physical SSD. The walk covers every page src has a durable claim about
 // (stored contents or an acked checksum — a fully lost write must be
-// detected, not skipped) and costs one verified transfer per page: the
-// page is verified once on src, dev adopts it with its recorded checksum
-// (ssd.AdoptVerified), and the charged restore read lands straight in
-// region's page. Only bytes that pass are restored. Failures are repaired
+// detected, not skipped), in ascending order: the page is verified once
+// on src, dev adopts it with its recorded checksum (ssd.AdoptVerified),
+// and one sequential read stream over dev lands it straight in region's
+// page. Only bytes that pass are read and restored. Failures are repaired
 // from repair when it has the page, or quarantined (left zero, listed in
 // the report, absent from dev) when it doesn't.
+//
+// The stream is charged to clock — the reboot's clock, whichever clock
+// dev was built on — so with no repairs RestoreTime is exact: zero when
+// nothing was read, else PerIOLatency + PagesRestored × PageSize /
+// ReadBandwidth, which is Availability's FullReload over the durable
+// bytes plus the one command latency.
 func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD, repair RepairSource) (RestoreReport, error) {
 	if dev.Config().PageSize != region.PageSize() {
 		return RestoreReport{}, fmt.Errorf("recovery: SSD page size %d != region page size %d", dev.Config().PageSize, region.PageSize())
 	}
 	start := clock.Now()
+	stream := dev.OpenReadStream(clock)
 	var report RestoreReport
 	integ := &report.Integrity
 	for _, page := range src.DurablePageList() {
@@ -111,7 +118,7 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD,
 		}
 		integ.PagesVerified++
 		if verr := dev.AdoptVerified(src, page); verr == nil {
-			ok, err := region.RestorePageFrom(dev, page)
+			ok, err := region.RestorePageFrom(stream, page)
 			if err != nil {
 				return RestoreReport{}, err
 			}

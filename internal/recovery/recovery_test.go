@@ -45,13 +45,19 @@ func TestRestoreRegionRoundTrip(t *testing.T) {
 	}
 
 	// Reboot: restore a fresh region from the SSD.
+	failedAt := clock.Now()
 	clock2 := sim.NewClock()
 	restored, rr, err := RestoreRegion(clock2, dev, regionCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.PagesRestored == 0 || rr.RestoreTime <= 0 {
-		t.Fatalf("restore report = %+v", rr)
+	// The device was built on the failed run's clock; the reboot's fresh
+	// clock is the one the restore read is charged to and measured on.
+	if want := streamTime(dev.Config(), rr.PagesRestored); rr.PagesRestored == 0 || rr.RestoreTime != want || sim.Duration(clock2.Now()) != want {
+		t.Fatalf("restore report = %+v on a clock at %v, closed form %v", rr, clock2.Now(), want)
+	}
+	if clock.Now() != failedAt {
+		t.Fatalf("the restore moved the failed run's clock %v → %v", failedAt, clock.Now())
 	}
 	for p := 0; p < 12; p++ {
 		got := restored.RawPage(mmu.PageID(p))[:100]

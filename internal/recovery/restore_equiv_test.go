@@ -13,8 +13,9 @@ import (
 
 // referenceRestore is the restore walk as it stood before RestoreVerified
 // — verify on the survivor, look the bytes up, seed the new device (which
-// recomputes the sum), read them back out with the charge, copy them into
-// the region — kept as the model the one-pass walk is held to.
+// recomputes the sum), read them back out one random IO at a time, copy
+// them into the region — kept as the model the one-pass walk is held to
+// for everything but the time charged, which is the stream's closed form.
 func referenceRestore(region *nvdram.Region, dev, src *ssd.SSD) (RestoreReport, error) {
 	var report RestoreReport
 	for _, page := range src.DurablePageList() {
@@ -55,7 +56,7 @@ func (f *oneFault) WriteFault(mmu.PageID, []byte) ssd.FaultDecision {
 // bytes under a lost overwrite, one was the victim of a misdirected
 // write, and one more — beyond the n — is store-less: a lost first write,
 // acked with nothing behind it.
-func damagedDevice(t *testing.T, seed uint64, n int) *ssd.SSD {
+func damagedDevice(t *testing.T, seed uint64, n int, cfg ssd.Config) *ssd.SSD {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	image := func() []byte {
@@ -65,7 +66,7 @@ func damagedDevice(t *testing.T, seed uint64, n int) *ssd.SSD {
 		}
 		return p
 	}
-	dev := ssd.New(sim.NewClock(), sim.NewQueue(), ssd.Config{})
+	dev := ssd.New(sim.NewClock(), sim.NewQueue(), cfg)
 	write := func(page mmu.PageID, fault ssd.WriteFault) {
 		dev.SetFaultInjector(&oneFault{decision: ssd.FaultDecision{Fault: fault, MisdirectSeed: rng.Uint64()}})
 		if _, err := dev.WritePageSync(page, image()); err != nil {
@@ -87,7 +88,9 @@ func damagedDevice(t *testing.T, seed uint64, n int) *ssd.SSD {
 // TestRestoreVerifiedMatchesReference: over seeded durable sets that
 // include every silent-fault class, the one-pass walk and the reference
 // leave identical region bytes, identical new-device contents and sums,
-// the same quarantine list, and charge and count exactly the same.
+// the same quarantine list and the same counters; the walk charges the
+// stream's closed form where the reference pays a command latency and a
+// serial copy per page.
 func TestRestoreVerifiedMatchesReference(t *testing.T) {
 	const n = 24
 	regionCfg := nvdram.Config{Size: (n + 4) * 4096}
@@ -100,7 +103,7 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 			report RestoreReport
 		}
 		build := func() *side {
-			s := &side{clock: sim.NewClock(), src: damagedDevice(t, seed, n)}
+			s := &side{clock: sim.NewClock(), src: damagedDevice(t, seed, n, ssd.Config{})}
 			var err error
 			if s.region, err = nvdram.New(s.clock, regionCfg); err != nil {
 				t.Fatal(err)
@@ -128,8 +131,12 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 		if q := len(got.report.Integrity.Quarantined); q < 4 || q > 5 {
 			t.Fatalf("seed %d: %d pages quarantined, want 4 or 5: %v", seed, q, got.report.Integrity.Quarantined)
 		}
-		if got.clock.Now() != ref.clock.Now() || got.report.RestoreTime != sim.Duration(ref.clock.Now()) {
-			t.Fatalf("seed %d: restore charged %v (reported %v), reference %v", seed, got.clock.Now(), got.report.RestoreTime, ref.clock.Now())
+		want := streamTime(got.dev.Config(), got.report.PagesRestored)
+		if sim.Duration(got.clock.Now()) != want || got.report.RestoreTime != want {
+			t.Fatalf("seed %d: restore charged %v (reported %v), closed form %v", seed, got.clock.Now(), got.report.RestoreTime, want)
+		}
+		if ref.clock.Now() <= got.clock.Now() {
+			t.Fatalf("seed %d: the per-page reference (%v) is no slower than the stream (%v)", seed, ref.clock.Now(), got.clock.Now())
 		}
 		if got.dev.Stats() != ref.dev.Stats() || got.src.Stats() != ref.src.Stats() {
 			t.Fatalf("seed %d: counters differ:\nnew device %+v\nreference  %+v\nsurvivor   %+v\nreference  %+v",
@@ -148,8 +155,8 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: new device's page %d differs from the reference (stored %v/%v, sum %#x/%#x)", seed, page, gok, rok, gs, rs)
 			}
 			if gok {
-				if sd, _ := got.src.Durable(page); &gd[0] == &sd[0] {
-					t.Fatalf("seed %d: page %d shares its bytes with the survivor", seed, page)
+				if sd, _ := got.src.Durable(page); &gd[0] != &sd[0] {
+					t.Fatalf("seed %d: page %d was copied on adoption, not shared with the survivor", seed, page)
 				}
 			}
 		}
@@ -168,6 +175,102 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 		}
 		if err := VerifyRestoredWith(got.region, got.dev, got.report.Integrity); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// streamTime is the restore contract's closed form: a restore that read
+// nothing charges nothing; one that streamed pages pages charges one
+// command latency plus PageSize / ReadBandwidth each.
+func streamTime(cfg ssd.Config, pages int) sim.Duration {
+	if pages == 0 {
+		return 0
+	}
+	perPage := sim.Duration(int64(cfg.PageSize) * int64(sim.Second) / cfg.ReadBandwidth)
+	return cfg.PerIOLatency + sim.Duration(pages)*perPage
+}
+
+// TestRestoreTimeClosedForm: over seeded durable sets with a gap, a bit
+// flip, a lost overwrite, a misdirected write and a store-less page,
+// RestoreTime is the closed form over the pages actually read, to the
+// nanosecond, on the clock the caller passed — a fresh one here, which is
+// not the clock the surviving device was built on — whether the restore
+// is in place or onto a new device object.
+func TestRestoreTimeClosedForm(t *testing.T) {
+	const n = 24
+	regionCfg := nvdram.Config{Size: (n + 4) * 4096}
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, cfg := range []ssd.Config{{}, {ReadBandwidth: 700 << 20, PerIOLatency: 90 * sim.Microsecond}} {
+			for _, inPlace := range []bool{true, false} {
+				src := damagedDevice(t, seed, n, cfg)
+				clock := sim.NewClock()
+				region, err := nvdram.New(clock, regionCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The new device object sits on a clock of its own, so a
+				// charge that went to the device instead of the caller's
+				// clock shows (TestRestoreRegionRoundTrip has the in-place
+				// case).
+				dev, devClock := src, sim.NewClock()
+				if !inPlace {
+					dev = ssd.New(devClock, sim.NewQueue(), cfg)
+				}
+				report, err := RestoreVerified(clock, region, dev, src, nil)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				quarantined := len(report.Integrity.Quarantined)
+				if quarantined < 4 || report.PagesRestored != report.Integrity.PagesVerified-quarantined {
+					t.Fatalf("seed %d: report %+v", seed, report)
+				}
+				want := streamTime(src.Config(), report.PagesRestored)
+				if report.RestoreTime != want || sim.Duration(clock.Now()) != want {
+					t.Fatalf("seed %d, in place %v: RestoreTime %v, clock %v, closed form %v for %d pages",
+						seed, inPlace, report.RestoreTime, clock.Now(), want, report.PagesRestored)
+				}
+				if devClock.Now() != 0 {
+					t.Fatalf("seed %d: the restore charged the new device's clock %v", seed, devClock.Now())
+				}
+				if got := dev.Stats().ReadsCompleted; got != uint64(report.PagesRestored) {
+					t.Fatalf("seed %d: %d pages restored by %d reads: a page that failed verification was read", seed, report.PagesRestored, got)
+				}
+			}
+		}
+	}
+}
+
+// TestClosedFormIsFullReload: with every page durable the closed form is
+// Availability's FullReload over the durable bytes plus the stream's one
+// command latency — exactly at a bandwidth that divides a page into whole
+// nanoseconds, and within the per-page truncation (under a nanosecond a
+// page) at the default 3 GiB/s.
+func TestClosedFormIsFullReload(t *testing.T) {
+	const n = 512
+	for _, readBW := range []int64{2 << 20, 0} {
+		dev := ssd.New(sim.NewClock(), sim.NewQueue(), ssd.Config{ReadBandwidth: readBW})
+		for p := 0; p < n; p++ {
+			dev.SeedDurable(mmu.PageID(p), bytes.Repeat([]byte{byte(p)}, 4096))
+		}
+		_, report, err := RestoreRegion(sim.NewClock(), dev, nvdram.Config{Size: n * 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := dev.Config()
+		avail, err := Availability(n*4096, n*4096, cfg.WriteBandwidth, cfg.ReadBandwidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.PagesRestored != n || report.RestoreTime != streamTime(cfg, n) {
+			t.Fatalf("restored %d pages in %v, closed form %v", report.PagesRestored, report.RestoreTime, streamTime(cfg, n))
+		}
+		slack := sim.Duration(0)
+		if readBW == 0 {
+			slack = n // transferTime truncates each page's 1271.57 ns
+		}
+		if diff := avail.FullReload - (report.RestoreTime - cfg.PerIOLatency); diff < 0 || diff > slack {
+			t.Fatalf("read bandwidth %d: restore %v − latency %v vs FullReload %v (allowed %v apart)",
+				cfg.ReadBandwidth, report.RestoreTime, cfg.PerIOLatency, avail.FullReload, slack)
 		}
 	}
 }

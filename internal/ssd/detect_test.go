@@ -100,8 +100,8 @@ func TestVerifyPageDetectsEveryModelledFault(t *testing.T) {
 }
 
 // TestAdoptVerifiedCarriesRecordedSum: the reboot hand-over keeps the
-// sum the host was acked for, takes a private copy of the bytes, and
-// refuses a page that fails verification instead of laundering it.
+// bytes and the sum the host was acked for, and refuses a page that fails
+// verification instead of laundering it.
 func TestAdoptVerifiedCarriesRecordedSum(t *testing.T) {
 	src, _, _ := newTestSSD(Config{})
 	for p := mmu.PageID(1); p <= 3; p++ {
@@ -118,8 +118,8 @@ func TestAdoptVerifiedCarriesRecordedSum(t *testing.T) {
 		}
 		got, _ := dst.Durable(p)
 		want, _ := src.Durable(p)
-		if !bytes.Equal(got, want) || &got[0] == &want[0] {
-			t.Fatalf("page %d: adopted bytes differ from or alias the source", p)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("page %d: adopted bytes differ from the source", p)
 		}
 		gs, _ := dst.DurableChecksum(p)
 		ws, _ := src.DurableChecksum(p)
@@ -154,25 +154,113 @@ func TestAdoptVerifiedCarriesRecordedSum(t *testing.T) {
 	}
 }
 
-// TestReadPageIntoChargesLikeReadPage: same clock charge and counters as
-// ReadPage, bytes in the caller's buffer, nothing for an absent page.
-func TestReadPageIntoChargesLikeReadPage(t *testing.T) {
-	a, ca, _ := newTestSSD(Config{})
-	b, cb, _ := newTestSSD(Config{})
-	img := randomPage(9, 4096)
-	a.SeedDurable(3, img)
-	b.SeedDurable(3, img)
-	buf := make([]byte, 4096)
-	if !b.ReadPageInto(3, buf) || !bytes.Equal(buf, a.ReadPage(3)) {
-		t.Fatal("ReadPageInto did not deliver the durable bytes")
+// TestSharedAdoptIsolatesCorruption: adoption shares the verified buffer
+// between the two device objects, and both at-rest corruption hooks flip
+// a private copy — damage injected into either object leaves the other's
+// bytes and verdict intact.
+func TestSharedAdoptIsolatesCorruption(t *testing.T) {
+	hooks := map[string]func(*SSD){
+		"CorruptPage": func(d *SSD) {
+			if !d.CorruptPage(1, 100, 0x10) {
+				t.Fatal("nothing to corrupt")
+			}
+		},
+		// One stored page, so the seeded rot has only page 1 to hit.
+		"applyRot": func(d *SSD) { d.applyRot(12345) },
 	}
-	absent := page(0xEE, 4096)
-	if b.ReadPageInto(4, absent) || !bytes.Equal(absent, page(0xEE, 4096)) {
-		t.Fatal("ReadPageInto of an absent page reported or wrote contents")
+	for name, corrupt := range hooks {
+		for _, victim := range []string{"survivor", "adopter"} {
+			src, _, _ := newTestSSD(Config{})
+			img := randomPage(7, 4096)
+			if _, err := src.WritePageSync(1, img); err != nil {
+				t.Fatal(err)
+			}
+			dst, _, _ := newTestSSD(Config{})
+			if err := dst.AdoptVerified(src, 1); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := dst.Durable(1)
+			want, _ := src.Durable(1)
+			if &got[0] != &want[0] {
+				t.Fatalf("%s: adoption copied the verified page", name)
+			}
+			hit, other := src, dst
+			if victim == "adopter" {
+				hit, other = dst, src
+			}
+			corrupt(hit)
+			if err := hit.VerifyPage(1); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("%s on the %s went undetected (err = %v)", name, victim, err)
+			}
+			if _, ok := hit.CorruptedSince(1); !ok || hit.Stats().RotEvents != 1 {
+				t.Fatalf("%s on the %s: oracle or counter missed it", name, victim)
+			}
+			if err := other.VerifyPage(1); err != nil {
+				t.Fatalf("%s on the %s reached the other device: %v", name, victim, err)
+			}
+			if kept, _ := other.Durable(1); !bytes.Equal(kept, img) {
+				t.Fatalf("%s on the %s changed the other device's bytes", name, victim)
+			}
+			if _, ok := other.CorruptedSince(1); ok || other.Stats().RotEvents != 0 {
+				t.Fatalf("%s on the %s was booked against the other device", name, victim)
+			}
+		}
 	}
-	a.ReadPage(4)
-	if ca.Now() != cb.Now() || a.Stats() != b.Stats() {
-		t.Fatalf("charges differ: clocks %v vs %v, stats %+v vs %+v", ca.Now(), cb.Now(), a.Stats(), b.Stats())
+}
+
+// streamCost is the closed form a ReadStream is held to: nothing for an
+// empty stream, else one command latency plus the per-page transfer.
+func streamCost(cfg Config, pages int) sim.Duration {
+	if pages == 0 {
+		return 0
+	}
+	return cfg.PerIOLatency + sim.Duration(pages)*transferTime(cfg.PageSize, cfg.ReadBandwidth)
+}
+
+// TestReadStreamClosedForm: a stream of N stored pages charges
+// PerIOLatency + N × PageSize / ReadBandwidth to the clock it was opened
+// with — not the device's — delivers the durable bytes into the caller's
+// buffer, counts one read per page, and neither charges nor writes
+// anything for a page with no stored contents.
+func TestReadStreamClosedForm(t *testing.T) {
+	for _, cfg := range []Config{{}, {ReadBandwidth: 2 << 20, PerIOLatency: 5 * sim.Microsecond}} {
+		d, devClock, _ := newTestSSD(cfg)
+		cfg = d.Config()
+		stored := []mmu.PageID{0, 1, 5, 6, 40}
+		for _, p := range stored {
+			d.SeedDurable(p, randomPage(uint64(p), 4096))
+		}
+		clock := sim.NewClock()
+		stream := d.OpenReadStream(clock)
+		absent := page(0xEE, 4096)
+		if stream.ReadPageInto(3, absent) || !bytes.Equal(absent, page(0xEE, 4096)) || clock.Now() != 0 {
+			t.Fatal("opening the stream charged time, or a page with no stored contents was reported, written or charged")
+		}
+		buf := make([]byte, 4096)
+		for i, p := range stored {
+			want, _ := d.Durable(p)
+			if !stream.ReadPageInto(p, buf) || !bytes.Equal(buf, want) {
+				t.Fatalf("page %d: the stream did not deliver the durable bytes", p)
+			}
+			if got := sim.Duration(clock.Now()); got != streamCost(cfg, i+1) {
+				t.Fatalf("after %d pages the stream has charged %v, closed form %v", i+1, got, streamCost(cfg, i+1))
+			}
+			stream.ReadPageInto(2, absent)
+		}
+		if devClock.Now() != 0 {
+			t.Fatalf("the stream charged the device's clock %v, not the one it was opened with", devClock.Now())
+		}
+		st := d.Stats()
+		if st.ReadsCompleted != uint64(len(stored)) || st.BytesRead != uint64(len(stored)*4096) {
+			t.Fatalf("stream of %d pages counted %d reads, %d bytes", len(stored), st.ReadsCompleted, st.BytesRead)
+		}
+		// The same pages as random reads pay the command latency each.
+		for _, p := range stored {
+			d.ReadPage(p)
+		}
+		if random := sim.Duration(devClock.Now()); random != sim.Duration(len(stored))*streamCost(cfg, 1) {
+			t.Fatalf("%d random reads charged %v, want %d × %v", len(stored), random, len(stored), streamCost(cfg, 1))
+		}
 	}
 }
 

@@ -170,13 +170,16 @@ func (d *SSD) verify(page mmu.PageID) ([]byte, uint64, error) {
 // AdoptVerified is the device half of a power-cycle restore: d, the
 // device object a rebooted system constructed, stands for the same
 // physical SSD as src, whose contents survived. The page is verified once
-// on src; if intact, d takes a private copy of the stored bytes together
-// with the recorded — just verified — sum, so nothing is recomputed and a
-// divergent page cannot be laundered into a verified one. No IO is
-// modelled (the charged restore read is ReadPageInto on d). A page that
-// fails verification returns the error wrapping ErrCorruptPage and is not
-// adopted. d may be src itself — an in-place restore — in which case
-// verification is all there is to do.
+// on src; if intact, d takes the stored bytes together with the recorded
+// — just verified — sum, so nothing is recomputed and a divergent page
+// cannot be laundered into a verified one. The two objects share the
+// buffer, as they share the flash: stored bytes are only ever replaced
+// (putData), never written in place — the at-rest corruption hooks flip a
+// private copy (flipStored) — so neither object can change what
+// the other holds. No IO is modelled (the charged restore read is a
+// ReadStream over d). A page that fails verification returns the error
+// wrapping ErrCorruptPage and is not adopted. d may be src itself — an
+// in-place restore — in which case verification is all there is to do.
 func (d *SSD) AdoptVerified(src *SSD, page mmu.PageID) error {
 	data, sum, err := src.verify(page)
 	if err != nil || data == nil || d == src {
@@ -185,7 +188,7 @@ func (d *SSD) AdoptVerified(src *SSD, page mmu.PageID) error {
 	if len(data) != d.cfg.PageSize {
 		panic(fmt.Sprintf("ssd: adopting a page of %d bytes, want page size %d", len(data), d.cfg.PageSize))
 	}
-	d.putData(page, bytes.Clone(data))
+	d.putData(page, data)
 	d.putSum(page, sum)
 	return nil
 }
@@ -231,10 +234,21 @@ func (d *SSD) CorruptPage(page mmu.PageID, off int, pattern byte) bool {
 	if !ok || len(data) == 0 || pattern == 0 {
 		return false
 	}
-	data[off%len(data)] ^= pattern
+	d.flipStored(page, off%len(data), pattern)
+	return true
+}
+
+// flipStored XORs mask into byte i of page's stored contents: the one
+// mutation behind both at-rest corruption hooks. It flips a private copy
+// and installs that, because the stored buffer may be shared with another
+// device object (AdoptVerified) and damage injected into one must not
+// reach the other.
+func (d *SSD) flipStored(page mmu.PageID, i int, mask byte) {
+	data := bytes.Clone(d.store[page])
+	data[i] ^= mask
+	d.putData(page, data)
 	d.stats.RotEvents++
 	d.noteCorrupt(page)
-	return true
 }
 
 // applyRot flips one deterministically chosen bit in one at-rest durable
@@ -247,11 +261,8 @@ func (d *SSD) applyRot(seed uint64) {
 		return
 	}
 	victim := d.stored.kth(int(seed % n))
-	data := d.store[victim]
-	bit := (seed / n) % uint64(len(data)*8)
-	data[bit/8] ^= 1 << (bit % 8)
-	d.stats.RotEvents++
-	d.noteCorrupt(victim)
+	bit := (seed / n) % uint64(d.cfg.PageSize*8)
+	d.flipStored(victim, int(bit/8), 1<<(bit%8))
 }
 
 // misdirectTarget picks the page a misdirected write actually lands on:

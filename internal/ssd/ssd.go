@@ -394,35 +394,69 @@ func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
 	return d.clock.Now()
 }
 
-// ReadPage synchronously reads a page's durable contents, returning a copy
-// (nil if the page was never written). Read bandwidth and latency are
-// charged.
+// ReadPage synchronously reads a page's durable contents as one
+// latency-bound random IO, returning a copy (nil if the page was never
+// written). Read bandwidth and latency are charged.
 func (d *SSD) ReadPage(page mmu.PageID) []byte {
-	out := make([]byte, d.cfg.PageSize)
-	if !d.ReadPageInto(page, out) {
+	d.clock.Advance(d.cfg.PerIOLatency + transferTime(d.cfg.PageSize, d.cfg.ReadBandwidth))
+	d.noteRead()
+	data, ok := d.store[page]
+	if !ok {
 		return nil
 	}
-	return out
+	return bytes.Clone(data)
 }
 
-// ReadPageInto is ReadPage into the caller's page-sized buffer — the
-// restore read, landing straight in the NV-DRAM page it reloads. It
-// reports whether the page had durable contents; dst is untouched when it
-// had none.
-func (d *SSD) ReadPageInto(page mmu.PageID, dst []byte) bool {
-	if len(dst) != d.cfg.PageSize {
-		panic(fmt.Sprintf("ssd: read into %d bytes, want page size %d", len(dst), d.cfg.PageSize))
-	}
-	d.clock.Advance(d.cfg.PerIOLatency + transferTime(d.cfg.PageSize, d.cfg.ReadBandwidth))
+// noteRead counts one completed page read.
+func (d *SSD) noteRead() {
 	d.stats.ReadsCompleted++
 	d.stats.BytesRead += uint64(d.cfg.PageSize)
 	d.st.readsCompleted.Inc()
 	d.st.bytesRead.Add(uint64(d.cfg.PageSize))
-	data, ok := d.store[page]
-	if ok {
-		copy(dst, data)
+}
+
+// ReadStream is one sequential read over the durable set — the read-side
+// mirror of WriteBatch, and the restore path after a power cycle, where
+// pages come back in ascending order at full device bandwidth rather than
+// as latency-bound random IOs. The command is issued with the first page
+// read, which carries the stream's one PerIOLatency; every page read
+// charges PageSize / ReadBandwidth. A stream that reads nothing charges
+// nothing. All of it is charged to the clock the stream was opened with:
+// the reboot's, which need not be the clock the device object was built
+// on.
+type ReadStream struct {
+	d      *SSD
+	clock  *sim.Clock
+	issued bool
+}
+
+// OpenReadStream starts a sequential read of d charged to clock.
+func (d *SSD) OpenReadStream(clock *sim.Clock) *ReadStream {
+	return &ReadStream{d: d, clock: clock}
+}
+
+// ReadPageInto streams page's durable contents into the caller's
+// page-sized buffer — the NV-DRAM page being reloaded (nvdram.PageReader).
+// It reports whether the page had durable contents; a page with none is
+// not part of the stream: dst is untouched and nothing is charged.
+func (s *ReadStream) ReadPageInto(page mmu.PageID, dst []byte) bool {
+	d := s.d
+	if len(dst) != d.cfg.PageSize {
+		panic(fmt.Sprintf("ssd: read into %d bytes, want page size %d", len(dst), d.cfg.PageSize))
 	}
-	return ok
+	data, ok := d.store[page]
+	if !ok {
+		return false
+	}
+	cost := transferTime(d.cfg.PageSize, d.cfg.ReadBandwidth)
+	if !s.issued {
+		s.issued = true
+		cost += d.cfg.PerIOLatency
+	}
+	s.clock.Advance(cost)
+	d.noteRead()
+	copy(dst, data)
+	return true
 }
 
 // SeedDurable installs contents into the durable store without modelling

@@ -563,11 +563,11 @@ func (s *System) Pump() { s.manager.Pump() }
 // Now returns the current virtual time.
 func (s *System) Now() sim.Time { return s.clock.Now() }
 
-// AdvanceTime moves virtual time forward and pumps events — "the
-// application sleeps".
+// AdvanceTime moves virtual time forward, firing every event that falls
+// due on the way at its own time — "the application sleeps" while the
+// epoch task and the other background timers keep running.
 func (s *System) AdvanceTime(d Duration) {
-	s.clock.Advance(d)
-	s.Pump()
+	s.events.RunUntil(s.clock, s.clock.Now().Add(d))
 }
 
 // DirtyBudget returns the current budget in pages.
