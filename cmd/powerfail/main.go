@@ -69,6 +69,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -79,52 +80,66 @@ import (
 	"viyojit/internal/sim"
 )
 
-func main() {
-	size := flag.Int64("size", 64<<20, "NV-DRAM size in bytes")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	writeErrProb := flag.Float64("write-error-prob", 0, "probability an SSD page write fails transiently")
-	tornProb := flag.Float64("torn-prob", 0, "probability an SSD page write tears (half the page lands)")
-	spikeProb := flag.Float64("spike-prob", 0, "probability an SSD write completion is delayed ~1 ms")
-	maxFaults := flag.Uint64("max-faults", 0, "bound on injected transient+torn faults (0 = unbounded)")
-	lostProb := flag.Float64("lost-prob", 0, "probability an SSD page write is silently lost (acked, never stored)")
-	misdirectProb := flag.Float64("misdirect-prob", 0, "probability an SSD page write silently lands on the wrong page")
-	rotProb := flag.Float64("rot-prob", 0, "probability a write completion flips a bit in an at-rest durable page")
-	scrubShare := flag.Float64("scrub-share", 0, "background scrubber's read-bandwidth share (0 = default 5%)")
-	noScrub := flag.Bool("no-scrub", false, "disable the background integrity scrubber")
-	sag := flag.Float64("sag", 0, "battery derating applied mid-run, e.g. 0.7 (0 = no sag)")
-	crashStep := flag.Uint64("crash-step", 0, "pull the plug at this event-queue step (0 = after the workload)")
-	metricsOut := flag.String("metrics", "", `dump the system's metrics/trace export to this file after the durability check ("-" = stdout; a .json suffix selects JSON, otherwise text)`)
-	serveSweep := flag.Bool("serve-sweep", false, "run the live-traffic exactly-once crash sweep instead of the durability demo")
-	servePoints := flag.Int("serve-points", 200, "crash points for -serve-sweep / -nested-sweep")
-	serveClients := flag.Int("serve-clients", 10, "concurrent retrying clients for -serve-sweep / -nested-sweep")
-	nestedSweep := flag.Bool("nested-sweep", false, "run the cascading-failure sweep: re-crash each outer crash point's recovery")
-	recrashDepth := flag.Int("recrash-depth", 3, "max cascaded re-crashes inside one recovery for -nested-sweep")
-	recoveryScale := flag.Float64("recovery-budget-scale", 1.0, "recovery dirty-budget scale in (0,1] for -nested-sweep (sagged-battery regime)")
-	sensorSweep := flag.Bool("sensor-sweep", false, "run the lying-fuel-gauge crash sweep: budget from fused telemetry under gauge faults")
-	gaugeLie := flag.Float64("gauge-lie", 0, "voltage-gauge lie-high episode probability per sample for -sensor-sweep (0 with all gauge flags zero = default menu)")
-	gaugeStuck := flag.Float64("gauge-stuck", 0, "voltage-gauge stuck episode probability per sample for -sensor-sweep")
-	gaugeDrift := flag.Float64("gauge-drift", 0, "voltage-gauge upward-drift episode probability per sample for -sensor-sweep")
-	gaugeLieMax := flag.Float64("gauge-lie-max", 0, "max fractional over-report of a lie-high episode for -sensor-sweep (0 = 0.5)")
-	forensics := flag.Bool("forensics", false, "arm the black-box flight recorder and print the recovered forensic report after the reboot")
-	bbSweep := flag.Bool("blackbox-sweep", false, "run the flight-recorder crash sweep: forensic reports audited against the crash-instant oracle")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *bbSweep {
-		runBlackBoxSweep(*seed, *servePoints, *serveClients)
-		return
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("powerfail", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.Int64("size", 64<<20, "NV-DRAM size in bytes")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	writeErrProb := fs.Float64("write-error-prob", 0, "probability an SSD page write fails transiently")
+	tornProb := fs.Float64("torn-prob", 0, "probability an SSD page write tears (half the page lands)")
+	spikeProb := fs.Float64("spike-prob", 0, "probability an SSD write completion is delayed ~1 ms")
+	maxFaults := fs.Uint64("max-faults", 0, "bound on injected transient+torn faults (0 = unbounded)")
+	lostProb := fs.Float64("lost-prob", 0, "probability an SSD page write is silently lost (acked, never stored)")
+	misdirectProb := fs.Float64("misdirect-prob", 0, "probability an SSD page write silently lands on the wrong page")
+	rotProb := fs.Float64("rot-prob", 0, "probability a write completion flips a bit in an at-rest durable page")
+	scrubShare := fs.Float64("scrub-share", 0, "background scrubber's read-bandwidth share (0 = default 5%)")
+	noScrub := fs.Bool("no-scrub", false, "disable the background integrity scrubber")
+	sag := fs.Float64("sag", 0, "battery derating applied mid-run, e.g. 0.7 (0 = no sag)")
+	crashStep := fs.Uint64("crash-step", 0, "pull the plug at this event-queue step (0 = after the workload)")
+	metricsOut := fs.String("metrics", "", `dump the system's metrics/trace export to this file after the durability check ("-" = stdout; a .json suffix selects JSON, otherwise text)`)
+	serveSweep := fs.Bool("serve-sweep", false, "run the live-traffic exactly-once crash sweep instead of the durability demo")
+	servePoints := fs.Int("serve-points", 200, "crash points for -serve-sweep / -nested-sweep")
+	serveClients := fs.Int("serve-clients", 10, "concurrent retrying clients for -serve-sweep / -nested-sweep")
+	nestedSweep := fs.Bool("nested-sweep", false, "run the cascading-failure sweep: re-crash each outer crash point's recovery")
+	recrashDepth := fs.Int("recrash-depth", 3, "max cascaded re-crashes inside one recovery for -nested-sweep")
+	recoveryScale := fs.Float64("recovery-budget-scale", 1.0, "recovery dirty-budget scale in (0,1] for -nested-sweep (sagged-battery regime)")
+	sensorSweep := fs.Bool("sensor-sweep", false, "run the lying-fuel-gauge crash sweep: budget from fused telemetry under gauge faults")
+	gaugeLie := fs.Float64("gauge-lie", 0, "voltage-gauge lie-high episode probability per sample for -sensor-sweep (0 with all gauge flags zero = default menu)")
+	gaugeStuck := fs.Float64("gauge-stuck", 0, "voltage-gauge stuck episode probability per sample for -sensor-sweep")
+	gaugeDrift := fs.Float64("gauge-drift", 0, "voltage-gauge upward-drift episode probability per sample for -sensor-sweep")
+	gaugeLieMax := fs.Float64("gauge-lie-max", 0, "max fractional over-report of a lie-high episode for -sensor-sweep (0 = 0.5)")
+	forensics := fs.Bool("forensics", false, "arm the black-box flight recorder and print the recovered forensic report after the reboot")
+	bbSweep := fs.Bool("blackbox-sweep", false, "run the flight-recorder crash sweep: forensic reports audited against the crash-instant oracle")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "powerfail:", err)
+		return 1
 	}
 
-	if *sensorSweep {
-		runSensorSweep(*seed, *servePoints, *serveClients, *gaugeLie, *gaugeStuck, *gaugeDrift, *gaugeLieMax)
-		return
+	sweep := sweepNarrator{stdout: stdout, stderr: stderr, cfg: crashsweep.ServeConfig{
+		Seed: *seed, Clients: *serveClients, MaxCrashPoints: *servePoints,
+	}}
+	done := func(err error) int {
+		if err != nil {
+			return fatal(err)
+		}
+		return 0
 	}
-	if *nestedSweep {
-		runNestedSweep(*seed, *servePoints, *serveClients, *recrashDepth, *recoveryScale)
-		return
-	}
-	if *serveSweep {
-		runServeSweep(*seed, *servePoints, *serveClients)
-		return
+	switch {
+	case *bbSweep:
+		return done(sweep.blackBox())
+	case *sensorSweep:
+		return done(sweep.sensor(*gaugeLie, *gaugeStuck, *gaugeDrift, *gaugeLieMax))
+	case *nestedSweep:
+		return done(sweep.nested(*recrashDepth, *recoveryScale))
+	case *serveSweep:
+		return done(sweep.serve())
 	}
 
 	sys, err := viyojit.New(viyojit.Config{
@@ -134,13 +149,13 @@ func main() {
 		BlackBox:        *forensics,
 	})
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *forensics {
-		fmt.Printf("black-box flight recorder armed: %d-record ring in battery-backed pages, inside the dirty budget\n",
+		fmt.Fprintf(stdout, "black-box flight recorder armed: %d-record ring in battery-backed pages, inside the dirty budget\n",
 			sys.BlackBox().Slots())
 	}
-	fmt.Printf("NV-DRAM: %d MiB, dirty budget: %d pages (%.1f%% of the region)\n",
+	fmt.Fprintf(stdout, "NV-DRAM: %d MiB, dirty budget: %d pages (%.1f%% of the region)\n",
 		*size>>20, sys.DirtyBudget(), float64(sys.DirtyBudget())*4096*100/float64(*size))
 
 	silent := *lostProb > 0 || *misdirectProb > 0 || *rotProb > 0
@@ -157,15 +172,15 @@ func main() {
 			RotProb:         *rotProb,
 		})
 		sys.SSD().SetFaultInjector(inj)
-		fmt.Printf("SSD fault injection armed: transient %.2f, torn %.2f, spike %.2f\n",
+		fmt.Fprintf(stdout, "SSD fault injection armed: transient %.2f, torn %.2f, spike %.2f\n",
 			*writeErrProb, *tornProb, *spikeProb)
 		if silent {
-			fmt.Printf("silent corruption armed: lost %.3f, misdirected %.3f, rot %.3f\n",
+			fmt.Fprintf(stdout, "silent corruption armed: lost %.3f, misdirected %.3f, rot %.3f\n",
 				*lostProb, *misdirectProb, *rotProb)
 		}
 	}
 	if *sag < 0 || *sag > 1 {
-		fatal(fmt.Errorf("-sag %v outside (0,1]; it is a derating fraction", *sag))
+		return fatal(fmt.Errorf("-sag %v outside (0,1]; it is a derating fraction", *sag))
 	}
 	if *sag > 0 {
 		// Sag a third of the way into the expected run: the budget
@@ -173,42 +188,43 @@ func main() {
 		faultinject.ScheduleBatterySag(sys.Events(), sys.Battery(), []faultinject.SagStep{
 			{At: sim.Time(300 * sim.Microsecond), Derating: *sag},
 		})
-		fmt.Printf("battery sag to %.0f%% scheduled at t=300µs\n", *sag*100)
+		fmt.Fprintf(stdout, "battery sag to %.0f%% scheduled at t=300µs\n", *sag*100)
 	}
 	var crasher *faultinject.Crasher
 	if *crashStep > 0 {
 		crasher = faultinject.NewCrasher(sys.Events())
 		crasher.ArmAt(*crashStep)
-		fmt.Printf("power failure armed at event step %d\n", *crashStep)
+		fmt.Fprintf(stdout, "power failure armed at event step %d\n", *crashStep)
 	}
 
 	heapSize := *size / 2
 	m, err := sys.Map("demo-heap", heapSize)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
+	var werr error // the workload's first error; an armed crash unwinds past it
 	workload := func() {
 		// Dirty every page of the heap — 4x the battery's budget — with
 		// a skewed rewrite pattern on top.
 		rng := sim.NewRNG(*seed)
 		pages := int(heapSize / 4096)
-		fmt.Printf("writing to all %d heap pages (%.0fx the dirty budget)...\n",
+		fmt.Fprintf(stdout, "writing to all %d heap pages (%.0fx the dirty budget)...\n",
 			pages, float64(pages)/float64(sys.DirtyBudget()))
 		buf := make([]byte, 128)
 		for p := 0; p < pages; p++ {
 			for i := range buf {
 				buf[i] = byte(rng.Uint64())
 			}
-			if err := m.WriteAt(buf, int64(p)*4096); err != nil {
-				fatal(err)
+			if werr = m.WriteAt(buf, int64(p)*4096); werr != nil {
+				return
 			}
 			sys.Pump()
 		}
 		for i := 0; i < 4*pages; i++ {
 			p := rng.Intn(pages / 8) // hot eighth
-			if err := m.WriteAt([]byte{byte(i)}, int64(p)*4096); err != nil {
-				fatal(err)
+			if werr = m.WriteAt([]byte{byte(i)}, int64(p)*4096); werr != nil {
+				return
 			}
 			sys.Pump()
 		}
@@ -218,32 +234,35 @@ func main() {
 		var cp faultinject.CrashPoint
 		cp, crashed = crasher.Run(workload)
 		if crashed {
-			fmt.Printf("\n*** power failed at event step %d (t=%v) ***\n", cp.Step, sim.Duration(cp.At))
+			fmt.Fprintf(stdout, "\n*** power failed at event step %d (t=%v) ***\n", cp.Step, sim.Duration(cp.At))
 		} else {
-			fmt.Printf("workload finished before step %d; pulling the plug at the end instead\n", *crashStep)
+			fmt.Fprintf(stdout, "workload finished before step %d; pulling the plug at the end instead\n", *crashStep)
 		}
 		crasher.Disarm()
 	} else {
 		workload()
 	}
+	if werr != nil {
+		return fatal(werr)
+	}
 
 	s := sys.Stats()
-	fmt.Printf("dirty now: %d pages (budget %d); faults %d, proactive cleans %d, forced cleans %d\n",
+	fmt.Fprintf(stdout, "dirty now: %d pages (budget %d); faults %d, proactive cleans %d, forced cleans %d\n",
 		sys.DirtyCount(), sys.DirtyBudget(), s.Faults, s.ProactiveCleans, s.ForcedCleans)
 	if h := sys.Health(); h != nil {
 		hs := h.Stats()
-		fmt.Printf("health monitor: %d ticks, %d retunes; %d budget shrinks, %d drains completed\n",
+		fmt.Fprintf(stdout, "health monitor: %d ticks, %d retunes; %d budget shrinks, %d drains completed\n",
 			hs.Ticks, hs.Retunes, s.BudgetShrinks, s.DrainsCompleted)
 	}
 	if inj != nil {
 		ist := inj.Stats()
-		fmt.Printf("injected faults: %d transient, %d torn, %d latency spikes over %d writes\n",
+		fmt.Fprintf(stdout, "injected faults: %d transient, %d torn, %d latency spikes over %d writes\n",
 			ist.Transients, ist.Torn, ist.LatencySpikes, ist.WritesSeen)
 		if silent {
-			fmt.Printf("silent faults injected: %d lost, %d misdirected, %d rot\n",
+			fmt.Fprintf(stdout, "silent faults injected: %d lost, %d misdirected, %d rot\n",
 				ist.Lost, ist.Misdirected, ist.Rot)
 		}
-		fmt.Printf("manager under fire: %d clean errors, %d backoff retries, ladder state %v (degraded %dx)\n",
+		fmt.Fprintf(stdout, "manager under fire: %d clean errors, %d backoff retries, ladder state %v (degraded %dx)\n",
 			s.CleanErrors, s.CleanRetries, sys.HealthState(), s.DegradedEnters)
 		// The battery backup path is engineered to complete: faults stop
 		// at the wall.
@@ -256,264 +275,240 @@ func main() {
 		// scrubber already caught shows in the same counters.
 		detected := sys.Scrub()
 		rep := sys.IntegrityReport()
-		fmt.Printf("integrity scrub: %d detections this pass (%d total, %d background bursts, MTTD %v); %d repaired, %d repair kicks, %d quarantined\n",
+		fmt.Fprintf(stdout, "integrity scrub: %d detections this pass (%d total, %d background bursts, MTTD %v); %d repaired, %d repair kicks, %d quarantined\n",
 			detected, rep.Scrub.Detections, rep.Scrub.Bursts, rep.Scrub.MTTD(),
 			rep.Scrub.Repairs, rep.Scrub.RepairKicks, len(rep.Quarantined))
 		for _, q := range rep.Quarantined {
-			fmt.Printf("  quarantined page %d at t=%v: %s\n", q.Page, sim.Duration(q.At), q.Reason)
+			fmt.Fprintf(stdout, "  quarantined page %d at t=%v: %s\n", q.Page, sim.Duration(q.At), q.Reason)
 		}
 	}
 
 	if !crashed {
-		fmt.Println("\n*** pulling the plug ***")
+		fmt.Fprintln(stdout, "\n*** pulling the plug ***")
 	}
 	report := sys.SimulatePowerFailure()
-	fmt.Printf("flushed %d dirty pages in %v using %.2f J of %.2f J available — survived: %v\n",
+	fmt.Fprintf(stdout, "flushed %d dirty pages in %v using %.2f J of %.2f J available — survived: %v\n",
 		report.PagesFlushed, report.FlushTime, report.EnergyUsedJoules,
 		report.EnergyAvailableJoules, report.Survived)
 	if report.EnergyAtCompletionJoules != report.EnergyAvailableJoules {
-		fmt.Printf("battery capacity changed during the flush: %.2f J effective at completion; the verdict charges the smaller figure\n",
+		fmt.Fprintf(stdout, "battery capacity changed during the flush: %.2f J effective at completion; the verdict charges the smaller figure\n",
 			report.EnergyAtCompletionJoules)
 	}
 	if !report.Survived && inj != nil {
-		fmt.Println("note: the default battery is provisioned for a healthy SSD; injected latency" +
-			" spikes on in-flight IOs ate the fixed flush margin. Provision spike headroom" +
+		fmt.Fprintln(stdout, "note: the default battery is provisioned for a healthy SSD; injected latency"+
+			" spikes on in-flight IOs ate the fixed flush margin. Provision spike headroom"+
 			" (see EXPERIMENTS.md, fault-injection model) to survive this schedule.")
 	}
 	if err := sys.VerifyDurability(); err != nil {
-		fatal(fmt.Errorf("durability check failed: %w", err))
+		return fatal(fmt.Errorf("durability check failed: %w", err))
 	}
-	fmt.Println("durability verified: every NV-DRAM byte is recoverable from the SSD")
+	fmt.Fprintln(stdout, "durability verified: every NV-DRAM byte is recoverable from the SSD")
 
 	if *metricsOut != "" {
-		if err := dumpMetrics(sys, *metricsOut); err != nil {
-			fatal(err)
+		if err := dumpMetrics(stdout, sys, *metricsOut); err != nil {
+			return fatal(err)
 		}
 	}
 
 	recovered, rr, err := sys.Recover()
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Printf("\nrebooted warm: %d pages restored in %v by one sequential read (%d verified)\n",
+	fmt.Fprintf(stdout, "\nrebooted warm: %d pages restored in %v by one sequential read (%d verified)\n",
 		rr.PagesRestored, rr.RestoreTime, rr.Integrity.PagesVerified)
 	if !rr.Integrity.Clean() {
-		fmt.Printf("restore-time integrity: %d repaired, %d quarantined %v\n",
+		fmt.Fprintf(stdout, "restore-time integrity: %d repaired, %d quarantined %v\n",
 			len(rr.Integrity.Repaired), len(rr.Integrity.Quarantined), rr.Integrity.Quarantined)
 	}
 	m2, err := recovered.Map("demo-heap", heapSize)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	probe := make([]byte, 1)
 	if err := m2.ReadAt(probe, 0); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Println("recovered heap readable at DRAM latency — cache starts warm")
+	fmt.Fprintln(stdout, "recovered heap readable at DRAM latency — cache starts warm")
 
 	if *forensics {
 		rep := recovered.Forensics()
 		if rep == nil {
-			fatal(fmt.Errorf("forensics armed but no report recovered"))
+			return fatal(fmt.Errorf("forensics armed but no report recovered"))
 		}
-		fmt.Println("\n*** forensic report from the battery-backed flight recorder ***")
-		if err := rep.WriteText(os.Stdout, 20); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout, "\n*** forensic report from the battery-backed flight recorder ***")
+		if err := rep.WriteText(stdout, 20); err != nil {
+			return fatal(err)
 		}
 	}
+	return 0
 }
 
-// runBlackBoxSweep narrates the flight-recorder crash sweep.
-func runBlackBoxSweep(seed uint64, points, clients int) {
-	fmt.Printf("flight-recorder crash sweep: %d crash points, %d retrying clients, seed %#x\n",
-		points, clients, seed)
-	res, err := crashsweep.RunBlackBox(crashsweep.ServeConfig{
-		Seed:           seed,
-		Clients:        clients,
-		MaxCrashPoints: points,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	sw := res.Serve
-	fmt.Printf("baseline %d events, stride %d; %d runs crashed mid-traffic, %d ran past their step\n",
-		sw.BaselineEvents, sw.Stride, sw.CrashPoints, sw.Completed)
-	fmt.Printf("forensic audits: %d exact oracle matches, %d relaxed to the sequence bound by shed appends\n",
-		sw.ForensicExact, sw.ForensicDropped)
-	fmt.Printf("recorder pages dirty at %d of %d crash instants; %d ring appends across crashed runs, %d shed\n",
-		sw.RecorderDirtyCrashes, sw.CrashPoints, sw.RecorderAppends, sw.RecorderDrops)
-	fmt.Printf("healthy overhead: %d acked in %v (recorder off) vs %d acked in %v (on) — goodput delta %.2f%%\n",
-		res.HealthyOffAcked, sim.Duration(res.HealthyOffNs),
-		res.HealthyOnAcked, sim.Duration(res.HealthyOnNs), res.GoodputDeltaFrac*100)
-	if len(sw.Violations) > 0 {
-		for _, v := range sw.Violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION step %d: %s\n", v.Step, v.Msg)
-		}
-		fatal(fmt.Errorf("%d forensic violations", len(sw.Violations)))
-	}
-	fmt.Println("every recovered report matched its crash-instant oracle within the audit bounds")
+// sweepNarrator narrates the live-traffic crash sweeps: power failures
+// injected at swept event steps while concurrent clients drive
+// idempotent mutations, each followed by recovery, retry-stream replay,
+// and a per-key exactly-once oracle. The modes share the header, the
+// evidence every sweep reports, and the verdict.
+type sweepNarrator struct {
+	stdout, stderr io.Writer
+	cfg            crashsweep.ServeConfig
 }
 
-// runServeSweep narrates the live-traffic exactly-once crash sweep:
-// power failures injected at swept event steps while concurrent clients
-// drive idempotent mutations, each followed by recovery, retry-stream
-// replay, and a per-key exactly-once oracle.
-func runServeSweep(seed uint64, points, clients int) {
-	fmt.Printf("live-traffic crash sweep: %d crash points, %d retrying clients, seed %#x\n",
-		points, clients, seed)
-	res, err := crashsweep.RunServe(crashsweep.ServeConfig{
-		Seed:           seed,
-		Clients:        clients,
-		MaxCrashPoints: points,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("baseline %d events, stride %d; %d runs crashed mid-traffic, %d ran past their step\n",
+func (n sweepNarrator) header(name string) {
+	fmt.Fprintf(n.stdout, "%s: %d crash points, %d retrying clients, seed %#x\n",
+		name, n.cfg.MaxCrashPoints, n.cfg.Clients, n.cfg.Seed)
+}
+
+// evidence prints what every mode reports.
+func (n sweepNarrator) evidence(res crashsweep.ServeResult) {
+	w := n.stdout
+	fmt.Fprintf(w, "baseline %d events, stride %d; %d runs crashed mid-traffic, %d ran past their step\n",
 		res.BaselineEvents, res.Stride, res.CrashPoints, res.Completed)
-	fmt.Printf("acked %d mutations; in-doubt at crash and replayed: %d (deduped %d, recovery-redone %d, fresh %d)\n",
-		res.AckedMutations, res.InDoubtReplayed, res.ReplayDeduped, res.ReplayRedone, res.ReplayFresh)
-	fmt.Printf("retries of acked ops absorbed by recovered journals: %d; torn journal tails dropped: %d\n",
-		res.AckedRetryDedups, res.TornOpens)
-	fmt.Printf("max dirty at crash: %d pages (journal pages dirty at %d of %d crash instants)\n",
+	fmt.Fprintf(w, "acked %d mutations (%d client retries); in-doubt at crash and replayed: %d (deduped %d, recovery-redone %d, fresh %d)\n",
+		res.AckedMutations, res.ClientRetries, res.InDoubtReplayed, res.ReplayDeduped, res.ReplayRedone, res.ReplayFresh)
+	fmt.Fprintf(w, "retries of acked ops absorbed by recovered journals: %d; torn journal tails dropped: %d; dedup tables checked against the record walk: %d\n",
+		res.AckedRetryDedups, res.TornOpens, res.TableCompares)
+	fmt.Fprintf(w, "max dirty at crash: %d pages (journal pages dirty at %d of %d crash instants)\n",
 		res.MaxDirtyAtCrash, res.JournalDirtyCrashes, res.CrashPoints)
 	if res.MutationBytes > 0 {
-		fmt.Printf("journal write amplification: %d journal bytes / %d mutation bytes = %.2fx\n",
+		fmt.Fprintf(w, "journal write amplification: %d journal bytes / %d mutation bytes = %.2fx\n",
 			res.JournalBytes, res.MutationBytes, float64(res.JournalBytes)/float64(res.MutationBytes))
 	}
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION step %d: %s\n", v.Step, v.Msg)
-		}
-		fatal(fmt.Errorf("%d exactly-once violations", len(res.Violations)))
-	}
-	fmt.Println("exactly-once held at every crash point: zero lost acks, zero double-applies")
 }
 
-// runNestedSweep narrates the cascading-failure sweep: each outer crash
-// point's recovery is re-crashed at seeded in-recovery steps, on a
-// possibly shrunken budget, and must resume from the persistent cursor
-// until it completes and passes the exactly-once oracle.
-func runNestedSweep(seed uint64, points, clients, depth int, scale float64) {
-	if scale <= 0 || scale > 1 {
-		fatal(fmt.Errorf("-recovery-budget-scale %v outside (0,1]", scale))
+// verdict prints the violations and fails with what they broke, or
+// prints the closing line saying what held.
+func (n sweepNarrator) verdict(res crashsweep.ServeResult, broke, held string) error {
+	if len(res.Violations) > 0 {
+		for _, v := range res.Violations {
+			fmt.Fprintf(n.stderr, "VIOLATION step %d: %s\n", v.Step, v.Msg)
+		}
+		return fmt.Errorf("%d %s", len(res.Violations), broke)
 	}
-	fmt.Printf("cascading-failure sweep: %d outer crash points, re-crash depth %d, recovery budget scale %.2f, %d clients, seed %#x\n",
-		points, depth, scale, clients, seed)
-	reg := obs.NewRegistry()
-	res, err := crashsweep.RunNested(crashsweep.NestedConfig{
-		ServeConfig: crashsweep.ServeConfig{
-			Seed:           seed,
-			Clients:        clients,
-			MaxCrashPoints: points,
-		},
-		RecrashDepth: depth,
-		BudgetScale:  scale,
-		Obs:          reg,
-	})
+	fmt.Fprintln(n.stdout, held)
+	return nil
+}
+
+// serve narrates the plain sweep: one crash, one recovery per point.
+func (n sweepNarrator) serve() error {
+	n.header("live-traffic crash sweep")
+	res, err := crashsweep.RunServe(n.cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("baseline %d events, stride %d; %d outer crashes, %d runs completed unarmed\n",
-		res.BaselineEvents, res.Stride, res.OuterCrashes, res.Completed)
-	fmt.Printf("recovery budget: %d pages; max dirty at outer crash %d, at in-recovery crash %d\n",
-		res.RecoveryBudget, res.MaxDirtyAtCrash, res.MaxDirtyAtInnerCrash)
-	for d, n := range res.InnerByDepth {
-		fmt.Printf("  depth %d: %d recoveries re-crashed\n", d+1, n)
+	n.evidence(res)
+	return n.verdict(res, "exactly-once violations",
+		"exactly-once held at every crash point: zero lost acks, zero double-applies")
+}
+
+// blackBox narrates the flight-recorder sweep.
+func (n sweepNarrator) blackBox() error {
+	n.header("flight-recorder crash sweep")
+	res, err := crashsweep.RunBlackBox(n.cfg)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("re-crashes by recovery phase:")
+	sw, w := res.Serve, n.stdout
+	n.evidence(sw)
+	fmt.Fprintf(w, "forensic audits: %d exact oracle matches, %d relaxed to the sequence bound by shed appends\n",
+		sw.ForensicExact, sw.ForensicDropped)
+	fmt.Fprintf(w, "recorder pages dirty at %d of %d crash instants; %d ring appends across crashed runs, %d shed\n",
+		sw.RecorderDirtyCrashes, sw.CrashPoints, sw.RecorderAppends, sw.RecorderDrops)
+	fmt.Fprintf(w, "healthy overhead: %d acked in %v (recorder off) vs %d acked in %v (on) — goodput delta %.2f%%\n",
+		res.HealthyOffAcked, sim.Duration(res.HealthyOffNs),
+		res.HealthyOnAcked, sim.Duration(res.HealthyOnNs), res.GoodputDeltaFrac*100)
+	return n.verdict(sw, "forensic violations",
+		"every recovered report matched its crash-instant oracle within the audit bounds")
+}
+
+// nested narrates the cascading-failure sweep: each outer crash point's
+// recovery is re-crashed at seeded in-recovery steps, on a possibly
+// shrunken budget, and must resume from the persistent cursor until it
+// completes and passes the exactly-once oracle.
+func (n sweepNarrator) nested(depth int, scale float64) error {
+	if scale <= 0 || scale > 1 {
+		return fmt.Errorf("-recovery-budget-scale %v outside (0,1]", scale)
+	}
+	n.header("cascading-failure sweep")
+	w := n.stdout
+	fmt.Fprintf(w, "each recovery re-crashed up to %d times, on a dirty budget scaled by %.2f\n", depth, scale)
+	reg := obs.NewRegistry()
+	res, err := crashsweep.RunNested(crashsweep.NestedConfig{ServeConfig: n.cfg, RecrashDepth: depth, BudgetScale: scale, Obs: reg})
+	if err != nil {
+		return err
+	}
+	n.evidence(res.ServeResult)
+	fmt.Fprintf(w, "recovery budget: %d pages; max dirty at in-recovery crash %d\n", res.RecoveryBudget, res.MaxDirtyAtInnerCrash)
+	for d, c := range res.InnerByDepth {
+		fmt.Fprintf(w, "  depth %d: %d recoveries re-crashed\n", d+1, c)
+	}
+	fmt.Fprintf(w, "re-crashes by recovery phase:")
 	for _, ph := range []string{"restore", "wal-replay", "intent-redo", "drain"} {
-		fmt.Printf(" %s %d", ph, res.InnerByPhase[ph])
+		fmt.Fprintf(w, " %s %d", ph, res.InnerByPhase[ph])
 	}
-	fmt.Println()
-	fmt.Printf("cursor: %d resumed attempts (recovery_resumes_total %d), %d fallbacks; redo workload %d intents, %d pages dirtied (recovery_redo_pages %d), %d budget stalls (recovery_budget_stalls %d)\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "cursor: %d resumed attempts (recovery_resumes_total %d), %d fallbacks; redo workload %d intents, %d pages dirtied (recovery_redo_pages %d), %d budget stalls (recovery_budget_stalls %d)\n",
 		res.Resumes, reg.Counter("recovery_resumes_total").Value(), res.Fallbacks,
 		res.RedoneIntents, res.RedoPages, reg.Counter("recovery_redo_pages").Value(),
 		res.BudgetStalls, reg.Counter("recovery_budget_stalls").Value())
-	fmt.Printf("retry streams: acked %d mutations, in-doubt replayed %d (deduped %d, fresh %d), acked retries absorbed %d\n",
-		res.AckedMutations, res.InDoubtReplayed, res.ReplayDeduped, res.ReplayFresh, res.AckedRetryDedups)
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION step %d: %s\n", v.Step, v.Msg)
-		}
-		fatal(fmt.Errorf("%d violations across cascaded recoveries", len(res.Violations)))
-	}
-	fmt.Println("exactly-once, cursor monotonicity, and dirty<=budget held at every crash depth")
+	return n.verdict(res.ServeResult, "violations across cascaded recoveries",
+		"exactly-once, cursor monotonicity, and dirty<=budget held at every crash depth")
 }
 
-// runSensorSweep narrates the lying-fuel-gauge crash sweep: the dirty
-// budget rides the fused two-gauge estimate while seeded injectors
-// corrupt the gauges, power fails at swept steps, and every run is
-// audited against the battery model as ground truth — the flush must
-// fit TRUE energy no matter what the gauges claimed.
-func runSensorSweep(seed uint64, points, clients int, lie, stuck, drift, lieMax float64) {
+// sensor narrates the lying-fuel-gauge sweep: the dirty budget rides the
+// fused two-gauge estimate while seeded injectors corrupt the gauges,
+// and every run is audited against the battery model as ground truth —
+// the flush must fit TRUE energy no matter what the gauges claimed.
+func (n sweepNarrator) sensor(lie, stuck, drift, lieMax float64) error {
 	for _, p := range []float64{lie, stuck, drift} {
 		if p < 0 || p > 1 {
-			fatal(fmt.Errorf("gauge episode probability %v outside [0,1]", p))
+			return fmt.Errorf("gauge episode probability %v outside [0,1]", p)
 		}
 	}
 	if lieMax < 0 || lieMax > 1 {
-		fatal(fmt.Errorf("-gauge-lie-max %v outside [0,1]", lieMax))
+		return fmt.Errorf("-gauge-lie-max %v outside [0,1]", lieMax)
 	}
-	fmt.Printf("lying-gauge crash sweep: %d crash points, %d clients, seed %#x\n", points, clients, seed)
+	n.header("lying-gauge crash sweep")
+	w := n.stdout
 	if lie > 0 || stuck > 0 || drift > 0 {
-		fmt.Printf("voltage-gauge menu override: lie %.3f, stuck %.3f, drift %.3f\n", lie, stuck, drift)
+		fmt.Fprintf(w, "voltage-gauge menu override: lie %.3f, stuck %.3f, drift %.3f\n", lie, stuck, drift)
 	}
-	res, err := crashsweep.RunSensor(crashsweep.SensorSweepConfig{
-		Serve: crashsweep.ServeConfig{
-			Seed:           seed,
-			Clients:        clients,
-			MaxCrashPoints: points,
-		},
-		Lie:          lie,
-		Stuck:        stuck,
-		Drift:        drift,
-		LieMagnitude: lieMax,
-	})
+	res, err := crashsweep.RunSensor(crashsweep.SensorSweepConfig{Serve: n.cfg, Lie: lie, Stuck: stuck, Drift: drift, LieMagnitude: lieMax})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("baseline %d events, stride %d; %d runs crashed mid-traffic, %d ran past their step\n",
-		res.BaselineEvents, res.Stride, res.CrashPoints, res.Completed)
-	fmt.Printf("acked %d mutations (%d client retries); max dirty at crash %d pages\n",
-		res.AckedMutations, res.ClientRetries, res.MaxDirtyAtCrash)
-	fmt.Printf("fault episodes injected:")
+	n.evidence(res.ServeResult)
+	fmt.Fprintf(w, "fault episodes injected:")
 	for _, class := range []string{"lie-high", "spike", "stuck", "drift", "dropout"} {
-		fmt.Printf(" %s %d", class, res.Episodes[class])
+		fmt.Fprintf(w, " %s %d", class, res.Episodes[class])
 	}
-	fmt.Println()
-	fmt.Printf("fused-layer rejections:")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "fused-layer rejections:")
 	for _, reason := range []string{"bounds", "rate", "stale", "disagree"} {
-		fmt.Printf(" %s %d", reason, res.Detections[reason])
+		fmt.Fprintf(w, " %s %d", reason, res.Detections[reason])
 	}
-	fmt.Println()
-	fmt.Printf("worst detection latency (MTTD):")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "worst detection latency (MTTD):")
 	for _, class := range []string{"lie-high", "spike", "drift", "dropout"} {
 		if mttd, ok := res.MaxMTTD[class]; ok {
-			fmt.Printf(" %s %v", class, mttd)
+			fmt.Fprintf(w, " %s %v", class, mttd)
 		}
 	}
-	fmt.Println(" (stuck exempt: truth is constant under serving)")
-	fmt.Printf("deepest conservative cut: fused/true %.3f; %d budget retunes, %d solo samples, %d blind samples\n",
+	fmt.Fprintln(w, " (stuck exempt: truth is constant under serving)")
+	fmt.Fprintf(w, "deepest conservative cut: fused/true %.3f; %d budget retunes, %d solo samples, %d blind samples\n",
 		res.MinFusedFraction, res.Retunes, res.SoloSamples, res.BlindSamples)
 	if res.EmergencyEnters > 0 {
-		fmt.Printf("NOTE: %d emergency escalations — the fused estimate dipped below the flush-overhead reserve\n",
+		fmt.Fprintf(w, "NOTE: %d emergency escalations — the fused estimate dipped below the flush-overhead reserve\n",
 			res.EmergencyEnters)
 	}
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION step %d: %s\n", v.Step, v.Msg)
-		}
-		fatal(fmt.Errorf("%d telemetry-safety violations", len(res.Violations)))
-	}
-	fmt.Println("safety held at every crash point: no over-report followed, every flush fit true energy, exactly-once intact")
+	return n.verdict(res.ServeResult, "telemetry-safety violations",
+		"safety held at every crash point: no over-report followed, every flush fit true energy, exactly-once intact")
 }
 
 // dumpMetrics writes the system's metrics/trace export to path: stdout
 // for "-", JSON for a .json suffix, the text exposition otherwise.
-func dumpMetrics(sys *viyojit.System, path string) error {
+func dumpMetrics(stdout io.Writer, sys *viyojit.System, path string) error {
 	if path == "-" {
-		return sys.WriteMetricsText(os.Stdout)
+		return sys.WriteMetricsText(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -528,12 +523,7 @@ func dumpMetrics(sys *viyojit.System, path string) error {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Printf("metrics export written to %s\n", path)
+		fmt.Fprintf(stdout, "metrics export written to %s\n", path)
 	}
 	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "powerfail:", err)
-	os.Exit(1)
 }

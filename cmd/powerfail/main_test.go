@@ -1,0 +1,59 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// Each sweep mode at eight crash points: exit 0, nothing on stderr, the
+// shared evidence lines, and the mode's closing line saying what held.
+func TestSweepModes(t *testing.T) {
+	for _, tc := range []struct{ flag, held string }{
+		{"-serve-sweep", "exactly-once held at every crash point"},
+		{"-nested-sweep", "held at every crash depth"},
+		{"-sensor-sweep", "safety held at every crash point"},
+		{"-blackbox-sweep", "every recovered report matched its crash-instant oracle"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{tc.flag, "-serve-points", "8", "-seed", "7"}, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("stderr not empty:\n%s", &stderr)
+			}
+			out := strings.TrimRight(stdout.String(), "\n")
+			if last := out[strings.LastIndexByte(out, '\n')+1:]; !strings.Contains(last, tc.held) {
+				t.Errorf("closing line %q does not say %q", last, tc.held)
+			}
+			for _, want := range []string{"8 crash points", "8 runs crashed mid-traffic", "dedup tables checked against the record walk: 8"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output lacks %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}
+
+// A flag value outside its range is reported on stderr with exit 1; an
+// unknown flag is a usage error, exit 2.
+func TestBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-nested-sweep", "-recovery-budget-scale", "1.5"}, 1, "outside (0,1]"},
+		{[]string{"-sensor-sweep", "-gauge-lie", "2"}, 1, "outside [0,1]"},
+		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, &stderr, tc.want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
+package crashsweep
+
 // blackboxcrash.go closes the flight recorder's loop: the blackbox
-// sweep is the live-traffic serve sweep (servecrash.go) with a
-// budget-accounted black-box ring riding in every run, and three
-// additional audits at every crash point:
+// sweep is the live-traffic sweep with a budget-accounted black-box
+// ring riding in every run, and three additional audits at every crash
+// point:
 //
 //  1. the ring's pages sit INSIDE the dirty ≤ budget bound (the
 //     recorder-dirty evidence counter witnesses they were dirty at
@@ -20,10 +22,11 @@
 // flush) and before any clean-shutdown drain: the flush's own
 // bookkeeping — the dirty gauge collapsing, clean spans finishing —
 // must not move the ring past the moment it is supposed to explain.
-package crashsweep
+//
+// Every function here is nil-safe on a run without a recorder, which is
+// how the other modes pass through them.
 
 import (
-	"fmt"
 	"math"
 
 	"viyojit/internal/blackbox"
@@ -66,7 +69,7 @@ func captureBlackBoxOracle(run *serveRun, res *ServeResult) *bbOracle {
 // (-1: its last gauge record was overwritten by newer traffic) is not
 // comparable and is skipped; every datum still in the window must
 // match exactly when the recorder shed nothing.
-func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail func(string, ...any)) *blackbox.WalkResult {
+func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail failFunc) *blackbox.WalkResult {
 	if run.rec == nil || o == nil {
 		return nil
 	}
@@ -158,48 +161,14 @@ type BlackBoxResult struct {
 	HealthyRecorderDrops   uint64
 }
 
-// healthyRun executes one un-crashed run to completion and returns its
-// virtual elapsed time and acked-mutation count.
-func healthyRun(cfg ServeConfig, keys [][]byte) (elapsedNs int64, acked uint64, appends, drops uint64, err error) {
-	run, err := buildServe(cfg)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if err := run.srv.Start(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	logs := driveClients(cfg, run.srv, keys)
-	run.srv.Stop()
-	for _, lg := range logs {
-		if lg.err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("healthy run client: %w", lg.err)
-		}
-		if lg.inDoubt != nil {
-			return 0, 0, 0, 0, fmt.Errorf("healthy run left client %d seq %d unacked", lg.id, lg.inDoubt.seq)
-		}
-		acked += uint64(len(lg.acked))
-	}
-	run.rec.Seal()
-	run.mgr.FlushAll()
-	if verr := run.mgr.VerifyDurability(); verr != nil {
-		return 0, 0, 0, 0, fmt.Errorf("healthy run durability: %w", verr)
-	}
-	elapsedNs = int64(run.clock.Now())
-	appends, drops = run.rec.LastSeq(), uint64(run.rec.Dropped())
-	run.mgr.Close()
-	return elapsedNs, acked, appends, drops, nil
-}
-
 // RunBlackBox executes the blackbox sweep: the full live-traffic crash
 // sweep with a 2-page recorder in every run, then the recorder-on vs
 // recorder-off healthy-overhead comparison.
 func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
-	if cfg.BlackBoxPages == 0 {
-		cfg.BlackBoxPages = 2
-	}
 	var out BlackBoxResult
-	sw, err := RunServe(cfg)
-	out.Serve = sw
+	sw := newSweep(mode{ServeConfig: cfg, bbPages: 2})
+	err := sw.run()
+	out.Serve = sw.res
 	if err != nil {
 		return out, err
 	}
@@ -207,21 +176,24 @@ func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
 	// The healthy pair is one closed-loop client doing all the clients'
 	// operations: with nothing concurrent, virtual time repeats exactly
 	// from run to run, so the recorder's cost is a number, not a sample
-	// from a distribution of goroutine interleavings.
-	full := cfg.withDefaults()
-	full.OpsPerClient *= full.Clients
-	full.Clients = 1
-	keys := makeKeys(full.Keys)
-	offCfg := full
-	offCfg.BlackBoxPages = 0
-	out.HealthyOffNs, out.HealthyOffAcked, _, _, err = healthyRun(offCfg, keys)
+	// from a distribution of goroutine interleavings. Each is a baseline
+	// run: clean to the same standard, timed to the end of its final flush.
+	on := sw.mode
+	on.OpsPerClient *= on.Clients
+	on.Clients = 1
+	off := on
+	off.bbPages = 0
+	offRun, offTally, err := newSweep(off).baseline()
 	if err != nil {
 		return out, err
 	}
-	out.HealthyOnNs, out.HealthyOnAcked, out.HealthyRecorderAppends, out.HealthyRecorderDrops, err = healthyRun(full, keys)
+	onRun, onTally, err := newSweep(on).baseline()
 	if err != nil {
 		return out, err
 	}
+	out.HealthyOffNs, out.HealthyOffAcked = int64(offRun.ended), offTally.AckedMutations
+	out.HealthyOnNs, out.HealthyOnAcked = int64(onRun.ended), onTally.AckedMutations
+	out.HealthyRecorderAppends, out.HealthyRecorderDrops = onRun.rec.LastSeq(), uint64(onRun.rec.Dropped())
 	if out.HealthyOffNs > 0 && out.HealthyOnNs > 0 {
 		gOff := float64(out.HealthyOffAcked) / float64(out.HealthyOffNs)
 		gOn := float64(out.HealthyOnAcked) / float64(out.HealthyOnNs)

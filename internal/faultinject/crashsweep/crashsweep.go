@@ -1,7 +1,15 @@
-// Package crashsweep is the crash-point sweep harness: it runs a seeded
-// YCSB-A-style workload over a Viyojit-managed region, power-fails it at
-// every Nth event-queue step, and after each crash asserts the paper's
-// durability invariants:
+// Package crashsweep is the crash-point sweep harness. Every sweep in it
+// is one loop: an un-crashed baseline run sizes the step space; at each
+// point of a step lattice over it a fresh stack is built, a Crasher is
+// armed, and the run either crashes there or completes as a clean
+// shutdown; at the crash instant auditCrash checks dirty ≤ the bound in
+// force, runs the battery flush on the stated joules and requires SSD =
+// NV-DRAM after it; then a rebooted stack is restored from the surviving
+// SSD and what it reopens is audited.
+//
+// Run is the single-goroutine form: a seeded YCSB-A-style workload over
+// a heap, a write-ahead log and a ptx transactional heap. After each
+// crash it asserts the paper's durability invariants:
 //
 //  1. dirty count ≤ budget at the instant of failure (the Fig-6 bound
 //     the battery is provisioned against);
@@ -27,6 +35,37 @@
 // Every run is rebuilt from the same seed, so a failing crash point is
 // identified by (Seed, Step) alone and replays exactly: the correctness
 // regression tool later scaling and performance PRs run against.
+//
+// RunServe, RunNested, RunSensor and RunBlackBox are the live-traffic
+// form (servecrash.go): a real serve.Server power-fails mid-flight while
+// concurrent RetryingClients drive a YCSB-A-style mix through the
+// exactly-once intent-journal protocol, and the recovered stack must
+// answer every client's retry stream exactly once. They are one path —
+// assemble → serve → crash → auditCrash → recover (restore, reopen,
+// table compare, redo) → replay → per-key oracle — in four
+// configurations. Every mode runs every audit of that path; what a mode
+// adds (its file's header has the audits in full):
+//
+//	mode      at build                  at crash                    after recover
+//	serve     —                         —                           —
+//	nested    recovery cursor, strike   —                           recovery re-crashed up to
+//	          instants in Begin→Complete                            RecrashDepth times on a
+//	                                                                scaled budget, audited
+//	                                                                at every depth
+//	sensor    lying gauges → fused      fused ≤ true, MTTD bounds,  —
+//	          estimate → budget, on a   dirty ≤ what TRUE joules
+//	          slow device               flush; flush on TRUE joules
+//	blackbox  recorder ring mapped      ring pages inside the bound; walk adopted, recovery
+//	          first, registry teed in   post-flush ring walks to    recorded, then the
+//	                                    the crash-instant oracle    registry teed in again
+//
+// Unlike Run, a live-traffic run with more than one client is NOT
+// bit-replayable from its seed: the event step a crash lands on is
+// deterministic, but which client's request occupies that step depends
+// on goroutine scheduling. Every invariant is therefore checked against
+// the run's own acknowledgement log — an oracle the sweep builds as the
+// run happens — rather than against a re-executed shadow run. With one
+// client nothing is concurrent and the whole sweep repeats exactly.
 package crashsweep
 
 import (
@@ -56,19 +95,8 @@ type Config struct {
 	// Seed drives the whole run: workload, value bytes, and any fault
 	// injector. Same seed, same event sequence, same crash points.
 	Seed uint64
-	// HeapPages is the size of the main write-target mapping; 0 selects
-	// 96.
-	HeapPages int
-	// BudgetPages is the dirty budget; 0 selects HeapPages/4.
-	BudgetPages int
 	// Ops is the number of workload operations per run; 0 selects 600.
 	Ops int
-	// ReadFraction is the read share of the op mix; 0 selects 0.5
-	// (YCSB-A's 50/50 read/update).
-	ReadFraction float64
-	// ZipfTheta is the key-popularity skew; 0 selects 0.99 (YCSB's
-	// default).
-	ZipfTheta float64
 	// Stride crashes at every Stride-th event step; 0 derives a stride
 	// that yields about MaxCrashPoints points across the run.
 	Stride uint64
@@ -93,17 +121,14 @@ type Config struct {
 	// overhead reserve and leaves nothing measurable to shrink.
 	SSD ssd.Config
 	// SagFraction, when non-zero, provisions a battery exactly covering
-	// BudgetPages (plus the fixed flush overhead) and schedules a single
-	// capacity step-down to this fraction of nameplate at SagAt. The
+	// budgetPages (plus the fixed flush overhead) and schedules a single
+	// capacity step-down to this fraction of nameplate at sagAt. The
 	// battery's safe-shrink hook drains the dirty set to the projected
 	// coverage *before* the capacity drops, and every crash point —
 	// including ones landing mid-drain — additionally asserts
 	// dirty ≤ pages coverable by the battery's effective joules at the
 	// crash instant, and runs the flush against that live energy.
 	SagFraction float64
-	// SagAt is the virtual time of the sag step; 0 (with SagFraction
-	// set) selects 1.5 ms, roughly mid-run for the default workload.
-	SagAt sim.Duration
 	// Corruption enables the silent-corruption sweep mode: lost,
 	// misdirected, and at-rest-rot faults are injected during the
 	// workload (defaults below unless the Faults config sets its own
@@ -113,38 +138,16 @@ type Config struct {
 	// durable or restored bytes diverge from NV-DRAM truth must have
 	// been detected (repaired or quarantined), never silently restored.
 	Corruption bool
-	// ScrubShare is the background scrubber's read-bandwidth share in
-	// corruption mode; 0 selects 0.2 (aggressive, so the short sweep
-	// runs exercise the repair path, not just restore-time detection).
-	ScrubShare float64
 }
 
 func (c Config) withDefaults() Config {
-	if c.HeapPages == 0 {
-		c.HeapPages = 96
-	}
-	if c.BudgetPages == 0 {
-		c.BudgetPages = c.HeapPages / 4
-	}
 	if c.Ops == 0 {
 		c.Ops = 600
-	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.5
-	}
-	if c.ZipfTheta == 0 {
-		c.ZipfTheta = dist.ZipfianConstant
 	}
 	if c.MaxCrashPoints == 0 {
 		c.MaxCrashPoints = 200
 	}
-	if c.SagFraction > 0 && c.SagAt == 0 {
-		c.SagAt = 1500 * sim.Microsecond
-	}
 	if c.Corruption {
-		if c.ScrubShare == 0 {
-			c.ScrubShare = 0.2
-		}
 		c.InjectFaults = true
 		if c.Faults.LostProb == 0 && c.Faults.MisdirectedProb == 0 && c.Faults.RotProb == 0 {
 			c.Faults.LostProb = 0.02
@@ -154,6 +157,22 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// The workload's shape. No caller ever varied these, so they are
+// constants; the crash lattices of every pinned sweep depend on them.
+const (
+	heapPages    = 96            // the main write-target mapping
+	budgetPages  = heapPages / 4 // the dirty budget
+	readFraction = 0.5           // YCSB-A's 50/50 read/update
+	zipfTheta    = dist.ZipfianConstant
+	// sagAt is the virtual time of the sag step: roughly mid-run for the
+	// default workload.
+	sagAt = 1500 * sim.Microsecond
+	// scrubShare is the background scrubber's read-bandwidth share in
+	// corruption mode: aggressive, so the short sweep runs exercise the
+	// repair path, not just restore-time detection.
+	scrubShare = 0.2
+)
 
 // Fixed layout constants for the companion mappings.
 const (
@@ -173,8 +192,8 @@ type Violation struct {
 
 func (v Violation) String() string { return fmt.Sprintf("step %d: %s", v.Step, v.Msg) }
 
-// Result summarises a sweep.
-type Result struct {
+// Swept is what every sweep reports about its lattice and its verdict.
+type Swept struct {
 	// BaselineEvents is the number of events the un-crashed run fires —
 	// the sweep's step space.
 	BaselineEvents uint64
@@ -187,17 +206,22 @@ type Result struct {
 	// shutdown.
 	Completed int
 	// Violations lists every invariant failure; empty means the
-	// durability guarantee held at every crash point.
+	// guarantee held at every crash point.
 	Violations []Violation
+	// MaxDirtyAtCrash is the largest dirty set observed at any crash
+	// instant (always ≤ budget unless a violation was recorded).
+	MaxDirtyAtCrash int
+}
+
+// Result summarises a single-goroutine sweep.
+type Result struct {
+	Swept
 	// TornTails counts crashes whose WAL replay detected (and rejected)
 	// a torn tail record — evidence the detection path runs.
 	TornTails int
 	// Rollbacks counts crashes that reopened the ptx heap with an
 	// in-flight transaction to roll back.
 	Rollbacks int
-	// MaxDirtyAtCrash is the largest dirty set observed at any crash
-	// instant (always ≤ budget unless a violation was recorded).
-	MaxDirtyAtCrash int
 	// MidDrainCrashes counts crashes that landed while a staged budget
 	// shrink was still draining (sag sweeps only) — evidence the sweep
 	// exercised the transition window, not just the steady states.
@@ -266,7 +290,7 @@ func build(cfg Config) (*runState, error) {
 	st := &runState{cfg: cfg}
 	st.clock = sim.NewClock()
 	st.events = sim.NewQueue()
-	regionPages := cfg.HeapPages + walBytes/pageSize + ptxBytes/pageSize
+	regionPages := heapPages + walBytes/pageSize + ptxBytes/pageSize
 	var err error
 	st.region, err = nvdram.New(st.clock, nvdram.Config{Size: int64(regionPages) * pageSize})
 	if err != nil {
@@ -280,14 +304,14 @@ func build(cfg Config) (*runState, error) {
 		st.dev.SetFaultInjector(st.inj)
 	}
 	st.mgr, err = core.NewManager(st.clock, st.events, st.region, st.dev, core.Config{
-		DirtyBudgetPages: cfg.BudgetPages,
+		DirtyBudgetPages: budgetPages,
 		Epoch:            cfg.Epoch,
 		HardwareAssist:   cfg.HardwareAssist,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if st.heapM, err = st.mgr.Map("heap", int64(cfg.HeapPages)*pageSize); err != nil {
+	if st.heapM, err = st.mgr.Map("heap", heapPages*pageSize); err != nil {
 		return nil, err
 	}
 	if st.walM, err = st.mgr.Map("wal", walBytes); err != nil {
@@ -304,41 +328,34 @@ func build(cfg Config) (*runState, error) {
 	}
 	if cfg.Corruption {
 		st.scrub = scrub.New(st.clock, st.events, st.dev, st.mgr, scrub.Config{
-			BandwidthShare: cfg.ScrubShare,
+			BandwidthShare: scrubShare,
 		})
 		st.scrub.Start()
 	}
 	if cfg.SagFraction > 0 {
 		pm := power.Default()
 		dramBytes := st.region.Size()
+		overhead := flushOverhead(st.dev, cfg.spikeAllowance())
 		// Provision exactly enough effective energy for a budget-sized
 		// flush (DoD and derating 1, so nameplate == effective).
 		st.batt = battery.MustNew(battery.Config{
-			CapacityJoules:   flushEnergy(cfg, st.dev, pm, dramBytes),
+			CapacityJoules:   flushEnergy(budgetPages, overhead, st.dev, pm, dramBytes),
 			DepthOfDischarge: 1,
 			Derating:         1,
 		})
-		st.cover = func(j float64) int { return coverPages(cfg, st.dev, pm, dramBytes, j) }
+		st.cover = func(j float64) int { return coverPages(overhead, st.dev, pm, dramBytes, j) }
 		// Safe shrink: drain to the projected coverage while the battery
 		// still holds its current charge, so a crash landing anywhere in
 		// the drain finds the dirty set covered by the energy actually
 		// present. The crasher's fire hook counts the drain's nested
 		// event steps, so crash points genuinely land mid-drain.
 		st.batt.OnShrink(func(_ *battery.Battery, projected float64) {
-			pages := st.cover(projected)
-			if pages < 1 {
-				pages = 1
-			}
-			_ = st.mgr.SetDirtyBudgetSync(pages)
+			_ = st.mgr.SetDirtyBudgetSync(max(st.cover(projected), 1))
 		})
 		st.batt.OnChange(func(b *battery.Battery) {
-			pages := st.cover(b.EffectiveJoules())
-			if pages < 1 {
-				pages = 1
-			}
-			_ = st.mgr.SetDirtyBudget(pages)
+			_ = st.mgr.SetDirtyBudget(max(st.cover(b.EffectiveJoules()), 1))
 		})
-		st.sagEvent = st.events.Schedule(sim.Time(0).Add(cfg.SagAt), func(sim.Time) {
+		st.sagEvent = st.events.Schedule(sim.Time(0).Add(sagAt), func(sim.Time) {
 			_ = st.batt.SetCapacityJoules(st.batt.NameplateJoules() * cfg.SagFraction)
 		})
 	}
@@ -352,7 +369,7 @@ func build(cfg Config) (*runState, error) {
 func (st *runState) workload() error {
 	cfg := st.cfg
 	rng := sim.NewRNG(cfg.Seed)
-	zipf := dist.NewZipfian(rng.Fork(), int64(cfg.HeapPages), cfg.ZipfTheta)
+	zipf := dist.NewZipfian(rng.Fork(), heapPages, zipfTheta)
 	opRNG := rng.Fork()
 	valRNG := rng.Fork()
 	buf := make([]byte, 192)
@@ -360,7 +377,7 @@ func (st *runState) workload() error {
 	for op := 0; op < cfg.Ops; op++ {
 		page := zipf.Next()
 		off := int64(page)*pageSize + opRNG.Int63n(pageSize-192)
-		if opRNG.Float64() < cfg.ReadFraction {
+		if opRNG.Float64() < readFraction {
 			if err := st.heapM.ReadAt(buf[:64], off); err != nil {
 				return err
 			}
@@ -410,40 +427,74 @@ func (st *runState) workload() error {
 	return nil
 }
 
-// flushOverhead is the fixed flush-time allowance beyond the streaming
-// transfer: completing in-flight IOs (which may carry injected latency
-// spikes), per-IO latency, and scheduling slack.
-func flushOverhead(cfg Config, dev *ssd.SSD) sim.Duration {
-	overhead := sim.Duration(dev.Config().MaxOutstanding+1) * dev.Config().PerIOLatency
-	if cfg.InjectFaults {
-		spike := cfg.Faults.SpikeLatency
-		if spike == 0 {
-			spike = sim.Millisecond
-		}
-		overhead += sim.Duration(dev.Config().MaxOutstanding) * spike
+// spikeAllowance is the injected latency one in-flight IO may carry
+// into the flush: zero without fault injection.
+func (c Config) spikeAllowance() sim.Duration {
+	if !c.InjectFaults {
+		return 0
 	}
+	if c.Faults.SpikeLatency == 0 {
+		return sim.Millisecond
+	}
+	return c.Faults.SpikeLatency
+}
+
+// flushOverhead is the fixed flush-time allowance beyond the streaming
+// transfer: completing in-flight IOs (each of which may carry an
+// injected latency spike), per-IO latency, and scheduling slack.
+func flushOverhead(dev *ssd.SSD, spike sim.Duration) sim.Duration {
+	overhead := sim.Duration(dev.Config().MaxOutstanding+1) * dev.Config().PerIOLatency
+	overhead += sim.Duration(dev.Config().MaxOutstanding) * spike
 	overhead += sim.Millisecond // scheduling slack
 	return overhead
 }
 
 // flushEnergy returns battery energy sufficient for a correct flush of
-// at most budget dirty pages: the streaming transfer plus flushOverhead.
-// A dirty set over budget overruns this energy and fails the Survived
-// check.
-func flushEnergy(cfg Config, dev *ssd.SSD, pm power.Model, dramBytes int64) float64 {
-	secs := dev.FlushTimeFor(cfg.BudgetPages).Seconds() + flushOverhead(cfg, dev).Seconds()
+// at most pages dirty pages: the streaming transfer plus overhead. A
+// dirty set over that overruns this energy and fails the Survived check.
+func flushEnergy(pages int, overhead sim.Duration, dev *ssd.SSD, pm power.Model, dramBytes int64) float64 {
+	secs := dev.FlushTimeFor(pages).Seconds() + overhead.Seconds()
 	return pm.FlushWatts(dramBytes) * secs
 }
 
 // coverPages inverts flushEnergy: the number of dirty pages a battery
 // holding joules can flush, after reserving the same fixed overhead. The
 // tiny epsilon undoes float round-off so coverPages(flushEnergy(n)) == n.
-func coverPages(cfg Config, dev *ssd.SSD, pm power.Model, dramBytes int64, joules float64) int {
-	secs := joules/pm.FlushWatts(dramBytes) - flushOverhead(cfg, dev).Seconds()
+func coverPages(overhead sim.Duration, dev *ssd.SSD, pm power.Model, dramBytes int64, joules float64) int {
+	secs := joules/pm.FlushWatts(dramBytes) - overhead.Seconds()
 	if secs <= 0 {
 		return 0
 	}
 	return int(secs*float64(dev.EffectiveWriteBandwidth())/float64(dev.Config().PageSize) + 1e-9)
+}
+
+// failFunc records one violated invariant of the run being audited.
+type failFunc func(format string, args ...any)
+
+// auditCrash is the protocol at a power-failure instant, shared by every
+// sweep and every crash depth: (1) the dirty set is within bound, the
+// bound the battery is provisioned against; (2) the battery-powered
+// flush completes on joules; (3) after it the SSD is byte-equal to
+// NV-DRAM. byteEqual is false only in corruption mode, where (3) cannot
+// hold by construction and the caller audits for silent escapes instead.
+func auditCrash(mgr *core.Manager, bound int, joules float64, byteEqual bool, maxDirty *int, fail failFunc) {
+	dirty := mgr.DirtyCount()
+	if dirty > *maxDirty {
+		*maxDirty = dirty
+	}
+	if dirty > bound {
+		fail("dirty count %d exceeds effective budget %d at crash", dirty, bound)
+	}
+	report := mgr.PowerFail(power.Default(), joules)
+	if !report.Survived {
+		fail("flush of %d pages used %.3f J of %.3f J provisioned",
+			report.DirtyAtFailure, report.EnergyUsedJoules, report.EnergyAvailableJoules)
+	}
+	if byteEqual {
+		if err := mgr.VerifyDurability(); err != nil {
+			fail("durability: %v", err)
+		}
+	}
 }
 
 // verifyCrash runs the full post-failure protocol on a crashed run and
@@ -455,23 +506,17 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	}
 	cfg := st.cfg
 
-	// (1) The bound the battery is provisioned against. In sag mode the
-	// operative bound is the staged-drain ratchet, and additionally the
-	// dirty set must be coverable by the energy the battery actually
-	// holds at this instant — the re-provisioning invariant, checked
-	// even (especially) when the crash landed mid-drain.
-	dirty, budget := st.mgr.DirtyCount(), st.mgr.EffectiveDirtyBudget()
-	if dirty > res.MaxDirtyAtCrash {
-		res.MaxDirtyAtCrash = dirty
-	}
-	if dirty > budget {
-		fail("dirty count %d exceeds effective budget %d at crash", dirty, budget)
-	}
+	// (1) The bound the battery is provisioned against is auditCrash's
+	// first check. In sag mode the operative bound is the staged-drain
+	// ratchet, and additionally the dirty set must be coverable by the
+	// energy the battery actually holds at this instant — the
+	// re-provisioning invariant, checked even (especially) when the crash
+	// landed mid-drain.
 	if st.mgr.Draining() {
 		res.MidDrainCrashes++
 	}
 	if st.batt != nil {
-		if coverable := st.cover(st.batt.EffectiveJoules()); dirty > coverable {
+		if dirty, coverable := st.mgr.DirtyCount(), st.cover(st.batt.EffectiveJoules()); dirty > coverable {
 			fail("dirty count %d exceeds %d pages coverable by %.3f J effective",
 				dirty, coverable, st.batt.EffectiveJoules())
 		}
@@ -499,25 +544,20 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		res.ScrubDetections += sst.Detections
 		res.ScrubRepairs += sst.Repairs + sst.RepairKicks
 	}
-	pm := power.Default()
-	joules := flushEnergy(cfg, st.dev, pm, st.region.Size())
+	joules := flushEnergy(budgetPages, flushOverhead(st.dev, cfg.spikeAllowance()), st.dev, power.Default(), st.region.Size())
 	if st.batt != nil {
 		st.events.Cancel(st.sagEvent)
 		joules = st.batt.EffectiveJoules()
 	}
-	report := st.mgr.PowerFail(pm, joules)
-	if !report.Survived {
-		fail("flush of %d pages used %.3f J of %.3f J provisioned",
-			report.DirtyAtFailure, report.EnergyUsedJoules, report.EnergyAvailableJoules)
-	}
+	auditCrash(st.mgr, st.mgr.EffectiveDirtyBudget(), joules, !cfg.Corruption, &res.MaxDirtyAtCrash, fail)
 
-	// (3) Post-flush SSD byte-equals NV-DRAM. In corruption mode the
-	// equality cannot hold — silent faults corrupted durable copies on
-	// purpose — so the invariant becomes zero *undetected* escapes: every
-	// durable page diverging from NV-DRAM truth must fail checksum
-	// verification, and a page NV-DRAM has data for but the SSD has no
-	// claim about must at least carry a mismatching acked checksum (a
-	// fully lost first write).
+	// (3) Post-flush SSD byte-equals NV-DRAM (auditCrash's last check).
+	// In corruption mode the equality cannot hold — silent faults
+	// corrupted durable copies on purpose — so the invariant becomes zero
+	// *undetected* escapes: every durable page diverging from NV-DRAM
+	// truth must fail checksum verification, and a page NV-DRAM has data
+	// for but the SSD has no claim about must at least carry a
+	// mismatching acked checksum (a fully lost first write).
 	if cfg.Corruption {
 		for p := 0; p < st.region.NumPages(); p++ {
 			page := mmu.PageID(p)
@@ -527,8 +567,6 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 				fail("%v and passes verification (silent escape)", err)
 			}
 		}
-	} else if err := st.mgr.VerifyDurability(); err != nil {
-		fail("durability: %v", err)
 	}
 
 	// (4) A rebooted region restored from the SSD matches it. The restore
@@ -619,29 +657,25 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	if ptxLost {
 		return out
 	}
-	win := regionWindow{region: restored, base: st.ptxM.Base(), size: st.ptxM.Size()}
-	before, _ := undoRecords(win)
-	h, err := ptx.Open(win, ptxLogBytes)
+	// Committed records still in the undo log are a transaction to roll
+	// back; counting them is a read-only replay (wal.Open does not write).
+	undo, _, _ := recovery.RestoredWAL(restored, st.ptxM.Base(), ptxLogBytes)
+	h, err := ptx.Open(regionWindow{region: restored, base: st.ptxM.Base(), size: st.ptxM.Size()}, ptxLogBytes)
 	if err != nil {
 		fail("ptx open: %v", err)
 		return out
 	}
-	if before > 0 {
+	if len(undo) > 0 {
 		res.Rollbacks++
 	}
-	var cell [8]byte
-	if err := h.View(func(tx *ptx.Tx) error { return tx.Read(cell[:], 0) }); err != nil {
+	var cells [ptxSlots * 8]byte
+	if err := h.View(func(tx *ptx.Tx) error { return tx.Read(cells[:], 0) }); err != nil {
 		fail("ptx read: %v", err)
 		return out
 	}
-	val := binary.LittleEndian.Uint64(cell[:])
+	val := binary.LittleEndian.Uint64(cells[:])
 	for s := 1; s < ptxSlots; s++ {
-		var other [8]byte
-		if err := h.View(func(tx *ptx.Tx) error { return tx.Read(other[:], int64(s)*8) }); err != nil {
-			fail("ptx read slot %d: %v", s, err)
-			return out
-		}
-		if got := binary.LittleEndian.Uint64(other[:]); got != val {
+		if got := binary.LittleEndian.Uint64(cells[s*8:]); got != val {
 			fail("ptx torn transaction: slot 0 = %d, slot %d = %d", val, s, got)
 			return out
 		}
@@ -651,18 +685,6 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 			val, st.ptxCommitted, st.ptxCommitted+1)
 	}
 	return out
-}
-
-// undoRecords counts committed records in a ptx undo log without
-// mutating it (a fresh Log over a read path would roll back; this just
-// peeks at the record count via a throwaway Open on a copy-free window —
-// wal.Open does not write).
-func undoRecords(win regionWindow) (int, error) {
-	l, err := wal.Open(regionWindow{region: win.region, base: win.base, size: ptxLogBytes})
-	if err != nil {
-		return 0, err
-	}
-	return l.Records()
 }
 
 // regionWindow adapts a byte range of a region to the Store surfaces the
@@ -677,8 +699,29 @@ func (w regionWindow) ReadAt(p []byte, off int64) error  { return w.region.ReadA
 func (w regionWindow) WriteAt(p []byte, off int64) error { return w.region.WriteAt(p, w.base+off) }
 func (w regionWindow) Size() int64                       { return w.size }
 
+// lattice is a sweep's crash-step schedule over a baseline of events
+// (> 0) event steps. It returns the stride — the configured one, or one
+// derived to spread about points crash points across the baseline — and
+// the schedule: point i (≥ 1) arms at i×stride, and past the end of the
+// baseline it wraps, offset by the pass number so later passes
+// interleave the earlier lattice instead of repeating it.
+func lattice(events, stride uint64, points int) (uint64, func(i int) (step uint64, wrapped bool)) {
+	if stride == 0 {
+		stride = max(events/uint64(points), 1)
+	}
+	return stride, func(i int) (uint64, bool) {
+		step := uint64(i) * stride
+		if step <= events {
+			return step, false
+		}
+		return max(step%events+step/events, 1), true
+	}
+}
+
 // Run executes the sweep: one baseline run to size the step space, then
-// one fresh run per crash point.
+// one fresh run per crash point. A single-goroutine run replays exactly,
+// so revisiting a step would learn nothing: the sweep ends where the
+// lattice would wrap.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	var res Result
@@ -695,17 +738,18 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.BaselineEvents = base.events.Fired()
 	base.mgr.Close()
-
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = res.BaselineEvents / uint64(cfg.MaxCrashPoints)
-		if stride == 0 {
-			stride = 1
-		}
+	if res.BaselineEvents == 0 {
+		return res, fmt.Errorf("crashsweep: baseline fired no events")
 	}
+
+	stride, at := lattice(res.BaselineEvents, cfg.Stride, cfg.MaxCrashPoints)
 	res.Stride = stride
 
-	for step := stride; step <= res.BaselineEvents && res.CrashPoints+res.Completed < cfg.MaxCrashPoints; step += stride {
+	for i := 1; res.CrashPoints+res.Completed < cfg.MaxCrashPoints; i++ {
+		step, wrapped := at(i)
+		if wrapped {
+			break
+		}
 		st, err := build(cfg)
 		if err != nil {
 			return res, err

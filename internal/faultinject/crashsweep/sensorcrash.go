@@ -1,10 +1,12 @@
-// sensorcrash.go is the lying-fuel-gauge crash sweep: RunSensor
-// power-fails a live serve.Server mid-traffic — like servecrash.go —
-// but with the dirty budget derived from the fault-tolerant telemetry
-// chain (internal/sensor fused over two gauges) instead of a trusted
-// battery read, while seeded sensor-fault injectors corrupt the gauges
-// under fire: the voltage gauge suffers the full fault menu including
-// lying up to 50% high, the coulomb counter suffers dropouts.
+package crashsweep
+
+// sensorcrash.go is the lying-fuel-gauge mode of the live-traffic sweep:
+// RunSensor power-fails a live serve.Server mid-traffic with the dirty
+// budget derived from the fault-tolerant telemetry chain
+// (internal/sensor fused over two gauges) instead of a trusted battery
+// read, while seeded sensor-fault injectors corrupt the gauges under
+// fire: the voltage gauge suffers the full fault menu including lying up
+// to 50% high, the coulomb counter suffers dropouts.
 //
 // Each crashed run proves, against the battery model as ground truth:
 //
@@ -20,15 +22,13 @@
 //     bound (MTTD): rate-gate classes within a couple of samples of
 //     onset, dropouts within the staleness window plus slack;
 //  5. the recovered stack still answers every client's retry stream
-//     exactly once (the servecrash.go oracle, unchanged).
+//     exactly once (the shared oracle, unchanged).
 //
 // A stuck gauge is exempt from the MTTD audit here: the battery model
 // holds constant during serving, so a gauge frozen at the true value is
 // observationally honest — and harmless by the same argument.
-package crashsweep
 
 import (
-	"fmt"
 	"math"
 
 	"viyojit/internal/battery"
@@ -36,7 +36,6 @@ import (
 	"viyojit/internal/health"
 	"viyojit/internal/power"
 	"viyojit/internal/sensor"
-	"viyojit/internal/serve"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
@@ -45,62 +44,39 @@ import (
 type SensorSweepConfig struct {
 	// Serve is the underlying live-traffic sweep configuration.
 	Serve ServeConfig
-	// Interval is the telemetry/health sampling period; 0 selects 50 µs
-	// — well inside a manager epoch, so budget reactions land between
-	// cleans.
-	Interval sim.Duration
-	// Lie..Dropout are the voltage gauge's per-sample episode-start
-	// probabilities. All-zero selects the default menu (lie 0.03,
-	// spike 0.02, stuck 0.01, drift 0.01, dropout 0.01).
-	Lie, Stuck, Drift, Spike, Dropout float64
+	// Lie, Stuck and Drift are the voltage gauge's per-sample
+	// episode-start probabilities. All-zero selects the default menu,
+	// which also injects spikes and dropouts; setting any one replaces
+	// the whole menu.
+	Lie, Stuck, Drift float64
 	// LieMagnitude caps the lying gauge's fractional over-report;
 	// 0 selects 0.5 — a gauge reading up to 50% high.
 	LieMagnitude float64
-	// CoulombDropout is the coulomb counter's dropout probability;
-	// 0 selects 0.005. The coulomb gauge never lies in this sweep: the
-	// safety argument needs one estimator that is honest-or-silent, and
-	// the solo-margin bound covers the window where it is silent.
-	CoulombDropout float64
 }
 
-func (c SensorSweepConfig) withDefaults() SensorSweepConfig {
-	// A slow device by default: the budget formula reserves a fixed
-	// flush overhead off the top, and on a fast device that overhead
-	// dominates the energy term — a modest conservative dip in the
-	// fused estimate would then zero the budget outright instead of
-	// shrinking it. With the transfer term dominant, telemetry dips
-	// degrade the budget proportionally, which is the regime the sweep
-	// is studying.
-	if c.Serve.SSD == (ssd.Config{}) {
-		c.Serve.SSD.WriteBandwidth = 16 << 20
-	}
-	c.Serve = c.Serve.withDefaults()
-	if c.Interval == 0 {
-		c.Interval = 50 * sim.Microsecond
-	}
-	if c.Lie == 0 && c.Stuck == 0 && c.Drift == 0 && c.Spike == 0 && c.Dropout == 0 {
-		c.Lie, c.Spike, c.Stuck, c.Drift, c.Dropout = 0.03, 0.02, 0.01, 0.01, 0.01
-	}
-	if c.LieMagnitude == 0 {
-		c.LieMagnitude = 0.5
-	}
-	if c.CoulombDropout == 0 {
-		c.CoulombDropout = 0.005
-	}
-	return c
+const (
+	// gaugeInterval is the telemetry/health sampling period: well inside
+	// a manager epoch, so budget reactions land between cleans.
+	gaugeInterval = 50 * sim.Microsecond
+	// gaugeStaleAfter is the fused layer's staleness window.
+	gaugeStaleAfter = gaugeInterval * 5 / 2
+	// coulombDropout is the coulomb counter's dropout probability. The
+	// coulomb gauge never lies in this sweep: the safety argument needs
+	// one estimator that is honest-or-silent, and the solo-margin bound
+	// covers the window where it is silent.
+	coulombDropout = 0.005
+)
+
+// defaultGaugeMenu is the voltage gauge's fault menu when the config
+// names none.
+var defaultGaugeMenu = faultinject.SensorConfig{
+	LieProb: 0.03, SpikeProb: 0.02, StuckProb: 0.01, DriftProb: 0.01, DropoutProb: 0.01,
 }
 
-// SensorSweepResult summarises a lying-gauge sweep. Episode and
-// detection tallies are evidence the sweep exercised each fault class,
-// not just that nothing failed.
-type SensorSweepResult struct {
-	BaselineEvents uint64
-	Stride         uint64
-	CrashPoints    int
-	Completed      int
-	Violations     []Violation
-	// MaxDirtyAtCrash is the largest dirty set at any crash instant.
-	MaxDirtyAtCrash int
+// TelemetryEvidence is what the gauges add to a sweep's result. Episode
+// and detection tallies are evidence the sweep exercised each fault
+// class, not just that nothing failed.
+type TelemetryEvidence struct {
 	// Episodes counts injected fault episodes per class name across all
 	// runs; Detections counts fused-layer rejections per reason.
 	Episodes   map[string]int
@@ -122,41 +98,44 @@ type SensorSweepResult struct {
 	// sampling modes across runs.
 	SoloSamples  uint64
 	BlindSamples uint64
-	// AckedMutations and ClientRetries as in ServeResult.
-	AckedMutations uint64
-	ClientRetries  uint64
 }
 
-// sensorRun is a serve stack plus the telemetry chain under test.
-type sensorRun struct {
-	*serveRun
-	batt    *battery.Battery
-	fused   *sensor.Fused
-	mon     *health.Monitor
-	vInj    *faultinject.SensorInjector
-	cInj    *faultinject.SensorInjector
-	pm      power.Model
-	provCfg Config // the provisioning view flushEnergy/coverPages use
+// SensorSweepResult summarises a lying-gauge sweep.
+type SensorSweepResult struct {
+	ServeResult
+	TelemetryEvidence
 }
 
-// buildSensor wires battery, gauges, fused sensor, and health monitor
-// over a fresh serve stack. The battery is provisioned so that the
-// monitor's budget derivation — BandwidthDerating applied to the same
-// flush-overhead model the crash audit uses — lands back on the serve
-// config's BudgetPages when the telemetry is honest: the sweep then
-// watches the budget dip below that exactly when the fusion turns
-// conservative.
+// telemetry is the chain under test riding on one pre-crash stack. A
+// nil *telemetry is a run without gauges: every method is a no-op.
+type telemetry struct {
+	batt     *battery.Battery
+	fused    *sensor.Fused
+	mon      *health.Monitor
+	vInj     *faultinject.SensorInjector
+	cInj     *faultinject.SensorInjector
+	overhead sim.Duration // the provisioning view flushEnergy/coverPages use
+}
+
+// attachTelemetry wires battery, gauges, fused sensor, and health
+// monitor over a freshly assembled stack (nil if the mode has no
+// gauges). The battery is provisioned so that the monitor's budget
+// derivation — BandwidthDerating applied to the same flush-overhead
+// model the crash audit uses — lands back on the serving budget when the
+// telemetry is honest: the sweep then watches the budget dip below that
+// exactly when the fusion turns conservative.
 //
-// run salts the injector streams: each armed run explores its own
-// fault schedule (runs crash early, so an unsalted schedule would make
-// every run replay the same first few episodes). Still deterministic —
-// a pure function of (config seed, run index).
-func buildSensor(cfg SensorSweepConfig, run uint64) (*sensorRun, error) {
-	base, err := buildServe(cfg.Serve)
-	if err != nil {
-		return nil, err
+// salt is the run index and salts the injector streams: each armed run
+// explores its own fault schedule (runs crash early, so an unsalted
+// schedule would make every run replay the same first few episodes).
+// Still deterministic — a pure function of (config seed, run index).
+func attachTelemetry(st *serveRun, salt uint64) (*telemetry, error) {
+	cfg := st.mode.gauges
+	if cfg == nil {
+		return nil, nil
 	}
-	st := &sensorRun{serveRun: base, pm: power.Default()}
+	pm, dram := power.Default(), st.region.Size()
+	t := &telemetry{overhead: flushOverhead(st.dev, 0)}
 	const bandwidthDerating = 0.8 // the health.Config default
 	// 2x provisioning headroom: the fixed flush-overhead reserve comes
 	// off the top of the energy term, so without headroom a deep-but-
@@ -167,71 +146,101 @@ func buildSensor(cfg SensorSweepConfig, run uint64) (*sensorRun, error) {
 	// any single episode the injectors generate. The crash audit stays
 	// exact either way: dirty is checked against what TRUE energy can
 	// flush, headroom included.
-	provisionPages := 2 * int(math.Ceil(float64(cfg.Serve.BudgetPages)/bandwidthDerating))
-	st.provCfg = Config{BudgetPages: provisionPages}
-	st.batt = battery.MustNew(battery.Config{
-		CapacityJoules:   flushEnergy(st.provCfg, st.dev, st.pm, st.region.Size()),
+	provisionPages := 2 * int(math.Ceil(serveBudgetPages/bandwidthDerating))
+	t.batt = battery.MustNew(battery.Config{
+		CapacityJoules:   flushEnergy(provisionPages, t.overhead, st.dev, pm, dram),
 		DepthOfDischarge: 1,
 		Derating:         1,
 	})
-	st.fused, err = sensor.New(sensor.Config{
+	var err error
+	t.fused, err = sensor.New(sensor.Config{
 		// The physical ceiling on how fast the pack can actually drain:
 		// full flush draw. Held and blind estimates decay at this rate.
-		MaxDischargeWatts: st.pm.FlushWatts(st.region.Size()),
-		StaleAfter:        cfg.Interval * 5 / 2,
+		MaxDischargeWatts: pm.FlushWatts(dram),
+		StaleAfter:        gaugeStaleAfter,
 		MaxDetections:     1 << 16, // the MTTD audit needs every rejection
-	}, st.batt.NameplateJoules,
-		sensor.NewCoulombCounter("coulomb", st.batt.EffectiveJoules),
-		sensor.NewVoltageSoC("voltage", st.batt.EffectiveJoules, 0))
+	}, t.batt.NameplateJoules,
+		sensor.NewCoulombCounter("coulomb", t.batt.EffectiveJoules),
+		sensor.NewVoltageSoC("voltage", t.batt.EffectiveJoules, 0))
 	if err != nil {
 		return nil, err
 	}
 	// One honest baseline sample before the injectors attach — the
 	// facade does the same at New — so every estimator has an accepted
 	// anchor and a lie-from-the-first-tick is a rise, not a baseline.
-	st.fused.Sample(st.clock.Now())
-	salt := run * 0x9E3779B97F4A7C15
-	st.cInj = faultinject.NewSensorInjector(faultinject.SensorConfig{
+	t.fused.Sample(st.clock.Now())
+	salt *= 0x9E3779B97F4A7C15
+	t.cInj = faultinject.NewSensorInjector(faultinject.SensorConfig{
 		Seed:        cfg.Serve.Seed ^ 0xC001_0111 ^ salt,
-		DropoutProb: cfg.CoulombDropout,
+		DropoutProb: coulombDropout,
 	})
-	st.vInj = faultinject.NewSensorInjector(faultinject.SensorConfig{
-		Seed:         cfg.Serve.Seed ^ 0x7017_A6E5 ^ salt,
-		StuckProb:    cfg.Stuck,
-		DriftProb:    cfg.Drift,
-		SpikeProb:    cfg.Spike,
-		DropoutProb:  cfg.Dropout,
-		LieProb:      cfg.Lie,
-		LieMagnitude: cfg.LieMagnitude,
-	})
-	st.fused.Estimator(0).SetCorruptor(st.cInj)
-	st.fused.Estimator(1).SetCorruptor(st.vInj)
-	st.mon, err = health.NewMonitor(st.events, st.clock, st.batt, st.mgr, st.pm, health.Config{
-		Interval: cfg.Interval,
+	menu := defaultGaugeMenu
+	if cfg.Lie != 0 || cfg.Stuck != 0 || cfg.Drift != 0 {
+		menu = faultinject.SensorConfig{LieProb: cfg.Lie, StuckProb: cfg.Stuck, DriftProb: cfg.Drift}
+	}
+	menu.Seed = cfg.Serve.Seed ^ 0x7017_A6E5 ^ salt
+	menu.LieMagnitude = cfg.LieMagnitude
+	if menu.LieMagnitude == 0 {
+		menu.LieMagnitude = 0.5
+	}
+	t.vInj = faultinject.NewSensorInjector(menu)
+	t.fused.Estimator(0).SetCorruptor(t.cInj)
+	t.fused.Estimator(1).SetCorruptor(t.vInj)
+	t.mon, err = health.NewMonitor(st.events, st.clock, t.batt, st.mgr, pm, health.Config{
+		Interval: gaugeInterval,
 		// Align the monitor's joules→pages conversion with the crash
 		// audit's flush-energy model, so the derived budget is by
 		// construction BandwidthDerating × what true energy can flush.
-		FlushOverhead: flushOverhead(st.provCfg, st.dev),
-		Energy:        st.fused,
+		FlushOverhead: t.overhead,
+		Energy:        t.fused,
 		// Every sample of the run feeds the every-instant audit.
 		MaxSnapshots: 1 << 17,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return st, nil
+	return t, nil
+}
+
+// close stops the monitor's sampling (idempotent).
+func (t *telemetry) close() {
+	if t != nil {
+		t.mon.Close()
+	}
+}
+
+// flushJoules is the hard bound at the crash instant beyond the
+// manager's effective budget: dirty within what the TRUE remaining
+// energy can flush — the guarantee the whole telemetry chain exists to
+// preserve against a gauge lying high. It returns that energy: the
+// flush runs on the PHYSICAL battery, the lying gauge has no say there.
+// Without gauges the provisioned figure stands.
+func (t *telemetry) flushJoules(st *serveRun, provisioned float64, fail failFunc) float64 {
+	if t == nil {
+		return provisioned
+	}
+	trueJ := t.batt.EffectiveJoules()
+	dirty := st.mgr.DirtyCount()
+	if cover := coverPages(t.overhead, st.dev, power.Default(), st.region.Size(), trueJ); dirty > cover {
+		fail("dirty %d exceeds the %d pages true energy %.4f J can flush", dirty, cover, trueJ)
+	}
+	return trueJ
 }
 
 const fusedEps = 1 + 1e-9
 
-// auditTelemetry checks the conservatism invariants over the whole
-// recorded run and returns per-run tallies into res.
-func auditTelemetry(st *sensorRun, res *SensorSweepResult, fail func(string, ...any)) {
-	trueJ := st.batt.EffectiveJoules()
-	if fused := st.fused.EffectiveJoules(); fused > trueJ*fusedEps {
+// audit checks one armed run, crashed or not: the conservatism
+// invariants over the whole recorded trail, then each gauge's episodes
+// against their MTTD bounds; the run's tallies are added to res.
+func (t *telemetry) audit(res *TelemetryEvidence, fail failFunc) {
+	if t == nil {
+		return
+	}
+	trueJ := t.batt.EffectiveJoules()
+	if fused := t.fused.EffectiveJoules(); fused > trueJ*fusedEps {
 		fail("fused %v over-reports true %v at crash instant", fused, trueJ)
 	}
-	for _, s := range st.mon.Snapshots() {
+	for _, s := range t.mon.Snapshots() {
 		if s.EffectiveJoules > s.TrueJoules*fusedEps {
 			fail("sample at %v: fused %v over-reports true %v", s.At, s.EffectiveJoules, s.TrueJoules)
 		}
@@ -245,16 +254,18 @@ func auditTelemetry(st *sensorRun, res *SensorSweepResult, fail func(string, ...
 			}
 		}
 	}
-	hs := st.mon.Stats()
+	hs := t.mon.Stats()
 	res.EmergencyEnters += hs.EmergencyEnters
 	res.Retunes += hs.Retunes
-	fs := st.fused.Stats()
+	fs := t.fused.Stats()
 	res.SoloSamples += fs.SoloSamples
 	res.BlindSamples += fs.BlindSamples
 	res.Detections[string(sensor.DetectBounds)] += int(fs.BoundsRejects)
 	res.Detections[string(sensor.DetectRate)] += int(fs.RateRejects)
 	res.Detections[string(sensor.DetectStale)] += int(fs.StaleDropouts)
 	res.Detections[string(sensor.DetectDisagree)] += int(fs.Disagreements)
+	t.auditMTTD("voltage", t.vInj, res, fail)
+	t.auditMTTD("coulomb", t.cInj, res, fail)
 }
 
 // auditMTTD verifies every audited episode produced a detection for its
@@ -267,15 +278,15 @@ func auditTelemetry(st *sensorRun, res *SensorSweepResult, fail func(string, ...
 //	dropout:   silent by design for the staleness grace; the watchdog
 //	           must fire by Start+StaleAfter+3I.
 //	stuck:     exempt — truth is constant during serving, so a frozen
-//	           gauge reads correctly (see the package comment).
+//	           gauge reads correctly (see the file comment).
 //
 // Episodes whose deadline lies beyond the last sample the run got to
 // take (the crash preempted detection) are skipped, as are lies and
 // spikes with sub-float-noise magnitudes.
-func auditMTTD(name string, inj *faultinject.SensorInjector, st *sensorRun,
-	interval, staleAfter sim.Duration, res *SensorSweepResult, fail func(string, ...any)) {
-	dets := st.fused.Detections()
-	lastSample := st.fused.LastSampleAt()
+func (t *telemetry) auditMTTD(name string, inj *faultinject.SensorInjector, res *TelemetryEvidence, fail failFunc) {
+	const interval, staleAfter = gaugeInterval, gaugeStaleAfter
+	dets := t.fused.Detections()
+	lastSample := t.fused.LastSampleAt()
 	firstDetAfter := func(start sim.Time) (sim.Time, bool) {
 		for _, d := range dets {
 			if d.Estimator == name && d.At >= start {
@@ -320,181 +331,22 @@ func auditMTTD(name string, inj *faultinject.SensorInjector, st *sensorRun,
 	}
 }
 
-// runSensorPoint executes one armed run of the lying-gauge sweep:
-// serve under gauge faults, crash (or complete), audit the telemetry
-// trail, flush on TRUE energy, recover, replay, verify.
-func runSensorPoint(cfg SensorSweepConfig, run, step uint64, keys [][]byte, res *SensorSweepResult) error {
-	st, err := buildSensor(cfg, run)
-	if err != nil {
-		return err
-	}
-	crasher := faultinject.NewCrasher(st.events)
-	crasher.ArmAt(step)
-	if err := st.srv.Start(); err != nil {
-		return err
-	}
-	var logs []*clientLog
-	crasher.Run(func() {
-		logs = driveClients(cfg.Serve, st.srv, keys)
-		st.srv.Stop()
-		if _, crashed := crasher.Crashed(); !crashed {
-			st.mon.Close()
-			st.mgr.FlushAll()
-		}
-	})
-	cp, crashed := crasher.Crashed()
-	crasher.Disarm()
-	st.mon.Close()
-
-	var out []Violation
-	fail := func(format string, args ...any) {
-		out = append(out, Violation{Step: cp.Step, Msg: fmt.Sprintf(format, args...)})
-	}
-	for _, lg := range logs {
-		if lg.err != nil {
-			fail("client error: %v", lg.err)
-		}
-		res.AckedMutations += uint64(len(lg.acked))
-		res.ClientRetries += lg.retries
-	}
-
-	staleAfter := cfg.Interval * 5 / 2
-	auditTelemetry(st, res, fail)
-	auditMTTD("voltage", st.vInj, st, cfg.Interval, staleAfter, res, fail)
-	auditMTTD("coulomb", st.cInj, st, cfg.Interval, staleAfter, res, fail)
-
-	if !crashed {
-		for _, lg := range logs {
-			if lg.inDoubt != nil {
-				fail("clean run left client %d seq %d unacknowledged", lg.id, lg.inDoubt.seq)
-			}
-		}
-		if err := st.mgr.VerifyDurability(); err != nil {
-			fail("clean-run durability: %v", err)
-		}
-		checkOracle(st.store, keys, oracleExpect(logs, nil), fail)
-		st.mgr.Close()
-		res.Completed++
-		res.Violations = append(res.Violations, out...)
-		return nil
-	}
-	res.CrashPoints++
-
-	// The hard bounds at the crash instant: the manager's effective
-	// budget AND what the true remaining energy can flush — the latter
-	// is the guarantee the whole telemetry chain exists to preserve
-	// against a gauge lying high.
-	trueJ := st.batt.EffectiveJoules()
-	dirty := st.mgr.DirtyCount()
-	if dirty > res.MaxDirtyAtCrash {
-		res.MaxDirtyAtCrash = dirty
-	}
-	if budget := st.mgr.EffectiveDirtyBudget(); dirty > budget {
-		fail("dirty %d exceeds effective budget %d at crash", dirty, budget)
-	}
-	if cover := coverPages(st.provCfg, st.dev, st.pm, st.region.Size(), trueJ); dirty > cover {
-		fail("dirty %d exceeds the %d pages true energy %.4f J can flush", dirty, cover, trueJ)
-	}
-
-	// Flush on the PHYSICAL battery — the lying gauge has no say here.
-	report := st.mgr.PowerFail(st.pm, trueJ)
-	if !report.Survived {
-		fail("flush of %d pages used %.4f J of %.4f J true energy",
-			report.DirtyAtFailure, report.EnergyUsedJoules, report.EnergyAvailableJoules)
-	}
-	if err := st.mgr.VerifyDurability(); err != nil {
-		fail("durability: %v", err)
-	}
-
-	// The recovered stack serves the retry streams exactly once — the
-	// servecrash.go protocol, unchanged by the telemetry layer.
-	rec, err := recoverServe(cfg.Serve, st.serveRun)
-	if err != nil {
-		fail("recovery: %v", err)
-		res.Violations = append(res.Violations, out...)
-		return nil
-	}
-	redone, err := serve.ReplayPending(rec.store, rec.journal)
-	if err != nil {
-		fail("recovery redo: %v", err)
-	}
-	if redone > 1 {
-		fail("recovery found %d in-flight intents; a serial server can leave at most one", redone)
-	}
-	tally, err := replayRetryStreams(rec, logs, keys, fail)
-	if err != nil {
-		return err
-	}
-	checkOracle(rec.store, keys, oracleExpect(logs, tally.replayed), fail)
-	rec.mgr.Close()
-	res.Violations = append(res.Violations, out...)
-	return nil
-}
-
-// RunSensor executes the lying-gauge live-traffic sweep: one un-crashed
-// calibration run (telemetry attached, so monitor ticks are part of the
-// step space) sizes the lattice, then fresh runs crash at swept steps
-// until MaxCrashPoints runs have actually power-failed.
+// RunSensor executes the lying-gauge live-traffic sweep. The calibration
+// run has the telemetry attached, so monitor ticks are part of the step
+// space.
 func RunSensor(cfg SensorSweepConfig) (SensorSweepResult, error) {
-	cfg = cfg.withDefaults()
-	res := SensorSweepResult{
-		Episodes:         make(map[string]int),
-		Detections:       make(map[string]int),
-		MaxMTTD:          make(map[string]sim.Duration),
-		MinFusedFraction: 1,
-	}
-	keys := makeKeys(cfg.Serve.Keys)
-
-	base, err := buildSensor(cfg, 0)
-	if err != nil {
-		return res, err
-	}
-	if err := base.srv.Start(); err != nil {
-		return res, err
-	}
-	logs := driveClients(cfg.Serve, base.srv, keys)
-	base.srv.Stop()
-	base.mon.Close()
-	res.BaselineEvents = base.events.Fired()
-	for _, lg := range logs {
-		if lg.err != nil {
-			return res, fmt.Errorf("crashsweep: sensor baseline client: %w", lg.err)
-		}
-		if lg.inDoubt != nil {
-			return res, fmt.Errorf("crashsweep: sensor baseline left client %d seq %d unacked", lg.id, lg.inDoubt.seq)
-		}
-	}
-	base.mgr.FlushAll()
-	if n := base.mgr.DirtyCount(); n != 0 {
-		return res, fmt.Errorf("crashsweep: sensor baseline left %d dirty pages after flush", n)
-	}
-	base.mgr.Close()
-	if res.BaselineEvents == 0 {
-		return res, fmt.Errorf("crashsweep: sensor baseline fired no events")
-	}
-
-	stride := cfg.Serve.Stride
-	if stride == 0 {
-		stride = res.BaselineEvents / uint64(cfg.Serve.MaxCrashPoints)
-		if stride == 0 {
-			stride = 1
-		}
-	}
-	res.Stride = stride
-
-	maxAttempts := 4 * cfg.Serve.MaxCrashPoints
-	for i := 1; res.CrashPoints < cfg.Serve.MaxCrashPoints && i <= maxAttempts; i++ {
-		step := uint64(i) * stride
-		if step > res.BaselineEvents {
-			pass := step / res.BaselineEvents
-			step = step%res.BaselineEvents + pass
-			if step == 0 {
-				step = 1
-			}
-		}
-		if err := runSensorPoint(cfg, uint64(i), step, keys, &res); err != nil {
-			return res, fmt.Errorf("crashsweep: sensor run armed at step %d: %w", step, err)
-		}
-	}
-	return res, nil
+	sw := newSweep(mode{
+		ServeConfig: cfg.Serve,
+		// A slow device: the budget formula reserves a fixed flush
+		// overhead off the top, and on a fast device that overhead
+		// dominates the energy term — a modest conservative dip in the
+		// fused estimate would then zero the budget outright instead of
+		// shrinking it. With the transfer term dominant, telemetry dips
+		// degrade the budget proportionally, which is the regime the sweep
+		// is studying.
+		ssd:    ssd.Config{WriteBandwidth: 16 << 20},
+		gauges: &cfg,
+	})
+	err := sw.run()
+	return SensorSweepResult{ServeResult: sw.res, TelemetryEvidence: sw.gauge}, err
 }

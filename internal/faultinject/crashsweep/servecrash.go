@@ -1,8 +1,8 @@
-// servecrash.go is the live-traffic crash sweep: where crashsweep.go
-// power-fails a single-goroutine workload, RunServe power-fails a real
-// serve.Server mid-flight while concurrent RetryingClients drive a
-// YCSB-A-style mix through the exactly-once intent-journal protocol, and
-// then proves end-to-end that
+package crashsweep
+
+// servecrash.go is the live-traffic crash sweep — the one path RunServe,
+// RunNested, RunSensor and RunBlackBox configure (the package comment
+// has the loop and what each mode adds). At every crash point it proves
 //
 //  1. dirty ≤ effective budget at the crash instant — with the intent
 //     journal's pages inside the bound, since the journal lives in an
@@ -19,13 +19,6 @@
 //  4. the journal Open rebuilds exactly the table a read-only walk of
 //     the committed record prefix implies (intent.RebuildTable).
 //
-// Unlike the single-goroutine sweeps, a serve run is NOT bit-replayable
-// from its seed: the event step a crash lands on is deterministic, but
-// which client's request occupies that step depends on goroutine
-// scheduling. Every invariant above is therefore checked against the
-// run's own acknowledgement log — an oracle the sweep builds as the run
-// happens — rather than against a re-executed shadow run.
-//
 // Crash containment is split: a power failure firing inside the dispatch
 // loop is recovered by serve.Config.RecoverCrash (clients observe
 // ErrPowerFailure); one firing during the post-Stop drain on the sweep
@@ -40,10 +33,8 @@
 // page-atomic write) and the replay allocates a fresh entry. Every other
 // acknowledged mutation finished before the crash and is covered by page
 // durability alone.
-package crashsweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -72,56 +63,13 @@ import (
 // client retries under crash fire.
 type ServeConfig struct {
 	// Seed drives key selection, value mixing, and backoff jitter. Crash
-	// *points* replay from it; goroutine interleavings do not (see the
-	// package comment on servecrash.go).
+	// *points* replay from it; with more than one client, goroutine
+	// interleavings do not (see the package comment).
 	Seed uint64
 	// Clients is the number of concurrent RetryingClients; 0 selects 10.
 	Clients int
 	// OpsPerClient is each client's operation count; 0 selects 40.
 	OpsPerClient int
-	// Keys is the key-space size; 0 selects 48.
-	Keys int
-	// ReadFraction is the read share of each client's mix; 0 selects 0.5
-	// (YCSB-A). Reads flow outside the idempotence protocol.
-	ReadFraction float64
-	// ZipfTheta is the key-popularity skew; 0 selects 0.99.
-	ZipfTheta float64
-	// HeapPages sizes the store mapping; 0 selects 64.
-	HeapPages int
-	// JournalPages sizes the intent-journal mapping; 0 selects 16.
-	JournalPages int
-	// BudgetPages is the dirty budget; 0 selects 8 — tight enough that
-	// journal appends and store writes force synchronous cleans under
-	// load. Note the budget alone barely opens the
-	// intent-begun-but-not-completed window to the Crasher: forced
-	// cleans on the fault path are synchronous and fire no queue
-	// events; only a fault on a page whose asynchronous clean is still
-	// in flight steps the queue mid-op, and whether that ever happens
-	// is seed- and layout-dependent. Set CommitMarkers to open the
-	// window deterministically.
-	BudgetPages int
-	// CommitMarkers plants serve-side crash points inside each
-	// idempotent op's Begin→Complete critical section
-	// (serve.Config.CrashPoints): one queue-event strike instant after
-	// the intent record is durable and one after the mutation applies.
-	// Without them, whether any crash strands an in-flight intent for
-	// recovery's redo phase is left to the incidental
-	// in-flight-clean-wait path. The nested sweep sets this; the plain
-	// sweep's historical lattice leaves it off.
-	CommitMarkers bool
-	// Window is the journal's per-client dedup window; 0 selects the
-	// journal default.
-	Window int
-	// CursorPages sizes the persistent recovery-cursor mapping; 0 maps
-	// no cursor (the plain single-crash sweep). The nested sweep sets 1.
-	CursorPages int
-	// BlackBoxPages sizes the flight-recorder ring mapping; 0 runs
-	// without a recorder. When set, every run carries a budget-accounted
-	// black-box ring, the obs registry tees into it, and every crash
-	// additionally audits the recovered forensic report against the
-	// crash-instant oracle (see blackboxcrash.go). The blackbox sweep
-	// sets 2.
-	BlackBoxPages int
 	// MaxCrashPoints is the number of crash points to inject; 0 selects
 	// 200. The sweep re-wraps the step space (same steps, different
 	// interleavings) until it has actually crashed that many runs.
@@ -129,10 +77,6 @@ type ServeConfig struct {
 	// Stride crashes at every Stride-th event step; 0 derives one from
 	// the baseline run.
 	Stride uint64
-	// SSD overrides the backing-device configuration.
-	SSD ssd.Config
-	// Epoch overrides the manager's scan period (0 = 1 ms).
-	Epoch sim.Duration
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
@@ -142,49 +86,67 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 40
 	}
-	if c.Keys == 0 {
-		c.Keys = 48
-	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.5
-	}
-	if c.ZipfTheta == 0 {
-		c.ZipfTheta = dist.ZipfianConstant
-	}
-	if c.HeapPages == 0 {
-		c.HeapPages = 64
-	}
-	if c.JournalPages == 0 {
-		c.JournalPages = 16
-	}
-	if c.BudgetPages == 0 {
-		c.BudgetPages = 8
-	}
 	if c.MaxCrashPoints == 0 {
 		c.MaxCrashPoints = 200
 	}
 	return c
 }
 
-// ServeResult summarises a live-traffic sweep. The evidence counters
-// exist so acceptance tests can prove the sweep exercised each recovery
-// path, not just that nothing failed.
+// The serving stack's shape: constants, since no caller ever varied them
+// and every pinned number of these sweeps depends on them. The mix is
+// YCSB-A (reads flow outside the idempotence protocol); the journal's
+// dedup window and the manager's epoch are their packages' defaults.
+const (
+	serveKeys         = 48 // key-space size
+	serveReadFraction = 0.5
+	serveHeapPages    = 64 // the store mapping
+	journalPages      = 16 // the intent-journal mapping
+	// serveBudgetPages is the dirty budget: tight enough that journal
+	// appends and store writes force synchronous cleans under load. Note
+	// the budget alone barely opens the intent-begun-but-not-completed
+	// window to the Crasher: forced cleans on the fault path are
+	// synchronous and fire no queue events; only a fault on a page whose
+	// asynchronous clean is still in flight steps the queue mid-op, and
+	// whether that ever happens is seed- and layout-dependent.
+	// mode.commitMarkers opens the window deterministically.
+	serveBudgetPages = 8
+)
+
+// mode is what tells the four live-traffic sweeps apart: data on the one
+// path, not forks of it. The zero mode is RunServe's.
+type mode struct {
+	ServeConfig
+	ssd ssd.Config // the backing device; zero = defaults
+	// commitMarkers plants serve-side crash points inside each idempotent
+	// op's Begin→Complete critical section (serve.Config.CrashPoints): one
+	// queue-event strike instant after the intent record is durable and
+	// one after the mutation applies. Without them, whether any crash
+	// strands an in-flight intent for recovery's redo phase is left to
+	// the incidental in-flight-clean-wait path. The nested sweep sets
+	// this; the plain sweep's historical lattice leaves it off.
+	commitMarkers bool
+	// cursorPages sizes the persistent recovery-cursor mapping; 0 maps no
+	// cursor (every single-crash mode). The nested sweep sets 1.
+	cursorPages int
+	// bbPages sizes the flight-recorder ring mapping; 0 runs without a
+	// recorder and its audits (blackboxcrash.go). The blackbox sweep sets 2.
+	bbPages int
+	// recrashDepth, budgetScale and recoveryObs are NestedConfig's: depth
+	// 0 recovers once, unarmed, on the full budget (0 scale = 1).
+	recrashDepth int
+	budgetScale  float64
+	recoveryObs  *obs.Registry
+	// gauges, when set, puts every pre-crash stack under the lying-gauge
+	// telemetry chain (sensorcrash.go).
+	gauges *SensorSweepConfig
+}
+
+// ServeResult is the evidence every live-traffic sweep reports; the
+// nested and sensor results embed it. The counters exist so acceptance
+// tests can prove the sweep exercised each recovery path, not just that
+// nothing failed.
 type ServeResult struct {
-	// BaselineEvents is the event count of the un-crashed calibration
-	// run; Stride is the derived crash-point spacing over it.
-	BaselineEvents uint64
-	Stride         uint64
-	// CrashPoints counts runs that actually power-failed mid-traffic;
-	// Completed counts armed runs whose step was never reached (those
-	// verified a clean shutdown instead).
-	CrashPoints int
-	Completed   int
-	// Violations lists every broken invariant; empty means exactly-once
-	// held at every crash point.
-	Violations []Violation
-	// MaxDirtyAtCrash is the largest dirty set seen at any crash instant
-	// (≤ budget unless a violation was recorded).
-	MaxDirtyAtCrash int
+	Swept
 	// JournalDirtyCrashes counts crash instants at which at least one
 	// intent-journal page was dirty — direct evidence the journal's
 	// pages ride inside the audited budget rather than beside it.
@@ -199,8 +161,9 @@ type ServeResult struct {
 	// recovered server; the journal answers each retry from the result
 	// cache (Deduped) or, if the op never reached the journal, executes
 	// it freshly (Fresh). ReplayRedone counts intents the recovery-time
-	// serve.ReplayPending pass resolved from their journaled redo images
-	// — those ops' retries then dedup like any completed op.
+	// redo pass of the stack that finally served resolved from their
+	// journaled redo images — those ops' retries then dedup like any
+	// completed op.
 	InDoubtReplayed int
 	ReplayDeduped   int
 	ReplayRedone    int
@@ -211,6 +174,9 @@ type ServeResult struct {
 	// TornOpens counts recovered journals whose active half ended in a
 	// torn record — the crash-mid-append signature, detected and dropped.
 	TornOpens int
+	// TableCompares counts crashed runs whose recovered journal's dedup
+	// table was compared against the read-only record walk.
+	TableCompares int
 	// JournalBytes is the journal record traffic across crashed runs;
 	// MutationBytes is the acked mutations' key+value payload — the
 	// write-amplification ratio EXPERIMENTS.md reports.
@@ -219,7 +185,7 @@ type ServeResult struct {
 	// RecorderDirtyCrashes counts crash instants at which at least one
 	// flight-recorder ring page was dirty — direct evidence the ring
 	// rides inside the audited dirty budget rather than beside it.
-	// Zero unless BlackBoxPages > 0.
+	// Zero unless the run carries a recorder.
 	RecorderDirtyCrashes int
 	// ForensicExact counts crashed runs whose recovered forensic report
 	// named the crash-instant dirty level, effective budget, and ladder
@@ -234,24 +200,370 @@ type ServeResult struct {
 	RecorderDrops   uint64
 }
 
-// serveRun is one freshly built serving stack.
+// sweep is one live-traffic sweep in progress: its mode, and every
+// mode's evidence accumulating side by side (cascade evidence stays zero
+// at depth 0, telemetry evidence without gauges).
+type sweep struct {
+	mode
+	keys     [][]byte
+	innerRNG *sim.RNG // draws the in-recovery crash steps
+
+	res     ServeResult
+	cascade CascadeEvidence
+	gauge   TelemetryEvidence
+}
+
+func newSweep(m mode) *sweep {
+	m.ServeConfig = m.ServeConfig.withDefaults()
+	sw := &sweep{mode: m, keys: makeKeys(serveKeys), innerRNG: sim.NewRNG(m.Seed ^ 0x4E5E57ED)}
+	if sw.budgetScale == 0 {
+		sw.budgetScale = 1
+	}
+	sw.cascade = CascadeEvidence{
+		RecoveryBudget: max(int(sw.budgetScale*serveBudgetPages), 1),
+		InnerByPhase:   make(map[string]int),
+	}
+	sw.gauge = TelemetryEvidence{
+		Episodes:         make(map[string]int),
+		Detections:       make(map[string]int),
+		MaxMTTD:          make(map[string]sim.Duration),
+		MinFusedFraction: 1,
+	}
+	return sw
+}
+
+// run executes the sweep: one un-crashed calibration run sizes the step
+// space, then fresh serving runs crash at swept steps. The step lattice
+// wraps until MaxCrashPoints runs have actually crashed — revisiting a
+// step is productive here, since each run's goroutine interleaving is
+// its own.
+func (sw *sweep) run() error {
+	_, base, err := sw.baseline()
+	if err != nil {
+		return err
+	}
+	sw.res.BaselineEvents = base.BaselineEvents
+	stride, at := lattice(base.BaselineEvents, sw.Stride, sw.MaxCrashPoints)
+	sw.res.Stride = stride
+
+	// Safety bound: completed (never-crashed) runs consume an attempt
+	// without advancing CrashPoints, so cap total attempts.
+	for i := 1; sw.res.CrashPoints < sw.MaxCrashPoints && i <= 4*sw.MaxCrashPoints; i++ {
+		step, _ := at(i)
+		if err := sw.point(i, step); err != nil {
+			return fmt.Errorf("crashsweep: serve run armed at step %d: %w", step, err)
+		}
+	}
+	return nil
+}
+
+// RunServe executes the plain live-traffic sweep: every recovery runs
+// once, unarmed, on the full budget.
+func RunServe(cfg ServeConfig) (ServeResult, error) {
+	sw := newSweep(mode{ServeConfig: cfg})
+	err := sw.run()
+	return sw.res, err
+}
+
+// serveRun is one serving stack — freshly formatted, or rebooted from a
+// surviving SSD — and what happened to it.
 type serveRun struct {
-	cfg     ServeConfig
+	mode    *mode
+	budget  int // the dirty budget the manager comes up on
 	clock   *sim.Clock
 	events  *sim.Queue
 	region  *nvdram.Region
 	dev     *ssd.SSD
 	mgr     *core.Manager
-	heapM   *core.Mapping
 	jM      *core.Mapping
-	curM    *core.Mapping    // nil unless CursorPages > 0
-	cursor  *recovery.Cursor // nil unless CursorPages > 0
+	curM    *core.Mapping    // nil unless cursorPages > 0
+	cursor  *recovery.Cursor // nil unless cursorPages > 0
 	store   *kvstore.Store
 	journal *intent.Journal
 	srv     *serve.Server
-	reg     *obs.Registry      // nil unless BlackBoxPages > 0
-	bbM     *core.Mapping      // nil unless BlackBoxPages > 0
-	rec     *blackbox.Recorder // nil unless BlackBoxPages > 0
+	reg     *obs.Registry      // nil unless bbPages > 0
+	bbM     *core.Mapping      // nil unless bbPages > 0
+	rec     *blackbox.Recorder // nil unless bbPages > 0
+	tele    *telemetry         // nil unless the mode has gauges
+
+	// What serving it came to: the clients' logs, where the armed crash
+	// fired if it did, and for a clean shutdown the events fired while
+	// traffic ran and the clock when the final flush ended.
+	logs    []*clientLog
+	crash   faultinject.CrashPoint
+	crashed bool
+	served  uint64
+	ended   sim.Time
+
+	boot reboot // zero for a freshly formatted stack
+}
+
+// reboot is one recovery attempt's state: what it was told, and what a
+// cascaded crash that unwinds it half-way leaves for the audits.
+type reboot struct {
+	// marks turns mark on: off at depth 0, where no Crasher is ever armed
+	// on a recovery.
+	marks bool
+	reg   *obs.Registry  // receives the cursor and redo instruments
+	phase recovery.Phase // the live phase at the crash instant
+	// startRec and pending snapshot the redo workload the instant the
+	// journal reopens: startRec is the cursor's durably-recorded redo
+	// count entering this attempt, pending what the journal still holds
+	// in flight. startRec+pending bounds the incarnation's total redo
+	// work from below even when a cascaded crash later discards replay —
+	// the sweep's redo accounting survives crashed attempts by taking
+	// the max across them.
+	startRec uint64
+	pending  int
+	replay   serve.ReplayStats
+	compared bool // the rebuilt dedup table was checked against the walk
+}
+
+func (sw *sweep) newRun(budget int) *serveRun {
+	return &serveRun{mode: &sw.mode, budget: budget, clock: sim.NewClock(), events: sim.NewQueue()}
+}
+
+// mark schedules and fires a no-op event: a crash point. Restore and
+// table-rebuild phases do no event-queue work of their own, so a
+// recovery that may be re-crashed plants one marker per unit of work to
+// give the Crasher somewhere to strike.
+func (st *serveRun) mark() {
+	if !st.boot.marks {
+		return
+	}
+	st.events.Schedule(st.clock.Now(), func(sim.Time) {})
+	st.events.RunUntil(st.clock, st.clock.Now())
+}
+
+// assemble builds st's stack on its clock and queue: formatted fresh
+// when src == nil, otherwise rebooted from src, the SSD that survived. It
+// is the one place these sweeps wire a manager (the site to swap for
+// viyojit.New), and it fills st in as it goes, so a cascaded crash that
+// unwinds a reboot leaves whatever was built so far.
+//
+// Mapping order is the recovery contract: a reboot re-Maps the same
+// names and sizes in the same order, and the first-fit allocator hands
+// back the same extents. The black box maps FIRST so its ring sits at
+// the same offset every boot.
+//
+// A reboot is the head of the restartable pipeline that resolve ends:
+//
+//	seed durable set → restore region (volatile, re-run every attempt)
+//	→ open persistent cursor, BeginRecovery(recovery budget)
+//	→ reopen heap/store/journal (WAL replay: rebuild volatile tables)
+//
+// A mode without a cursor or markers skips those steps.
+func (st *serveRun) assemble(src *ssd.SSD) error {
+	m, clock, events := st.mode, st.clock, st.events
+	fresh := src == nil
+	regionPages := serveHeapPages + journalPages + m.cursorPages + m.bbPages
+	var err error
+	st.region, err = nvdram.New(clock, nvdram.Config{Size: int64(regionPages) * pageSize})
+	if err != nil {
+		return err
+	}
+	st.dev = ssd.New(clock, events, m.ssd)
+	if !fresh {
+		if err := st.restore(src); err != nil {
+			return err
+		}
+	}
+	if m.bbPages > 0 {
+		st.reg = obs.NewRegistry()
+	}
+	st.mgr, err = core.NewManager(clock, events, st.region, st.dev, core.Config{
+		DirtyBudgetPages: st.budget,
+		Obs:              st.reg,
+	})
+	if err != nil {
+		return err
+	}
+	if m.bbPages > 0 {
+		if st.bbM, err = st.mgr.Map("__blackbox", int64(m.bbPages)*pageSize); err != nil {
+			return err
+		}
+		if st.rec, err = blackbox.New(st.bbM, blackbox.Options{Now: clock.Now, Gate: st.bbM.TelemetryWritable}); err != nil {
+			return err
+		}
+		// A reboot arms a fresh recorder over the restored ring but does
+		// NOT tee the registry into it yet: the manager's own boot
+		// bookkeeping must not overwrite crash-instant slots before the
+		// walk is adopted (attachRecovered).
+		if fresh {
+			st.reg.SetSink(st.rec)
+			st.rec.Boot(int64(st.budget))
+		}
+	}
+	heapM, err := st.mgr.Map("heap", serveHeapPages*pageSize)
+	if err != nil {
+		return err
+	}
+	if st.jM, err = st.mgr.Map("intent", journalPages*pageSize); err != nil {
+		return err
+	}
+	if m.cursorPages > 0 {
+		if st.curM, err = st.mgr.Map("cursor", int64(m.cursorPages)*pageSize); err != nil {
+			return err
+		}
+		if fresh {
+			st.cursor, err = recovery.CreateCursor(st.curM, nil)
+		} else {
+			// The cursor is only readable once its region pages are
+			// restored — which is why restore is a volatile phase the
+			// cursor cannot cover.
+			err = st.beginRecovery()
+		}
+		if err != nil {
+			return err
+		}
+	}
+
+	var heap *pheap.Heap
+	if fresh {
+		heap, err = pheap.Format(heapM)
+	} else {
+		heap, err = pheap.Open(heapM)
+	}
+	if err != nil {
+		return fmt.Errorf("heap: %w", err)
+	}
+	st.mark()
+	if fresh {
+		st.store, err = kvstore.Create(heap, 64)
+	} else {
+		st.store, err = kvstore.Open(heap)
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	st.mark()
+	if fresh {
+		st.journal, err = intent.Create(st.jM, intent.Config{})
+	} else {
+		st.journal, err = intent.Open(st.jM, nil)
+	}
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	st.boot.pending = len(st.journal.Pending())
+	st.mark()
+
+	st.srv, err = serve.New(clock, events, st.mgr, st.store, serve.Config{
+		Journal:      st.journal,
+		RecoverCrash: func(v any) bool { _, ok := faultinject.AsCrash(v); return ok },
+		CrashPoints:  m.commitMarkers,
+	})
+	return err
+}
+
+// restore brings the region back from src's durable pages. The durable-
+// source discipline matters: the ENTIRE durable page set is seeded into
+// st.dev before a single page is restored, so a crash mid-restore leaves
+// the next attempt a complete durable source — restore is re-runnable
+// precisely because it never consumes what it restores from. One marker
+// per streamed page puts crash points inside the phase.
+func (st *serveRun) restore(src *ssd.SSD) error {
+	pages := src.DurablePageList()
+	for _, page := range pages {
+		// These sweeps inject no silent faults, so a page failing
+		// verification is a bug, not a modelled loss.
+		if err := st.dev.AdoptVerified(src, page); err != nil {
+			return err
+		}
+	}
+	stream := st.dev.OpenReadStream(st.clock)
+	for _, page := range pages {
+		if _, err := st.region.RestorePageFrom(stream, page); err != nil {
+			return err
+		}
+		st.mark()
+	}
+	return nil
+}
+
+// beginRecovery opens the persistent cursor and enters the WAL-replay
+// phase on it.
+func (st *serveRun) beginRecovery() error {
+	var err error
+	if st.cursor, err = recovery.OpenCursor(st.curM, st.boot.reg); err != nil {
+		return err
+	}
+	prog, _, err := st.cursor.BeginRecovery(st.budget)
+	if err != nil {
+		return err
+	}
+	st.boot.startRec = prog.Record
+	st.mark()
+	st.boot.phase = recovery.PhaseWALReplay
+	return st.cursor.Advance(recovery.PhaseWALReplay, prog.Record)
+}
+
+// resolve ends the reboot pipeline, before serving resumes:
+//
+//	rebuilt dedup table == committed record prefix (compared before any
+//	new record touches the journal)
+//	→ serve.ReplayPendingWith (intent redo: durable, cursor-recorded
+//	  per record, budget-drained incrementally)
+//	→ emergency drain to a clean durable state → cursor Finish
+//
+// The redo runs BEFORE serving resumes because a redo image is only
+// sound against pre-crash state (see serve.ReplayPending). A mode
+// without a cursor skips the drain too: it exists so a re-crash right
+// after recovery has nothing to lose.
+func (st *serveRun) resolve(fail failFunc) error {
+	walked, walkTorn, err := intent.RebuildTable(st.jM)
+	if err != nil {
+		fail("record walk: %v", err)
+	} else {
+		if walkTorn != st.journal.TornOpen() {
+			fail("torn-tail verdicts diverge: Open %v, record walk %v", st.journal.TornOpen(), walkTorn)
+		}
+		compareTables(st.journal.Snapshot(), walked, fail)
+		st.boot.compared = true
+	}
+
+	st.boot.phase = recovery.PhaseIntentRedo
+	st.boot.replay, err = serve.ReplayPendingWith(st.store, st.journal, serve.ReplayOptions{
+		Cursor: st.cursor,
+		Mgr:    st.mgr,
+		Obs:    st.boot.reg,
+		// The redo loop does no event-queue work of its own when the
+		// budget never forces a clean; these markers make both redo
+		// crash windows (completed-but-uncursored, cursor-advanced)
+		// reachable by the step-armed Crasher.
+		Step: st.mark,
+	})
+	if err != nil {
+		return err
+	}
+	if n := st.boot.replay.Redone; n > 1 {
+		fail("recovery found %d in-flight intents; a serial server can leave at most one", n)
+	}
+
+	if st.cursor != nil {
+		st.boot.phase = recovery.PhaseDrain
+		if err := st.cursor.Advance(recovery.PhaseDrain, st.cursor.Progress().Record); err != nil {
+			return err
+		}
+		// Drain the re-dirtied set so recovery hands over a clean durable
+		// state: a re-crash right after recovery must have nothing to lose.
+		if left := st.mgr.EnterEmergencyFlush(); left != 0 {
+			return fmt.Errorf("recovery drain left %d dirty pages", left)
+		}
+		if err := st.mgr.Resume(core.StateHealthy); err != nil {
+			return err
+		}
+		if err := st.cursor.Finish(); err != nil {
+			return err
+		}
+		st.boot.phase = recovery.PhaseDone
+	}
+	if st.budget != serveBudgetPages {
+		// Serving resumes on the full budget: the scaled figure was the
+		// recovery's constraint, not the recharged steady state's.
+		return st.mgr.SetDirtyBudget(serveBudgetPages)
+	}
+	return nil
 }
 
 // valBytes is the oracle value layout: [count u64][sum u64]. count is
@@ -286,153 +598,6 @@ func mutOp(key []byte, token uint64) serve.IdemOp {
 			return out
 		},
 	}
-}
-
-func buildServe(cfg ServeConfig) (*serveRun, error) {
-	st := &serveRun{cfg: cfg}
-	st.clock = sim.NewClock()
-	st.events = sim.NewQueue()
-	regionPages := cfg.HeapPages + cfg.JournalPages + cfg.CursorPages + cfg.BlackBoxPages
-	var err error
-	st.region, err = nvdram.New(st.clock, nvdram.Config{Size: int64(regionPages) * pageSize})
-	if err != nil {
-		return nil, err
-	}
-	st.dev = ssd.New(st.clock, st.events, cfg.SSD)
-	if cfg.BlackBoxPages > 0 {
-		st.reg = obs.NewRegistry()
-	}
-	st.mgr, err = core.NewManager(st.clock, st.events, st.region, st.dev, core.Config{
-		DirtyBudgetPages: cfg.BudgetPages,
-		Epoch:            cfg.Epoch,
-		Obs:              st.reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Mapping order is the recovery contract: recoverServe re-Maps the
-	// same names and sizes in the same order, and the first-fit
-	// allocator hands back the same extents. The black box maps FIRST so
-	// its ring sits at the same offset every boot.
-	if cfg.BlackBoxPages > 0 {
-		if st.bbM, err = st.mgr.Map("__blackbox", int64(cfg.BlackBoxPages)*pageSize); err != nil {
-			return nil, err
-		}
-		if st.rec, err = blackbox.New(st.bbM, blackbox.Options{Now: st.clock.Now, Gate: st.bbM.TelemetryWritable}); err != nil {
-			return nil, err
-		}
-		st.reg.SetSink(st.rec)
-		st.rec.Boot(int64(cfg.BudgetPages))
-	}
-	if st.heapM, err = st.mgr.Map("heap", int64(cfg.HeapPages)*pageSize); err != nil {
-		return nil, err
-	}
-	if st.jM, err = st.mgr.Map("intent", int64(cfg.JournalPages)*pageSize); err != nil {
-		return nil, err
-	}
-	if cfg.CursorPages > 0 {
-		if st.curM, err = st.mgr.Map("cursor", int64(cfg.CursorPages)*pageSize); err != nil {
-			return nil, err
-		}
-		if st.cursor, err = recovery.CreateCursor(st.curM, nil); err != nil {
-			return nil, err
-		}
-	}
-	heap, err := pheap.Format(st.heapM)
-	if err != nil {
-		return nil, err
-	}
-	if st.store, err = kvstore.Create(heap, 64); err != nil {
-		return nil, err
-	}
-	if st.journal, err = intent.Create(st.jM, intent.Config{Window: cfg.Window}); err != nil {
-		return nil, err
-	}
-	st.srv, err = serve.New(st.clock, st.events, st.mgr, st.store, serve.Config{
-		Journal:      st.journal,
-		RecoverCrash: func(v any) bool { _, ok := faultinject.AsCrash(v); return ok },
-		CrashPoints:  cfg.CommitMarkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// recoverServe rebuilds a live stack over a region restored from old's
-// SSD: the warm reboot the retry streams replay against.
-func recoverServe(cfg ServeConfig, old *serveRun) (*serveRun, error) {
-	st := &serveRun{cfg: cfg}
-	st.clock = sim.NewClock()
-	st.events = sim.NewQueue()
-	var err error
-	st.region, err = nvdram.New(st.clock, nvdram.Config{Size: old.region.Size()})
-	if err != nil {
-		return nil, err
-	}
-	st.dev = ssd.New(st.clock, st.events, cfg.SSD)
-	rrep, err := recovery.RestoreVerified(st.clock, st.region, st.dev, old.dev, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !rrep.Integrity.Clean() {
-		// This sweep injects no silent faults, so a page failing
-		// verification is a bug, not a modelled loss.
-		return nil, fmt.Errorf("restore quarantined pages %v", rrep.Integrity.Quarantined)
-	}
-	if cfg.BlackBoxPages > 0 {
-		st.reg = obs.NewRegistry()
-	}
-	st.mgr, err = core.NewManager(st.clock, st.events, st.region, st.dev, core.Config{
-		DirtyBudgetPages: cfg.BudgetPages,
-		Epoch:            cfg.Epoch,
-		Obs:              st.reg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The black-box mapping is re-Mapped first (recovery contract) and a
-	// fresh recorder armed over the restored ring — but the registry is
-	// NOT teed into it yet: the manager's own boot bookkeeping must not
-	// overwrite crash-instant slots before the caller walks the ring.
-	// The caller adopts the walk and attaches the sink (attachRecovered).
-	if cfg.BlackBoxPages > 0 {
-		if st.bbM, err = st.mgr.Map("__blackbox", int64(cfg.BlackBoxPages)*pageSize); err != nil {
-			return nil, err
-		}
-		if st.rec, err = blackbox.New(st.bbM, blackbox.Options{Now: st.clock.Now, Gate: st.bbM.TelemetryWritable}); err != nil {
-			return nil, err
-		}
-	}
-	if st.heapM, err = st.mgr.Map("heap", int64(cfg.HeapPages)*pageSize); err != nil {
-		return nil, err
-	}
-	if st.jM, err = st.mgr.Map("intent", int64(cfg.JournalPages)*pageSize); err != nil {
-		return nil, err
-	}
-	if cfg.CursorPages > 0 {
-		if st.curM, err = st.mgr.Map("cursor", int64(cfg.CursorPages)*pageSize); err != nil {
-			return nil, err
-		}
-		if st.cursor, err = recovery.OpenCursor(st.curM, nil); err != nil {
-			return nil, err
-		}
-	}
-	heap, err := pheap.Open(st.heapM)
-	if err != nil {
-		return nil, fmt.Errorf("reopening heap: %w", err)
-	}
-	if st.store, err = kvstore.Open(heap); err != nil {
-		return nil, fmt.Errorf("reopening store: %w", err)
-	}
-	if st.journal, err = intent.Open(st.jM, nil); err != nil {
-		return nil, fmt.Errorf("reopening journal: %w", err)
-	}
-	st.srv, err = serve.New(st.clock, st.events, st.mgr, st.store, serve.Config{Journal: st.journal})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // mutation is one idempotent op a client issued: enough to replay it
@@ -484,12 +649,12 @@ func driveClient(cfg ServeConfig, srv *serve.Server, keys [][]byte, lg *clientLo
 	}
 	defer func() { lg.retries = cl.Retries() }()
 	rng := sim.NewRNG(lg.seedBase ^ 0xC11E)
-	zipf := dist.NewZipfian(rng.Fork(), int64(cfg.Keys), cfg.ZipfTheta)
+	zipf := dist.NewZipfian(rng.Fork(), int64(len(keys)), dist.ZipfianConstant)
 	opRNG := rng.Fork()
 	ctx := context.Background()
 	for op := 0; op < cfg.OpsPerClient; op++ {
 		k := int(zipf.Next())
-		if opRNG.Float64() < cfg.ReadFraction {
+		if opRNG.Float64() < serveReadFraction {
 			_, rerr := srv.Submit(ctx, serve.Request{Priority: serve.PriorityNormal, Op: readOp(keys[k])})
 			if serverGone(rerr) {
 				return
@@ -530,29 +695,23 @@ func makeKeys(n int) [][]byte {
 	return keys
 }
 
-// oracleExpect folds every op that must have applied exactly once into
-// the per-key (count, sum) the recovered store has to show.
-func oracleExpect(logs []*clientLog, replayed []mutation) map[int][2]uint64 {
+// checkOracle compares the store against the expected multiset: every
+// op that must have applied exactly once — acked before the crash, or
+// replayed after it — folded into a per-key (count, sum).
+func checkOracle(store *kvstore.Store, keys [][]byte, logs []*clientLog, replayed []mutation, fail failFunc) {
 	want := make(map[int][2]uint64)
-	add := func(m mutation) {
-		cs := want[m.key]
-		cs[0]++
-		cs[1] += m.token
-		want[m.key] = cs
-	}
-	for _, lg := range logs {
-		for _, m := range lg.acked {
-			add(m)
+	add := func(ms []mutation) {
+		for _, m := range ms {
+			cs := want[m.key]
+			cs[0]++
+			cs[1] += m.token
+			want[m.key] = cs
 		}
 	}
-	for _, m := range replayed {
-		add(m)
+	add(replayed)
+	for _, lg := range logs {
+		add(lg.acked)
 	}
-	return want
-}
-
-// checkOracle compares the store against the expected multiset.
-func checkOracle(store *kvstore.Store, keys [][]byte, want map[int][2]uint64, fail func(string, ...any)) {
 	for k, key := range keys {
 		v, ok, err := store.Get(key)
 		if err != nil {
@@ -582,7 +741,7 @@ func checkOracle(store *kvstore.Store, keys [][]byte, want map[int][2]uint64, fa
 
 // compareTables checks the journal Open's incremental table against the
 // read-only record walk: same clients, same windows, same entries.
-func compareTables(opened, walked map[uint64]intent.ClientSnapshot, fail func(string, ...any)) {
+func compareTables(opened, walked map[uint64]intent.ClientSnapshot, fail failFunc) {
 	if len(opened) != len(walked) {
 		fail("dedup table: Open found %d clients, record walk found %d", len(opened), len(walked))
 		return
@@ -622,57 +781,66 @@ func mappingDirtyAt(st *serveRun, mp *core.Mapping) bool {
 	lo := mp.Base() / pageSize
 	hi := (mp.Base() + mp.Size() - 1) / pageSize
 	for p := lo; p <= hi; p++ {
-		page := mmu.PageID(p)
-		live := st.region.RawPage(page)
-		durable, ok := st.dev.Durable(page)
-		if !ok {
-			for _, b := range live {
-				if b != 0 {
-					return true
-				}
-			}
-			continue
-		}
-		if !bytes.Equal(live, durable) {
+		if st.dev.CheckRestorable(mmu.PageID(p), st.region.RawPage(mmu.PageID(p))) != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// runServePoint executes one armed run: serve, crash (or complete),
-// flush, recover, replay, verify.
-func runServePoint(cfg ServeConfig, step uint64, keys [][]byte, res *ServeResult) error {
-	run, err := buildServe(cfg)
-	if err != nil {
-		return err
+// serveArmed builds run i's fresh stack (i salts the gauge-fault
+// schedules), arms a crash at step — 0 arms nothing: the baseline — and
+// serves the workload until it ends, cleanly shut down, or the crash
+// cuts it.
+func (sw *sweep) serveArmed(i int, step uint64) (*serveRun, error) {
+	run := sw.newRun(serveBudgetPages)
+	if err := run.assemble(nil); err != nil {
+		return nil, err
 	}
-	crasher := faultinject.NewCrasher(run.events)
-	crasher.ArmAt(step)
+	var err error
+	if run.tele, err = attachTelemetry(run, uint64(i)); err != nil {
+		return nil, err
+	}
 	if err := run.srv.Start(); err != nil {
-		return err
+		return nil, err
 	}
-	var logs []*clientLog
 	// A crash inside the dispatch loop is contained by RecoverCrash; one
 	// firing during the post-Stop drain lands here and Run catches it.
-	crasher.Run(func() {
-		logs = driveClients(cfg, run.srv, keys)
+	run.crash, run.crashed = armed(run.events, step, func(crasher *faultinject.Crasher) {
+		run.logs = driveClients(sw.ServeConfig, run.srv, sw.keys)
 		run.srv.Stop()
 		if _, crashed := crasher.Crashed(); !crashed {
-			// Clean shutdown: the recorder stops before the drain, or the
-			// dirty gauge falling per clean would tee appends that
-			// re-dirty ring pages under the drain loop. Nil-safe.
+			run.tele.close()
+			run.served = run.events.Fired()
+			// The recorder stops before the drain, or the dirty gauge
+			// falling per clean would tee appends that re-dirty ring pages
+			// under the drain loop. Nil-safe.
 			run.rec.Seal()
 			run.mgr.FlushAll()
+			run.ended = run.clock.Now()
 		}
 	})
-	cp, crashed := crasher.Crashed()
-	crasher.Disarm()
+	run.tele.close()
+	return run, nil
+}
 
-	var out []Violation
-	fail := func(format string, args ...any) {
-		out = append(out, Violation{Step: cp.Step, Msg: fmt.Sprintf(format, args...)})
+// armed runs fn with a power failure armed at event step `step` of the
+// queue (0 arms nothing), and reports where it fired, if it did. The
+// Crasher is left disarmed, so the post-failure protocol can keep
+// pumping the queue.
+func armed(events *sim.Queue, step uint64, fn func(*faultinject.Crasher)) (faultinject.CrashPoint, bool) {
+	crasher := faultinject.NewCrasher(events)
+	if step > 0 {
+		crasher.ArmAt(step)
 	}
+	crasher.Run(func() { fn(crasher) })
+	crasher.Disarm()
+	return crasher.Crashed()
+}
+
+// tallyLogs folds a run's client logs into res. A client error other
+// than the server dying under it is always a violation.
+func tallyLogs(logs []*clientLog, keys [][]byte, res *ServeResult, fail failFunc) {
 	for _, lg := range logs {
 		if lg.err != nil {
 			fail("client error: %v", lg.err)
@@ -683,135 +851,237 @@ func runServePoint(cfg ServeConfig, step uint64, keys [][]byte, res *ServeResult
 			res.MutationBytes += uint64(len(keys[m.key]) + valBytes)
 		}
 	}
+}
 
-	if !crashed {
-		// Armed step past this run's end: verify the clean shutdown. No
-		// client may hold an in-doubt op — the server never failed.
-		for _, lg := range logs {
-			if lg.inDoubt != nil {
-				fail("clean run left client %d seq %d unacknowledged", lg.id, lg.inDoubt.seq)
-			}
+// cleanShutdown is the verdict on a run no crash cut short. No client
+// may hold an in-doubt op — the server never failed — the final flush
+// left nothing dirty, and the store shows every acked mutation once.
+func (sw *sweep) cleanShutdown(run *serveRun, fail failFunc) {
+	for _, lg := range run.logs {
+		if lg.inDoubt != nil {
+			fail("clean run left client %d seq %d unacknowledged", lg.id, lg.inDoubt.seq)
 		}
-		if err := run.mgr.VerifyDurability(); err != nil {
-			fail("clean-run durability: %v", err)
-		}
-		checkOracle(run.store, keys, oracleExpect(logs, nil), fail)
-		run.mgr.Close()
-		res.Completed++
-		res.Violations = append(res.Violations, out...)
-		return nil
 	}
-	res.CrashPoints++
-
-	// (1) The budget bound at the crash instant, journal and recorder
-	// pages included.
-	dirty, budget := run.mgr.DirtyCount(), run.mgr.EffectiveDirtyBudget()
-	if dirty > res.MaxDirtyAtCrash {
-		res.MaxDirtyAtCrash = dirty
-	}
-	if dirty > budget {
-		fail("dirty count %d exceeds effective budget %d at crash", dirty, budget)
-	}
-	if mappingDirtyAt(run, run.jM) {
-		res.JournalDirtyCrashes++
-	}
-	// Capture the crash-instant oracle from the live (about-to-die)
-	// stack, then seal the recorder so the flush's own bookkeeping
-	// cannot move the ring past the crash instant.
-	oracle := captureBlackBoxOracle(run, res)
-	run.rec.Seal()
-
-	// (2) Battery flush within the energy provisioned for the budget.
-	pm := power.Default()
-	report := run.mgr.PowerFail(pm, flushEnergy(Config{BudgetPages: cfg.BudgetPages}, run.dev, pm, run.region.Size()))
-	if !report.Survived {
-		fail("flush of %d pages used %.3f J of %.3f J provisioned",
-			report.DirtyAtFailure, report.EnergyUsedJoules, report.EnergyAvailableJoules)
+	if n := run.mgr.DirtyCount(); n != 0 {
+		fail("clean run left %d dirty pages after flush", n)
 	}
 	if err := run.mgr.VerifyDurability(); err != nil {
-		fail("durability: %v", err)
+		fail("clean-run durability: %v", err)
 	}
-	res.JournalBytes += run.journal.Stats().AppendBytes
+	checkOracle(run.store, sw.keys, run.logs, nil, fail)
+	run.mgr.Close()
+}
 
-	// (2b) Walk the post-flush ring and audit the forensic report
-	// against the oracle captured the instant before the flush.
-	bbWalk := auditBlackBoxWalk(run, oracle, res, fail)
-
-	// (3) Recover a live stack and check the rebuilt dedup table against
-	// the committed record prefix before any new traffic touches it.
-	rec, err := recoverServe(cfg, run)
+// baseline executes the un-crashed calibration run and returns it with
+// its own tally (BaselineEvents set). Anything an armed run would report
+// as a violation is an error here: there is no sweep to run over a
+// baseline that is not clean.
+func (sw *sweep) baseline() (*serveRun, ServeResult, error) {
+	var tally ServeResult
+	run, err := sw.serveArmed(0, 0)
 	if err != nil {
-		fail("recovery: %v", err)
-		res.Violations = append(res.Violations, out...)
-		return nil
+		return nil, tally, err
 	}
-	attachRecovered(rec, bbWalk)
-	if rec.journal.TornOpen() {
-		res.TornOpens++
-	}
-	walked, walkTorn, err := intent.RebuildTable(rec.jM)
-	if err != nil {
-		fail("record walk: %v", err)
-	} else {
-		if walkTorn != rec.journal.TornOpen() {
-			fail("torn-tail verdicts diverge: Open %v, record walk %v", rec.journal.TornOpen(), walkTorn)
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf("crashsweep: baseline: "+format, args...)
 		}
-		compareTables(rec.journal.Snapshot(), walked, fail)
 	}
+	tallyLogs(run.logs, sw.keys, &tally, fail)
+	sw.cleanShutdown(run, fail)
+	tally.BaselineEvents = run.served
+	if run.served == 0 {
+		fail("fired no events")
+	}
+	return run, tally, err
+}
 
-	// Resolve in-flight intents BEFORE serving resumes — a redo image is
-	// only sound against pre-crash state (see serve.ReplayPending). A
-	// serial dispatch loop can leave at most one.
-	redone, err := serve.ReplayPending(rec.store, rec.journal)
-	if err != nil {
-		fail("recovery redo: %v", err)
-	}
-	if redone > 1 {
-		fail("recovery found %d in-flight intents; a serial server can leave at most one", redone)
-	}
-	res.ReplayRedone += redone
-
-	// (4) Replay every client's retry stream: the in-doubt op must land
-	// exactly once, and a retried already-acked op must be absorbed.
-	tally, err := replayRetryStreams(rec, logs, keys, fail)
+// point executes one armed run: serve, crash (or complete), audit the
+// crash instant, flush, recover, replay, verify.
+func (sw *sweep) point(i int, step uint64) error {
+	run, err := sw.serveArmed(i, step)
 	if err != nil {
 		return err
 	}
-	res.InDoubtReplayed += tally.inDoubt
-	res.ReplayDeduped += tally.deduped
-	res.ReplayFresh += tally.fresh
-	res.AckedRetryDedups += tally.ackedDedups
-	res.MutationBytes += tally.mutationBytes
+	fail := func(format string, args ...any) {
+		sw.res.Violations = append(sw.res.Violations, Violation{Step: run.crash.Step, Msg: fmt.Sprintf(format, args...)})
+	}
+	tallyLogs(run.logs, sw.keys, &sw.res, fail)
+	run.tele.audit(&sw.gauge, fail)
 
-	// (5) The oracle: recovered store == every acked-or-replayed
-	// mutation applied exactly once.
-	checkOracle(rec.store, keys, oracleExpect(logs, tally.replayed), fail)
+	if !run.crashed {
+		// Armed step past this run's end: verify the clean shutdown.
+		sw.cleanShutdown(run, fail)
+		sw.res.Completed++
+		return nil
+	}
+	sw.res.CrashPoints++
+
+	// The crash instant. Evidence first — which mappings were dirty, the
+	// forensic oracle from the live (about-to-die) stack — then the
+	// recorder is sealed so the flush's own bookkeeping cannot move the
+	// ring past this instant, then the shared audit: the budget bound,
+	// journal and recorder pages included, and the battery flush on the
+	// energy provisioned for the budget (the TRUE charge, under gauges).
+	if mappingDirtyAt(run, run.jM) {
+		sw.res.JournalDirtyCrashes++
+	}
+	oracle := captureBlackBoxOracle(run, &sw.res)
+	run.rec.Seal()
+	joules := flushEnergy(serveBudgetPages, flushOverhead(run.dev, 0), run.dev, power.Default(), run.region.Size())
+	joules = run.tele.flushJoules(run, joules, fail)
+	auditCrash(run.mgr, run.mgr.EffectiveDirtyBudget(), joules, true, &sw.res.MaxDirtyAtCrash, fail)
+	sw.res.JournalBytes += run.journal.Stats().AppendBytes
+
+	// Walk the post-flush ring and audit the forensic report against the
+	// oracle captured the instant before the flush.
+	walk := auditBlackBoxWalk(run, oracle, &sw.res, fail)
+
+	// Recover a live stack, through as many cascaded re-crashes as the
+	// mode injects, and replay every client's retry stream against it.
+	rec := sw.recoverStack(run.dev, walk, fail)
+	if rec == nil {
+		return nil
+	}
+	if rec.journal.TornOpen() {
+		sw.res.TornOpens++
+	}
+	if rec.boot.compared {
+		sw.res.TableCompares++
+	}
+	sw.res.ReplayRedone += rec.boot.replay.Redone
+	replayed, err := replayRetryStreams(rec, run.logs, sw.keys, &sw.res, fail)
+	if err != nil {
+		return err
+	}
+
+	// The oracle: recovered store == every acked-or-replayed mutation
+	// applied exactly once.
+	checkOracle(rec.store, sw.keys, run.logs, replayed, fail)
 	rec.mgr.Close()
-	res.Violations = append(res.Violations, out...)
 	return nil
 }
 
-// replayTally is what one recovered server's retry-stream replay
-// produced — the shared verdict of the single-crash and nested sweeps.
-type replayTally struct {
-	inDoubt       int
-	deduped       int
-	fresh         int
-	ackedDedups   int
-	mutationBytes uint64
-	replayed      []mutation
+// attempt runs one recovery attempt over src's durable pages on a fresh
+// clock and queue, with a crash armed at armStep (0 = unarmed). It
+// returns the stack — whatever of it was built before the attempt
+// completed or the crash unwound it — and whether the armed crash fired.
+func (sw *sweep) attempt(src *ssd.SSD, armStep uint64, reg *obs.Registry, walk *blackbox.WalkResult, fail failFunc) (*serveRun, bool, error) {
+	st := sw.newRun(sw.cascade.RecoveryBudget)
+	st.boot = reboot{marks: sw.recrashDepth > 0, reg: reg, phase: recovery.PhaseRestore}
+	var err error
+	_, crashed := armed(st.events, armStep, func(*faultinject.Crasher) {
+		if err = st.assemble(src); err != nil {
+			return
+		}
+		attachRecovered(st, walk)
+		err = st.resolve(fail)
+	})
+	if err != nil && !crashed {
+		return st, false, err
+	}
+	return st, crashed, nil
+}
+
+// recoverStack reboots a serving stack from survivor, the SSD a crashed
+// run flushed to, and returns it ready to serve — or nil, the reason
+// recorded as a violation. It is the cascading-recovery loop: each
+// iteration is one attempt, armed at a seeded step while the mode has
+// re-crash depth left; a cascaded crash is audited like any other, on
+// the scaled budget and its energy, and hands the next attempt its SSD
+// as the durable source. At depth 0 the loop is one unarmed attempt.
+func (sw *sweep) recoverStack(survivor *ssd.SSD, walk *blackbox.WalkResult, fail failFunc) *serveRun {
+	src := survivor
+	var lastCursor recovery.Progress // nothing is Less than the zero Progress
+	// pointRedo is this incarnation's redo workload, taken as a max
+	// across attempts: a cascaded crash mid-replay discards the attempt's
+	// replay stats, but every attempt that reaches the journal reopen
+	// observes startRec+pending, and every attempt that finishes its
+	// replay observes StartRecord+Redone.
+	pointRedo := 0
+	for depth := 0; ; {
+		armAt := uint64(0)
+		if depth < sw.recrashDepth {
+			// Calibrate: an unarmed shadow attempt counts this depth's
+			// event space. Attempts seed their own SSD and never write to
+			// src, so the shadow leaves no trace (its violations and
+			// instruments are dropped: the real attempt repeats them); the
+			// real attempt below replays the identical single-goroutine
+			// schedule, so an arm in [1, fired] is guaranteed to strike —
+			// which spreads re-crashes across all phases (restore
+			// dominates the step count; redo and drain sit at the tail).
+			shadow, _, err := sw.attempt(src, 0, nil, walk, func(string, ...any) {})
+			if err != nil {
+				fail("shadow recovery at depth %d: %v", depth, err)
+				return nil
+			}
+			armAt = 1 + sw.innerRNG.Uint64()%max(shadow.events.Fired(), 1)
+		}
+		att, crashed, err := sw.attempt(src, armAt, sw.recoveryObs, walk, fail)
+		if err != nil {
+			fail("recovery attempt at depth %d: %v", depth, err)
+			return nil
+		}
+
+		// Cursor accounting and the monotonicity oracle. The cursor
+		// object's Progress is its last durable write: every Advance
+		// lands a page-atomic slot write through the budget-accounted
+		// mapping, and the flush below makes it durable.
+		if att.cursor != nil {
+			if att.cursor.Resumed() {
+				sw.cascade.Resumes++
+			}
+			if att.cursor.FellBack() {
+				sw.cascade.Fallbacks++
+				fail("cursor fell back to fresh at depth %d: slot writes must be crash-atomic", depth)
+			}
+			p := att.cursor.Progress()
+			if p.Less(lastCursor) {
+				fail("cursor regressed at depth %d: %+v -> %+v", depth, lastCursor, p)
+			}
+			lastCursor = p
+		}
+		pointRedo = max(pointRedo, int(att.boot.startRec)+att.boot.pending,
+			int(att.boot.replay.StartRecord)+att.boot.replay.Redone)
+		sw.cascade.RedoPages += att.boot.replay.PagesDirtied
+		sw.cascade.BudgetStalls += att.boot.replay.BudgetStalls
+
+		if !crashed {
+			sw.cascade.RedoneIntents += pointRedo
+			return att
+		}
+		depth++
+		sw.cascade.InnerCrashes++
+		for len(sw.cascade.InnerByDepth) < depth {
+			sw.cascade.InnerByDepth = append(sw.cascade.InnerByDepth, 0)
+		}
+		sw.cascade.InnerByDepth[depth-1]++
+		sw.cascade.InnerByPhase[att.boot.phase.String()]++
+
+		// The audit at the in-recovery crash instant: dirty ≤ the SCALED
+		// budget, and the flush fits the scaled energy. A crash that
+		// struck the restore has no manager yet, hence nothing dirty.
+		if att.mgr != nil {
+			inner := func(format string, args ...any) {
+				fail("depth-%d crash in %v on recovery budget %d: %s", depth, att.boot.phase, sw.cascade.RecoveryBudget, fmt.Sprintf(format, args...))
+			}
+			joules := flushEnergy(sw.cascade.RecoveryBudget, flushOverhead(att.dev, 0), att.dev, power.Default(), att.region.Size())
+			auditCrash(att.mgr, sw.cascade.RecoveryBudget, joules, true, &sw.cascade.MaxDirtyAtInnerCrash, inner)
+		}
+		src = att.dev
+	}
 }
 
 // replayRetryStreams drives every client's post-crash retry protocol
 // against a recovered server: the in-doubt op must land exactly once
 // (deduped from the result cache or freshly applied — never a
-// retry-time redo, since recovery-time ReplayPending ran first), and a
+// retry-time redo, since the recovery-time redo ran first), and a
 // retried already-acked op must be absorbed without re-execution. The
-// server is started and stopped here.
-func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, fail func(string, ...any)) (replayTally, error) {
-	var tally replayTally
+// server is started and stopped here; the verdicts are tallied into res
+// and the in-doubt ops that landed are returned.
+func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, res *ServeResult, fail failFunc) (replayed []mutation, err error) {
 	if err := rec.srv.Start(); err != nil {
-		return tally, err
+		return nil, err
 	}
 	ctx := context.Background()
 	for _, lg := range logs {
@@ -825,18 +1095,18 @@ func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, fail fu
 			if rerr != nil {
 				fail("client %d: in-doubt seq %d failed on replay: %v", lg.id, m.seq, rerr)
 			} else {
-				tally.inDoubt++
-				tally.replayed = append(tally.replayed, *m)
-				tally.mutationBytes += uint64(len(keys[m.key]) + valBytes)
+				res.InDoubtReplayed++
+				replayed = append(replayed, *m)
+				res.MutationBytes += uint64(len(keys[m.key]) + valBytes)
 				switch {
 				case r.Deduped:
-					tally.deduped++
+					res.ReplayDeduped++
 				case r.Redone:
-					// ReplayPending ran first, so the retry-time redo
-					// fallback must never fire.
+					// The recovery-time redo ran first, so the retry-time
+					// redo fallback must never fire.
 					fail("client %d: in-doubt seq %d hit retry-time redo after recovery replay", lg.id, m.seq)
 				default:
-					tally.fresh++
+					res.ReplayFresh++
 				}
 			}
 		}
@@ -852,78 +1122,10 @@ func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, fail fu
 			case !r.Deduped && !r.Redone:
 				fail("client %d: retry of acked seq %d re-executed fresh (double apply)", lg.id, m.seq)
 			default:
-				tally.ackedDedups++
+				res.AckedRetryDedups++
 			}
 		}
 	}
 	rec.srv.Stop()
-	return tally, nil
-}
-
-// RunServe executes the live-traffic sweep: one un-crashed calibration
-// run sizes the step space, then fresh serving runs crash at swept
-// steps. The step lattice wraps until MaxCrashPoints runs have actually
-// crashed — revisiting a step is productive here, since each run's
-// goroutine interleaving is its own.
-func RunServe(cfg ServeConfig) (ServeResult, error) {
-	cfg = cfg.withDefaults()
-	var res ServeResult
-	keys := makeKeys(cfg.Keys)
-
-	base, err := buildServe(cfg)
-	if err != nil {
-		return res, err
-	}
-	if err := base.srv.Start(); err != nil {
-		return res, err
-	}
-	logs := driveClients(cfg, base.srv, keys)
-	base.srv.Stop()
-	res.BaselineEvents = base.events.Fired()
-	for _, lg := range logs {
-		if lg.err != nil {
-			return res, fmt.Errorf("crashsweep: baseline client: %w", lg.err)
-		}
-		if lg.inDoubt != nil {
-			return res, fmt.Errorf("crashsweep: baseline left client %d seq %d unacked", lg.id, lg.inDoubt.seq)
-		}
-	}
-	base.rec.Seal() // nil-safe; see the clean-shutdown seal in runServePoint
-	base.mgr.FlushAll()
-	if n := base.mgr.DirtyCount(); n != 0 {
-		return res, fmt.Errorf("crashsweep: baseline left %d dirty pages after flush", n)
-	}
-	base.mgr.Close()
-	if res.BaselineEvents == 0 {
-		return res, fmt.Errorf("crashsweep: baseline fired no events")
-	}
-
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = res.BaselineEvents / uint64(cfg.MaxCrashPoints)
-		if stride == 0 {
-			stride = 1
-		}
-	}
-	res.Stride = stride
-
-	// Safety bound: completed (never-crashed) runs consume an attempt
-	// without advancing CrashPoints, so cap total attempts.
-	maxAttempts := 4 * cfg.MaxCrashPoints
-	for i := 1; res.CrashPoints < cfg.MaxCrashPoints && i <= maxAttempts; i++ {
-		step := uint64(i) * stride
-		if step > res.BaselineEvents {
-			// Wrap, offset by the pass number so later passes interleave
-			// the earlier lattice.
-			pass := step / res.BaselineEvents
-			step = step%res.BaselineEvents + pass
-			if step == 0 {
-				step = 1
-			}
-		}
-		if err := runServePoint(cfg, step, keys, &res); err != nil {
-			return res, fmt.Errorf("crashsweep: serve run armed at step %d: %w", step, err)
-		}
-	}
-	return res, nil
+	return replayed, nil
 }
