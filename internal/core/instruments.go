@@ -18,6 +18,9 @@ type instruments struct {
 	pagesDirtied    *obs.Counter
 	forcedCleans    *obs.Counter
 	proactiveCleans *obs.Counter
+	wakesTick       *obs.Counter // copier runs that started a clean, by who woke it
+	wakesAhead      *obs.Counter
+	wakesHit        *obs.Counter
 	unmapCleans     *obs.Counter
 	retuneCleans    *obs.Counter
 	cleansCompleted *obs.Counter
@@ -55,6 +58,9 @@ func newInstruments(r *obs.Registry) *instruments {
 		pagesDirtied:    r.Counter("core_pages_dirtied_total"),
 		forcedCleans:    r.Counter("core_forced_cleans_total"),
 		proactiveCleans: r.Counter("core_proactive_cleans_total"),
+		wakesTick:       r.Counter("core_copier_wakes_tick_total"),
+		wakesAhead:      r.Counter("core_copier_wakes_ahead_total"),
+		wakesHit:        r.Counter("core_copier_wakes_budget_hit_total"),
 		unmapCleans:     r.Counter("core_unmap_cleans_total"),
 		retuneCleans:    r.Counter("core_retune_cleans_total"),
 		cleansCompleted: r.Counter("core_cleans_completed_total"),
@@ -93,6 +99,9 @@ func (m *Manager) Stats() Stats {
 		PagesDirtied:     m.st.pagesDirtied.Value(),
 		ForcedCleans:     m.st.forcedCleans.Value(),
 		ProactiveCleans:  m.st.proactiveCleans.Value(),
+		CopierWakesTick:  m.st.wakesTick.Value(),
+		CopierWakesAhead: m.st.wakesAhead.Value(),
+		CopierWakesHit:   m.st.wakesHit.Value(),
 		UnmapCleans:      m.st.unmapCleans.Value(),
 		RetuneCleans:     m.st.retuneCleans.Value(),
 		CleansCompleted:  m.st.cleansCompleted.Value(),

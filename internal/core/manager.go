@@ -14,16 +14,22 @@
 //     admitting the new page, so the bound holds at every instant. The
 //     write waits for that one page; the handler also runs step 4's
 //     proactive copier, since a budget hit means its estimate was low.
+//     That is the fallback: an admission that brings the set within
+//     wakeAhead pages of the budget — the pages a writer can admit while
+//     one clean is on the wire — runs the copier too, without waiting, so
+//     a steady writer finds the headroom restored before it needs it.
 //  4. An epoch timer (1 ms default) walks the page table, reading and
 //     clearing hardware dirty bits (flushing the TLB first so the bits are
 //     fresh), maintains a 64-epoch per-page update history, estimates the
 //     dirty-page pressure with an exponentially decaying average, and
 //     proactively cleans least-recently-updated pages down to
-//     budget − pressure so bursts don't block on the SSD.
+//     budget − pressure (the low-water mark; step 3's wake level is the
+//     high-water mark) so bursts don't block on the SSD.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
@@ -133,7 +139,10 @@ type Stats struct {
 	Faults           uint64 // write-protection traps taken
 	PagesDirtied     uint64 // admissions to the dirty set
 	ForcedCleans     uint64 // budget hits: a write blocked until one clean completed
-	ProactiveCleans  uint64 // background cleans started by the proactive copier (epoch tick or budget hit)
+	ProactiveCleans  uint64 // background cleans started by the proactive copier, whoever woke it
+	CopierWakesTick  uint64 // copier runs that started a clean, woken by the epoch tick
+	CopierWakesAhead uint64 // ... by an admission within wakeAhead pages of the budget
+	CopierWakesHit   uint64 // ... by a budget hit, before the write blocked
 	UnmapCleans      uint64 // cleans forced by Unmap
 	RetuneCleans     uint64 // cleans forced by a budget decrease
 	CleansCompleted  uint64 // SSD write-backs that finished
@@ -173,6 +182,9 @@ type Manager struct {
 	budget     int
 	draining   bool
 	drainBound int
+	// wakePages is how many pages a writer can admit, one trap each,
+	// while one clean is on the wire; see wakeAhead.
+	wakePages int
 
 	// dirty holds every page whose latest contents are not yet durable,
 	// including pages re-protected and in flight to the SSD. Its size is
@@ -267,6 +279,7 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		dev:       dev,
 		cfg:       cfg,
 		budget:    cfg.DirtyBudgetPages,
+		wakePages: WakePages(dev, region.PageTable().Costs().Trap),
 		dirty:     newDirtySet(region.NumPages()),
 		history:   make([]uint64, region.NumPages()),
 		histEpoch: make([]uint64, region.NumPages()),
@@ -423,18 +436,21 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	// remaining drain — the backpressure that lets the transition make
 	// progress against a sustained write burst.
 	//
-	// A budget hit also means this epoch's pressure estimate was too low,
-	// so the handler wakes the proactive copier before it blocks: the
-	// write resumes after one completion, the rest of the burst lands in
-	// the background and the next ≈ pressure admissions find headroom.
+	// A budget hit also means this epoch's pressure estimate was too low
+	// and the wake level below did not catch it (a burst faster than one
+	// admission per trap, a full device queue, a tiny budget), so the
+	// handler wakes the proactive copier before it blocks: the write
+	// resumes after one completion, the rest of the burst lands in the
+	// background and the next ≈ pressure admissions find headroom.
 	for m.dirty.len() >= m.effectiveBudget() {
 		m.st.forcedCleans.Inc()
-		m.cleanToThreshold()
+		m.cleanToThreshold(m.st.wakesHit)
 		if !m.cleanOneSync() {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
 	m.noteFaultWait(m.clock.Now().Sub(waitStart))
+	m.wakeCopierAhead()
 
 	// Admit the page (step 8): unprotect, count, record. Update recency
 	// is NOT marked here: the paper's system learns recency only from
@@ -497,12 +513,13 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 		m.st.faults.Inc()
 		m.clock.Advance(hwInterruptCost)
 		m.st.forcedCleans.Inc()
-		m.cleanToThreshold()
+		m.cleanToThreshold(m.st.wakesHit)
 		if !m.cleanOneSync() {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
 	m.noteFaultWait(m.clock.Now().Sub(waitStart))
+	m.wakeCopierAhead()
 
 	m.admit(page)
 	m.newDirtyThisEpoch++
@@ -807,7 +824,7 @@ func (m *Manager) epochTick(at sim.Time) {
 	if m.state == StateDegraded {
 		m.st.degradedEpochs.Inc()
 	}
-	m.cleanToThreshold()
+	m.cleanToThreshold(m.st.wakesTick)
 
 	m.inEpoch = false
 	m.scheduleNextEpoch(at)
@@ -834,23 +851,71 @@ func (m *Manager) cleanThreshold() int {
 
 // cleanToThreshold is the proactive copier's one step: start cleans of
 // least-recently-updated pages until the pages not already on their way
-// out fit under cleanThreshold. The epoch tick runs it with a fresh
-// pressure estimate; a budget hit runs it because that estimate proved too
-// low. It only submits — in-flight pages stay in the dirty set until their
-// IO completes, so it cannot affect dirty ≤ budget — and it never waits:
-// it stops when the device queue is full (whoever runs next, tick or
-// budget hit, picks up the rest) rather than holding the clock, and with
-// it the writer, behind a queue slot.
-func (m *Manager) cleanToThreshold() {
+// out fit under cleanThreshold, the low-water mark. Three callers wake it:
+// the epoch tick, with a fresh pressure estimate; an admission that
+// reaches the wake level (wakeCopierAhead), because the estimate is about
+// to prove too low; a budget hit, because it did. wakes is the caller's
+// counter, moved when the run started at least one clean. The step only
+// submits — in-flight pages stay in the dirty set until their IO
+// completes, so it cannot affect dirty ≤ budget — and it never waits: it
+// stops when the device queue is full (whoever runs next picks up the
+// rest) rather than holding the clock, and with it the writer, behind a
+// queue slot.
+func (m *Manager) cleanToThreshold(wakes *obs.Counter) {
 	threshold := m.cleanThreshold()
 	maxOutstanding := m.dev.Config().MaxOutstanding
+	started := false
 	for m.dirty.len()-m.inflight > threshold && m.dev.Outstanding() < maxOutstanding {
 		page, ok := m.nextVictim()
 		if !ok {
-			return
+			break
 		}
 		m.st.proactiveCleans.Inc()
 		m.startClean(page)
+		started = true
+	}
+	if started {
+		wakes.Inc()
+	}
+}
+
+// wakeAheadBudgetShare caps wakeAhead at 1/16 of the budget: a budget of
+// a few pages has no room for a second mark, and runs as it did with one.
+const wakeAheadBudgetShare = 16
+
+// WakePages returns how many pages a writer can admit, one trap each,
+// while one page clean is on dev's wire: ⌈(command latency + one page
+// transfer) ÷ trap cost⌉. A free trap bounds nothing; the budget share
+// in WakeAhead does.
+func WakePages(dev *ssd.SSD, trap sim.Duration) int {
+	if trap <= 0 {
+		return math.MaxInt
+	}
+	clean := dev.Config().PerIOLatency + dev.FlushTimeFor(1)
+	return int((clean + trap - 1) / trap)
+}
+
+// WakeAhead returns the distance below budget at which an admission wakes
+// the proactive copier: wakePages, capped at 1/16 of the budget.
+func WakeAhead(wakePages, budget int) int {
+	return min(wakePages, budget/wakeAheadBudgetShare)
+}
+
+// wakeAhead is WakeAhead at the operative bound.
+func (m *Manager) wakeAhead() int { return WakeAhead(m.wakePages, m.effectiveBudget()) }
+
+// wakeCopierAhead is the high-water mark. The fault and dirty-notify
+// handlers call it once the budget check has passed and BEFORE the page
+// they are admitting enters the dirty set: if this admission leaves at
+// most wakeAhead further ones before the budget, the copier starts now, so
+// that by the time a writer paying one trap per page has used them up the
+// first clean has landed — the device was idle, and the alternative is a
+// budget hit that waits for the same write. Before admission because the
+// copier may pick any dirty page as a victim, and re-protecting the page
+// under the store that is about to retry would fail that store.
+func (m *Manager) wakeCopierAhead() {
+	if m.dirty.len()+1+m.wakeAhead() >= m.effectiveBudget() {
+		m.cleanToThreshold(m.st.wakesAhead)
 	}
 }
 

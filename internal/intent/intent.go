@@ -227,6 +227,9 @@ type Journal struct {
 	window   uint64
 
 	table map[uint64]*clientWin
+	// live is the number of entries across every client's window, kept in
+	// step by put and gcLocked so neither a Begin nor Stats walks the table.
+	live int
 
 	torn bool // last Open stopped on a torn tail (crash signature)
 
@@ -374,19 +377,21 @@ func (j *Journal) Stats() Stats {
 	s.HeadBytes = j.log.Head()
 	s.HalfBytes = j.halfSize
 	s.Clients = len(j.table)
-	for _, w := range j.table {
-		s.LiveEntries += len(w.entries)
-	}
+	s.LiveEntries = j.live
 	return s
 }
 
 func (j *Journal) publishGauges() {
-	live := 0
-	for _, w := range j.table {
-		live += len(w.entries)
-	}
-	j.st.liveEntries.Set(int64(live))
+	j.st.liveEntries.Set(int64(j.live))
 	j.st.liveClients.Set(int64(len(j.table)))
+}
+
+// put stores e as w's entry for seq, counting it if the slot was empty.
+func (j *Journal) put(w *clientWin, seq uint64, e *entry) {
+	if w.entries[seq] == nil {
+		j.live++
+	}
+	w.entries[seq] = e
 }
 
 func (j *Journal) win(client uint64) *clientWin {
@@ -445,7 +450,7 @@ func (j *Journal) Begin(client, seq, opSum uint64, redoKey, redoVal []byte, tomb
 	}
 	e := &entry{opSum: opSum, tombstone: tombstone,
 		key: append([]byte(nil), redoKey...), val: append([]byte(nil), redoVal...)}
-	w.entries[seq] = e
+	j.put(w, seq, e)
 	if seq > w.maxSeq {
 		w.maxSeq = seq
 	}
@@ -582,6 +587,7 @@ func (j *Journal) gcLocked(w *clientWin) {
 	for s := w.low; s < newLow; s++ {
 		if _, ok := w.entries[s]; ok {
 			delete(w.entries, s)
+			j.live--
 			j.stats.GCDropped++
 			j.st.gcDropped.Inc()
 		}
@@ -609,8 +615,8 @@ func (j *Journal) applyRecord(payload []byte) {
 			j.skipStale()
 			return
 		}
-		w.entries[rec.Seq] = &entry{opSum: rec.OpSum, tombstone: rec.Tombstone,
-			key: rec.Key, val: rec.Val}
+		j.put(w, rec.Seq, &entry{opSum: rec.OpSum, tombstone: rec.Tombstone,
+			key: rec.Key, val: rec.Val})
 		if rec.Seq > w.maxSeq {
 			w.maxSeq = rec.Seq
 		}
@@ -652,7 +658,7 @@ func (j *Journal) applyRecord(payload []byte) {
 		} else {
 			e.key, e.val = rec.Key, rec.Val
 		}
-		w.entries[rec.Seq] = e
+		j.put(w, rec.Seq, e)
 		if rec.Seq > w.maxSeq {
 			w.maxSeq = rec.Seq
 		}

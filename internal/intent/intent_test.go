@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"viyojit/internal/obs"
+	"viyojit/internal/sim"
 )
 
 type memStore struct{ data []byte }
@@ -369,5 +370,73 @@ func TestBeginCompleteAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, pair); allocs != 4 {
 		t.Fatalf("Begin+Complete allocate %v times, want 4", allocs)
+	}
+}
+
+// recountLive is what the live-entry count used to be computed as on
+// every Begin: a walk of every client's window.
+func (j *Journal) recountLive() int {
+	n := 0
+	for _, w := range j.table {
+		n += len(w.entries)
+	}
+	return n
+}
+
+// TestLiveEntriesMatchesRecount drives a seeded mix of Begin, Complete,
+// Compact and Open (replaying intents, results and snapshot records,
+// with windows sliding and garbage-collecting throughout) and checks the
+// running live-entry count, the Stats field and the gauge against a
+// recount after every step.
+func TestLiveEntriesMatchesRecount(t *testing.T) {
+	reg := obs.NewRegistry()
+	ms := newMemStore(1 << 20)
+	j, err := Create(ms, Config{Window: 4, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(31)
+	next := map[uint64]uint64{}
+	var open []struct{ client, seq uint64 }
+	reopens, compactions := 0, 0
+	for step := 0; step < 3000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			client := uint64(1 + rng.Intn(6))
+			next[client]++
+			if err := j.Begin(client, next[client], 7, []byte("k"), []byte("v"), r%2 == 0); err != nil {
+				t.Fatalf("step %d: begin: %v", step, err)
+			}
+			open = append(open, struct{ client, seq uint64 }{client, next[client]})
+		case r < 90 && len(open) > 0:
+			i := rng.Intn(len(open))
+			// A seq the window has since dropped completes as a no-op.
+			if err := j.Complete(open[i].client, open[i].seq, 0, []byte("r")); err != nil && !errors.Is(err, ErrStaleSeq) {
+				t.Fatalf("step %d: complete: %v", step, err)
+			}
+			open = append(open[:i], open[i+1:]...)
+		case r < 95:
+			if err := j.Compact(); err != nil {
+				t.Fatalf("step %d: compact: %v", step, err)
+			}
+			compactions++
+		default:
+			if j, err = Open(ms, reg); err != nil {
+				t.Fatalf("step %d: open: %v", step, err)
+			}
+			reopens++
+		}
+		want := j.recountLive()
+		if j.live != want || j.Stats().LiveEntries != want {
+			t.Fatalf("step %d: live counter %d, Stats %d, recount %d", step, j.live, j.Stats().LiveEntries, want)
+		}
+		if got := reg.Gauge("intent_live_entries").Value(); got != int64(want) {
+			t.Fatalf("step %d: gauge %d, recount %d", step, got, want)
+		}
+	}
+	dropped, replayed := reg.Counter("intent_gc_dropped_total").Value(), reg.Counter("intent_replayed_records_total").Value()
+	if reopens == 0 || compactions == 0 || dropped == 0 || replayed == 0 || j.live == 0 {
+		t.Fatalf("schedule missed a path: %d reopens, %d compactions, %d dropped, %d replayed, %d live",
+			reopens, compactions, dropped, replayed, j.live)
 	}
 }

@@ -141,6 +141,9 @@ func NewPageTable(clock *sim.Clock, costs Costs, numPages int, tlbEntries int) *
 // NumPages returns the number of pages the table covers.
 func (pt *PageTable) NumPages() int { return len(pt.entries) }
 
+// Costs returns the cost model the table charges.
+func (pt *PageTable) Costs() Costs { return pt.costs }
+
 // SetFaultHandler registers the write-protection fault handler.
 func (pt *PageTable) SetFaultHandler(h FaultHandler) { pt.handler = h }
 

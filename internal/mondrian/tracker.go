@@ -59,6 +59,9 @@ type Stats struct {
 	SectorsDirtied   uint64
 	ForcedCleans     uint64
 	ProactiveCleans  uint64
+	CopierWakesTick  uint64 // copier runs that started a clean, by who woke them (as core.Stats)
+	CopierWakesAhead uint64
+	CopierWakesHit   uint64
 	CleansCompleted  uint64
 	CleanErrors      uint64
 	Epochs           uint64
@@ -76,6 +79,7 @@ type Tracker struct {
 	data       []byte
 	sectorSize int
 	budget     int // sectors
+	wakeAhead  int // sectors below budget at which an admission wakes the copier (core.WakeAhead)
 
 	dirty    map[SectorID]*dirtySector
 	dirtySeq uint64
@@ -132,14 +136,16 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) (*Tracker, error) {
 	devCfg := cfg.SSD
 	devCfg.PageSize = cfg.SectorSize
 	nSectors := int(cfg.Size / int64(cfg.SectorSize))
+	dev := ssd.New(clock, events, devCfg)
 	t := &Tracker{
 		clock:            clock,
 		events:           events,
 		cfg:              cfg,
-		dev:              ssd.New(clock, events, devCfg),
+		dev:              dev,
 		data:             make([]byte, cfg.Size),
 		sectorSize:       cfg.SectorSize,
 		budget:           budget,
+		wakeAhead:        core.WakeAhead(core.WakePages(dev, cfg.TrapCost), budget),
 		dirty:            make(map[SectorID]*dirtySector),
 		history:          make([]uint64, nSectors),
 		histEpoch:        make([]uint64, nSectors),
@@ -219,10 +225,15 @@ func (t *Tracker) WriteAt(p []byte, off int64) error {
 				// A budget hit wakes the proactive copier before it
 				// blocks, as core.Manager's fault handler does.
 				t.stats.ForcedCleans++
-				t.cleanToThreshold()
+				t.cleanToThreshold(&t.stats.CopierWakesHit)
 				if !t.cleanOneSync() {
 					panic(fmt.Sprintf("mondrian: dirty %d at budget %d with no victim", len(t.dirty), t.budget))
 				}
+			}
+			// The wake level, before s is admitted so the copier cannot
+			// pick it (core.Manager.wakeCopierAhead).
+			if len(t.dirty)+1+t.wakeAhead >= t.budget {
+				t.cleanToThreshold(&t.stats.CopierWakesAhead)
 			}
 			t.dirtySeq++
 			t.dirty[s] = &dirtySector{seq: t.dirtySeq}
@@ -362,20 +373,26 @@ func (t *Tracker) cleanOneSync() bool {
 // cleanToThreshold is core.Manager's proactive-copier step at sector
 // granularity: start cleans of least-recently-updated sectors until the
 // ones not already in flight fit under budget − pressure, stopping (never
-// waiting) when the device queue is full.
-func (t *Tracker) cleanToThreshold() {
+// waiting) when the device queue is full. wakes is the caller's counter,
+// moved when the run started at least one clean.
+func (t *Tracker) cleanToThreshold(wakes *uint64) {
 	threshold := t.budget - int(t.pressure+0.5)
 	if threshold < 0 {
 		threshold = 0
 	}
 	maxOutstanding := t.dev.Config().MaxOutstanding
+	started := false
 	for len(t.dirty)-t.inflight > threshold && t.dev.Outstanding() < maxOutstanding {
 		s, ok := t.nextVictim()
 		if !ok {
-			return
+			break
 		}
 		t.stats.ProactiveCleans++
 		t.startClean(s)
+		started = true
+	}
+	if started {
+		*wakes++
 	}
 }
 
@@ -397,7 +414,7 @@ func (t *Tracker) epochTick(at sim.Time) {
 	t.newDirtyThisEpoch = 0
 
 	t.collectVictims()
-	t.cleanToThreshold()
+	t.cleanToThreshold(&t.stats.CopierWakesTick)
 	t.scheduleEpoch(at.Add(t.cfg.Epoch))
 }
 

@@ -329,3 +329,77 @@ func TestBudgetHitRestoresThreshold(t *testing.T) {
 		t.Fatalf("%d hits bounded, %d excused by a full queue: a case went unwitnessed", bounded, queueFull)
 	}
 }
+
+// core's TestSteadyWriterNeverBlocks at sector granularity: a writer that
+// dirties about `pressure` fresh sectors an epoch, spread over it, never
+// hits the budget on a healthy idle device — the epochs that beat the
+// estimate cross the wake level a clean latency before the budget.
+func TestSteadyWriterNeverBlocks(t *testing.T) {
+	const sectors, budget = 1 << 14, 2048
+	tr, clock := newTestTracker(t, Config{Size: sectors * 256, BudgetBytes: budget * 256})
+	// 60 µs + 256 B on the wire over a 1 µs trap, under the 1/16 share.
+	if tr.wakeAhead != 61 {
+		t.Fatalf("wakeAhead %d, want 61", tr.wakeAhead)
+	}
+	rng := sim.NewRNG(19)
+	next := int64(0)
+	for epoch := 1; epoch <= 200; epoch++ {
+		for n := 32 + rng.Intn(17); n > 0; n-- {
+			clock.Advance(20 * sim.Microsecond)
+			if err := tr.WriteAt([]byte{byte(epoch) | 1}, next%sectors*256); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			tr.Pump()
+		}
+		tr.events.RunUntil(clock, sim.Time(sim.Duration(epoch)*sim.Millisecond))
+	}
+	st := tr.Stats()
+	if st.ForcedCleans != 0 {
+		t.Fatalf("a steady writer blocked: %d forced cleans", st.ForcedCleans)
+	}
+	if st.Epochs < 199 || st.CopierWakesAhead == 0 || st.MaxDirtyObserved < budget-64 {
+		t.Fatalf("the run never came near its budget: %d epochs, %d wakes ahead, max dirty %d of %d",
+			st.Epochs, st.CopierWakesAhead, st.MaxDirtyObserved, budget)
+	}
+}
+
+// The wake runs before the sector being written is admitted, so the copier
+// cannot snapshot it ahead of the bytes the write is about to store: from
+// a one-sector budget up, every write lands, the bound holds at every
+// event, and after a flush the device holds what the region does.
+func TestWakeNeverPicksFaultingSector(t *testing.T) {
+	var wakes uint64
+	for _, budget := range []int{1, 2, 3, 5, 8, 13, 16, 40, 200} {
+		tr, clock := newTestTracker(t, Config{Size: 64 << 10, BudgetBytes: int64(budget) * 256})
+		tr.events.SetFireHook(func(uint64, sim.Time) {
+			if len(tr.dirty) > tr.budget {
+				t.Fatalf("budget %d: %d dirty sectors", tr.budget, len(tr.dirty))
+			}
+		})
+		rng := sim.NewRNG(uint64(budget))
+		buf := make([]byte, 700)
+		for step := 0; step < 2000; step++ {
+			if rng.Intn(8) == 0 {
+				clock.Advance(sim.Duration(rng.Intn(400)) * sim.Microsecond)
+			}
+			// Up to four sectors a write.
+			n := 1 + rng.Intn(min(len(buf), budget*256))
+			for i := range buf[:n] {
+				buf[i] = byte(step) | 1
+			}
+			if err := tr.WriteAt(buf[:n], rng.Int63n(tr.Size()-int64(n))); err != nil {
+				t.Fatal(err)
+			}
+			tr.Pump()
+		}
+		tr.FlushAll()
+		if err := tr.VerifyDurability(); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		wakes += tr.Stats().CopierWakesAhead
+	}
+	if wakes == 0 {
+		t.Fatal("the wake level never started a clean")
+	}
+}
