@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"viyojit/internal/battery"
@@ -26,7 +27,7 @@ import (
 	"viyojit/internal/ssd"
 )
 
-func trajectory(out *os.File, age, wear float64, dram, bw int64, derating float64) {
+func trajectory(out io.Writer, age, wear float64, dram, bw int64, derating float64) {
 	pm := power.Default()
 	const pageSize = 4096
 	const overhead = 500 * sim.Microsecond // viyojit.New's fixedFlushOverhead
@@ -55,37 +56,43 @@ func trajectory(out *os.File, age, wear float64, dram, bw int64, derating float6
 	fmt.Fprintf(out, "\nprovisioned for %d pages (12.5%% of the region) at install; row 0 is the monitor's floor of the same quantity\n", pages)
 }
 
-func main() {
-	age := flag.Float64("age", 0, "battery capacity fraction lost by the end of the trajectory (0 = skip)")
-	wear := flag.Float64("wear", 0, "SSD full-capacity write passes accrued by the end of the trajectory (0 = skip)")
-	dram := flag.Int64("dram", 64<<30, "NV-DRAM bytes for the trajectory")
-	bw := flag.Int64("bw", 2<<30, "nominal SSD write bandwidth for the trajectory, bytes/sec")
-	derating := flag.Float64("derating", 0.8, "conservative bandwidth fraction (matches viyojit.Config default)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	out := os.Stdout
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("battery-calc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	age := fs.Float64("age", 0, "battery capacity fraction lost by the end of the trajectory (0 = skip)")
+	wear := fs.Float64("wear", 0, "SSD full-capacity write passes accrued by the end of the trajectory (0 = skip)")
+	dram := fs.Int64("dram", 64<<30, "NV-DRAM bytes for the trajectory")
+	bw := fs.Int64("bw", 2<<30, "nominal SSD write bandwidth for the trajectory, bytes/sec")
+	derating := fs.Float64("derating", 0.8, "conservative bandwidth fraction (matches viyojit.Config default)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
 	if *age > 0 || *wear > 0 {
 		if *age < 0 || *age >= 1 {
-			fmt.Fprintln(os.Stderr, "battery-calc: -age outside [0,1)")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "battery-calc: -age outside [0,1)")
+			return 1
 		}
 		trajectory(out, *age, *wear, *dram, *bw, *derating)
-		return
+		return 0
 	}
-	if err := experiments.FprintFig1(out); err != nil {
-		fmt.Fprintln(os.Stderr, "battery-calc:", err)
-		os.Exit(1)
+	for i, section := range []func() error{
+		func() error { return experiments.FprintFig1(out) },
+		func() error { experiments.FprintBatterySizing(out); return nil },
+		func() error { return experiments.FprintAvailability(out) },
+		func() error { return experiments.FprintWarmup(out, 1) },
+	} {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		if err := section(); err != nil {
+			fmt.Fprintln(stderr, "battery-calc:", err)
+			return 1
+		}
 	}
-	fmt.Fprintln(out)
-	experiments.FprintBatterySizing(out)
-	fmt.Fprintln(out)
-	if err := experiments.FprintAvailability(out); err != nil {
-		fmt.Fprintln(os.Stderr, "battery-calc:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(out)
-	if err := experiments.FprintWarmup(out, 1); err != nil {
-		fmt.Fprintln(os.Stderr, "battery-calc:", err)
-		os.Exit(1)
-	}
+	return 0
 }

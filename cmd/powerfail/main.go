@@ -18,15 +18,20 @@
 // instead: concurrent retrying clients drive idempotent mutations
 // through a real serving front-end with a battery-backed intent journal,
 // power fails at swept event steps, and every recovery is checked for
-// zero lost acks and zero double-applies.
+// zero lost acks and zero double-applies. Every stack of the four sweeps
+// is the one viyojit.New builds and System.RecoverWith reboots — health
+// monitor, scrubber and fused sensor ticking — and every flush runs on
+// that stack's true battery.
 //
 // The -nested-sweep mode goes one failure deeper: every outer crash
 // point's recovery is itself re-crashed up to -recrash-depth times at
-// seeded steps — during region restore, mid-WAL-replay, mid-intent-redo,
-// mid-emergency-drain — with the recovery running on a dirty budget
-// scaled by -recovery-budget-scale (the sagged-battery regime). The
-// persistent recovery cursor must resume, never regress, and the same
-// exactly-once oracle must hold once recovery finally completes.
+// seeded steps — during region restore (the half-recovered system is
+// abandoned and the survivor recovered again), mid-WAL-replay,
+// mid-intent-redo, mid-drain — with the recovery running on a battery
+// holding -recovery-budget-scale of its energy (the sagged-battery
+// regime), carried from reboot to reboot. The persistent recovery cursor
+// must resume, never regress, and the same exactly-once oracle must hold
+// once recovery finally completes.
 //
 // The -forensics flag arms the black-box flight recorder: a small
 // checksummed ring of event records in battery-backed pages, charged
@@ -106,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	serveClients := fs.Int("serve-clients", 10, "concurrent retrying clients for -serve-sweep / -nested-sweep")
 	nestedSweep := fs.Bool("nested-sweep", false, "run the cascading-failure sweep: re-crash each outer crash point's recovery")
 	recrashDepth := fs.Int("recrash-depth", 3, "max cascaded re-crashes inside one recovery for -nested-sweep")
-	recoveryScale := fs.Float64("recovery-budget-scale", 1.0, "recovery dirty-budget scale in (0,1] for -nested-sweep (sagged-battery regime)")
+	recoveryScale := fs.Float64("recovery-budget-scale", 1.0, "fraction of the battery's energy left for recovery, in (0,1], for -nested-sweep (sagged-battery regime)")
 	sensorSweep := fs.Bool("sensor-sweep", false, "run the lying-fuel-gauge crash sweep: budget from fused telemetry under gauge faults")
 	gaugeLie := fs.Float64("gauge-lie", 0, "voltage-gauge lie-high episode probability per sample for -sensor-sweep (0 with all gauge flags zero = default menu)")
 	gaugeStuck := fs.Float64("gauge-stuck", 0, "voltage-gauge stuck episode probability per sample for -sensor-sweep")
@@ -422,7 +427,7 @@ func (n sweepNarrator) blackBox() error {
 
 // nested narrates the cascading-failure sweep: each outer crash point's
 // recovery is re-crashed at seeded in-recovery steps, on a possibly
-// shrunken budget, and must resume from the persistent cursor until it
+// sagged battery, and must resume from the persistent cursor until it
 // completes and passes the exactly-once oracle.
 func (n sweepNarrator) nested(depth int, scale float64) error {
 	if scale <= 0 || scale > 1 {
@@ -430,7 +435,7 @@ func (n sweepNarrator) nested(depth int, scale float64) error {
 	}
 	n.header("cascading-failure sweep")
 	w := n.stdout
-	fmt.Fprintf(w, "each recovery re-crashed up to %d times, on a dirty budget scaled by %.2f\n", depth, scale)
+	fmt.Fprintf(w, "each recovery re-crashed up to %d times, on a battery holding %.2f of its energy\n", depth, scale)
 	reg := obs.NewRegistry()
 	res, err := crashsweep.RunNested(crashsweep.NestedConfig{ServeConfig: n.cfg, RecrashDepth: depth, BudgetScale: scale, Obs: reg})
 	if err != nil {

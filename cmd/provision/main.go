@@ -13,88 +13,103 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"viyojit/internal/advisor"
 	"viyojit/internal/trace"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "trace generation seed")
-	pct := flag.Float64("percentile", 0.99, "write percentile the steady-state dirty set must cover")
-	headroom := flag.Float64("headroom", 1.25, "safety margin on the recommended budget")
-	file := flag.String("file", "", "analyse a single trace file (cmd/tracegen format) instead of the synthetic suite")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("provision", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "trace generation seed")
+	pct := fs.Float64("percentile", 0.99, "write percentile the steady-state dirty set must cover")
+	headroom := fs.Float64("headroom", 1.25, "safety margin on the recommended budget")
+	file := fs.String("file", "", "analyse a single trace file (cmd/tracegen format) instead of the synthetic suite")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	opts := advisor.Options{Percentile: *pct, Headroom: *headroom}
 
+	var err error
 	if *file != "" {
-		analyzeFile(*file, opts)
-		return
+		err = analyzeFile(out, *file, opts)
+	} else {
+		err = analyzeSuite(out, *seed, opts)
 	}
-
-	apps, err := trace.Applications(*seed)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "provision:", err)
+		return 1
 	}
+	return 0
+}
 
+// analyzeSuite runs the advisor over the synthetic data-center
+// applications.
+func analyzeSuite(out io.Writer, seed uint64, opts advisor.Options) error {
+	apps, err := trace.Applications(seed)
+	if err != nil {
+		return err
+	}
 	for _, app := range apps {
 		recs, agg, err := advisor.AnalyzeApplication(app, opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("== %s ==\n", app.Name)
-		fmt.Printf("%-8s %10s %10s %12s %14s %-14s %s\n",
+		fmt.Fprintf(out, "== %s ==\n", app.Name)
+		fmt.Fprintf(out, "%-8s %10s %10s %12s %14s %-14s %s\n",
 			"Volume", "Budget", "Fraction", "Battery (J)", "Savings", "Category", "")
 		for i, r := range recs {
 			note := ""
 			if !r.WorthIt {
 				note = "(decoupling buys little here)"
 			}
-			fmt.Printf("%-8s %7d pg %9.1f%% %12.2f %13.0f%% %-14s %s\n",
+			fmt.Fprintf(out, "%-8s %7d pg %9.1f%% %12.2f %13.0f%% %-14s %s\n",
 				r.Volume, r.BudgetPages, r.BudgetFraction*100,
 				r.Battery.CapacityJoules,
 				advisor.Savings(r, app.Volumes[i], opts)*100,
 				r.Category, note)
 		}
-		fmt.Printf("%-8s %7d pg %9.1f%% %12.2f\n\n",
+		fmt.Fprintf(out, "%-8s %7d pg %9.1f%% %12.2f\n\n",
 			"MACHINE", agg.BudgetPages, agg.BudgetFraction*100, agg.Battery.CapacityJoules)
 	}
-	fmt.Println("Battery figures are nameplate joules (after depth-of-discharge).")
-	fmt.Println("Categories follow §3: decoupling pays off most for skewed-light volumes.")
+	fmt.Fprintln(out, "Battery figures are nameplate joules (after depth-of-discharge).")
+	fmt.Fprintln(out, "Categories follow §3: decoupling pays off most for skewed-light volumes.")
+	return nil
 }
 
 // analyzeFile runs the advisor on one operator-supplied trace file.
-func analyzeFile(path string, opts advisor.Options) {
+func analyzeFile(out io.Writer, path string, opts advisor.Options) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	v, err := trace.ReadVolume(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	r, err := advisor.Analyze(v, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("volume %s: %d events over %v, %d pages\n",
+	fmt.Fprintf(out, "volume %s: %d events over %v, %d pages\n",
 		v.Spec.Name, len(v.Events), v.Duration, v.TotalPages())
-	fmt.Printf("category: %s", r.Category)
+	fmt.Fprintf(out, "category: %s", r.Category)
 	if !r.WorthIt {
-		fmt.Printf(" (decoupling buys little here)")
+		fmt.Fprintf(out, " (decoupling buys little here)")
 	}
-	fmt.Println()
-	fmt.Printf("recommended dirty budget: %d pages (%.1f%% of the volume)\n", r.BudgetPages, r.BudgetFraction*100)
-	fmt.Printf("  drivers: worst-hour burst %d pages, %0.f%%-ile hot set %d pages, headroom %.2fx\n",
+	fmt.Fprintln(out)
+	fmt.Fprintf(out, "recommended dirty budget: %d pages (%.1f%% of the volume)\n", r.BudgetPages, r.BudgetFraction*100)
+	fmt.Fprintf(out, "  drivers: worst-hour burst %d pages, %0.f%%-ile hot set %d pages, headroom %.2fx\n",
 		r.WorstHourPages, opts.Percentile*100, r.HotSetPages, r.Headroom)
-	fmt.Printf("battery to provision: %.2f J nameplate (DoD %.0f%%)\n",
+	fmt.Fprintf(out, "battery to provision: %.2f J nameplate (DoD %.0f%%)\n",
 		r.Battery.CapacityJoules, r.Battery.DepthOfDischarge*100)
-	fmt.Printf("savings vs full-DRAM battery: %.0f%%\n", advisor.Savings(r, v, opts)*100)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "provision:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "savings vs full-DRAM battery: %.0f%%\n", advisor.Savings(r, v, opts)*100)
+	return nil
 }

@@ -96,6 +96,15 @@ func MustNew(cfg Config) *Battery {
 	return b
 }
 
+// Config returns the battery as it stands now — aged nameplate, depth of
+// discharge, current derating — so a reboot can come up on the pack that
+// survived instead of the one that was installed.
+func (b *Battery) Config() Config {
+	cfg := b.cfg
+	cfg.CapacityJoules = b.nameplate
+	return cfg
+}
+
 // NameplateJoules returns the current (possibly aged) nameplate capacity.
 func (b *Battery) NameplateJoules() float64 { return b.nameplate }
 

@@ -18,8 +18,8 @@ package crashsweep
 //     within a bounded goodput delta of one with it off — the price
 //     of always-on crash forensics is measured, not assumed.
 //
-// The recorder is sealed at the crash instant (before the battery
-// flush) and before any clean-shutdown drain: the flush's own
+// The facade seals the recorder at the crash instant (before the battery
+// flush) and quiesces it for a clean-shutdown drain: the flush's own
 // bookkeeping — the dirty gauge collapsing, clean spans finishing —
 // must not move the ring past the moment it is supposed to explain.
 //
@@ -28,6 +28,7 @@ package crashsweep
 
 import (
 	"math"
+	"reflect"
 
 	"viyojit/internal/blackbox"
 	"viyojit/internal/core"
@@ -49,18 +50,20 @@ type bbOracle struct {
 // recorder. Must run before the recorder is sealed and before the
 // flush.
 func captureBlackBoxOracle(run *serveRun, res *ServeResult) *bbOracle {
-	if run.rec == nil {
+	rec := run.sys.BlackBox()
+	if rec == nil {
 		return nil
 	}
-	if mappingDirtyAt(run, run.bbM) {
+	if mappingDirtyAt(run.sys, recorderName) {
 		res.RecorderDirtyCrashes++
 	}
+	mgr := run.sys.Manager()
 	return &bbOracle{
-		dirty:   run.mgr.DirtyCount(),
-		budget:  run.mgr.EffectiveDirtyBudget(),
-		ladder:  run.mgr.HealthState(),
-		lastSeq: run.rec.LastSeq(),
-		drops:   run.rec.Dropped(),
+		dirty:   mgr.DirtyCount(),
+		budget:  mgr.EffectiveDirtyBudget(),
+		ladder:  mgr.HealthState(),
+		lastSeq: rec.LastSeq(),
+		drops:   rec.Dropped(),
 	}
 }
 
@@ -68,16 +71,18 @@ func captureBlackBoxOracle(run *serveRun, res *ServeResult) *bbOracle {
 // report against the oracle. A datum that aged out of the ring window
 // (-1: its last gauge record was overwritten by newer traffic) is not
 // comparable and is skipped; every datum still in the window must
-// match exactly when the recorder shed nothing.
-func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail failFunc) *blackbox.WalkResult {
-	if run.rec == nil || o == nil {
+// match exactly when the recorder shed nothing. It returns the report
+// the ring was left holding.
+func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail failFunc) *blackbox.Report {
+	if o == nil {
 		return nil
 	}
-	w, err := blackbox.ReadAndWalk(run.bbM)
+	rep, err := run.sys.BlackBoxReport()
 	if err != nil {
 		fail("blackbox walk: %v", err)
 		return nil
 	}
+	w := rep.Walk
 	res.RecorderAppends += w.LastSeq
 	res.RecorderDrops += uint64(o.drops)
 	// The sequence bound: the ring can be at most one record behind the
@@ -90,20 +95,19 @@ func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail failFu
 	if w.LastSeq+1 < o.lastSeq {
 		fail("blackbox ring adopted seq %d; recorder completed %d — more than one record lost", w.LastSeq, o.lastSeq)
 	}
-	rep := blackbox.BuildReport(w)
 	// Drops or not, the ring is a witness to the budget bound: no point
-	// of the recorded dirty trajectory may exceed the crash-instant
-	// effective budget (the sweep never retunes it, so the bound is
-	// constant over the run).
+	// of the recorded dirty trajectory may exceed what the battery was
+	// provisioned to back (the health monitor retunes the budget as the
+	// run goes, but only ever below that).
 	for _, p := range rep.Dirty {
-		if p.Value > int64(o.budget) {
-			fail("blackbox dirty trajectory records %d pages at t=%d, above budget %d", p.Value, p.At, o.budget)
+		if p.Value > serveBudgetPages {
+			fail("blackbox dirty trajectory records %d pages at t=%d, above the provisioned budget %d", p.Value, p.At, serveBudgetPages)
 			break
 		}
 	}
 	if o.drops > 0 {
 		res.ForensicDropped++
-		return &w
+		return &rep
 	}
 	exact := true
 	check := func(name string, got, want int64) {
@@ -122,23 +126,26 @@ func auditBlackBoxWalk(run *serveRun, o *bbOracle, res *ServeResult, fail failFu
 	if exact {
 		res.ForensicExact++
 	}
-	return &w
+	return &rep
 }
 
-// attachRecovered continues the crash ring on a recovered stack: the
-// walk is adopted (sequence stays monotone across the reboot), the
-// recovery itself is recorded, and only then is the registry teed in —
-// the recovered manager's boot bookkeeping must not overwrite
-// crash-instant slots before the walk happened.
-func attachRecovered(st *serveRun, w *blackbox.WalkResult) {
-	if st.rec == nil {
+// auditRecoveredRing checks what RecoverWith made of the ring: the
+// forensic report the recovered System hands out is the one the flush
+// left on the SSD — the reboot's own boot bookkeeping overwrote no
+// crash-instant slot before the walk — and its recorder continues the
+// adopted sequence.
+func auditRecoveredRing(rec *serveRun, left *blackbox.Report, fail failFunc) {
+	if left == nil {
 		return
 	}
-	if w != nil {
-		st.rec.Adopt(*w)
-		st.rec.Append(blackbox.KindRecover, 0, int64(w.LastSeq), int64(w.Torn), 0, 0)
+	got := rec.sys.Forensics()
+	if got == nil || !reflect.DeepEqual(*got, *left) {
+		fail("recovered forensic report diverges from the ring the flush left")
+		return
 	}
-	st.reg.SetSink(st.rec)
+	if seq := rec.sys.BlackBox().LastSeq(); seq <= left.Walk.LastSeq {
+		fail("recovered recorder at seq %d did not continue the adopted sequence %d", seq, left.Walk.LastSeq)
+	}
 }
 
 // BlackBoxResult is RunBlackBox's verdict: the crash sweep plus the
@@ -193,7 +200,7 @@ func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
 	}
 	out.HealthyOffNs, out.HealthyOffAcked = int64(offRun.ended), offTally.AckedMutations
 	out.HealthyOnNs, out.HealthyOnAcked = int64(onRun.ended), onTally.AckedMutations
-	out.HealthyRecorderAppends, out.HealthyRecorderDrops = onRun.rec.LastSeq(), uint64(onRun.rec.Dropped())
+	out.HealthyRecorderAppends, out.HealthyRecorderDrops = onRun.sys.BlackBox().LastSeq(), uint64(onRun.sys.BlackBox().Dropped())
 	if out.HealthyOffNs > 0 && out.HealthyOnNs > 0 {
 		gOff := float64(out.HealthyOffAcked) / float64(out.HealthyOffNs)
 		gOn := float64(out.HealthyOnAcked) / float64(out.HealthyOnNs)

@@ -41,23 +41,39 @@
 // concurrent RetryingClients drive a YCSB-A-style mix through the
 // exactly-once intent-journal protocol, and the recovered stack must
 // answer every client's retry stream exactly once. They are one path —
-// assemble → serve → crash → auditCrash → recover (restore, reopen,
-// table compare, redo) → replay → per-key oracle — in four
-// configurations. Every mode runs every audit of that path; what a mode
-// adds (its file's header has the audits in full):
+// viyojit.New → serve → crash → auditCrash → System.RecoverWith (reopen,
+// table compare, redo, drain) → replay → per-key oracle — in four
+// configurations, and what they audit is the product's own assembly:
+// every pre-crash stack is viyojit.New of mode.config() and every
+// recovered one System.RecoverWith of it, so the facade's health
+// monitor, scrubber and fused sensor tick on the queue the crash is
+// armed on and crash points land inside them; the four files construct
+// no stack component themselves (CI greps for it). The battery is sized
+// through Config.Battery for the serving budget, and every flush —
+// System.SimulatePowerFailure — is judged on that TRUE battery, not on a
+// figure the harness computed. RecoverWith returns only once the restore
+// is over, so a re-crash inside the restore is modelled as what it is on
+// the product: the half-recovered System is abandoned and RecoverWith
+// runs again on the same survivor. Every mode runs every audit of the
+// path; what a mode adds (its file's header has the audits in full):
 //
 //	mode      at build                  at crash                    after recover
 //	serve     —                         —                           —
 //	nested    recovery cursor, strike   —                           recovery re-crashed up to
-//	          instants in Begin→Complete                            RecrashDepth times on a
-//	                                                                scaled budget, audited
+//	          instants in Begin→Complete,                           RecrashDepth times on a
+//	          a slow device                                         sagged battery carried
+//	                                                                reboot to reboot, audited
 //	                                                                at every depth
-//	sensor    lying gauges → fused      fused ≤ true, MTTD bounds,  —
-//	          estimate → budget, on a   dirty ≤ what TRUE joules
-//	          slow device               flush; flush on TRUE joules
-//	blackbox  recorder ring mapped      ring pages inside the bound; walk adopted, recovery
-//	          first, registry teed in   post-flush ring walks to    recorded, then the
-//	                                    the crash-instant oracle    registry teed in again
+//	sensor    injectors on the gauges   fused ≤ true, MTTD bounds,  —
+//	          the budget is derived     dirty ≤ what TRUE joules
+//	          from, on a slow device    flush
+//	blackbox  Config.BlackBox: ring     ring pages inside the bound; the report RecoverWith
+//	          mapped first, registry    post-flush ring walks to    hands out is the ring the
+//	          teed in                   the crash-instant oracle    flush left; sequence
+//	                                                                continues
+//
+// Run's stack (build, below) is still wired by hand: it needs raw
+// mappings and SSD fault injection from the first write.
 //
 // Unlike Run, a live-traffic run with more than one client is NOT
 // bit-replayable from its seed: the event step a crash lands on is
@@ -473,11 +489,12 @@ type failFunc func(format string, args ...any)
 
 // auditCrash is the protocol at a power-failure instant, shared by every
 // sweep and every crash depth: (1) the dirty set is within bound, the
-// bound the battery is provisioned against; (2) the battery-powered
-// flush completes on joules; (3) after it the SSD is byte-equal to
-// NV-DRAM. byteEqual is false only in corruption mode, where (3) cannot
-// hold by construction and the caller audits for silent escapes instead.
-func auditCrash(mgr *core.Manager, bound int, joules float64, byteEqual bool, maxDirty *int, fail failFunc) {
+// bound the battery is provisioned against; (2) flush — the
+// battery-powered flush, on the energy the caller holds it to —
+// completes within it; (3) after it the SSD is byte-equal to NV-DRAM.
+// byteEqual is false only in corruption mode, where (3) cannot hold by
+// construction and the caller audits for silent escapes instead.
+func auditCrash(mgr *core.Manager, bound int, flush func() core.PowerFailReport, byteEqual bool, maxDirty *int, fail failFunc) {
 	dirty := mgr.DirtyCount()
 	if dirty > *maxDirty {
 		*maxDirty = dirty
@@ -485,7 +502,7 @@ func auditCrash(mgr *core.Manager, bound int, joules float64, byteEqual bool, ma
 	if dirty > bound {
 		fail("dirty count %d exceeds effective budget %d at crash", dirty, bound)
 	}
-	report := mgr.PowerFail(power.Default(), joules)
+	report := flush()
 	if !report.Survived {
 		fail("flush of %d pages used %.3f J of %.3f J provisioned",
 			report.DirtyAtFailure, report.EnergyUsedJoules, report.EnergyAvailableJoules)
@@ -549,7 +566,8 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		st.events.Cancel(st.sagEvent)
 		joules = st.batt.EffectiveJoules()
 	}
-	auditCrash(st.mgr, st.mgr.EffectiveDirtyBudget(), joules, !cfg.Corruption, &res.MaxDirtyAtCrash, fail)
+	flush := func() core.PowerFailReport { return st.mgr.PowerFail(power.Default(), joules) }
+	auditCrash(st.mgr, st.mgr.EffectiveDirtyBudget(), flush, !cfg.Corruption, &res.MaxDirtyAtCrash, fail)
 
 	// (3) Post-flush SSD byte-equals NV-DRAM (auditCrash's last check).
 	// In corruption mode the equality cannot hold — silent faults
@@ -660,7 +678,7 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	// Committed records still in the undo log are a transaction to roll
 	// back; counting them is a read-only replay (wal.Open does not write).
 	undo, _, _ := recovery.RestoredWAL(restored, st.ptxM.Base(), ptxLogBytes)
-	h, err := ptx.Open(regionWindow{region: restored, base: st.ptxM.Base(), size: st.ptxM.Size()}, ptxLogBytes)
+	h, err := ptx.Open(recovery.Window(restored, st.ptxM.Base(), st.ptxM.Size()), ptxLogBytes)
 	if err != nil {
 		fail("ptx open: %v", err)
 		return out
@@ -686,18 +704,6 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	}
 	return out
 }
-
-// regionWindow adapts a byte range of a region to the Store surfaces the
-// wal and ptx packages consume.
-type regionWindow struct {
-	region *nvdram.Region
-	base   int64
-	size   int64
-}
-
-func (w regionWindow) ReadAt(p []byte, off int64) error  { return w.region.ReadAt(p, w.base+off) }
-func (w regionWindow) WriteAt(p []byte, off int64) error { return w.region.WriteAt(p, w.base+off) }
-func (w regionWindow) Size() int64                       { return w.size }
 
 // lattice is a sweep's crash-step schedule over a baseline of events
 // (> 0) event steps. It returns the stride — the configured one, or one

@@ -3,17 +3,19 @@ package crashsweep
 // nested.go is the cascading-failure mode of the live-traffic sweep:
 // where the other modes fail power exactly once and recover on a fully
 // provisioned stack, RunNested crashes *into the recovery itself* — up
-// to RecrashDepth cascaded re-crashes at seeded event steps inside each
-// outer crash point's recovery, with the recovery running on a possibly
-// *shrunken* dirty budget (BudgetScale < 1: the sagged-battery regime
-// where a repeated outage leaves less energy than the run that
-// crashed). The loop is sweep.recoverStack; every attempt is the
-// restartable pipeline of serveRun.assemble and serveRun.resolve, and
-// the sweep audits, at every crash depth:
+// to RecrashDepth cascaded re-crashes at seeded steps inside each outer
+// crash point's recovery, with the recovery running on a possibly
+// *sagged* battery (BudgetScale < 1: a repeated outage leaves less
+// energy than the run that crashed, and every reboot of the cascade
+// comes up on what the last one left). The loop is sweep.recoverStack;
+// every attempt is System.RecoverWith followed by the restartable
+// pipeline of serveRun.attach and serveRun.resolve, and the sweep
+// audits, at every crash depth:
 //
-//  1. dirty ≤ the CURRENT (scaled) budget at the crash instant;
-//  2. the re-crash's battery flush completes within the energy
-//     provisioned for that scaled budget, and SSD = NV-DRAM after;
+//  1. dirty ≤ the CURRENT budget at the crash instant, and that budget
+//     no more than the surviving battery backs;
+//  2. the re-crash's battery flush completes within that battery's
+//     energy, and SSD = NV-DRAM after;
 //  3. the persistent cursor never regresses across attempts
 //     ((incarnation, attempt, phase, record) is monotone) and never
 //     falls back to fresh — a torn cursor write must cost one write,
@@ -33,10 +35,11 @@ type NestedConfig struct {
 	// arms at a step uniform over the attempt's own event space (see
 	// recoverStack), so every armed step actually fires.
 	RecrashDepth int
-	// BudgetScale scales the recovery dirty budget relative to the
-	// serving budget (floored at one page): 1.0 recovers on a fresh
-	// battery, 0.5 on one that sagged to half between outages. 0 selects
-	// 1.0.
+	// BudgetScale is the fraction of the battery's energy left for the
+	// recovery (viyojit.RecoverOptions.BudgetScale): 1.0 recovers on the
+	// whole battery, 0.5 on one that sagged to half between outages —
+	// which backs 3 of the 8 pages, the fixed flush overhead coming off
+	// the top. 0 selects 1.0.
 	BudgetScale float64
 	// Obs receives the recovery instruments (recovery_resumes_total,
 	// recovery_redo_pages, recovery_budget_stalls, cursor counters)
@@ -61,7 +64,8 @@ type CascadeEvidence struct {
 	// writes must never corrupt).
 	Resumes   int
 	Fallbacks int
-	// RecoveryBudget is the scaled dirty budget recoveries ran under.
+	// RecoveryBudget is the dirty budget the surviving battery backs:
+	// what every recovery of the sweep came up on.
 	RecoveryBudget int
 	// MaxDirtyAtInnerCrash is the largest dirty set at an in-recovery
 	// crash instant (≤ RecoveryBudget unless a violation was recorded).
@@ -91,6 +95,7 @@ type NestedResult struct {
 func RunNested(cfg NestedConfig) (NestedResult, error) {
 	m := mode{
 		ServeConfig: cfg.ServeConfig,
+		writeBW:     slowDevice, // where half the battery still backs pages
 		cursorPages: 1,
 		// The nested sweep exists to crash INTO recovery, and recovery's
 		// redo phase only has work when the outer crash strands an

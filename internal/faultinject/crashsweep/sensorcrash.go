@@ -29,15 +29,12 @@ package crashsweep
 // observationally honest — and harmless by the same argument.
 
 import (
-	"math"
-
-	"viyojit/internal/battery"
+	"viyojit"
 	"viyojit/internal/faultinject"
 	"viyojit/internal/health"
 	"viyojit/internal/power"
 	"viyojit/internal/sensor"
 	"viyojit/internal/sim"
-	"viyojit/internal/ssd"
 )
 
 // SensorSweepConfig parameterises the lying-gauge sweep.
@@ -58,7 +55,8 @@ const (
 	// gaugeInterval is the telemetry/health sampling period: well inside
 	// a manager epoch, so budget reactions land between cleans.
 	gaugeInterval = 50 * sim.Microsecond
-	// gaugeStaleAfter is the fused layer's staleness window.
+	// gaugeStaleAfter is the fused layer's staleness window, as
+	// viyojit.New derives it from the monitor interval.
 	gaugeStaleAfter = gaugeInterval * 5 / 2
 	// coulombDropout is the coulomb counter's dropout probability. The
 	// coulomb gauge never lies in this sweep: the safety argument needs
@@ -106,69 +104,35 @@ type SensorSweepResult struct {
 	TelemetryEvidence
 }
 
-// telemetry is the chain under test riding on one pre-crash stack. A
-// nil *telemetry is a run without gauges: every method is a no-op.
+// telemetry is the chain under test on one pre-crash stack: the
+// System's own battery, fused sensor and health monitor, and the two
+// injectors corrupting its gauges. A nil *telemetry is a run without
+// injectors: every method is a no-op.
 type telemetry struct {
-	batt     *battery.Battery
-	fused    *sensor.Fused
-	mon      *health.Monitor
-	vInj     *faultinject.SensorInjector
-	cInj     *faultinject.SensorInjector
-	overhead sim.Duration // the provisioning view flushEnergy/coverPages use
+	sys  *viyojit.System
+	vInj *faultinject.SensorInjector
+	cInj *faultinject.SensorInjector
 }
 
-// attachTelemetry wires battery, gauges, fused sensor, and health
-// monitor over a freshly assembled stack (nil if the mode has no
-// gauges). The battery is provisioned so that the monitor's budget
-// derivation — BandwidthDerating applied to the same flush-overhead
-// model the crash audit uses — lands back on the serving budget when the
-// telemetry is honest: the sweep then watches the budget dip below that
-// exactly when the fusion turns conservative.
+// attachTelemetry attaches the seeded injectors to the gauges of a
+// freshly built stack (nil if the mode has none). mode.config provisioned
+// the battery so that the monitor's budget derivation lands on twice the
+// serving budget when the telemetry is honest: the sweep then watches
+// the budget dip below that exactly when the fusion turns conservative.
+// viyojit.New took one honest baseline sample before this, so every
+// estimator has an accepted anchor and a lie-from-the-first-tick is a
+// rise, not a baseline.
 //
 // salt is the run index and salts the injector streams: each armed run
 // explores its own fault schedule (runs crash early, so an unsalted
 // schedule would make every run replay the same first few episodes).
 // Still deterministic — a pure function of (config seed, run index).
-func attachTelemetry(st *serveRun, salt uint64) (*telemetry, error) {
+func attachTelemetry(st *serveRun, salt uint64) *telemetry {
 	cfg := st.mode.gauges
 	if cfg == nil {
-		return nil, nil
+		return nil
 	}
-	pm, dram := power.Default(), st.region.Size()
-	t := &telemetry{overhead: flushOverhead(st.dev, 0)}
-	const bandwidthDerating = 0.8 // the health.Config default
-	// 2x provisioning headroom: the fixed flush-overhead reserve comes
-	// off the top of the energy term, so without headroom a deep-but-
-	// legitimate conservative dip (both gauges dark past the staleness
-	// window, estimate decaying at full flush draw) could zero the
-	// budget and trip a spurious emergency. With 2x, zeroing requires
-	// several milliseconds of continuous total gauge darkness — beyond
-	// any single episode the injectors generate. The crash audit stays
-	// exact either way: dirty is checked against what TRUE energy can
-	// flush, headroom included.
-	provisionPages := 2 * int(math.Ceil(serveBudgetPages/bandwidthDerating))
-	t.batt = battery.MustNew(battery.Config{
-		CapacityJoules:   flushEnergy(provisionPages, t.overhead, st.dev, pm, dram),
-		DepthOfDischarge: 1,
-		Derating:         1,
-	})
-	var err error
-	t.fused, err = sensor.New(sensor.Config{
-		// The physical ceiling on how fast the pack can actually drain:
-		// full flush draw. Held and blind estimates decay at this rate.
-		MaxDischargeWatts: pm.FlushWatts(dram),
-		StaleAfter:        gaugeStaleAfter,
-		MaxDetections:     1 << 16, // the MTTD audit needs every rejection
-	}, t.batt.NameplateJoules,
-		sensor.NewCoulombCounter("coulomb", t.batt.EffectiveJoules),
-		sensor.NewVoltageSoC("voltage", t.batt.EffectiveJoules, 0))
-	if err != nil {
-		return nil, err
-	}
-	// One honest baseline sample before the injectors attach — the
-	// facade does the same at New — so every estimator has an accepted
-	// anchor and a lie-from-the-first-tick is a rise, not a baseline.
-	t.fused.Sample(st.clock.Now())
+	t := &telemetry{sys: st.sys}
 	salt *= 0x9E3779B97F4A7C15
 	t.cInj = faultinject.NewSensorInjector(faultinject.SensorConfig{
 		Seed:        cfg.Serve.Seed ^ 0xC001_0111 ^ salt,
@@ -184,47 +148,34 @@ func attachTelemetry(st *serveRun, salt uint64) (*telemetry, error) {
 		menu.LieMagnitude = 0.5
 	}
 	t.vInj = faultinject.NewSensorInjector(menu)
-	t.fused.Estimator(0).SetCorruptor(t.cInj)
-	t.fused.Estimator(1).SetCorruptor(t.vInj)
-	t.mon, err = health.NewMonitor(st.events, st.clock, t.batt, st.mgr, pm, health.Config{
-		Interval: gaugeInterval,
-		// Align the monitor's joules→pages conversion with the crash
-		// audit's flush-energy model, so the derived budget is by
-		// construction BandwidthDerating × what true energy can flush.
-		FlushOverhead: t.overhead,
-		Energy:        t.fused,
-		// Every sample of the run feeds the every-instant audit.
-		MaxSnapshots: 1 << 17,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	st.sys.Sensor().Estimator(0).SetCorruptor(t.cInj)
+	st.sys.Sensor().Estimator(1).SetCorruptor(t.vInj)
+	return t
 }
 
-// close stops the monitor's sampling (idempotent).
+// close stops the monitor's sampling (idempotent): the audited trail
+// ends where the run did.
 func (t *telemetry) close() {
 	if t != nil {
-		t.mon.Close()
+		t.sys.Health().Close()
 	}
 }
 
-// flushJoules is the hard bound at the crash instant beyond the
-// manager's effective budget: dirty within what the TRUE remaining
-// energy can flush — the guarantee the whole telemetry chain exists to
-// preserve against a gauge lying high. It returns that energy: the
-// flush runs on the PHYSICAL battery, the lying gauge has no say there.
-// Without gauges the provisioned figure stands.
-func (t *telemetry) flushJoules(st *serveRun, provisioned float64, fail failFunc) float64 {
+// atCrash is the hard bound at the crash instant beyond the manager's
+// effective budget: dirty within what the TRUE remaining energy can
+// flush — the guarantee the whole telemetry chain exists to preserve
+// against a gauge lying high — by the product's own joules-to-pages
+// conversion at the device's full bandwidth. The flush that follows runs
+// on the physical battery either way; the lying gauge has no say there.
+func (t *telemetry) atCrash(fail failFunc) {
 	if t == nil {
-		return provisioned
+		return
 	}
-	trueJ := t.batt.EffectiveJoules()
-	dirty := st.mgr.DirtyCount()
-	if cover := coverPages(t.overhead, st.dev, power.Default(), st.region.Size(), trueJ); dirty > cover {
+	trueJ, region, dev := t.sys.Battery().EffectiveJoules(), t.sys.Manager().Region(), t.sys.SSD()
+	cover := health.BudgetPages(power.Default(), trueJ, dev.EffectiveWriteBandwidth(), region.Size(), region.PageSize(), flushReserve)
+	if dirty := t.sys.DirtyCount(); dirty > cover {
 		fail("dirty %d exceeds the %d pages true energy %.4f J can flush", dirty, cover, trueJ)
 	}
-	return trueJ
 }
 
 const fusedEps = 1 + 1e-9
@@ -236,11 +187,12 @@ func (t *telemetry) audit(res *TelemetryEvidence, fail failFunc) {
 	if t == nil {
 		return
 	}
-	trueJ := t.batt.EffectiveJoules()
-	if fused := t.fused.EffectiveJoules(); fused > trueJ*fusedEps {
+	gauges, mon := t.sys.Sensor(), t.sys.Health()
+	trueJ := t.sys.Battery().EffectiveJoules()
+	if fused := gauges.EffectiveJoules(); fused > trueJ*fusedEps {
 		fail("fused %v over-reports true %v at crash instant", fused, trueJ)
 	}
-	for _, s := range t.mon.Snapshots() {
+	for _, s := range mon.Snapshots() {
 		if s.EffectiveJoules > s.TrueJoules*fusedEps {
 			fail("sample at %v: fused %v over-reports true %v", s.At, s.EffectiveJoules, s.TrueJoules)
 		}
@@ -254,10 +206,10 @@ func (t *telemetry) audit(res *TelemetryEvidence, fail failFunc) {
 			}
 		}
 	}
-	hs := t.mon.Stats()
+	hs := mon.Stats()
 	res.EmergencyEnters += hs.EmergencyEnters
 	res.Retunes += hs.Retunes
-	fs := t.fused.Stats()
+	fs := gauges.Stats()
 	res.SoloSamples += fs.SoloSamples
 	res.BlindSamples += fs.BlindSamples
 	res.Detections[string(sensor.DetectBounds)] += int(fs.BoundsRejects)
@@ -285,8 +237,8 @@ func (t *telemetry) audit(res *TelemetryEvidence, fail failFunc) {
 // spikes with sub-float-noise magnitudes.
 func (t *telemetry) auditMTTD(name string, inj *faultinject.SensorInjector, res *TelemetryEvidence, fail failFunc) {
 	const interval, staleAfter = gaugeInterval, gaugeStaleAfter
-	dets := t.fused.Detections()
-	lastSample := t.fused.LastSampleAt()
+	dets := t.sys.Sensor().Detections()
+	lastSample := t.sys.Sensor().LastSampleAt()
 	firstDetAfter := func(start sim.Time) (sim.Time, bool) {
 		for _, d := range dets {
 			if d.Estimator == name && d.At >= start {
@@ -331,22 +283,11 @@ func (t *telemetry) auditMTTD(name string, inj *faultinject.SensorInjector, res 
 	}
 }
 
-// RunSensor executes the lying-gauge live-traffic sweep. The calibration
-// run has the telemetry attached, so monitor ticks are part of the step
-// space.
+// RunSensor executes the lying-gauge live-traffic sweep, on the slow
+// device. The calibration run has the injectors attached, so what the
+// monitor does about them is part of the step space.
 func RunSensor(cfg SensorSweepConfig) (SensorSweepResult, error) {
-	sw := newSweep(mode{
-		ServeConfig: cfg.Serve,
-		// A slow device: the budget formula reserves a fixed flush
-		// overhead off the top, and on a fast device that overhead
-		// dominates the energy term — a modest conservative dip in the
-		// fused estimate would then zero the budget outright instead of
-		// shrinking it. With the transfer term dominant, telemetry dips
-		// degrade the budget proportionally, which is the regime the sweep
-		// is studying.
-		ssd:    ssd.Config{WriteBandwidth: 16 << 20},
-		gauges: &cfg,
-	})
+	sw := newSweep(mode{ServeConfig: cfg.Serve, writeBW: slowDevice, gauges: &cfg})
 	err := sw.run()
 	return SensorSweepResult{ServeResult: sw.res, TelemetryEvidence: sw.gauge}, err
 }

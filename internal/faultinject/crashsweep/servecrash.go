@@ -7,10 +7,11 @@ package crashsweep
 //  1. dirty ≤ effective budget at the crash instant — with the intent
 //     journal's pages inside the bound, since the journal lives in an
 //     ordinary budget-accounted mapping;
-//  2. the battery flush completes within provisioned energy and leaves
-//     the SSD byte-equal to NV-DRAM;
-//  3. a recovered stack (fresh region restored from the SSD, reopened
-//     heap, store, and journal, fresh server) answers every client's
+//  2. the battery flush (System.SimulatePowerFailure) completes within
+//     the true battery's energy and leaves the SSD byte-equal to NV-DRAM;
+//  3. a recovered stack (System.RecoverWith: fresh region restored from
+//     the SSD, on the battery that survived; reopened heap, store, and
+//     journal, fresh server) answers every client's
 //     retry stream exactly once: every acknowledged mutation is present
 //     (zero lost acks), no mutation is applied twice (per-key count/sum
 //     oracle), and the one in-flight-at-crash op per client lands
@@ -41,21 +42,18 @@ import (
 	"fmt"
 	"sync"
 
-	"viyojit/internal/blackbox"
+	"viyojit"
 	"viyojit/internal/core"
 	"viyojit/internal/dist"
 	"viyojit/internal/faultinject"
 	"viyojit/internal/intent"
 	"viyojit/internal/kvstore"
 	"viyojit/internal/mmu"
-	"viyojit/internal/nvdram"
 	"viyojit/internal/obs"
-	"viyojit/internal/pheap"
 	"viyojit/internal/power"
 	"viyojit/internal/recovery"
 	"viyojit/internal/serve"
 	"viyojit/internal/sim"
-	"viyojit/internal/ssd"
 )
 
 // ServeConfig parameterises a live-traffic sweep. Zero values select a
@@ -95,35 +93,57 @@ func (c ServeConfig) withDefaults() ServeConfig {
 // The serving stack's shape: constants, since no caller ever varied them
 // and every pinned number of these sweeps depends on them. The mix is
 // YCSB-A (reads flow outside the idempotence protocol); the journal's
-// dedup window and the manager's epoch are their packages' defaults.
+// dedup window, the manager's epoch, the health monitor's period and the
+// scrubber's pacing are the facade's defaults.
 const (
 	serveKeys         = 48 // key-space size
 	serveReadFraction = 0.5
 	serveHeapPages    = 64 // the store mapping
 	journalPages      = 16 // the intent-journal mapping
-	// serveBudgetPages is the dirty budget: tight enough that journal
-	// appends and store writes force synchronous cleans under load. Note
-	// the budget alone barely opens the intent-begun-but-not-completed
-	// window to the Crasher: forced cleans on the fault path are
-	// synchronous and fire no queue events; only a fault on a page whose
-	// asynchronous clean is still in flight steps the queue mid-op, and
-	// whether that ever happens is seed- and layout-dependent.
-	// mode.commitMarkers opens the window deterministically.
+	// serveBudgetPages is the dirty budget the battery is provisioned for:
+	// tight enough that journal appends and store writes force synchronous
+	// cleans under load. Note the budget alone barely opens the
+	// intent-begun-but-not-completed window to the Crasher: forced cleans
+	// on the fault path are synchronous and fire no queue events; only a
+	// fault on a page whose asynchronous clean is still in flight steps
+	// the queue mid-op, and whether that ever happens is seed- and
+	// layout-dependent. mode.commitMarkers opens the window
+	// deterministically.
 	serveBudgetPages = 8
+
+	// What viyojit.New derives a budget with when the Config leaves it
+	// alone: 0.8 of the device's write bandwidth, after 500 µs of fixed
+	// flush overhead. batteryFor inverts exactly that.
+	bandwidthDerating = 0.8
+	flushReserve      = 500 * sim.Microsecond
+	// fastDevice is the ssd package's default write bandwidth, stated so
+	// the battery is sized for the device it backs. slowDevice is what the
+	// nested and sensor modes run on: the budget formula reserves the fixed
+	// overhead off the top, and on the fast device that overhead dominates
+	// the energy term — half the joules would back no page at all, and a
+	// modest conservative dip in a fused estimate would zero the budget
+	// outright instead of shrinking it. With the transfer term dominant
+	// the budget degrades in proportion to the energy, which is the regime
+	// those modes study.
+	fastDevice = 2 << 30
+	slowDevice = 16 << 20
+
+	cursorName, storeName, journalName = "cursor", "heap", "intent"
+	recorderName                       = "__blackbox" // the facade's ring mapping
 )
 
 // mode is what tells the four live-traffic sweeps apart: data on the one
 // path, not forks of it. The zero mode is RunServe's.
 type mode struct {
 	ServeConfig
-	ssd ssd.Config // the backing device; zero = defaults
+	writeBW int64 // the backing device's write bandwidth; 0 = fastDevice
 	// commitMarkers plants serve-side crash points inside each idempotent
 	// op's Begin→Complete critical section (serve.Config.CrashPoints): one
 	// queue-event strike instant after the intent record is durable and
 	// one after the mutation applies. Without them, whether any crash
 	// strands an in-flight intent for recovery's redo phase is left to
 	// the incidental in-flight-clean-wait path. The nested sweep sets
-	// this; the plain sweep's historical lattice leaves it off.
+	// this; the plain sweep's lattice leaves it off.
 	commitMarkers bool
 	// cursorPages sizes the persistent recovery-cursor mapping; 0 maps no
 	// cursor (every single-crash mode). The nested sweep sets 1.
@@ -132,13 +152,70 @@ type mode struct {
 	// recorder and its audits (blackboxcrash.go). The blackbox sweep sets 2.
 	bbPages int
 	// recrashDepth, budgetScale and recoveryObs are NestedConfig's: depth
-	// 0 recovers once, unarmed, on the full budget (0 scale = 1).
+	// 0 recovers once, unarmed, on the whole battery (0 scale = 1).
 	recrashDepth int
 	budgetScale  float64
 	recoveryObs  *obs.Registry
 	// gauges, when set, puts every pre-crash stack under the lying-gauge
-	// telemetry chain (sensorcrash.go).
+	// fault injectors (sensorcrash.go).
 	gauges *SensorSweepConfig
+}
+
+// batteryFor provisions a battery whose energy flushes pages dirty pages
+// of a region of regionBytes to a device of writeBW, by viyojit.New's own
+// derivation: the budget is never set, it falls out of the joules. (The
+// transfer time stays a float: battery.JoulesForPages truncates it to
+// whole nanoseconds, which on the fast device is the difference between
+// 8 pages and 7.) Depth of discharge and derating are 1, so nameplate =
+// effective and a recovery's BudgetScale is the only derating in play.
+func batteryFor(pages int, writeBW, regionBytes int64) viyojit.BatteryConfig {
+	conservativeBW := int64(float64(writeBW) * bandwidthDerating)
+	seconds := float64(pages*pageSize)/float64(conservativeBW) + flushReserve.Seconds()
+	return viyojit.BatteryConfig{
+		CapacityJoules:   power.Default().FlushWatts(regionBytes) * seconds,
+		DepthOfDischarge: 1,
+		Derating:         1,
+	}
+}
+
+// config is the mode as the product's own configuration: everything a
+// pre-crash stack is comes from viyojit.New of this, and everything a
+// recovered one is from System.RecoverWith.
+func (m *mode) config() viyojit.Config {
+	bw := m.writeBW
+	if bw == 0 {
+		bw = fastDevice
+	}
+	region := int64(serveHeapPages+journalPages+m.cursorPages+m.bbPages) * pageSize
+	cfg := viyojit.Config{
+		NVDRAMSize:    region,
+		SSD:           viyojit.SSDConfig{WriteBandwidth: bw},
+		Battery:       batteryFor(serveBudgetPages, bw, region),
+		BlackBox:      m.bbPages > 0,
+		BlackBoxPages: m.bbPages,
+	}
+	if m.gauges != nil {
+		// 2x provisioning headroom: the fixed flush-overhead reserve comes
+		// off the top of the energy term, so without headroom a deep-but-
+		// legitimate conservative dip (both gauges dark past the staleness
+		// window, estimate decaying at full flush draw) could zero the
+		// budget and trip a spurious emergency. With 2x, zeroing requires
+		// several milliseconds of continuous total gauge darkness — beyond
+		// any single episode the injectors generate. The crash audit stays
+		// exact either way: the flush runs on TRUE energy, headroom included.
+		cfg.Battery = batteryFor(2*serveBudgetPages, bw, region)
+		cfg.Health = viyojit.HealthConfig{
+			Interval:     gaugeInterval,
+			MaxSnapshots: 1 << 17, // every sample of the run feeds the every-instant audit
+		}
+		cfg.Sensor = viyojit.SensorConfig{
+			// The physical ceiling on how fast the pack can actually drain:
+			// full flush draw. Held and blind estimates decay at this rate.
+			MaxDischargeWatts: power.Default().FlushWatts(region),
+			MaxDetections:     1 << 16, // the MTTD audit needs every rejection
+		}
+	}
+	return cfg
 }
 
 // ServeResult is the evidence every live-traffic sweep reports; the
@@ -219,10 +296,7 @@ func newSweep(m mode) *sweep {
 	if sw.budgetScale == 0 {
 		sw.budgetScale = 1
 	}
-	sw.cascade = CascadeEvidence{
-		RecoveryBudget: max(int(sw.budgetScale*serveBudgetPages), 1),
-		InnerByPhase:   make(map[string]int),
-	}
+	sw.cascade = CascadeEvidence{InnerByPhase: make(map[string]int)}
 	sw.gauge = TelemetryEvidence{
 		Episodes:         make(map[string]int),
 		Detections:       make(map[string]int),
@@ -265,26 +339,16 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	return sw.res, err
 }
 
-// serveRun is one serving stack — freshly formatted, or rebooted from a
-// surviving SSD — and what happened to it.
+// serveRun is one serving stack — freshly formatted by viyojit.New, or
+// rebooted by System.RecoverWith — the handles the facade returned over
+// it, and what happened to it.
 type serveRun struct {
 	mode    *mode
-	budget  int // the dirty budget the manager comes up on
-	clock   *sim.Clock
-	events  *sim.Queue
-	region  *nvdram.Region
-	dev     *ssd.SSD
-	mgr     *core.Manager
-	jM      *core.Mapping
-	curM    *core.Mapping    // nil unless cursorPages > 0
+	sys     *viyojit.System
 	cursor  *recovery.Cursor // nil unless cursorPages > 0
 	store   *kvstore.Store
 	journal *intent.Journal
-	srv     *serve.Server
-	reg     *obs.Registry      // nil unless bbPages > 0
-	bbM     *core.Mapping      // nil unless bbPages > 0
-	rec     *blackbox.Recorder // nil unless bbPages > 0
-	tele    *telemetry         // nil unless the mode has gauges
+	tele    *telemetry // nil unless the mode has gauges
 
 	// What serving it came to: the clients' logs, where the armed crash
 	// fired if it did, and for a clean shutdown the events fired while
@@ -301,11 +365,11 @@ type serveRun struct {
 // reboot is one recovery attempt's state: what it was told, and what a
 // cascaded crash that unwinds it half-way leaves for the audits.
 type reboot struct {
-	// marks turns mark on: off at depth 0, where no Crasher is ever armed
-	// on a recovery.
-	marks bool
-	reg   *obs.Registry  // receives the cursor and redo instruments
-	phase recovery.Phase // the live phase at the crash instant
+	// marks turns mark and plant on: off at depth 0, where no Crasher is
+	// ever armed on a recovery.
+	marks  bool
+	report recovery.RestoreReport // what RecoverWith said it restored
+	phase  recovery.Phase         // the live phase at the crash instant
 	// startRec and pending snapshot the redo workload the instant the
 	// journal reopens: startRec is the cursor's durably-recorded redo
 	// count entering this attempt, pending what the journal still holds
@@ -319,182 +383,99 @@ type reboot struct {
 	compared bool // the rebuilt dedup table was checked against the walk
 }
 
-func (sw *sweep) newRun(budget int) *serveRun {
-	return &serveRun{mode: &sw.mode, budget: budget, clock: sim.NewClock(), events: sim.NewQueue()}
-}
-
-// mark schedules and fires a no-op event: a crash point. Restore and
-// table-rebuild phases do no event-queue work of their own, so a
-// recovery that may be re-crashed plants one marker per unit of work to
-// give the Crasher somewhere to strike.
-func (st *serveRun) mark() {
-	if !st.boot.marks {
-		return
+// plant schedules a no-op event, due now: a crash point the next pump of
+// the queue fires. The table-rebuild and redo phases do no event-queue
+// work of their own, so a recovery that may be re-crashed plants one per
+// unit of work to give the Crasher somewhere to strike.
+func (st *serveRun) plant() {
+	if st.boot.marks {
+		st.sys.Events().Schedule(st.sys.Now(), func(sim.Time) {})
 	}
-	st.events.Schedule(st.clock.Now(), func(sim.Time) {})
-	st.events.RunUntil(st.clock, st.clock.Now())
 }
 
-// assemble builds st's stack on its clock and queue: formatted fresh
-// when src == nil, otherwise rebooted from src, the SSD that survived. It
-// is the one place these sweeps wire a manager (the site to swap for
-// viyojit.New), and it fills st in as it goes, so a cascaded crash that
-// unwinds a reboot leaves whatever was built so far.
+// mark plants a crash point and fires it.
+func (st *serveRun) mark() {
+	if st.boot.marks {
+		st.plant()
+		st.sys.AdvanceTime(0)
+	}
+}
+
+// mapping returns the named mapping of a facade-built stack.
+func mapping(sys *viyojit.System, name string) *core.Mapping {
+	for _, mp := range sys.Manager().Mappings() {
+		if mp.Name() == name {
+			return mp
+		}
+	}
+	return nil
+}
+
+// attach takes the facade's handles over st.sys: created when fresh,
+// reopened on a reboot, and filled in as it goes, so a cascaded crash
+// that unwinds a reboot leaves whatever was attached so far.
 //
 // Mapping order is the recovery contract: a reboot re-Maps the same
 // names and sizes in the same order, and the first-fit allocator hands
-// back the same extents. The black box maps FIRST so its ring sits at
-// the same offset every boot.
-//
-// A reboot is the head of the restartable pipeline that resolve ends:
-//
-//	seed durable set → restore region (volatile, re-run every attempt)
-//	→ open persistent cursor, BeginRecovery(recovery budget)
-//	→ reopen heap/store/journal (WAL replay: rebuild volatile tables)
-//
-// A mode without a cursor or markers skips those steps.
-func (st *serveRun) assemble(src *ssd.SSD) error {
-	m, clock, events := st.mode, st.clock, st.events
-	fresh := src == nil
-	regionPages := serveHeapPages + journalPages + m.cursorPages + m.bbPages
+// back the same extents. (The facade maps the black box before any of
+// these, so its ring sits at the same offset every boot.) The cursor
+// goes first because a reboot needs it first: it is only readable once
+// RecoverWith has restored its pages — which is why the restore is a
+// volatile phase the cursor cannot cover — and it is what records that
+// the reopening of everything else (the WAL-replay phase: rebuild the
+// volatile tables) began.
+func (st *serveRun) attach(fresh bool) error {
+	m, sys := st.mode, st.sys
 	var err error
-	st.region, err = nvdram.New(clock, nvdram.Config{Size: int64(regionPages) * pageSize})
-	if err != nil {
-		return err
-	}
-	st.dev = ssd.New(clock, events, m.ssd)
-	if !fresh {
-		if err := st.restore(src); err != nil {
-			return err
-		}
-	}
-	if m.bbPages > 0 {
-		st.reg = obs.NewRegistry()
-	}
-	st.mgr, err = core.NewManager(clock, events, st.region, st.dev, core.Config{
-		DirtyBudgetPages: st.budget,
-		Obs:              st.reg,
-	})
-	if err != nil {
-		return err
-	}
-	if m.bbPages > 0 {
-		if st.bbM, err = st.mgr.Map("__blackbox", int64(m.bbPages)*pageSize); err != nil {
-			return err
-		}
-		if st.rec, err = blackbox.New(st.bbM, blackbox.Options{Now: clock.Now, Gate: st.bbM.TelemetryWritable}); err != nil {
-			return err
-		}
-		// A reboot arms a fresh recorder over the restored ring but does
-		// NOT tee the registry into it yet: the manager's own boot
-		// bookkeeping must not overwrite crash-instant slots before the
-		// walk is adopted (attachRecovered).
+	if size := int64(m.cursorPages) * pageSize; size > 0 {
 		if fresh {
-			st.reg.SetSink(st.rec)
-			st.rec.Boot(int64(st.budget))
-		}
-	}
-	heapM, err := st.mgr.Map("heap", serveHeapPages*pageSize)
-	if err != nil {
-		return err
-	}
-	if st.jM, err = st.mgr.Map("intent", journalPages*pageSize); err != nil {
-		return err
-	}
-	if m.cursorPages > 0 {
-		if st.curM, err = st.mgr.Map("cursor", int64(m.cursorPages)*pageSize); err != nil {
-			return err
-		}
-		if fresh {
-			st.cursor, err = recovery.CreateCursor(st.curM, nil)
-		} else {
-			// The cursor is only readable once its region pages are
-			// restored — which is why restore is a volatile phase the
-			// cursor cannot cover.
+			st.cursor, err = sys.NewRecoveryCursor(cursorName, size)
+		} else if st.cursor, err = sys.OpenRecoveryCursor(cursorName, size); err == nil {
 			err = st.beginRecovery()
 		}
 		if err != nil {
 			return err
 		}
 	}
-
-	var heap *pheap.Heap
 	if fresh {
-		heap, err = pheap.Format(heapM)
+		st.store, err = sys.NewStore(storeName, serveHeapPages*pageSize)
 	} else {
-		heap, err = pheap.Open(heapM)
-	}
-	if err != nil {
-		return fmt.Errorf("heap: %w", err)
-	}
-	st.mark()
-	if fresh {
-		st.store, err = kvstore.Create(heap, 64)
-	} else {
-		st.store, err = kvstore.Open(heap)
+		st.store, err = sys.OpenStore(storeName, serveHeapPages*pageSize)
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	st.mark()
 	if fresh {
-		st.journal, err = intent.Create(st.jM, intent.Config{})
+		st.journal, err = sys.NewIntentJournal(journalName, journalPages*pageSize, viyojit.IntentConfig{})
 	} else {
-		st.journal, err = intent.Open(st.jM, nil)
+		st.journal, err = sys.OpenIntentJournal(journalName, journalPages*pageSize)
 	}
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	st.boot.pending = len(st.journal.Pending())
 	st.mark()
-
-	st.srv, err = serve.New(clock, events, st.mgr, st.store, serve.Config{
-		Journal:      st.journal,
-		RecoverCrash: func(v any) bool { _, ok := faultinject.AsCrash(v); return ok },
-		CrashPoints:  m.commitMarkers,
-	})
-	return err
-}
-
-// restore brings the region back from src's durable pages. The durable-
-// source discipline matters: the ENTIRE durable page set is seeded into
-// st.dev before a single page is restored, so a crash mid-restore leaves
-// the next attempt a complete durable source — restore is re-runnable
-// precisely because it never consumes what it restores from. One marker
-// per streamed page puts crash points inside the phase.
-func (st *serveRun) restore(src *ssd.SSD) error {
-	pages := src.DurablePageList()
-	for _, page := range pages {
-		// These sweeps inject no silent faults, so a page failing
-		// verification is a bug, not a modelled loss.
-		if err := st.dev.AdoptVerified(src, page); err != nil {
-			return err
-		}
-	}
-	stream := st.dev.OpenReadStream(st.clock)
-	for _, page := range pages {
-		if _, err := st.region.RestorePageFrom(stream, page); err != nil {
-			return err
-		}
-		st.mark()
-	}
 	return nil
 }
 
-// beginRecovery opens the persistent cursor and enters the WAL-replay
-// phase on it.
+// serve starts the front-end over st's store and journal.
+func (st *serveRun) serve() (*serve.Server, error) {
+	return st.sys.Serve(st.store, viyojit.ServeConfig{
+		Journal:      st.journal,
+		RecoverCrash: func(v any) bool { _, ok := faultinject.AsCrash(v); return ok },
+		CrashPoints:  st.mode.commitMarkers,
+	})
+}
+
+// beginRecovery enters the WAL-replay phase on the reopened cursor.
 func (st *serveRun) beginRecovery() error {
-	var err error
-	if st.cursor, err = recovery.OpenCursor(st.curM, st.boot.reg); err != nil {
-		return err
-	}
-	prog, _, err := st.cursor.BeginRecovery(st.budget)
+	prog, _, err := st.cursor.BeginRecovery(st.sys.DirtyBudget())
 	if err != nil {
 		return err
 	}
 	st.boot.startRec = prog.Record
 	st.mark()
-	st.boot.phase = recovery.PhaseWALReplay
 	return st.cursor.Advance(recovery.PhaseWALReplay, prog.Record)
 }
 
@@ -502,16 +483,16 @@ func (st *serveRun) beginRecovery() error {
 //
 //	rebuilt dedup table == committed record prefix (compared before any
 //	new record touches the journal)
-//	→ serve.ReplayPendingWith (intent redo: durable, cursor-recorded
+//	→ System.ReplayPendingWith (intent redo: durable, cursor-recorded
 //	  per record, budget-drained incrementally)
-//	→ emergency drain to a clean durable state → cursor Finish
+//	→ flush to a clean durable state → cursor Finish
 //
 // The redo runs BEFORE serving resumes because a redo image is only
 // sound against pre-crash state (see serve.ReplayPending). A mode
 // without a cursor skips the drain too: it exists so a re-crash right
 // after recovery has nothing to lose.
 func (st *serveRun) resolve(fail failFunc) error {
-	walked, walkTorn, err := intent.RebuildTable(st.jM)
+	walked, walkTorn, err := intent.RebuildTable(mapping(st.sys, journalName))
 	if err != nil {
 		fail("record walk: %v", err)
 	} else {
@@ -522,20 +503,18 @@ func (st *serveRun) resolve(fail failFunc) error {
 		st.boot.compared = true
 	}
 
+	// The redo loop does no event-queue work of its own when the budget
+	// never forces a clean, so both of its crash windows get a planted
+	// point: the one the replay's own pump fires after a redo completes
+	// and before the cursor records it, and the mark after the cursor
+	// advanced.
 	st.boot.phase = recovery.PhaseIntentRedo
-	st.boot.replay, err = serve.ReplayPendingWith(st.store, st.journal, serve.ReplayOptions{
-		Cursor: st.cursor,
-		Mgr:    st.mgr,
-		Obs:    st.boot.reg,
-		// The redo loop does no event-queue work of its own when the
-		// budget never forces a clean; these markers make both redo
-		// crash windows (completed-but-uncursored, cursor-advanced)
-		// reachable by the step-armed Crasher.
-		Step: st.mark,
-	})
+	st.plant()
+	st.boot.replay, err = st.sys.ReplayPendingWith(st.store, st.journal, st.cursor)
 	if err != nil {
 		return err
 	}
+	st.mark()
 	if n := st.boot.replay.Redone; n > 1 {
 		fail("recovery found %d in-flight intents; a serial server can leave at most one", n)
 	}
@@ -545,23 +524,13 @@ func (st *serveRun) resolve(fail failFunc) error {
 		if err := st.cursor.Advance(recovery.PhaseDrain, st.cursor.Progress().Record); err != nil {
 			return err
 		}
-		// Drain the re-dirtied set so recovery hands over a clean durable
+		// Flush the re-dirtied set so recovery hands over a clean durable
 		// state: a re-crash right after recovery must have nothing to lose.
-		if left := st.mgr.EnterEmergencyFlush(); left != 0 {
-			return fmt.Errorf("recovery drain left %d dirty pages", left)
-		}
-		if err := st.mgr.Resume(core.StateHealthy); err != nil {
-			return err
-		}
+		st.sys.FlushAll()
 		if err := st.cursor.Finish(); err != nil {
 			return err
 		}
 		st.boot.phase = recovery.PhaseDone
-	}
-	if st.budget != serveBudgetPages {
-		// Serving resumes on the full budget: the scaled figure was the
-		// recovery's constraint, not the recharged steady state's.
-		return st.mgr.SetDirtyBudget(serveBudgetPages)
 	}
 	return nil
 }
@@ -774,14 +743,15 @@ func compareTables(opened, walked map[uint64]intent.ClientSnapshot, fail failFun
 	}
 }
 
-// mappingDirtyAt reports whether any page of the mapping diverges from
-// its durable copy — i.e. was dirty at the crash instant. Called before
-// the battery flush.
-func mappingDirtyAt(st *serveRun, mp *core.Mapping) bool {
+// mappingDirtyAt reports whether any page of the named mapping diverges
+// from its durable copy — i.e. was dirty at the crash instant. Called
+// before the battery flush.
+func mappingDirtyAt(sys *viyojit.System, name string) bool {
+	mp, region := mapping(sys, name), sys.Manager().Region()
 	lo := mp.Base() / pageSize
 	hi := (mp.Base() + mp.Size() - 1) / pageSize
 	for p := lo; p <= hi; p++ {
-		if st.dev.CheckRestorable(mmu.PageID(p), st.region.RawPage(mmu.PageID(p))) != nil {
+		if sys.SSD().CheckRestorable(mmu.PageID(p), region.RawPage(mmu.PageID(p))) != nil {
 			return true
 		}
 	}
@@ -791,33 +761,32 @@ func mappingDirtyAt(st *serveRun, mp *core.Mapping) bool {
 // serveArmed builds run i's fresh stack (i salts the gauge-fault
 // schedules), arms a crash at step — 0 arms nothing: the baseline — and
 // serves the workload until it ends, cleanly shut down, or the crash
-// cuts it.
+// cuts it. The stack is the product's: its health monitor, scrubber and
+// fused sensor tick on the queue the crash is armed on.
 func (sw *sweep) serveArmed(i int, step uint64) (*serveRun, error) {
-	run := sw.newRun(serveBudgetPages)
-	if err := run.assemble(nil); err != nil {
+	sys, err := viyojit.New(sw.mode.config())
+	if err != nil {
 		return nil, err
 	}
-	var err error
-	if run.tele, err = attachTelemetry(run, uint64(i)); err != nil {
+	run := &serveRun{mode: &sw.mode, sys: sys}
+	if err := run.attach(true); err != nil {
 		return nil, err
 	}
-	if err := run.srv.Start(); err != nil {
+	run.tele = attachTelemetry(run, uint64(i))
+	srv, err := run.serve()
+	if err != nil {
 		return nil, err
 	}
 	// A crash inside the dispatch loop is contained by RecoverCrash; one
 	// firing during the post-Stop drain lands here and Run catches it.
-	run.crash, run.crashed = armed(run.events, step, func(crasher *faultinject.Crasher) {
-		run.logs = driveClients(sw.ServeConfig, run.srv, sw.keys)
-		run.srv.Stop()
+	run.crash, run.crashed = armed(sys.Events(), step, func(crasher *faultinject.Crasher) {
+		run.logs = driveClients(sw.ServeConfig, srv, sw.keys)
+		srv.Stop()
 		if _, crashed := crasher.Crashed(); !crashed {
 			run.tele.close()
-			run.served = run.events.Fired()
-			// The recorder stops before the drain, or the dirty gauge
-			// falling per clean would tee appends that re-dirty ring pages
-			// under the drain loop. Nil-safe.
-			run.rec.Seal()
-			run.mgr.FlushAll()
-			run.ended = run.clock.Now()
+			run.served = sys.Events().Fired()
+			sys.FlushAll()
+			run.ended = sys.Now()
 		}
 	})
 	run.tele.close()
@@ -836,6 +805,15 @@ func armed(events *sim.Queue, step uint64, fn func(*faultinject.Crasher)) (fault
 	crasher.Run(func() { fn(crasher) })
 	crasher.Disarm()
 	return crasher.Crashed()
+}
+
+// powerFail is the crash instant, as the product lives it: the shared
+// audit's budget bound, then System.SimulatePowerFailure — the recorder
+// sealed, the dirty set flushed on the TRUE battery's energy, whatever a
+// gauge claimed — and SSD = NV-DRAM after it.
+func (st *serveRun) powerFail(maxDirty *int, fail failFunc) {
+	mgr := st.sys.Manager()
+	auditCrash(mgr, mgr.EffectiveDirtyBudget(), st.sys.SimulatePowerFailure, true, maxDirty, fail)
 }
 
 // tallyLogs folds a run's client logs into res. A client error other
@@ -862,14 +840,14 @@ func (sw *sweep) cleanShutdown(run *serveRun, fail failFunc) {
 			fail("clean run left client %d seq %d unacknowledged", lg.id, lg.inDoubt.seq)
 		}
 	}
-	if n := run.mgr.DirtyCount(); n != 0 {
+	if n := run.sys.DirtyCount(); n != 0 {
 		fail("clean run left %d dirty pages after flush", n)
 	}
-	if err := run.mgr.VerifyDurability(); err != nil {
+	if err := run.sys.VerifyDurability(); err != nil {
 		fail("clean-run durability: %v", err)
 	}
 	checkOracle(run.store, sw.keys, run.logs, nil, fail)
-	run.mgr.Close()
+	run.sys.Close()
 }
 
 // baseline executes the un-crashed calibration run and returns it with
@@ -918,31 +896,28 @@ func (sw *sweep) point(i int, step uint64) error {
 	sw.res.CrashPoints++
 
 	// The crash instant. Evidence first — which mappings were dirty, the
-	// forensic oracle from the live (about-to-die) stack — then the
-	// recorder is sealed so the flush's own bookkeeping cannot move the
-	// ring past this instant, then the shared audit: the budget bound,
-	// journal and recorder pages included, and the battery flush on the
-	// energy provisioned for the budget (the TRUE charge, under gauges).
-	if mappingDirtyAt(run, run.jM) {
+	// forensic oracle from the live (about-to-die) stack — then the shared
+	// audit: the budget bound, journal and recorder pages included, and
+	// the product's own power-failure flush.
+	if mappingDirtyAt(run.sys, journalName) {
 		sw.res.JournalDirtyCrashes++
 	}
 	oracle := captureBlackBoxOracle(run, &sw.res)
-	run.rec.Seal()
-	joules := flushEnergy(serveBudgetPages, flushOverhead(run.dev, 0), run.dev, power.Default(), run.region.Size())
-	joules = run.tele.flushJoules(run, joules, fail)
-	auditCrash(run.mgr, run.mgr.EffectiveDirtyBudget(), joules, true, &sw.res.MaxDirtyAtCrash, fail)
+	run.tele.atCrash(fail)
+	run.powerFail(&sw.res.MaxDirtyAtCrash, fail)
 	sw.res.JournalBytes += run.journal.Stats().AppendBytes
 
 	// Walk the post-flush ring and audit the forensic report against the
 	// oracle captured the instant before the flush.
-	walk := auditBlackBoxWalk(run, oracle, &sw.res, fail)
+	left := auditBlackBoxWalk(run, oracle, &sw.res, fail)
 
 	// Recover a live stack, through as many cascaded re-crashes as the
 	// mode injects, and replay every client's retry stream against it.
-	rec := sw.recoverStack(run.dev, walk, fail)
+	rec := sw.recoverStack(run.sys, fail)
 	if rec == nil {
 		return nil
 	}
+	auditRecoveredRing(rec, left, fail)
 	if rec.journal.TornOpen() {
 		sw.res.TornOpens++
 	}
@@ -958,40 +933,65 @@ func (sw *sweep) point(i int, step uint64) error {
 	// The oracle: recovered store == every acked-or-replayed mutation
 	// applied exactly once.
 	checkOracle(rec.store, sw.keys, run.logs, replayed, fail)
-	rec.mgr.Close()
+	rec.sys.Close()
 	return nil
 }
 
-// attempt runs one recovery attempt over src's durable pages on a fresh
-// clock and queue, with a crash armed at armStep (0 = unarmed). It
-// returns the stack — whatever of it was built before the attempt
-// completed or the crash unwound it — and whether the armed crash fired.
-func (sw *sweep) attempt(src *ssd.SSD, armStep uint64, reg *obs.Registry, walk *blackbox.WalkResult, fail failFunc) (*serveRun, bool, error) {
-	st := sw.newRun(sw.cascade.RecoveryBudget)
-	st.boot = reboot{marks: sw.recrashDepth > 0, reg: reg, phase: recovery.PhaseRestore}
-	var err error
-	_, crashed := armed(st.events, armStep, func(*faultinject.Crasher) {
-		if err = st.assemble(src); err != nil {
-			return
+// attempt runs one recovery attempt on the survivor — the System a power
+// failure stopped, whose SSD holds what its flush saved — with a crash
+// armed armStep units into it (0 = unarmed). A unit is one restored
+// page, then one event on the recovered System's queue. RecoverWith
+// returns only once the restore is over, so a crash inside it is
+// modelled as what it is on the product: the half-recovered System is
+// abandoned, and the next attempt calls RecoverWith again on the same
+// survivor — safe because the restore never consumes what it restores
+// from. attempt returns the stack — whatever of it was attached before
+// the attempt completed or the crash unwound it — how many units it ran
+// for, and whether the armed crash fired.
+func (sw *sweep) attempt(survivor *viyojit.System, opts viyojit.RecoverOptions, armStep uint64, fail failFunc) (*serveRun, uint64, bool, error) {
+	sys, report, err := survivor.RecoverWith(opts)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	st := &serveRun{mode: &sw.mode, sys: sys}
+	st.boot = reboot{marks: sw.recrashDepth > 0, report: report, phase: recovery.PhaseRestore}
+	restored := uint64(report.PagesRestored)
+	if 0 < armStep && armStep <= restored {
+		sys.Close()
+		return st, armStep, true, nil
+	}
+	st.boot.phase = recovery.PhaseWALReplay
+	fired, armAt := sys.Events().Fired(), uint64(0)
+	if armStep > 0 {
+		armAt = fired + armStep - restored
+	}
+	_, crashed := armed(sys.Events(), armAt, func(*faultinject.Crasher) {
+		if err = st.attach(false); err == nil {
+			err = st.resolve(fail)
 		}
-		attachRecovered(st, walk)
-		err = st.resolve(fail)
 	})
 	if err != nil && !crashed {
-		return st, false, err
+		sys.Close()
+		return nil, 0, false, err
 	}
-	return st, crashed, nil
+	return st, restored + sys.Events().Fired() - fired, crashed, nil
 }
 
-// recoverStack reboots a serving stack from survivor, the SSD a crashed
-// run flushed to, and returns it ready to serve — or nil, the reason
-// recorded as a violation. It is the cascading-recovery loop: each
-// iteration is one attempt, armed at a seeded step while the mode has
-// re-crash depth left; a cascaded crash is audited like any other, on
-// the scaled budget and its energy, and hands the next attempt its SSD
-// as the durable source. At depth 0 the loop is one unarmed attempt.
-func (sw *sweep) recoverStack(survivor *ssd.SSD, walk *blackbox.WalkResult, fail failFunc) *serveRun {
-	src := survivor
+// recoverStack reboots a serving stack from survivor, the System a
+// crashed run flushed, and returns it ready to serve — or nil, the
+// reason recorded as a violation. It is the cascading-recovery loop:
+// each iteration is one attempt, armed at a seeded step while the mode
+// has re-crash depth left; a cascaded crash is audited like any other,
+// on the battery the attempt came up on, and becomes the next attempt's
+// survivor. At depth 0 the loop is one unarmed attempt.
+//
+// The budget scale is asked for once, of the first reboot. Every later
+// one carries it in its battery: a recovered System comes up on the pack
+// that survived, which is the carry-over the cascade exists to check —
+// and the stack that finally serves the retry streams serves them on
+// that battery too, since nothing recharged it.
+func (sw *sweep) recoverStack(survivor *viyojit.System, fail failFunc) *serveRun {
+	opts := viyojit.RecoverOptions{BudgetScale: sw.budgetScale}
 	var lastCursor recovery.Progress // nothing is Less than the zero Progress
 	// pointRedo is this incarnation's redo workload, taken as a max
 	// across attempts: a cascaded crash mid-replay discards the attempt's
@@ -1003,25 +1003,35 @@ func (sw *sweep) recoverStack(survivor *ssd.SSD, walk *blackbox.WalkResult, fail
 		armAt := uint64(0)
 		if depth < sw.recrashDepth {
 			// Calibrate: an unarmed shadow attempt counts this depth's
-			// event space. Attempts seed their own SSD and never write to
-			// src, so the shadow leaves no trace (its violations and
-			// instruments are dropped: the real attempt repeats them); the
+			// unit space. Attempts restore into their own System and never
+			// write to the survivor, so the shadow leaves no trace (its
+			// violations are dropped: the real attempt repeats them); the
 			// real attempt below replays the identical single-goroutine
-			// schedule, so an arm in [1, fired] is guaranteed to strike —
+			// schedule, so an arm in [1, units] is guaranteed to strike —
 			// which spreads re-crashes across all phases (restore
-			// dominates the step count; redo and drain sit at the tail).
-			shadow, _, err := sw.attempt(src, 0, nil, walk, func(string, ...any) {})
+			// dominates the unit count; redo and drain sit at the tail).
+			shadow, units, _, err := sw.attempt(survivor, opts, 0, func(string, ...any) {})
 			if err != nil {
 				fail("shadow recovery at depth %d: %v", depth, err)
 				return nil
 			}
-			armAt = 1 + sw.innerRNG.Uint64()%max(shadow.events.Fired(), 1)
+			shadow.sys.Close()
+			armAt = 1 + sw.innerRNG.Uint64()%max(units, 1)
 		}
-		att, crashed, err := sw.attempt(src, armAt, sw.recoveryObs, walk, fail)
+		att, _, crashed, err := sw.attempt(survivor, opts, armAt, fail)
 		if err != nil {
 			fail("recovery attempt at depth %d: %v", depth, err)
 			return nil
 		}
+		// What the surviving battery backs is one number for the whole
+		// cascade: no reboot may come up on more.
+		if sw.cascade.RecoveryBudget == 0 {
+			sw.cascade.RecoveryBudget = att.boot.report.BudgetPages
+		}
+		if got := att.boot.report.BudgetPages; got != sw.cascade.RecoveryBudget {
+			fail("reboot at depth %d came up on %d pages; the surviving battery backs %d", depth, got, sw.cascade.RecoveryBudget)
+		}
+		foldRecoveryCounters(sw.recoveryObs, att.sys.Metrics())
 
 		// Cursor accounting and the monotonicity oracle. The cursor
 		// object's Progress is its last durable write: every Advance
@@ -1058,17 +1068,31 @@ func (sw *sweep) recoverStack(survivor *ssd.SSD, walk *blackbox.WalkResult, fail
 		sw.cascade.InnerByDepth[depth-1]++
 		sw.cascade.InnerByPhase[att.boot.phase.String()]++
 
-		// The audit at the in-recovery crash instant: dirty ≤ the SCALED
-		// budget, and the flush fits the scaled energy. A crash that
-		// struck the restore has no manager yet, hence nothing dirty.
-		if att.mgr != nil {
+		// The audit at the in-recovery crash instant: dirty ≤ the budget
+		// the surviving battery backs, and the flush fits that battery. A
+		// crash that struck the restore dirtied nothing and leaves the
+		// survivor as it was.
+		if att.boot.phase != recovery.PhaseRestore {
 			inner := func(format string, args ...any) {
 				fail("depth-%d crash in %v on recovery budget %d: %s", depth, att.boot.phase, sw.cascade.RecoveryBudget, fmt.Sprintf(format, args...))
 			}
-			joules := flushEnergy(sw.cascade.RecoveryBudget, flushOverhead(att.dev, 0), att.dev, power.Default(), att.region.Size())
-			auditCrash(att.mgr, sw.cascade.RecoveryBudget, joules, true, &sw.cascade.MaxDirtyAtInnerCrash, inner)
+			if got := att.sys.Manager().EffectiveDirtyBudget(); got > sw.cascade.RecoveryBudget {
+				inner("effective budget %d above what the surviving battery backs", got)
+			}
+			att.powerFail(&sw.cascade.MaxDirtyAtInnerCrash, inner)
+			survivor, opts = att.sys, viyojit.RecoverOptions{}
 		}
-		src = att.dev
+	}
+}
+
+// foldRecoveryCounters adds one attempt's recovery instruments — each
+// recovered System counts on its own registry — into the sweep's.
+func foldRecoveryCounters(into, from *obs.Registry) {
+	for _, name := range []string{
+		"recovery_cursor_advances_total", "recovery_resumes_total", "recovery_cursor_fallbacks_total",
+		"recovery_redo_pages", "recovery_budget_stalls",
+	} {
+		into.Counter(name).Add(from.Counter(name).Value())
 	}
 }
 
@@ -1080,12 +1104,13 @@ func (sw *sweep) recoverStack(survivor *ssd.SSD, walk *blackbox.WalkResult, fail
 // server is started and stopped here; the verdicts are tallied into res
 // and the in-doubt ops that landed are returned.
 func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, res *ServeResult, fail failFunc) (replayed []mutation, err error) {
-	if err := rec.srv.Start(); err != nil {
+	srv, err := rec.serve()
+	if err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
 	for _, lg := range logs {
-		cl, cerr := serve.NewRetryingClient(rec.srv, lg.id, lg.seedBase^0x5EC0D, serve.RetryConfig{Priority: serve.PriorityNormal})
+		cl, cerr := serve.NewRetryingClient(srv, lg.id, lg.seedBase^0x5EC0D, serve.RetryConfig{Priority: serve.PriorityNormal})
 		if cerr != nil {
 			fail("replay client %d: %v", lg.id, cerr)
 			continue
@@ -1126,6 +1151,6 @@ func replayRetryStreams(rec *serveRun, logs []*clientLog, keys [][]byte, res *Se
 			}
 		}
 	}
-	rec.srv.Stop()
+	srv.Stop()
 	return replayed, nil
 }

@@ -111,10 +111,12 @@ func TestSweepSeedMatrix(t *testing.T) {
 // live-traffic sweep. With one client nothing is concurrent, so a whole
 // sweep — crash lattice, ack log, replay verdicts, cascade — repeats
 // exactly; every mode runs twice and must report identical results, and
-// the headline evidence must equal the values recorded before the four
-// sweeps were folded into one path. A change that moves them changed
-// what the pre-crash stacks or the recovery pipeline do, event for
-// event, and re-records them on purpose.
+// the headline evidence must equal the values recorded when the sweeps
+// moved onto viyojit.New and System.RecoverWith (before that the four
+// stacks were wired by hand, with no monitor, scrubber or sensor on the
+// queue: 6 / 167 / 72 / 7 baseline events). A change that moves them
+// changed what the product's stack or its recovery pipeline do, event
+// for event, and re-records them on purpose.
 func TestSweepSingleClientPinned(t *testing.T) {
 	cfg := ServeConfig{Seed: 0x51C1E, Clients: 1, OpsPerClient: 150, MaxCrashPoints: 12}
 	type pin struct {
@@ -133,19 +135,19 @@ func TestSweepSingleClientPinned(t *testing.T) {
 		{"serve", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunServe(cfg)
 			return r, r, CascadeEvidence{}, err
-		}, pin{events: 6, crashes: 12, acked: 575, inDoubt: 5, redone: 0, compare: 12}},
+		}, pin{events: 22, crashes: 12, acked: 330, inDoubt: 6, redone: 0, compare: 12}},
 		{"nested", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunNested(NestedConfig{ServeConfig: cfg, RecrashDepth: 2, BudgetScale: 0.5})
 			return r, r.ServeResult, r.CascadeEvidence, err
-		}, pin{events: 167, crashes: 12, acked: 480, inDoubt: 12, redone: 4, innerCrashes: 24, resumes: 15, redoneIntents: 12, compare: 12}},
+		}, pin{events: 183, crashes: 12, acked: 505, inDoubt: 12, redone: 5, innerCrashes: 24, resumes: 16, redoneIntents: 12, compare: 12}},
 		{"sensor", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunSensor(SensorSweepConfig{Serve: cfg})
 			return r, r.ServeResult, CascadeEvidence{}, err
-		}, pin{events: 72, crashes: 12, acked: 525, inDoubt: 7, redone: 0, compare: 12}},
+		}, pin{events: 88, crashes: 12, acked: 494, inDoubt: 7, redone: 0, compare: 12}},
 		{"blackbox", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunBlackBox(cfg)
 			return r, r.Serve, CascadeEvidence{}, err
-		}, pin{events: 7, crashes: 12, acked: 528, inDoubt: 2, redone: 0, compare: 12}},
+		}, pin{events: 23, crashes: 12, acked: 308, inDoubt: 6, redone: 0, compare: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first, res, casc, err := tc.run()

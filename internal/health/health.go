@@ -147,7 +147,7 @@ func (c Config) validate() error {
 
 // Policy is the runtime-tunable subset of Config: how conservatively
 // the monitor converts its live inputs into a budget. Operators adjust
-// it without restarting the monitor (System.SetBudgetPolicy).
+// it without restarting the monitor.
 type Policy struct {
 	// BandwidthDerating as in Config.BandwidthDerating.
 	BandwidthDerating float64
@@ -393,28 +393,6 @@ func BudgetPages(pm power.Model, effectiveJoules float64, bandwidth, dramBytes i
 	pages := int(seconds*float64(bandwidth)/float64(pageSize) + 1e-9)
 	if max := int(dramBytes / int64(pageSize)); pages > max {
 		pages = max
-	}
-	return pages
-}
-
-// RecoveryBudget is the dirty budget a recovery attempt runs under:
-// BudgetPages re-derived from the *current* (possibly aged or sagged)
-// battery energy, scaled by a further safety factor for the
-// cascading-outage regime — recovery after an outage runs on less
-// energy than the run that crashed, and a replay sized to the old
-// budget would dirty more than a re-failure could flush. The result is
-// floored at one page: a zero budget would deadlock replay outright,
-// and a single-page budget degrades to fully-synchronous redo, which is
-// slow but safe.
-func RecoveryBudget(pm power.Model, effectiveJoules, scale float64, bandwidth, dramBytes int64, pageSize int, overhead sim.Duration) int {
-	// NaN scale would fail both range checks and then poison the
-	// multiply; !(scale > 0) catches it alongside the non-positives.
-	if !(scale > 0) || scale > 1 {
-		scale = 1
-	}
-	pages := int(float64(BudgetPages(pm, effectiveJoules, bandwidth, dramBytes, pageSize, overhead)) * scale)
-	if pages < 1 {
-		pages = 1
 	}
 	return pages
 }

@@ -258,30 +258,6 @@ func TestBudgetPagesEdges(t *testing.T) {
 	}
 }
 
-func TestRecoveryBudget(t *testing.T) {
-	pm := power.Default()
-	full := BudgetPages(pm, 1e12, 2<<30, 1<<20, 4096, 0) // 256, region-capped
-	if got := RecoveryBudget(pm, 1e12, 1.0, 2<<30, 1<<20, 4096, 0); got != full {
-		t.Fatalf("unit scale = %d, want %d", got, full)
-	}
-	if got := RecoveryBudget(pm, 1e12, 0.5, 2<<30, 1<<20, 4096, 0); got != full/2 {
-		t.Fatalf("half scale = %d, want %d", got, full/2)
-	}
-	// Out-of-range scales fall back to 1.0 rather than zeroing the
-	// budget.
-	if got := RecoveryBudget(pm, 1e12, 0, 2<<30, 1<<20, 4096, 0); got != full {
-		t.Fatalf("zero scale = %d, want %d", got, full)
-	}
-	if got := RecoveryBudget(pm, 1e12, 1.5, 2<<30, 1<<20, 4096, 0); got != full {
-		t.Fatalf("over-unit scale = %d, want %d", got, full)
-	}
-	// The floor: even a dead battery yields one page, never a deadlocked
-	// zero-budget replay.
-	if got := RecoveryBudget(pm, 0.001, 0.5, 2<<30, 64<<30, 4096, sim.Second); got != 1 {
-		t.Fatalf("dead-battery recovery budget = %d, want floor of 1", got)
-	}
-}
-
 // fakeScrub is a scriptable ScrubStatus.
 type fakeScrub struct {
 	det uint64

@@ -1,8 +1,8 @@
 package health
 
 // Tests for the monitor's fault-tolerant-telemetry intake (the Energy
-// source) and for the poisoned-input hardening around BudgetPages /
-// RecoveryBudget / config validation.
+// source) and for the poisoned-input hardening around BudgetPages and
+// config validation.
 
 import (
 	"errors"
@@ -146,29 +146,6 @@ func TestBudgetPagesRejectsPoisonedInputs(t *testing.T) {
 	}
 	if got := BudgetPages(pm, 50, -5, dram, pageSize, overhead); got != 0 {
 		t.Errorf("BudgetPages(bandwidth<0) = %d, want 0", got)
-	}
-}
-
-func TestRecoveryBudgetNaNScale(t *testing.T) {
-	pm := power.Default()
-	const (
-		bw       = int64(100 << 20)
-		dram     = int64(64 * 4096)
-		pageSize = 4096
-		overhead = 500 * sim.Microsecond
-	)
-	full := RecoveryBudget(pm, 50, 1, bw, dram, pageSize, overhead)
-	for _, scale := range []float64{math.NaN(), 0, -0.5, 2} {
-		if got := RecoveryBudget(pm, 50, scale, bw, dram, pageSize, overhead); got != full {
-			t.Errorf("RecoveryBudget(scale=%v) = %d, want clamped to scale 1 = %d", scale, got, full)
-		}
-	}
-	// Dead battery still floors at one page: zero would deadlock replay.
-	if got := RecoveryBudget(pm, 0, 0.5, bw, dram, pageSize, overhead); got != 1 {
-		t.Errorf("RecoveryBudget(joules=0) = %d, want floor 1", got)
-	}
-	if got := RecoveryBudget(pm, math.NaN(), 0.5, bw, dram, pageSize, overhead); got != 1 {
-		t.Errorf("RecoveryBudget(joules=NaN) = %d, want floor 1", got)
 	}
 }
 

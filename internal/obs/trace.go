@@ -123,21 +123,6 @@ func (t *Tracer) Begin(name string, at sim.Time) Span {
 	return sp
 }
 
-// BeginChild starts a span with an explicit parent, ignoring the scope.
-func (t *Tracer) BeginChild(name string, parent SpanID, at sim.Time) Span {
-	if t == nil {
-		return Span{}
-	}
-	sp := Span{
-		ID:     SpanID(t.nextID.Add(1)),
-		Parent: parent,
-		Name:   name,
-		Start:  at,
-	}
-	t.trackOpen(sp)
-	return sp
-}
-
 func (t *Tracer) trackOpen(sp Span) {
 	t.mu.Lock()
 	if t.openN < len(t.open) {

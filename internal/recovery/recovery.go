@@ -19,10 +19,9 @@ type RestoreReport struct {
 	PagesRestored int
 	RestoreTime   sim.Duration
 	// BudgetPages is the dirty budget the recovered system came up
-	// under, re-derived from the battery charge actually available at
-	// recovery time (possibly sagged below what the failed run enjoyed;
-	// see health.RecoveryBudget). 0 when the restore path does not
-	// derive one.
+	// under, derived from the surviving battery (possibly aged or sagged
+	// below what the failed run enjoyed; see viyojit.RecoverOptions). 0
+	// when the restore path does not derive one.
 	BudgetPages int
 	// Integrity is the verify-on-restore outcome: every durable page's
 	// checksum verdict and what was done about failures.
@@ -179,18 +178,24 @@ func VerifyRestoredWith(region *nvdram.Region, dev *ssd.SSD, report IntegrityRep
 	return nil
 }
 
-// regionWindow adapts a byte range of a restored region to the wal.Store
-// surface, so a log that lived in a mapping can be re-opened after a
-// power cycle without reconstructing the manager's allocator state.
-type regionWindow struct {
+// RegionWindow adapts a byte range of a restored region to the Store
+// surfaces the wal and ptx packages consume, so a log or heap that lived
+// in a mapping can be re-opened after a power cycle without
+// reconstructing the manager's allocator state.
+type RegionWindow struct {
 	region *nvdram.Region
 	base   int64
 	size   int64
 }
 
-func (w regionWindow) ReadAt(p []byte, off int64) error  { return w.region.ReadAt(p, w.base+off) }
-func (w regionWindow) WriteAt(p []byte, off int64) error { return w.region.WriteAt(p, w.base+off) }
-func (w regionWindow) Size() int64                       { return w.size }
+// Window returns the [base, base+size) window of region.
+func Window(region *nvdram.Region, base, size int64) RegionWindow {
+	return RegionWindow{region: region, base: base, size: size}
+}
+
+func (w RegionWindow) ReadAt(p []byte, off int64) error  { return w.region.ReadAt(p, w.base+off) }
+func (w RegionWindow) WriteAt(p []byte, off int64) error { return w.region.WriteAt(p, w.base+off) }
+func (w RegionWindow) Size() int64                       { return w.size }
 
 // RestoredWAL opens and replays a write-ahead log that lived at [base,
 // base+size) of a restored region: the application-level half of crash
@@ -199,7 +204,7 @@ func (w regionWindow) Size() int64                       { return w.size }
 // rather than cleanly at the committed head. Torn tails are detected and
 // rejected, never mis-replayed (wal package checksums).
 func RestoredWAL(region *nvdram.Region, base, size int64) (payloads [][]byte, torn bool, err error) {
-	l, err := wal.Open(regionWindow{region: region, base: base, size: size})
+	l, err := wal.Open(Window(region, base, size))
 	if err != nil {
 		return nil, false, err
 	}

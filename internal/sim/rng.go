@@ -40,9 +40,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545f4914f6cdd1d
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -69,9 +69,6 @@ type ConcurrentResult struct {
 // Shed returns the total typed rejections.
 func (r ConcurrentResult) Shed() int { return r.ShedOverload + r.ShedDeadline + r.ShedReadOnly }
 
-// GoodputKOps returns goodput in K-ops/sec.
-func (r ConcurrentResult) GoodputKOps() float64 { return r.Goodput / 1000 }
-
 // clientState is one goroutine's accounting; sub-goroutines spawned for
 // open-loop arrivals share it under mu.
 type clientState struct {

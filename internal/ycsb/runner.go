@@ -148,15 +148,6 @@ func newChooser(rng *sim.RNG, w Workload, records int64) (dist.Generator, *dist.
 		return latest, latest, nil
 	case DistUniform:
 		return dist.NewUniform(rng.Fork(), records), nil, nil
-	case DistHotspot:
-		hotSet, hotOp := w.HotSetFraction, w.HotOpFraction
-		if hotSet == 0 {
-			hotSet = 0.1
-		}
-		if hotOp == 0 {
-			hotOp = 0.95
-		}
-		return dist.NewHotSpot(rng.Fork(), records, hotSet, hotOp), nil, nil
 	default:
 		return nil, nil, fmt.Errorf("ycsb: unknown distribution %d", w.Request)
 	}

@@ -49,11 +49,6 @@ const (
 	DistLatest
 	// DistUniform draws keys uniformly.
 	DistUniform
-	// DistHotspot sends HotOpFraction of requests to the first
-	// HotSetFraction of the keyspace — the trace-like skew of §3's
-	// category-3 volumes (e.g. Cosmos F: 99 % of writes to ~10 % of
-	// pages). Used by the ablation experiments.
-	DistHotspot
 )
 
 // Workload is an operation mix plus request distribution.
@@ -65,10 +60,6 @@ type Workload struct {
 	InsertProportion float64
 	RMWProportion    float64
 	Request          Distribution
-	// HotSetFraction / HotOpFraction parameterise DistHotspot (ignored
-	// for other distributions).
-	HotSetFraction float64
-	HotOpFraction  float64
 	// Description mirrors the paper's §6.1 characterisation.
 	Description string
 	// PrimaryOp is the operation whose latency the paper reports for
@@ -110,22 +101,6 @@ var (
 		PrimaryOp:   OpReadModifyWrite,
 	}
 )
-
-// WorkloadAHotspot is YCSB-A's 50/50 mix over a hotspot distribution
-// with trace-like skew: hotOpFraction of requests hit the first
-// hotSetFraction of keys. The ablation experiments use it because the
-// victim-policy and TLB-precision effects only surface when the hot set
-// fits under the budget while a cold tail keeps the cleaner busy.
-func WorkloadAHotspot(hotSetFraction, hotOpFraction float64) Workload {
-	return Workload{
-		Name: "YCSB-A-hot", ReadProportion: 0.5, UpdateProportion: 0.5,
-		Request:        DistHotspot,
-		HotSetFraction: hotSetFraction,
-		HotOpFraction:  hotOpFraction,
-		Description:    "update heavy with trace-like hotspot skew (ablations)",
-		PrimaryOp:      OpUpdate,
-	}
-}
 
 // WorkloadE is YCSB's scan-heavy workload. The paper could not run it —
 // "it requires cross key transactions which we do not support for now"

@@ -72,8 +72,6 @@ type (
 	HealthConfig = health.Config
 	// HealthSnapshot is one health-monitor sample.
 	HealthSnapshot = health.Snapshot
-	// BudgetPolicy is the runtime-tunable budget-derivation policy.
-	BudgetPolicy = health.Policy
 	// HealthState is the manager's rung on the degradation ladder.
 	HealthState = core.HealthState
 	// ScrubConfig tunes the background integrity scrubber.
@@ -641,16 +639,6 @@ func (s *System) HealthState() HealthState { return s.manager.HealthState() }
 // (Resume after an SSD replacement) or budget inspection.
 func (s *System) Manager() *core.Manager { return s.manager }
 
-// SetBudgetPolicy adjusts how conservatively the health monitor converts
-// battery joules and SSD bandwidth into the dirty budget; the next
-// monitor tick applies it. It errors when the monitor is disabled.
-func (s *System) SetBudgetPolicy(p BudgetPolicy) error {
-	if s.monitor == nil {
-		return fmt.Errorf("viyojit: health monitor disabled")
-	}
-	return s.monitor.SetPolicy(p)
-}
-
 // Scrubber returns the background integrity scrubber, e.g. for pacing
 // stats or the quarantine list.
 func (s *System) Scrubber() *scrub.Scrubber { return s.scrubber }
@@ -935,13 +923,17 @@ func (s *System) VerifyDurability() error { return s.manager.VerifyDurability() 
 
 // RecoverOptions parameterises RecoverWith.
 type RecoverOptions struct {
-	// BudgetScale scales the recovered system's initial dirty budget
-	// relative to what the battery charge available at recovery time
-	// supports: a cascading outage recharges nothing between failures,
-	// so the replaying system may have to live under a smaller budget
-	// than the run that crashed. Values in (0, 1]; 0 selects 1.0. The
-	// derived budget is floored at one page (health.RecoveryBudget) and
-	// reported in RestoreReport.BudgetPages.
+	// BudgetScale is the fraction of the surviving battery's usable
+	// energy still on hand at recovery time: a cascading outage recharges
+	// nothing between failures, so the replaying system may have to live
+	// on less than the run that crashed. It is applied as a derating of
+	// the recovered battery (battery.SetDerating), so the dirty budget
+	// follows from the joules the same way it always does — fixed flush
+	// overhead reserved first, so half the energy backs less than half
+	// the pages — and stays bounded by it until the battery state changes
+	// (SetDerating back up models the recharge). Values in (0, 1]; 0
+	// selects 1.0. A scale that leaves less than one page of energy is an
+	// error, as it is in New.
 	BudgetScale float64
 }
 
@@ -963,9 +955,14 @@ func (s *System) Recover() (*System, recovery.RestoreReport, error) {
 	return s.RecoverWith(RecoverOptions{})
 }
 
-// RecoverWith is Recover with the recovered budget re-derived from the
-// battery energy actually on hand: the recovery-after-recovery path,
-// where the battery may have sagged between outages (opts.BudgetScale).
+// RecoverWith is Recover on the battery energy actually on hand. The
+// recovered System comes up on the battery that survived, as it comes up
+// on the SSD that survived: the aged nameplate, the depth of discharge
+// and the derating in force at the failure carry over, further derated
+// by opts.BudgetScale. Its budget, its health monitor and its fused
+// sensor all read that one battery, so the figure in
+// RestoreReport.BudgetPages is what the manager enforces until the
+// battery itself changes — not until the first monitor tick.
 func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreReport, error) {
 	scale := opts.BudgetScale
 	if scale == 0 {
@@ -980,24 +977,16 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	// verify counters are not concurrency-safe) or with a Close.
 	s.lifecycle.Lock()
 	defer s.lifecycle.Unlock()
-	// Sample the surviving battery BEFORE quiescing: this charge — not
-	// the fresh system's nameplate figure — is what bounds the dirty
-	// set the recovered run can afford until the battery recharges.
-	// The sample goes through the fused sensor when one is attached:
-	// recovery after an outage is exactly when a sagging pack makes
-	// gauges least trustworthy, so the replay budget must come from
-	// the conservative fusion, not a single possibly-lying gauge.
-	effective := s.batt.EffectiveJoules()
-	if s.fused != nil {
-		effective = s.fused.Sample(s.clock.Now())
-	}
 	s.closeLocked()
 
-	ns, err := New(s.cfg)
+	cfg := s.cfg
+	cfg.Battery = s.batt.Config()
+	cfg.Battery.Derating *= scale
+	ns, err := New(cfg)
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
-	report, err := ns.restoreFrom(s.dev, effective, scale)
+	report, err := ns.restoreFrom(s.dev)
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
@@ -1005,23 +994,16 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 }
 
 // restoreFrom brings the freshly built s up as the reboot of the system
-// whose device src survived: the budget the battery charge on hand
-// affords, the verified reload of NV-DRAM, the flight recorder's
-// pre-crash timeline. On any error s is closed — a half-built system's
-// health monitor, scrubber and epoch task are already armed on its queue
-// and must not outlive a failed recovery.
-func (s *System) restoreFrom(src *ssd.SSD, effectiveJoules, scale float64) (report recovery.RestoreReport, err error) {
+// whose device src survived: the verified reload of NV-DRAM and the
+// flight recorder's pre-crash timeline. On any error s is closed — a
+// half-built system's health monitor, scrubber and epoch task are
+// already armed on its queue and must not outlive a failed recovery.
+func (s *System) restoreFrom(src *ssd.SSD) (report recovery.RestoreReport, err error) {
 	defer func() {
 		if err != nil {
 			s.Close()
 		}
 	}()
-	conservativeBW := int64(float64(s.dev.Config().WriteBandwidth) * s.cfg.BandwidthDerating)
-	recBudget := health.RecoveryBudget(s.pm, effectiveJoules, scale, conservativeBW,
-		s.region.Size(), s.region.PageSize(), fixedFlushOverhead)
-	if err := s.manager.SetDirtyBudget(recBudget); err != nil {
-		return recovery.RestoreReport{}, err
-	}
 	// s's device object represents the same physical SSD, whose contents
 	// survived the power cycle: each durable page is verified there,
 	// adopted with its recorded checksum, and reloaded into NV-DRAM with
@@ -1032,7 +1014,7 @@ func (s *System) restoreFrom(src *ssd.SSD, effectiveJoules, scale float64) (repo
 	if err != nil {
 		return recovery.RestoreReport{}, err
 	}
-	report.BudgetPages = recBudget
+	report.BudgetPages = s.manager.DirtyBudget()
 	// Walk the restored flight-recorder ring into the forensic report
 	// and adopt its sequence, so post-recovery records extend the
 	// pre-crash timeline monotonically. (The fresh boot record New wrote

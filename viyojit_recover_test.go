@@ -2,10 +2,13 @@ package viyojit
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
 	"viyojit/internal/mmu"
+	"viyojit/internal/recovery"
+	"viyojit/internal/sim"
 )
 
 // TestCloseIdempotent: Close twice (and after a power failure) must be
@@ -210,11 +213,10 @@ func TestRecoverWithBudgetScale(t *testing.T) {
 		t.Fatalf("manager budget %d != reported %d", got, halfReport.BudgetPages)
 	}
 
-	if _, _, err := sys.RecoverWith(RecoverOptions{BudgetScale: 1.5}); err == nil {
-		t.Fatal("budget scale 1.5 accepted")
-	}
-	if _, _, err := sys.RecoverWith(RecoverOptions{BudgetScale: -0.1}); err == nil {
-		t.Fatal("budget scale -0.1 accepted")
+	for _, scale := range []float64{1.5, -0.1, math.NaN()} {
+		if _, _, err := sys.RecoverWith(RecoverOptions{BudgetScale: scale}); err == nil {
+			t.Fatalf("budget scale %v accepted", scale)
+		}
 	}
 }
 
@@ -251,7 +253,7 @@ func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
 	if ns.events.Len() == 0 {
 		t.Fatal("a fresh system has nothing scheduled: the test would prove nothing")
 	}
-	if _, err := ns.restoreFrom(sys.dev, sys.batt.EffectiveJoules(), 1); err == nil {
+	if _, err := ns.restoreFrom(sys.dev); err == nil {
 		t.Fatal("restore of a durable page outside the region succeeded")
 	}
 	if !ns.closed || ns.events.Len() != 0 || ns.scrubber.Running() {
@@ -303,5 +305,155 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 	if perPage := (rec - build) / float64(restored); perPage > 0.1 {
 		t.Fatalf("Recover allocates %.2f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.1",
 			perPage, rec, build, restored)
+	}
+}
+
+// TestRecoverCarriesBatteryOver: the recovered system comes up on the
+// battery that survived — aged, then scaled for the outage — and the
+// budget that battery backs is what it runs under for as long as the
+// battery stays as it is. Before, the recovered System built a
+// factory-fresh battery: the scaled figure lasted until the first
+// monitor tick, which re-derived the budget from a pack that had never
+// aged.
+func TestRecoverCarriesBatteryOver(t *testing.T) {
+	sys := newTestSystem(t, Config{})
+	fresh := sys.DirtyBudget()
+	if err := sys.Battery().Age(0.4); err != nil {
+		t.Fatal(err)
+	}
+	aged := sys.DirtyBudget()
+	agedJoules := sys.Battery().EffectiveJoules()
+	if aged >= fresh {
+		t.Fatalf("ageing left the budget at %d of %d", aged, fresh)
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+
+	rec, report, err := sys.RecoverWith(RecoverOptions{BudgetScale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := rec.Battery().EffectiveJoules(); got != agedJoules*0.5 {
+		t.Fatalf("recovered battery holds %v J, want the aged %v J scaled by 0.5", got, agedJoules)
+	}
+	// Half the energy backs less than half the pages: the fixed flush
+	// overhead comes off the top.
+	if report.BudgetPages < 1 || report.BudgetPages > aged/2 {
+		t.Fatalf("recovered budget %d, want in [1, %d]", report.BudgetPages, aged/2)
+	}
+	rec.AdvanceTime(5 * Duration(sim.Millisecond))
+	snaps := rec.Health().Snapshots()
+	if len(snaps) < 2 {
+		t.Fatalf("%d monitor samples in 5 ms, want ≥ 2", len(snaps))
+	}
+	for _, s := range snaps {
+		if s.Budget > report.BudgetPages {
+			t.Errorf("monitor sample at %v derived %d pages, above the %d the surviving battery backs", s.At, s.Budget, report.BudgetPages)
+		}
+	}
+	if got := rec.DirtyBudget(); got > report.BudgetPages {
+		t.Fatalf("budget %d after 5 ms, above the recovered %d", got, report.BudgetPages)
+	}
+
+	// The scale is a derating, so the recharge is reversible: back at 1
+	// the budget returns to what the aged pack backs, not the fresh one.
+	if err := rec.Battery().SetDerating(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.DirtyBudget(); got != aged {
+		t.Fatalf("recharged budget %d, want the aged pack's %d", got, aged)
+	}
+
+	// An un-aged, unscaled recovery is what it always was.
+	plain := newTestSystem(t, Config{})
+	plain.SimulatePowerFailure()
+	again, rep, err := plain.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if rep.BudgetPages != fresh || again.DirtyBudget() != fresh {
+		t.Fatalf("plain recovery budget %d (reported %d), want %d", again.DirtyBudget(), rep.BudgetPages, fresh)
+	}
+}
+
+// TestRecoverRoundTripAllHandles: recorder, cursor, store and journal
+// mapped in one order before the outage re-attach in the same order
+// after it, each to its own restored bytes.
+func TestRecoverRoundTripAllHandles(t *testing.T) {
+	const storeBytes, journalBytes, cursorBytes = 1 << 20, 64 << 10, 4096
+	sys := newTestSystem(t, Config{BlackBox: true})
+	cursor, err := sys.NewRecoveryCursor("cursor", cursorBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := sys.NewStore("heap", storeBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := sys.NewIntentJournal("intent", journalBytes, IntentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put([]byte("k"), []byte("durable")); err != nil {
+		t.Fatal(err)
+	}
+	// One intent left in flight, and a recovery the cursor is part-way
+	// through: both must be found again.
+	if err := journal.Begin(7, 1, 0xABCD, []byte("k"), []byte("redone"), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cursor.BeginRecovery(sys.DirtyBudget()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cursor.Advance(recovery.PhaseWALReplay, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := cursor.Progress()
+	lastSeq := sys.BlackBox().LastSeq()
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+
+	rec, _, err := sys.RecoverWith(RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if f := rec.Forensics(); f == nil || f.Walk.LastSeq != lastSeq {
+		t.Fatalf("forensics %+v, want a walk ending at the recorder's last record %d", f, lastSeq)
+	}
+	cursor, err = rec.OpenRecoveryCursor("cursor", cursorBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cursor.FellBack() || !cursor.Resumed() || cursor.Progress() != before {
+		t.Fatalf("cursor reopened at %+v (resumed %v, fell back %v), want %+v resumed", cursor.Progress(), cursor.Resumed(), cursor.FellBack(), before)
+	}
+	store, err = rec.OpenStore("heap", storeBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err = rec.OpenIntentJournal("intent", journalBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cursor.BeginRecovery(rec.DirtyBudget()); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := rec.ReplayPendingWith(store, journal, cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Redone != 1 {
+		t.Fatalf("replay redid %d intents, want the one left in flight", stats.Redone)
+	}
+	if v, ok, err := store.Get([]byte("k")); err != nil || !ok || string(v) != "redone" {
+		t.Fatalf("store holds %q (found %v, err %v), want the redo image", v, ok, err)
+	}
+	if err := cursor.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }
