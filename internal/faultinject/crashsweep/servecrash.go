@@ -99,7 +99,7 @@ const (
 	serveKeys         = 48 // key-space size
 	serveReadFraction = 0.5
 	serveHeapPages    = 64 // the store mapping
-	journalPages      = 16 // the intent-journal mapping
+	journalPages      = 9 // the intent-journal mapping
 	// serveBudgetPages is the dirty budget the battery is provisioned for:
 	// tight enough that journal appends and store writes force synchronous
 	// cleans under load. Note the budget alone barely opens the

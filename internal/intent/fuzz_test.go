@@ -24,7 +24,26 @@ func FuzzIntentReplay(f *testing.F) {
 	f.Add(healthy.data)
 	// Seed 2: truncated mid-journal.
 	f.Add(healthy.data[:len(healthy.data)/2])
-	// Seed 3: empty and garbage.
+	// Seeds 3 and 4: the active half opens with a one-record snapshot of
+	// in-flight, done and flag-result entries and goes on with live
+	// records, a result that is only the "redo value" flag among them;
+	// whole, and cut inside the snapshot record.
+	snapshot := newMemStore(MinStoreBytes)
+	if j, err := Create(snapshot, Config{Window: 4}); err == nil {
+		val := bytes.Repeat([]byte("v"), 40)
+		for s := uint64(1); s <= 6; s++ {
+			_ = j.Begin(2, s, s*3, []byte("key"), val, s%4 == 0)
+			if s%2 == 0 {
+				_ = j.Complete(2, s, byte(s), [][]byte{val, []byte("r")}[s/2%2])
+			}
+			if s == 4 {
+				_ = j.Compact()
+			}
+		}
+	}
+	f.Add(snapshot.data)
+	f.Add(snapshot.data[:headerBytes+minHalfBytes+pageBytes+100])
+	// Seed 5: empty and garbage.
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, MinStoreBytes))
 

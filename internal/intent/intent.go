@@ -20,26 +20,41 @@
 // recorded redo — a blind, idempotent Put/Delete — instead of re-running
 // a read-modify-write against already-mutated state.
 //
+// The result record carries only what the journal does not already hold.
+// A result that is the intent's redo value — what a read-modify-write
+// returns — is a flag; the table then keeps the redo value as the cached
+// result instead of dropping it. A Put's result is empty: its retry
+// carries the value and the op checksum proves it is the same one, so a
+// done Put is a fixed-size entry in the table and in every snapshot.
+//
+// The journal's cost is the dirty budget its pages hold, so its footprint
+// follows its live state, not its capacity: the table is bounded by
+// clients × window entries, fat only where a result must be cached, and
+// the log is rewritten once it has grown to growthFactor × the table.
+//
 // Crash-consistency layering:
 //
 //   - Records go through internal/wal (length+seq+checksum, record bytes
 //     before head pointer), so recovery replays a committed prefix and
 //     rejects the torn tail.
 //   - The journal is two wal halves behind a header page. Compaction
-//     (when the active half fills) snapshots the live dedup table into
-//     the *inactive* half, then flips the active-generation word — an
-//     8-byte in-page write, which the NV-DRAM region applies
-//     all-or-nothing — so a crash at any instant leaves one fully valid
-//     half.
+//     (when the active half's log has grown to growthFactor × the live
+//     table in whole pages, or the half is full) writes the live dedup
+//     table into the *inactive* half as one snapshot record, then flips
+//     the active-generation word — an 8-byte in-page write, which the
+//     NV-DRAM region applies all-or-nothing — so a crash at any instant
+//     leaves one fully valid half.
 //   - Per-client windows bound the table: a client with window W issues
 //     seq n only after every seq ≤ n−W is acked, so entries below
 //     maxSeq−W+1 can never be legally retried and are GC'd.
 package intent
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"viyojit/internal/obs"
@@ -74,8 +89,23 @@ const (
 const (
 	kIntent     byte = 1 // a mutation is about to be applied
 	kResult     byte = 2 // the mutation completed; result cached for dedup
-	kSnapClient byte = 3 // compaction: a client's window bounds
-	kSnapEntry  byte = 4 // compaction: one live table entry
+	kSnapClient byte = 3 // inside a snapshot: a client's window bounds
+	kSnapEntry  byte = 4 // inside a snapshot: one live table entry
+	kSnapshot   byte = 5 // compaction: the whole live table in one record
+)
+
+const (
+	pageBytes = 4096
+
+	// growthFactor is how far the active log may grow past the live
+	// table before compaction rewrites it: the log's extent in its half
+	// reaches growthFactor × the snapshot's whole pages. Compaction
+	// traffic is then at most 1/growthFactor of appends, and the pages the
+	// journal keeps dirty follow its live state instead of its capacity.
+	// Measured flat from 2 to 16 (EXPERIMENTS.md, "The journal holds its
+	// live state"); the page rounding keeps a small table from compacting
+	// on every append.
+	growthFactor = 8
 )
 
 // Typed errors. Match with errors.Is.
@@ -152,6 +182,11 @@ type entry struct {
 	result    []byte
 }
 
+// snapBytes is the entry's size in a snapshot.
+func (e *entry) snapBytes() int64 {
+	return int64(snapEntryBytes + len(e.key) + len(e.val) + len(e.result))
+}
+
 type clientWin struct {
 	low     uint64 // lowest retryable seq; everything below is GC'd
 	maxSeq  uint64
@@ -174,14 +209,21 @@ type Stats struct {
 	Completes   uint64
 	GCDropped   uint64
 	Compactions uint64
-	AppendBytes uint64 // record payload bytes appended (journal write traffic)
-	StaleSkips  uint64 // replayed records below the window, ignored
-	Replayed    uint64 // records replayed at Open
-	LiveEntries int
-	Clients     int
-	Gen         uint64
-	HeadBytes   int64 // next append offset within the active half
-	HalfBytes   int64 // capacity of each half
+	// AppendBytes is the payload bytes appended (journal write traffic):
+	// intent and result records plus SnapshotBytes, compaction's share.
+	AppendBytes   uint64
+	SnapshotBytes uint64
+	StaleSkips    uint64 // replayed records below the window, ignored
+	Replayed      uint64 // records replayed at Open
+	LiveEntries   int
+	// LiveBytes is what a snapshot of the table would take now;
+	// RunLimitBytes is the log extent at which the next append compacts.
+	LiveBytes     int64
+	RunLimitBytes int64
+	Clients       int
+	Gen           uint64
+	HeadBytes     int64 // next append offset within the active half
+	HalfBytes     int64 // capacity of each half
 }
 
 // instruments groups the obs counters (journal write traffic is a
@@ -192,12 +234,15 @@ type instruments struct {
 	completes   *obs.Counter
 	gcDropped   *obs.Counter
 	compactions *obs.Counter
-	appendBytes *obs.Counter
+	recordBytes *obs.Counter
+	snapBytes   *obs.Counter
 	staleSkips  *obs.Counter
 	replayed    *obs.Counter
 	tornOpens   *obs.Counter
 	unjournaled *obs.Counter
 	liveEntries *obs.Gauge
+	liveBytes   *obs.Gauge
+	runLimit    *obs.Gauge
 	liveClients *obs.Gauge
 }
 
@@ -207,12 +252,15 @@ func newInstruments(r *obs.Registry) instruments {
 		completes:   r.Counter("intent_completes_total"),
 		gcDropped:   r.Counter("intent_gc_dropped_total"),
 		compactions: r.Counter("intent_compactions_total"),
-		appendBytes: r.Counter("intent_append_bytes_total"),
+		recordBytes: r.Counter("intent_append_record_bytes_total"),
+		snapBytes:   r.Counter("intent_append_snapshot_bytes_total"),
 		staleSkips:  r.Counter("intent_stale_records_total"),
 		replayed:    r.Counter("intent_replayed_records_total"),
 		tornOpens:   r.Counter("intent_torn_opens_total"),
 		unjournaled: r.Counter("intent_unjournaled_results_total"),
 		liveEntries: r.Gauge("intent_live_entries"),
+		liveBytes:   r.Gauge("intent_live_bytes"),
+		runLimit:    r.Gauge("intent_run_limit_bytes"),
 		liveClients: r.Gauge("intent_live_clients"),
 	}
 }
@@ -220,23 +268,32 @@ func newInstruments(r *obs.Registry) instruments {
 // Journal is the idempotency journal. Like the rest of the simulated
 // stack it is single-goroutine: only the serve dispatch loop touches it.
 type Journal struct {
-	store    Store
+	store Store
+	// logs are the two halves' logs, nil until first opened or written;
+	// log is the active one, logs[gen&1]. Compaction resets and reuses the
+	// inactive half's, so its record buffer is sized to a snapshot once.
+	logs     [2]*wal.Log
 	log      *wal.Log
 	gen      uint64
 	halfSize int64
 	window   uint64
 
 	table map[uint64]*clientWin
-	// live is the number of entries across every client's window, kept in
-	// step by put and gcLocked so neither a Begin nor Stats walks the table.
-	live int
+	// live is the number of entries across every client's window and
+	// liveBytes the size of a snapshot of the table, kept in step by win,
+	// put, finish and gcLocked so neither an append nor Stats walks the
+	// table, and rebuilt by replay like the table itself.
+	live      int
+	liveBytes int64
 
 	torn bool // last Open stopped on a torn tail (crash signature)
 
-	// Grow-only record buffers. append may compact while it still holds
-	// the record it was asked to write, so snapshot records have their own.
-	rec  []byte // the intent or result record being appended
-	snap []byte // Compact's snapshot records
+	// Grow-only buffers. append may compact while it still holds the
+	// record it was asked to write, so the snapshot is staged in its own.
+	rec     []byte   // the intent or result record being appended
+	snap    []byte   // Compact's snapshot record
+	clients []uint64 // Compact's sorted client ids
+	seqs    []uint64 // Compact's sorted seqs of one client
 
 	st    instruments
 	stats Stats
@@ -290,7 +347,7 @@ func Create(store Store, cfg Config) (*Journal, error) {
 		table:    make(map[uint64]*clientWin),
 		st:       newInstruments(cfg.Obs),
 	}
-	l, err := wal.Create(j.half(0))
+	l, err := j.freshLog(0)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +398,7 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("intent: active half: %w", err)
 	}
-	j.log = l
+	j.log, j.logs[j.gen&1] = l, l
 	err = l.Replay(func(seq uint64, payload []byte) error {
 		j.stats.Replayed++
 		j.st.replayed.Inc()
@@ -378,20 +435,48 @@ func (j *Journal) Stats() Stats {
 	s.HalfBytes = j.halfSize
 	s.Clients = len(j.table)
 	s.LiveEntries = j.live
+	s.LiveBytes = j.snapshotBytes()
+	s.RunLimitBytes = j.runLimit()
 	return s
 }
 
 func (j *Journal) publishGauges() {
 	j.st.liveEntries.Set(int64(j.live))
+	j.st.liveBytes.Set(j.snapshotBytes())
+	j.st.runLimit.Set(j.runLimit())
 	j.st.liveClients.Set(int64(len(j.table)))
 }
 
-// put stores e as w's entry for seq, counting it if the slot was empty.
+// snapshotBytes is the payload a snapshot of the table would be now.
+func (j *Journal) snapshotBytes() int64 { return 1 + j.liveBytes }
+
+// runLimit is the extent of the active log, its header page included, at
+// which the next append compacts: growthFactor × the snapshot in whole
+// pages. A table too big for a half puts the limit past the half's end,
+// so a compaction by growth always has room for its snapshot.
+func (j *Journal) runLimit() int64 {
+	pages := (j.snapshotBytes() + pageBytes - 1) / pageBytes
+	return growthFactor * pages * pageBytes
+}
+
+// put stores e as w's entry for seq, counting it in place of the entry
+// the slot held.
 func (j *Journal) put(w *clientWin, seq uint64, e *entry) {
-	if w.entries[seq] == nil {
+	if old := w.entries[seq]; old != nil {
+		j.liveBytes -= old.snapBytes()
+	} else {
 		j.live++
 	}
+	j.liveBytes += e.snapBytes()
 	w.entries[seq] = e
+}
+
+// finish turns e into a done entry caching result, which the entry keeps.
+func (j *Journal) finish(e *entry, code byte, result []byte) {
+	j.liveBytes -= e.snapBytes()
+	e.done, e.code, e.result = true, code, result
+	e.key, e.val = nil, nil // redo image no longer needed
+	j.liveBytes += e.snapBytes()
 }
 
 func (j *Journal) win(client uint64) *clientWin {
@@ -399,6 +484,7 @@ func (j *Journal) win(client uint64) *clientWin {
 	if w == nil {
 		w = &clientWin{low: 1, entries: make(map[uint64]*entry)}
 		j.table[client] = w
+		j.liveBytes += snapClientBytes
 	}
 	return w
 }
@@ -462,10 +548,13 @@ func (j *Journal) Begin(client, seq, opSum uint64, redoKey, redoVal []byte, tomb
 }
 
 // Complete journals the mutation's result, making the (client, seq)
-// pair dedupable. If the result record cannot be journaled even after
-// compaction, the in-memory table is still updated and the condition is
-// counted: losing a result record at a crash only costs an extra redo
-// re-apply on retry, never a double-apply.
+// pair dedupable. A result equal to the entry's redo value — what a
+// read-modify-write returns — is journaled as a flag, the intent record
+// already holding the bytes, and the table keeps the redo value as the
+// result instead of a copy. If the result record cannot be journaled even
+// after compaction, the in-memory table is still updated and the
+// condition is counted: losing a result record at a crash only costs an
+// extra redo re-apply on retry, never a double-apply.
 func (j *Journal) Complete(client, seq uint64, code byte, result []byte) error {
 	w := j.table[client]
 	if w == nil {
@@ -478,25 +567,35 @@ func (j *Journal) Complete(client, seq uint64, code byte, result []byte) error {
 	if e == nil {
 		return fmt.Errorf("intent: Complete for unjournaled seq %d (client %d)", seq, client)
 	}
-	j.rec = encodeResult(j.rec, client, seq, code, result)
+	isRedo := len(result) > 0 && bytes.Equal(result, e.val)
+	j.rec = encodeResult(j.rec, client, seq, code, result, isRedo)
 	err := j.append(j.rec)
+	j.stats.Completes++ // the table advances either way; see doc comment
 	if err != nil {
-		j.stats.Completes++ // table still advances; see doc comment
 		j.st.unjournaled.Inc()
 	} else {
-		j.stats.Completes++
 		j.st.completes.Inc()
 	}
-	e.done = true
-	e.code = code
-	e.result = append([]byte(nil), result...)
-	e.key, e.val = nil, nil // redo image no longer needed
+	if isRedo {
+		result = e.val
+	} else {
+		result = append([]byte(nil), result...)
+	}
+	j.finish(e, code, result)
+	j.publishGauges()
 	return err
 }
 
-// append writes one record to the active half, compacting into the
-// other half when full.
+// append writes one record to the active half, first compacting into the
+// other half if the log has outgrown the live table (runLimit) or has no
+// room left. Both run before the caller updates the table, so the
+// snapshot and the record that follows it agree.
 func (j *Journal) append(payload []byte) error {
+	if j.log.Head() >= j.runLimit() {
+		if err := j.Compact(); err != nil {
+			return err
+		}
+	}
 	_, err := j.log.Append(payload)
 	if errors.Is(err, wal.ErrFull) {
 		if cerr := j.Compact(); cerr != nil {
@@ -509,46 +608,55 @@ func (j *Journal) append(payload []byte) error {
 	}
 	if err == nil {
 		j.stats.AppendBytes += uint64(len(payload))
-		j.st.appendBytes.Add(uint64(len(payload)))
+		j.st.recordBytes.Add(uint64(len(payload)))
 	}
 	return err
 }
 
+// freshLog returns an empty log on gen's half. The half is the inactive
+// one (or, in Create, not yet a journal), so nothing reads it until the
+// generation word says so.
+func (j *Journal) freshLog(gen uint64) (*wal.Log, error) {
+	if l := j.logs[gen&1]; l != nil {
+		return l, l.Reset()
+	}
+	l, err := wal.Create(j.half(gen))
+	j.logs[gen&1] = l
+	return l, err
+}
+
 // Compact snapshots the live dedup table into the inactive half and
-// flips the active generation. The flip is an 8-byte in-page header
+// flips the active generation. The half is invisible until the flip, so
+// the snapshot is one record: one store write and one head update,
+// however many entries it holds. The flip is an 8-byte in-page header
 // write — all-or-nothing under the region's per-page write fault — so a
 // crash anywhere during compaction leaves exactly one valid journal:
 // the old half (flip not yet visible) or the new one (flip landed).
 func (j *Journal) Compact() error {
-	nl, err := wal.Create(j.half(j.gen + 1))
+	j.clients = j.clients[:0]
+	for c := range j.table {
+		j.clients = append(j.clients, c)
+	}
+	slices.Sort(j.clients)
+	j.snap = append(j.snap[:0], kSnapshot)
+	for _, c := range j.clients {
+		w := j.table[c]
+		j.snap = appendSnapClient(j.snap, c, w.low, w.maxSeq)
+		j.seqs = j.seqs[:0]
+		for s := range w.entries {
+			j.seqs = append(j.seqs, s)
+		}
+		slices.Sort(j.seqs)
+		for _, s := range j.seqs {
+			j.snap = appendSnapEntry(j.snap, c, s, w.entries[s])
+		}
+	}
+	nl, err := j.freshLog(j.gen + 1)
 	if err != nil {
 		return err
 	}
-	clients := make([]uint64, 0, len(j.table))
-	for c := range j.table {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(a, b int) bool { return clients[a] < clients[b] })
-	var snapBytes uint64
-	for _, c := range clients {
-		w := j.table[c]
-		j.snap = encodeSnapClient(j.snap, c, w.low, w.maxSeq)
-		if _, err := nl.Append(j.snap); err != nil {
-			return snapErr(err)
-		}
-		snapBytes += uint64(len(j.snap))
-		seqs := make([]uint64, 0, len(w.entries))
-		for s := range w.entries {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-		for _, s := range seqs {
-			j.snap = encodeSnapEntry(j.snap, c, s, w.entries[s])
-			if _, err := nl.Append(j.snap); err != nil {
-				return snapErr(err)
-			}
-			snapBytes += uint64(len(j.snap))
-		}
+	if _, err := nl.Append(j.snap); err != nil {
+		return snapErr(err)
 	}
 	// Commit point: flip the generation word.
 	var g [8]byte
@@ -558,10 +666,12 @@ func (j *Journal) Compact() error {
 	}
 	j.gen++
 	j.log = nl
+	snapBytes := uint64(len(j.snap))
 	j.stats.Compactions++
 	j.stats.AppendBytes += snapBytes
+	j.stats.SnapshotBytes += snapBytes
 	j.st.compactions.Inc()
-	j.st.appendBytes.Add(snapBytes)
+	j.st.snapBytes.Add(snapBytes)
 	return nil
 }
 
@@ -585,9 +695,10 @@ func (j *Journal) gcLocked(w *clientWin) {
 		return
 	}
 	for s := w.low; s < newLow; s++ {
-		if _, ok := w.entries[s]; ok {
+		if e, ok := w.entries[s]; ok {
 			delete(w.entries, s)
 			j.live--
+			j.liveBytes -= e.snapBytes()
 			j.stats.GCDropped++
 			j.st.gcDropped.Inc()
 		}
@@ -595,19 +706,20 @@ func (j *Journal) gcLocked(w *clientWin) {
 	w.low = newLow
 }
 
-// applyRecord folds one replayed record into the table. Records below a
-// client's window (possible when live appends follow a compaction
-// snapshot) are counted and skipped; malformed records are skipped too
-// — the wal checksum already vouched for their integrity, so a decode
-// failure means the payload predates this format and dropping it is the
-// conservative choice.
+// applyRecord folds one replayed payload into the table: an intent, a
+// result, or a snapshot's parts. Records below a client's window
+// (possible when live appends follow a compaction snapshot) are counted
+// and skipped; malformed payloads are skipped too — the wal checksum
+// already vouched for their integrity, so a decode failure means the
+// payload predates this format and dropping it is the conservative
+// choice.
 func (j *Journal) applyRecord(payload []byte) {
-	rec, ok := decode(payload)
-	if !ok {
-		j.stats.StaleSkips++
-		j.st.staleSkips.Inc()
-		return
+	if !walk(payload, j.apply) {
+		j.skipStale()
 	}
+}
+
+func (j *Journal) apply(rec Record) {
 	switch rec.Kind {
 	case kIntent:
 		w := j.win(rec.Client)
@@ -632,10 +744,10 @@ func (j *Journal) applyRecord(payload []byte) {
 			j.skipStale()
 			return
 		}
-		e.done = true
-		e.code = rec.Code
-		e.result = rec.Result
-		e.key, e.val = nil, nil
+		if rec.IsRedo {
+			rec.Result = e.val
+		}
+		j.finish(e, rec.Code, rec.Result)
 	case kSnapClient:
 		w := j.win(rec.Client)
 		if rec.Low > w.low {
@@ -662,8 +774,6 @@ func (j *Journal) applyRecord(payload []byte) {
 		if rec.Seq > w.maxSeq {
 			w.maxSeq = rec.Seq
 		}
-	default:
-		j.skipStale()
 	}
 }
 

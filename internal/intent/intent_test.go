@@ -269,6 +269,11 @@ type cutStore struct {
 	budget int
 }
 
+// uncut is a budget no history reaches; spent is how much of it one used.
+const uncut = 1 << 30
+
+func (c *cutStore) spent() int { return uncut - c.budget }
+
 func (c *cutStore) WriteAt(p []byte, off int64) error {
 	if c.budget <= 0 {
 		return nil // power is gone; writes vanish
@@ -315,12 +320,12 @@ func TestCrashCutPrefix(t *testing.T) {
 	}
 
 	// Full run to size the write stream.
-	full := &cutStore{memStore: newMemStore(1 << 15), budget: 1 << 30}
+	full := &cutStore{memStore: newMemStore(1 << 15), budget: uncut}
 	fullHist := runHistory(full)
 	if len(fullHist) != 40 {
 		t.Fatalf("full history ran %d ops, want 40", len(fullHist))
 	}
-	total := (1 << 30) - full.budget
+	total := full.spent()
 
 	for cut := 0; cut <= total; cut += 97 {
 		cs := &cutStore{memStore: newMemStore(1 << 15), budget: cut}
@@ -346,12 +351,14 @@ func TestCrashCutPrefix(t *testing.T) {
 	}
 }
 
-// TestBeginCompleteAllocations pins a steady-state Begin+Complete pair.
-// Both records are encoded into the journal's buffer and appended through
-// the log's, so what is left is the dedup table's own state, which the
-// journal hands back on a retry: the entry, its copy of the redo key, its
-// copy of the redo value, and its copy of the result. (The window's map
-// reuses the slot of the entry it drops.)
+// TestBeginCompleteAllocations pins a steady-state Begin+Complete pair,
+// compactions included. Both records are encoded into the journal's
+// buffer and appended through the log's, and a snapshot is staged and
+// sorted in buffers the journal keeps, so what is left is the dedup
+// table's own state, which the journal hands back on a retry: the entry,
+// its copy of the redo key and its copy of the redo value — which, the
+// result being that value, becomes the cached result without a copy. (The
+// window's map reuses the slot of the entry it drops.)
 func TestBeginCompleteAllocations(t *testing.T) {
 	j, _ := mustCreate(t, 1<<22, 8)
 	key, val := []byte("user0001"), bytes.Repeat([]byte{'v'}, 100)
@@ -365,29 +372,39 @@ func TestBeginCompleteAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ {
-		pair() // fill the window, size the buffers
+	for j.Stats().Compactions < 3 {
+		pair() // fill the window, size the buffers, reach both halves' logs
 	}
-	if allocs := testing.AllocsPerRun(500, pair); allocs != 4 {
-		t.Fatalf("Begin+Complete allocate %v times, want 4", allocs)
+	before := j.Stats().Compactions
+	if allocs := testing.AllocsPerRun(500, pair); allocs != 3 {
+		t.Fatalf("Begin+Complete allocate %v times, want 3", allocs)
+	}
+	if j.Stats().Compactions == before {
+		t.Fatal("no compaction inside the measured run")
 	}
 }
 
 // recountLive is what the live-entry count used to be computed as on
-// every Begin: a walk of every client's window.
-func (j *Journal) recountLive() int {
-	n := 0
+// every Begin, a walk of every client's window, and the snapshot size
+// that walk implies.
+func (j *Journal) recountLive() (entries int, snapshotBytes int64) {
+	snapshotBytes = 1
 	for _, w := range j.table {
-		n += len(w.entries)
+		entries += len(w.entries)
+		snapshotBytes += snapClientBytes
+		for _, e := range w.entries {
+			snapshotBytes += e.snapBytes()
+		}
 	}
-	return n
+	return entries, snapshotBytes
 }
 
 // TestLiveEntriesMatchesRecount drives a seeded mix of Begin, Complete,
 // Compact and Open (replaying intents, results and snapshot records,
 // with windows sliding and garbage-collecting throughout) and checks the
-// running live-entry count, the Stats field and the gauge against a
-// recount after every step.
+// running live-entry and live-byte counts, the Stats fields and the
+// gauges against a recount after every step, and the byte count against
+// the snapshot Compact actually wrote.
 func TestLiveEntriesMatchesRecount(t *testing.T) {
 	reg := obs.NewRegistry()
 	ms := newMemStore(1 << 20)
@@ -404,34 +421,46 @@ func TestLiveEntriesMatchesRecount(t *testing.T) {
 		case r < 50:
 			client := uint64(1 + rng.Intn(6))
 			next[client]++
-			if err := j.Begin(client, next[client], 7, []byte("k"), []byte("v"), r%2 == 0); err != nil {
+			if err := j.Begin(client, next[client], 7, []byte("k"), []byte("value")[:1+r%5], r%2 == 0); err != nil {
 				t.Fatalf("step %d: begin: %v", step, err)
 			}
 			open = append(open, struct{ client, seq uint64 }{client, next[client]})
 		case r < 90 && len(open) > 0:
 			i := rng.Intn(len(open))
 			// A seq the window has since dropped completes as a no-op.
-			if err := j.Complete(open[i].client, open[i].seq, 0, []byte("r")); err != nil && !errors.Is(err, ErrStaleSeq) {
+			// The result is the redo value, something else, or nothing.
+			result := [][]byte{[]byte("value")[:1+r%5], []byte("r"), nil}[r%3]
+			if err := j.Complete(open[i].client, open[i].seq, 0, result); err != nil && !errors.Is(err, ErrStaleSeq) {
 				t.Fatalf("step %d: complete: %v", step, err)
 			}
 			open = append(open[:i], open[i+1:]...)
 		case r < 95:
+			wrote := j.Stats().SnapshotBytes
 			if err := j.Compact(); err != nil {
 				t.Fatalf("step %d: compact: %v", step, err)
 			}
 			compactions++
+			if wrote = j.Stats().SnapshotBytes - wrote; int64(wrote) != j.Stats().LiveBytes {
+				t.Fatalf("step %d: snapshot of %d bytes, live bytes %d", step, wrote, j.Stats().LiveBytes)
+			}
 		default:
 			if j, err = Open(ms, reg); err != nil {
 				t.Fatalf("step %d: open: %v", step, err)
 			}
 			reopens++
 		}
-		want := j.recountLive()
+		want, wantBytes := j.recountLive()
 		if j.live != want || j.Stats().LiveEntries != want {
 			t.Fatalf("step %d: live counter %d, Stats %d, recount %d", step, j.live, j.Stats().LiveEntries, want)
 		}
 		if got := reg.Gauge("intent_live_entries").Value(); got != int64(want) {
 			t.Fatalf("step %d: gauge %d, recount %d", step, got, want)
+		}
+		if got := j.Stats().LiveBytes; got != wantBytes {
+			t.Fatalf("step %d: live bytes %d, recount %d", step, got, wantBytes)
+		}
+		if got := reg.Gauge("intent_live_bytes").Value(); got != wantBytes {
+			t.Fatalf("step %d: live-bytes gauge %d, recount %d", step, got, wantBytes)
 		}
 	}
 	dropped, replayed := reg.Counter("intent_gc_dropped_total").Value(), reg.Counter("intent_replayed_records_total").Value()

@@ -12,20 +12,33 @@ import (
 //
 //	kIntent:     kind u8 | client u64 | seq u64 | opSum u64 | flags u8 |
 //	             keyLen u16 | valLen u32 | key | val
-//	kResult:     kind u8 | client u64 | seq u64 | code u8 | resLen u32 | res
+//	kResult:     kind u8 | client u64 | seq u64 | code u8 | flags u8 |
+//	             resLen u32 | res
+//	kSnapshot:   kind u8 | the table as kSnapClient and kSnapEntry records
+//	             back to back, each client's window before its entries
 //	kSnapClient: kind u8 | client u64 | low u64 | maxSeq u64
 //	kSnapEntry:  kind u8 | client u64 | seq u64 | state u8 | opSum u64 |
 //	             code u8 | flags u8 | keyLen u16 | valLen u32 | resLen u32 |
 //	             key | val | res
 //
 // flags bit0 = tombstone (the redo deletes the key instead of writing
-// it). state for kSnapEntry: 0 in-flight, 1 done.
+// it); bit1, on a kResult only = the result is the redo value the intent
+// record already holds, so res is empty. state for kSnapEntry: 0
+// in-flight, 1 done. kSnapClient and kSnapEntry are written only inside a
+// kSnapshot; every record's length follows from its own header, so the
+// snapshot needs no framing of its own.
 
-const flagTombstone = 1
+const (
+	flagTombstone    = 1
+	flagResultIsRedo = 2
 
-// The encoders build a record in buf's storage, grown if it is too small,
-// and return it; every byte of the record is written, so what buf held
-// does not matter.
+	snapClientBytes = 1 + 8 + 8 + 8
+	snapEntryBytes  = 1 + 8 + 8 + 1 + 8 + 1 + 1 + 2 + 4 + 4 // before key, val and result
+)
+
+// encodeIntent and encodeResult build a record in buf's storage, grown if
+// it is too small, and return it; every byte of the record is written, so
+// what buf held does not matter. The two snapshot encoders append to buf.
 
 func sized(buf []byte, n int) []byte { return slices.Grow(buf[:0], n)[:n] }
 
@@ -46,49 +59,52 @@ func encodeIntent(buf []byte, client, seq, opSum uint64, key, val []byte, tombst
 	return p
 }
 
-func encodeResult(buf []byte, client, seq uint64, code byte, res []byte) []byte {
-	p := sized(buf, 1+8+8+1+4+len(res))
+// encodeResult records res, or with isRedo only the flag that stands for it.
+func encodeResult(buf []byte, client, seq uint64, code byte, res []byte, isRedo bool) []byte {
+	if isRedo {
+		res = nil
+	}
+	p := sized(buf, 1+8+8+1+1+4+len(res))
 	p[0] = kResult
 	binary.LittleEndian.PutUint64(p[1:], client)
 	binary.LittleEndian.PutUint64(p[9:], seq)
 	p[17] = code
-	binary.LittleEndian.PutUint32(p[18:], uint32(len(res)))
-	copy(p[22:], res)
+	p[18] = 0
+	if isRedo {
+		p[18] = flagResultIsRedo
+	}
+	binary.LittleEndian.PutUint32(p[19:], uint32(len(res)))
+	copy(p[23:], res)
 	return p
 }
 
-func encodeSnapClient(buf []byte, client, low, maxSeq uint64) []byte {
-	p := sized(buf, 1+8+8+8)
-	p[0] = kSnapClient
-	binary.LittleEndian.PutUint64(p[1:], client)
-	binary.LittleEndian.PutUint64(p[9:], low)
-	binary.LittleEndian.PutUint64(p[17:], maxSeq)
-	return p
+func appendSnapClient(buf []byte, client, low, maxSeq uint64) []byte {
+	buf = append(buf, kSnapClient)
+	buf = binary.LittleEndian.AppendUint64(buf, client)
+	buf = binary.LittleEndian.AppendUint64(buf, low)
+	return binary.LittleEndian.AppendUint64(buf, maxSeq)
 }
 
-func encodeSnapEntry(buf []byte, client, seq uint64, e *entry) []byte {
-	p := sized(buf, 1+8+8+1+8+1+1+2+4+4+len(e.key)+len(e.val)+len(e.result))
-	p[0] = kSnapEntry
-	binary.LittleEndian.PutUint64(p[1:], client)
-	binary.LittleEndian.PutUint64(p[9:], seq)
-	p[17] = 0
+func appendSnapEntry(buf []byte, client, seq uint64, e *entry) []byte {
+	var state, flags byte
 	if e.done {
-		p[17] = 1
+		state = 1
 	}
-	binary.LittleEndian.PutUint64(p[18:], e.opSum)
-	p[26] = e.code
-	p[27] = 0
 	if e.tombstone {
-		p[27] = flagTombstone
+		flags = flagTombstone
 	}
-	binary.LittleEndian.PutUint16(p[28:], uint16(len(e.key)))
-	binary.LittleEndian.PutUint32(p[30:], uint32(len(e.val)))
-	binary.LittleEndian.PutUint32(p[34:], uint32(len(e.result)))
-	off := 38
-	off += copy(p[off:], e.key)
-	off += copy(p[off:], e.val)
-	copy(p[off:], e.result)
-	return p
+	buf = append(buf, kSnapEntry)
+	buf = binary.LittleEndian.AppendUint64(buf, client)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, state)
+	buf = binary.LittleEndian.AppendUint64(buf, e.opSum)
+	buf = append(buf, e.code, flags)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.key)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.val)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.result)))
+	buf = append(buf, e.key...)
+	buf = append(buf, e.val...)
+	return append(buf, e.result...)
 }
 
 // Record is the decoded form of one journal record, used by replay and
@@ -101,6 +117,7 @@ type Record struct {
 	Done      bool
 	Code      byte
 	Tombstone bool
+	IsRedo    bool   // kResult: the result is the intent's redo value
 	Low       uint64 // kSnapClient
 	MaxSeq    uint64 // kSnapClient
 	Key       []byte
@@ -108,21 +125,22 @@ type Record struct {
 	Result    []byte
 }
 
-// decode parses a record payload; !ok means the bytes do not form a
-// well-shaped record of any known kind.
-func decode(p []byte) (Record, bool) {
+// decode parses the record at the head of p and returns it with its
+// encoded length; 0 means the bytes do not start a well-shaped intent,
+// result or snapshot-part record. Slices are copies.
+func decode(p []byte) (Record, int) {
 	if len(p) == 0 {
-		return Record{}, false
+		return Record{}, 0
 	}
 	switch p[0] {
 	case kIntent:
 		if len(p) < 32 {
-			return Record{}, false
+			return Record{}, 0
 		}
 		kl := int(binary.LittleEndian.Uint16(p[26:]))
 		vl := int(binary.LittleEndian.Uint32(p[28:]))
-		if len(p) != 32+kl+vl {
-			return Record{}, false
+		if len(p) < 32+kl+vl {
+			return Record{}, 0
 		}
 		return Record{
 			Kind:      kIntent,
@@ -132,14 +150,14 @@ func decode(p []byte) (Record, bool) {
 			Tombstone: p[25]&flagTombstone != 0,
 			Key:       append([]byte(nil), p[32:32+kl]...),
 			Val:       append([]byte(nil), p[32+kl:32+kl+vl]...),
-		}, true
+		}, 32 + kl + vl
 	case kResult:
-		if len(p) < 22 {
-			return Record{}, false
+		if len(p) < 23 {
+			return Record{}, 0
 		}
-		rl := int(binary.LittleEndian.Uint32(p[18:]))
-		if len(p) != 22+rl {
-			return Record{}, false
+		rl := int(binary.LittleEndian.Uint32(p[19:]))
+		if len(p) < 23+rl {
+			return Record{}, 0
 		}
 		return Record{
 			Kind:   kResult,
@@ -147,29 +165,30 @@ func decode(p []byte) (Record, bool) {
 			Seq:    binary.LittleEndian.Uint64(p[9:]),
 			Done:   true,
 			Code:   p[17],
-			Result: append([]byte(nil), p[22:22+rl]...),
-		}, true
+			IsRedo: p[18]&flagResultIsRedo != 0,
+			Result: append([]byte(nil), p[23:23+rl]...),
+		}, 23 + rl
 	case kSnapClient:
-		if len(p) != 25 {
-			return Record{}, false
+		if len(p) < snapClientBytes {
+			return Record{}, 0
 		}
 		return Record{
 			Kind:   kSnapClient,
 			Client: binary.LittleEndian.Uint64(p[1:]),
 			Low:    binary.LittleEndian.Uint64(p[9:]),
 			MaxSeq: binary.LittleEndian.Uint64(p[17:]),
-		}, true
+		}, snapClientBytes
 	case kSnapEntry:
-		if len(p) < 38 {
-			return Record{}, false
+		if len(p) < snapEntryBytes {
+			return Record{}, 0
 		}
 		kl := int(binary.LittleEndian.Uint16(p[28:]))
 		vl := int(binary.LittleEndian.Uint32(p[30:]))
 		rl := int(binary.LittleEndian.Uint32(p[34:]))
-		if len(p) != 38+kl+vl+rl {
-			return Record{}, false
+		if len(p) < snapEntryBytes+kl+vl+rl {
+			return Record{}, 0
 		}
-		off := 38
+		off := snapEntryBytes
 		return Record{
 			Kind:      kSnapEntry,
 			Client:    binary.LittleEndian.Uint64(p[1:]),
@@ -181,9 +200,33 @@ func decode(p []byte) (Record, bool) {
 			Key:       append([]byte(nil), p[off:off+kl]...),
 			Val:       append([]byte(nil), p[off+kl:off+kl+vl]...),
 			Result:    append([]byte(nil), p[off+kl+vl:off+kl+vl+rl]...),
-		}, true
+		}, snapEntryBytes + kl + vl + rl
 	}
-	return Record{}, false
+	return Record{}, 0
+}
+
+// walk hands fn the records of one wal payload in order — the one record
+// an intent or result payload is, or every part of a snapshot — and
+// reports whether the payload was well-shaped to its last byte. Parts
+// ahead of a malformed one have been handed over by then.
+func walk(payload []byte, fn func(Record)) bool {
+	if len(payload) > 0 && payload[0] == kSnapshot {
+		for payload = payload[1:]; len(payload) > 0; {
+			rec, n := decode(payload)
+			if n == 0 {
+				return false
+			}
+			fn(rec)
+			payload = payload[n:]
+		}
+		return true
+	}
+	rec, n := decode(payload)
+	if n == 0 || n != len(payload) {
+		return false
+	}
+	fn(rec)
+	return true
 }
 
 // ReplayRecords walks the committed prefix of a journal's *active* half
@@ -209,11 +252,14 @@ func ReplayRecords(store Store, fn func(Record) error) (torn bool, err error) {
 		return false, err
 	}
 	err = l.Replay(func(seq uint64, payload []byte) error {
-		rec, ok := decode(payload)
-		if !ok {
-			return nil // unknown payload; integrity already vouched by the wal
-		}
-		return fn(rec)
+		// An unknown payload is skipped; the wal already vouched for it.
+		var ferr error
+		walk(payload, func(rec Record) {
+			if ferr == nil {
+				ferr = fn(rec)
+			}
+		})
+		return ferr
 	})
 	if err != nil {
 		return false, err

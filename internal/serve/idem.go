@@ -132,7 +132,11 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 			return nil, fmt.Errorf("%w: client %d seq %d", ErrSeqReuse, client, seq)
 		}
 		s.st.idemDedup.Inc()
-		return IdemResult{Code: ent.Code, Value: cloneBytes(ent.Result), Deduped: true}, nil
+		res := IdemResult{Code: ent.Code, Value: op.Value, Deduped: true}
+		if op.Kind != IdemPut {
+			res.Value = cloneBytes(ent.Result)
+		}
+		return res, nil
 
 	case intent.StateInFlight:
 		if ent.OpSum != sum {
@@ -143,12 +147,11 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 			return nil, err
 		}
 		s.crashPoint() // redo applied, completion record not yet durable
-		resVal := cloneBytes(ent.RedoVal)
-		if err := j.Complete(client, seq, code, resVal); err != nil && !errors.Is(err, intent.ErrJournalFull) {
+		if err := j.Complete(client, seq, code, cachedResult(op, ent.RedoVal)); err != nil && !errors.Is(err, intent.ErrJournalFull) {
 			return nil, err
 		}
 		s.st.idemRedo.Inc()
-		return IdemResult{Code: code, Value: resVal, Redone: true}, nil
+		return IdemResult{Code: code, Value: cloneBytes(ent.RedoVal), Redone: true}, nil
 
 	case intent.StateBelowWindow:
 		return nil, fmt.Errorf("%w: client %d seq %d", ErrStaleSeq, client, seq)
@@ -195,11 +198,20 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 		return nil, err
 	}
 	s.crashPoint() // mutation applied, completion record not yet durable
-	resVal := cloneBytes(image)
-	if err := j.Complete(client, seq, code, resVal); err != nil && !errors.Is(err, intent.ErrJournalFull) {
+	if err := j.Complete(client, seq, code, cachedResult(op, image)); err != nil && !errors.Is(err, intent.ErrJournalFull) {
 		return nil, err
 	}
-	return IdemResult{Code: code, Value: resVal}, nil
+	return IdemResult{Code: code, Value: image}, nil
+}
+
+// cachedResult is what the journal caches for a retry of op, whose
+// mutation wrote image. A Put caches nothing: its retry carries the value,
+// and the op checksum proves it is the one that was written.
+func cachedResult(op *IdemOp, image []byte) []byte {
+	if op.Kind == IdemPut {
+		return nil
+	}
+	return image
 }
 
 // ReplayPending resolves every journaled intent whose result never

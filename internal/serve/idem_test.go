@@ -93,6 +93,93 @@ func TestIdempotentPutDedup(t *testing.T) {
 	}
 }
 
+// TestDedupPutEchoesRequestValue: the journal caches nothing for a done
+// Put, so a retry is answered with the value it carries — which the op
+// checksum proves is the one the first attempt wrote; a retry carrying a
+// different value is still a reused sequence number.
+func TestDedupPutEchoesRequestValue(t *testing.T) {
+	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	ctx := context.Background()
+	val := bytes.Repeat([]byte("v"), 512)
+	put := func(v []byte) (IdemResult, error) {
+		return h.srv.SubmitIdempotent(ctx, 1, 1, IdemOp{Kind: IdemPut, Key: []byte("k"), Value: v}, Request{})
+	}
+	if res, err := put(val); err != nil || res.Deduped || !bytes.Equal(res.Value, val) {
+		t.Fatalf("fresh put: %+v, %v", res, err)
+	}
+	res, err := put(bytes.Clone(val))
+	if err != nil || !res.Deduped || res.Code != IdemApplied || !bytes.Equal(res.Value, val) {
+		t.Fatalf("retried put: deduped %v code %d value of %d bytes, err %v", res.Deduped, res.Code, len(res.Value), err)
+	}
+	if _, err := put(bytes.Repeat([]byte("w"), 512)); !errors.Is(err, ErrSeqReuse) {
+		t.Fatalf("retry with another value: err = %v, want ErrSeqReuse", err)
+	}
+	if e, st := h.srv.cfg.Journal.Lookup(1, 1); st != intent.StateDone || len(e.Result) != 0 {
+		t.Fatalf("journal holds a %d-byte result for a done Put (state %v)", len(e.Result), st)
+	}
+	if v, ok, err := storeGet(h, "k"); err != nil || !ok || !bytes.Equal(v, val) {
+		t.Fatalf("store after the retries: %d bytes, %v, %v", len(v), ok, err)
+	}
+}
+
+// TestRMWResultSurvivesCompactionAndReopen: a deduped read-modify-write or
+// Delete returns exactly what its first execution returned — straight
+// away, after two compactions, and from a journal reopened on the same
+// mapping behind a new server.
+func TestRMWResultSurvivesCompactionAndReopen(t *testing.T) {
+	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	ctx := context.Background()
+	image := bytes.Repeat([]byte("rmw"), 100)
+	calls := 0
+	rmw := IdemOp{Kind: IdemRMW, Key: []byte("ctr"), Modify: func([]byte, bool) []byte { calls++; return image }}
+	del := IdemOp{Kind: IdemDelete, Key: []byte("ghost")}
+	check := func(srv *Server, label string, deduped bool) {
+		t.Helper()
+		res, err := srv.SubmitIdempotent(ctx, 9, 1, rmw, Request{})
+		if err != nil || res.Deduped != deduped || res.Code != IdemApplied || !bytes.Equal(res.Value, image) {
+			t.Fatalf("%s: rmw deduped %v code %d value of %d bytes, err %v", label, res.Deduped, res.Code, len(res.Value), err)
+		}
+		res, err = srv.SubmitIdempotent(ctx, 9, 2, del, Request{})
+		if err != nil || res.Deduped != deduped || res.Code != IdemNotFound || len(res.Value) != 0 {
+			t.Fatalf("%s: delete deduped %v code %d value %q, err %v", label, res.Deduped, res.Code, res.Value, err)
+		}
+	}
+	check(h.srv, "first execution", false)
+	check(h.srv, "retry", true)
+	for i := 0; i < 2; i++ {
+		if _, err := h.srv.Submit(ctx, Request{Write: true, Op: func(Exec) (any, error) {
+			return nil, h.srv.cfg.Journal.Compact() // the journal belongs to the dispatch loop
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(h.srv, "after two compactions", true)
+
+	h.srv.Stop()
+	var jm *core.Mapping
+	for _, m := range h.mgr.Mappings() {
+		if m.Name() == "intent" {
+			jm = m
+		}
+	}
+	j2, err := intent.Open(jm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := New(h.srv.clock, h.srv.events, h.mgr, h.store, Config{Journal: j2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Stop()
+	check(srv2, "reopened", true)
+	if calls != 1 {
+		t.Fatalf("Modify ran %d times, want 1", calls)
+	}
+}
+
 func TestIdempotentRMWRunsModifyOnce(t *testing.T) {
 	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
 	ctx := context.Background()

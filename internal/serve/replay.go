@@ -113,7 +113,7 @@ func ReplayPendingWith(store *kvstore.Store, j *intent.Journal, opts ReplayOptio
 		if err != nil {
 			return stats, fmt.Errorf("serve: redo of client %d seq %d: %w", p.Client, p.Seq, err)
 		}
-		if err := j.Complete(p.Client, p.Seq, code, cloneBytes(p.Entry.RedoVal)); err != nil && !errors.Is(err, intent.ErrJournalFull) {
+		if err := j.Complete(p.Client, p.Seq, code, p.Entry.RedoVal); err != nil && !errors.Is(err, intent.ErrJournalFull) {
 			return stats, fmt.Errorf("serve: completing redo of client %d seq %d: %w", p.Client, p.Seq, err)
 		}
 		stats.Redone++

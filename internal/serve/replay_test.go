@@ -136,6 +136,41 @@ func TestReplayPendingRunTwice(t *testing.T) {
 	}
 }
 
+// TestRMWResultSurvivesReplayPending: recovery cannot tell an in-doubt
+// Put from an in-doubt read-modify-write, so it caches every redo value
+// as the result; each one reads back byte-equal from the live table, two
+// compactions later, and from a reopened journal.
+func TestRMWResultSurvivesReplayPending(t *testing.T) {
+	w := newReplayWorld(t, 64)
+	w.seedInFlight(t, 9)
+	pending := w.j.Pending()
+	if n, err := ReplayPending(w.store, w.j); err != nil || n != len(pending) || n != 9 {
+		t.Fatalf("replay redid %d of %d, err %v", n, len(pending), err)
+	}
+	check := func(j *intent.Journal, label string) {
+		t.Helper()
+		for _, p := range pending {
+			e, st := j.Lookup(p.Client, p.Seq)
+			if st != intent.StateDone || !bytes.Equal(e.Result, p.Entry.RedoVal) {
+				t.Fatalf("%s: client %d seq %d is %v caching %q, want done caching %q",
+					label, p.Client, p.Seq, st, e.Result, p.Entry.RedoVal)
+			}
+		}
+	}
+	check(w.j, "replayed")
+	for i := 0; i < 2; i++ {
+		if err := w.j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(w.j, "compacted twice")
+	j2, err := intent.Open(w.jM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(j2, "reopened")
+}
+
 // TestReplayPendingCrashBetweenRuns interleaves a crash between the two
 // replays: the journal is reopened from its battery-flushed bytes (the
 // crash model flushes every dirty page) and replayed again against the

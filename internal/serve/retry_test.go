@@ -82,20 +82,21 @@ func TestRetryingClientSucceedsAfterTransientOverload(t *testing.T) {
 }
 
 func TestRetryingClientExhaustsOnPersistentRejection(t *testing.T) {
-	// A minimum-size journal stuffed with fat in-flight intents cannot
-	// accept new ones even after compaction, so every attempt draws the
-	// journal-full ErrOverloaded mapping — a persistent retryable error.
+	// A minimum-size journal whose dedup table caches two fat
+	// read-modify-write results — state it must hold, since a retry of an
+	// RMW carries no value — has no room for a third fat intent even after
+	// compaction, so every attempt draws the journal-full ErrOverloaded
+	// mapping: a persistent retryable error. (Fat Puts would not do: a
+	// done Put caches nothing.)
 	h := newIdemHarness(t, 64, intent.MinStoreBytes, 16, Config{})
 	ctx := context.Background()
 	fat := bytes.Repeat([]byte("z"), 1800)
+	grow := func([]byte, bool) []byte { return fat }
 	for s := uint64(1); s <= 2; s++ {
-		if _, err := h.srv.SubmitIdempotent(ctx, 5, s, IdemOp{Kind: IdemPut, Key: []byte{byte(s)}, Value: fat}, Request{}); err != nil {
-			t.Fatalf("setup put %d: %v", s, err)
+		if _, err := h.srv.SubmitIdempotent(ctx, 5, s, IdemOp{Kind: IdemRMW, Key: []byte{byte(s)}, Modify: grow, Tag: s}, Request{}); err != nil {
+			t.Fatalf("setup rmw %d: %v", s, err)
 		}
 	}
-	// Those two completed, so their results are cached; two fat
-	// in-flight intents from a second client now brick the journal.
-	// Easier: a third fat put cannot fit intent+snapshot.
 	cl, err := NewRetryingClient(h.srv, 6, 0x22, RetryConfig{MaxAttempts: 4})
 	if err != nil {
 		t.Fatal(err)
