@@ -99,7 +99,13 @@ const (
 	serveKeys         = 48 // key-space size
 	serveReadFraction = 0.5
 	serveHeapPages    = 64 // the store mapping
-	journalPages      = 9 // the intent-journal mapping
+	// journalPages sizes the intent-journal mapping: a header page and two
+	// four-page halves, so that a run of ≈ 200 tiny mutations compacts
+	// about three times. The compactions are what the budget note below
+	// leans on: the journal's write pattern alone is too small to push an
+	// 8-page budget, and a crash strands an intent for recovery's redo only
+	// where a snapshot or a record faults at the budget mid-op.
+	journalPages = 9
 	// serveBudgetPages is the dirty budget the battery is provisioned for:
 	// tight enough that journal appends and store writes force synchronous
 	// cleans under load. Note the budget alone barely opens the

@@ -139,7 +139,7 @@ func TestSweepSingleClientPinned(t *testing.T) {
 		{"nested", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunNested(NestedConfig{ServeConfig: cfg, RecrashDepth: 2, BudgetScale: 0.5})
 			return r, r.ServeResult, r.CascadeEvidence, err
-		}, pin{events: 183, crashes: 12, acked: 505, inDoubt: 12, redone: 5, innerCrashes: 24, resumes: 16, redoneIntents: 12, compare: 12}},
+		}, pin{events: 183, crashes: 12, acked: 505, inDoubt: 12, redone: 5, innerCrashes: 24, resumes: 14, redoneIntents: 12, compare: 12}},
 		{"sensor", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunSensor(SensorSweepConfig{Serve: cfg})
 			return r, r.ServeResult, CascadeEvidence{}, err
