@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"viyojit/internal/obs"
-	"viyojit/internal/wal"
 )
 
 // Record formats (wal payload bytes; the wal adds length/seq/checksum):
@@ -107,8 +106,7 @@ func appendSnapEntry(buf []byte, client, seq uint64, e *entry) []byte {
 	return append(buf, e.result...)
 }
 
-// Record is the decoded form of one journal record, used by replay and
-// by harnesses auditing the raw journal.
+// Record is the decoded form of one journal record.
 type Record struct {
 	Kind      byte
 	Client    uint64
@@ -227,44 +225,6 @@ func walk(payload []byte, fn func(Record)) bool {
 	}
 	fn(rec)
 	return true
-}
-
-// ReplayRecords walks the committed prefix of a journal's *active* half
-// read-only, invoking fn per decoded record. It reports whether the
-// prefix ended on a torn tail. Harnesses use it to check that a rebuilt
-// dedup table equals what the raw journal prefix implies.
-func ReplayRecords(store Store, fn func(Record) error) (torn bool, err error) {
-	var hdr [32]byte
-	if err := store.ReadAt(hdr[:], 0); err != nil {
-		return false, err
-	}
-	if binary.LittleEndian.Uint64(hdr[offMagic:]) != journalMagic {
-		return false, ErrNoJournal
-	}
-	gen := binary.LittleEndian.Uint64(hdr[offGen:])
-	halfSize := int64(binary.LittleEndian.Uint64(hdr[offHalf:]))
-	if halfSize < minHalfBytes || headerBytes+2*halfSize > store.Size() {
-		return false, ErrNoJournal
-	}
-	j := &Journal{store: store, halfSize: halfSize}
-	l, err := wal.Open(j.half(gen))
-	if err != nil {
-		return false, err
-	}
-	err = l.Replay(func(seq uint64, payload []byte) error {
-		// An unknown payload is skipped; the wal already vouched for it.
-		var ferr error
-		walk(payload, func(rec Record) {
-			if ferr == nil {
-				ferr = fn(rec)
-			}
-		})
-		return ferr
-	})
-	if err != nil {
-		return false, err
-	}
-	return l.LastStop() == wal.StopTorn, nil
 }
 
 // RebuildTable replays a journal read-only into a fresh dedup table and
