@@ -695,8 +695,10 @@ func BenchmarkRecover(b *testing.B) {
 }
 
 // BenchmarkVerifyDurability is the post-flush durability check over a
-// 16 384-page region of which half was never written: 8 192 page
-// compares against durable copies, 8 192 all-zero checks.
+// 16 384-page region of which the upper half was never written: 8 192
+// page compares against durable copies, and 8 192 pages whose chunks were
+// never backed and that the device holds nothing for — restorable by
+// construction, so not compared.
 func BenchmarkVerifyDurability(b *testing.B) {
 	sys := durableSystem(b, 8192)
 	defer sys.Close()

@@ -163,7 +163,7 @@ func (m *Manager) FullBatteryJoules(pm power.Model) float64 {
 func (m *Manager) VerifyDurability() error {
 	for p := 0; p < m.region.NumPages(); p++ {
 		page := mmu.PageID(p)
-		if err := m.dev.CheckRestorable(page, m.region.RawPage(page)); err != nil {
+		if err := m.region.CheckRestorable(m.dev, page); err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -425,5 +427,51 @@ func TestPowerFailDurabilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyDurabilityPinsTheWalk: from a state that passes, each way a
+// page can stop being restorable fails the walk at that page — data nothing
+// made durable next to pages that are, a durable copy of a page the region
+// never held, one flipped byte. The region spans several backing chunks and
+// only the first is ever stored into.
+func TestVerifyDurabilityPinsTheWalk(t *testing.T) {
+	const pages = 256
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, h *harness)
+		want   string
+	}{
+		{"data with no durable copy beside durable pages", func(t *testing.T, h *harness) {
+			if err := h.region.RestorePage(5, bytes.Repeat([]byte{0, 0, 9}, 4096)[:4096]); err != nil {
+				t.Fatal(err)
+			}
+		}, "page 5 has data but no durable copy"},
+		{"durable copy of a page the region never held", func(t *testing.T, h *harness) {
+			h.dev.SeedDurable(200, bytes.Repeat([]byte{7}, 4096))
+		}, "page 200 diverges from durable copy"},
+		{"one byte flipped in a durable page", func(t *testing.T, h *harness) {
+			live := bytes.Clone(h.region.RawPage(3))
+			live[4095] ^= 0x10
+			if err := h.region.RestorePage(3, live); err != nil {
+				t.Fatal(err)
+			}
+		}, "page 3 diverges from durable copy"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, pages, Config{DirtyBudgetPages: 8})
+			for _, p := range []int{1, 3, 4} {
+				h.writePage(t, p, byte(p))
+			}
+			h.mgr.FlushAll()
+			if err := h.mgr.VerifyDurability(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, h)
+			if err := h.mgr.VerifyDurability(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("VerifyDurability = %v, want an error saying %q", err, tc.want)
+			}
+		})
 	}
 }

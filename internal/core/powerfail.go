@@ -124,7 +124,7 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 func (m *Manager) VerifyDurability() error {
 	for p := 0; p < m.region.NumPages(); p++ {
 		page := mmu.PageID(p)
-		if err := m.dev.CheckRestorable(page, m.region.RawPage(page)); err != nil {
+		if err := m.region.CheckRestorable(m.dev, page); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}

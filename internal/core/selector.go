@@ -4,10 +4,11 @@ import "viyojit/internal/mmu"
 
 // VictimSelector hands a set of candidates out victim-first, one at a
 // time, paying for the order only as it is used. Collecting candidates
-// (Reset, Add) compares nothing; the first Pop reads each candidate's
-// history and builds a heap in O(n); every Pop is then O(log n). An epoch
-// that cleans k of n candidates costs O(n + k log n), and one that cleans
-// none costs no comparison at all.
+// (Reset, Add, AddAll) compares nothing and builds nothing — AddAll is two
+// memmoves; the first Pop reads each candidate's history and builds a heap
+// in O(n); every Pop is then O(log n). An epoch that cleans k of n
+// candidates costs O(n + k log n), and one that cleans none costs no
+// comparison at all.
 //
 // Because VictimPolicy.Compare is a total order on candidates with
 // distinct pages, the sequence of Pops is exactly the sequence a full
@@ -20,8 +21,12 @@ import "viyojit/internal/mmu"
 type VictimSelector struct {
 	policy  VictimPolicy
 	history func(mmu.PageID) uint64
-	cands   []PageInfo
-	heaped  bool
+	// pages[i], dirtied at seqs[i], are the candidates as collected; the
+	// first Pop turns them into cands, the heap.
+	pages  []mmu.PageID
+	seqs   []uint64
+	cands  []PageInfo
+	heaped bool
 }
 
 // NewVictimSelector returns an empty selector ordering by policy. history
@@ -32,21 +37,22 @@ func NewVictimSelector(policy VictimPolicy, history func(mmu.PageID) uint64) *Vi
 
 // Reset discards the remaining candidates.
 func (s *VictimSelector) Reset() {
-	s.cands = s.cands[:0]
+	s.pages, s.seqs, s.cands = s.pages[:0], s.seqs[:0], s.cands[:0]
 	s.heaped = false
 }
 
 // Add adds a candidate: page, dirtied at sequence number seq. It must not
 // be called between a Pop and the next Reset.
 func (s *VictimSelector) Add(page mmu.PageID, seq uint64) {
-	s.cands = append(s.cands, PageInfo{Page: page, DirtiedSeq: seq})
+	s.pages = append(s.pages, page)
+	s.seqs = append(s.seqs, seq)
 }
 
-// AddAll adds pages[i], dirtied at seqs[i], for every i.
+// AddAll adds pages[i], dirtied at seqs[i], for every i. The slices are
+// copied: the caller's may change before the first Pop.
 func (s *VictimSelector) AddAll(pages []mmu.PageID, seqs []uint64) {
-	for i, page := range pages {
-		s.cands = append(s.cands, PageInfo{Page: page, DirtiedSeq: seqs[i]})
-	}
+	s.pages = append(s.pages, pages...)
+	s.seqs = append(s.seqs, seqs[:len(pages)]...)
 }
 
 // Pop removes and returns the best remaining victim, or false when none
@@ -54,8 +60,8 @@ func (s *VictimSelector) AddAll(pages []mmu.PageID, seqs []uint64) {
 // may have been cleaned, or dirtied again, since it was added).
 func (s *VictimSelector) Pop() (PageInfo, bool) {
 	if !s.heaped {
-		for i := range s.cands {
-			s.cands[i].History = s.history(s.cands[i].Page)
+		for i, page := range s.pages {
+			s.cands = append(s.cands, PageInfo{Page: page, History: s.history(page), DirtiedSeq: s.seqs[i]})
 		}
 		for i := len(s.cands)/2 - 1; i >= 0; i-- {
 			s.siftDown(i)

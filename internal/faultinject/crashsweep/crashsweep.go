@@ -580,7 +580,7 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		for p := 0; p < st.region.NumPages(); p++ {
 			page := mmu.PageID(p)
 			detected := st.dev.VerifyPage(page) != nil
-			if err := st.dev.CheckRestorable(page, st.region.RawPage(page)); err != nil && !detected {
+			if err := st.region.CheckRestorable(st.dev, page); err != nil && !detected {
 				res.SilentEscapes++
 				fail("%v and passes verification (silent escape)", err)
 			}

@@ -757,7 +757,7 @@ func mappingDirtyAt(sys *viyojit.System, name string) bool {
 	lo := mp.Base() / pageSize
 	hi := (mp.Base() + mp.Size() - 1) / pageSize
 	for p := lo; p <= hi; p++ {
-		if sys.SSD().CheckRestorable(mmu.PageID(p), region.RawPage(mmu.PageID(p))) != nil {
+		if region.CheckRestorable(sys.SSD(), mmu.PageID(p)) != nil {
 			return true
 		}
 	}

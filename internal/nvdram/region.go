@@ -3,6 +3,15 @@
 // write-protection faults, dirty-bit updates, and TLB behaviour all apply,
 // exactly as they would for an mmap'ed NV-DRAM region in the paper's
 // implementation.
+//
+// The region costs the host what it holds, not what it could hold. New
+// allocates the page table, the TLB index, a table of chunk pointers and
+// one zero page — no data bytes. A chunk of chunkPages pages is allocated
+// by the first store into it (WriteAt, RestorePage, RestorePageFrom of a
+// page the device has) and lives as long as the region; a read of a chunk
+// nothing was ever stored into sees zeros and allocates nothing. Virtual
+// time, MMU state and every byte a caller can observe are those of a flat
+// array of Size zero bytes.
 package nvdram
 
 import (
@@ -14,6 +23,12 @@ import (
 
 // DefaultPageSize is the x86-64 base page size used throughout the paper.
 const DefaultPageSize = 4096
+
+// chunkPages is how many pages one host allocation backs: 256 KiB at the
+// default page size. Backing page by page would cost a reboot one
+// allocation per restored page; a power of two keeps the chunk lookup a
+// shift and a mask of the page number.
+const chunkPages = 64
 
 // Config describes an NV-DRAM region.
 type Config struct {
@@ -37,9 +52,13 @@ type Config struct {
 // Region is an NV-DRAM region: backing bytes plus the page table that
 // mediates access to them. It is not safe for concurrent use.
 type Region struct {
-	clock       *sim.Clock
-	pt          *mmu.PageTable
-	data        []byte
+	clock *sim.Clock
+	pt    *mmu.PageTable
+	// chunks[page/chunkPages] backs chunkPages consecutive pages (the last
+	// chunk as many as are left); nil until the first store into it.
+	chunks      [][]byte
+	zero        []byte // what RawPage shows of an unbacked page; never written
+	size        int64
 	pageSize    int
 	copyPerPage sim.Duration
 }
@@ -70,14 +89,16 @@ func New(clock *sim.Clock, cfg Config) (*Region, error) {
 	return &Region{
 		clock:       clock,
 		pt:          mmu.NewPageTable(clock, costs, numPages, cfg.TLBEntries),
-		data:        make([]byte, cfg.Size),
+		chunks:      make([][]byte, (numPages+chunkPages-1)/chunkPages),
+		zero:        make([]byte, ps),
+		size:        cfg.Size,
 		pageSize:    ps,
 		copyPerPage: cpp,
 	}, nil
 }
 
 // Size returns the region size in bytes.
-func (r *Region) Size() int64 { return int64(len(r.data)) }
+func (r *Region) Size() int64 { return r.size }
 
 // PageSize returns the tracking granularity in bytes.
 func (r *Region) PageSize() int { return r.pageSize }
@@ -95,10 +116,36 @@ func (r *Region) PageOf(off int64) mmu.PageID {
 }
 
 func (r *Region) checkRange(off int64, n int) error {
-	if off < 0 || n < 0 || off+int64(n) > int64(len(r.data)) {
-		return fmt.Errorf("nvdram: range [%d, %d) outside region of %d bytes", off, off+int64(n), len(r.data))
+	if off < 0 || n < 0 || off+int64(n) > r.size {
+		return fmt.Errorf("nvdram: range [%d, %d) outside region of %d bytes", off, off+int64(n), r.size)
 	}
 	return nil
+}
+
+// Backed reports whether page's chunk has been stored into. A page that is
+// not backed reads as zeros and has never held anything else.
+func (r *Region) Backed(page mmu.PageID) bool {
+	return r.chunks[page/chunkPages] != nil
+}
+
+// chunk returns the chunk a store into page lands in, backing it first if
+// nothing has been stored there yet. The caller has range-checked page.
+func (r *Region) chunk(page mmu.PageID) []byte {
+	ci := page / chunkPages
+	if c := r.chunks[ci]; c != nil {
+		return c
+	}
+	pages := r.NumPages() - int(ci)*chunkPages
+	if pages > chunkPages {
+		pages = chunkPages
+	}
+	r.chunks[ci] = make([]byte, pages*r.pageSize)
+	return r.chunks[ci]
+}
+
+// pageStart is where page starts in its chunk.
+func (r *Region) pageStart(page mmu.PageID) int {
+	return int(page%chunkPages) * r.pageSize
 }
 
 // chargeCopy charges DRAM-bandwidth time for moving n bytes.
@@ -129,7 +176,7 @@ func (r *Region) WriteAt(p []byte, off int64) error {
 		if err := r.pt.Write(page); err != nil {
 			return fmt.Errorf("nvdram: write at offset %d: %w", off, err)
 		}
-		copy(r.data[off:off+int64(n)], p[:n])
+		copy(r.chunk(page)[r.pageStart(page)+pageOff:], p[:n])
 		r.chargeCopy(n)
 		p = p[n:]
 		off += int64(n)
@@ -151,7 +198,11 @@ func (r *Region) ReadAt(p []byte, off int64) error {
 			n = len(p)
 		}
 		r.pt.Read(page)
-		copy(p[:n], r.data[off:off+int64(n)])
+		if c := r.chunks[page/chunkPages]; c != nil {
+			copy(p[:n], c[r.pageStart(page)+pageOff:])
+		} else {
+			clear(p[:n])
+		}
 		r.chargeCopy(n)
 		p = p[n:]
 		off += int64(n)
@@ -168,7 +219,7 @@ func (r *Region) PageData(page mmu.PageID) []byte {
 		panic(err)
 	}
 	buf := make([]byte, r.pageSize)
-	copy(buf, r.data[start:start+int64(r.pageSize)])
+	copy(buf, r.RawPage(page))
 	r.chargeCopy(r.pageSize)
 	return buf
 }
@@ -185,7 +236,7 @@ func (r *Region) RestorePage(page mmu.PageID, data []byte) error {
 	if err := r.checkRange(start, r.pageSize); err != nil {
 		return err
 	}
-	copy(r.data[start:], data)
+	copy(r.chunk(page)[r.pageStart(page):], data)
 	r.chargeCopy(r.pageSize)
 	return nil
 }
@@ -201,19 +252,62 @@ type PageReader interface {
 // the page. Only src's read is charged: the DRAM-side copy is DMA that
 // overlaps the slower device transfer, as in the power-fail flush, so
 // there is no serial copy time to add. It reports whether src had
-// contents for the page; a page it had none for is left as it was.
+// contents for the page; a page it had none for is left as it was, not
+// backed if it was not.
 func (r *Region) RestorePageFrom(src PageReader, page mmu.PageID) (bool, error) {
 	start := int64(page) * int64(r.pageSize)
 	if err := r.checkRange(start, r.pageSize); err != nil {
 		return false, err
 	}
-	return src.ReadPageInto(page, r.data[start:start+int64(r.pageSize)]), nil
+	fresh := !r.Backed(page)
+	i := r.pageStart(page)
+	ok := src.ReadPageInto(page, r.chunk(page)[i:i+r.pageSize])
+	if !ok && fresh {
+		r.chunks[page/chunkPages] = nil
+	}
+	return ok, nil
 }
 
-// RawPage returns the live backing bytes of a page without charging time
-// or touching MMU state. It exists for durability verification in tests
-// and the power-failure checker, not for application access.
+// RawPage returns a read-only view of a page's current bytes without
+// charging time or touching MMU state: the live backing bytes of a backed
+// page, and for a page that is not backed a zero page shared by every such
+// page of the region. Nobody may store through it — a store through the
+// zero page would show in every unbacked page, and a store is what the MMU
+// exists to see. It is for durability verification and the streaming
+// power-fail backup (whose device write copies the bytes), not for
+// application access.
 func (r *Region) RawPage(page mmu.PageID) []byte {
-	start := int64(page) * int64(r.pageSize)
-	return r.data[start : start+int64(r.pageSize)]
+	c := r.chunks[page/chunkPages]
+	if c == nil {
+		if int(page) >= r.NumPages() {
+			panic(fmt.Sprintf("nvdram: page %d outside region of %d pages", page, r.NumPages()))
+		}
+		return r.zero
+	}
+	i := r.pageStart(page)
+	return c[i : i+r.pageSize]
+}
+
+// DurableStore is the device a region's pages are checked against
+// (*ssd.SSD): whether it holds a copy of a page, and whether live bytes are
+// what a restore of the page from it would reproduce.
+type DurableStore interface {
+	Durable(page mmu.PageID) ([]byte, bool)
+	CheckRestorable(page mmu.PageID, live []byte) error
+}
+
+// CheckRestorable is the per-page durability invariant for page:
+// dev.CheckRestorable over the page's bytes. A page that is not backed and
+// that dev holds no copy of satisfies it by construction — it is all zero
+// and a restore would leave it so — and is not compared with a page of
+// zeros to find that out. Every other page is compared byte for byte: a
+// page of a backed chunk whether or not anything was stored into that
+// page, and an unbacked page dev has a copy of.
+func (r *Region) CheckRestorable(dev DurableStore, page mmu.PageID) error {
+	if !r.Backed(page) {
+		if _, durable := dev.Durable(page); !durable {
+			return nil
+		}
+	}
+	return dev.CheckRestorable(page, r.RawPage(page))
 }

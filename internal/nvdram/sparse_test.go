@@ -1,0 +1,411 @@
+package nvdram
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"viyojit/internal/mmu"
+	"viyojit/internal/sim"
+)
+
+// flatRegion is the region as one array of Size bytes — the reference the
+// sparse one must be indistinguishable from: same bytes, same errors, same
+// clock, same MMU counters.
+type flatRegion struct {
+	clock *sim.Clock
+	pt    *mmu.PageTable
+	data  []byte
+	ps    int
+	cpp   sim.Duration
+}
+
+func newFlat(size int64, ps int) *flatRegion {
+	clock := sim.NewClock()
+	return &flatRegion{
+		clock: clock,
+		pt:    mmu.NewPageTable(clock, mmu.DefaultCosts(), int(size/int64(ps)), 0),
+		data:  make([]byte, size),
+		ps:    ps,
+		cpp:   sim.Duration(400*int64(ps)) / DefaultPageSize * sim.Nanosecond,
+	}
+}
+
+func (f *flatRegion) inRange(off int64, n int) bool {
+	return off >= 0 && n >= 0 && off+int64(n) <= int64(len(f.data))
+}
+
+func (f *flatRegion) charge(n int) {
+	if n > 0 {
+		f.clock.Advance(sim.Duration(int64(f.cpp) * int64(n) / int64(f.ps)))
+	}
+}
+
+// access walks [off, off+len(p)) a page segment at a time, as a load
+// (store false) or a store, and reports whether it ran to the end.
+func (f *flatRegion) access(p []byte, off int64, store bool) bool {
+	if !f.inRange(off, len(p)) {
+		return false
+	}
+	for len(p) > 0 {
+		page := mmu.PageID(off / int64(f.ps))
+		n := f.ps - int(off%int64(f.ps))
+		if n > len(p) {
+			n = len(p)
+		}
+		if store {
+			if f.pt.Write(page) != nil {
+				return false
+			}
+			copy(f.data[off:], p[:n])
+		} else {
+			f.pt.Read(page)
+			copy(p[:n], f.data[off:off+int64(n)])
+		}
+		f.charge(n)
+		p, off = p[n:], off+int64(n)
+	}
+	return true
+}
+
+func (f *flatRegion) page(page mmu.PageID) []byte {
+	return f.data[int(page)*f.ps : (int(page)+1)*f.ps]
+}
+
+// mapReader is a device holding the pages in its map, counting reads.
+type mapReader struct {
+	pages map[mmu.PageID][]byte
+	reads int
+}
+
+func (m *mapReader) ReadPageInto(page mmu.PageID, dst []byte) bool {
+	data, ok := m.pages[page]
+	if ok {
+		m.reads++
+		copy(dst, data)
+	}
+	return ok
+}
+
+// driveAgainstFlat decodes ops from script and applies each to a sparse
+// region and the flat model, comparing after every one. Sizes are chosen
+// so that a region has several chunks, a short last one, and — for some
+// scripts — fewer pages than one chunk.
+func driveAgainstFlat(t *testing.T, script []byte) {
+	t.Helper()
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	ps := []int{4096, 8192}[next()%2]
+	numPages := []int{1, chunkPages - 1, chunkPages, chunkPages + 1, 2*chunkPages + 7, 3 * chunkPages}[next()%6]
+	size := int64(numPages) * int64(ps)
+
+	clock := sim.NewClock()
+	r, err := New(clock, Config{Size: size, PageSize: ps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFlat(size, ps)
+	// Protected pages fault to a handler that resolves every other fault,
+	// the same way on both sides, so failed stores are exercised too.
+	for _, side := range []*mmu.PageTable{r.pt, f.pt} {
+		pt, faults := side, 0
+		pt.SetFaultHandler(func(p mmu.PageID) {
+			if faults++; faults%2 == 1 {
+				pt.Unprotect(p)
+			}
+		})
+	}
+	dev := &mapReader{pages: map[mmu.PageID][]byte{}}
+	fill := byte(1)
+	payload := func(n int) []byte {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = fill
+			fill = fill*31 + 7
+		}
+		return buf
+	}
+	// offset picks a byte offset near a page or chunk boundary, or
+	// anywhere, or just outside the region.
+	offset := func() int64 {
+		a, b := int64(next()), int64(next())
+		switch a % 4 {
+		case 0:
+			return (b%int64(numPages)+1)*int64(ps) - a%97
+		case 1:
+			return (b%3+1)*chunkPages*int64(ps) - a%5000
+		case 2:
+			return size - a*b%9000
+		}
+		return (a<<8 | b) * 577 % (size + 64)
+	}
+	for step := 0; len(script) > 0; step++ {
+		op := next() % 8
+		page := mmu.PageID((next()<<8 | next()) % (numPages + 1)) // one past the end too
+		inside := int(page) < numPages
+		switch op {
+		case 0, 1: // store
+			off, buf := offset(), payload(next()*next()%(3*ps))
+			err := r.WriteAt(buf, off)
+			if ok := f.access(buf, off, true); ok != (err == nil) {
+				t.Fatalf("step %d: WriteAt(%d bytes at %d) = %v, flat model ok=%v", step, len(buf), off, err, ok)
+			}
+		case 2, 3: // load
+			off, n := offset(), next()*next()%(3*ps)
+			got, want := payload(n), make([]byte, n)
+			copy(want, got)
+			err := r.ReadAt(got, off)
+			if ok := f.access(want, off, false); ok != (err == nil) {
+				t.Fatalf("step %d: ReadAt(%d bytes at %d) = %v, flat model ok=%v", step, n, off, err, ok)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("step %d: ReadAt(%d bytes at %d) differs from the flat model", step, n, off)
+			}
+		case 4:
+			if !inside {
+				continue
+			}
+			got := r.PageData(page)
+			f.charge(ps)
+			if !bytes.Equal(got, f.page(page)) {
+				t.Fatalf("step %d: PageData(%d) differs from the flat model", step, page)
+			}
+			got[0] ^= 0xFF // a copy: must not show below
+		case 5:
+			data := payload(ps)
+			if next()%8 == 0 {
+				data = data[:ps-1]
+			}
+			err := r.RestorePage(page, data)
+			if ok := inside && len(data) == ps; ok != (err == nil) {
+				t.Fatalf("step %d: RestorePage(%d, %d bytes) = %v, want ok=%v", step, page, len(data), err, ok)
+			} else if ok {
+				copy(f.page(page), data)
+				f.charge(ps)
+			}
+		case 6:
+			if next()%2 == 0 && inside {
+				dev.pages[page] = payload(ps)
+			}
+			reads := dev.reads
+			ok, err := r.RestorePageFrom(dev, page)
+			if (err == nil) != inside {
+				t.Fatalf("step %d: RestorePageFrom(%d) = %v in a region of %d pages", step, page, err, numPages)
+			}
+			data, has := dev.pages[page]
+			if ok != has || (dev.reads != reads) != ok {
+				t.Fatalf("step %d: RestorePageFrom(%d) = %v with %d device reads, device has it: %v", step, page, ok, dev.reads-reads, has)
+			}
+			if ok {
+				copy(f.page(page), data)
+			}
+		case 7:
+			if inside && next()%2 == 0 {
+				r.pt.Protect(page)
+				f.pt.Protect(page)
+			}
+		}
+		if inside && !bytes.Equal(r.RawPage(page), f.page(page)) {
+			t.Fatalf("step %d (op %d): RawPage(%d) differs from the flat model", step, op, page)
+		}
+		if clock.Now() != f.clock.Now() {
+			t.Fatalf("step %d (op %d): clock %v, flat model %v", step, op, clock.Now(), f.clock.Now())
+		}
+		if r.pt.Stats() != f.pt.Stats() {
+			t.Fatalf("step %d (op %d): MMU counters %+v, flat model %+v", step, op, r.pt.Stats(), f.pt.Stats())
+		}
+	}
+	for p := 0; p < numPages; p++ {
+		page := mmu.PageID(p)
+		if !bytes.Equal(r.RawPage(page), f.page(page)) {
+			t.Fatalf("final: page %d differs from the flat model", page)
+		}
+		if !r.Backed(page) && !bytes.Equal(f.page(page), make([]byte, ps)) {
+			t.Fatalf("final: page %d is not backed but the flat model holds data there", page)
+		}
+	}
+	if r.Size() != size || r.NumPages() != numPages {
+		t.Fatalf("Size %d NumPages %d, want %d and %d", r.Size(), r.NumPages(), size, numPages)
+	}
+}
+
+// TestSparseMatchesFlatModel: seeded random scripts of every region
+// operation leave a sparse region and a flat array in the same state at
+// every step.
+func TestSparseMatchesFlatModel(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := sim.NewRNG(seed)
+		script := make([]byte, 2+rng.Intn(1200))
+		for i := range script {
+			script[i] = byte(rng.Uint64())
+		}
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { driveAgainstFlat(t, script) })
+	}
+}
+
+func FuzzRegion(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 1, 1, 200, 200, 2, 0, 1, 1, 200, 200})
+	f.Add([]byte{1, 3, 6, 0, 64, 0, 6, 0, 65, 1, 4, 0, 64, 5, 0, 3, 1})
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7, 90, 255}, 40))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			script = script[:4096]
+		}
+		driveAgainstFlat(t, script)
+	})
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewBacksNothing: a region costs the host its page table and TLB
+// index until something is stored, reads do not change that, and a store
+// backs the one chunk it lands in.
+func TestNewBacksNothing(t *testing.T) {
+	const size = 64 << 20
+	var r *Region
+	if got := allocated(func() { r, _ = newTestRegion(t, size, 4096) }); got >= 1<<20 {
+		t.Fatalf("New of a 64 MiB region allocated %d bytes, want under 1 MiB (no data bytes)", got)
+	}
+	backed := func() (n int) {
+		for p := 0; p < r.NumPages(); p++ {
+			if r.Backed(mmu.PageID(p)) {
+				n++
+			}
+		}
+		return n
+	}
+	buf, zeros := make([]byte, 3*4096), make([]byte, 3*4096)
+	if got := allocated(func() {
+		for off := int64(0); off+int64(len(buf)) <= size; off += 1 << 20 {
+			if err := r.ReadAt(buf, off+100); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, zeros) {
+				t.Fatalf("a never-written region reads non-zero at %d", off)
+			}
+			_ = r.RawPage(r.PageOf(off))
+		}
+	}); got >= 1<<20 || backed() != 0 {
+		t.Fatalf("reads allocated %d bytes and backed %d pages, want no backing", got, backed())
+	}
+	if got := r.PageData(77); !bytes.Equal(got, make([]byte, 4096)) || backed() != 0 {
+		t.Fatalf("PageData of a never-written page: non-zero or backed (%d pages)", backed())
+	}
+	const chunkBytes = chunkPages * 4096
+	if got := allocated(func() {
+		if err := r.WriteAt([]byte{1}, 5*chunkBytes+123); err != nil {
+			t.Fatal(err)
+		}
+	}); got < chunkBytes || got >= 2*chunkBytes {
+		t.Fatalf("the first store allocated %d bytes, want one chunk of %d", got, chunkBytes)
+	}
+	if got := backed(); got != chunkPages || !r.Backed(5*chunkPages) || !r.Backed(6*chunkPages-1) || r.Backed(6*chunkPages) {
+		t.Fatalf("%d pages backed after one store into chunk 5, want exactly that chunk's %d", got, chunkPages)
+	}
+	if got := allocated(func() {
+		if err := r.WriteAt(buf, 5*chunkBytes+4000); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= 4096 {
+		t.Fatalf("a store into a backed chunk allocated %d bytes", got)
+	}
+	// The last chunk is as long as the pages left, not a whole chunk.
+	short, _ := newTestRegion(t, (chunkPages+3)*4096, 4096)
+	if got := allocated(func() {
+		if err := short.WriteAt([]byte{1}, (chunkPages+2)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}); got < 3*4096 || got >= 4*4096 {
+		t.Fatalf("a store into a last chunk of 3 pages allocated %d bytes", got)
+	}
+}
+
+// TestRestoreFromSkipsAbsentPages: a restore the device has nothing for
+// neither reads, nor changes the page, nor backs its chunk.
+func TestRestoreFromSkipsAbsentPages(t *testing.T) {
+	r, c := newTestRegion(t, 4*chunkPages*4096, 4096)
+	dev := &mapReader{pages: map[mmu.PageID][]byte{chunkPages + 3: bytes.Repeat([]byte{7}, 4096)}}
+	for _, page := range []mmu.PageID{0, chunkPages + 2, 3 * chunkPages} {
+		if ok, err := r.RestorePageFrom(dev, page); ok || err != nil {
+			t.Fatalf("RestorePageFrom(%d) = %v, %v for a page the device lacks", page, ok, err)
+		}
+		if r.Backed(page) {
+			t.Fatalf("page %d backed by a restore the device had nothing for", page)
+		}
+	}
+	if ok, err := r.RestorePageFrom(dev, chunkPages+3); !ok || err != nil {
+		t.Fatalf("RestorePageFrom of a held page = %v, %v", ok, err)
+	}
+	if !r.Backed(chunkPages+3) || r.Backed(0) || r.Backed(2*chunkPages) || !bytes.Equal(r.RawPage(chunkPages+3), dev.pages[chunkPages+3]) {
+		t.Fatal("restoring one held page must back its chunk alone, with the device's bytes")
+	}
+	// A miss in a backed chunk leaves its contents, and the chunk, alone.
+	if ok, _ := r.RestorePageFrom(dev, chunkPages+2); ok || !r.Backed(chunkPages+2) || r.RawPage(chunkPages + 3)[0] != 7 {
+		t.Fatal("a miss inside a backed chunk disturbed it")
+	}
+	if _, err := r.RestorePageFrom(dev, 4*chunkPages); err == nil {
+		t.Fatal("RestorePageFrom past the end succeeded")
+	}
+	if dev.reads != 1 || c.Now() != 0 {
+		t.Fatalf("%d device reads and clock %v, want one read and no region-side charge", dev.reads, c.Now())
+	}
+}
+
+// fakeStore is a DurableStore that counts what it is asked to compare.
+type fakeStore struct {
+	pages    map[mmu.PageID][]byte
+	compared []mmu.PageID
+}
+
+func (s *fakeStore) Durable(page mmu.PageID) ([]byte, bool) {
+	data, ok := s.pages[page]
+	return data, ok
+}
+
+func (s *fakeStore) CheckRestorable(page mmu.PageID, live []byte) error {
+	s.compared = append(s.compared, page)
+	if data, ok := s.pages[page]; ok && !bytes.Equal(live, data) || !ok && !bytes.Equal(live, make([]byte, len(live))) {
+		return fmt.Errorf("page %d not restorable", page)
+	}
+	return nil
+}
+
+// TestCheckRestorableSkipsOnlyTheVacuousCase: the one page the walk does
+// not hand to the device's comparison is a page that is not backed and has
+// no durable copy.
+func TestCheckRestorableSkipsOnlyTheVacuousCase(t *testing.T) {
+	r, _ := newTestRegion(t, 3*chunkPages*4096, 4096)
+	if err := r.WriteAt([]byte{9}, 10*4096); err != nil { // backs chunk 0, dirties page 10
+		t.Fatal(err)
+	}
+	dev := &fakeStore{pages: map[mmu.PageID][]byte{
+		10:             r.PageData(10),
+		chunkPages + 1: bytes.Repeat([]byte{3}, 4096), // durable, region unbacked there
+	}}
+	var failed []mmu.PageID
+	for p := 0; p < r.NumPages(); p++ {
+		if r.CheckRestorable(dev, mmu.PageID(p)) != nil {
+			failed = append(failed, mmu.PageID(p))
+		}
+	}
+	if len(dev.compared) != chunkPages+1 || dev.compared[chunkPages] != chunkPages+1 {
+		t.Fatalf("compared %d pages (%v…), want every page of the backed chunk and the one unbacked durable page", len(dev.compared), dev.compared[:1])
+	}
+	if len(failed) != 1 || failed[0] != chunkPages+1 {
+		t.Fatalf("failed pages %v, want only the durable page the region does not hold", failed)
+	}
+}

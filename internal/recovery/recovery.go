@@ -171,7 +171,7 @@ func VerifyRestoredWith(region *nvdram.Region, dev *ssd.SSD, report IntegrityRep
 		if _, ok := skip[page]; ok {
 			continue
 		}
-		if err := dev.CheckRestorable(page, region.RawPage(page)); err != nil {
+		if err := region.CheckRestorable(dev, page); err != nil {
 			return fmt.Errorf("recovery: restored %w", err)
 		}
 	}

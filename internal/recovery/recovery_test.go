@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"viyojit/internal/core"
@@ -292,4 +293,52 @@ type lostInjector struct{}
 
 func (lostInjector) WriteFault(mmu.PageID, []byte) ssd.FaultDecision {
 	return ssd.FaultDecision{Fault: ssd.FaultLost}
+}
+
+// TestVerifyRestoredPinsTheWalk is core's TestVerifyDurabilityPinsTheWalk
+// for the post-restore half: a restored region that passes stops passing,
+// at the damaged page, for data nothing durable accounts for, for a durable
+// page the restore did not bring back, and for one flipped byte. Only the
+// first of the region's backing chunks is restored into.
+func TestVerifyRestoredPinsTheWalk(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, region *nvdram.Region, dev *ssd.SSD)
+		want   string
+	}{
+		{"data with no durable copy beside restored pages", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
+			if err := region.RestorePage(5, bytes.Repeat([]byte{0, 0, 9}, 4096)[:4096]); err != nil {
+				t.Fatal(err)
+			}
+		}, "page 5 has data but no durable copy"},
+		{"durable page the region does not hold", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
+			dev.SeedDurable(200, bytes.Repeat([]byte{7}, 4096))
+		}, "page 200 diverges from durable copy"},
+		{"one byte flipped in a restored page", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
+			live := bytes.Clone(region.RawPage(3))
+			live[0] ^= 0x01
+			if err := region.RestorePage(3, live); err != nil {
+				t.Fatal(err)
+			}
+		}, "page 3 diverges from durable copy"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := ssd.New(sim.NewClock(), sim.NewQueue(), ssd.Config{})
+			for _, p := range []mmu.PageID{1, 3, 4} {
+				dev.SeedDurable(p, bytes.Repeat([]byte{byte(p)}, 4096))
+			}
+			region, rr, err := RestoreRegion(sim.NewClock(), dev, nvdram.Config{Size: 256 * 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyRestoredWith(region, dev, rr.Integrity); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, region, dev)
+			if err := VerifyRestoredWith(region, dev, rr.Integrity); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("VerifyRestoredWith = %v, want an error saying %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -122,50 +122,58 @@ func TestPoolCancelledWaitSpendsHandle(t *testing.T) {
 // request that reports success reports its own outcome: an item recycled
 // while the dispatcher could still send on it would hand that send to the
 // item's next request. Run under -race.
+//
+// Which side wins a given race is the scheduler's choice, and on a loaded
+// box it can choose the same side 3 200 times running, so rounds repeat
+// (on one server, the counts accumulating) until each side has won once.
+// The assertions hold on every round; only never seeing both sides within
+// the bound fails for want of a race.
 func TestPoolCancelRacesDeliver(t *testing.T) {
 	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
-	const clients, perClient = 8, 400
-	var wg sync.WaitGroup
+	const clients, perClient, maxRounds = 8, 400, 50
 	var served, cancelled int64
-	var mu sync.Mutex
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			ok, gone := int64(0), int64(0)
-			for i := 0; i < perClient; i++ {
-				id := c*perClient + i
-				ctx, cancel := context.WithCancel(context.Background())
-				go func() {
-					for spin := id % 4; spin > 0; spin-- {
-						runtime.Gosched()
+	for round := 0; round < maxRounds && (served == 0 || cancelled == 0); round++ {
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				ok, gone := int64(0), int64(0)
+				for i := 0; i < perClient; i++ {
+					id := (round*clients+c)*perClient + i
+					ctx, cancel := context.WithCancel(context.Background())
+					go func() {
+						for spin := id % 4; spin > 0; spin-- {
+							runtime.Gosched()
+						}
+						cancel()
+					}()
+					res, err := h.srv.Submit(ctx, echo(id))
+					switch {
+					case err == nil && res.Value == id:
+						ok++
+					case errors.Is(err, context.Canceled):
+						gone++
+					case errors.Is(err, ErrOverloaded):
+						// Abandoned items hold their queue slots until popped.
+					default:
+						t.Errorf("request %d: outcome %v, %v", id, res.Value, err)
 					}
 					cancel()
-				}()
-				res, err := h.srv.Submit(ctx, echo(id))
-				switch {
-				case err == nil && res.Value == id:
-					ok++
-				case errors.Is(err, context.Canceled):
-					gone++
-				case errors.Is(err, ErrOverloaded):
-					// Abandoned items hold their queue slots until popped.
-				default:
-					t.Errorf("request %d: outcome %v, %v", id, res.Value, err)
 				}
-				cancel()
-			}
-			mu.Lock()
-			served, cancelled = served+ok, cancelled+gone
-			mu.Unlock()
-		}(c)
+				mu.Lock()
+				served, cancelled = served+ok, cancelled+gone
+				mu.Unlock()
+			}(c)
+		}
+		wg.Wait()
+		if got := int64(h.srv.Stats().Cancelled); got != cancelled {
+			t.Fatalf("round %d: Stats.Cancelled = %d, clients saw %d", round, got, cancelled)
+		}
 	}
-	wg.Wait()
 	if served == 0 || cancelled == 0 {
-		t.Fatalf("%d served, %d cancelled: the race was never run from both sides", served, cancelled)
-	}
-	if got := int64(h.srv.Stats().Cancelled); got != cancelled {
-		t.Fatalf("Stats.Cancelled = %d, clients saw %d", got, cancelled)
+		t.Fatalf("%d served, %d cancelled in %d rounds: the race was never run from both sides", served, cancelled, maxRounds)
 	}
 }
 

@@ -3,6 +3,7 @@ package viyojit
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -265,7 +266,8 @@ func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
 // TestRecoverAllocationsPerPage is the restore walk's allocation guard:
 // beyond what building the stack costs, a recovery allocates nothing per
 // page — the new device shares each verified buffer with the survivor —
-// but the amortised growth of the device's page maps.
+// but the amortised growth of the device's page maps, and no bytes for the
+// part of the region nothing is restored into.
 func TestRecoverAllocationsPerPage(t *testing.T) {
 	cfg := Config{NVDRAMSize: 16 << 20}
 	sys := newTestSystem(t, cfg)
@@ -291,6 +293,8 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 		s.Close()
 	})
 	restored := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	rec := testing.AllocsPerRun(5, func() {
 		ns, rr, err := sys.Recover()
 		if err != nil {
@@ -299,8 +303,15 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 		restored = rr.PagesRestored
 		ns.Close()
 	})
+	runtime.ReadMemStats(&after)
 	if restored < 1500 {
 		t.Fatalf("restored %d pages, want at least the 1500 written", restored)
+	}
+	// A reboot costs what it restores: the chunks the ≈ 6 MiB of durable
+	// pages land in, not the 16 MiB the region could hold.
+	if perRecover := (after.TotalAlloc - before.TotalAlloc) / 6; perRecover >= 8<<20 {
+		t.Fatalf("Recover of %d pages into a 16 MiB region allocates %d bytes, stack construction included, want under 8 MiB",
+			restored, perRecover)
 	}
 	if perPage := (rec - build) / float64(restored); perPage > 0.1 {
 		t.Fatalf("Recover allocates %.2f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.1",
