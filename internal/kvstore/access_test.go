@@ -13,17 +13,16 @@ import (
 	"viyojit/internal/pheap"
 )
 
-// recStore is a pheap.Store that folds every call it serves — kind,
-// offset, length and, for writes, the bytes — into a running hash.
-type recStore struct {
-	memStore
+// accessFold is a running hash over a sequence of region calls: kind,
+// offset, length and, for writes, the bytes.
+type accessFold struct {
 	sum   [sha256.Size]byte
 	calls int
 }
 
-func (r *recStore) note(kind byte, p []byte, off int64) {
+func (f *accessFold) note(kind byte, p []byte, off int64) {
 	h := sha256.New()
-	h.Write(r.sum[:])
+	h.Write(f.sum[:])
 	var hdr [17]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint64(hdr[1:], uint64(off))
@@ -32,32 +31,50 @@ func (r *recStore) note(kind byte, p []byte, off int64) {
 	if kind == 'W' {
 		h.Write(p)
 	}
-	h.Sum(r.sum[:0])
-	r.calls++
+	h.Sum(f.sum[:0])
+	f.calls++
+}
+
+func (f *accessFold) check(t *testing.T, what string, calls int, sum string) {
+	t.Helper()
+	if got := hex.EncodeToString(f.sum[:]); f.calls != calls || got != sum {
+		t.Errorf("%s changed: %d calls, sum %s; golden %d calls, sum %s", what, f.calls, got, calls, sum)
+	}
+}
+
+// recStore is a pheap.Store that folds every call it serves into all,
+// and its writes alone into writes.
+type recStore struct {
+	memStore
+	all, writes accessFold
 }
 
 func (r *recStore) ReadAt(p []byte, off int64) error {
-	r.note('R', p, off)
+	r.all.note('R', p, off)
 	return r.memStore.ReadAt(p, off)
 }
 
 func (r *recStore) WriteAt(p []byte, off int64) error {
-	r.note('W', p, off)
+	r.all.note('W', p, off)
+	r.writes.note('W', p, off)
 	return r.memStore.WriteAt(p, off)
 }
 
-// TestAccessSequenceGolden pins the exact sequence of region accesses
-// (read/write, offset, length, written bytes) a seeded script of
-// Create/Put/Get/Delete/grow/ForEach/Len/Open issues. The golden was
-// recorded at the commit before the store kept its own scratch buffers:
-// where the bytes of a temporary live must not change which region
-// accesses happen, because each one is a charged mapping call
-// (kvstore.mapping_calls_per_op) and a possible page fault.
+// TestAccessSequenceGolden pins the region accesses (read/write, offset,
+// length, written bytes) a seeded script of Create/Put/Get/Delete/grow/
+// ForEach/Len/Open issues, each one a charged mapping call
+// (kvstore.mapping_calls_per_op) and a possible page fault. Two goldens
+// say what may move:
+//
+//   - The write subsequence (7 932 writes) is what NV-DRAM ends up
+//     holding and which pages the fault path dirties. It was recorded
+//     before the store kept its own scratch buffers and again before
+//     pheap kept a class table; neither moved it, and no host-side change
+//     may.
+//   - The full sequence adds the reads: 42 741 calls, 34 809 of them
+//     reads. Until pheap kept a class table every block Read and Write
+//     re-read its 8-byte header first: 82 778 calls, 74 846 reads.
 func TestAccessSequenceGolden(t *testing.T) {
-	const (
-		goldenCalls = 82778
-		goldenSum   = "8bb2ab54c6134d9ce5f7aada530df9b24c425590c64bdcd7fe79cc7c69f3d461"
-	)
 	rs := &recStore{memStore: *newMemStore(4 << 20)}
 	heap, err := pheap.Format(rs)
 	if err != nil {
@@ -134,10 +151,8 @@ func TestAccessSequenceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	walk(s2)
-	if got := hex.EncodeToString(rs.sum[:]); rs.calls != goldenCalls || got != goldenSum {
-		t.Fatalf("access sequence changed: %d calls, sum %s; golden %d calls, sum %s",
-			rs.calls, got, goldenCalls, goldenSum)
-	}
+	rs.writes.check(t, "write sequence", 7932, "c2abbb8b4a72080a82f9004b7b2ca47510db64312df55f0d688d46df49bbe93d")
+	rs.all.check(t, "access sequence", 42741, "9399b0e1f788fb5b1168f73fda612ad92937498036c55a933739557471badfb6")
 }
 
 // The steady-state request path allocates only what it hands back.

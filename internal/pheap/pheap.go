@@ -7,6 +7,20 @@
 // the paper's Redis perform stores: heap and record metadata are updated
 // on the read path.)
 //
+// Reading a block does not read its header back. Like PMEM's object
+// pointers, a Heap keeps a volatile class table (block → class,
+// allocated) filled by its own header stores and by the first validated
+// header read of each block, and checks every later Read, Write,
+// UsableSize and Free against it. The table cannot go stale because
+// every header store goes through the Heap, a block Write is
+// bounds-checked to its payload, and exactly one Heap is open per
+// mapping: never Format or Open a second Heap over a Store while another
+// is in use. A reopened Heap starts with an empty table, so after a
+// reboot each block's header is validated from NV-DRAM once again.
+// Pointers handed to the heap must be ones it returned; a wild pointer
+// into a payload was never safe (a Write through it can overwrite a
+// neighbour's header) and is not made so.
+//
 // The allocator is a segregated-fit design: power-of-two size classes
 // from 32 B to 64 KiB, per-class free lists threaded through the freed
 // blocks, and a bump pointer for fresh space. Freed blocks are reused
@@ -61,16 +75,21 @@ const (
 // MaxAlloc is the largest supported allocation.
 const MaxAlloc = 1 << maxClassShift
 
-// Heap is a persistent heap over a Store. The struct itself holds no
-// state beyond the store handle: everything lives in NV-DRAM, so a Heap
-// can be reopened over recovered contents. It is not safe for concurrent
-// use.
+// Heap is a persistent heap over a Store. Everything persistent lives in
+// NV-DRAM, so a Heap can be reopened over recovered contents; the struct
+// holds only the store handle and the volatile class table. It is not
+// safe for concurrent use.
 type Heap struct {
 	store Store
 	// word is the buffer every header read and write goes through: a
 	// local array would escape through the Store interface and cost a
 	// heap allocation per access. No call holds it across another.
 	word [8]byte
+	// classes is the class table: block pointer → header word, for every
+	// block this Heap has allocated, freed or validated. It is filled
+	// where the header is stored (writeHeader) or first read
+	// (blockClass), and starts empty at Format and Open.
+	classes map[Ptr]uint64
 }
 
 // classFor returns the size-class index for an allocation of n bytes.
@@ -99,7 +118,7 @@ func Format(store Store) (*Heap, error) {
 	if store.Size() < headerSize+blockHeaderSize+(1<<minClassShift) {
 		return nil, fmt.Errorf("pheap: store of %d bytes too small", store.Size())
 	}
-	h := &Heap{store: store}
+	h := &Heap{store: store, classes: map[Ptr]uint64{}}
 	if err := h.writeU64(offMagic, magic); err != nil {
 		return nil, err
 	}
@@ -123,7 +142,7 @@ func Format(store Store) (*Heap, error) {
 // Open attaches to an existing heap (e.g. after power-failure recovery),
 // validating the magic number and recorded size.
 func Open(store Store) (*Heap, error) {
-	h := &Heap{store: store}
+	h := &Heap{store: store, classes: map[Ptr]uint64{}}
 	m, err := h.readU64(offMagic)
 	if err != nil {
 		return nil, err
@@ -153,6 +172,18 @@ func (h *Heap) writeU64(off int64, v uint64) error {
 	return h.store.WriteAt(h.word[:], off)
 }
 
+// writeHeader stores the header of the block at p and records it in the
+// class table. A failed store drops the entry instead, so the next access
+// re-reads whatever NV-DRAM holds.
+func (h *Heap) writeHeader(p Ptr, hdr uint64) error {
+	if err := h.writeU64(int64(p)-blockHeaderSize, hdr); err != nil {
+		delete(h.classes, p)
+		return err
+	}
+	h.classes[p] = hdr
+	return nil
+}
+
 // Alloc allocates n bytes and returns a pointer to the payload. The
 // payload's previous contents are undefined (reused blocks keep stale
 // bytes; callers overwrite what they use).
@@ -176,7 +207,7 @@ func (h *Heap) Alloc(n int) (Ptr, error) {
 		if err := h.writeU64(headOff, next); err != nil {
 			return 0, err
 		}
-		if err := h.writeU64(int64(head)-blockHeaderSize, uint64(c)|allocatedFlag); err != nil {
+		if err := h.writeHeader(Ptr(head), uint64(c)|allocatedFlag); err != nil {
 			return 0, err
 		}
 		return Ptr(head), nil
@@ -193,28 +224,32 @@ func (h *Heap) Alloc(n int) (Ptr, error) {
 	if err := h.writeU64(offBump, bump+uint64(need)); err != nil {
 		return 0, err
 	}
-	payload := int64(bump) + blockHeaderSize
-	if err := h.writeU64(int64(bump), uint64(c)|allocatedFlag); err != nil {
+	payload := Ptr(bump) + blockHeaderSize
+	if err := h.writeHeader(payload, uint64(c)|allocatedFlag); err != nil {
 		return 0, err
 	}
-	return Ptr(payload), nil
+	return payload, nil
 }
 
-// blockClass reads and validates the header of the block at p, returning
-// its class and allocation state.
+// blockClass validates the header of the block at p, returning its class
+// and allocation state. The header is read from NV-DRAM only the first
+// time this Heap meets p; a valid one is then kept in the class table,
+// which every later header store updates in step.
 func (h *Heap) blockClass(p Ptr) (class int, allocated bool, err error) {
 	if p < headerSize+blockHeaderSize {
 		return 0, false, fmt.Errorf("pheap: pointer %d below heap base", p)
 	}
-	hdr, err := h.readU64(int64(p) - blockHeaderSize)
-	if err != nil {
-		return 0, false, err
+	hdr, ok := h.classes[p]
+	if !ok {
+		if hdr, err = h.readU64(int64(p) - blockHeaderSize); err != nil {
+			return 0, false, err
+		}
+		if hdr&^allocatedFlag >= numClasses {
+			return 0, false, fmt.Errorf("pheap: corrupt block header %#x at %d", hdr, p)
+		}
+		h.classes[p] = hdr
 	}
-	c := int(hdr &^ allocatedFlag)
-	if c >= numClasses {
-		return 0, false, fmt.Errorf("pheap: corrupt block header %#x at %d", hdr, p)
-	}
-	return c, hdr&allocatedFlag != 0, nil
+	return int(hdr &^ allocatedFlag), hdr&allocatedFlag != 0, nil
 }
 
 // Free returns p's block to its class free list. Freeing the zero Ptr is
@@ -239,7 +274,7 @@ func (h *Heap) Free(p Ptr) error {
 	if err := h.writeU64(int64(p), head); err != nil {
 		return err
 	}
-	if err := h.writeU64(int64(p)-blockHeaderSize, uint64(c)); err != nil {
+	if err := h.writeHeader(p, uint64(c)); err != nil {
 		return err
 	}
 	return h.writeU64(headOff, uint64(p))
