@@ -70,7 +70,7 @@ func TestSweepBlackBox(t *testing.T) {
 	if res.Serve.RecorderAppends == 0 {
 		t.Error("the recorder never appended during crashed runs")
 	}
-	checkHealthyPair(t, res, 9021480, 9126317, 202, 39) // 1.15 % of goodput
+	checkHealthyPair(t, res, 8717108, 8882804, 202, 39) // 1.87 % of goodput
 }
 
 // A small always-on sweep so the forensic audit machinery runs on every
@@ -95,5 +95,5 @@ func TestSweepBlackBoxQuick(t *testing.T) {
 	if got := res.Serve.ForensicExact + res.Serve.ForensicDropped; got != res.Serve.CrashPoints {
 		t.Errorf("forensic audits cover %d of %d crash points", got, res.Serve.CrashPoints)
 	}
-	checkHealthyPair(t, res, 2230426, 2258777, 49, 16) // 1.26 % of goodput
+	checkHealthyPair(t, res, 2174346, 2202697, 49, 16) // 1.29 % of goodput
 }

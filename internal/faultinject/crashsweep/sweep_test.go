@@ -135,19 +135,19 @@ func TestSweepSingleClientPinned(t *testing.T) {
 		{"serve", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunServe(cfg)
 			return r, r, CascadeEvidence{}, err
-		}, pin{events: 22, crashes: 12, acked: 330, inDoubt: 6, redone: 0, compare: 12}},
+		}, pin{events: 22, crashes: 12, acked: 333, inDoubt: 7, redone: 0, compare: 12}},
 		{"nested", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunNested(NestedConfig{ServeConfig: cfg, RecrashDepth: 2, BudgetScale: 0.5})
 			return r, r.ServeResult, r.CascadeEvidence, err
-		}, pin{events: 183, crashes: 12, acked: 505, inDoubt: 12, redone: 5, innerCrashes: 24, resumes: 14, redoneIntents: 12, compare: 12}},
+		}, pin{events: 183, crashes: 12, acked: 506, inDoubt: 12, redone: 5, innerCrashes: 24, resumes: 14, redoneIntents: 12, compare: 12}},
 		{"sensor", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunSensor(SensorSweepConfig{Serve: cfg})
 			return r, r.ServeResult, CascadeEvidence{}, err
-		}, pin{events: 88, crashes: 12, acked: 494, inDoubt: 7, redone: 0, compare: 12}},
+		}, pin{events: 86, crashes: 12, acked: 508, inDoubt: 8, redone: 0, compare: 12}},
 		{"blackbox", func() (any, ServeResult, CascadeEvidence, error) {
 			r, err := RunBlackBox(cfg)
 			return r, r.Serve, CascadeEvidence{}, err
-		}, pin{events: 23, crashes: 12, acked: 308, inDoubt: 6, redone: 0, compare: 12}},
+		}, pin{events: 23, crashes: 12, acked: 311, inDoubt: 8, redone: 0, compare: 12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first, res, casc, err := tc.run()
