@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,17 +30,29 @@ import (
 	"viyojit/internal/sim"
 )
 
-func main() {
-	ops := flag.Int("ops", 50_000, "operations per run")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	quick := flag.Bool("quick", false, "reduced sweep (fewer workloads, fractions, ops)")
-	figures := flag.String("figures", "7,8,9,10,ablations", "comma-separated figures to regenerate")
-	jsonOut := flag.String("json", "", "also write the sweep data as JSON to this file")
-	clients := flag.Int("clients", 0, "overload: concurrent client goroutines (0 = default 8)")
-	offered := flag.String("offered-load", "", "overload: comma-separated offered-load multipliers of saturation (default 0.25,0.5,1,1.5,2)")
-	deadline := flag.Duration("deadline", 0, "overload: per-request virtual deadline (0 = default 2ms)")
-	metricsOut := flag.String("metrics", "", `dump the accumulated metrics/trace export to this file after the runs ("-" = stdout; a .json suffix selects JSON, otherwise text)`)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("viyojit-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ops := fs.Int("ops", 50_000, "operations per run")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	quick := fs.Bool("quick", false, "reduced sweep (fewer workloads, fractions, ops)")
+	figures := fs.String("figures", "7,8,9,10,ablations", "comma-separated figures to regenerate")
+	jsonOut := fs.String("json", "", "also write the sweep data as JSON to this file")
+	clients := fs.Int("clients", 0, "overload: concurrent client goroutines (0 = default 8)")
+	offered := fs.String("offered-load", "", "overload: comma-separated offered-load multipliers of saturation (default 0.25,0.5,1,1.5,2)")
+	deadline := fs.Duration("deadline", 0, "overload: per-request virtual deadline (0 = default 2ms)")
+	metricsOut := fs.String("metrics", "", `dump the accumulated metrics/trace export to this file after the runs ("-" = stdout; a .json suffix selects JSON, otherwise text)`)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "viyojit-bench:", err)
+		return 1
+	}
 
 	var reg *obs.Registry
 	if *metricsOut != "" {
@@ -58,12 +71,11 @@ func main() {
 	}
 	opts.Obs = reg
 
-	out := os.Stdout
 	if want["7"] || want["8"] || want["9"] {
 		fmt.Fprintln(out, "Running the YCSB dirty-budget sweep (one line per workload × budget)...")
 		sweep, err := experiments.RunSweep(opts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if want["7"] {
 			experiments.FprintFig7(out, sweep)
@@ -80,13 +92,13 @@ func main() {
 		if *jsonOut != "" {
 			f, err := os.Create(*jsonOut)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := experiments.WriteSweepJSON(f, sweep); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			fmt.Fprintf(out, "sweep data written to %s\n\n", *jsonOut)
 		}
@@ -96,7 +108,7 @@ func main() {
 		fmt.Fprintln(out, "Running the heap-scaling comparison...")
 		rows, err := experiments.RunFig10(opts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintFig10(out, rows)
 		fmt.Fprintln(out)
@@ -110,14 +122,14 @@ func main() {
 		}
 		tlb, err := experiments.RunTLBAblation(tlbOpts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintTLBAblation(out, tlb)
 		fmt.Fprintln(out)
 
 		pol, err := experiments.RunPolicyAblation(opts, 0.11)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintPolicyAblation(out, pol)
 		fmt.Fprintln(out)
@@ -125,28 +137,28 @@ func main() {
 		epochs, err := experiments.RunEpochAblation(opts, 0.11,
 			[]sim.Duration{250 * sim.Microsecond, sim.Millisecond, 4 * sim.Millisecond, 16 * sim.Millisecond})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintParamRows(out, "Ablation: epoch length (YCSB-A, 11% budget)", epochs)
 		fmt.Fprintln(out)
 
 		weights, err := experiments.RunEWMAAblation(opts, 0.11, []float64{0.1, 0.5, 0.75, 1.0})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintParamRows(out, "Ablation: dirty-page-pressure EWMA weight (YCSB-A, 11% budget)", weights)
 		fmt.Fprintln(out)
 
 		depths, err := experiments.RunQueueDepthAblation(opts, 0.11, []int{1, 4, 16, 64})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintParamRows(out, "Ablation: SSD outstanding-IO bound (YCSB-A, 11% budget)", depths)
 		fmt.Fprintln(out)
 
 		hw, err := experiments.RunHWAssistAblation(tlbOpts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintHWAssistAblation(out, hw)
 		fmt.Fprintln(out)
@@ -155,7 +167,7 @@ func main() {
 		for _, ws := range []int{64, 256, 1024, 4096} {
 			g, err := experiments.RunGranularityComparison(*seed, ws, 2000)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			gran = append(gran, g)
 		}
@@ -164,21 +176,21 @@ func main() {
 
 		red, err := experiments.RunSSDReductionAblation(opts, 0.11)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintSSDReduction(out, red)
 		fmt.Fprintln(out)
 
 		ten, err := experiments.RunTenancyExperiment(*seed, 400)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintTenancy(out, ten)
 		fmt.Fprintln(out)
 
 		retune, err := experiments.RunBatteryRetune(*seed)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintBatteryRetune(out, retune)
 	}
@@ -200,7 +212,7 @@ func main() {
 			for _, s := range strings.Split(*offered, ",") {
 				var m float64
 				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &m); err != nil || m <= 0 {
-					fatal(fmt.Errorf("bad -offered-load entry %q", s))
+					return fail(fmt.Errorf("bad -offered-load entry %q", s))
 				}
 				ms = append(ms, m)
 			}
@@ -208,24 +220,25 @@ func main() {
 		}
 		curve, err := experiments.RunOverloadCurve(ocfg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.FprintOverload(out, curve)
 	}
 
 	if reg != nil {
-		if err := dumpMetrics(reg, *metricsOut); err != nil {
-			fatal(err)
+		if err := dumpMetrics(out, reg, *metricsOut); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-// dumpMetrics writes the registry's export to path: stdout for "-",
-// JSON for a .json suffix, the text exposition otherwise.
-func dumpMetrics(reg *obs.Registry, path string) error {
+// dumpMetrics writes the registry's export to path: out for "-", JSON
+// for a .json suffix, the text exposition otherwise.
+func dumpMetrics(out io.Writer, reg *obs.Registry, path string) error {
 	exp := reg.Export()
 	if path == "-" {
-		return exp.WriteText(os.Stdout)
+		return exp.WriteText(out)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -240,12 +253,7 @@ func dumpMetrics(reg *obs.Registry, path string) error {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Printf("metrics export written to %s\n", path)
+		fmt.Fprintf(out, "metrics export written to %s\n", path)
 	}
 	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "viyojit-bench:", err)
-	os.Exit(1)
 }
