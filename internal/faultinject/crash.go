@@ -68,9 +68,9 @@ func (c *Crasher) Crashed() (CrashPoint, bool) { return c.point, c.crashed }
 
 // AsCrash classifies a recovered panic value: it returns the crash
 // point and true iff the value is a Crasher's power-failure signal.
-// Components that own their own goroutines (the serve dispatch loop)
-// use it as the Config.RecoverCrash filter, so simulated power failures
-// are contained while real bugs still crash the process.
+// Components that serve on goroutines other than Run's (the serve
+// front-end) use it as the Config.RecoverCrash filter, so simulated
+// power failures are contained while real bugs still crash the process.
 func AsCrash(v any) (CrashPoint, bool) {
 	if sig, ok := v.(crashSignal); ok {
 		return sig.cp, true

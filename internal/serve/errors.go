@@ -34,7 +34,7 @@ var (
 	ErrClosed = errors.New("serve: server closed")
 
 	// ErrPowerFailure means a simulated power failure killed the
-	// dispatch loop: the request (queued or in flight) got no ack, and
+	// server: the request (queued or in flight) got no ack, and
 	// its effects are exactly what recovery replays — an intent-journal
 	// retry against the recovered server is safe and will not
 	// double-apply.

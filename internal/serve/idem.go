@@ -92,7 +92,7 @@ func opSum(op *IdemOp) uint64 {
 	return intent.Checksum(op.Key, op.Value, uint64(op.Kind)<<32^op.Tag)
 }
 
-// execIdem is the dispatch-goroutine half of the exactly-once protocol:
+// execIdem is the owner's half of the exactly-once protocol:
 //
 //	dedup lookup → (cached result | redo re-apply | fresh execution)
 //

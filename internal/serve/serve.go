@@ -1,8 +1,14 @@
 // Package serve is the concurrent request front-end for the Viyojit
 // core. Everything below it — sim.Clock, sim.Queue, core.Manager,
 // kvstore.Store — is single-goroutine by design, so this package is an
-// actor: one dispatch goroutine owns the whole stack and drains a
-// bounded admission queue that many client goroutines submit into.
+// actor with one owner at a time: the dispatcher, or a Submit caller on
+// an idle server. Many client goroutines submit into a bounded admission
+// queue that the dispatch goroutine drains; a synchronous Submit that
+// finds nothing queued and nobody owning the stack takes ownership and
+// serves its own request on its own goroutine, the way the paper's
+// faulting Redis thread runs Viyojit's handler in-line (§5.1). Either
+// owner runs the same step, so the virtual timeline does not depend on
+// which one served a request.
 //
 // The front door is where production systems survive overload, so
 // admission is where all the policy lives:
@@ -73,8 +79,8 @@ const (
 )
 
 // Exec is the execution context handed to a request's Op on the
-// dispatch goroutine. Everything in it is single-goroutine state that
-// must not escape the Op call.
+// goroutine that owns the stack (see Request.Op). Everything in it is
+// single-goroutine state that must not escape the Op call.
 type Exec struct {
 	// Store is the KV store the server fronts (nil if the server was
 	// built without one).
@@ -99,8 +105,9 @@ type Request struct {
 	// 0 means no deadline. It covers queue wait, predicted clean-stall,
 	// and service time.
 	Timeout sim.Duration
-	// Op runs on the dispatch goroutine. Its return value is delivered
-	// through Result.Value.
+	// Op runs on the goroutine that owns the stack: the dispatch
+	// goroutine, or the caller of a Submit that found the server idle.
+	// Its return value is delivered through Result.Value.
 	Op func(Exec) (any, error)
 
 	// ClientID and RequestSeq identify a request for exactly-once
@@ -157,12 +164,13 @@ type Config struct {
 	// writes are budget-accounted and survive power failure. nil
 	// disables SubmitIdempotent.
 	Journal *intent.Journal
-	// RecoverCrash classifies a panic escaping the dispatch loop. When
-	// it returns true (a simulated power failure from
-	// faultinject.Crasher — use faultinject.AsCrash), the server fails
-	// in-flight and queued requests with ErrPowerFailure instead of
-	// crashing the process; the panic value is re-raised otherwise. nil
-	// means every panic propagates.
+	// RecoverCrash classifies a panic raised while serving, on the
+	// dispatch goroutine or a Submit caller's. When it returns true (a
+	// simulated power failure from faultinject.Crasher — use
+	// faultinject.AsCrash), the server fails in-flight and queued
+	// requests with ErrPowerFailure instead of crashing the process; the
+	// panic value is re-raised otherwise. nil means every panic
+	// propagates.
 	RecoverCrash func(v any) bool
 	// CrashPoints opens each idempotent op's durability windows to a
 	// step-armed fault injector: the Begin→apply→Complete critical
@@ -237,8 +245,8 @@ type item struct {
 	enqueuedAt sim.Time
 	deadline   sim.Time // 0 = none
 	cancelled  atomic.Bool
-	delivered  bool         // outcome sent; dispatch-goroutine only
-	done       chan outcome // buffered(1): dispatch never blocks on it
+	delivered  bool         // outcome sent; the stack's owner only
+	done       chan outcome // buffered(1): the owner never blocks on it
 	// gen counts the waits this item has been through. A waiter remembers
 	// the value it was admitted under and wait advances it, so a second
 	// Wait on a handle is refused instead of receiving the outcome of the
@@ -247,8 +255,8 @@ type item struct {
 }
 
 // itemPool recycles items, with their channel, once the waiter has
-// received the outcome: the dispatcher's send is its last touch of an
-// item, so from then on the waiter is the only one holding it. An item
+// received the outcome: the owner's send is its last touch of an item,
+// so from then on the waiter is the only one holding it. An item
 // abandoned through its context is never returned — the dispatcher may
 // still be about to send on it — and is left to the collector.
 var itemPool = sync.Pool{New: func() any { return &item{done: make(chan outcome, 1)} }}
@@ -286,8 +294,8 @@ type waiter struct {
 }
 
 // waiterPool recycles waiters, with their channel, the way itemPool does
-// items: only once WaitUntil has received the wake, which is the
-// dispatcher's last touch of a waiter. WaitUntil has no other way out, so
+// items: only once WaitUntil has received the wake, which is the owner's
+// last touch of a waiter. WaitUntil has no other way out, so
 // every waiter comes back.
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan error, 1)} }}
 
@@ -317,11 +325,14 @@ type Server struct {
 	waiters  []*waiter
 	started  bool
 	stopping bool
-	crashed  bool // a power failure killed the dispatch loop
+	crashed  bool // a power failure killed the server
+	// busy means some goroutine owns the clock, event queue, manager and
+	// store: the dispatch loop, or a Submit caller serving its own
+	// request. Ownership changes hands only under mu.
+	busy bool
 
 	// inflight is the item currently inside serveOne, tracked so the
-	// crash-recovery path can fail it with ErrPowerFailure. Dispatch
-	// goroutine only.
+	// crash-recovery path can fail it with ErrPowerFailure. Owner only.
 	inflight *item
 
 	// Mirrors published for lock-free reading by clients and watchdog.
@@ -330,7 +341,7 @@ type Server struct {
 	pubNow    atomic.Int64  // sim.Time
 	pubState  atomic.Int32  // core.HealthState
 
-	// Watchdog state, touched only on the dispatch goroutine.
+	// Watchdog state, touched only by the owner.
 	wdEvent  *sim.Event
 	wdFn     func(sim.Time) // s.watchdogTick, bound once
 	wdStrike int
@@ -400,8 +411,8 @@ func newInstruments(r *obs.Registry) *instruments {
 
 // New builds a server over an assembled stack. store may be nil when
 // ops only need the manager. The server takes ownership of the clock
-// and event queue once Start is called: no other goroutine may pump,
-// advance time, or touch the manager until Stop returns.
+// and event queue once Start is called: no goroutine outside it may
+// pump, advance time, or touch the manager until Stop returns.
 func New(clock *sim.Clock, events *sim.Queue, mgr *core.Manager, store *kvstore.Store, cfg Config) (*Server, error) {
 	if clock == nil || events == nil || mgr == nil {
 		return nil, fmt.Errorf("serve: clock, events, and manager are required")
@@ -438,25 +449,26 @@ func (s *Server) Config() Config { return s.cfg }
 // called twice.
 func (s *Server) Start() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.started {
-		s.mu.Unlock()
 		return fmt.Errorf("serve: already started")
 	}
-	s.started = true
-	s.mu.Unlock()
+	// Wired under mu: a Submit that sees started may serve at once.
 	s.publish()
 	if !s.cfg.DisableWatchdog {
 		s.wdLast = s.pops.Load()
 		s.wdFn = s.watchdogTick
 		s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.wdFn)
 	}
+	s.started = true
 	go s.loop()
 	return nil
 }
 
 // Stop shuts the server down: queued requests are rejected with
 // ErrClosed, waiters wake with ErrClosed, and the dispatch goroutine
-// exits. Stop blocks until the loop is gone and is idempotent.
+// exits once no Submit caller owns the stack. Stop blocks until the
+// loop is gone and is idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if !s.started {
@@ -483,7 +495,7 @@ func (s *Server) Stop() {
 }
 
 // Now returns the published virtual time — safe from any goroutine,
-// possibly a beat behind the dispatch loop's live clock.
+// possibly a beat behind the owner's live clock.
 func (s *Server) Now() sim.Time { return sim.Time(s.pubNow.Load()) }
 
 // HealthState returns the published degradation-ladder rung.
@@ -512,10 +524,24 @@ func (s *Server) Stats() Stats {
 // Submit admits req and blocks until it completes, is shed, or ctx is
 // done. Rejections are typed: match with errors.Is against
 // ErrOverloaded, ErrDeadlineExceeded, ErrReadOnly, ErrClosed.
+//
+// A Submit that finds the server started, nothing queued and no
+// goroutine owning the stack serves req itself, on the calling
+// goroutine, through the same step as the dispatcher: the same policy,
+// the same accounting (it counts as one push and one pop of an empty
+// queue) and the same virtual timeline. A request executing on its
+// caller runs to completion; ctx can abandon only a request still
+// queued.
 func (s *Server) Submit(ctx context.Context, req Request) (Result, error) {
-	it, err := s.admit(req)
+	it, direct, err := s.admit(req, true)
 	if err != nil {
 		return Result{}, err
+	}
+	if direct {
+		s.step(it, 0)
+		s.releaseLocked()
+		s.mu.Unlock()
+		ctx = context.Background() // it has run; its outcome is waiting in it.done
 	}
 	return s.wait(ctx, it, it.gen.Load())
 }
@@ -563,34 +589,37 @@ func (s *Server) wait(ctx context.Context, it *item, gen uint64) (Result, error)
 // or an idle dispatch loop advances virtual time past the next arrival
 // while the submission is still in flight on some other goroutine.
 func (s *Server) SubmitAsync(req Request) (*Handle, error) {
-	it, err := s.admit(req)
+	it, _, err := s.admit(req, false)
 	if err != nil {
 		return nil, err
 	}
 	return &Handle{s: s, it: it, gen: it.gen.Load()}, nil
 }
 
-// admit is SubmitAsync without the handle.
-func (s *Server) admit(req Request) (*item, error) {
+// admit runs admission control and enqueues the request — unless run is
+// set and the server is idle, in which case it makes the caller the
+// owner instead and returns direct: the caller must step the item, then
+// release ownership.
+func (s *Server) admit(req Request, run bool) (it *item, direct bool, err error) {
 	if req.Op == nil && req.Idem == nil {
-		return nil, fmt.Errorf("serve: request has no Op")
+		return nil, false, fmt.Errorf("serve: request has no Op")
 	}
 	if req.Idem != nil {
 		if req.Op != nil {
-			return nil, fmt.Errorf("serve: request has both Op and Idem")
+			return nil, false, fmt.Errorf("serve: request has both Op and Idem")
 		}
 		if req.ClientID == 0 || req.RequestSeq == 0 {
-			return nil, fmt.Errorf("serve: idempotent request needs non-zero ClientID and RequestSeq")
+			return nil, false, fmt.Errorf("serve: idempotent request needs non-zero ClientID and RequestSeq")
 		}
 		if !req.Write {
-			return nil, fmt.Errorf("serve: idempotent requests are writes; set Write")
+			return nil, false, fmt.Errorf("serve: idempotent requests are writes; set Write")
 		}
 		if s.cfg.Journal == nil {
-			return nil, fmt.Errorf("serve: idempotent request but server has no intent journal")
+			return nil, false, fmt.Errorf("serve: idempotent request but server has no intent journal")
 		}
 	}
 	if req.Priority > PriorityHigh {
-		return nil, fmt.Errorf("serve: invalid priority %d", req.Priority)
+		return nil, false, fmt.Errorf("serve: invalid priority %d", req.Priority)
 	}
 	s.st.submitted.Inc()
 	now := sim.Time(s.pubNow.Load())
@@ -599,39 +628,49 @@ func (s *Server) admit(req Request) (*item, error) {
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: server lost power", ErrPowerFailure)
+		return nil, false, fmt.Errorf("%w: server lost power", ErrPowerFailure)
 	}
 	if s.stopping {
 		s.mu.Unlock()
-		return nil, ErrServerClosed
+		return nil, false, ErrServerClosed
 	}
 	occ := int(s.occupancy.Load())
 	if occ >= s.cfg.MaxQueue {
 		s.mu.Unlock()
 		s.st.shedOverload.Inc()
-		return nil, fmt.Errorf("%w: queue full (%d)", ErrOverloaded, s.cfg.MaxQueue)
+		return nil, false, fmt.Errorf("%w: queue full (%d)", ErrOverloaded, s.cfg.MaxQueue)
 	}
 	if req.Priority == PriorityLow && float64(occ) >= s.cfg.ShedWatermark*float64(s.cfg.MaxQueue) {
 		s.mu.Unlock()
 		s.st.shedOverload.Inc()
-		return nil, fmt.Errorf("%w: low-priority shed at watermark", ErrOverloaded)
+		return nil, false, fmt.Errorf("%w: low-priority shed at watermark", ErrOverloaded)
 	}
 	if req.Write && req.Class == ClassClient {
 		switch {
 		case state >= core.StateEmergencyFlush:
 			s.mu.Unlock()
 			s.st.shedReadOnly.Inc()
-			return nil, fmt.Errorf("%w: ladder at %v", ErrReadOnly, state)
+			return nil, false, fmt.Errorf("%w: ladder at %v", ErrReadOnly, state)
 		case state == core.StateDegraded && req.Priority == PriorityLow:
 			s.mu.Unlock()
 			s.st.shedOverload.Inc()
-			return nil, fmt.Errorf("%w: low-priority write shed while %v", ErrOverloaded, state)
+			return nil, false, fmt.Errorf("%w: low-priority write shed while %v", ErrOverloaded, state)
 		}
 	}
-	it := itemPool.Get().(*item)
+	it = itemPool.Get().(*item)
 	it.req, it.enqueuedAt, it.deadline, it.delivered = req, now, 0, false
 	if req.Timeout > 0 {
 		it.deadline = now.Add(req.Timeout)
+	}
+	if run && s.started && !s.busy && occ == 0 {
+		// The books read as a push onto the empty queue and its pop: depth
+		// 1 at the high-water mark, one pop for the watchdog, and the depth
+		// gauge back at the 0 it already reads.
+		s.busy = true
+		s.st.queueMax.SetMax(1)
+		s.pops.Add(1)
+		s.mu.Unlock()
+		return it, true, nil
 	}
 	s.buckets[bucketOf(req)].push(it)
 	n := s.occupancy.Add(1)
@@ -639,7 +678,7 @@ func (s *Server) admit(req Request) (*item, error) {
 	s.st.queueMax.SetMax(n)
 	s.cond.Signal()
 	s.mu.Unlock()
-	return it, nil
+	return it, false, nil
 }
 
 // WaitUntil blocks the calling goroutine until virtual time reaches t —
@@ -673,56 +712,91 @@ func (s *Server) WaitUntil(t sim.Time) error {
 	return err
 }
 
-// loop is the dispatch goroutine: the sole owner of the clock, event
-// queue, manager, and store from Start to Stop.
+// loop is the dispatch goroutine. It takes ownership of the stack when it
+// finds queued work or a pacing waiter and keeps it across back-to-back
+// items, handing it back only when it runs out of both; while a Submit
+// caller owns the stack it sleeps. It exits on Stop or a power failure,
+// never while another goroutine owns the stack.
 func (s *Server) loop() {
 	defer close(s.loopDone)
-	// Power-failure containment: a faultinject crash panic can surface
-	// from any event pump — inside serveOne, inside an idle advance,
-	// even inside the manager's cleaning machinery. Config.RecoverCrash
-	// decides whether the panic is a simulated power failure; if so the
-	// server dies cleanly (clients get ErrPowerFailure, Stop still
-	// joins) instead of taking the process down. Registered after
-	// loopDone's close so noteCrash finishes before Stop unblocks.
+	own := false // this goroutine holds s.busy
+	s.mu.Lock()
+	for {
+		if s.busy && !own {
+			s.cond.Wait() // the caller's release wakes us
+			continue
+		}
+		if s.stopping {
+			s.busy = false
+			s.failAllLocked(ErrServerClosed, ErrServerClosed)
+			s.mu.Unlock()
+			return
+		}
+		it := s.popLocked()
+		var t sim.Time
+		if it == nil {
+			var ok bool
+			if t, ok = s.earliestWaiterLocked(); !ok {
+				s.busy, own = false, false
+				s.cond.Wait()
+				continue
+			}
+		}
+		s.busy, own = true, true
+		s.mu.Unlock()
+		s.step(it, t)
+	}
+}
+
+// step is one unit of dispatch work on the goroutine that owns the
+// stack: serve it, or with it nil advance idle time to t; then run a
+// watchdog trip requested meanwhile, and wake every waiter the work
+// passed. It returns with s.mu held.
+//
+// Power-failure containment: a faultinject crash panic can surface from
+// any event pump — inside serveOne, inside an idle advance, even inside
+// the manager's cleaning machinery. Config.RecoverCrash decides whether
+// the panic is a simulated power failure; if so the server dies cleanly
+// (clients get ErrPowerFailure, Stop still joins) instead of taking the
+// process down. Any other panic stops the server, so that Stop still
+// joins if the owner's caller recovers it, and propagates.
+func (s *Server) step(it *item, t sim.Time) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		if s.cfg.RecoverCrash == nil || !s.cfg.RecoverCrash(r) {
-			panic(r)
+		if s.cfg.RecoverCrash != nil && s.cfg.RecoverCrash(r) {
+			s.noteCrash()
+			s.mu.Lock()
+			return
 		}
-		s.noteCrash()
-	}()
-	for {
 		s.mu.Lock()
-		for {
-			if s.stopping {
-				s.failAllLocked(ErrServerClosed, ErrServerClosed)
-				s.mu.Unlock()
-				return
-			}
-			if it := s.popLocked(); it != nil {
-				s.mu.Unlock()
-				s.inflight = it
-				s.serveOne(it)
-				s.inflight = nil
-				break
-			}
-			if t, ok := s.earliestWaiterLocked(); ok {
-				s.mu.Unlock()
-				s.advanceTo(t)
-				break
-			}
-			s.cond.Wait()
-		}
-		// A watchdog trip requested mid-op runs here, at a request
-		// boundary, where the manager is quiescent.
-		s.maybeTrip()
-		// Wake any waiter whose target the last op or advance passed.
-		s.mu.Lock()
-		s.wakeWaitersLocked(nil)
+		s.stopping = true
+		s.releaseLocked()
 		s.mu.Unlock()
+		panic(r)
+	}()
+	if it != nil {
+		s.inflight = it
+		s.serveOne(it)
+		s.inflight = nil
+	} else {
+		s.advanceTo(t)
+	}
+	// A watchdog trip requested mid-op runs here, at a request boundary,
+	// where the manager is quiescent.
+	s.maybeTrip()
+	s.mu.Lock()
+	s.wakeWaitersLocked(nil)
+}
+
+// releaseLocked hands the stack back from a Submit caller, waking the
+// loop if work arrived meanwhile or Stop is waiting on the owner.
+func (s *Server) releaseLocked() {
+	s.busy = false
+	if s.occupancy.Load() > 0 || len(s.waiters) > 0 || s.stopping {
+		s.cond.Signal()
 	}
 }
 
@@ -772,8 +846,8 @@ func (s *Server) wakeWaitersLocked(err error) {
 
 // deliver sends an item's outcome exactly once. The channel is
 // buffered(1) so the send never blocks, but a crash-recovery path that
-// re-failed an already-answered item would: the delivered flag (dispatch
-// goroutine only) makes delivery idempotent.
+// re-failed an already-answered item would: the delivered flag (owner
+// only) makes delivery idempotent.
 func (s *Server) deliver(it *item, out outcome) {
 	if it.delivered {
 		return
@@ -797,8 +871,8 @@ func (s *Server) failAllLocked(queued, woken error) {
 	s.wakeWaitersLocked(woken)
 }
 
-// noteCrash is the power-failure epilogue, run on the dying dispatch
-// goroutine: every request the server ever acknowledged is already
+// noteCrash is the power-failure epilogue, run by the owner the failure
+// struck: every request the server ever acknowledged is already
 // journaled; everything still in the building gets ErrPowerFailure so
 // clients know to retry against the recovered system.
 func (s *Server) noteCrash() {
@@ -817,7 +891,7 @@ func (s *Server) noteCrash() {
 }
 
 // PowerFailed reports whether a simulated power failure killed the
-// dispatch loop (see Config.RecoverCrash).
+// server (see Config.RecoverCrash).
 func (s *Server) PowerFailed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -847,8 +921,8 @@ func (s *Server) advanceTo(t sim.Time) {
 // crashPoint fires one no-op queue event at the current instant when
 // Config.CrashPoints is set: a strike point for a step-armed fault
 // injector inside an idempotent op's durability window (see the Config
-// field). A crash panic raised here unwinds to the dispatch loop's
-// containment, leaving the journaled intent durably in flight.
+// field). A crash panic raised here unwinds to step's containment,
+// leaving the journaled intent durably in flight.
 func (s *Server) crashPoint() {
 	if !s.cfg.CrashPoints {
 		return
@@ -961,8 +1035,8 @@ func (s *Server) serveOne(it *item) {
 	s.deliver(it, outcome{res: Result{Value: val, Wait: wait, Latency: lat}})
 }
 
-// watchdogTick runs as a virtual-time event on the dispatch goroutine
-// (events are only ever pumped there), so it fires even while the loop
+// watchdogTick runs as a virtual-time event on the owning goroutine
+// (events are only ever pumped there), so it fires even while the owner
 // is "stuck" inside a virtually-blocking clean — exactly the stall it
 // exists to catch: a non-empty queue across WatchdogStrikes intervals
 // with no request retired.
@@ -974,7 +1048,7 @@ func (s *Server) watchdogTick(now sim.Time) {
 	if s.occupancy.Load() > 0 && pops == s.wdLast {
 		s.wdStrike++
 		if s.wdStrike == s.cfg.WatchdogStrikes {
-			// Request the trip; the dispatch loop executes it at the next
+			// Request the trip; the owner executes it at the next
 			// request boundary. The tick itself may be firing from a Step
 			// nested deep inside the manager's own cleaning machinery
 			// (e.g. an SSD submit stall), where re-entering the manager
@@ -990,7 +1064,7 @@ func (s *Server) watchdogTick(now sim.Time) {
 }
 
 // maybeTrip executes a watchdog-requested ladder trip. It runs on the
-// dispatch goroutine between requests — the only point where calling
+// owning goroutine between requests — the only point where calling
 // into the manager's drain machinery is safe. Blocking writes and
 // force-draining the dirty set frees the capacity the stalled queue was
 // waiting on; if even the bounded emergency drain cannot empty the set,
@@ -1010,9 +1084,10 @@ func (s *Server) maybeTrip() {
 // flush.
 func (s *Server) Tripped() bool { return s.st.watchdogTrips.Value() > 0 }
 
-// ManagerStats reads the manager's counters on the dispatch goroutine —
-// the race-free way for a concurrent observer to sample them while the
-// server owns the core.
+// ManagerStats reads the manager's counters as a request, on whichever
+// goroutine owns the stack (the dispatcher, or this caller when the
+// server is idle) — the race-free way for a concurrent observer to
+// sample them while the server owns the core.
 func (s *Server) ManagerStats(ctx context.Context) (core.Stats, error) {
 	res, err := s.Submit(ctx, Request{
 		Class:    ClassBackground,
@@ -1025,8 +1100,8 @@ func (s *Server) ManagerStats(ctx context.Context) (core.Stats, error) {
 	return res.Value.(core.Stats), nil
 }
 
-// ManagerSamples reads the dirty-footprint sample ring on the dispatch
-// goroutine (see ManagerStats).
+// ManagerSamples reads the dirty-footprint sample ring as a request on
+// the stack's owner (see ManagerStats).
 func (s *Server) ManagerSamples(ctx context.Context) ([]core.Sample, error) {
 	res, err := s.Submit(ctx, Request{
 		Class:    ClassBackground,

@@ -23,8 +23,9 @@ type harness struct {
 
 // newHarness assembles a small Viyojit stack fronted by a started
 // server. prep runs single-threaded before Start (e.g. to pre-set a
-// ladder state).
-func newHarness(t *testing.T, budget int, devCfg ssd.Config, cfg Config, prep func(*core.Manager)) *harness {
+// ladder state). A registry in cfg.Obs is the manager's too, as
+// viyojit.System wires it.
+func newHarness(t testing.TB, budget int, devCfg ssd.Config, cfg Config, prep func(*core.Manager)) *harness {
 	t.Helper()
 	clock := sim.NewClock()
 	events := sim.NewQueue()
@@ -33,7 +34,7 @@ func newHarness(t *testing.T, budget int, devCfg ssd.Config, cfg Config, prep fu
 		t.Fatal(err)
 	}
 	dev := ssd.New(clock, events, devCfg)
-	mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: budget})
+	mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: budget, Obs: cfg.Obs})
 	if err != nil {
 		t.Fatal(err)
 	}

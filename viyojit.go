@@ -579,8 +579,7 @@ func (s *System) Stats() ManagerStats { return s.manager.Stats() }
 
 // Metrics returns the system-wide observability registry: every
 // subsystem (core, serve, scrub, health, ssd, battery) records onto it,
-// and Snapshot/Export are safe to call concurrently with the serve
-// dispatch loop.
+// and Snapshot/Export are safe to call concurrently with serving.
 func (s *System) Metrics() *MetricsRegistry { return s.reg }
 
 // MetricsExport captures a consistent snapshot of every instrument plus
@@ -851,11 +850,12 @@ func (s *System) NewRetryingClient(id, seed uint64, cfg RetryConfig) (*RetryingC
 	return serve.NewRetryingClient(s.server, id, seed, cfg)
 }
 
-// Serve starts the concurrent request front-end over this system: an
-// actor-style dispatch loop takes ownership of the clock, event queue,
-// manager, and store, and many client goroutines submit through
-// System.Submit (or the returned server). store may be nil when
-// requests only need the manager.
+// Serve starts the concurrent request front-end over this system: the
+// server takes ownership of the clock, event queue, manager, and store,
+// and many client goroutines submit through System.Submit (or the
+// returned server). One goroutine at a time owns that stack — the
+// dispatch loop, or a Submit caller on an idle server. store may be nil
+// when requests only need the manager.
 //
 // While serving, the single-goroutine System methods (Pump,
 // AdvanceTime, Map, Scrub, ...) must not be called concurrently with
@@ -882,7 +882,10 @@ func (s *System) Serve(store *kvstore.Store, cfg ServeConfig) (*serve.Server, er
 // Server returns the running front-end (nil before Serve).
 func (s *System) Server() *serve.Server { return s.server }
 
-// Submit routes one request through the serving front-end. It errors
+// Submit routes one request through the serving front-end. On an idle
+// server the request runs on the calling goroutine, to completion (ctx
+// can abandon only a request still queued); otherwise it queues for the
+// dispatch loop. Either way it sees the same virtual timeline. It errors
 // if Serve has not been called.
 func (s *System) Submit(ctx context.Context, req ServeRequest) (ServeResult, error) {
 	if s.server == nil {
