@@ -370,36 +370,6 @@ func BenchmarkTable_BatteryRetune(b *testing.B) {
 	}
 }
 
-// BenchmarkServeThroughput measures the concurrent serving front-end's
-// closed-loop throughput across client counts. The simulation itself is
-// single-goroutine, so virtual-time goodput is flat across the sweep by
-// design — what the sweep surfaces is the host-side coordination cost
-// (queue handoff, cond wakeups) as contention grows, plus the goodput
-// metric for each width.
-func BenchmarkServeThroughput(b *testing.B) {
-	for _, clients := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			var last ycsb.ConcurrentResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				last, err = experiments.RunOverloadPoint(experiments.OverloadConfig{
-					Seed:           1,
-					Clients:        clients,
-					OperationCount: 4_000,
-				}, 0) // closed loop: saturation throughput
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if last.Completed == 0 {
-				b.Fatal("no operations completed")
-			}
-			b.ReportMetric(last.Goodput/1000, "goodput-kops/vsec")
-			b.ReportMetric(float64(last.Shed()), "shed-ops")
-		})
-	}
-}
-
 // BenchmarkObsHotPath measures one full observability record set — the
 // instruments a served request touches (counter, gauge, histogram, span
 // begin/finish) — in host ns/op. The guard: zero B/op, zero allocs/op;
@@ -449,10 +419,10 @@ func BenchmarkObsHotPath(b *testing.B) {
 	})
 }
 
-// TestObsRecordPathZeroAlloc asserts the instruments the serve dispatch
-// loop records onto — fetched from a real System's registry, exactly as
-// the subsystems hold them — allocate nothing per operation, so enabling
-// observability cannot move BenchmarkServeThroughput's allocation count.
+// TestObsRecordPathZeroAlloc asserts the instruments a served request
+// records onto — fetched from a real System's registry, exactly as the
+// subsystems hold them — allocate nothing per operation, so enabling
+// observability cannot move a served op's allocation count.
 func TestObsRecordPathZeroAlloc(t *testing.T) {
 	sys, err := New(Config{NVDRAMSize: 8 << 20})
 	if err != nil {

@@ -15,8 +15,9 @@ package crashsweep
 //     the report's dirty/budget/ladder verdicts equal to the
 //     manager's own counters whenever the recorder shed nothing;
 //  3. an identical un-crashed run with the recorder on completes
-//     within a bounded goodput delta of one with it off — the price
-//     of always-on crash forensics is measured, not assumed.
+//     within a bounded virtual time per acked mutation of one with it
+//     off — the price of always-on crash forensics is measured, not
+//     assumed.
 //
 // The facade seals the recorder at the crash instant (before the battery
 // flush) and quiesces it for a clean-shutdown drain: the flush's own
