@@ -54,6 +54,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sort"
 
@@ -842,28 +843,35 @@ func (j *Journal) Pending() []PendingIntent {
 	return out
 }
 
-// Checksum is the op checksum clients record with an intent: FNV-1a
-// over the key, the value image and a caller-chosen tag. Retrying the
-// same logical op yields the same sum; reusing a seq for a different op
-// does not.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the op checksum clients record with an intent: 64 check
+// bits over the key, the value image and a caller-chosen tag. Retrying
+// the same logical op yields the same sum; reusing a seq for a different
+// op does not.
+//
+// The key and value bytes go through CRC32C and CRC32-IEEE, both
+// hardware-accelerated in hash/crc32. The two polynomials are coprime, so
+// the pair is one CRC whose generator is their degree-64 product: every
+// error burst of up to 64 bits changes it. The lengths, which frame key
+// against value, and the tag are mixed in arithmetically, through a
+// bijective finaliser, so a different tag or a single flipped bit always
+// gives a different sum. (Handing them to crc32.Update as bytes would
+// cost a heap allocation per call: its argument escapes.)
 func Checksum(key, val []byte, tag uint64) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	mix := func(bs []byte) {
-		var l [8]byte
-		binary.LittleEndian.PutUint64(l[:], uint64(len(bs)))
-		for _, b := range l {
-			h ^= uint64(b)
-			h *= 0x100000001B3
-		}
-		for _, b := range bs {
-			h ^= uint64(b)
-			h *= 0x100000001B3
-		}
-	}
-	mix(key)
-	mix(val)
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], tag)
-	mix(t[:])
+	c := crc32.Update(crc32.Update(0, castagnoli, key), castagnoli, val)
+	i := crc32.Update(crc32.Update(0, crc32.IEEETable, key), crc32.IEEETable, val)
+	frame := fmix64(uint64(len(key)) + fmix64(uint64(len(val))))
+	return fmix64(uint64(c)<<32 | uint64(i) ^ frame ^ tag)
+}
+
+// fmix64 is MurmurHash3's 64-bit finaliser: a bijection that spreads
+// every input bit over the whole word.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	h *= 0xC4CEB9FE1A85EC53
+	h ^= h >> 33
 	return h
 }

@@ -223,10 +223,16 @@ func TestChecksumDistinguishesOps(t *testing.T) {
 		Checksum([]byte("l"), []byte("v"), 0),
 		Checksum([]byte("k"), []byte("v"), 1),
 		Checksum([]byte("kv"), nil, 0),
+		Checksum(nil, []byte("kv"), 0),
 	} {
 		if other == a {
 			t.Fatal("checksum collision across distinct ops")
 		}
+	}
+	// The lengths frame key against value: the same bytes split
+	// differently are different ops.
+	if Checksum([]byte("kv"), nil, 0) == Checksum(nil, []byte("kv"), 0) {
+		t.Fatal(`("kv", nil) and ("", "kv") share a checksum`)
 	}
 }
 

@@ -6,12 +6,14 @@
 //
 // The region costs the host what it holds, not what it could hold. New
 // allocates the page table, the TLB index, a table of chunk pointers and
-// one zero page — no data bytes. A chunk of chunkPages pages is allocated
-// by the first store into it (WriteAt, RestorePage, RestorePageFrom of a
-// page the device has) and lives as long as the region; a read of a chunk
-// nothing was ever stored into sees zeros and allocates nothing. Virtual
-// time, MMU state and every byte a caller can observe are those of a flat
-// array of Size zero bytes.
+// one zero page — no data bytes. A chunk of chunkPages pages is backed by
+// the first store into it (WriteAt, RestorePage, RestoreChunkFrom of pages
+// the device has) and lives as long as the region or until a successor
+// takes it over (TakeOver); a read of a chunk nothing was ever stored into
+// sees zeros and allocates nothing. Virtual time, MMU state and every byte
+// a caller can observe are those of a flat array of Size zero bytes — and
+// a region that was taken over reads as that array before any store, as
+// DRAM that lost power.
 package nvdram
 
 import (
@@ -27,8 +29,11 @@ const DefaultPageSize = 4096
 // chunkPages is how many pages one host allocation backs: 256 KiB at the
 // default page size. Backing page by page would cost a reboot one
 // allocation per restored page; a power of two keeps the chunk lookup a
-// shift and a mask of the page number.
+// shift and a mask of the page number. RestoreChunkFrom keeps one bit per
+// page of a chunk in a uint64, so it may not exceed 64.
 const chunkPages = 64
+
+var _ [64 - chunkPages]struct{} // compile-time check: chunkPages ≤ 64
 
 // Config describes an NV-DRAM region.
 type Config struct {
@@ -56,7 +61,11 @@ type Region struct {
 	pt    *mmu.PageTable
 	// chunks[page/chunkPages] backs chunkPages consecutive pages (the last
 	// chunk as many as are left); nil until the first store into it.
-	chunks      [][]byte
+	chunks [][]byte
+	// spares are full-size chunk buffers taken over from the region this
+	// one reboots (TakeOver), holding its stale bytes until a restore
+	// reuses them or ReleaseSpares drops them.
+	spares      [][]byte
 	zero        []byte // what RawPage shows of an unbacked page; never written
 	size        int64
 	pageSize    int
@@ -122,8 +131,8 @@ func (r *Region) checkRange(off int64, n int) error {
 	return nil
 }
 
-// Backed reports whether page's chunk has been stored into. A page that is
-// not backed reads as zeros and has never held anything else.
+// Backed reports whether page's chunk has been stored into since the
+// region was made or taken over. A page that is not backed reads as zeros.
 func (r *Region) Backed(page mmu.PageID) bool {
 	return r.chunks[page/chunkPages] != nil
 }
@@ -131,16 +140,22 @@ func (r *Region) Backed(page mmu.PageID) bool {
 // chunk returns the chunk a store into page lands in, backing it first if
 // nothing has been stored there yet. The caller has range-checked page.
 func (r *Region) chunk(page mmu.PageID) []byte {
-	ci := page / chunkPages
+	ci := r.ChunkOf(page)
 	if c := r.chunks[ci]; c != nil {
 		return c
 	}
-	pages := r.NumPages() - int(ci)*chunkPages
-	if pages > chunkPages {
-		pages = chunkPages
-	}
-	r.chunks[ci] = make([]byte, pages*r.pageSize)
+	r.chunks[ci] = make([]byte, r.chunkLen(ci))
 	return r.chunks[ci]
+}
+
+// ChunkOf returns the index of the chunk page lies in: the pages one
+// RestoreChunkFrom call reloads share it.
+func (r *Region) ChunkOf(page mmu.PageID) int { return int(page / chunkPages) }
+
+// chunkLen is the byte length of chunk ci: chunkPages pages, the last chunk
+// as many as are left.
+func (r *Region) chunkLen(ci int) int {
+	return min(r.NumPages()-ci*chunkPages, chunkPages) * r.pageSize
 }
 
 // pageStart is where page starts in its chunk.
@@ -248,24 +263,88 @@ type PageReader interface {
 	ReadPageInto(page mmu.PageID, dst []byte) bool
 }
 
-// RestorePageFrom is RestorePage with the device read landing straight in
-// the page. Only src's read is charged: the DRAM-side copy is DMA that
-// overlaps the slower device transfer, as in the power-fail flush, so
-// there is no serial copy time to add. It reports whether src had
-// contents for the page; a page it had none for is left as it was, not
-// backed if it was not.
-func (r *Region) RestorePageFrom(src PageReader, page mmu.PageID) (bool, error) {
-	start := int64(page) * int64(r.pageSize)
-	if err := r.checkRange(start, r.pageSize); err != nil {
-		return false, err
+// TakeOver makes r the successor of prev, a region that lost power: the
+// DRAM a reboot reloads is the DRAM that lost its contents. prev's
+// full-size chunk buffers become r's spares, which RestoreChunkFrom reuses
+// instead of allocating, and prev reads as never written from then on.
+// No page of r ever shows a spare's stale bytes: a restore clears every
+// page of a reused chunk that the device does not fill.
+func (r *Region) TakeOver(prev *Region) {
+	full := chunkPages * r.pageSize
+	for _, c := range prev.chunks {
+		if len(c) == full {
+			r.spares = append(r.spares, c)
+		}
 	}
-	fresh := !r.Backed(page)
-	i := r.pageStart(page)
-	ok := src.ReadPageInto(page, r.chunk(page)[i:i+r.pageSize])
-	if !ok && fresh {
-		r.chunks[page/chunkPages] = nil
+	clear(prev.chunks)
+}
+
+// ReleaseSpares drops the spares no restore reused, so that r pins no
+// more of its predecessor's memory than the chunks it restored into.
+func (r *Region) ReleaseSpares() { r.spares = nil }
+
+// RestoreChunkFrom reloads pages, which all lie in one chunk (ChunkOf),
+// from src, in the order given: the recovery flow's reload of durable
+// contents after a power cycle. It bypasses the MMU write path, since a
+// restored page is by definition clean and must not enter the dirty set.
+// Each read lands straight in its page, and only src's reads are charged:
+// the DRAM-side copy is DMA that overlaps the slower device transfer, as
+// in the power-fail flush, so there is no serial copy time to add. It
+// returns how many of the pages src had contents for.
+//
+// In a chunk that is already backed, a page src has nothing for is left
+// as it was. A chunk that is not backed stays so unless src has one of
+// its pages; it is then backed by a spare (TakeOver) if it is full-size
+// and one is left, else by a fresh allocation. Every page of a reused
+// spare that src did not fill is cleared, so the chunk reads exactly as a
+// fresh one would — at the cost of clearing the pages nothing was
+// restored into rather than all of them.
+func (r *Region) RestoreChunkFrom(src PageReader, pages []mmu.PageID) (int, error) {
+	if len(pages) == 0 {
+		return 0, nil
 	}
-	return ok, nil
+	ci := r.ChunkOf(pages[0])
+	for _, page := range pages {
+		if err := r.checkRange(int64(page)*int64(r.pageSize), r.pageSize); err != nil {
+			return 0, err
+		}
+		if r.ChunkOf(page) != ci {
+			return 0, fmt.Errorf("nvdram: chunk restore of pages %d and %d, which lie in different chunks", pages[0], page)
+		}
+	}
+	c, spare := r.chunks[ci], false
+	fresh := c == nil
+	if fresh {
+		if n := len(r.spares); n > 0 && r.chunkLen(ci) == chunkPages*r.pageSize {
+			c, r.spares, spare = r.spares[n-1], r.spares[:n-1], true
+		} else {
+			c = make([]byte, r.chunkLen(ci))
+		}
+	}
+	var filled uint64 // bit i: src filled page i of the chunk
+	restored := 0
+	for _, page := range pages {
+		i := r.pageStart(page)
+		if src.ReadPageInto(page, c[i:i+r.pageSize]) {
+			filled |= 1 << (page % chunkPages)
+			restored++
+		}
+	}
+	switch {
+	case !fresh:
+	case restored == 0 && spare:
+		r.spares = append(r.spares, c)
+	case restored > 0:
+		if spare {
+			for i := 0; i < chunkPages; i++ {
+				if filled&(1<<i) == 0 {
+					clear(c[i*r.pageSize : (i+1)*r.pageSize])
+				}
+			}
+		}
+		r.chunks[ci] = c
+	}
+	return restored, nil
 }
 
 // RawPage returns a read-only view of a page's current bytes without

@@ -147,7 +147,7 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 		return (a<<8 | b) * 577 % (size + 64)
 	}
 	for step := 0; len(script) > 0; step++ {
-		op := next() % 8
+		op := next() % 10
 		page := mmu.PageID((next()<<8 | next()) % (numPages + 1)) // one past the end too
 		inside := int(page) < numPages
 		switch op {
@@ -190,27 +190,67 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 				copy(f.page(page), data)
 				f.charge(ps)
 			}
-		case 6:
-			if next()%2 == 0 && inside {
-				dev.pages[page] = payload(ps)
+		case 6: // chunk restore: a run of pages from page on, within its chunk
+			pages, stride, valid := []mmu.PageID{page}, mmu.PageID(next()%3+1), inside
+			for n := next() % 6; n > 0; n-- {
+				p := pages[len(pages)-1] + stride
+				if p/chunkPages != page/chunkPages {
+					break
+				}
+				pages = append(pages, p)
+				valid = valid && int(p) < numPages
+			}
+			if next()%16 == 0 { // a page of the next chunk
+				pages = append(pages, (page/chunkPages+1)*chunkPages)
+				valid = false
+			}
+			for _, p := range pages {
+				if next()%2 == 0 && int(p) < numPages {
+					dev.pages[p] = payload(ps)
+				}
 			}
 			reads := dev.reads
-			ok, err := r.RestorePageFrom(dev, page)
-			if (err == nil) != inside {
-				t.Fatalf("step %d: RestorePageFrom(%d) = %v in a region of %d pages", step, page, err, numPages)
+			restored, err := r.RestoreChunkFrom(dev, pages)
+			if (err == nil) != valid {
+				t.Fatalf("step %d: RestoreChunkFrom(%v) = %v in a region of %d pages", step, pages, err, numPages)
 			}
-			data, has := dev.pages[page]
-			if ok != has || (dev.reads != reads) != ok {
-				t.Fatalf("step %d: RestorePageFrom(%d) = %v with %d device reads, device has it: %v", step, page, ok, dev.reads-reads, has)
+			want := 0
+			for _, p := range pages {
+				if data, has := dev.pages[p]; has && valid {
+					copy(f.page(p), data)
+					want++
+				}
 			}
-			if ok {
-				copy(f.page(page), data)
+			if restored != want || dev.reads-reads != want {
+				t.Fatalf("step %d: RestoreChunkFrom(%v) restored %d pages with %d device reads, device has %d", step, pages, restored, dev.reads-reads, want)
+			}
+			// Every page of the chunk, so a reused spare's stale bytes show.
+			for p := page / chunkPages * chunkPages; inside && p < (page/chunkPages+1)*chunkPages && int(p) < numPages; p++ {
+				if !bytes.Equal(r.RawPage(p), f.page(p)) {
+					t.Fatalf("step %d: page %d differs from the flat model after RestoreChunkFrom(%v)", step, p, pages)
+				}
 			}
 		case 7:
 			if inside && next()%2 == 0 {
 				r.pt.Protect(page)
 				f.pt.Protect(page)
 			}
+		case 8: // take over a predecessor whose every chunk holds 0xA5
+			prev, err := New(sim.NewClock(), Config{Size: int64(next()%3+1) * chunkPages * int64(ps), PageSize: ps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prev.WriteAt(bytes.Repeat([]byte{0xA5}, int(prev.Size())), 0); err != nil {
+				t.Fatal(err)
+			}
+			r.TakeOver(prev)
+			for p := 0; p < prev.NumPages(); p++ {
+				if prev.Backed(mmu.PageID(p)) || prev.RawPage(mmu.PageID(p))[0] != 0 {
+					t.Fatalf("step %d: page %d of a region taken over is still backed or non-zero", step, p)
+				}
+			}
+		case 9:
+			r.ReleaseSpares()
 		}
 		if inside && !bytes.Equal(r.RawPage(page), f.page(page)) {
 			t.Fatalf("step %d (op %d): RawPage(%d) differs from the flat model", step, op, page)
@@ -334,34 +374,93 @@ func TestNewBacksNothing(t *testing.T) {
 	}
 }
 
-// TestRestoreFromSkipsAbsentPages: a restore the device has nothing for
-// neither reads, nor changes the page, nor backs its chunk.
+// TestRestoreFromSkipsAbsentPages: a chunk restore the device has nothing
+// for neither reads, nor changes the pages, nor backs their chunk.
 func TestRestoreFromSkipsAbsentPages(t *testing.T) {
 	r, c := newTestRegion(t, 4*chunkPages*4096, 4096)
 	dev := &mapReader{pages: map[mmu.PageID][]byte{chunkPages + 3: bytes.Repeat([]byte{7}, 4096)}}
-	for _, page := range []mmu.PageID{0, chunkPages + 2, 3 * chunkPages} {
-		if ok, err := r.RestorePageFrom(dev, page); ok || err != nil {
-			t.Fatalf("RestorePageFrom(%d) = %v, %v for a page the device lacks", page, ok, err)
+	for _, pages := range [][]mmu.PageID{{0}, {1, 5}, {chunkPages + 2}, {3 * chunkPages}} {
+		if n, err := r.RestoreChunkFrom(dev, pages); n != 0 || err != nil {
+			t.Fatalf("RestoreChunkFrom(%v) = %d, %v for pages the device lacks", pages, n, err)
 		}
-		if r.Backed(page) {
-			t.Fatalf("page %d backed by a restore the device had nothing for", page)
+		if r.Backed(pages[0]) {
+			t.Fatalf("page %d backed by a restore the device had nothing for", pages[0])
 		}
 	}
-	if ok, err := r.RestorePageFrom(dev, chunkPages+3); !ok || err != nil {
-		t.Fatalf("RestorePageFrom of a held page = %v, %v", ok, err)
+	if n, err := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 1, chunkPages + 3}); n != 1 || err != nil {
+		t.Fatalf("RestoreChunkFrom of one held page and one absent = %d, %v", n, err)
 	}
 	if !r.Backed(chunkPages+3) || r.Backed(0) || r.Backed(2*chunkPages) || !bytes.Equal(r.RawPage(chunkPages+3), dev.pages[chunkPages+3]) {
 		t.Fatal("restoring one held page must back its chunk alone, with the device's bytes")
 	}
 	// A miss in a backed chunk leaves its contents, and the chunk, alone.
-	if ok, _ := r.RestorePageFrom(dev, chunkPages+2); ok || !r.Backed(chunkPages+2) || r.RawPage(chunkPages + 3)[0] != 7 {
+	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 2}); n != 0 || !r.Backed(chunkPages+2) || r.RawPage(chunkPages + 3)[0] != 7 {
 		t.Fatal("a miss inside a backed chunk disturbed it")
 	}
-	if _, err := r.RestorePageFrom(dev, 4*chunkPages); err == nil {
-		t.Fatal("RestorePageFrom past the end succeeded")
+	for _, pages := range [][]mmu.PageID{{4 * chunkPages}, {3, chunkPages + 3}} {
+		if _, err := r.RestoreChunkFrom(dev, pages); err == nil {
+			t.Fatalf("RestoreChunkFrom(%v), past the end or across chunks, succeeded", pages)
+		}
 	}
 	if dev.reads != 1 || c.Now() != 0 {
 		t.Fatalf("%d device reads and clock %v, want one read and no region-side charge", dev.reads, c.Now())
+	}
+}
+
+// TestTakeOverReusesChunks: a region reboots into its predecessor's
+// full-size chunks. The predecessor then reads as never written, a
+// restored chunk shows the device's pages and zeros elsewhere — never the
+// stale bytes — and a chunk restore backed by a spare allocates nothing.
+func TestTakeOverReusesChunks(t *testing.T) {
+	const ps = 4096
+	prev, _ := newTestRegion(t, (2*chunkPages+3)*ps, ps)
+	if err := prev.WriteAt(bytes.Repeat([]byte{0xA5}, int(prev.Size())), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newTestRegion(t, prev.Size(), ps)
+	r.TakeOver(prev)
+	if len(r.spares) != 2 {
+		t.Fatalf("%d spares taken over, want the 2 full-size chunks and not the short last one", len(r.spares))
+	}
+	for p := 0; p < prev.NumPages(); p++ {
+		if prev.Backed(mmu.PageID(p)) || !bytes.Equal(prev.RawPage(mmu.PageID(p)), make([]byte, ps)) {
+			t.Fatalf("page %d of the region taken over is backed or non-zero", p)
+		}
+	}
+	held := bytes.Repeat([]byte{7}, ps)
+	dev := &mapReader{pages: map[mmu.PageID][]byte{2: held, 5: held, 2*chunkPages + 1: held}}
+	if got := allocated(func() {
+		if n, err := r.RestoreChunkFrom(dev, []mmu.PageID{2, 3, 5}); n != 2 || err != nil {
+			t.Fatalf("RestoreChunkFrom = %d, %v", n, err)
+		}
+	}); got >= ps {
+		t.Fatalf("a chunk restore into a spare allocated %d bytes", got)
+	}
+	for p := 0; p < chunkPages; p++ {
+		want := make([]byte, ps)
+		if p == 2 || p == 5 {
+			want = held
+		}
+		if !bytes.Equal(r.RawPage(mmu.PageID(p)), want) {
+			t.Fatalf("page %d of a chunk restored into a spare: want the device's page or zeros", p)
+		}
+	}
+	// A restore the device has nothing for hands its spare back; the short
+	// last chunk is allocated as ever.
+	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 7}); n != 0 || r.Backed(chunkPages) || len(r.spares) != 1 {
+		t.Fatalf("a restore with nothing to read backed its chunk or kept the spare (%d left)", len(r.spares))
+	}
+	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{2*chunkPages + 1}); n != 1 || len(r.spares) != 1 || len(r.RawPage(2*chunkPages+2)) != ps {
+		t.Fatal("the short last chunk took a spare")
+	}
+	r.ReleaseSpares()
+	dev.pages[chunkPages+5] = held
+	if got := allocated(func() {
+		if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 5}); n != 1 {
+			t.Fatal("the device's page was not restored")
+		}
+	}); got < chunkPages*ps || len(r.spares) != 0 {
+		t.Fatalf("after ReleaseSpares a chunk restore allocated %d bytes, want a fresh chunk", got)
 	}
 }
 

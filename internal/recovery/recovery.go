@@ -94,9 +94,11 @@ func RestoreRegionVerified(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config, re
 // detected, not skipped), in ascending order: the page is verified once
 // on src, dev adopts it with its recorded checksum (ssd.AdoptVerified),
 // and one sequential read stream over dev lands it straight in region's
-// page. Only bytes that pass are read and restored. Failures are repaired
-// from repair when it has the page, or quarantined (left zero, listed in
-// the report, absent from dev) when it doesn't.
+// page, the verified pages of one region chunk in one
+// nvdram.Region.RestoreChunkFrom call. Only bytes that pass are read and
+// restored. Failures are repaired from repair when it has the page, or
+// quarantined (left zero, listed in the report, absent from dev) when it
+// doesn't.
 //
 // The stream is charged to clock — the reboot's clock, whichever clock
 // dev was built on — so with no repairs RestoreTime is exact: zero when
@@ -111,19 +113,25 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD,
 	stream := dev.OpenReadStream(clock)
 	var report RestoreReport
 	integ := &report.Integrity
+	var batch []mmu.PageID // the verified pages of the chunk the walk is in
+	reload := func() error {
+		n, err := region.RestoreChunkFrom(stream, batch)
+		report.PagesRestored += n
+		batch = batch[:0]
+		return err
+	}
 	for _, page := range src.DurablePageList() {
 		if int(page) >= region.NumPages() {
 			return RestoreReport{}, fmt.Errorf("recovery: durable page %d outside region of %d pages", page, region.NumPages())
 		}
-		integ.PagesVerified++
-		if verr := dev.AdoptVerified(src, page); verr == nil {
-			ok, err := region.RestorePageFrom(stream, page)
-			if err != nil {
+		if len(batch) > 0 && region.ChunkOf(page) != region.ChunkOf(batch[0]) {
+			if err := reload(); err != nil {
 				return RestoreReport{}, err
 			}
-			if ok {
-				report.PagesRestored++
-			}
+		}
+		integ.PagesVerified++
+		if verr := dev.AdoptVerified(src, page); verr == nil {
+			batch = append(batch, page)
 			continue
 		}
 		if repair != nil {
@@ -137,6 +145,9 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD,
 			}
 		}
 		integ.Quarantined = append(integ.Quarantined, page)
+	}
+	if err := reload(); err != nil {
+		return RestoreReport{}, err
 	}
 	report.RestoreTime = clock.Now().Sub(start)
 	return report, nil

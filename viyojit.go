@@ -951,9 +951,13 @@ type RecoverOptions struct {
 //
 // Recover quiesces this system first (an idempotent Close): the durable
 // store changes hands, and the old stack's background tasks must not
-// keep mutating it. Calling Recover again afterwards is safe — the
-// durable source is read-only here, so each call yields an independent
-// fresh System.
+// keep mutating it. The NV-DRAM changes hands too: the recovered System
+// restores into the memory this one lost, so afterwards this system's
+// region reads as never written — all zeros, as DRAM after a power cut —
+// and its own checks against the device (VerifyDurability) no longer
+// hold. Calling Recover again afterwards is safe — the durable source is
+// read-only here, so each call yields an independent fresh System with
+// the same restored bytes.
 func (s *System) Recover() (*System, recovery.RestoreReport, error) {
 	return s.RecoverWith(RecoverOptions{})
 }
@@ -965,7 +969,8 @@ func (s *System) Recover() (*System, recovery.RestoreReport, error) {
 // by opts.BudgetScale. Its budget, its health monitor and its fused
 // sensor all read that one battery, so the figure in
 // RestoreReport.BudgetPages is what the manager enforces until the
-// battery itself changes — not until the first monitor tick.
+// battery itself changes — not until the first monitor tick. It takes
+// over this system's NV-DRAM as Recover does.
 func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreReport, error) {
 	scale := opts.BudgetScale
 	if scale == 0 {
@@ -989,31 +994,36 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
-	report, err := ns.restoreFrom(s.dev)
+	report, err := ns.restoreFrom(s)
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
 	return ns, report, nil
 }
 
-// restoreFrom brings the freshly built s up as the reboot of the system
-// whose device src survived: the verified reload of NV-DRAM and the
+// restoreFrom brings the freshly built s up as the reboot of prev, the
+// closed system that lost power: the verified reload of NV-DRAM and the
 // flight recorder's pre-crash timeline. On any error s is closed — a
 // half-built system's health monitor, scrubber and epoch task are
 // already armed on its queue and must not outlive a failed recovery.
-func (s *System) restoreFrom(src *ssd.SSD) (report recovery.RestoreReport, err error) {
+func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err error) {
 	defer func() {
 		if err != nil {
 			s.Close()
 		}
 	}()
+	// The reboot reloads the DRAM that lost power: s's region takes over
+	// prev's chunk buffers and restores into them, clearing only what the
+	// device does not refill, and lets go of the rest when the walk ends.
+	s.region.TakeOver(prev.region)
 	// s's device object represents the same physical SSD, whose contents
 	// survived the power cycle: each durable page is verified there,
 	// adopted with its recorded checksum, and reloaded into NV-DRAM with
 	// the reboot's clock charged for the read. A page that fails is
 	// quarantined — listed in the report, absent from the new device and
 	// the region; after a true power cycle there is no repair source.
-	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, src, nil)
+	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, prev.dev, nil)
+	s.region.ReleaseSpares()
 	if err != nil {
 		return recovery.RestoreReport{}, err
 	}

@@ -254,7 +254,7 @@ func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
 	if ns.events.Len() == 0 {
 		t.Fatal("a fresh system has nothing scheduled: the test would prove nothing")
 	}
-	if _, err := ns.restoreFrom(sys.dev); err == nil {
+	if _, err := ns.restoreFrom(sys); err == nil {
 		t.Fatal("restore of a durable page outside the region succeeded")
 	}
 	if !ns.closed || ns.events.Len() != 0 || ns.scrubber.Running() {
@@ -267,7 +267,10 @@ func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
 // beyond what building the stack costs, a recovery allocates nothing per
 // page — the new device shares each verified buffer with the survivor —
 // but the amortised growth of the device's page maps, and no bytes for the
-// part of the region nothing is restored into.
+// part of the region nothing is restored into. It recovers one source
+// again and again; only the first call finds the source's chunks to take
+// over, so the later ones allocate fresh chunks and the byte bound holds
+// them (TestRecoverChainReusesChunks covers the reuse).
 func TestRecoverAllocationsPerPage(t *testing.T) {
 	cfg := Config{NVDRAMSize: 16 << 20}
 	sys := newTestSystem(t, cfg)
@@ -316,6 +319,135 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 	if perPage := (rec - build) / float64(restored); perPage > 0.1 {
 		t.Fatalf("Recover allocates %.2f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.1",
 			perPage, rec, build, restored)
+	}
+}
+
+// TestRecoverChainReusesChunks: a reboot of a reboot restores into the
+// memory its predecessor lost instead of allocating it again. sys → r1 →
+// r2: r2's Recover allocates under 1 KiB per restored page, stack
+// construction included, where fresh chunks alone would cost the 4 KiB
+// page itself.
+func TestRecoverChainReusesChunks(t *testing.T) {
+	sys := newTestSystem(t, Config{NVDRAMSize: 16 << 20})
+	m, err := sys.Map("heap", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	for i := 0; i < 1500; i++ {
+		page[0], page[1] = byte(i), byte(i>>8)
+		if err := m.WriteAt(page, int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+	r1, _, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := r1.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("second power failure not survived: %+v", rep)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r2, rr, err := r1.Recover()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if rr.PagesRestored < 1500 {
+		t.Fatalf("restored %d pages, want at least the 1500 written", rr.PagesRestored)
+	}
+	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(rr.PagesRestored)
+	if perPage > 1024 {
+		t.Fatalf("the second Recover allocates %d bytes per restored page, want ≤ 1 KiB: the chunks were not reused", perPage)
+	}
+	t.Logf("the second Recover allocates %d bytes per restored page", perPage)
+	if err := r2.VerifyDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverTakeoverLeaksNoLostByte: the recovered System restores into
+// the memory its predecessor lost, and no byte of that memory survives in
+// a page without a trusted durable copy. The old region holds a pattern
+// in a page whose durable copy rots after the flush (quarantined) and in
+// never-durable pages beside it; after Recover every one of them reads
+// zero, from a reused chunk, and the old region reads as never written.
+func TestRecoverTakeoverLeaksNoLostByte(t *testing.T) {
+	sys := newTestSystem(t, Config{DisableScrubber: true})
+	m, err := sys.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := m.WriteAt(bytes.Repeat([]byte{0x77}, 4096), int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+	durable := sys.SSD().DurablePageList()
+	if len(durable) < 10 {
+		t.Fatalf("%d durable pages after the flush, want the 10 written", len(durable))
+	}
+	bad := durable[3]
+	sys.SSD().CorruptPage(bad, 100, 0xFF) // rot while powered off
+	chunkPages := mmu.PageID(64)
+	first := bad / chunkPages * chunkPages
+	isDurable := make(map[mmu.PageID]bool, len(durable))
+	for _, p := range durable {
+		isDurable[p] = true
+	}
+	// What DRAM held when the power went: the pattern everywhere the
+	// device has no copy of, beside the written pages.
+	lost := []mmu.PageID{bad}
+	for p := first; p < first+chunkPages; p++ {
+		if !isDurable[p] {
+			if err := sys.region.RestorePage(p, bytes.Repeat([]byte{0xA5}, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			lost = append(lost, p)
+		}
+	}
+	oldChunks := map[*byte]bool{}
+	for p := mmu.PageID(0); int(p) < sys.region.NumPages(); p += chunkPages {
+		if sys.region.Backed(p) {
+			oldChunks[&sys.region.RawPage(p)[0]] = true
+		}
+	}
+
+	ns, rr, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	if len(rr.Integrity.Quarantined) != 1 || rr.Integrity.Quarantined[0] != bad {
+		t.Fatalf("integrity report %+v, want page %d quarantined", rr.Integrity, bad)
+	}
+	if !oldChunks[&ns.region.RawPage(first)[0]] {
+		t.Fatal("the restore did not reuse a chunk the old region lost: the test would prove nothing")
+	}
+	zero := make([]byte, 4096)
+	for _, p := range lost {
+		if !bytes.Equal(ns.region.RawPage(p), zero) {
+			t.Fatalf("page %d holds bytes DRAM lost at the power cut, want zeros", p)
+		}
+	}
+	for p := mmu.PageID(0); int(p) < sys.region.NumPages(); p++ {
+		if sys.region.Backed(p) || !bytes.Equal(sys.region.RawPage(p), zero) {
+			t.Fatalf("page %d of the region taken over is still backed or non-zero", p)
+		}
+	}
+	if err := recovery.VerifyRestoredWith(ns.region, ns.SSD(), rr.Integrity); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.VerifyDurability(); err != nil {
+		t.Fatal(err)
 	}
 }
 
