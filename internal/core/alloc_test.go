@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"viyojit/internal/mmu"
 	"viyojit/internal/sim"
 )
 
@@ -46,6 +47,42 @@ func TestAdmissionAndIdleTickZeroAlloc(t *testing.T) {
 	if st.Epochs-epochs < 100 || st.ProactiveCleans != cleans || h.mgr.DirtyCount() != d {
 		t.Fatalf("%d ticks, %d proactive cleans, %d dirty; want ≥ 100 idle ticks over %d pages",
 			st.Epochs-epochs, st.ProactiveCleans-cleans, h.mgr.DirtyCount(), d)
+	}
+}
+
+// TestVictimSelectionZeroAlloc: a collection over a 4 096-page dirty set
+// and enough pops to run through several batches read the set in place
+// and allocate nothing.
+func TestVictimSelectionZeroAlloc(t *testing.T) {
+	const d, k = 4096, 3 * victimBatch
+	h := newHarness(t, d, Config{DirtyBudgetPages: 2 * d})
+	for p := 0; p < d; p++ {
+		h.writePage(t, p, 1)
+	}
+	m := h.mgr
+	var last, want mmu.PageID
+	runs, differ := 0, 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.victims.Collect(m.dirtySeq)
+		for i := 0; i < k; i++ {
+			page, ok := m.nextVictim()
+			if !ok {
+				t.Fatalf("pop %d of %d dirty pages found no victim", i, d)
+			}
+			last = page
+		}
+		if runs == 0 {
+			want = last
+		} else if last != want {
+			differ++
+		}
+		runs++
+	}); allocs != 0 {
+		t.Errorf("a collection and %d pops over %d dirty pages allocate %.0f times, want 0", k, d, allocs)
+	}
+	// Nothing was cleaned, so every collection hands out the same victims.
+	if differ != 0 || m.DirtyCount() != d {
+		t.Fatalf("%d of %d runs ended on another victim than %d; %d dirty, want %d", differ, runs, want, m.DirtyCount(), d)
 	}
 }
 

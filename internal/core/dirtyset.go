@@ -10,7 +10,7 @@ type dirtyPage struct {
 	// a virtual-time wait (an IO completion, a scheduled retry, a blocked
 	// fault) remembers (page, seq) and looks the entry up again with live.
 	seq uint64
-	pos int // index of the page in dirtySet.pages
+	pos int // index of the page in dirtySet.Pages
 	// attempts counts consecutive failed cleans of this page; it drives
 	// the exponential retry backoff and resets on success.
 	attempts int
@@ -22,30 +22,30 @@ type dirtyPage struct {
 }
 
 // dirtySet is the set of dirty pages: a page-indexed table of entries
-// plus a dense list of the member pages. Invariant: entries[p].seq != 0
-// ⇔ p is in pages, at pages[entries[p].pos]. Lookup, insertion and
-// removal are O(1) and allocate nothing; the list is what an epoch scan
-// hands to the MMU. seqs[i] is the admission sequence number of pages[i],
-// kept beside the list so the victim candidates of an epoch with no clean
-// in flight are read in one sequential pass instead of one table lookup
-// per page.
+// plus the members' dense state. Invariant: entries[p].seq != 0 ⇔ p is in
+// Pages, at Pages[entries[p].pos], beside its State. Lookup, insertion and
+// removal are O(1) and allocate nothing; Pages is what an epoch scan
+// hands to the MMU, and the victim selector reads both in place.
+// Members.Epoch counts ticks.
 type dirtySet struct {
 	entries []dirtyPage
-	pages   []mmu.PageID
-	seqs    []uint64
+	Members
+	// parked[p] is the history of clean page p as of epoch parkedAt[p]:
+	// written when p leaves the set, read back when it is admitted again.
+	parked, parkedAt []uint64
 }
 
 func newDirtySet(numPages int) dirtySet {
-	return dirtySet{entries: make([]dirtyPage, numPages)}
+	return dirtySet{entries: make([]dirtyPage, numPages), parked: make([]uint64, numPages), parkedAt: make([]uint64, numPages)}
 }
 
 // len returns the number of dirty pages.
-func (s *dirtySet) len() int { return len(s.pages) }
+func (s *dirtySet) len() int { return len(s.Pages) }
 
 // list returns the dirty pages in no particular order. The slice is the
 // set's own: it is valid until the next add or remove and must not be
 // modified.
-func (s *dirtySet) list() []mmu.PageID { return s.pages }
+func (s *dirtySet) list() []mmu.PageID { return s.Pages }
 
 // get returns page's entry, or nil if the page is not dirty. The pointer
 // is valid until the page is removed.
@@ -66,29 +66,41 @@ func (s *dirtySet) live(page mmu.PageID, seq uint64) *dirtyPage {
 	return nil
 }
 
-// add admits a page that is not in the set under a fresh sequence number.
+// add admits a page that is not in the set under a fresh sequence number,
+// with its parked history.
 func (s *dirtySet) add(page mmu.PageID, seq uint64) *dirtyPage {
 	e := &s.entries[page]
 	if e.seq != 0 || seq == 0 {
 		panic("core: dirtySet.add of a page already in the set, or with sequence 0")
 	}
-	*e = dirtyPage{seq: seq, pos: len(s.pages)}
-	s.pages = append(s.pages, page)
-	s.seqs = append(s.seqs, seq)
+	*e = dirtyPage{seq: seq, pos: len(s.Pages)}
+	s.Pages = append(s.Pages, page)
+	s.State = append(s.State, Member{Seq: seq, Hist: s.parked[page], Aged: s.parkedAt[page]})
 	return e
 }
 
-// remove drops a page that is in the set; the last page of the list
-// takes its place.
+// remove drops a page that is in the set and parks its history; the last
+// member takes its place.
 func (s *dirtySet) remove(page mmu.PageID) {
 	e := &s.entries[page]
 	if e.seq == 0 {
 		panic("core: dirtySet.remove of a page not in the set")
 	}
-	n := len(s.pages) - 1
-	last := s.pages[n]
-	s.pages[e.pos], s.seqs[e.pos] = last, s.seqs[n]
-	s.entries[last].pos = e.pos
-	s.pages, s.seqs = s.pages[:n], s.seqs[:n]
+	i, n := e.pos, len(s.Pages)-1
+	s.parked[page], s.parkedAt[page] = s.State[i].Hist, s.State[i].Aged
+	last := s.Pages[n]
+	s.Pages[i], s.State[i] = last, s.State[n]
+	s.entries[last].pos = i
+	s.Pages, s.State = s.Pages[:n], s.State[:n]
 	*e = dirtyPage{}
+}
+
+// tick starts the next epoch and marks the members at the given indices
+// as updated in it; every other history ages where it is read.
+func (s *dirtySet) tick(updated []int) {
+	s.Epoch++
+	for _, i := range updated {
+		m := &s.State[i]
+		m.Hist, m.Aged = m.Hist>>(s.Epoch-m.Aged)|1<<63, s.Epoch
+	}
 }

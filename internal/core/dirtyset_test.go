@@ -9,11 +9,14 @@ import (
 )
 
 // TestDirtySetMatchesMapModel drives the dense set and a plain map
-// through the same seeded schedule of admissions, removals and
-// re-admissions under new sequence numbers, and after every step checks
-// lookups (current and stale sequence numbers, absent pages), the length,
-// and that the list holds exactly the live pages, each at the position
-// its entry records and beside its sequence number.
+// through the same seeded schedule of admissions, removals,
+// re-admissions under new sequence numbers and epoch ticks that mark
+// random members updated, and after every step checks lookups (current
+// and stale sequence numbers, absent pages), the length, and that the
+// list holds exactly the live pages, each at the position its entry
+// records and beside its sequence number, its gate and its history. The
+// model ages every page's history at every tick, clean or dirty, the way
+// the set's parked histories must behave.
 func TestDirtySetMatchesMapModel(t *testing.T) {
 	const pages = 64
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -21,18 +24,39 @@ func TestDirtySetMatchesMapModel(t *testing.T) {
 		set := newDirtySet(pages)
 		model := map[mmu.PageID]uint64{} // page → admission seq
 		stale := map[mmu.PageID]uint64{} // page → a seq that has left the set
+		hist := make([]uint64, pages)    // page → history word
 		var seq uint64
+		var marked []int
 		for step := 0; step < 4000; step++ {
 			page := mmu.PageID(rng.Intn(pages))
-			if cur, ok := model[page]; ok && rng.Intn(2) == 0 {
+			if rng.Intn(8) == 0 {
+				// Ticks run from 1 to well over 64 epochs apart for a
+				// parked page, so its history both ages and expires.
+				marked = marked[:0]
+				for i := range set.Pages {
+					if rng.Intn(3) == 0 {
+						marked = append(marked, i)
+					}
+				}
+				for p := range hist {
+					hist[p] >>= 1
+				}
+				for _, i := range marked {
+					hist[set.Pages[i]] |= 1 << 63
+				}
+				set.tick(marked)
+			} else if cur, ok := model[page]; ok && rng.Intn(2) == 0 {
 				set.remove(page)
 				delete(model, page)
 				stale[page] = cur
 			} else if !ok {
 				seq++
-				if dp := set.add(page, seq); dp.seq != seq || dp.cleaning || dp.rewritten || dp.attempts != 0 {
-					t.Fatalf("seed %d step %d: add(%d, %d) returned %+v", seed, step, page, seq, *dp)
+				dp := set.add(page, seq)
+				if dp.seq != seq || dp.cleaning || dp.rewritten || dp.attempts != 0 || set.State[dp.pos].Gate != 0 {
+					t.Fatalf("seed %d step %d: add(%d, %d) returned %+v, gate %d", seed, step, page, seq, *dp, set.State[dp.pos].Gate)
 				}
+				// A gate naming its page shows it moves with its member.
+				set.State[dp.pos].Gate = uint64(page)
 				model[page] = seq
 			} else {
 				// Per-entry state must stay with the entry while other
@@ -57,15 +81,17 @@ func TestDirtySetMatchesMapModel(t *testing.T) {
 				}
 			}
 			got := slices.Clone(set.list())
-			if len(set.seqs) != len(got) {
-				t.Fatalf("seed %d step %d: %d sequence numbers beside %d pages", seed, step, len(set.seqs), len(got))
+			if len(set.State) != len(got) {
+				t.Fatalf("seed %d step %d: %d member states beside %d pages", seed, step, len(set.State), len(got))
 			}
 			for i, p := range got {
 				if set.get(p).pos != i {
 					t.Fatalf("seed %d step %d: page %d at list[%d] records pos %d", seed, step, p, i, set.get(p).pos)
 				}
-				if set.seqs[i] != model[p] {
-					t.Fatalf("seed %d step %d: seqs[%d] = %d beside page %d, admitted as %d", seed, step, i, set.seqs[i], p, model[p])
+				m := set.State[i]
+				if h := m.Hist >> (set.Epoch - m.Aged); m.Seq != model[p] || h != hist[p] || m.Gate != uint64(p) {
+					t.Fatalf("seed %d step %d: member %d (page %d) has sequence %d, history %#x and gate %d; want %d, %#x and %d",
+						seed, step, i, p, m.Seq, h, m.Gate, model[p], hist[p], p)
 				}
 			}
 			slices.Sort(got)

@@ -193,24 +193,13 @@ type Manager struct {
 	dirty    dirtySet
 	dirtySeq uint64
 	// inflight counts the dirty entries with cleaning set — SSD
-	// write-backs on the wire. It moves only in setCleaning, so nothing
-	// has to walk the dirty set to know it.
+	// write-backs on the wire. It moves in setCleaning and when a clean's
+	// success removes its page, so nothing walks the dirty set to know it.
 	inflight int
 
-	// history is the per-page 64-epoch aging word (see PageInfo.History).
-	// Aging is applied lazily: histEpoch records the epoch index at
-	// which history[p] was last brought current, and ageHistory shifts
-	// by the elapsed delta where a history is written (a scan observed
-	// the page, the page is admitted) or read (the page is ordered as a
-	// victim candidate). An epoch tick therefore touches the histories
-	// of the pages written that epoch, not of every dirty page.
-	history    []uint64
-	histEpoch  []uint64
-	epochIndex uint64
-
-	// victims holds this epoch's clean candidates — the not-in-flight
-	// dirty pages as of the last tick — and orders them on demand;
-	// candidates no longer eligible are skipped as they come out.
+	// victims orders this epoch's clean candidates — the not-in-flight
+	// dirty pages as of the last tick — on demand, in place; candidates no
+	// longer eligible are skipped as they come out.
 	victims *VictimSelector
 
 	newDirtyThisEpoch int
@@ -227,7 +216,7 @@ type Manager struct {
 
 	epochEvent *sim.Event
 	epochFn    func(sim.Time) // m.epochTick, bound once
-	scanBuf    []mmu.PageID
+	scanBuf    []int          // indices of the members the last scan saw written
 
 	// mmap-like allocator state (mapping.go).
 	mappings  []*Mapping
@@ -281,12 +270,10 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		budget:    cfg.DirtyBudgetPages,
 		wakePages: WakePages(dev, region.PageTable().Costs().Trap),
 		dirty:     newDirtySet(region.NumPages()),
-		history:   make([]uint64, region.NumPages()),
-		histEpoch: make([]uint64, region.NumPages()),
+		victims:   NewVictimSelector(cfg.Policy),
 		st:        newInstruments(reg),
 		tr:        reg.Tracer(),
 	}
-	m.victims = NewVictimSelector(cfg.Policy, m.agedHistory)
 	m.noteBudgetLevel()
 	pt := region.PageTable()
 	if cfg.HardwareAssist {
@@ -466,30 +453,10 @@ func (m *Manager) handleFault(page mmu.PageID) {
 	m.checkInvariant()
 }
 
-// admit enters page into the dirty set under the next sequence number and
-// brings its decayed history current.
+// admit enters page into the dirty set under the next sequence number.
 func (m *Manager) admit(page mmu.PageID) {
 	m.dirtySeq++
 	m.dirty.add(page, m.dirtySeq)
-	m.ageHistory(page)
-}
-
-// ageHistory applies the epochs of decay that have accrued since page's
-// history was last brought current.
-func (m *Manager) ageHistory(page mmu.PageID) {
-	delta := m.epochIndex - m.histEpoch[page]
-	if delta >= 64 {
-		m.history[page] = 0
-	} else {
-		m.history[page] >>= delta
-	}
-	m.histEpoch[page] = m.epochIndex
-}
-
-// agedHistory returns page's history as of the current epoch.
-func (m *Manager) agedHistory(page mmu.PageID) uint64 {
-	m.ageHistory(page)
-	return m.history[page]
 }
 
 // handleDirtyNotify is the §5.4 hardware path: the MMU signals that a
@@ -538,7 +505,7 @@ const hwInterruptCost = 2 * sim.Microsecond
 func (m *Manager) nextVictim() (mmu.PageID, bool) {
 	for collected := false; ; collected = true {
 		for {
-			cand, ok := m.victims.Pop()
+			cand, ok := m.victims.Pop(&m.dirty.Members)
 			if !ok {
 				break
 			}
@@ -551,23 +518,7 @@ func (m *Manager) nextVictim() (mmu.PageID, bool) {
 		}
 		// Candidates exhausted (or stale mid-epoch): collect again from
 		// the live dirty set so the fault path can always find a victim.
-		m.collectVictims()
-	}
-}
-
-// collectVictims replaces the candidate set with the dirty pages that are
-// not in flight. It compares nothing; see VictimSelector.
-func (m *Manager) collectVictims() {
-	m.victims.Reset()
-	if m.inflight == 0 {
-		// No page is cleaning, so every dirty page is a candidate.
-		m.victims.AddAll(m.dirty.pages, m.dirty.seqs)
-		return
-	}
-	for _, page := range m.dirty.list() {
-		if dp := m.dirty.get(page); !dp.cleaning {
-			m.victims.Add(page, dp.seq)
-		}
+		m.victims.Collect(m.dirtySeq)
 	}
 }
 
@@ -644,8 +595,8 @@ func (m *Manager) startClean(page mmu.PageID) {
 			dp.rewritten = false
 			return
 		}
-		// The snapshot's contents are now durable.
-		m.setCleaning(dp, false)
+		// The snapshot's contents are now durable; removal ends the clean.
+		m.inflight--
 		m.dirty.remove(page)
 		pt.ClearDirty(page)
 		m.noteDirtyLevel()
@@ -750,12 +701,14 @@ func (m *Manager) cleanOneSync() bool {
 	return true
 }
 
-// setCleaning moves dp into or out of the in-flight state; the only
-// place dirtyPage.cleaning is written. Every caller is a transition: a
-// clean starts on an entry that is not cleaning, and its completion
+// setCleaning moves dp into or out of the in-flight state, the page
+// staying dirty; with a cleaned page's removal, the only writer of
+// dirtyPage.cleaning and the member's gate. Every caller is a transition:
+// a clean starts on an entry that is not cleaning, and its completion
 // finds the entry still cleaning.
 func (m *Manager) setCleaning(dp *dirtyPage, on bool) {
 	dp.cleaning = on
+	m.victims.setInFlight(&m.dirty.State[dp.pos].Gate, dp.seq, on)
 	if on {
 		m.inflight++
 	} else {
@@ -780,7 +733,6 @@ func (m *Manager) epochTick(at sim.Time) {
 	}
 	m.inEpoch = true
 	m.st.epochs.Inc()
-	m.epochIndex++
 
 	// Time-based heal (hysteresis): a degraded manager on a mostly-idle
 	// system may never see HealAfterCleans consecutive successes simply
@@ -800,14 +752,11 @@ func (m *Manager) epochTick(at sim.Time) {
 	// without a fault — flushing the TLB first so the bits are fresh
 	// (unless the §6.3 ablation disables it).
 	//
-	// The scan reads the dirty set's own page list, and only the pages it
-	// observed have their histories touched: aged to this epoch, then
-	// marked updated. Every other history ages when it is next read.
+	// The scan reads the dirty set's own page list and returns the indices
+	// of the pages it saw written, so marking their histories needs no
+	// lookup.
 	m.scanBuf = m.region.PageTable().CheckAndClearDirtyPages(m.dirty.list(), m.scanBuf[:0], !m.cfg.DisableTLBFlush)
-	for _, p := range m.scanBuf {
-		m.ageHistory(p)
-		m.history[p] |= 1 << 63
-	}
+	m.dirty.tick(m.scanBuf)
 
 	// Dirty-page pressure: EWMA of new dirty pages per epoch.
 	w := m.cfg.EWMAWeight
@@ -816,11 +765,11 @@ func (m *Manager) epochTick(at sim.Time) {
 	m.st.pressure.Set(int64(m.pressure * 1000))
 
 	// This epoch's victim candidates are the pages not in flight now.
-	// Nothing is ordered until a victim is asked for — below, if the set
-	// is over the threshold, or on the fault path later in the epoch —
-	// and histories do not change before the next tick, so whenever that
-	// happens the order is the one as of this scan.
-	m.collectVictims()
+	// Nothing is copied or ordered until a victim is asked for — below, if
+	// the set is over the threshold, or on the fault path later in the
+	// epoch — and histories do not change before the next tick, so
+	// whenever that happens the order is the one as of this scan.
+	m.victims.Collect(m.dirtySeq)
 	if m.state == StateDegraded {
 		m.st.degradedEpochs.Inc()
 	}

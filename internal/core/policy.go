@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math/bits"
 
 	"viyojit/internal/mmu"
@@ -20,16 +19,17 @@ type PageInfo struct {
 	DirtiedSeq uint64
 }
 
-// VictimPolicy ranks dirty pages for cleaning. Compare must be a total
-// order over candidates with distinct pages (every policy ends on the
-// page number) and a pure function of its arguments: the selector relies
-// on both to hand out victims one at a time in exactly the order a full
-// sort would produce.
+// VictimPolicy ranks dirty pages for cleaning by a two-word key. The
+// selector cleans the least key first, comparing hi, then lo, then the
+// page number, so the order is total over distinct pages. Key must be a
+// pure function of its argument: the selector computes it as it scans the
+// dirty set and relies on it to hand victims out one at a time in exactly
+// the order a full sort would produce.
 type VictimPolicy interface {
 	// Name identifies the policy in stats and benchmark output.
 	Name() string
-	// Compare is negative when a should be cleaned before b.
-	Compare(a, b PageInfo) int
+	// Key ranks a candidate: lower keys are cleaned first.
+	Key(c PageInfo) (hi, lo uint64)
 }
 
 // LRUUpdate is the paper's policy (§5.2): clean the least recently
@@ -42,18 +42,8 @@ type LRUUpdate struct{}
 // Name implements VictimPolicy.
 func (LRUUpdate) Name() string { return "lru-update" }
 
-// Compare implements VictimPolicy.
-func (LRUUpdate) Compare(a, b PageInfo) int {
-	// Spelled out rather than cmp.Or: this comparator is most of victim
-	// selection, and cmp.Or evaluates all three keys every time.
-	if a.History != b.History {
-		return cmp.Compare(a.History, b.History)
-	}
-	if a.DirtiedSeq != b.DirtiedSeq {
-		return cmp.Compare(a.DirtiedSeq, b.DirtiedSeq)
-	}
-	return cmp.Compare(a.Page, b.Page)
-}
+// Key implements VictimPolicy.
+func (LRUUpdate) Key(c PageInfo) (hi, lo uint64) { return c.History, c.DirtiedSeq }
 
 // FIFO cleans pages in the order they became dirty, ignoring update
 // recency. It is an ablation baseline: cheaper to maintain but blind to
@@ -63,12 +53,8 @@ type FIFO struct{}
 // Name implements VictimPolicy.
 func (FIFO) Name() string { return "fifo" }
 
-// Compare implements VictimPolicy.
-func (FIFO) Compare(a, b PageInfo) int {
-	return cmp.Or(
-		cmp.Compare(a.DirtiedSeq, b.DirtiedSeq),
-		cmp.Compare(a.Page, b.Page))
-}
+// Key implements VictimPolicy.
+func (FIFO) Key(c PageInfo) (hi, lo uint64) { return c.DirtiedSeq, 0 }
 
 // LFU cleans the page with the fewest updates in the history window,
 // breaking ties toward the older last update. It is an ablation
@@ -78,12 +64,9 @@ type LFU struct{}
 // Name implements VictimPolicy.
 func (LFU) Name() string { return "lfu" }
 
-// Compare implements VictimPolicy.
-func (LFU) Compare(a, b PageInfo) int {
-	return cmp.Or(
-		cmp.Compare(bits.OnesCount64(a.History), bits.OnesCount64(b.History)),
-		cmp.Compare(a.History, b.History),
-		cmp.Compare(a.Page, b.Page))
+// Key implements VictimPolicy.
+func (LFU) Key(c PageInfo) (hi, lo uint64) {
+	return uint64(bits.OnesCount64(c.History)), c.History
 }
 
 // Random cleans dirty pages in a seeded pseudo-random order: candidates
@@ -103,12 +86,8 @@ func NewRandom(seed uint64) *Random { return &Random{seed: seed} }
 // Name implements VictimPolicy.
 func (*Random) Name() string { return "random" }
 
-// Compare implements VictimPolicy.
-func (r *Random) Compare(a, b PageInfo) int {
-	return cmp.Or(
-		cmp.Compare(r.priority(a), r.priority(b)),
-		cmp.Compare(a.Page, b.Page))
-}
+// Key implements VictimPolicy.
+func (r *Random) Key(c PageInfo) (hi, lo uint64) { return r.priority(c), 0 }
 
 // priority is the splitmix64 finaliser over the candidate.
 func (r *Random) priority(c PageInfo) uint64 {
@@ -129,9 +108,5 @@ type MRUUpdate struct{}
 // Name implements VictimPolicy.
 func (MRUUpdate) Name() string { return "mru-update" }
 
-// Compare implements VictimPolicy.
-func (MRUUpdate) Compare(a, b PageInfo) int {
-	return cmp.Or(
-		cmp.Compare(b.History, a.History),
-		cmp.Compare(a.Page, b.Page))
-}
+// Key implements VictimPolicy.
+func (MRUUpdate) Key(c PageInfo) (hi, lo uint64) { return ^c.History, 0 }

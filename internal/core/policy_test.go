@@ -1,21 +1,92 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"testing"
 
 	"viyojit/internal/mmu"
+	"viyojit/internal/sim"
 )
 
 func pi(page mmu.PageID, history uint64, seq uint64) PageInfo {
 	return PageInfo{Page: page, History: history, DirtiedSeq: seq}
 }
 
+// keyOrder is the order the selector hands victims out in: policy key,
+// then page.
+func keyOrder(p VictimPolicy) func(a, b PageInfo) int {
+	return func(a, b PageInfo) int {
+		ah, al := p.Key(a)
+		bh, bl := p.Key(b)
+		return cmp.Or(cmp.Compare(ah, bh), cmp.Compare(al, bl), cmp.Compare(a.Page, b.Page))
+	}
+}
+
+// refCompare is each policy's order written as a comparator, the way the
+// policies defined it before they became keys: the reference the keys are
+// held to.
+func refCompare(p VictimPolicy) func(a, b PageInfo) int {
+	switch p := p.(type) {
+	case LRUUpdate:
+		return func(a, b PageInfo) int {
+			return cmp.Or(cmp.Compare(a.History, b.History), cmp.Compare(a.DirtiedSeq, b.DirtiedSeq), cmp.Compare(a.Page, b.Page))
+		}
+	case FIFO:
+		return func(a, b PageInfo) int {
+			return cmp.Or(cmp.Compare(a.DirtiedSeq, b.DirtiedSeq), cmp.Compare(a.Page, b.Page))
+		}
+	case LFU:
+		return func(a, b PageInfo) int {
+			return cmp.Or(
+				cmp.Compare(bits.OnesCount64(a.History), bits.OnesCount64(b.History)),
+				cmp.Compare(a.History, b.History),
+				cmp.Compare(a.Page, b.Page))
+		}
+	case *Random:
+		return func(a, b PageInfo) int {
+			return cmp.Or(cmp.Compare(p.priority(a), p.priority(b)), cmp.Compare(a.Page, b.Page))
+		}
+	case MRUUpdate:
+		return func(a, b PageInfo) int {
+			return cmp.Or(cmp.Compare(b.History, a.History), cmp.Compare(a.Page, b.Page))
+		}
+	}
+	panic("no reference comparator for policy " + p.Name())
+}
+
+// randomInfo draws a candidate from small ranges, so that pairs tie on
+// every level of every policy's order: history, popcount, admission
+// sequence and page.
+func randomInfo(rng *sim.RNG) PageInfo {
+	return PageInfo{
+		Page:       mmu.PageID(rng.Intn(4)),
+		History:    uint64(rng.Intn(4))<<62 | uint64(rng.Intn(2)),
+		DirtiedSeq: uint64(rng.Intn(3)),
+	}
+}
+
+// TestPolicyKeyMatchesComparator: for every policy, comparing two
+// candidates by key and then page gives the sign the reference comparator
+// gives, over random pairs that hit every tie level.
+func TestPolicyKeyMatchesComparator(t *testing.T) {
+	for _, p := range allPolicies(9) {
+		got, want := keyOrder(p), refCompare(p)
+		rng := sim.NewRNG(17)
+		for i := 0; i < 20000; i++ {
+			a, b := randomInfo(rng), randomInfo(rng)
+			if g, w := got(a, b), want(a, b); cmp.Compare(g, 0) != cmp.Compare(w, 0) {
+				t.Fatalf("%s: key order of %+v vs %+v is %d, comparator says %d", p.Name(), a, b, g, w)
+			}
+		}
+	}
+}
+
 func firstPage(t *testing.T, p VictimPolicy, cands []PageInfo) mmu.PageID {
 	t.Helper()
-	cp := make([]PageInfo, len(cands))
-	copy(cp, cands)
-	slices.SortFunc(cp, p.Compare)
+	cp := slices.Clone(cands)
+	slices.SortFunc(cp, keyOrder(p))
 	return cp[0].Page
 }
 
@@ -31,10 +102,8 @@ func TestLRUUpdatePicksColdest(t *testing.T) {
 }
 
 func TestLRUUpdateTieBreaksByDirtiedSeqThenPage(t *testing.T) {
-	cands := []PageInfo{pi(9, 0, 5), pi(4, 0, 3), pi(7, 0, 3)}
-	cp := make([]PageInfo, len(cands))
-	copy(cp, cands)
-	slices.SortFunc(cp, LRUUpdate{}.Compare)
+	cp := []PageInfo{pi(9, 0, 5), pi(4, 0, 3), pi(7, 0, 3)}
+	slices.SortFunc(cp, keyOrder(LRUUpdate{}))
 	if cp[0].Page != 4 || cp[1].Page != 7 || cp[2].Page != 9 {
 		t.Fatalf("tie-break order = %v", cp)
 	}
@@ -74,12 +143,9 @@ func TestMRUUpdatePicksHottest(t *testing.T) {
 
 func TestRandomIsDeterministicPerSeed(t *testing.T) {
 	cands := []PageInfo{pi(1, 0, 1), pi(2, 0, 2), pi(3, 0, 3), pi(4, 0, 4), pi(5, 0, 5)}
-	a := make([]PageInfo, len(cands))
-	b := make([]PageInfo, len(cands))
-	copy(a, cands)
-	copy(b, cands)
-	slices.SortFunc(a, NewRandom(7).Compare)
-	slices.SortFunc(b, NewRandom(7).Compare)
+	a, b := slices.Clone(cands), slices.Clone(cands)
+	slices.SortFunc(a, keyOrder(NewRandom(7)))
+	slices.SortFunc(b, keyOrder(NewRandom(7)))
 	for i := range a {
 		if a[i].Page != b[i].Page {
 			t.Fatalf("same-seed Random orders differ: %v vs %v", a, b)
@@ -92,7 +158,7 @@ func TestRandomIsAPermutation(t *testing.T) {
 	for i := range cands {
 		cands[i] = pi(mmu.PageID(i), 0, uint64(i))
 	}
-	slices.SortFunc(cands, NewRandom(1).Compare)
+	slices.SortFunc(cands, keyOrder(NewRandom(1)))
 	seen := map[mmu.PageID]bool{}
 	for _, c := range cands {
 		if seen[c.Page] {

@@ -2,98 +2,180 @@ package core
 
 import "viyojit/internal/mmu"
 
-// VictimSelector hands a set of candidates out victim-first, one at a
-// time, paying for the order only as it is used. Collecting candidates
-// (Reset, Add, AddAll) compares nothing and builds nothing — AddAll is two
-// memmoves; the first Pop reads each candidate's history and builds a heap
-// in O(n); every Pop is then O(log n). An epoch that cleans k of n
-// candidates costs O(n + k log n), and one that cleans none costs no
-// comparison at all.
-//
-// Because VictimPolicy.Compare is a total order on candidates with
-// distinct pages, the sequence of Pops is exactly the sequence a full
-// sort by Compare would give (TestSelectorMatchesSortedOrder).
-//
-// Histories are read when the heap is built, not when the candidate is
-// added. The owner keeps that equivalent to reading them at Add time by
-// collecting a new set at every epoch tick: a history only changes at a
-// tick, so within an epoch it does not matter when it is read.
+// Members is the dense state of a dirty set: member i is page Pages[i],
+// with State[i]. Epoch counts ticks.
+type Members struct {
+	Pages []mmu.PageID
+	State []Member
+	Epoch uint64
+}
+
+// Member is what victim selection reads of one member besides its page.
+// Aging is lazy: at epoch Members.Epoch the history is
+// Hist >> (Epoch - Aged), 0 once 64 epochs have passed, so a tick touches
+// only the members it marks.
+type Member struct {
+	Seq  uint64 // admission sequence number
+	Hist uint64 // history word as of epoch Aged
+	Aged uint64
+	// Gate below the selector's generation makes the member a candidate
+	// of its collection (see setInFlight).
+	Gate uint64
+}
+
+// victimBatch is how many of the best remaining candidates one scan of
+// the members keeps: about what an epoch on a loaded set cleans.
+const victimBatch = 16
+
+// inFlight is the gate bit of a member whose clean is on the wire.
+const inFlight = 1 << 63
+
+// VictimSelector hands out the candidates of a collection victim-first,
+// one at a time, paying for the order only as it is used. A collection
+// copies nothing: its candidates are the members admitted up to a cutoff
+// sequence number that were not in flight when it was taken. Pop scans the
+// members, keys each candidate once, and keeps the victimBatch least keys
+// above the last one handed out in a bounded max-heap; it scans again
+// only when that batch runs out. Pops come out exactly in the order of a
+// full sort of the candidates by (key, page)
+// (TestSelectorMatchesSortedOrder), provided no key changes within a
+// collection: histories change only at an epoch tick, and the owner
+// collects again at every tick.
 type VictimSelector struct {
-	policy  VictimPolicy
-	history func(mmu.PageID) uint64
-	// pages[i], dirtied at seqs[i], are the candidates as collected; the
-	// first Pop turns them into cands, the heap.
-	pages  []mmu.PageID
-	seqs   []uint64
-	cands  []PageInfo
-	heaped bool
+	policy VictimPolicy
+	// cutoff is the collection's last admission; gen numbers it.
+	cutoff, gen uint64
+	// batch[next:] are the next victims, ascending; last is the one most
+	// recently handed out, if handed.
+	batch  []victim
+	next   int
+	last   victim
+	handed bool
 }
 
-// NewVictimSelector returns an empty selector ordering by policy. history
-// returns a page's aging word, current as of the call.
-func NewVictimSelector(policy VictimPolicy, history func(mmu.PageID) uint64) *VictimSelector {
-	return &VictimSelector{policy: policy, history: history}
+// victim is a candidate with its key.
+type victim struct {
+	hi, lo uint64
+	PageInfo
 }
 
-// Reset discards the remaining candidates.
-func (s *VictimSelector) Reset() {
-	s.pages, s.seqs, s.cands = s.pages[:0], s.seqs[:0], s.cands[:0]
-	s.heaped = false
-}
-
-// Add adds a candidate: page, dirtied at sequence number seq. It must not
-// be called between a Pop and the next Reset.
-func (s *VictimSelector) Add(page mmu.PageID, seq uint64) {
-	s.pages = append(s.pages, page)
-	s.seqs = append(s.seqs, seq)
-}
-
-// AddAll adds pages[i], dirtied at seqs[i], for every i. The slices are
-// copied: the caller's may change before the first Pop.
-func (s *VictimSelector) AddAll(pages []mmu.PageID, seqs []uint64) {
-	s.pages = append(s.pages, pages...)
-	s.seqs = append(s.seqs, seqs[:len(pages)]...)
-}
-
-// Pop removes and returns the best remaining victim, or false when none
-// is left. The caller checks that the candidate is still eligible (it
-// may have been cleaned, or dirtied again, since it was added).
-func (s *VictimSelector) Pop() (PageInfo, bool) {
-	if !s.heaped {
-		for i, page := range s.pages {
-			s.cands = append(s.cands, PageInfo{Page: page, History: s.history(page), DirtiedSeq: s.seqs[i]})
-		}
-		for i := len(s.cands)/2 - 1; i >= 0; i-- {
-			s.siftDown(i)
-		}
-		s.heaped = true
+// before reports whether v orders before the candidate keyed (hi, lo) on
+// page: by key, then page.
+func (v *victim) before(hi, lo uint64, page mmu.PageID) bool {
+	if v.hi != hi {
+		return v.hi < hi
 	}
-	n := len(s.cands)
-	if n == 0 {
-		return PageInfo{}, false
+	if v.lo != lo {
+		return v.lo < lo
 	}
-	top := s.cands[0]
-	s.cands[0] = s.cands[n-1]
-	s.cands = s.cands[:n-1]
-	s.siftDown(0)
-	return top, true
+	return v.Page < page
 }
 
-// siftDown restores the min-heap property below index i.
-func (s *VictimSelector) siftDown(i int) {
-	h := s.cands
+// NewVictimSelector returns a selector ordering by policy.
+func NewVictimSelector(policy VictimPolicy) *VictimSelector {
+	return &VictimSelector{policy: policy, gen: 1, batch: make([]victim, 0, victimBatch)}
+}
+
+// Collect starts a new collection: the members admitted at or before
+// cutoff that are not in flight now.
+func (s *VictimSelector) Collect(cutoff uint64) {
+	s.cutoff = cutoff
+	s.gen++
+	s.batch, s.next, s.handed = s.batch[:0], 0, false
+}
+
+// Pop returns the best candidate of the collection not yet handed out, or
+// false when none is left. The caller checks that it is still eligible (it
+// may have been cleaned, or dirtied again, since it was scanned).
+func (s *VictimSelector) Pop(ms *Members) (PageInfo, bool) {
+	if s.next == len(s.batch) {
+		s.fill(ms)
+		if len(s.batch) == 0 {
+			return PageInfo{}, false
+		}
+	}
+	s.last, s.handed = s.batch[s.next], true
+	s.next++
+	return s.last.PageInfo, true
+}
+
+// fill scans the members for the victimBatch least candidate keys above
+// the last one handed out, and leaves them in batch in ascending order.
+// The heap starts full of keys above any candidate's, so a candidate
+// enters it exactly when it orders before the heap's greatest key.
+func (s *VictimSelector) fill(ms *Members) {
+	state := ms.State[:len(ms.Pages)]
+	cutoff, gen, epoch, handed, last := s.cutoff, s.gen, ms.Epoch, s.handed, s.last
+	lru := s.policy == VictimPolicy(LRUUpdate{}) // called directly, its key inlines
+	h, found := s.batch[:victimBatch], 0
+	for i := range h {
+		h[i] = victim{^uint64(0), ^uint64(0), PageInfo{Page: ^mmu.PageID(0)}}
+	}
+	for i, page := range ms.Pages {
+		m := &state[i]
+		if m.Seq > cutoff || m.Gate >= gen {
+			continue
+		}
+		c := PageInfo{Page: page, History: m.Hist >> (epoch - m.Aged), DirtiedSeq: m.Seq}
+		var hi, lo uint64
+		if lru {
+			hi, lo = LRUUpdate{}.Key(c)
+		} else {
+			hi, lo = s.policy.Key(c)
+		}
+		if (!handed || last.before(hi, lo, page)) && !h[0].before(hi, lo, page) {
+			replaceTop(h, victim{hi, lo, c})
+			found++
+		}
+	}
+	for end := len(h) - 1; end > 0; end-- {
+		top := h[0]
+		replaceTop(h[:end], h[end])
+		h[end] = top
+	}
+	s.batch, s.next = h[:min(found, victimBatch)], 0
+}
+
+// replaceTop replaces the greatest key of the max-heap h with v and
+// restores the heap, moving each displaced entry once.
+func replaceTop(h []victim, v victim) {
+	i := 0
 	for {
-		least := 2*i + 1
-		if least >= len(h) {
-			return
+		big := 2*i + 1
+		if big >= len(h) {
+			break
 		}
-		if r := least + 1; r < len(h) && s.policy.Compare(h[r], h[least]) < 0 {
-			least = r
+		if r := big + 1; r < len(h) && h[big].before(h[r].hi, h[r].lo, h[r].Page) {
+			big = r
 		}
-		if s.policy.Compare(h[least], h[i]) >= 0 {
-			return
+		if !v.before(h[big].hi, h[big].lo, h[big].Page) {
+			break
 		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i] = h[big]
+		i = big
+	}
+	h[i] = v
+}
+
+// setInFlight moves a member's gate as its clean starts (on), or ends with
+// the member still in the set, so that a member in flight at the
+// collection stays out of it. While in flight, the gate's low bits are
+// below gen exactly when the member was in flight at the collection; it
+// then ends at gen. A member that went in flight after the collection is
+// a candidate again, and the batch chosen without it is dropped.
+func (s *VictimSelector) setInFlight(gate *uint64, seq uint64, on bool) {
+	low := *gate &^ inFlight
+	switch {
+	case on && low == s.gen: // left the collection once already
+		*gate = inFlight | (s.gen - 1)
+	case on:
+		*gate = inFlight | s.gen
+	case low < s.gen:
+		*gate = s.gen
+	default:
+		*gate = 0
+		if seq <= s.cutoff {
+			s.batch, s.next = s.batch[:0], 0
+		}
 	}
 }

@@ -310,24 +310,24 @@ func (pt *PageTable) ScanAndClearDirty(dst []PageID, flushTLB bool) []PageID {
 }
 
 // CheckAndClearDirtyPages reads and clears the dirty bits of just the
-// given pages, appending the updated ones to dst. This is the scan
-// Viyojit actually performs each epoch: clean pages are write-protected
-// and cannot have been dirtied without a fault, so only the
-// known-to-be-dirty pages need checking (paper §1: "periodically checking
-// and clearing the page table dirty bits for known-to-be-dirty pages").
-// The TLB-precision caveat of ScanAndClearDirty applies: without
+// given pages, appending to dst the index in pages of each updated one.
+// This is the scan Viyojit actually performs each epoch: clean pages are
+// write-protected and cannot have been dirtied without a fault, so only
+// the known-to-be-dirty pages need checking (paper §1: "periodically
+// checking and clearing the page table dirty bits for known-to-be-dirty
+// pages"). The TLB-precision caveat of ScanAndClearDirty applies: without
 // flushTLB, pages written through still-cached translations are missed.
-func (pt *PageTable) CheckAndClearDirtyPages(pages []PageID, dst []PageID, flushTLB bool) []PageID {
+func (pt *PageTable) CheckAndClearDirtyPages(pages []PageID, dst []int, flushTLB bool) []int {
 	if flushTLB {
 		pt.FlushTLB()
 	}
 	pt.stats.Walks++
 	pt.clock.Advance(pt.costs.WalkPerPage * sim.Duration(len(pages)))
 	cleared := 0
-	for _, p := range pages {
+	for i, p := range pages {
 		pt.check(p)
 		if pt.entries[p].dirty {
-			dst = append(dst, p)
+			dst = append(dst, i)
 			pt.entries[p].dirty = false
 			cleared++
 		}

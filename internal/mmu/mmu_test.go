@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,20 +290,15 @@ func TestCheckAndClearDirtyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Check a set that includes dirty and clean pages.
+	// Check a set that includes dirty and clean pages; the result indexes
+	// into it, in order, and appends to what dst held.
 	t0 := clock.Now()
-	got := pt.CheckAndClearDirtyPages([]PageID{3, 4, 7, 8}, nil, true)
+	got := pt.CheckAndClearDirtyPages([]PageID{3, 4, 7, 8}, []int{-1}, true)
 	if clock.Now() == t0 {
 		t.Fatal("targeted scan charged no time")
 	}
-	want := map[PageID]bool{3: true, 7: true}
-	if len(got) != 2 {
-		t.Fatalf("scan returned %v", got)
-	}
-	for _, p := range got {
-		if !want[p] {
-			t.Fatalf("unexpected page %d in scan result", p)
-		}
+	if !slices.Equal(got, []int{-1, 0, 2}) {
+		t.Fatalf("scan returned %v, want [-1 0 2] (pages 3 and 7 after the caller's -1)", got)
 	}
 	// Page 11 was not in the scan set and keeps its dirty bit.
 	if !pt.IsDirty(11) {
@@ -334,6 +330,6 @@ func TestCheckAndClearDirtyPagesStaleWithoutFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := pt.CheckAndClearDirtyPages([]PageID{2}, nil, true); len(got) != 1 {
-		t.Fatalf("post-flush targeted scan saw %v, want [2]", got)
+		t.Fatalf("post-flush targeted scan saw %v, want [0] (page 2)", got)
 	}
 }

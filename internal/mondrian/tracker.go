@@ -85,17 +85,19 @@ type Tracker struct {
 	dirtySeq uint64
 	// inflight counts the dirty sectors with cleaning set; it moves with
 	// that flag in startClean and its completion.
-	inflight   int
-	history    []uint64
-	histEpoch  []uint64
-	epochIndex uint64
+	inflight           int
+	history, histEpoch []uint64 // history[s] as of epoch histEpoch[s], aged as core.Member ages
+	epochIndex         uint64
 
 	updatedThisEpoch  map[SectorID]struct{}
 	newDirtyThisEpoch int
 	pressure          float64
-	victims           *core.VictimSelector
-	epochEvent        *sim.Event
-	closed            bool
+	// cands are this epoch's candidates, the sectors not in flight at the
+	// collection, that victims orders.
+	cands      core.Members
+	victims    *core.VictimSelector
+	epochEvent *sim.Event
+	closed     bool
 
 	stats Stats
 }
@@ -150,8 +152,8 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) (*Tracker, error) {
 		history:          make([]uint64, nSectors),
 		histEpoch:        make([]uint64, nSectors),
 		updatedThisEpoch: make(map[SectorID]struct{}),
+		victims:          core.NewVictimSelector(cfg.Policy),
 	}
-	t.victims = core.NewVictimSelector(cfg.Policy, t.agedHistory)
 	t.scheduleEpoch(clock.Now().Add(cfg.Epoch))
 	return t, nil
 }
@@ -237,7 +239,6 @@ func (t *Tracker) WriteAt(p []byte, off int64) error {
 			}
 			t.dirtySeq++
 			t.dirty[s] = &dirtySector{seq: t.dirtySeq}
-			t.ageHistory(s)
 			t.newDirtyThisEpoch++
 			t.stats.SectorsDirtied++
 			if len(t.dirty) > t.stats.MaxDirtyObserved {
@@ -282,38 +283,25 @@ func (t *Tracker) touch(s SectorID) {
 	t.updatedThisEpoch[s] = struct{}{}
 }
 
-func (t *Tracker) ageHistory(s SectorID) {
-	delta := t.epochIndex - t.histEpoch[s]
-	if delta >= 64 {
-		t.history[s] = 0
-	} else {
-		t.history[s] >>= delta
-	}
-	t.histEpoch[s] = t.epochIndex
-}
-
-// agedHistory returns s's history as of the current epoch.
-func (t *Tracker) agedHistory(s SectorID) uint64 {
-	t.ageHistory(s)
-	return t.history[s]
-}
-
-// collectVictims replaces the selector's candidates with the dirty
-// sectors not in flight (see core.VictimSelector: nothing is ordered
-// until a victim is asked for).
+// collectVictims replaces the candidates with the dirty sectors not in
+// flight (nothing is ordered until a victim is asked for). Candidates are
+// copied, since the dirty set is a map; nothing gates them.
 func (t *Tracker) collectVictims() {
-	t.victims.Reset()
+	c := &t.cands
+	c.Pages, c.State, c.Epoch = c.Pages[:0], c.State[:0], t.epochIndex
 	for s, ds := range t.dirty {
 		if !ds.cleaning {
-			t.victims.Add(s, ds.seq)
+			c.Pages = append(c.Pages, s)
+			c.State = append(c.State, core.Member{Seq: ds.seq, Hist: t.history[s], Aged: t.histEpoch[s]})
 		}
 	}
+	t.victims.Collect(t.dirtySeq)
 }
 
 func (t *Tracker) nextVictim() (SectorID, bool) {
 	for collected := false; ; collected = true {
 		for {
-			cand, ok := t.victims.Pop()
+			cand, ok := t.victims.Pop(&t.cands)
 			if !ok {
 				break
 			}
@@ -404,8 +392,8 @@ func (t *Tracker) epochTick(at sim.Time) {
 	t.epochIndex++
 	for s := range t.updatedThisEpoch {
 		if _, ok := t.dirty[s]; ok {
-			t.ageHistory(s)
-			t.history[s] |= 1 << 63
+			t.history[s] = t.history[s]>>(t.epochIndex-t.histEpoch[s]) | 1<<63
+			t.histEpoch[s] = t.epochIndex
 		}
 		delete(t.updatedThisEpoch, s)
 	}
