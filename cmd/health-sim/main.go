@@ -9,9 +9,10 @@
 //	  budget following the battery down, with the staged drain visible
 //	  in the dirty/draining columns.
 //
-//	-mode drain: from a full dirty set, shrink the budget by several
-//	  sizes and report the virtual time until each staged drain
-//	  completes (dirty ≤ new budget) — the re-provisioning latency.
+//	-mode drain: from a dirty set refilled to the proactive copier's
+//	  wake level, shrink the budget by several sizes and report the
+//	  virtual time until each staged drain completes (dirty ≤ new
+//	  budget) — the re-provisioning latency.
 //
 //	-mode sensor: corrupt the voltage gauge with seeded fault episodes
 //	  (-gauge-lie / -gauge-stuck / -gauge-drift probabilities) while the
@@ -35,43 +36,59 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"viyojit"
 	"viyojit/internal/battery"
+	"viyojit/internal/core"
 	"viyojit/internal/faultinject"
 	"viyojit/internal/sim"
 )
 
-func main() {
-	size := flag.Int64("size", 8<<20, "NV-DRAM size in bytes")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	mode := flag.String("mode", "trajectory", "trajectory | drain | sensor")
-	ageFrac := flag.Float64("age-frac", 0.08, "battery capacity fraction lost per aging step")
-	ageSteps := flag.Int("age-steps", 8, "number of scheduled aging steps")
-	gaugeLie := flag.Float64("gauge-lie", 0, "voltage-gauge lie-high episode probability per sample for -mode sensor (all-zero gauge flags = default menu)")
-	gaugeStuck := flag.Float64("gauge-stuck", 0, "voltage-gauge stuck episode probability per sample for -mode sensor")
-	gaugeDrift := flag.Float64("gauge-drift", 0, "voltage-gauge upward-drift episode probability per sample for -mode sensor")
-	blackBox := flag.Bool("blackbox", false, "arm the black-box flight recorder and print the live forensic report (trajectory mode)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("health-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	size := fs.Int64("size", 8<<20, "NV-DRAM size in bytes")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	mode := fs.String("mode", "trajectory", "trajectory | drain | sensor")
+	ageFrac := fs.Float64("age-frac", 0.08, "battery capacity fraction lost per aging step")
+	ageSteps := fs.Int("age-steps", 8, "number of scheduled aging steps")
+	gaugeLie := fs.Float64("gauge-lie", 0, "voltage-gauge lie-high episode probability per sample for -mode sensor (all-zero gauge flags = default menu)")
+	gaugeStuck := fs.Float64("gauge-stuck", 0, "voltage-gauge stuck episode probability per sample for -mode sensor")
+	gaugeDrift := fs.Float64("gauge-drift", 0, "voltage-gauge upward-drift episode probability per sample for -mode sensor")
+	blackBox := fs.Bool("blackbox", false, "arm the black-box flight recorder and print the live forensic report (trajectory mode)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var err error
 	switch *mode {
 	case "trajectory":
-		trajectory(*size, *seed, *ageFrac, *ageSteps, *blackBox)
+		err = trajectory(out, *size, *seed, *ageFrac, *ageSteps, *blackBox)
 	case "drain":
-		drainLatency(*size, *seed)
+		err = drainLatency(out, *size)
 	case "sensor":
-		sensorTrajectory(*size, *seed, *ageFrac, *ageSteps, *gaugeLie, *gaugeStuck, *gaugeDrift)
+		err = sensorTrajectory(out, *size, *seed, *ageFrac, *ageSteps, *gaugeLie, *gaugeStuck, *gaugeDrift)
 	default:
-		fatal(fmt.Errorf("unknown -mode %q", *mode))
+		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "health-sim:", err)
+		return 1
+	}
+	return 0
 }
 
 // trajectory runs a steady write workload for 100 ms of virtual time
 // while the battery loses ageFrac of its capacity every 10 ms, and
 // prints the monitor's view: effective joules, bandwidth estimate, and
 // the budget the monitor pushed.
-func trajectory(size int64, seed uint64, ageFrac float64, ageSteps int, blackBox bool) {
+func trajectory(out io.Writer, size int64, seed uint64, ageFrac float64, ageSteps int, blackBox bool) error {
 	sys, err := viyojit.New(viyojit.Config{
 		NVDRAMSize: size,
 		// Wear modelling on: the workload's clean traffic accrues
@@ -80,11 +97,11 @@ func trajectory(size int64, seed uint64, ageFrac float64, ageSteps int, blackBox
 		BlackBox: blackBox,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := sys.Map("heap", size/2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := battery.ScheduleAging(sys.Events(), sys.Battery(), battery.AgingSchedule{
 		Start:           sim.Time(10 * sim.Millisecond),
@@ -92,11 +109,11 @@ func trajectory(size int64, seed uint64, ageFrac float64, ageSteps int, blackBox
 		FractionPerStep: ageFrac,
 		Steps:           ageSteps,
 	}); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("NV-DRAM %d MiB, initial budget %d pages, battery %.2f J effective\n",
+	fmt.Fprintf(out, "NV-DRAM %d MiB, initial budget %d pages, battery %.2f J effective\n",
 		size>>20, sys.DirtyBudget(), sys.Battery().EffectiveJoules())
-	fmt.Printf("aging schedule: -%.0f%% capacity every 10 ms, %d steps\n\n",
+	fmt.Fprintf(out, "aging schedule: -%.0f%% capacity every 10 ms, %d steps\n\n",
 		ageFrac*100, ageSteps)
 
 	rng := sim.NewRNG(seed)
@@ -104,39 +121,40 @@ func trajectory(size int64, seed uint64, ageFrac float64, ageSteps int, blackBox
 	for sys.Now() < sim.Time(100*sim.Millisecond) {
 		p := rng.Int63n(pages)
 		if err := m.WriteAt([]byte{byte(p)}, p*4096); err != nil {
-			fatal(err)
+			return err
 		}
 		sys.AdvanceTime(20 * sim.Microsecond)
 	}
 
-	fmt.Printf("%10s %10s %10s %12s %8s %8s %9s %6s\n",
+	fmt.Fprintf(out, "%10s %10s %10s %12s %8s %8s %9s %6s\n",
 		"t", "state", "joules", "bw-est MB/s", "budget", "dirty", "draining", "wear")
 	for i, s := range sys.Health().Snapshots() {
 		if i%5 != 0 { // one row per 10 ms of the 2 ms sampling
 			continue
 		}
-		fmt.Printf("%10v %10v %10.3f %12.1f %8d %8d %9v %6.2f\n",
+		fmt.Fprintf(out, "%10v %10v %10.3f %12.1f %8d %8d %9v %6.2f\n",
 			sim.Duration(s.At), s.State, s.EffectiveJoules,
 			float64(s.BandwidthEstimate)/(1<<20), s.Budget, s.Dirty, s.Draining, s.WearCycles)
 	}
 	st := sys.Stats()
 	hs := sys.Health().Stats()
-	fmt.Printf("\nmonitor: %d ticks, %d retunes; manager: %d budget shrinks, %d drains completed, state %v\n",
+	fmt.Fprintf(out, "\nmonitor: %d ticks, %d retunes; manager: %d budget shrinks, %d drains completed, state %v\n",
 		hs.Ticks, hs.Retunes, st.BudgetShrinks, st.DrainsCompleted, sys.HealthState())
-	fmt.Printf("final budget %d pages from %.2f J effective (%.0f%% of nameplate at install)\n",
+	fmt.Fprintf(out, "final budget %d pages from %.2f J effective (%.0f%% of nameplate at install)\n",
 		sys.DirtyBudget(), sys.Battery().EffectiveJoules(),
 		100*sys.Battery().EffectiveJoules()/(sys.Battery().EffectiveJoules()/pow(1-ageFrac, ageSteps)))
 
 	if blackBox {
 		rep, err := sys.BlackBoxReport()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("\nlive forensic report from the battery-backed flight recorder:")
-		if err := rep.WriteText(os.Stdout, 15); err != nil {
-			fatal(err)
+		fmt.Fprintln(out, "\nlive forensic report from the battery-backed flight recorder:")
+		if err := rep.WriteText(out, 15); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 func pow(x float64, n int) float64 {
@@ -152,7 +170,7 @@ func pow(x float64, n int) float64 {
 // battery model's ground truth at every monitor sample. The point of
 // the table is the one-sided error: fused/true dips below 1 whenever
 // the fusion turns conservative, and never rises above it.
-func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, lie, stuck, drift float64) {
+func sensorTrajectory(out io.Writer, size int64, seed uint64, ageFrac float64, ageSteps int, lie, stuck, drift float64) error {
 	sys, err := viyojit.New(viyojit.Config{
 		NVDRAMSize: size,
 		// Slow device: the transfer term dominates the fixed flush
@@ -163,11 +181,11 @@ func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, li
 		SSD: viyojit.SSDConfig{WriteBandwidth: 16 << 20},
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := sys.Map("heap", size/2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if lie == 0 && stuck == 0 && drift == 0 {
 		lie, stuck, drift = 0.05, 0.02, 0.02
@@ -187,11 +205,11 @@ func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, li
 		FractionPerStep: ageFrac,
 		Steps:           ageSteps,
 	}); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("NV-DRAM %d MiB, initial budget %d pages, battery %.2f J effective\n",
+	fmt.Fprintf(out, "NV-DRAM %d MiB, initial budget %d pages, battery %.2f J effective\n",
 		size>>20, sys.DirtyBudget(), sys.Battery().EffectiveJoules())
-	fmt.Printf("voltage-gauge faults armed: lie %.3f, stuck %.3f, drift %.3f per sample; aging -%.0f%% every 10 ms\n\n",
+	fmt.Fprintf(out, "voltage-gauge faults armed: lie %.3f, stuck %.3f, drift %.3f per sample; aging -%.0f%% every 10 ms\n\n",
 		lie, stuck, drift, ageFrac*100)
 
 	rng := sim.NewRNG(seed)
@@ -199,12 +217,12 @@ func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, li
 	for sys.Now() < sim.Time(100*sim.Millisecond) {
 		p := rng.Int63n(pages)
 		if err := m.WriteAt([]byte{byte(p)}, p*4096); err != nil {
-			fatal(err)
+			return err
 		}
 		sys.AdvanceTime(20 * sim.Microsecond)
 	}
 
-	fmt.Printf("%10s %10s %10s %10s %10s %8s %8s\n",
+	fmt.Fprintf(out, "%10s %10s %10s %10s %10s %8s %8s\n",
 		"t", "state", "true J", "fused J", "fused/true", "budget", "dirty")
 	overReports := 0
 	for i, s := range sys.Health().Snapshots() {
@@ -214,7 +232,7 @@ func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, li
 		if i%2 != 0 { // one row per 4 ms of the 2 ms sampling
 			continue
 		}
-		fmt.Printf("%10v %10v %10.3f %10.3f %10.3f %8d %8d\n",
+		fmt.Fprintf(out, "%10v %10v %10.3f %10.3f %10.3f %8d %8d\n",
 			sim.Duration(s.At), s.State, s.TrueJoules, s.EffectiveJoules,
 			s.EffectiveJoules/s.TrueJoules, s.Budget, s.Dirty)
 	}
@@ -225,74 +243,77 @@ func sensorTrajectory(size int64, seed uint64, ageFrac float64, ageSteps int, li
 		episodes[ep.Class.String()]++
 	}
 	hs := sys.Health().Stats()
-	fmt.Printf("\nepisodes injected: %v over %d fused samples\n", episodes, fs.Samples)
-	fmt.Printf("fused-layer rejections: bounds %d, rate %d, stale %d, disagree %d; %d re-trusts, %d solo, %d blind\n",
+	fmt.Fprintf(out, "\nepisodes injected: %v over %d fused samples\n", episodes, fs.Samples)
+	fmt.Fprintf(out, "fused-layer rejections: bounds %d, rate %d, stale %d, disagree %d; %d re-trusts, %d solo, %d blind\n",
 		fs.BoundsRejects, fs.RateRejects, fs.StaleDropouts, fs.Disagreements,
 		fs.Retrusts, fs.SoloSamples, fs.BlindSamples)
-	fmt.Printf("monitor: %d ticks, %d retunes, %d emergencies; final budget %d from fused %.3f J (true %.3f J)\n",
+	fmt.Fprintf(out, "monitor: %d ticks, %d retunes, %d emergencies; final budget %d from fused %.3f J (true %.3f J)\n",
 		hs.Ticks, hs.Retunes, hs.EmergencyEnters, sys.DirtyBudget(),
 		sys.Sensor().EffectiveJoules(), sys.Battery().EffectiveJoules())
 	if overReports > 0 {
-		fatal(fmt.Errorf("%d samples over-reported ground truth — the conservatism invariant is broken", overReports))
+		return fmt.Errorf("%d samples over-reported ground truth — the conservatism invariant is broken", overReports)
 	}
-	fmt.Println("every sample held fused ≤ true: the budget never trusted a lie")
+	fmt.Fprintln(out, "every sample held fused ≤ true: the budget never trusted a lie")
+	return nil
 }
 
 // drainLatency measures the staged-shrink re-provisioning latency: with
-// the dirty set at the full budget, shrink to a fraction of it and time
-// the drain (no concurrent writes — the floor of the latency; bursts
-// only extend it via forced-clean backpressure).
-func drainLatency(size int64, seed uint64) {
+// the dirty set refilled to the copier's wake level, shrink the budget to
+// a fraction of it and time the drain (no concurrent writes — the floor of
+// the latency; bursts only extend it via forced-clean backpressure).
+func drainLatency(out io.Writer, size int64) error {
 	// Monitor off: this experiment drives SetDirtyBudget by hand to
 	// isolate the staged drain's latency; a live monitor would retune
 	// the budget out from under the measurement.
 	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: size, DisableHealthMonitor: true})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := sys.Map("heap", size/2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mgr := sys.Manager()
 	budget0 := sys.DirtyBudget()
-	fmt.Printf("NV-DRAM %d MiB, budget %d pages\n\n", size>>20, budget0)
-	fmt.Printf("%10s %12s %14s %16s\n", "new budget", "pages cut", "drain time", "µs per page")
+	// An admission that reaches the wake level starts the proactive
+	// copier, which holds the set below the budget from then on; the
+	// refill stops there. Writes cycle over the mapping, so the set
+	// reaches it within a few passes: more is a regression, reported
+	// rather than waited out.
+	full := budget0 - core.WakeAhead(core.WakePages(mgr.SSD(), mgr.Region().PageTable().Costs().Trap), budget0)
+	pages := size / 2 / 4096
+	maxWrites := 8 * pages
+	fmt.Fprintf(out, "NV-DRAM %d MiB, budget %d pages, refilled to %d before each shrink\n\n", size>>20, budget0, full)
+	fmt.Fprintf(out, "%10s %12s %14s %16s\n", "new budget", "pages cut", "drain time", "µs per page")
 
-	_ = seed
 	for _, frac := range []float64{0.75, 0.5, 0.25, 0.125} {
-		// Refill the dirty set to the full budget.
 		if err := mgr.SetDirtyBudget(budget0); err != nil {
-			fatal(err)
+			return err
 		}
-		for p := int64(0); sys.DirtyCount() < budget0; p++ {
-			if err := m.WriteAt([]byte{byte(p)}, (p%(size/2/4096))*4096); err != nil {
-				fatal(err)
+		for p := int64(0); sys.DirtyCount() < full; p++ {
+			if p == maxWrites {
+				return fmt.Errorf("refill stuck at %d dirty pages of %d after %d writes", sys.DirtyCount(), full, p)
+			}
+			if err := m.WriteAt([]byte{byte(p)}, p%pages*4096); err != nil {
+				return err
 			}
 			sys.Pump()
 		}
-		target := int(float64(budget0) * frac)
-		if target < 1 {
-			target = 1
-		}
+		target := max(int(float64(budget0)*frac), 1)
 		cut := sys.DirtyCount() - target
 		start := sys.Now()
 		if err := mgr.SetDirtyBudget(target); err != nil {
-			fatal(err)
+			return err
 		}
 		for mgr.Draining() {
 			sys.AdvanceTime(20 * sim.Microsecond)
 		}
 		dt := sys.Now().Sub(start)
-		fmt.Printf("%10d %12d %14v %16.2f\n",
+		fmt.Fprintf(out, "%10d %12d %14v %16.2f\n",
 			target, cut, dt, float64(dt)/1000/float64(cut))
 	}
 	st := sys.Stats()
-	fmt.Printf("\n%d staged shrinks, %d drains completed, %d retune cleans\n",
+	fmt.Fprintf(out, "\n%d staged shrinks, %d drains completed, %d retune cleans\n",
 		st.BudgetShrinks, st.DrainsCompleted, st.RetuneCleans)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "health-sim:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,6 +1,7 @@
 // Command replay drives a volume trace against the three NV-DRAM
-// systems — Viyojit, the full-battery baseline, and the §7 Mondrian
-// byte-granularity tracker — and prints what each cost. Use it to
+// systems — Viyojit, the full-battery baseline, and Viyojit at the §7
+// byte granularity (the "mondrian" row: 256 B sectors under the sector
+// cost table) — and prints what each cost. Use it to
 // validate a cmd/provision recommendation on the workload it came from:
 //
 //	tracegen -out vol.trace -skew hot

@@ -8,8 +8,8 @@ import (
 )
 
 // The synthetic volume at the default seed and budget against its
-// golden, byte for byte. The run drives core.Manager and
-// mondrian.Tracker through victim selection, so any change to which
+// golden, byte for byte. The run drives core.Manager through victim
+// selection at 4 KiB pages and at 256 B sectors, so any change to which
 // victims are cleaned, or when, shows here. Re-record with
 // `go run ./cmd/replay > cmd/replay/testdata/default.golden`.
 func TestGolden(t *testing.T) {

@@ -41,7 +41,6 @@ func run(args []string, out, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	quick := fs.Bool("quick", false, "reduced sweep (fewer workloads, fractions, ops)")
 	figures := fs.String("figures", "7,8,9,10,ablations", "comma-separated figures to regenerate")
-	jsonOut := fs.String("json", "", "also write the sweep data as JSON to this file")
 	clients := fs.Int("clients", 0, "overload: concurrent client goroutines (0 = default 8)")
 	offered := fs.String("offered-load", "", "overload: comma-separated offered-load multipliers of saturation (default 0.25,0.5,1,1.5,2)")
 	deadline := fs.Duration("deadline", 0, "overload: per-request virtual deadline (0 = default 2ms)")
@@ -88,19 +87,6 @@ func run(args []string, out, stderr io.Writer) int {
 		if want["9"] {
 			experiments.FprintFig9(out, sweep)
 			fmt.Fprintln(out)
-		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return fail(err)
-			}
-			if err := experiments.WriteSweepJSON(f, sweep); err != nil {
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(out, "sweep data written to %s\n\n", *jsonOut)
 		}
 	}
 

@@ -63,7 +63,7 @@ func TestVictimSelectionZeroAlloc(t *testing.T) {
 	var last, want mmu.PageID
 	runs, differ := 0, 0
 	if allocs := testing.AllocsPerRun(100, func() {
-		m.victims.Collect(m.dirtySeq)
+		m.victims.collect(m.dirtySeq)
 		for i := 0; i < k; i++ {
 			page, ok := m.nextVictim()
 			if !ok {

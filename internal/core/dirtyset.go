@@ -26,10 +26,10 @@ type dirtyPage struct {
 // Pages, at Pages[entries[p].pos], beside its State. Lookup, insertion and
 // removal are O(1) and allocate nothing; Pages is what an epoch scan
 // hands to the MMU, and the victim selector reads both in place.
-// Members.Epoch counts ticks.
+// members.Epoch counts ticks.
 type dirtySet struct {
 	entries []dirtyPage
-	Members
+	members
 	// parked[p] is the history of clean page p as of epoch parkedAt[p]:
 	// written when p leaves the set, read back when it is admitted again.
 	parked, parkedAt []uint64
@@ -75,7 +75,7 @@ func (s *dirtySet) add(page mmu.PageID, seq uint64) *dirtyPage {
 	}
 	*e = dirtyPage{seq: seq, pos: len(s.Pages)}
 	s.Pages = append(s.Pages, page)
-	s.State = append(s.State, Member{Seq: seq, Hist: s.parked[page], Aged: s.parkedAt[page]})
+	s.State = append(s.State, member{Seq: seq, Hist: s.parked[page], Aged: s.parkedAt[page]})
 	return e
 }
 

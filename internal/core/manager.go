@@ -200,7 +200,7 @@ type Manager struct {
 	// victims orders this epoch's clean candidates — the not-in-flight
 	// dirty pages as of the last tick — on demand, in place; candidates no
 	// longer eligible are skipped as they come out.
-	victims *VictimSelector
+	victims *victimSelector
 
 	newDirtyThisEpoch int
 	pressure          float64
@@ -270,7 +270,7 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		budget:    cfg.DirtyBudgetPages,
 		wakePages: WakePages(dev, region.PageTable().Costs().Trap),
 		dirty:     newDirtySet(region.NumPages()),
-		victims:   NewVictimSelector(cfg.Policy),
+		victims:   newVictimSelector(cfg.Policy),
 		st:        newInstruments(reg),
 		tr:        reg.Tracer(),
 	}
@@ -505,7 +505,7 @@ const hwInterruptCost = 2 * sim.Microsecond
 func (m *Manager) nextVictim() (mmu.PageID, bool) {
 	for collected := false; ; collected = true {
 		for {
-			cand, ok := m.victims.Pop(&m.dirty.Members)
+			cand, ok := m.victims.pop(&m.dirty.members)
 			if !ok {
 				break
 			}
@@ -518,7 +518,7 @@ func (m *Manager) nextVictim() (mmu.PageID, bool) {
 		}
 		// Candidates exhausted (or stale mid-epoch): collect again from
 		// the live dirty set so the fault path can always find a victim.
-		m.victims.Collect(m.dirtySeq)
+		m.victims.collect(m.dirtySeq)
 	}
 }
 
@@ -769,7 +769,7 @@ func (m *Manager) epochTick(at sim.Time) {
 	// the set is over the threshold, or on the fault path later in the
 	// epoch — and histories do not change before the next tick, so
 	// whenever that happens the order is the one as of this scan.
-	m.victims.Collect(m.dirtySeq)
+	m.victims.collect(m.dirtySeq)
 	if m.state == StateDegraded {
 		m.st.degradedEpochs.Inc()
 	}

@@ -2,19 +2,19 @@ package core
 
 import "viyojit/internal/mmu"
 
-// Members is the dense state of a dirty set: member i is page Pages[i],
+// members is the dense state of a dirty set: member i is page Pages[i],
 // with State[i]. Epoch counts ticks.
-type Members struct {
+type members struct {
 	Pages []mmu.PageID
-	State []Member
+	State []member
 	Epoch uint64
 }
 
-// Member is what victim selection reads of one member besides its page.
-// Aging is lazy: at epoch Members.Epoch the history is
+// member is what victim selection reads of one member besides its page.
+// Aging is lazy: at epoch members.Epoch the history is
 // Hist >> (Epoch - Aged), 0 once 64 epochs have passed, so a tick touches
 // only the members it marks.
-type Member struct {
+type member struct {
 	Seq  uint64 // admission sequence number
 	Hist uint64 // history word as of epoch Aged
 	Aged uint64
@@ -30,10 +30,10 @@ const victimBatch = 16
 // inFlight is the gate bit of a member whose clean is on the wire.
 const inFlight = 1 << 63
 
-// VictimSelector hands out the candidates of a collection victim-first,
+// victimSelector hands out the candidates of a collection victim-first,
 // one at a time, paying for the order only as it is used. A collection
 // copies nothing: its candidates are the members admitted up to a cutoff
-// sequence number that were not in flight when it was taken. Pop scans the
+// sequence number that were not in flight when it was taken. pop scans the
 // members, keys each candidate once, and keeps the victimBatch least keys
 // above the last one handed out in a bounded max-heap; it scans again
 // only when that batch runs out. Pops come out exactly in the order of a
@@ -41,7 +41,7 @@ const inFlight = 1 << 63
 // (TestSelectorMatchesSortedOrder), provided no key changes within a
 // collection: histories change only at an epoch tick, and the owner
 // collects again at every tick.
-type VictimSelector struct {
+type victimSelector struct {
 	policy VictimPolicy
 	// cutoff is the collection's last admission; gen numbers it.
 	cutoff, gen uint64
@@ -71,23 +71,23 @@ func (v *victim) before(hi, lo uint64, page mmu.PageID) bool {
 	return v.Page < page
 }
 
-// NewVictimSelector returns a selector ordering by policy.
-func NewVictimSelector(policy VictimPolicy) *VictimSelector {
-	return &VictimSelector{policy: policy, gen: 1, batch: make([]victim, 0, victimBatch)}
+// newVictimSelector returns a selector ordering by policy.
+func newVictimSelector(policy VictimPolicy) *victimSelector {
+	return &victimSelector{policy: policy, gen: 1, batch: make([]victim, 0, victimBatch)}
 }
 
-// Collect starts a new collection: the members admitted at or before
+// collect starts a new collection: the members admitted at or before
 // cutoff that are not in flight now.
-func (s *VictimSelector) Collect(cutoff uint64) {
+func (s *victimSelector) collect(cutoff uint64) {
 	s.cutoff = cutoff
 	s.gen++
 	s.batch, s.next, s.handed = s.batch[:0], 0, false
 }
 
-// Pop returns the best candidate of the collection not yet handed out, or
+// pop returns the best candidate of the collection not yet handed out, or
 // false when none is left. The caller checks that it is still eligible (it
 // may have been cleaned, or dirtied again, since it was scanned).
-func (s *VictimSelector) Pop(ms *Members) (PageInfo, bool) {
+func (s *victimSelector) pop(ms *members) (PageInfo, bool) {
 	if s.next == len(s.batch) {
 		s.fill(ms)
 		if len(s.batch) == 0 {
@@ -103,7 +103,7 @@ func (s *VictimSelector) Pop(ms *Members) (PageInfo, bool) {
 // the last one handed out, and leaves them in batch in ascending order.
 // The heap starts full of keys above any candidate's, so a candidate
 // enters it exactly when it orders before the heap's greatest key.
-func (s *VictimSelector) fill(ms *Members) {
+func (s *victimSelector) fill(ms *members) {
 	state := ms.State[:len(ms.Pages)]
 	cutoff, gen, epoch, handed, last := s.cutoff, s.gen, ms.Epoch, s.handed, s.last
 	lru := s.policy == VictimPolicy(LRUUpdate{}) // called directly, its key inlines
@@ -163,7 +163,7 @@ func replaceTop(h []victim, v victim) {
 // below gen exactly when the member was in flight at the collection; it
 // then ends at gen. A member that went in flight after the collection is
 // a candidate again, and the batch chosen without it is dropped.
-func (s *VictimSelector) setInFlight(gate *uint64, seq uint64, on bool) {
+func (s *victimSelector) setInFlight(gate *uint64, seq uint64, on bool) {
 	low := *gate &^ inFlight
 	switch {
 	case on && low == s.gen: // left the collection once already

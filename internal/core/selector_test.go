@@ -25,11 +25,11 @@ func allPolicies(seed uint64) []VictimPolicy {
 func TestSelectorMatchesSortedOrder(t *testing.T) {
 	for _, policy := range allPolicies(3) {
 		rng := sim.NewRNG(11)
-		sel := NewVictimSelector(policy)
+		sel := newVictimSelector(policy)
 		for round := 0; round < 200; round++ {
 			const cutoff = 6
-			sel.Collect(cutoff)
-			ms := Members{Epoch: 100}
+			sel.collect(cutoff)
+			ms := members{Epoch: 100}
 			var want []PageInfo
 			for _, p := range rng.Perm(64)[:rng.Intn(64)] {
 				c := PageInfo{
@@ -40,7 +40,7 @@ func TestSelectorMatchesSortedOrder(t *testing.T) {
 				// The history as stored some epochs ago: the scan ages it, to
 				// nothing once 64 epochs have passed.
 				age := rng.Intn(3)
-				m := Member{Seq: c.DirtiedSeq, Hist: c.History << age}
+				m := member{Seq: c.DirtiedSeq, Hist: c.History << age}
 				if rng.Intn(8) == 0 {
 					age, m.Hist, c.History = 64+rng.Intn(3), rng.Uint64(), 0
 				}
@@ -58,12 +58,12 @@ func TestSelectorMatchesSortedOrder(t *testing.T) {
 			}
 			slices.SortFunc(want, refCompare(policy))
 			for i, w := range want {
-				got, ok := sel.Pop(&ms)
+				got, ok := sel.pop(&ms)
 				if !ok || got != w {
 					t.Fatalf("%s round %d: pop %d = %+v (ok=%v), sorted order has %+v", policy.Name(), round, i, got, ok, w)
 				}
 			}
-			if got, ok := sel.Pop(&ms); ok {
+			if got, ok := sel.pop(&ms); ok {
 				t.Fatalf("%s round %d: pop past the end returned %+v", policy.Name(), round, got)
 			}
 		}

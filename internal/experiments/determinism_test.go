@@ -144,20 +144,3 @@ func TestPrintersDeterministic(t *testing.T) {
 		t.Fatal("figure printers produced different bytes for the same data")
 	}
 }
-
-func TestWriteSweepJSONDeterministic(t *testing.T) {
-	s, err := RunSweep(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := WriteSweepJSON(&a, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSweepJSON(&b, s); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("JSON export not byte-stable")
-	}
-}

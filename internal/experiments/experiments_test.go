@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -460,38 +459,6 @@ func TestEWMAAblationRuns(t *testing.T) {
 	for _, r := range rows {
 		if r.ThroughputKOps <= 0 || r.P99 <= 0 {
 			t.Fatalf("degenerate row: %+v", r)
-		}
-	}
-}
-
-func TestWriteSweepJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration shape test")
-	}
-	opts := QuickSweepOptions()
-	opts.OperationCount = 4000
-	s, err := RunSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSweepJSON(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	var decoded SweepJSON
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	// 2 workloads × (1 baseline + 3 budget points).
-	if len(decoded.Points) != 8 {
-		t.Fatalf("exported %d points, want 8", len(decoded.Points))
-	}
-	for _, p := range decoded.Points {
-		if p.ThroughputKOps <= 0 || p.Workload == "" {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-		if len(p.Latencies) == 0 {
-			t.Fatalf("point without latencies: %+v", p)
 		}
 	}
 }

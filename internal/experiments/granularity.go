@@ -5,15 +5,16 @@ import (
 	"io"
 
 	"viyojit/internal/core"
-	"viyojit/internal/mondrian"
+	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
 
 // GranularityResult compares page-granularity Viyojit against the §7
-// Mondrian-style byte-granularity variant under the same small-write
-// workload.
+// byte-granularity variant — the same manager over mmu.SectorSize pages
+// charged mmu.SectorCosts, as Mondrian-style protection hardware would
+// track — under the same small-write workload.
 type GranularityResult struct {
 	WriteSize int
 	Writes    int
@@ -34,13 +35,10 @@ type GranularityResult struct {
 
 // RunGranularityComparison drives an identical stream of small scattered
 // writes (writeSize bytes each, uniform over the region) through both
-// trackers and reports the battery-utilisation and SSD-traffic ratios §7
-// predicts to favour byte granularity.
+// granularities and reports the battery-utilisation and SSD-traffic
+// ratios §7 predicts to favour byte granularity.
 func RunGranularityComparison(seed uint64, writeSize, writes int) (GranularityResult, error) {
-	const (
-		regionSize = 16 << 20
-		budgetFrac = 8 // budget = region/8, in each granularity's units
-	)
+	const regionSize = 16 << 20
 	res := GranularityResult{WriteSize: writeSize, Writes: writes}
 
 	// Offsets are shared so both systems see the same byte stream.
@@ -54,54 +52,16 @@ func RunGranularityComparison(seed uint64, writeSize, writes int) (GranularityRe
 		buf[i] = byte(rng.Uint64()) | 1
 	}
 
-	// Page granularity: the standard manager.
-	{
-		clock := sim.NewClock()
-		events := sim.NewQueue()
-		region, err := nvdram.New(clock, nvdram.Config{Size: regionSize})
-		if err != nil {
-			return res, err
-		}
-		dev := ssd.New(clock, events, ssd.Config{})
-		mgr, err := core.NewManager(clock, events, region, dev, core.Config{
-			DirtyBudgetPages: region.NumPages() / budgetFrac,
-		})
-		if err != nil {
-			return res, err
-		}
-		for _, off := range offs {
-			if err := region.WriteAt(buf, off); err != nil {
-				return res, err
-			}
-			mgr.Pump()
-		}
-		res.PageDirtyBytes = int64(mgr.Stats().MaxDirtyObserved) * int64(region.PageSize())
-		mgr.FlushAll()
-		res.PageSSDBytes = dev.Stats().BytesWritten
-		mgr.Close()
+	// The same manager at both granularities: 4 KiB pages under the
+	// default MMU costs, and §7's sectors under the sector cost table.
+	var err error
+	res.PageDirtyBytes, res.PageSSDBytes, err = runGranularity(regionSize, nvdram.DefaultPageSize, mmu.Costs{}, offs, buf)
+	if err != nil {
+		return res, err
 	}
-
-	// Byte granularity: the Mondrian tracker.
-	{
-		clock := sim.NewClock()
-		events := sim.NewQueue()
-		tr, err := mondrian.New(clock, events, mondrian.Config{
-			Size:        regionSize,
-			BudgetBytes: regionSize / budgetFrac,
-		})
-		if err != nil {
-			return res, err
-		}
-		for _, off := range offs {
-			if err := tr.WriteAt(buf, off); err != nil {
-				return res, err
-			}
-			tr.Pump()
-		}
-		res.ByteDirtyBytes = int64(tr.Stats().MaxDirtyObserved) * int64(tr.SectorSize())
-		tr.FlushAll()
-		res.ByteSSDBytes = tr.SSD().Stats().BytesWritten
-		tr.Close()
+	res.ByteDirtyBytes, res.ByteSSDBytes, err = runGranularity(regionSize, mmu.SectorSize, mmu.SectorCosts(), offs, buf)
+	if err != nil {
+		return res, err
 	}
 
 	if res.PageDirtyBytes > 0 {
@@ -111,6 +71,37 @@ func RunGranularityComparison(seed uint64, writeSize, writes int) (GranularityRe
 		res.TrafficRatio = float64(res.ByteSSDBytes) / float64(res.PageSSDBytes)
 	}
 	return res, nil
+}
+
+// runGranularity writes buf at each of offs through a manager over a
+// region of size bytes in pageSize pages charged costs, under a budget of
+// an eighth of the pages, and returns the peak dirty bytes and the SSD
+// bytes written by cleaning and a final flush.
+func runGranularity(size int64, pageSize int, costs mmu.Costs, offs []int64, buf []byte) (peak int64, written uint64, err error) {
+	clock := sim.NewClock()
+	events := sim.NewQueue()
+	region, err := nvdram.New(clock, nvdram.Config{Size: size, PageSize: pageSize, Costs: costs})
+	if err != nil {
+		return 0, 0, err
+	}
+	dev := ssd.New(clock, events, ssd.Config{PageSize: pageSize})
+	mgr, err := core.NewManager(clock, events, region, dev, core.Config{
+		DirtyBudgetPages: region.NumPages() / 8,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, off := range offs {
+		if err := region.WriteAt(buf, off); err != nil {
+			return 0, 0, err
+		}
+		mgr.Pump()
+	}
+	peak = int64(mgr.Stats().MaxDirtyObserved) * int64(pageSize)
+	mgr.FlushAll()
+	written = dev.Stats().BytesWritten
+	mgr.Close()
+	return peak, written, nil
 }
 
 // FprintGranularity writes the §7 comparison across write sizes.

@@ -68,6 +68,22 @@ func DefaultCosts() Costs {
 	}
 }
 
+// SectorSize is the tracking unit of the paper's §7 finer-granularity
+// variant: a page table whose pages are SectorSize bytes, charged
+// SectorCosts, is Mondrian-style sector protection.
+const SectorSize = 256
+
+// SectorCosts returns the cost model of Mondrian-style fine-grained
+// protection hardware (§7): a 1 µs trap on the first write to a clean
+// sector, a DRAM access, and no TLB or page-table-entry costs, because the
+// hardware reports sector dirtiness directly.
+func SectorCosts() Costs {
+	return Costs{
+		Trap:   sim.Microsecond,
+		Access: 80 * sim.Nanosecond,
+	}
+}
+
 // entry is one page-table entry.
 type entry struct {
 	present        bool

@@ -6,8 +6,9 @@
 // to validate a cmd/provision recommendation before deployment.
 //
 // Three system kinds can replay the same trace: the page-granularity
-// Viyojit manager, the full-battery baseline, and the §7 byte-granularity
-// Mondrian tracker.
+// Viyojit manager, the full-battery baseline, and the same manager at the
+// §7 byte granularity (Mondrian: mmu.SectorSize pages under
+// mmu.SectorCosts).
 package replay
 
 import (
@@ -15,7 +16,7 @@ import (
 
 	"viyojit/internal/baseline"
 	"viyojit/internal/core"
-	"viyojit/internal/mondrian"
+	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
@@ -70,7 +71,7 @@ type Report struct {
 	Faults        uint64
 	ForcedCleans  uint64
 	Proactive     uint64
-	PeakDirty     int   // pages (or sectors for Mondrian)
+	PeakDirty     int   // pages (sectors for Mondrian)
 	PeakDirtyByte int64 // peak dirty footprint in bytes
 	SSDBytes      uint64
 	// BudgetPages echoes the budget used (pages or sectors).
@@ -120,13 +121,23 @@ func Run(v *trace.Volume, opts Options) (Report, error) {
 		finish func()
 	)
 	switch opts.System {
-	case Viyojit:
-		region, err := nvdram.New(clock, nvdram.Config{Size: v.Spec.SizeBytes, PageSize: pageSize})
+	case Viyojit, Mondrian:
+		// Mondrian is the same manager at §7's granularity: sector pages
+		// under the sector cost table, with the byte budget in sectors.
+		ps, costs, budget := pageSize, mmu.Costs{}, opts.BudgetPages
+		if opts.System == Mondrian {
+			ps, costs = mmu.SectorSize, mmu.SectorCosts()
+			budget = opts.BudgetPages * pageSize / ps
+		}
+		rep.BudgetPages = budget
+		region, err := nvdram.New(clock, nvdram.Config{Size: v.Spec.SizeBytes, PageSize: ps, Costs: costs})
 		if err != nil {
 			return rep, err
 		}
-		dev := ssd.New(clock, events, opts.SSD)
-		mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: opts.BudgetPages})
+		devCfg := opts.SSD
+		devCfg.PageSize = ps
+		dev := ssd.New(clock, events, devCfg)
+		mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: budget})
 		if err != nil {
 			return rep, err
 		}
@@ -141,7 +152,7 @@ func Run(v *trace.Volume, opts Options) (Report, error) {
 			rep.ForcedCleans = s.ForcedCleans
 			rep.Proactive = s.ProactiveCleans
 			rep.PeakDirty = s.MaxDirtyObserved
-			rep.PeakDirtyByte = int64(s.MaxDirtyObserved) * int64(pageSize)
+			rep.PeakDirtyByte = int64(s.MaxDirtyObserved) * int64(ps)
 			rep.SSDBytes = dev.Stats().BytesWritten
 			mgr.Close()
 		}
@@ -164,26 +175,6 @@ func Run(v *trace.Volume, opts Options) (Report, error) {
 			rep.PeakDirty = mgr.DirtyCount()
 			rep.PeakDirtyByte = int64(mgr.DirtyCount()) * int64(pageSize)
 			rep.SSDBytes = dev.Stats().BytesWritten
-		}
-	case Mondrian:
-		tr, err := mondrian.New(clock, events, mondrian.Config{
-			Size:        v.Spec.SizeBytes,
-			BudgetBytes: int64(opts.BudgetPages) * int64(pageSize),
-			SSD:         opts.SSD,
-		})
-		if err != nil {
-			return rep, err
-		}
-		w, pump = tr, tr.Pump
-		finish = func() {
-			s := tr.Stats()
-			rep.ForcedCleans = s.ForcedCleans
-			rep.Proactive = s.ProactiveCleans
-			rep.PeakDirty = s.MaxDirtyObserved
-			rep.PeakDirtyByte = int64(s.MaxDirtyObserved) * int64(tr.SectorSize())
-			rep.SSDBytes = tr.SSD().Stats().BytesWritten
-			rep.BudgetPages = int(tr.BudgetBytes()) / tr.SectorSize()
-			tr.Close()
 		}
 	default:
 		return rep, fmt.Errorf("replay: unknown system kind %d", opts.System)

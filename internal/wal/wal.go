@@ -25,8 +25,8 @@
 // it — logs live in simulated NV-DRAM and are never carried across a
 // commit of this repository, so the checksum algorithm may change freely.
 //
-// The store is any pheap.Store-shaped surface: a Viyojit mapping, a
-// baseline mapping, or a Mondrian tracker.
+// The store is any pheap.Store-shaped surface: a Viyojit mapping (at any
+// page size, the §7 sector granularity included) or a baseline mapping.
 package wal
 
 import (
