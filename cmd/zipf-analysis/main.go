@@ -6,11 +6,23 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 
 	"viyojit/internal/experiments"
 )
 
-func main() {
-	experiments.FprintFig5(os.Stdout)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("zipf-analysis", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	experiments.FprintFig5(out)
+	return 0
 }

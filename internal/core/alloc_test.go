@@ -50,6 +50,40 @@ func TestAdmissionAndIdleTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCleanZeroAlloc guards the clean path: once the device holds the
+// page and the pools are warm, a clean — the snapshot copied into a
+// device buffer, the submission, the completion that installs it and
+// hands the displaced buffer back — allocates nothing. The write that
+// dirties the page again is an admission, which the guard above holds
+// at 0 too.
+func TestCleanZeroAlloc(t *testing.T) {
+	h := newHarness(t, 16, Config{DirtyBudgetPages: 8})
+	clean := func() {
+		if err := h.region.WriteAt([]byte{3}, 5*4096); err != nil {
+			t.Fatal(err)
+		}
+		h.mgr.startClean(5)
+		for h.mgr.DirtyCount() != 0 {
+			if !h.events.Step(h.clock) {
+				t.Fatal("clean never completed")
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		clean()
+	}
+	cleans := h.mgr.Stats().CleansCompleted
+	if allocs := testing.AllocsPerRun(100, clean); allocs != 0 {
+		t.Errorf("a clean of a page the device already holds allocates %.0f times, want 0", allocs)
+	}
+	if got := h.mgr.Stats().CleansCompleted - cleans; got < 100 {
+		t.Fatalf("%d cleans completed over 100 runs", got)
+	}
+	if err := h.mgr.VerifyDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVictimSelectionZeroAlloc: a collection over a 4 096-page dirty set
 // and enough pops to run through several batches read the set in place
 // and allocate nothing.

@@ -196,6 +196,8 @@ type Manager struct {
 	// write-backs on the wire. It moves in setCleaning and when a clean's
 	// success removes its page, so nothing walks the dirty set to know it.
 	inflight int
+	// cleans holds the clean records not in flight (newClean).
+	cleans []*clean
 
 	// victims orders this epoch's clean candidates — the not-in-flight
 	// dirty pages as of the last tick — on demand, in place; candidates no
@@ -542,66 +544,100 @@ func (m *Manager) startClean(page mmu.PageID) {
 		// clean (paper §5.1 step 6).
 		pt.Protect(page)
 	}
-	// PageData's copy is the submission snapshot; the device takes it over.
-	snap := m.region.PageData(page)
-	sp := m.tr.Begin("core.clean", m.clock.Now())
-	m.dev.WriteSnapshotAsync(page, snap, func(at sim.Time, err error) {
-		// If the entry was replaced (page re-dirtied after a waiter saw
-		// this clean complete), leave the new entry alone.
-		dp := m.dirty.live(page, seq)
-		if err != nil {
-			// The write failed (transient error or torn program): the
-			// page's latest contents are NOT durable, so it must stay in
-			// the dirty set. Return it to the plain dirty state — in
-			// software mode that means unprotecting again, restoring the
-			// "dirty ∧ ¬cleaning ⇒ unprotected" invariant — and resubmit
-			// after an exponential backoff.
-			m.st.cleanErrors.Inc()
-			m.tr.Finish(sp, at, "error")
-			m.noteCleanError(at)
-			if dp == nil {
-				return
-			}
-			m.setCleaning(dp, false)
-			dp.rewritten = false
-			dp.attempts++
-			if m.writesBlocked() {
-				// Emergency drain: keep the page protected (writes stay
-				// blocked) and let the drain loop manage attempts; the
-				// auto-retry would defeat its attempt bound.
-				return
-			}
-			if !m.cfg.HardwareAssist {
-				pt.Unprotect(page)
-			}
-			if !m.closed {
-				m.scheduleCleanRetry(page, seq, at.Add(m.retryBackoff(dp.attempts)))
-			}
-			return
-		}
-		m.st.cleansCompleted.Inc()
-		m.st.cleanLatency.Record(at.Sub(sp.Start))
-		m.tr.Finish(sp, at, "ok")
-		m.noteCleanSuccess()
+	// The copy into a device buffer is the submission snapshot; the
+	// device takes it over.
+	snap := m.dev.PageBuffer()
+	m.region.CopyPage(page, snap)
+	c := m.newClean()
+	c.page, c.seq, c.sp = page, seq, m.tr.Begin("core.clean", m.clock.Now())
+	m.dev.WriteSnapshotAsync(page, snap, c.done)
+}
+
+// clean is one clean in flight: what its completion needs. Records are
+// reused (Manager.cleans), each with its completion bound once, so
+// starting a clean allocates nothing once the pool holds a record per
+// clean in flight.
+type clean struct {
+	m    *Manager
+	page mmu.PageID
+	seq  uint64
+	sp   obs.Span
+	done func(sim.Time, error) // c.complete, bound once
+}
+
+// newClean takes a clean record from the pool, or makes one.
+func (m *Manager) newClean() *clean {
+	if n := len(m.cleans); n > 0 {
+		c := m.cleans[n-1]
+		m.cleans = m.cleans[:n-1]
+		return c
+	}
+	c := &clean{m: m}
+	c.done = c.complete
+	return c
+}
+
+// complete is a clean's SSD completion. The record goes back to the pool
+// first, so a clean started from here can reuse it.
+func (c *clean) complete(at sim.Time, err error) {
+	m, page, seq, sp := c.m, c.page, c.seq, c.sp
+	m.cleans = append(m.cleans, c)
+	pt := m.region.PageTable()
+	// If the entry was replaced (page re-dirtied after a waiter saw
+	// this clean complete), leave the new entry alone.
+	dp := m.dirty.live(page, seq)
+	if err != nil {
+		// The write failed (transient error or torn program): the
+		// page's latest contents are NOT durable, so it must stay in
+		// the dirty set. Return it to the plain dirty state — in
+		// software mode that means unprotecting again, restoring the
+		// "dirty ∧ ¬cleaning ⇒ unprotected" invariant — and resubmit
+		// after an exponential backoff.
+		m.st.cleanErrors.Inc()
+		m.tr.Finish(sp, at, "error")
+		m.noteCleanError(at)
 		if dp == nil {
 			return
 		}
-		dp.attempts = 0
-		if dp.rewritten {
-			// Hardware assist: the page was written after the snapshot;
-			// the durable copy is stale, so the page stays dirty and
-			// becomes cleanable again.
-			m.setCleaning(dp, false)
-			dp.rewritten = false
+		m.setCleaning(dp, false)
+		dp.rewritten = false
+		dp.attempts++
+		if m.writesBlocked() {
+			// Emergency drain: keep the page protected (writes stay
+			// blocked) and let the drain loop manage attempts; the
+			// auto-retry would defeat its attempt bound.
 			return
 		}
-		// The snapshot's contents are now durable; removal ends the clean.
-		m.inflight--
-		m.dirty.remove(page)
-		pt.ClearDirty(page)
-		m.noteDirtyLevel()
-		m.noteDrainProgress()
-	})
+		if !m.cfg.HardwareAssist {
+			pt.Unprotect(page)
+		}
+		if !m.closed {
+			m.scheduleCleanRetry(page, seq, at.Add(m.retryBackoff(dp.attempts)))
+		}
+		return
+	}
+	m.st.cleansCompleted.Inc()
+	m.st.cleanLatency.Record(at.Sub(sp.Start))
+	m.tr.Finish(sp, at, "ok")
+	m.noteCleanSuccess()
+	if dp == nil {
+		return
+	}
+	dp.attempts = 0
+	if dp.rewritten {
+		// Hardware assist: the page was written after the snapshot;
+		// the durable copy is stale, so the page stays dirty and
+		// becomes cleanable again.
+		m.setCleaning(dp, false)
+		dp.rewritten = false
+		return
+	}
+	// The snapshot's contents are now durable; removal ends the clean.
+	m.inflight--
+	m.dirty.remove(page)
+	pt.ClearDirty(page)
+	m.noteDirtyLevel()
+	m.noteDrainProgress()
 }
 
 // retryBackoff returns the delay before the attempts-th resubmission of

@@ -82,7 +82,7 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 	pt := m.region.PageTable()
 	for _, page := range m.dirty.list() {
 		pt.Protect(page) // no further mutation during the backup
-		// RawPage, not PageData: during the streaming backup the
+		// RawPage, not CopyPage: during the streaming backup the
 		// DRAM-side copy is DMA that overlaps the (5× slower) device
 		// transfer, so no serial copy time is charged. WriteBatch copies
 		// the bytes before returning.

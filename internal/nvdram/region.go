@@ -225,18 +225,20 @@ func (r *Region) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// PageData returns a copy of the page's current contents. It is the
-// transfer path used when a page is written out to the SSD; the copy cost
-// is charged to the clock.
-func (r *Region) PageData(page mmu.PageID) []byte {
+// CopyPage copies the page's current contents into dst, which must be one
+// page long. It is the transfer path used when a page is written out to
+// the SSD (dst is then a device buffer, ssd.SSD.PageBuffer); the copy
+// cost is charged to the clock.
+func (r *Region) CopyPage(page mmu.PageID, dst []byte) {
 	start := int64(page) * int64(r.pageSize)
 	if err := r.checkRange(start, r.pageSize); err != nil {
 		panic(err)
 	}
-	buf := make([]byte, r.pageSize)
-	copy(buf, r.RawPage(page))
+	if len(dst) != r.pageSize {
+		panic(fmt.Sprintf("nvdram: copy of page %d into %d bytes, want %d", page, len(dst), r.pageSize))
+	}
+	copy(dst, r.RawPage(page))
 	r.chargeCopy(r.pageSize)
-	return buf
 }
 
 // RestorePage overwrites a page's contents without going through the MMU

@@ -127,21 +127,32 @@ func TestReadsNeverDirty(t *testing.T) {
 	}
 }
 
-func TestPageDataMatchesContents(t *testing.T) {
-	r, _ := newTestRegion(t, 4*4096, 4096)
+func TestCopyPageMatchesContents(t *testing.T) {
+	r, c := newTestRegion(t, 4*4096, 4096)
 	payload := bytes.Repeat([]byte{0xAB}, 4096)
 	if err := r.WriteAt(payload, 4096); err != nil {
 		t.Fatal(err)
 	}
-	got := r.PageData(1)
+	got := bytes.Repeat([]byte{0x11}, 4096) // stale bytes, all overwritten
+	t0 := c.Now()
+	r.CopyPage(1, got)
 	if !bytes.Equal(got, payload) {
-		t.Fatal("PageData does not match written contents")
+		t.Fatal("CopyPage does not match written contents")
+	}
+	if c.Now().Sub(t0) != 400*sim.Nanosecond {
+		t.Fatalf("CopyPage charged %v, want one page's copy (400ns)", c.Now().Sub(t0))
 	}
 	// Mutating the copy must not affect the region.
 	got[0] = 0xFF
 	if r.RawPage(1)[0] != 0xAB {
-		t.Fatal("PageData returned aliased memory")
+		t.Fatal("CopyPage aliased region memory")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyPage into a short buffer did not panic")
+		}
+	}()
+	r.CopyPage(1, got[:100])
 }
 
 func TestAccessChargesTime(t *testing.T) {

@@ -172,10 +172,11 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 			if !inside {
 				continue
 			}
-			got := r.PageData(page)
+			got := bytes.Repeat([]byte{0xEE}, ps) // stale bytes, all overwritten
+			r.CopyPage(page, got)
 			f.charge(ps)
 			if !bytes.Equal(got, f.page(page)) {
-				t.Fatalf("step %d: PageData(%d) differs from the flat model", step, page)
+				t.Fatalf("step %d: CopyPage(%d) differs from the flat model", step, page)
 			}
 			got[0] ^= 0xFF // a copy: must not show below
 		case 5:
@@ -342,8 +343,9 @@ func TestNewBacksNothing(t *testing.T) {
 	}); got >= 1<<20 || backed() != 0 {
 		t.Fatalf("reads allocated %d bytes and backed %d pages, want no backing", got, backed())
 	}
-	if got := r.PageData(77); !bytes.Equal(got, make([]byte, 4096)) || backed() != 0 {
-		t.Fatalf("PageData of a never-written page: non-zero or backed (%d pages)", backed())
+	got := bytes.Repeat([]byte{0xEE}, 4096)
+	if r.CopyPage(77, got); !bytes.Equal(got, make([]byte, 4096)) || backed() != 0 {
+		t.Fatalf("CopyPage of a never-written page: non-zero or backed (%d pages)", backed())
 	}
 	const chunkBytes = chunkPages * 4096
 	if got := allocated(func() {
@@ -492,7 +494,7 @@ func TestCheckRestorableSkipsOnlyTheVacuousCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := &fakeStore{pages: map[mmu.PageID][]byte{
-		10:             r.PageData(10),
+		10:             bytes.Clone(r.RawPage(10)),
 		chunkPages + 1: bytes.Repeat([]byte{3}, 4096), // durable, region unbacked there
 	}}
 	var failed []mmu.PageID

@@ -61,8 +61,9 @@ type FaultDecision struct {
 }
 
 // FaultInjector decides the fate of each submitted page write. It is
-// consulted once per WritePageAsync submission (retries are new
-// submissions and are consulted again). Implementations must be
+// consulted once per page-write submission (see SetFaultInjector; retries
+// are new submissions and are consulted again). data is the submission
+// snapshot, valid only for the call. Implementations must be
 // deterministic for reproducible runs.
 type FaultInjector interface {
 	WriteFault(page mmu.PageID, data []byte) FaultDecision
@@ -77,23 +78,28 @@ var ErrWriteFault = errors.New("ssd: transient write error (injected)")
 var ErrTornWrite = errors.New("ssd: torn page write (injected)")
 
 // SetFaultInjector installs (or, with nil, removes) the write fault
-// injector. Only WritePageAsync/WritePageSync consult it; WriteBatch —
-// the battery-powered power-fail flush — is exempt, matching the paper's
-// assumption that the backup path itself is engineered to complete
-// (faultinject models battery shortfall separately via capacity sag).
+// injector. Only the page writes consult it: WriteSnapshotAsync, which
+// every clean uses, and WritePageAsync / WritePageSync, which submit
+// through it. WriteBatch — the battery-powered power-fail flush — is
+// exempt, matching the paper's assumption that the backup path itself is
+// engineered to complete (faultinject models battery shortfall separately
+// via capacity sag).
 func (d *SSD) SetFaultInjector(fi FaultInjector) { d.faults = fi }
 
 // applyTorn installs the torn image for page: the first half of data
 // over whatever the durable store previously held. The page checksum is
 // left at the previous ack, so the mixed image is checksum-detectable,
 // and the corruption oracle records the divergence until a full rewrite
-// lands.
+// lands. The torn image is a buffer of its own; the snapshot is the
+// caller's to recycle.
 func (d *SSD) applyTorn(page mmu.PageID, data []byte) {
-	torn := make([]byte, len(data))
+	torn := d.PageBuffer()
 	if prev, ok := d.store[page]; ok {
 		copy(torn, prev)
+	} else {
+		clear(torn)
 	}
 	copy(torn[:len(data)/2], data[:len(data)/2])
-	d.putData(page, torn)
+	d.recycle(d.putData(page, torn))
 	d.noteCorrupt(page)
 }

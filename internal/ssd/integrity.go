@@ -175,9 +175,11 @@ func (d *SSD) verify(page mmu.PageID) ([]byte, uint64, error) {
 // cannot be laundered into a verified one. The two objects share the
 // buffer, as they share the flash: stored bytes are only ever replaced
 // (putData), never written in place — the at-rest corruption hooks flip a
-// private copy (flipStored) — so neither object can change what
-// the other holds. No IO is modelled (the charged restore read is a
-// ReadStream over d). A page that fails verification returns the error
+// private copy (flipStored) — so neither object can change what the other
+// holds. The page is marked lent on both objects, so neither returns the
+// shared buffer to its free list when a later write displaces it: the
+// other may still hold it. No IO is modelled (the charged restore read is
+// a ReadStream over d). A page that fails verification returns the error
 // wrapping ErrCorruptPage and is not adopted. d may be src itself — an
 // in-place restore — in which case verification is all there is to do.
 func (d *SSD) AdoptVerified(src *SSD, page mmu.PageID) error {
@@ -188,7 +190,9 @@ func (d *SSD) AdoptVerified(src *SSD, page mmu.PageID) error {
 	if len(data) != d.cfg.PageSize {
 		panic(fmt.Sprintf("ssd: adopting a page of %d bytes, want page size %d", len(data), d.cfg.PageSize))
 	}
-	d.putData(page, data)
+	d.recycle(d.putData(page, data))
+	d.lent.add(page)
+	src.lent.add(page)
 	d.putSum(page, sum)
 	return nil
 }
@@ -242,9 +246,11 @@ func (d *SSD) CorruptPage(page mmu.PageID, off int, pattern byte) bool {
 // mutation behind both at-rest corruption hooks. It flips a private copy
 // and installs that, because the stored buffer may be shared with another
 // device object (AdoptVerified) and damage injected into one must not
-// reach the other.
+// reach the other. The displaced buffer is left to the collector rather
+// than recycled: damage is not a write, so a Durable slice of the page
+// stays as it was.
 func (d *SSD) flipStored(page mmu.PageID, i int, mask byte) {
-	data := bytes.Clone(d.store[page])
+	data := d.copyBuffer(d.store[page])
 	data[i] ^= mask
 	d.putData(page, data)
 	d.stats.RotEvents++

@@ -1,0 +1,251 @@
+package ssd
+
+import (
+	"bytes"
+	"errors"
+	"slices"
+	"testing"
+
+	"viyojit/internal/mmu"
+	"viyojit/internal/sim"
+)
+
+// refDevice is what one device object must show, kept as private clones:
+// no buffer the device hands out, recycles or lends can reach it. Its
+// fault semantics are written out again from the fault classes' contracts
+// (fault.go, integrity.go), not called from the device.
+type refDevice struct {
+	data map[mmu.PageID][]byte
+	sums map[mmu.PageID]uint64
+}
+
+func newRefDevice() *refDevice {
+	return &refDevice{data: map[mmu.PageID][]byte{}, sums: map[mmu.PageID]uint64{}}
+}
+
+// store records a full page image landing with its sum.
+func (r *refDevice) store(page mmu.PageID, img []byte) {
+	r.data[page] = bytes.Clone(img)
+	r.sums[page] = Checksum(img)
+}
+
+// storedPages returns, ascending, the pages with contents, without except
+// if skip is set: the ranks misdirection and rot pick their victims by.
+func (r *refDevice) storedPages(except mmu.PageID, skip bool) []mmu.PageID {
+	out := make([]mmu.PageID, 0, len(r.data))
+	for p := range r.data {
+		if !skip || p != except {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// verdict is VerifyPage's answer for page: intact, or no claim at all.
+func (r *refDevice) verdict(page mmu.PageID) bool {
+	data, hasData := r.data[page]
+	sum, hasSum := r.sums[page]
+	return hasData == hasSum && (!hasData || Checksum(data) == sum)
+}
+
+// complete applies one write's recorded fate, as its completion does.
+func (r *refDevice) complete(page mmu.PageID, img []byte, dec FaultDecision, pageSize int) {
+	switch dec.Fault {
+	case FaultTransient:
+	case FaultTorn:
+		torn := make([]byte, pageSize)
+		copy(torn, r.data[page])
+		copy(torn[:pageSize/2], img)
+		r.data[page] = torn
+	case FaultLost:
+		r.sums[page] = Checksum(img)
+	case FaultMisdirected:
+		r.sums[page] = Checksum(img)
+		if others := r.storedPages(page, true); len(others) > 0 {
+			r.data[others[dec.MisdirectSeed%uint64(len(others))]] = bytes.Clone(img)
+		}
+	default:
+		r.store(page, img)
+	}
+	if dec.Rot {
+		stored := r.storedPages(0, false)
+		if n := uint64(len(stored)); n > 0 {
+			bit := (dec.RotSeed / n) % uint64(pageSize*8)
+			r.data[stored[dec.RotSeed%n]][bit/8] ^= 1 << (bit % 8)
+		}
+	}
+}
+
+// recordingInjector is the seeded injector, remembering its last verdict
+// so the reference can replay it.
+type recordingInjector struct {
+	seededInjector
+	last FaultDecision
+}
+
+func (r *recordingInjector) WriteFault(page mmu.PageID, data []byte) FaultDecision {
+	r.last = r.seededInjector.WriteFault(page, data)
+	return r.last
+}
+
+// lendPages is the page range the script works on: few enough that
+// writes, adoptions and corruption keep landing on the same pages.
+const lendPages = 24
+
+// checkAgainstRef compares every page of d with its reference: stored
+// bytes, recorded sum and verdict.
+func checkAgainstRef(t *testing.T, name string, d *SSD, ref *refDevice, step int, what string) {
+	t.Helper()
+	for p := mmu.PageID(0); p < lendPages; p++ {
+		got, ok := d.Durable(p)
+		want, wok := ref.data[p]
+		if ok != wok || !bytes.Equal(got, want) {
+			t.Fatalf("step %d (%s): device %s page %d: stored bytes differ from the reference (present %v, want %v)", step, what, name, p, ok, wok)
+		}
+		sum, ok := d.DurableChecksum(p)
+		wsum, wok := ref.sums[p]
+		if ok != wok || sum != wsum {
+			t.Fatalf("step %d (%s): device %s page %d: sum %#x (%v), reference %#x (%v)", step, what, name, p, sum, ok, wsum, wok)
+		}
+		if err := d.VerifyPage(p); (err == nil) != ref.verdict(p) {
+			t.Fatalf("step %d (%s): device %s page %d: VerifyPage = %v, reference intact = %v", step, what, name, p, err, ref.verdict(p))
+		}
+	}
+}
+
+// TestBufferLendingMatchesPrivateCopies drives two device objects with a
+// seeded script of every path that installs, displaces, lends or damages
+// a stored buffer — cleans' snapshot writes under every injected fault
+// class, streaming batches, seeding, adoption in both directions, a
+// reboot that adopts a whole device, and at-rest corruption — and checks
+// after every step that each device's bytes, sums and verdicts equal a
+// reference that owns a private clone of every image. A buffer recycled
+// while another object still held it, or while it was still stored,
+// shows as bytes changing under a page no step touched.
+func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 0xC0FFEE} {
+		rng := sim.NewRNG(seed)
+		var devs [2]*SSD
+		var queues [2]*sim.Queue
+		var clocks [2]*sim.Clock
+		var injs [2]*recordingInjector
+		var refs [2]*refDevice
+		var st Stats // fault counts of every device object the script used
+		count := func(d *SSD) {
+			s := d.Stats()
+			st.TornWrites += s.TornWrites
+			st.LostWrites += s.LostWrites
+			st.Misdirected += s.Misdirected
+			st.WriteErrors += s.WriteErrors
+		}
+		boot := func(i int) {
+			if devs[i] != nil {
+				count(devs[i])
+			}
+			devs[i], clocks[i], queues[i] = newTestSSD(Config{})
+			injs[i] = &recordingInjector{seededInjector: seededInjector{rng: sim.NewRNG(seed ^ uint64(i+1)*0xFA17)}}
+			devs[i].SetFaultInjector(injs[i])
+			refs[i] = newRefDevice()
+		}
+		boot(0)
+		boot(1)
+		img := func() []byte { return randomPage(rng.Uint64(), 4096) }
+		pick := func() mmu.PageID { return mmu.PageID(rng.Intn(lendPages)) }
+		adopts, lentSeen, recycled, rots := 0, 0, 0, 0
+		for step := 0; step < 600; step++ {
+			i := rng.Intn(2)
+			d, ref := devs[i], refs[i]
+			var what string
+			switch op := rng.Intn(12); {
+			case op < 5: // cleans: snapshot writes, up to four in flight
+				what = "WriteSnapshotAsync"
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					page, image := pick(), img()
+					snap := d.PageBuffer()
+					copy(snap, image)
+					var dec FaultDecision
+					d.WriteSnapshotAsync(page, snap, func(sim.Time, error) {
+						ref.complete(page, image, dec, 4096)
+						if dec.Rot {
+							rots++
+						}
+					})
+					dec = injs[i].last
+				}
+				queues[i].Drain(clocks[i])
+			case op == 5:
+				what = "WriteBatch"
+				a, b := pick(), pick()
+				ia, ib := img(), img()
+				if a == b {
+					ib = ia
+				}
+				d.WriteBatch(map[mmu.PageID][]byte{a: ia, b: ib})
+				ref.store(a, ia)
+				ref.store(b, ib)
+			case op == 6:
+				what = "SeedDurable"
+				page, image := pick(), img()
+				d.SeedDurable(page, image)
+				ref.store(page, image)
+			case op < 9: // one page each way
+				what = "AdoptVerified"
+				src, srcRef := devs[1-i], refs[1-i]
+				page := pick()
+				err := d.AdoptVerified(src, page)
+				if (err == nil) != srcRef.verdict(page) {
+					t.Fatalf("step %d: AdoptVerified of page %d = %v, reference intact = %v", step, page, err, srcRef.verdict(page))
+				}
+				if err != nil && !errors.Is(err, ErrCorruptPage) {
+					t.Fatalf("step %d: AdoptVerified error %v does not wrap ErrCorruptPage", step, err)
+				}
+				if data, ok := srcRef.data[page]; ok && err == nil {
+					ref.data[page] = bytes.Clone(data)
+					ref.sums[page] = srcRef.sums[page]
+					adopts++
+				}
+			case op == 9: // a reboot: a new object adopts every page of the other
+				what = "reboot"
+				src, srcRef := devs[1-i], refs[1-i]
+				boot(i)
+				d, ref = devs[i], refs[i]
+				for _, page := range src.DurablePageList() {
+					err := d.AdoptVerified(src, page)
+					if (err == nil) != srcRef.verdict(page) {
+						t.Fatalf("step %d: reboot adoption of page %d = %v, reference intact = %v", step, page, err, srcRef.verdict(page))
+					}
+					if data, ok := srcRef.data[page]; ok && err == nil {
+						ref.data[page] = bytes.Clone(data)
+						ref.sums[page] = srcRef.sums[page]
+						adopts++
+					}
+				}
+			default:
+				what = "CorruptPage"
+				page, off, pattern := pick(), rng.Intn(4096), byte(1+rng.Intn(255))
+				_, had := ref.data[page]
+				if got := d.CorruptPage(page, off, pattern); got != had {
+					t.Fatalf("step %d: CorruptPage(%d) = %v, reference has contents = %v", step, page, got, had)
+				}
+				if had {
+					ref.data[page][off] ^= pattern
+				}
+			}
+			for k := range devs {
+				lentSeen = max(lentSeen, devs[k].lent.n)
+				recycled = max(recycled, len(devs[k].free))
+				checkAgainstRef(t, []string{"A", "B"}[k], devs[k], refs[k], step, what)
+			}
+		}
+		for _, d := range devs {
+			count(d)
+		}
+		if st.TornWrites == 0 || st.LostWrites == 0 || st.Misdirected == 0 || st.WriteErrors == 0 || rots == 0 {
+			t.Fatalf("seed %d: the script missed a fault class: %d rots, %+v", seed, rots, st)
+		}
+		if adopts == 0 || lentSeen == 0 || recycled == 0 {
+			t.Fatalf("seed %d: %d adoptions, at most %d lent pages and %d free buffers: the script never lent or recycled", seed, adopts, lentSeen, recycled)
+		}
+	}
+}

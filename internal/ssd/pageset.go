@@ -6,12 +6,12 @@ import (
 	"viyojit/internal/mmu"
 )
 
-// pageSet is an insert-only set of page numbers kept as a bitmap indexed
-// by page. The device's maps answer "what does this page hold"; a
-// pageSet answers the ordered questions the maps cannot — the next
-// members above a page, the k-th member — without visiting the whole
-// set. Page numbers are dense (a region's pages count up from 0), so the
-// bitmap is one bit per region page.
+// pageSet is a set of page numbers kept as a bitmap indexed by page. The
+// device's maps answer "what does this page hold"; a pageSet answers the
+// ordered questions the maps cannot — the next members above a page, the
+// k-th member — without visiting the whole set. Page numbers are dense (a
+// region's pages count up from 0), so the bitmap is one bit per region
+// page.
 type pageSet struct {
 	words []uint64
 	n     int // members
@@ -20,13 +20,29 @@ type pageSet struct {
 // add inserts page; inserting a member again is a no-op.
 func (s *pageSet) add(page mmu.PageID) {
 	w := int(page >> 6)
-	if w >= len(s.words) {
-		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	for w >= len(s.words) {
+		// One word at a time: append's doubling keeps the growth
+		// amortised, with no temporary slice.
+		s.words = append(s.words, 0)
 	}
 	bit := uint64(1) << (page & 63)
 	if s.words[w]&bit == 0 {
 		s.words[w] |= bit
 		s.n++
+	}
+}
+
+// has reports whether page is a member.
+func (s *pageSet) has(page mmu.PageID) bool {
+	w := int(page >> 6)
+	return w < len(s.words) && s.words[w]&(1<<(page&63)) != 0
+}
+
+// remove deletes page; removing a non-member is a no-op.
+func (s *pageSet) remove(page mmu.PageID) {
+	if s.has(page) {
+		s.words[page>>6] &^= 1 << (page & 63)
+		s.n--
 	}
 }
 

@@ -131,6 +131,7 @@ type SSD struct {
 	sums      map[mmu.PageID]uint64   // per-page checksums of last acked contents (integrity.go)
 	stored    pageSet                 // the pages with an entry in store (putData)
 	claimed   pageSet                 // the pages with an entry in store or sums (putData, putSum)
+	lent      pageSet                 // the pages whose stored buffer another device object may hold (AdoptVerified)
 	corruptAt map[mmu.PageID]sim.Time // oracle: first unrepaired silent corruption per page
 	dedup     map[uint64]struct{}     // content fingerprints (Dedup)
 	faults    FaultInjector           // nil = never errors (fault.go)
@@ -138,6 +139,13 @@ type SSD struct {
 	bandwidth sim.Time // next time the write channel is free
 	stats     Stats
 	reduction ReductionStats
+
+	// free holds page buffers that no page's contents and no in-flight
+	// write use: stored buffers a later write displaced, and snapshots
+	// that were never stored. PageBuffer hands them out again.
+	free [][]byte
+	// writes holds the write records not in flight (newWrite).
+	writes []*write
 
 	// window is the ring of recent write completions backing the
 	// measured-bandwidth/latency estimators (see MeasuredWriteBandwidth).
@@ -170,14 +178,52 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) *SSD {
 	}
 }
 
-// putData installs data as page's stored contents. Every insertion into
-// store goes through here: neither map ever loses an entry, so the two
-// page sets only grow, and "bit set ⇔ page has an entry" holds by
-// construction.
-func (d *SSD) putData(page mmu.PageID, data []byte) {
+// putData installs data, a buffer no other device object holds, as page's
+// stored contents, and returns the buffer it displaced: nil if the page
+// had none, or if its buffer was lent, since another object may still read
+// a lent one. Every insertion into store goes through here: neither map
+// ever loses an entry, so the stored and claimed sets only grow, and "bit
+// set ⇔ page has an entry" holds by construction.
+func (d *SSD) putData(page mmu.PageID, data []byte) (displaced []byte) {
+	displaced = d.store[page]
+	if d.lent.has(page) {
+		displaced = nil
+		d.lent.remove(page)
+	}
 	d.store[page] = data
 	d.stored.add(page)
 	d.claimed.add(page)
+	return displaced
+}
+
+// PageBuffer hands out a page-sized buffer for a write snapshot: one that
+// a completed write displaced, or a new one when none is free. It holds
+// whatever it last held, so the caller overwrites all of it and then
+// passes it to WriteSnapshotAsync.
+func (d *SSD) PageBuffer() []byte {
+	n := len(d.free)
+	if n == 0 {
+		return make([]byte, d.cfg.PageSize)
+	}
+	buf := d.free[n-1]
+	d.free[n-1] = nil
+	d.free = d.free[:n-1]
+	return buf
+}
+
+// recycle returns buf, which nothing reads any more, to the free list. A
+// nil buf (putData's result for a lent or absent buffer) is ignored.
+func (d *SSD) recycle(buf []byte) {
+	if buf != nil {
+		d.free = append(d.free, buf)
+	}
+}
+
+// copyBuffer returns a page buffer holding a copy of data.
+func (d *SSD) copyBuffer(data []byte) []byte {
+	buf := d.PageBuffer()
+	copy(buf, data)
+	return buf
 }
 
 // putSum records sum as the checksum of page's last acked contents; the
@@ -207,8 +253,9 @@ func transferTime(n int, bw int64) sim.Duration {
 // completions) fire — until a slot frees. onComplete, if non-nil, runs at
 // the IO's completion time; a non-nil error (ErrWriteFault, ErrTornWrite)
 // means the page's latest contents are NOT durable and the caller must
-// resubmit. The page bytes are snapshotted at submission, so the caller
-// may reuse or mutate data as soon as WritePageAsync returns.
+// resubmit. The page bytes are copied at submission into a buffer of the
+// device's own (PageBuffer), so the caller may reuse or mutate data as
+// soon as WritePageAsync returns.
 func (d *SSD) WritePageAsync(page mmu.PageID, data []byte, onComplete func(sim.Time, error)) {
 	// Snapshot before anything can yield to the event loop: the stall
 	// loop and the completion both run arbitrary events, and the caller's
@@ -216,18 +263,25 @@ func (d *SSD) WritePageAsync(page mmu.PageID, data []byte, onComplete func(sim.T
 	// must persist the bytes as of submission, not as of completion —
 	// without the copy, later DRAM stores would silently rewrite
 	// "durable" contents through the retained slice.
-	d.WriteSnapshotAsync(page, bytes.Clone(data), onComplete)
+	d.checkWriteSize(len(data))
+	d.WriteSnapshotAsync(page, d.copyBuffer(data), onComplete)
+}
+
+// checkWriteSize panics unless a write carries exactly one page.
+func (d *SSD) checkWriteSize(n int) {
+	if n != d.cfg.PageSize {
+		panic(fmt.Sprintf("ssd: write of %d bytes, want page size %d", n, d.cfg.PageSize))
+	}
 }
 
 // WriteSnapshotAsync is WritePageAsync for a caller that has already
 // taken the submission snapshot (the clean path copies the page out of
-// NV-DRAM, charging the copy, and needs no second one): ownership of
-// data passes to the device, which keeps it as the page's durable
-// contents. The caller must not read or write data afterwards.
+// NV-DRAM into a PageBuffer, charging the copy, and needs no second one):
+// ownership of data passes to the device, which keeps it as the page's
+// durable contents, or returns it to the free list if the write stores
+// nothing. The caller must not read or write data afterwards.
 func (d *SSD) WriteSnapshotAsync(page mmu.PageID, data []byte, onComplete func(sim.Time, error)) {
-	if len(data) != d.cfg.PageSize {
-		panic(fmt.Sprintf("ssd: write of %d bytes, want page size %d", len(data), d.cfg.PageSize))
-	}
+	d.checkWriteSize(len(data))
 	for d.inflight >= d.cfg.MaxOutstanding {
 		d.stats.SubmitStalls++
 		d.st.submitStalls.Inc()
@@ -265,70 +319,117 @@ func (d *SSD) WriteSnapshotAsync(page mmu.PageID, data []byte, onComplete func(s
 		d.stats.BusyUntil = done
 	}
 
-	d.events.Schedule(done, func(at sim.Time) {
-		var err error
-		goodput := 0
-		switch fault.Fault {
-		case FaultTransient:
-			// The attempt consumed bus time but nothing landed.
-			d.stats.WriteErrors++
-			d.st.writeErrors.Inc()
-			err = ErrWriteFault
-		case FaultTorn:
-			d.stats.TornWrites++
-			d.st.tornWrites.Inc()
-			d.applyTorn(page, data)
-			err = ErrTornWrite
-		case FaultLost:
-			// Acked but never persisted: the host sees success, so the
-			// checksum advances to the new contents while the store keeps
-			// the old — the classic silent divergence only a scrub or a
-			// verified restore can expose.
+	w := d.newWrite()
+	w.page, w.data, w.fault, w.submitted, w.onComplete = page, data, fault, submitted, onComplete
+	if w.ev == nil {
+		w.ev = d.events.Schedule(done, w.fire)
+	} else {
+		d.events.Rearm(w.ev, done, w.fire)
+	}
+}
+
+// write is one page write in flight: what its completion needs, and the
+// event it completes on. Records are reused (SSD.writes), each with its
+// one event, re-armed per write, and its completion bound once, so a
+// submission allocates nothing once the pool holds a record per write in
+// flight.
+type write struct {
+	d          *SSD
+	page       mmu.PageID
+	data       []byte
+	fault      FaultDecision
+	submitted  sim.Time
+	onComplete func(sim.Time, error)
+	ev         *sim.Event     // nil until the record's first write
+	fire       func(sim.Time) // w.complete, bound once
+}
+
+// newWrite takes a write record from the pool, or makes one.
+func (d *SSD) newWrite() *write {
+	if n := len(d.writes); n > 0 {
+		w := d.writes[n-1]
+		d.writes = d.writes[:n-1]
+		return w
+	}
+	w := &write{d: d}
+	w.fire = w.complete
+	return w
+}
+
+// complete is a write's completion event. The record goes back to the
+// pool first, so a write the caller's completion submits can reuse it.
+// A snapshot the store does not keep goes back to the free list.
+func (w *write) complete(at sim.Time) {
+	d, page, data, fault, submitted, onComplete := w.d, w.page, w.data, w.fault, w.submitted, w.onComplete
+	w.data, w.onComplete = nil, nil
+	d.writes = append(d.writes, w)
+
+	var err error
+	goodput := 0
+	switch fault.Fault {
+	case FaultTransient:
+		// The attempt consumed bus time but nothing landed.
+		d.stats.WriteErrors++
+		d.st.writeErrors.Inc()
+		d.recycle(data)
+		err = ErrWriteFault
+	case FaultTorn:
+		d.stats.TornWrites++
+		d.st.tornWrites.Inc()
+		d.applyTorn(page, data)
+		d.recycle(data)
+		err = ErrTornWrite
+	case FaultLost:
+		// Acked but never persisted: the host sees success, so the
+		// checksum advances to the new contents while the store keeps
+		// the old — the classic silent divergence only a scrub or a
+		// verified restore can expose.
+		d.stats.LostWrites++
+		d.stats.BytesWritten += uint64(len(data))
+		goodput = len(data)
+		d.putSum(page, Checksum(data))
+		d.noteCorrupt(page)
+		d.recycle(data)
+	case FaultMisdirected:
+		// Acked for the intended page, landed on a victim: the
+		// intended page's checksum advances without its data, and the
+		// victim's data changes under its unchanged checksum. Both
+		// are now checksum-detectable. With nothing else to hit, the
+		// write degrades to lost semantics.
+		d.stats.Misdirected++
+		d.stats.BytesWritten += uint64(len(data))
+		goodput = len(data)
+		d.putSum(page, Checksum(data))
+		d.noteCorrupt(page)
+		if victim, ok := d.misdirectTarget(page, fault.MisdirectSeed); ok {
+			d.recycle(d.putData(victim, data))
+			d.noteCorrupt(victim)
+		} else {
 			d.stats.LostWrites++
-			d.stats.BytesWritten += uint64(len(data))
-			goodput = len(data)
-			d.putSum(page, Checksum(data))
-			d.noteCorrupt(page)
-		case FaultMisdirected:
-			// Acked for the intended page, landed on a victim: the
-			// intended page's checksum advances without its data, and the
-			// victim's data changes under its unchanged checksum. Both
-			// are now checksum-detectable. With nothing else to hit, the
-			// write degrades to lost semantics.
-			d.stats.Misdirected++
-			d.stats.BytesWritten += uint64(len(data))
-			goodput = len(data)
-			d.putSum(page, Checksum(data))
-			d.noteCorrupt(page)
-			if victim, ok := d.misdirectTarget(page, fault.MisdirectSeed); ok {
-				d.putData(victim, data)
-				d.noteCorrupt(victim)
-			} else {
-				d.stats.LostWrites++
-			}
-		default:
-			d.putData(page, data)
-			d.putSum(page, Checksum(data))
-			d.clearCorrupt(page)
-			d.stats.BytesWritten += uint64(len(data))
-			goodput = len(data)
+			d.recycle(data)
 		}
-		if fault.Rot {
-			d.applyRot(fault.RotSeed)
-		}
-		d.inflight--
-		d.stats.WritesCompleted++
-		d.stats.TotalWriteLag += at.Sub(submitted)
-		d.stats.completedForAvg++
-		d.st.writesCompleted.Inc()
-		d.st.bytesWritten.Add(uint64(goodput))
-		d.st.queueDepth.Set(int64(d.inflight))
-		d.st.writeLatency.Record(at.Sub(submitted))
-		d.recordSample(measureSample{submitted: submitted, done: at, bytes: goodput})
-		if onComplete != nil {
-			onComplete(at, err)
-		}
-	})
+	default:
+		d.recycle(d.putData(page, data))
+		d.putSum(page, Checksum(data))
+		d.clearCorrupt(page)
+		d.stats.BytesWritten += uint64(len(data))
+		goodput = len(data)
+	}
+	if fault.Rot {
+		d.applyRot(fault.RotSeed)
+	}
+	d.inflight--
+	d.stats.WritesCompleted++
+	d.stats.TotalWriteLag += at.Sub(submitted)
+	d.stats.completedForAvg++
+	d.st.writesCompleted.Inc()
+	d.st.bytesWritten.Add(uint64(goodput))
+	d.st.queueDepth.Set(int64(d.inflight))
+	d.st.writeLatency.Record(at.Sub(submitted))
+	d.recordSample(measureSample{submitted: submitted, done: at, bytes: goodput})
+	if onComplete != nil {
+		onComplete(at, err)
+	}
 }
 
 // WritePageSync submits a write and virtually blocks until it completes.
@@ -379,9 +480,8 @@ func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
 	}
 	d.clock.Advance(d.cfg.PerIOLatency + transferTime(total, d.EffectiveWriteBandwidth()))
 	for page, data := range pages {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		d.putData(page, cp)
+		cp := d.copyBuffer(data)
+		d.recycle(d.putData(page, cp))
 		d.putSum(page, Checksum(cp))
 		d.clearCorrupt(page)
 		d.stats.BytesWritten += uint64(len(data))
@@ -469,14 +569,18 @@ func (d *SSD) SeedDurable(page mmu.PageID, data []byte) {
 	if len(data) != d.cfg.PageSize {
 		panic(fmt.Sprintf("ssd: seed of %d bytes, want page size %d", len(data), d.cfg.PageSize))
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d.putData(page, cp)
+	cp := d.copyBuffer(data)
+	d.recycle(d.putData(page, cp))
 	d.putSum(page, Checksum(cp))
 }
 
 // Durable returns the stored contents of page without charging time, for
-// durability verification. The returned slice must not be modified.
+// durability verification. The slice is the device's own buffer: it must
+// not be modified, and it is valid only until the next write that lands
+// on that page of this device (a completed write, a misdirected one, a
+// batch, a seed or an adoption), which may hand the buffer out again for
+// another page's snapshot. A caller that keeps the bytes longer copies
+// them.
 func (d *SSD) Durable(page mmu.PageID) ([]byte, bool) {
 	data, ok := d.store[page]
 	return data, ok
