@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"viyojit"
@@ -31,50 +32,63 @@ import (
 	"viyojit/internal/sim"
 )
 
-func main() {
-	in := flag.String("in", "", "walk this raw ring image instead of running the demo")
-	out := flag.String("out", "", "demo mode: save the crash-instant ring image to this file")
-	n := flag.Int("n", 30, "timeline length to print (0 = all)")
-	size := flag.Int64("size", 8<<20, "demo mode: NV-DRAM size in bytes")
-	seed := flag.Uint64("seed", 1, "demo mode: workload seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *in != "" {
-		dumpImage(*in, *n)
-		return
+// run is main with its arguments and streams passed in; it returns the
+// process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("blackbox", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "walk this raw ring image instead of running the demo")
+	out := fs.String("out", "", "demo mode: save the crash-instant ring image to this file")
+	n := fs.Int("n", 30, "timeline length to print (0 = all)")
+	size := fs.Int64("size", 8<<20, "demo mode: NV-DRAM size in bytes")
+	seed := fs.Uint64("seed", 1, "demo mode: workload seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	demo(*size, *seed, *out, *n)
+	var err error
+	if *in != "" {
+		err = dumpImage(stdout, *in, *n)
+	} else {
+		err = demo(stdout, *size, *seed, *out, *n)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "blackbox:", err)
+		return 1
+	}
+	return 0
 }
 
 // dumpImage walks a saved ring image and prints its forensic report.
-func dumpImage(path string, n int) {
+func dumpImage(w io.Writer, path string, n int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	w := blackbox.Walk(data)
-	fmt.Printf("%s: %d bytes, %d slots\n", path, len(data), uint64(len(data))/blackbox.SlotBytes)
-	rep := blackbox.BuildReport(w)
-	if err := rep.WriteText(os.Stdout, n); err != nil {
-		fatal(err)
+	walk := blackbox.Walk(data)
+	fmt.Fprintf(w, "%s: %d bytes, %d slots\n", path, len(data), uint64(len(data))/blackbox.SlotBytes)
+	if err := blackbox.BuildReport(walk).WriteText(w, n); err != nil {
+		return err
 	}
-	if len(w.Records) == 0 {
-		fmt.Println("no intact records: empty ring, or an image too damaged to adopt anything")
+	if len(walk.Records) == 0 {
+		fmt.Fprintln(w, "no intact records: empty ring, or an image too damaged to adopt anything")
 	}
+	return nil
 }
 
 // demo runs a workload into a power failure and prints the forensic
 // report the recovered system adopts from the crash ring.
-func demo(size int64, seed uint64, out string, n int) {
+func demo(w io.Writer, size int64, seed uint64, out string, n int) error {
 	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: size, BlackBox: true})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m, err := sys.Map("demo-heap", size/2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("recorder armed: %d-record ring, budget %d pages\n",
+	fmt.Fprintf(w, "recorder armed: %d-record ring, budget %d pages\n",
 		sys.BlackBox().Slots(), sys.DirtyBudget())
 
 	rng := sim.NewRNG(seed)
@@ -82,42 +96,35 @@ func demo(size int64, seed uint64, out string, n int) {
 	for i := 0; i < int(2*pages); i++ {
 		p := rng.Int63n(pages)
 		if err := m.WriteAt([]byte{byte(p)}, p*4096); err != nil {
-			fatal(err)
+			return err
 		}
 		sys.Pump()
 	}
 	sys.BlackBox().Mark(1, int64(sys.DirtyCount()), 0)
 
 	res := sys.SimulatePowerFailure()
-	fmt.Printf("power failed at t=%v: flushed %d pages, survived=%v\n",
+	fmt.Fprintf(w, "power failed at t=%v: flushed %d pages, survived=%v\n",
 		sim.Duration(sys.Now()), res.PagesFlushed, res.Survived)
 
 	if out != "" {
 		img, err := sys.BlackBoxImage()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(out, img, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("crash ring image saved to %s (%d bytes) — replay with -in %s\n", out, len(img), out)
+		fmt.Fprintf(w, "crash ring image saved to %s (%d bytes) — replay with -in %s\n", out, len(img), out)
 	}
 
 	recovered, _, err := sys.Recover()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep := recovered.Forensics()
 	if rep == nil {
-		fatal(fmt.Errorf("recovery adopted no forensic report"))
+		return fmt.Errorf("recovery adopted no forensic report")
 	}
-	fmt.Println("\nforensic report adopted by the reboot:")
-	if err := rep.WriteText(os.Stdout, n); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "blackbox:", err)
-	os.Exit(1)
+	fmt.Fprintln(w, "\nforensic report adopted by the reboot:")
+	return rep.WriteText(w, n)
 }

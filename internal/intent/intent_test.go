@@ -358,35 +358,47 @@ func TestCrashCutPrefix(t *testing.T) {
 }
 
 // TestBeginCompleteAllocations pins a steady-state Begin+Complete pair,
-// compactions included. Both records are encoded into the journal's
-// buffer and appended through the log's, and a snapshot is staged and
-// sorted in buffers the journal keeps, so what is left is the dedup
-// table's own state, which the journal hands back on a retry: the entry,
-// its copy of the redo key and its copy of the redo value — which, the
-// result being that value, becomes the cached result without a copy. (The
-// window's map reuses the slot of the entry it drops.)
+// compactions included, at zero. Both records are encoded into the
+// journal's buffer and appended through the log's, and a snapshot is
+// staged and sorted in buffers the journal keeps. The dedup table's own
+// state is recycled too: the entry is one the window dropped, and the
+// redo image is copied into a buffer that came back from a Complete (nil
+// result: Complete frees it) or from the window (redo result: the image
+// is the cached result until its entry leaves the window). The window's
+// map reuses the slot of the entry it drops.
 func TestBeginCompleteAllocations(t *testing.T) {
-	j, _ := mustCreate(t, 1<<22, 8)
-	key, val := []byte("user0001"), bytes.Repeat([]byte{'v'}, 100)
-	seq := uint64(0)
-	pair := func() {
-		seq++
-		if err := j.Begin(1, seq, 7, key, val, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Complete(1, seq, 0, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for j.Stats().Compactions < 3 {
-		pair() // fill the window, size the buffers, reach both halves' logs
-	}
-	before := j.Stats().Compactions
-	if allocs := testing.AllocsPerRun(500, pair); allocs != 3 {
-		t.Fatalf("Begin+Complete allocate %v times, want 3", allocs)
-	}
-	if j.Stats().Compactions == before {
-		t.Fatal("no compaction inside the measured run")
+	for _, tc := range []struct {
+		name   string
+		result func(val []byte) []byte
+	}{
+		{"nil result", func([]byte) []byte { return nil }},
+		{"redo result", func(val []byte) []byte { return val }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, _ := mustCreate(t, 1<<22, 8)
+			key, val := []byte("user0001"), bytes.Repeat([]byte{'v'}, 100)
+			result := tc.result(val)
+			seq := uint64(0)
+			pair := func() {
+				seq++
+				if err := j.Begin(1, seq, 7, key, val, false); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Complete(1, seq, 0, result); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j.Stats().Compactions < 3 {
+				pair() // fill the window, size the buffers, reach both halves' logs
+			}
+			before := j.Stats().Compactions
+			if allocs := testing.AllocsPerRun(500, pair); allocs != 0 {
+				t.Fatalf("Begin+Complete allocate %v times, want 0", allocs)
+			}
+			if j.Stats().Compactions == before {
+				t.Fatal("no compaction inside the measured run")
+			}
+		})
 	}
 }
 

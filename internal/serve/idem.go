@@ -78,11 +78,7 @@ func (s *Server) SubmitIdempotent(ctx context.Context, clientID, seq uint64, op 
 	if err != nil {
 		return IdemResult{}, err
 	}
-	ir, ok := res.Value.(IdemResult)
-	if !ok {
-		return IdemResult{}, fmt.Errorf("serve: idempotent op returned %T", res.Value)
-	}
-	return ir, nil
+	return res.Idem, nil
 }
 
 // opSum derives the op checksum recorded with the intent: retrying the
@@ -113,13 +109,13 @@ func opSum(op *IdemOp) uint64 {
 // The StateInFlight branch below is the retry-time fallback for a server
 // recovered without ReplayPending; it is sound only until other
 // mutations touch the same key, which recovery-time replay avoids.
-func (s *Server) execIdem(e Exec, req Request) (any, error) {
+func (s *Server) execIdem(e Exec, req Request) (IdemResult, error) {
 	j := s.cfg.Journal
 	if j == nil {
-		return nil, fmt.Errorf("serve: idempotent request but server has no intent journal")
+		return IdemResult{}, fmt.Errorf("serve: idempotent request but server has no intent journal")
 	}
 	if e.Store == nil {
-		return nil, fmt.Errorf("serve: idempotent request but server fronts no store")
+		return IdemResult{}, fmt.Errorf("serve: idempotent request but server fronts no store")
 	}
 	op := req.Idem
 	sum := opSum(op)
@@ -129,7 +125,7 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 	switch state {
 	case intent.StateDone:
 		if ent.OpSum != sum {
-			return nil, fmt.Errorf("%w: client %d seq %d", ErrSeqReuse, client, seq)
+			return IdemResult{}, fmt.Errorf("%w: client %d seq %d", ErrSeqReuse, client, seq)
 		}
 		s.st.idemDedup.Inc()
 		res := IdemResult{Code: ent.Code, Value: op.Value, Deduped: true}
@@ -140,21 +136,24 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 
 	case intent.StateInFlight:
 		if ent.OpSum != sum {
-			return nil, fmt.Errorf("%w: client %d seq %d", ErrSeqReuse, client, seq)
+			return IdemResult{}, fmt.Errorf("%w: client %d seq %d", ErrSeqReuse, client, seq)
 		}
 		code, err := applyImage(e.Store, ent.RedoKey, ent.RedoVal, ent.Tombstone)
 		if err != nil {
-			return nil, err
+			return IdemResult{}, err
 		}
 		s.crashPoint() // redo applied, completion record not yet durable
+		// The redo image is a journal view that Complete retires (its
+		// buffer may go to the next Begin), so copy it first.
+		res := IdemResult{Code: code, Value: cloneBytes(ent.RedoVal), Redone: true}
 		if err := j.Complete(client, seq, code, cachedResult(op, ent.RedoVal)); err != nil && !errors.Is(err, intent.ErrJournalFull) {
-			return nil, err
+			return IdemResult{}, err
 		}
 		s.st.idemRedo.Inc()
-		return IdemResult{Code: code, Value: cloneBytes(ent.RedoVal), Redone: true}, nil
+		return res, nil
 
 	case intent.StateBelowWindow:
-		return nil, fmt.Errorf("%w: client %d seq %d", ErrStaleSeq, client, seq)
+		return IdemResult{}, fmt.Errorf("%w: client %d seq %d", ErrStaleSeq, client, seq)
 	}
 
 	// Fresh request: compute the redo image.
@@ -167,18 +166,18 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 		tombstone = true
 	case IdemRMW:
 		if op.Modify == nil {
-			return nil, fmt.Errorf("serve: IdemRMW without Modify")
+			return IdemResult{}, fmt.Errorf("serve: IdemRMW without Modify")
 		}
 		old, ok, err := e.Store.Get(op.Key)
 		if err != nil {
-			return nil, err
+			return IdemResult{}, err
 		}
 		image = op.Modify(old, ok)
 		if image == nil {
 			tombstone = true
 		}
 	default:
-		return nil, fmt.Errorf("serve: unknown IdemKind %d", op.Kind)
+		return IdemResult{}, fmt.Errorf("serve: unknown IdemKind %d", op.Kind)
 	}
 
 	// Intent (with redo) must be durable-ordered before the mutation.
@@ -186,20 +185,20 @@ func (s *Server) execIdem(e Exec, req Request) (any, error) {
 		if errors.Is(err, intent.ErrJournalFull) {
 			// The journal needs live entries to retire; the request was
 			// NOT executed, so backing off and retrying is safe.
-			return nil, fmt.Errorf("%w: intent journal full", ErrOverloaded)
+			return IdemResult{}, fmt.Errorf("%w: intent journal full", ErrOverloaded)
 		}
-		return nil, err
+		return IdemResult{}, err
 	}
 	s.crashPoint() // intent durable, mutation not yet applied
 	code, err := applyImage(e.Store, op.Key, image, tombstone)
 	if err != nil {
 		// Intent stands, mutation state unknown — exactly the situation
 		// the redo record repairs on the next retry of this seq.
-		return nil, err
+		return IdemResult{}, err
 	}
 	s.crashPoint() // mutation applied, completion record not yet durable
 	if err := j.Complete(client, seq, code, cachedResult(op, image)); err != nil && !errors.Is(err, intent.ErrJournalFull) {
-		return nil, err
+		return IdemResult{}, err
 	}
 	return IdemResult{Code: code, Value: image}, nil
 }

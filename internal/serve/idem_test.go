@@ -274,6 +274,38 @@ func TestIdemRequestValidation(t *testing.T) {
 	}
 }
 
+// TestIdemPutAllocations pins a served IdemPut at zero allocations in
+// steady state: the request is built once and only its seq moves, the
+// journal draws its entry and redo image from what the window dropped,
+// and the IdemResult comes back in Result.Idem instead of boxed in Value.
+func TestIdemPutAllocations(t *testing.T) {
+	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	ctx := context.Background()
+	req := Request{Priority: PriorityNormal, Write: true, ClientID: 1,
+		Idem: &IdemOp{Kind: IdemPut, Key: []byte("user0001"), Value: bytes.Repeat([]byte{'v'}, 1024)}}
+	put := func() {
+		req.RequestSeq++
+		res, err := h.srv.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Idem.Deduped || res.Idem.Code != IdemApplied || res.Value != nil {
+			t.Fatalf("seq %d: Idem %+v, Value %v", req.RequestSeq, res.Idem, res.Value)
+		}
+	}
+	j := h.srv.cfg.Journal
+	for j.Stats().Compactions < 3 {
+		put() // fill the window, size the buffers, reach both halves' logs
+	}
+	before := j.Stats().Compactions
+	if allocs := testing.AllocsPerRun(500, put); allocs != 0 {
+		t.Fatalf("a served IdemPut allocates %v times, want 0", allocs)
+	}
+	if j.Stats().Compactions == before {
+		t.Fatal("no compaction inside the measured run")
+	}
+}
+
 func storeGet(h *harness, key string) ([]byte, bool, error) {
 	res, err := h.srv.Submit(context.Background(), Request{Class: ClassBackground, Priority: PriorityHigh, Op: func(e Exec) (any, error) {
 		v, ok, err := e.Store.Get([]byte(key))

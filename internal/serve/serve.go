@@ -118,15 +118,20 @@ type Request struct {
 	RequestSeq uint64
 	// Idem, when non-nil, replaces Op: the server runs the operation
 	// under the intent-journal protocol (dedup lookup, intent+redo
-	// journaling, result caching) and delivers an IdemResult. Requires
-	// Config.Journal.
+	// journaling, result caching) and delivers an IdemResult in
+	// Result.Idem. Requires Config.Journal.
 	Idem *IdemOp
 }
 
 // Result is the outcome of a completed request.
 type Result struct {
-	// Value is whatever the Op returned.
+	// Value is whatever the Op returned: nil for an idempotent request,
+	// which has no Op.
 	Value any
+	// Idem is an idempotent request's outcome (the zero IdemResult for a
+	// request with an Op). It travels typed, so delivering it allocates
+	// nothing.
+	Idem IdemResult
 	// Wait is the virtual time the request spent queued.
 	Wait sim.Duration
 	// Latency is virtual admission-to-completion time.
@@ -1003,9 +1008,10 @@ func (s *Server) serveOne(it *item) {
 	s.clock.Advance(s.cfg.OpServiceTime)
 	ex := Exec{Store: s.store, Mgr: s.mgr, Now: s.clock.Now()}
 	var val any
+	var idem IdemResult
 	var err error
 	if it.req.Idem != nil {
-		val, err = s.execIdem(ex, it.req)
+		idem, err = s.execIdem(ex, it.req)
 	} else {
 		val, err = it.req.Op(ex)
 	}
@@ -1032,7 +1038,7 @@ func (s *Server) serveOne(it *item) {
 	}
 	s.st.latency[it.req.Priority].Record(lat)
 	s.tr.Finish(sp, s.clock.Now(), "ok")
-	s.deliver(it, outcome{res: Result{Value: val, Wait: wait, Latency: lat}})
+	s.deliver(it, outcome{res: Result{Value: val, Idem: idem, Wait: wait, Latency: lat}})
 }
 
 // watchdogTick runs as a virtual-time event on the owning goroutine

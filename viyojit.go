@@ -93,7 +93,9 @@ type (
 	ServeConfig = serve.Config
 	// ServeRequest is one unit of admission for the serving front-end.
 	ServeRequest = serve.Request
-	// ServeResult is a completed request's outcome.
+	// ServeResult is a completed request's outcome: Value is whatever the
+	// request's Op returned (nil for an idempotent request, which has no
+	// Op), and Idem is an idempotent request's IdemResult.
 	ServeResult = serve.Result
 	// ServeStats are the front-end's admission/shedding counters.
 	ServeStats = serve.Stats
