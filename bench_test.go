@@ -7,7 +7,7 @@
 //
 // The mapping from benchmark to paper figure is DESIGN.md §4's
 // per-experiment index.
-package viyojit
+package viyojit_test
 
 import (
 	"errors"
@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"viyojit"
 	"viyojit/internal/core"
 	"viyojit/internal/dist"
 	"viyojit/internal/experiments"
@@ -383,8 +384,8 @@ func BenchmarkTable_BatteryRetune(b *testing.B) {
 // recorder-owned buffer; TestAppendZeroAlloc in internal/blackbox
 // enforces the same bound as a plain test).
 func BenchmarkObsHotPath(b *testing.B) {
-	run := func(b *testing.B, cfg Config) {
-		sys, err := New(cfg)
+	run := func(b *testing.B, cfg viyojit.Config) {
+		sys, err := viyojit.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,10 +413,10 @@ func BenchmarkObsHotPath(b *testing.B) {
 		}
 	}
 	b.Run("bare", func(b *testing.B) {
-		run(b, Config{NVDRAMSize: 8 << 20})
+		run(b, viyojit.Config{NVDRAMSize: 8 << 20})
 	})
 	b.Run("blackbox-sink", func(b *testing.B) {
-		run(b, Config{NVDRAMSize: 8 << 20, BlackBox: true})
+		run(b, viyojit.Config{NVDRAMSize: 8 << 20, BlackBox: true})
 	})
 }
 
@@ -424,7 +425,7 @@ func BenchmarkObsHotPath(b *testing.B) {
 // subsystems hold them — allocate nothing per operation, so enabling
 // observability cannot move a served op's allocation count.
 func TestObsRecordPathZeroAlloc(t *testing.T) {
-	sys, err := New(Config{NVDRAMSize: 8 << 20})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestObsRecordPathZeroAlloc(t *testing.T) {
 // the library itself, not the modelled system).
 
 func BenchmarkMicro_FirstWriteFault(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 1 << 30, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 1 << 30, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -472,7 +473,7 @@ func BenchmarkMicro_FirstWriteFault(b *testing.B) {
 }
 
 func BenchmarkMicro_WarmWrite(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 16 << 20})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 16 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func BenchmarkMicro_WarmWrite(b *testing.B) {
 }
 
 func BenchmarkMicro_Read(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 16 << 20})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 16 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -511,7 +512,7 @@ func BenchmarkMicro_Read(b *testing.B) {
 }
 
 func BenchmarkMicro_KVStorePut(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -539,7 +540,7 @@ func BenchmarkMicro_KVStorePut(b *testing.B) {
 }
 
 func BenchmarkMicro_KVStoreGet(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -582,7 +583,7 @@ func BenchmarkMicro_ZipfianNext(b *testing.B) {
 func BenchmarkMicro_PowerFailFlush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := New(Config{NVDRAMSize: 32 << 20})
+		sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 32 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -608,9 +609,9 @@ func BenchmarkMicro_PowerFailFlush(b *testing.B) {
 // whose first pages pages of a 32 MiB mapping have been written and
 // flushed, so exactly those (and nothing else of the region's 16 384) are
 // durable.
-func durableSystem(b *testing.B, pages int) *System {
+func durableSystem(b *testing.B, pages int) *viyojit.System {
 	b.Helper()
-	sys, err := New(Config{NVDRAMSize: 64 << 20})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -747,9 +748,9 @@ func BenchmarkEpochTick(b *testing.B) {
 		{"D=8192/k=8", 8192, 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			sys, err := New(Config{
+			sys, err := viyojit.New(viyojit.Config{
 				NVDRAMSize:           64 << 20,
-				Battery:              BatteryConfig{CapacityJoules: 1e6},
+				Battery:              viyojit.BatteryConfig{CapacityJoules: 1e6},
 				DisableHealthMonitor: true,
 				DisableScrubber:      true,
 			})
@@ -828,7 +829,7 @@ func BenchmarkEpochTick(b *testing.B) {
 }
 
 func BenchmarkMicro_NVFSCreateWrite(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -857,7 +858,7 @@ func BenchmarkMicro_NVFSCreateWrite(b *testing.B) {
 }
 
 func BenchmarkMicro_NVFSRead(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -885,7 +886,7 @@ func BenchmarkMicro_NVFSRead(b *testing.B) {
 }
 
 func BenchmarkMicro_WALAppend(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -916,7 +917,7 @@ func BenchmarkMicro_WALAppend(b *testing.B) {
 }
 
 func BenchmarkMicro_PTXUpdate(b *testing.B) {
-	sys, err := New(Config{NVDRAMSize: 64 << 20, Battery: BatteryConfig{CapacityJoules: 1e6}})
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 
-	"viyojit/internal/battery"
 	"viyojit/internal/experiments"
 	"viyojit/internal/health"
 	"viyojit/internal/power"
@@ -33,10 +32,8 @@ func trajectory(out io.Writer, age, wear float64, dram, bw int64, derating float
 	const overhead = 500 * sim.Microsecond // viyojit.New's fixedFlushOverhead
 	// Provision for the facade's default: an effective budget of 12.5 %
 	// of the region at the conservative (derated) bandwidth.
-	conservative := int64(float64(bw) * derating)
 	pages := int(dram / pageSize / 8)
-	joules := battery.JoulesForPages(pm, pages, conservative, dram, pageSize) +
-		pm.FlushWatts(dram)*overhead.Seconds()
+	joules := health.JoulesForBudget(pm, pages, int64(float64(bw)*derating), dram, pageSize, overhead)
 
 	fmt.Fprintf(out, "Online re-provisioning trajectory (monitor's own derivation)\n")
 	fmt.Fprintf(out, "DRAM %d GiB, SSD %d MB/s nominal, derating %.2f, battery %.1f J effective at install\n\n",

@@ -135,3 +135,37 @@ func TestScheduleAgingValidation(t *testing.T) {
 		t.Fatal("negative fraction accepted")
 	}
 }
+
+// ProjectedJoules is what a budget derived inside a safe-shrink drain
+// reads: the energy the pending shrink leaves while its observers run,
+// and EffectiveJoules at every other time, growth included.
+func TestProjectedJoulesDuringShrink(t *testing.T) {
+	b := MustNew(Config{CapacityJoules: 1000, DepthOfDischarge: 1, Derating: 1})
+	var during []float64
+	b.OnShrink(func(bb *Battery, _ float64) { during = append(during, bb.ProjectedJoules()) })
+	b.OnChange(func(bb *Battery) { during = append(during, bb.ProjectedJoules()) })
+	if b.ProjectedJoules() != 1000 {
+		t.Fatalf("idle projection %v, want 1000", b.ProjectedJoules())
+	}
+	if err := b.SetCapacityJoules(400); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetDerating(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetDerating(1); err != nil { // growth: no shrink pending
+		t.Fatal(err)
+	}
+	want := []float64{400, 400, 200, 200, 400}
+	if len(during) != len(want) {
+		t.Fatalf("observers saw %v, want %v", during, want)
+	}
+	for i := range want {
+		if during[i] != want[i] {
+			t.Fatalf("observers saw %v, want %v", during, want)
+		}
+	}
+	if b.ProjectedJoules() != b.EffectiveJoules() {
+		t.Fatalf("projection %v outlived the shrink (effective %v)", b.ProjectedJoules(), b.EffectiveJoules())
+	}
+}

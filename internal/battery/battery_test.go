@@ -3,9 +3,6 @@ package battery
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"viyojit/internal/power"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -66,63 +63,5 @@ func TestAge(t *testing.T) {
 	}
 	if err := b.Age(-0.1); err == nil {
 		t.Fatal("Age(-0.1) succeeded")
-	}
-}
-
-func TestDirtyBudgetPages(t *testing.T) {
-	m := power.Default()
-	const bw = 2 << 30 // 2 GB/s
-	const dram = 64 << 30
-	const pageSize = 4096
-
-	// A battery provisioned for exactly 1 GiB of flush should budget
-	// ~1 GiB / 4 KiB pages.
-	j := JoulesForPages(m, (1<<30)/pageSize, bw, dram, pageSize)
-	b := MustNew(Config{CapacityJoules: j, DepthOfDischarge: 1, Derating: 1})
-	got := b.DirtyBudgetPages(m, bw, dram, pageSize)
-	want := (1 << 30) / pageSize
-	if math.Abs(float64(got-want)) > float64(want)/1e3 {
-		t.Fatalf("budget = %d pages, want ~%d", got, want)
-	}
-}
-
-func TestDirtyBudgetHalvedByDoD(t *testing.T) {
-	m := power.Default()
-	const bw, dram, ps = 2 << 30, 64 << 30, 4096
-	full := MustNew(Config{CapacityJoules: 1000, DepthOfDischarge: 1})
-	half := MustNew(Config{CapacityJoules: 1000, DepthOfDischarge: 0.5})
-	f, h := full.DirtyBudgetPages(m, bw, dram, ps), half.DirtyBudgetPages(m, bw, dram, ps)
-	if h > f/2+1 || h < f/2-1 {
-		t.Fatalf("DoD 0.5 budget = %d, want ~%d", h, f/2)
-	}
-}
-
-func TestProvisionForRoundTrips(t *testing.T) {
-	m := power.Default()
-	const bw, dram, ps = 4 << 30, 4 << 40, 4096
-	flushBytes := int64(32 << 30)
-	cfg := ProvisionFor(m, flushBytes, bw, dram, 0.5, 0.8)
-	b := MustNew(cfg)
-	pages := b.DirtyBudgetPages(m, bw, dram, ps)
-	wantPages := int(flushBytes / ps)
-	if math.Abs(float64(pages-wantPages)) > float64(wantPages)/1e3 {
-		t.Fatalf("provisioned budget = %d pages, want ~%d", pages, wantPages)
-	}
-}
-
-// Property: the budget is monotone in battery capacity.
-func TestBudgetMonotoneProperty(t *testing.T) {
-	m := power.Default()
-	f := func(a, b uint32) bool {
-		ja, jb := float64(a%1_000_000)+1, float64(b%1_000_000)+1
-		if ja > jb {
-			ja, jb = jb, ja
-		}
-		ba := MustNew(Config{CapacityJoules: ja})
-		bb := MustNew(Config{CapacityJoules: jb})
-		return ba.DirtyBudgetPages(m, 2<<30, 64<<30, 4096) <= bb.DirtyBudgetPages(m, 2<<30, 64<<30, 4096)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -43,7 +43,7 @@ import (
 type Config struct {
 	// DirtyBudgetPages is the hard bound on simultaneously dirty pages.
 	// It must be at least 1. Derive it from a battery with
-	// battery.DirtyBudgetPages.
+	// health.BudgetPages.
 	DirtyBudgetPages int
 	// Epoch is the dirty-bit scan period; 0 selects 1 ms (paper §6.1).
 	Epoch sim.Duration
@@ -1001,17 +1001,18 @@ func (m *Manager) CompleteDrain() error {
 // kickDrain starts proactive cleans toward the drain target so a staged
 // shrink makes progress even on an idle system (no faults to piggyback
 // forced cleans on, and the next epoch tick may be most of a
-// millisecond away).
+// millisecond away). It starts at most the excess it found, and stops
+// early once the excess is gone: a start that waits for a device slot
+// fires events, and a retune among them kicks its own drain, which this
+// one must not then repeat.
 func (m *Manager) kickDrain() {
-	excess := m.dirty.len() - m.inflight - m.budget
-	for excess > 0 {
+	for n := m.dirty.len() - m.inflight - m.budget; n > 0 && m.dirty.len()-m.inflight > m.budget; n-- {
 		page, ok := m.nextVictim()
 		if !ok {
 			break
 		}
 		m.st.retuneCleans.Inc()
 		m.startClean(page)
-		excess--
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"viyojit/internal/battery"
+	"viyojit"
 	"viyojit/internal/core"
-	"viyojit/internal/nvdram"
-	"viyojit/internal/power"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 	"viyojit/internal/ycsb"
@@ -226,80 +224,52 @@ type RetuneReport struct {
 	DurabilityOK          bool
 }
 
-// RunBatteryRetune demonstrates §8's battery-cell-failure handling: a
-// server loses half its battery mid-run, the manager retunes the dirty
-// budget immediately, and a subsequent power failure still survives on
-// the reduced energy.
+// RunBatteryRetune demonstrates §8's battery-cell-failure handling on
+// the stack viyojit.New builds, health monitor on: a server loses half
+// its battery mid-run, the dirty budget retunes immediately, and a
+// subsequent power failure still survives on the reduced energy.
 func RunBatteryRetune(seed uint64) (RetuneReport, error) {
-	clock := sim.NewClock()
-	events := sim.NewQueue()
-	region, err := nvdram.New(clock, nvdram.Config{Size: 64 << 20})
+	// The default battery backs 12.5 % of the region — 2 048 pages of
+	// 64 MiB — at §5.1's conservative write bandwidth (80 % of nominal),
+	// with the fixed flush overhead reserved.
+	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20})
 	if err != nil {
 		return RetuneReport{}, err
 	}
-	dev := ssd.New(clock, events, ssd.Config{})
-	pm := power.Default()
-
-	// Provision a battery for an initial budget. Following §5.1, the
-	// budget derivation uses a *conservative* estimate of the SSD write
-	// bandwidth (80 % of nominal here), which leaves the margin that
-	// absorbs per-IO latency during the real flush.
-	const wantBudget = 2048
-	conservativeBW := dev.Config().WriteBandwidth * 8 / 10
-	joules := battery.JoulesForPages(pm, wantBudget, conservativeBW, region.Size(), region.PageSize())
-	batt := battery.MustNew(battery.Config{CapacityJoules: joules / 0.5, DepthOfDischarge: 0.5})
-
-	budgetForJoules := func(j float64) int {
-		bytes := pm.SustainableBytes(j, conservativeBW, region.Size())
-		pages := int(bytes / int64(region.PageSize()))
-		if pages < 1 {
-			pages = 1
-		}
-		return pages
-	}
-	budgetFor := func(b *battery.Battery) int { return budgetForJoules(b.EffectiveJoules()) }
-	initialBudget := budgetFor(batt)
-	mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: initialBudget})
+	defer sys.Close()
+	initialBudget := sys.DirtyBudget()
+	m, err := sys.Map("heap", int64(initialBudget)*4096)
 	if err != nil {
 		return RetuneReport{}, err
 	}
-	// Safe shrink: drain down to what the *projected* capacity covers
-	// before the cells actually drop out, so a power failure at any
-	// instant — including during the retune — stays within the energy
-	// actually available.
-	batt.OnShrink(func(_ *battery.Battery, projected float64) {
-		_ = mgr.SetDirtyBudgetSync(budgetForJoules(projected))
-	})
-	batt.OnChange(func(b *battery.Battery) {
-		_ = mgr.SetDirtyBudget(budgetFor(b))
-	})
 
 	// Dirty pages up to the initial budget.
 	rng := sim.NewRNG(seed)
 	for i := 0; i < initialBudget; i++ {
-		if err := region.WriteAt([]byte{byte(rng.Uint64()) | 1}, int64(i)*int64(region.PageSize())); err != nil {
+		if err := m.WriteAt([]byte{byte(rng.Uint64()) | 1}, int64(i)*4096); err != nil {
 			return RetuneReport{}, err
 		}
-		mgr.Pump()
+		sys.Pump()
 	}
 
 	// Half the battery cells fail.
+	batt := sys.Battery()
 	if err := batt.SetCapacityJoules(batt.NameplateJoules() / 2); err != nil {
 		return RetuneReport{}, err
 	}
 	report := RetuneReport{
 		InitialBudget: initialBudget,
-		ReducedBudget: mgr.DirtyBudget(),
-		DirtyAfter:    mgr.DirtyCount(),
-		RetuneCleans:  mgr.Stats().RetuneCleans,
+		ReducedBudget: sys.DirtyBudget(),
+		DirtyAfter:    sys.DirtyCount(),
+		RetuneCleans:  sys.Stats().RetuneCleans,
 	}
 
 	// Power failure on the reduced battery must still survive.
-	pf := mgr.PowerFail(pm, batt.EffectiveJoules())
+	pf := sys.SimulatePowerFailure()
 	report.FlushTime = pf.FlushTime
 	report.EnergyUsedJoules = pf.EnergyUsedJoules
 	report.EnergyAvailableJoules = pf.EnergyAvailableJoules
-	report.DurabilityOK = mgr.VerifyDurability() == nil
+	report.DurabilityOK = sys.VerifyDurability() == nil
 	report.SurvivedOnHalf = pf.Survived && report.DurabilityOK
 	return report, nil
 }

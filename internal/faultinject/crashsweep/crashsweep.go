@@ -93,6 +93,7 @@ import (
 	"viyojit/internal/core"
 	"viyojit/internal/dist"
 	"viyojit/internal/faultinject"
+	"viyojit/internal/health"
 	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
 	"viyojit/internal/power"
@@ -280,12 +281,10 @@ type runState struct {
 	inj    *faultinject.Injector
 	scrub  *scrub.Scrubber // corruption mode only
 
-	// Sag mode (Config.SagFraction > 0): the provisioned battery, the
-	// scheduled step-down event, and the joules→pages inverse of
-	// flushEnergy used both to retune the budget and to verify coverage.
+	// Sag mode (Config.SagFraction > 0): the provisioned battery and the
+	// scheduled step-down event.
 	batt     *battery.Battery
 	sagEvent *sim.Event
-	cover    func(joules float64) int
 
 	heapM *core.Mapping
 	walM  *core.Mapping
@@ -349,28 +348,19 @@ func build(cfg Config) (*runState, error) {
 		st.scrub.Start()
 	}
 	if cfg.SagFraction > 0 {
-		pm := power.Default()
-		dramBytes := st.region.Size()
-		overhead := flushOverhead(st.dev, cfg.spikeAllowance())
 		// Provision exactly enough effective energy for a budget-sized
 		// flush (DoD and derating 1, so nameplate == effective).
 		st.batt = battery.MustNew(battery.Config{
-			CapacityJoules:   flushEnergy(budgetPages, overhead, st.dev, pm, dramBytes),
+			CapacityJoules:   st.joulesFor(budgetPages),
 			DepthOfDischarge: 1,
 			Derating:         1,
 		})
-		st.cover = func(j float64) int { return coverPages(overhead, st.dev, pm, dramBytes, j) }
 		// Safe shrink: drain to the projected coverage while the battery
 		// still holds its current charge, so a crash landing anywhere in
 		// the drain finds the dirty set covered by the energy actually
 		// present. The crasher's fire hook counts the drain's nested
 		// event steps, so crash points genuinely land mid-drain.
-		st.batt.OnShrink(func(_ *battery.Battery, projected float64) {
-			_ = st.mgr.SetDirtyBudgetSync(max(st.cover(projected), 1))
-		})
-		st.batt.OnChange(func(b *battery.Battery) {
-			_ = st.mgr.SetDirtyBudget(max(st.cover(b.EffectiveJoules()), 1))
-		})
+		health.FollowBattery(st.batt, st.mgr, nil, st.cover)
 		st.sagEvent = st.events.Schedule(sim.Time(0).Add(sagAt), func(sim.Time) {
 			_ = st.batt.SetCapacityJoules(st.batt.NameplateJoules() * cfg.SagFraction)
 		})
@@ -465,23 +455,19 @@ func flushOverhead(dev *ssd.SSD, spike sim.Duration) sim.Duration {
 	return overhead
 }
 
-// flushEnergy returns battery energy sufficient for a correct flush of
-// at most pages dirty pages: the streaming transfer plus overhead. A
-// dirty set over that overruns this energy and fails the Survived check.
-func flushEnergy(pages int, overhead sim.Duration, dev *ssd.SSD, pm power.Model, dramBytes int64) float64 {
-	secs := dev.FlushTimeFor(pages).Seconds() + overhead.Seconds()
-	return pm.FlushWatts(dramBytes) * secs
+// cover and joulesFor are the §5.1 pair, health.BudgetPages and its
+// inverse, at this stack's device bandwidth and flush overhead: the dirty
+// pages a battery holding joules can flush, and the energy a correct
+// flush of pages dirty pages needs. A dirty set over joulesFor(n)'s n
+// overruns that energy and fails the Survived check.
+func (st *runState) cover(joules float64) int {
+	return health.BudgetPages(power.Default(), joules, st.dev.EffectiveWriteBandwidth(),
+		st.region.Size(), st.dev.Config().PageSize, flushOverhead(st.dev, st.cfg.spikeAllowance()))
 }
 
-// coverPages inverts flushEnergy: the number of dirty pages a battery
-// holding joules can flush, after reserving the same fixed overhead. The
-// tiny epsilon undoes float round-off so coverPages(flushEnergy(n)) == n.
-func coverPages(overhead sim.Duration, dev *ssd.SSD, pm power.Model, dramBytes int64, joules float64) int {
-	secs := joules/pm.FlushWatts(dramBytes) - overhead.Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return int(secs*float64(dev.EffectiveWriteBandwidth())/float64(dev.Config().PageSize) + 1e-9)
+func (st *runState) joulesFor(pages int) float64 {
+	return health.JoulesForBudget(power.Default(), pages, st.dev.EffectiveWriteBandwidth(),
+		st.region.Size(), st.dev.Config().PageSize, flushOverhead(st.dev, st.cfg.spikeAllowance()))
 }
 
 // failFunc records one violated invariant of the run being audited.
@@ -561,7 +547,7 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		res.ScrubDetections += sst.Detections
 		res.ScrubRepairs += sst.Repairs + sst.RepairKicks
 	}
-	joules := flushEnergy(budgetPages, flushOverhead(st.dev, cfg.spikeAllowance()), st.dev, power.Default(), st.region.Size())
+	joules := st.joulesFor(budgetPages)
 	if st.batt != nil {
 		st.events.Cancel(st.sagEvent)
 		joules = st.batt.EffectiveJoules()

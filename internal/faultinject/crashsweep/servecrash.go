@@ -46,6 +46,7 @@ import (
 	"viyojit/internal/core"
 	"viyojit/internal/dist"
 	"viyojit/internal/faultinject"
+	"viyojit/internal/health"
 	"viyojit/internal/intent"
 	"viyojit/internal/kvstore"
 	"viyojit/internal/mmu"
@@ -168,17 +169,14 @@ type mode struct {
 }
 
 // batteryFor provisions a battery whose energy flushes pages dirty pages
-// of a region of regionBytes to a device of writeBW, by viyojit.New's own
-// derivation: the budget is never set, it falls out of the joules. (The
-// transfer time stays a float: battery.JoulesForPages truncates it to
-// whole nanoseconds, which on the fast device is the difference between
-// 8 pages and 7.) Depth of discharge and derating are 1, so nameplate =
+// of a region of regionBytes to a device of writeBW, by the inverse of
+// viyojit.New's own derivation: the budget is never set, it falls out of
+// the joules. Depth of discharge and derating are 1, so nameplate =
 // effective and a recovery's BudgetScale is the only derating in play.
 func batteryFor(pages int, writeBW, regionBytes int64) viyojit.BatteryConfig {
 	conservativeBW := int64(float64(writeBW) * bandwidthDerating)
-	seconds := float64(pages*pageSize)/float64(conservativeBW) + flushReserve.Seconds()
 	return viyojit.BatteryConfig{
-		CapacityJoules:   power.Default().FlushWatts(regionBytes) * seconds,
+		CapacityJoules:   health.JoulesForBudget(power.Default(), pages, conservativeBW, regionBytes, pageSize, flushReserve),
 		DepthOfDischarge: 1,
 		Derating:         1,
 	}

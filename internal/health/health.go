@@ -362,12 +362,12 @@ func (m *Monitor) fire(t sim.Time) {
 	m.events.Rearm(m.event, t.Add(m.cfg.Interval), m.fireFn)
 }
 
-// BudgetPages converts effective battery joules into a dirty budget the
-// same way viyojit.New does at construction: reserve the fixed flush
-// overhead, convert the remaining runtime into bytes at the (already
-// derated) bandwidth, cap at the region size. Exposed so provisioning
-// tools (cmd/battery-calc) print exactly the trajectory the monitor
-// computes at runtime.
+// BudgetPages is the §5.1 formula, the one forward derivation of the
+// dirty budget: reserve the fixed flush overhead, convert the remaining
+// runtime into bytes at the (already derated) bandwidth, cap at the
+// region size. viyojit.New, the monitor, the crash sweeps and
+// cmd/battery-calc all derive the budget through it; JoulesForBudget is
+// its exact inverse.
 func BudgetPages(pm power.Model, effectiveJoules float64, bandwidth, dramBytes int64, pageSize int, overhead sim.Duration) int {
 	if bandwidth <= 0 || pageSize <= 0 {
 		return 0
@@ -388,13 +388,42 @@ func BudgetPages(pm power.Model, effectiveJoules float64, bandwidth, dramBytes i
 	if math.IsNaN(seconds) || seconds <= 0 {
 		return 0
 	}
-	// The epsilon absorbs float round-off when the energy was computed
-	// for an exact page count (JoulesForPages round-trips).
-	pages := int(seconds*float64(bandwidth)/float64(pageSize) + 1e-9)
-	if max := int(dramBytes / int64(pageSize)); pages > max {
-		pages = max
-	}
-	return pages
+	// The epsilon absorbs float round-off when the energy came from
+	// JoulesForBudget: a few ulps of x, so relative once x is large.
+	x := seconds * float64(bandwidth) / float64(pageSize)
+	pages := int(x + max(1e-9, x*1e-12))
+	return min(pages, int(dramBytes/int64(pageSize)))
+}
+
+// JoulesForBudget is BudgetPages' inverse: the effective energy that
+// backs exactly pages dirty pages, overhead reserved. The transfer time
+// stays a float (a Duration would truncate it to whole nanoseconds and
+// back one page fewer), so BudgetPages(JoulesForBudget(n)) == n for every
+// n up to the region's page count.
+func JoulesForBudget(pm power.Model, pages int, bandwidth, dramBytes int64, pageSize int, overhead sim.Duration) float64 {
+	seconds := float64(pages)*float64(pageSize)/float64(bandwidth) + overhead.Seconds()
+	return pm.FlushWatts(dramBytes) * seconds
+}
+
+// FollowBattery installs the battery→budget hooks, the only ones: before
+// a shrink applies, the dirty set drains synchronously to what the
+// projected energy covers (the safe shrink, so "dirty ≤ pages the battery
+// can flush" holds through the step-down); after any change the budget is
+// retuned to what the new energy covers. pagesFor is the joules→pages
+// conversion, floored at one page here (a battery backing nothing is the
+// ladder's to handle, not the budget's). reg, when non-nil, publishes the
+// battery's energy the moment it changes instead of at the next tick.
+func FollowBattery(batt *battery.Battery, mgr *core.Manager, reg *obs.Registry, pagesFor func(joules float64) int) {
+	batt.OnShrink(func(_ *battery.Battery, projected float64) {
+		_ = mgr.SetDirtyBudgetSync(max(pagesFor(projected), 1))
+	})
+	// Milli-joules keep the gauge integral.
+	effective := reg.Gauge("battery_effective_millijoules")
+	effective.Set(int64(batt.EffectiveJoules() * 1000))
+	batt.OnChange(func(b *battery.Battery) {
+		effective.Set(int64(b.EffectiveJoules() * 1000))
+		_ = mgr.SetDirtyBudget(max(pagesFor(b.EffectiveJoules()), 1))
+	})
 }
 
 // bandwidthEstimate is the monitor's live bandwidth input: the SSD's
@@ -437,6 +466,10 @@ func (m *Monitor) tick(at sim.Time) {
 		// gauge lies.
 		joules = m.cfg.Energy.Sample(at)
 	}
+	// A tick inside a safe-shrink drain budgets for the energy the
+	// shrink leaves, never for the charge about to go: otherwise its
+	// retune would end the drain above what the shrunk battery covers.
+	joules = min(joules, m.batt.ProjectedJoules())
 	bw, measured := m.bandwidthEstimate()
 	region := m.mgr.Region()
 	budget := BudgetPages(m.pm, joules, bw, region.Size(), region.PageSize(), m.cfg.FlushOverhead)

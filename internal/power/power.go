@@ -62,14 +62,3 @@ func FlushTime(flushBytes, writeBandwidth int64) sim.Duration {
 func (m Model) FlushEnergyJoules(flushBytes, writeBandwidth, dramBytes int64) float64 {
 	return m.FlushWatts(dramBytes) * FlushTime(flushBytes, writeBandwidth).Seconds()
 }
-
-// SustainableBytes returns how many bytes can be flushed with joules of
-// energy available: the inverse of FlushEnergyJoules.
-func (m Model) SustainableBytes(joules float64, writeBandwidth, dramBytes int64) int64 {
-	watts := m.FlushWatts(dramBytes)
-	if watts <= 0 || joules <= 0 {
-		return 0
-	}
-	seconds := joules / watts
-	return int64(seconds * float64(writeBandwidth))
-}

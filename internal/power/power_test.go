@@ -1,7 +1,6 @@
 package power
 
 import (
-	"math"
 	"testing"
 
 	"viyojit/internal/sim"
@@ -47,27 +46,5 @@ func TestFlushEnergyMatchesPaperExample(t *testing.T) {
 	j := Default().FlushEnergyJoules(4<<40, 4<<30, 4<<40)
 	if j < 250e3 || j > 350e3 {
 		t.Fatalf("flush energy = %v J, want ~300 KJ", j)
-	}
-}
-
-func TestSustainableBytesInverts(t *testing.T) {
-	m := Default()
-	const bw = 4 << 30
-	const dram = 4 << 40
-	flushBytes := int64(1 << 38)
-	j := m.FlushEnergyJoules(flushBytes, bw, dram)
-	back := m.SustainableBytes(j, bw, dram)
-	if math.Abs(float64(back-flushBytes)) > float64(flushBytes)/1e6 {
-		t.Fatalf("SustainableBytes(%v J) = %d, want ~%d", j, back, flushBytes)
-	}
-}
-
-func TestSustainableBytesEdgeCases(t *testing.T) {
-	m := Default()
-	if m.SustainableBytes(0, 4<<30, 1<<30) != 0 {
-		t.Fatal("zero joules should sustain zero bytes")
-	}
-	if m.SustainableBytes(-5, 4<<30, 1<<30) != 0 {
-		t.Fatal("negative joules should sustain zero bytes")
 	}
 }

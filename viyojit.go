@@ -371,21 +371,9 @@ func New(cfg Config) (*System, error) {
 	if battCfg.CapacityJoules == 0 {
 		// Default provisioning: an effective budget of 12.5 % of the
 		// region.
-		pages := region.NumPages() / 8
-		if pages < 1 {
-			pages = 1
-		}
-		needed := battery.JoulesForPages(cfg.Power, pages, conservativeBW, region.Size(), region.PageSize()) +
-			cfg.Power.FlushWatts(region.Size())*fixedFlushOverhead.Seconds()
-		dod := battCfg.DepthOfDischarge
-		if dod == 0 {
-			dod = 0.5
-		}
-		derate := battCfg.Derating
-		if derate == 0 {
-			derate = 1.0
-		}
-		battCfg.CapacityJoules = needed / (dod * derate)
+		needed := health.JoulesForBudget(cfg.Power, max(region.NumPages()/8, 1), conservativeBW,
+			region.Size(), region.PageSize(), fixedFlushOverhead)
+		battCfg = battery.Provision(needed, battCfg.DepthOfDischarge, battCfg.Derating)
 	}
 	batt, err := battery.New(battCfg)
 	if err != nil {
@@ -442,32 +430,11 @@ func New(cfg Config) (*System, error) {
 		reg.SetSink(recorder)
 		recorder.Boot(int64(budget))
 	}
-	// Safe shrink: before a capacity-reducing change applies, drain the
-	// dirty set down to what the *projected* energy covers — while the
-	// battery still holds its current charge — so "dirty ≤ pages the
-	// battery can flush" holds at every instant of the step-down.
-	batt.OnShrink(func(_ *battery.Battery, projected float64) {
-		pages := budgetForJoules(projected)
-		if pages < 1 {
-			pages = 1
-		}
-		_ = mgr.SetDirtyBudgetSync(pages)
-	})
-	// Publish battery energy the moment it changes (the health monitor
-	// refreshes the same gauge each tick; capacity events should not
-	// wait for the next tick to show up in exports). Milli-joules keep
-	// the gauge integral.
-	battGauge := reg.Gauge("battery_effective_millijoules")
-	battGauge.Set(int64(batt.EffectiveJoules() * 1000))
+	// The budget follows the battery (§8): a shrink drains to what the
+	// projected energy covers before the charge goes, and the health
+	// monitor's ticks read that projection too.
+	health.FollowBattery(batt, mgr, reg, budgetForJoules)
 	reg.Gauge("battery_nameplate_millijoules").Set(int64(batt.NameplateJoules() * 1000))
-	batt.OnChange(func(b *battery.Battery) {
-		battGauge.Set(int64(b.EffectiveJoules() * 1000))
-		pages := budgetForJoules(b.EffectiveJoules())
-		if pages < 1 {
-			pages = 1
-		}
-		_ = mgr.SetDirtyBudget(pages)
-	})
 
 	// The fused telemetry layer sits between the battery model and
 	// every budget consumer. Both estimators read the same simulated
