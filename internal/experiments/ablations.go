@@ -6,6 +6,7 @@ import (
 
 	"viyojit"
 	"viyojit/internal/core"
+	"viyojit/internal/nvdram"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 	"viyojit/internal/ycsb"
@@ -238,7 +239,8 @@ func RunBatteryRetune(seed uint64) (RetuneReport, error) {
 	}
 	defer sys.Close()
 	initialBudget := sys.DirtyBudget()
-	m, err := sys.Map("heap", int64(initialBudget)*4096)
+	const pageSize = nvdram.DefaultPageSize
+	m, err := sys.Map("heap", int64(initialBudget)*pageSize)
 	if err != nil {
 		return RetuneReport{}, err
 	}
@@ -246,7 +248,7 @@ func RunBatteryRetune(seed uint64) (RetuneReport, error) {
 	// Dirty pages up to the initial budget.
 	rng := sim.NewRNG(seed)
 	for i := 0; i < initialBudget; i++ {
-		if err := m.WriteAt([]byte{byte(rng.Uint64()) | 1}, int64(i)*4096); err != nil {
+		if err := m.WriteAt([]byte{byte(rng.Uint64()) | 1}, int64(i)*pageSize); err != nil {
 			return RetuneReport{}, err
 		}
 		sys.Pump()
