@@ -17,23 +17,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"viyojit/internal/experiments"
 	"viyojit/internal/health"
 	"viyojit/internal/power"
-	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
 
 func trajectory(out io.Writer, age, wear float64, dram, bw int64, derating float64) {
 	pm := power.Default()
 	const pageSize = 4096
-	const overhead = 500 * sim.Microsecond // viyojit.New's fixedFlushOverhead
 	// Provision for the facade's default: an effective budget of 12.5 %
 	// of the region at the conservative (derated) bandwidth.
 	pages := int(dram / pageSize / 8)
-	joules := health.JoulesForBudget(pm, pages, int64(float64(bw)*derating), dram, pageSize, overhead)
+	joules := health.JoulesForBudget(pm, pages, int64(float64(bw)*derating), dram, pageSize, health.FlushReserve)
 
 	fmt.Fprintf(out, "Online re-provisioning trajectory (monitor's own derivation)\n")
 	fmt.Fprintf(out, "DRAM %d GiB, SSD %d MB/s nominal, derating %.2f, battery %.1f J effective at install\n\n",
@@ -45,8 +44,8 @@ func trajectory(out io.Writer, age, wear float64, dram, bw int64, derating float
 		f := float64(i) / steps
 		aged := joules * (1 - age*f)
 		cycles := wear * f
-		eff := ssd.DegradedBandwidth(bw, cycles, 0.04, 0.25)
-		b := health.BudgetPages(pm, aged, int64(float64(eff)*derating), dram, pageSize, overhead)
+		eff := ssd.DegradedBandwidth(bw, cycles)
+		b := health.BudgetPages(pm, aged, int64(float64(eff)*derating), dram, pageSize, health.FlushReserve)
 		fmt.Fprintf(out, "%6d %7.0f%% %8.2f %14.1f %12.1f %10d\n",
 			i, age*f*100, cycles, aged, float64(eff)/(1<<20), b)
 	}
@@ -64,16 +63,27 @@ func run(args []string, out, stderr io.Writer) int {
 	wear := fs.Float64("wear", 0, "SSD full-capacity write passes accrued by the end of the trajectory (0 = skip)")
 	dram := fs.Int64("dram", 64<<30, "NV-DRAM bytes for the trajectory")
 	bw := fs.Int64("bw", 2<<30, "nominal SSD write bandwidth for the trajectory, bytes/sec")
-	derating := fs.Float64("derating", 0.8, "conservative bandwidth fraction (matches viyojit.Config default)")
+	derating := fs.Float64("derating", health.Derating, "conservative bandwidth fraction (§5.1; the runtime uses health.Derating)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *age > 0 || *wear > 0 {
-		if *age < 0 || *age >= 1 {
-			fmt.Fprintln(stderr, "battery-calc: -age outside [0,1)")
+	for _, bad := range []struct {
+		is  bool
+		msg string
+	}{
+		{!(*age >= 0 && *age < 1), "-age outside [0,1)"},
+		{!(*wear >= 0) || math.IsInf(*wear, 1), "-wear must be finite and >= 0"},
+		{*dram <= 0, "-dram must be > 0"},
+		{*bw <= 0, "-bw must be > 0"},
+		{!(*derating > 0 && *derating <= 1), "-derating must be finite and in (0,1]"},
+	} {
+		if bad.is {
+			fmt.Fprintln(stderr, "battery-calc:", bad.msg)
 			return 1
 		}
+	}
+
+	if *age > 0 || *wear > 0 {
 		trajectory(out, *age, *wear, *dram, *bw, *derating)
 		return 0
 	}

@@ -44,6 +44,14 @@ func TestBadFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-age", "1.5"}, 1, "-age outside [0,1)"},
+		{[]string{"-age", "-0.1"}, 1, "-age outside [0,1)"},
+		{[]string{"-age", "0.2", "-derating", "-1"}, 1, "-derating must be finite and in (0,1]"},
+		{[]string{"-derating", "NaN"}, 1, "-derating must be finite and in (0,1]"},
+		{[]string{"-derating", "1.5"}, 1, "-derating must be finite and in (0,1]"},
+		{[]string{"-wear", "-3"}, 1, "-wear must be finite and >= 0"},
+		{[]string{"-wear", "+Inf"}, 1, "-wear must be finite and >= 0"},
+		{[]string{"-dram", "0"}, 1, "-dram must be > 0"},
+		{[]string{"-age", "0.2", "-bw", "-1"}, 1, "-bw must be > 0"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -4,10 +4,11 @@
 // statistical multiplexing effects."
 //
 // Two tenants share one server battery: a bursty interactive service and
-// a quiet background one. The example runs the pair twice — once with a
-// rigid half-and-half battery split and once with a pressure-driven pool
-// — and shows the bursty tenant stalling far less under pooling, while
-// the quiet tenant keeps its guaranteed floor.
+// a quiet background one. The example runs the repo's tenancy experiment
+// (experiments.RunTenancyExperiment) at seed 7 — the pair once with a
+// rigid half-and-half battery split and once with a pressure-driven pool —
+// and narrates it. It exits non-zero unless pooling cut the bursty
+// tenant's forced cleans.
 //
 // Run with:
 //
@@ -17,123 +18,24 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
-	"viyojit/internal/core"
-	"viyojit/internal/nvdram"
-	"viyojit/internal/sim"
-	"viyojit/internal/ssd"
-	"viyojit/internal/tenancy"
+	"viyojit/internal/experiments"
 )
-
-const (
-	tenantPages = 1024
-	totalBudget = 256 // pages the shared battery can flush
-	floorPages  = 32  // each tenant's guaranteed minimum
-	steps       = 400 // 400 ms of traffic
-)
-
-type tenant struct {
-	name   string
-	region *nvdram.Region
-	mgr    *core.Manager
-}
-
-func newTenant(clock *sim.Clock, events *sim.Queue, name string, budget int) (*tenant, error) {
-	region, err := nvdram.New(clock, nvdram.Config{Size: tenantPages * 4096})
-	if err != nil {
-		return nil, err
-	}
-	dev := ssd.New(clock, events, ssd.Config{})
-	mgr, err := core.NewManager(clock, events, region, dev, core.Config{DirtyBudgetPages: budget})
-	if err != nil {
-		return nil, err
-	}
-	return &tenant{name: name, region: region, mgr: mgr}, nil
-}
-
-// drive runs the asymmetric traffic: bursts of fresh-page writes for the
-// interactive tenant, a trickle for the background one.
-func drive(clock *sim.Clock, events *sim.Queue, bursty, quiet *tenant) error {
-	rng := sim.NewRNG(7)
-	bp, qp := 0, 0
-	for step := 0; step < steps; step++ {
-		writes := 1
-		if (step/20)%2 == 0 {
-			writes = 12 // burst phase
-		}
-		for i := 0; i < writes; i++ {
-			if rng.Intn(3) > 0 {
-				bp++
-			}
-			if err := bursty.region.WriteAt([]byte{byte(step + 1)}, int64(bp%tenantPages)*4096); err != nil {
-				return err
-			}
-		}
-		if err := quiet.region.WriteAt([]byte{byte(step + 1)}, int64(qp%tenantPages)*4096); err != nil {
-			return err
-		}
-		if step%7 == 0 {
-			qp++
-		}
-		clock.Advance(sim.Millisecond)
-		events.RunUntil(clock, clock.Now())
-	}
-	return nil
-}
 
 func main() {
-	// Run 1: static half-and-half split.
-	clock1 := sim.NewClock()
-	events1 := sim.NewQueue()
-	b1, err := newTenant(clock1, events1, "interactive", totalBudget/2)
+	r, err := experiments.RunTenancyExperiment(7, 400)
 	if err != nil {
 		log.Fatal(err)
 	}
-	q1, err := newTenant(clock1, events1, "background", totalBudget/2)
-	if err != nil {
-		log.Fatal(err)
+	experiments.FprintTenancy(os.Stdout, r)
+	if r.PooledForcedCleans >= r.StaticForcedCleans {
+		fmt.Printf("\npooling did not help the bursty tenant: %d forced cleans pooled vs %d static\n",
+			r.PooledForcedCleans, r.StaticForcedCleans)
+		os.Exit(1)
 	}
-	if err := drive(clock1, events1, b1, q1); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("static split (%d/%d pages):\n", totalBudget/2, totalBudget/2)
-	fmt.Printf("  interactive tenant: %d forced cleans, %v stalled on the SSD\n",
-		b1.mgr.Stats().ForcedCleans, b1.mgr.Stats().FaultWaitTotal)
-
-	// Run 2: the same battery, pooled and rebalanced by pressure.
-	clock2 := sim.NewClock()
-	events2 := sim.NewQueue()
-	b2, err := newTenant(clock2, events2, "interactive", totalBudget/2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	q2, err := newTenant(clock2, events2, "background", totalBudget/2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pool, err := tenancy.NewPool(clock2, events2, totalBudget, 5*sim.Millisecond)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tb, err := pool.Attach("interactive", b2.mgr, floorPages)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tq, err := pool.Attach("background", q2.mgr, floorPages)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := drive(clock2, events2, b2, q2); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\npooled battery (%d pages, floors %d):\n", totalBudget, floorPages)
-	fmt.Printf("  interactive tenant: %d forced cleans, %v stalled on the SSD\n",
-		b2.mgr.Stats().ForcedCleans, b2.mgr.Stats().FaultWaitTotal)
-	fmt.Printf("  final grants after %d rebalances: interactive %d, background %d\n",
-		pool.Stats().Rebalances, tb.Granted(), tq.Granted())
-
-	fewerCleans := float64(b1.mgr.Stats().ForcedCleans-b2.mgr.Stats().ForcedCleans) /
-		float64(b1.mgr.Stats().ForcedCleans) * 100
-	fmt.Printf("\nstatistical multiplexing cut the bursty tenant's budget stalls by %.0f%%\n", fewerCleans)
-	pool.Close()
+	cut := float64(r.StaticForcedCleans-r.PooledForcedCleans) / float64(r.StaticForcedCleans) * 100
+	fmt.Printf("\nstatistical multiplexing cut the bursty tenant's budget stalls by %.0f%% (%d → %d forced cleans);\n"+
+		"the quiet tenant ends on a %d-page grant\n",
+		cut, r.StaticForcedCleans, r.PooledForcedCleans, r.PooledQuietGrant)
 }

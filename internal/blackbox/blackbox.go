@@ -152,8 +152,6 @@ type Recorder struct {
 	now    func() sim.Time
 	gate   Gate
 	nslots uint64
-	rules  map[string]Event
-	spans  map[string]uint16
 
 	busy   atomic.Bool
 	sealed atomic.Bool
@@ -181,12 +179,6 @@ type Options struct {
 	Now func() sim.Time
 	// Gate is consulted before every write; nil admits everything.
 	Gate Gate
-	// Rules maps instrument names to events for the obs.Sink tee; nil
-	// installs DefaultRules.
-	Rules map[string]Event
-	// SpanRules maps finished-span names to KindSpan codes; nil
-	// installs DefaultSpanRules.
-	SpanRules map[string]uint16
 }
 
 // New arms a recorder over store. The ring geometry is derived from the
@@ -209,14 +201,6 @@ func New(store Store, opts Options) (*Recorder, error) {
 		now:    opts.Now,
 		gate:   opts.Gate,
 		nslots: nslots,
-		rules:  opts.Rules,
-		spans:  opts.SpanRules,
-	}
-	if r.rules == nil {
-		r.rules = DefaultRules()
-	}
-	if r.spans == nil {
-		r.spans = DefaultSpanRules()
 	}
 	return r, nil
 }
@@ -367,7 +351,7 @@ func (r *Recorder) Mark(code uint16, a0, a1 int64) {
 // CounterAdd implements obs.Sink: counters named in the rules table
 // become records carrying (total, delta).
 func (r *Recorder) CounterAdd(name string, delta, total uint64) {
-	ev, ok := r.rules[name]
+	ev, ok := instrumentRules[name]
 	if !ok {
 		return
 	}
@@ -379,7 +363,7 @@ func (r *Recorder) CounterAdd(name string, delta, total uint64) {
 // state ordinal in the code column so a forensic walk can name the
 // final state without consulting the args.
 func (r *Recorder) GaugeSet(name string, v int64) {
-	ev, ok := r.rules[name]
+	ev, ok := instrumentRules[name]
 	if !ok {
 		return
 	}
@@ -393,7 +377,7 @@ func (r *Recorder) GaugeSet(name string, v int64) {
 // SpanFinished implements obs.Sink: spans named in the span-rules table
 // become KindSpan records carrying (start, end).
 func (r *Recorder) SpanFinished(rec obs.SpanRecord) {
-	code, ok := r.spans[rec.Name]
+	code, ok := spanRules[rec.Name]
 	if !ok {
 		return
 	}

@@ -57,59 +57,55 @@ const (
 	CodeSpanServe uint16 = 3
 )
 
-// DefaultRules maps the system's load-bearing instruments to ring
+// instrumentRules maps the system's load-bearing instruments to ring
 // events. Anything not listed is ignored by the tee — the ring records
 // decisions, not every sample. The map is consulted on the hot path;
 // map reads with string keys do not allocate.
-func DefaultRules() map[string]Event {
-	return map[string]Event{
-		// core: the budget contract itself.
-		"core_dirty_pages":            {KindDirty, 0},
-		"core_dirty_budget_pages":     {KindBudget, 0},
-		"core_health_state":           {KindLadder, 0},
-		"core_emergency_enters_total": {KindLadderEv, CodeEmergencyEnter},
-		"core_readonly_enters_total":  {KindLadderEv, CodeReadOnlyEnter},
-		"core_resumes_total":          {KindLadderEv, CodeResume},
+var instrumentRules = map[string]Event{
+	// core: the budget contract itself.
+	"core_dirty_pages":            {KindDirty, 0},
+	"core_dirty_budget_pages":     {KindBudget, 0},
+	"core_health_state":           {KindLadder, 0},
+	"core_emergency_enters_total": {KindLadderEv, CodeEmergencyEnter},
+	"core_readonly_enters_total":  {KindLadderEv, CodeReadOnlyEnter},
+	"core_resumes_total":          {KindLadderEv, CodeResume},
 
-		// health: budget re-derivations, fused energy, ladder causes.
-		"health_derived_budget_pages":   {KindHealth, CodeDerivedBudgetPages},
-		"health_budget_millijoules":     {KindHealth, CodeBudgetMilliJoules},
-		"battery_effective_millijoules": {KindHealth, CodeEffectiveMilliJ},
-		"health_emergency_enters_total": {KindHealth, CodeHealthEmergency},
-		"health_readonly_falls_total":   {KindHealth, CodeReadOnlyFall},
-		"health_recoveries_total":       {KindHealth, CodeHealthRecovery},
-		"health_scrub_degrades_total":   {KindHealth, CodeScrubDegrade},
+	// health: budget re-derivations, fused energy, ladder causes.
+	"health_derived_budget_pages":   {KindHealth, CodeDerivedBudgetPages},
+	"health_budget_millijoules":     {KindHealth, CodeBudgetMilliJoules},
+	"battery_effective_millijoules": {KindHealth, CodeEffectiveMilliJ},
+	"health_emergency_enters_total": {KindHealth, CodeHealthEmergency},
+	"health_readonly_falls_total":   {KindHealth, CodeReadOnlyFall},
+	"health_recoveries_total":       {KindHealth, CodeHealthRecovery},
+	"health_scrub_degrades_total":   {KindHealth, CodeScrubDegrade},
 
-		// sensor: fault-episode verdicts and fusion degradations.
-		"sensor_rejects_bounds_total":   {KindSensor, CodeRejectBounds},
-		"sensor_rejects_rate_total":     {KindSensor, CodeRejectRate},
-		"sensor_rejects_stale_total":    {KindSensor, CodeRejectStale},
-		"sensor_rejects_disagree_total": {KindSensor, CodeRejectDisagree},
-		"sensor_solo_samples_total":     {KindSensor, CodeSoloSample},
-		"sensor_blind_samples_total":    {KindSensor, CodeBlindSample},
-		"sensor_retrusts_total":         {KindSensor, CodeRetrust},
+	// sensor: fault-episode verdicts and fusion degradations.
+	"sensor_rejects_bounds_total":   {KindSensor, CodeRejectBounds},
+	"sensor_rejects_rate_total":     {KindSensor, CodeRejectRate},
+	"sensor_rejects_stale_total":    {KindSensor, CodeRejectStale},
+	"sensor_rejects_disagree_total": {KindSensor, CodeRejectDisagree},
+	"sensor_solo_samples_total":     {KindSensor, CodeSoloSample},
+	"sensor_blind_samples_total":    {KindSensor, CodeBlindSample},
+	"sensor_retrusts_total":         {KindSensor, CodeRetrust},
 
-		// serve: shed and overload decisions.
-		"serve_shed_overload_total":   {KindServe, CodeShedOverload},
-		"serve_shed_deadline_total":   {KindServe, CodeShedDeadline},
-		"serve_shed_readonly_total":   {KindServe, CodeShedReadOnly},
-		"serve_stall_predicted_total": {KindServe, CodeStallPredicted},
+	// serve: shed and overload decisions.
+	"serve_shed_overload_total":   {KindServe, CodeShedOverload},
+	"serve_shed_deadline_total":   {KindServe, CodeShedDeadline},
+	"serve_shed_readonly_total":   {KindServe, CodeShedReadOnly},
+	"serve_stall_predicted_total": {KindServe, CodeStallPredicted},
 
-		// recovery: cursor movement.
-		"recovery_cursor_advances_total":  {KindCursor, CodeCursorAdvance},
-		"recovery_resumes_total":          {KindCursor, CodeCursorResume},
-		"recovery_cursor_fallbacks_total": {KindCursor, CodeCursorFallback},
-	}
+	// recovery: cursor movement.
+	"recovery_cursor_advances_total":  {KindCursor, CodeCursorAdvance},
+	"recovery_resumes_total":          {KindCursor, CodeCursorResume},
+	"recovery_cursor_fallbacks_total": {KindCursor, CodeCursorFallback},
 }
 
-// DefaultSpanRules maps finished-span names to KindSpan codes: the
-// clean and power-fail flush operations whose start/finish bracket the
-// moments forensics care about.
-func DefaultSpanRules() map[string]uint16 {
-	return map[string]uint16{
-		"core.clean":           CodeSpanClean,
-		"core.powerfail_flush": CodeSpanFlush,
-	}
+// spanRules maps finished-span names to KindSpan codes: the clean and
+// power-fail flush operations whose start/finish bracket the moments
+// forensics care about.
+var spanRules = map[string]uint16{
+	"core.clean":           CodeSpanClean,
+	"core.powerfail_flush": CodeSpanFlush,
 }
 
 // KindString names a record kind for the dump exposition.

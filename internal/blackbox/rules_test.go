@@ -35,7 +35,7 @@ func TestKindStringCoversEveryKind(t *testing.T) {
 // kinds without a code refinement must render empty — WriteText keys
 // its "/code" suffix on that.
 func TestCodeStringCoversEmittedPairs(t *testing.T) {
-	for name, ev := range DefaultRules() {
+	for name, ev := range instrumentRules {
 		switch ev.Kind {
 		case KindDirty, KindBudget, KindLadder:
 			// Codeless kinds (the ladder's code is the state ordinal,
@@ -46,7 +46,7 @@ func TestCodeStringCoversEmittedPairs(t *testing.T) {
 			}
 		}
 	}
-	for name, code := range DefaultSpanRules() {
+	for name, code := range spanRules {
 		if got := CodeString(KindSpan, code); got != name {
 			t.Errorf("span rule %q renders as %q; the dump must echo the span name", name, got)
 		}

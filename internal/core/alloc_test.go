@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"viyojit/internal/mmu"
-	"viyojit/internal/sim"
 )
 
 // TestAdmissionAndIdleTickZeroAlloc guards the two manager paths every
@@ -117,26 +116,5 @@ func TestVictimSelectionZeroAlloc(t *testing.T) {
 	// Nothing was cleaned, so every collection hands out the same victims.
 	if differ != 0 || m.DirtyCount() != d {
 		t.Fatalf("%d of %d runs ended on another victim than %d; %d dirty, want %d", differ, runs, want, m.DirtyCount(), d)
-	}
-}
-
-// TestSampleTickZeroAlloc: the observability sampler re-arms its one event
-// and, once its ring is full, only slides it.
-func TestSampleTickZeroAlloc(t *testing.T) {
-	const every = 10 * sim.Microsecond
-	h := newHarness(t, 16, Config{DirtyBudgetPages: 8, SampleEvery: every})
-	tick := func() {
-		h.clock.Advance(every)
-		h.mgr.Pump()
-	}
-	for i := 0; i < MaxSamples+100; i++ {
-		tick()
-	}
-	before := h.mgr.Samples()[MaxSamples-1].At
-	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
-		t.Errorf("a sample tick allocates %.0f times, want 0", allocs)
-	}
-	if got := h.mgr.Samples()[MaxSamples-1].At; got.Sub(before) < 1000*every {
-		t.Fatalf("newest sample moved from %v to %v over 1000 ticks", before, got)
 	}
 }

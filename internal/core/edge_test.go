@@ -141,47 +141,3 @@ func TestPressureNeverNegative(t *testing.T) {
 		}
 	}
 }
-
-func TestSampling(t *testing.T) {
-	h := newHarness(t, 64, Config{DirtyBudgetPages: 16, SampleEvery: sim.Millisecond})
-	for p := 0; p < 10; p++ {
-		h.writePage(t, p, byte(p+1))
-		h.clock.Advance(sim.Millisecond)
-		h.mgr.Pump()
-	}
-	samples := h.mgr.Samples()
-	if len(samples) < 8 {
-		t.Fatalf("got %d samples, want ~10", len(samples))
-	}
-	var prev sim.Time
-	for _, s := range samples {
-		if s.At < prev {
-			t.Fatal("samples out of order")
-		}
-		prev = s.At
-		if s.Dirty < 0 || s.Dirty > 16 {
-			t.Fatalf("sample dirty %d outside [0, budget]", s.Dirty)
-		}
-	}
-	// The ring must see the growing dirty set.
-	if samples[len(samples)-1].Dirty == 0 {
-		t.Fatal("final sample shows no dirty pages")
-	}
-	// Close stops sampling.
-	h.mgr.Close()
-	n := len(h.mgr.Samples())
-	h.clock.Advance(10 * sim.Millisecond)
-	h.mgr.Pump()
-	if len(h.mgr.Samples()) != n {
-		t.Fatal("sampling continued after Close")
-	}
-}
-
-func TestSamplingDisabledByDefault(t *testing.T) {
-	h := newHarness(t, 16, Config{DirtyBudgetPages: 8})
-	h.clock.Advance(20 * sim.Millisecond)
-	h.mgr.Pump()
-	if len(h.mgr.Samples()) != 0 {
-		t.Fatal("samples recorded without SampleEvery")
-	}
-}

@@ -172,12 +172,12 @@ func TestDegradedModeEntersAndHeals(t *testing.T) {
 	}
 
 	// One success so far (the 4th attempt); one more heals.
-	if !h.mgr.Degraded() {
+	if h.mgr.HealthState() < StateDegraded {
 		t.Fatal("manager healed after a single successful clean, HealAfterCleans is 2")
 	}
 	h.writePage(t, 2, 0x33) // forces another (now healthy) clean
 	settle(t, h)
-	if h.mgr.Degraded() {
+	if h.mgr.HealthState() >= StateDegraded {
 		t.Fatalf("manager still degraded after %d clean successes", h.mgr.Stats().CleansCompleted)
 	}
 }
@@ -201,7 +201,7 @@ func TestDegradedEpochsCountAndExtraCleaning(t *testing.T) {
 	h.clock.Advance(sim.Millisecond) // epoch tick → proactive cleans → 2 failures
 	h.mgr.Pump()
 	settle(t, h)
-	if !h.mgr.Degraded() {
+	if h.mgr.HealthState() < StateDegraded {
 		t.Fatalf("not degraded after %d clean errors (streak threshold 2)", h.mgr.Stats().CleanErrors)
 	}
 	before := h.mgr.Stats().DegradedEpochs

@@ -94,6 +94,9 @@ func TestHWPowerFailDurability(t *testing.T) {
 	h := newHWHarness(t, 64, 16)
 	for p := 0; p < 40; p++ {
 		h.writePage(t, p, byte(p+1))
+		if d := h.mgr.DirtyCount(); d > 16 {
+			t.Fatalf("after write %d: %d dirty, budget 16", p, d)
+		}
 	}
 	pm := power.Default()
 	joules := pm.FlushWatts(h.region.Size()) * (h.dev.FlushTimeFor(16) + 10*sim.Millisecond).Seconds()

@@ -199,7 +199,7 @@ func TestTimeBasedHeal(t *testing.T) {
 	inj := faultinject.New(faultinject.Config{TransientProb: 1, MaxFaults: 2})
 	h.dev.SetFaultInjector(inj)
 	h.writePage(t, 2, 3)
-	if !h.mgr.Degraded() {
+	if h.mgr.HealthState() < StateDegraded {
 		t.Fatalf("not degraded after %d clean errors (streak %d)",
 			h.mgr.Stats().CleanErrors, h.mgr.ErrorStreak())
 	}
@@ -208,7 +208,7 @@ func TestTimeBasedHeal(t *testing.T) {
 		h.clock.Advance(sim.Millisecond)
 		h.mgr.Pump()
 	}
-	if h.mgr.Degraded() {
+	if h.mgr.HealthState() >= StateDegraded {
 		t.Fatal("still degraded after 12 ms of quiet (HealAfterQuiet 5 ms)")
 	}
 	if h.mgr.ErrorStreak() != 0 {

@@ -56,10 +56,6 @@ type Config struct {
 	DisableTLBFlush bool
 	// Policy selects victims for cleaning; nil selects LRUUpdate.
 	Policy VictimPolicy
-	// SampleEvery records a (time, dirty count, pressure) sample at that
-	// period for observability; 0 disables sampling. Samples are kept in
-	// a bounded ring (the most recent MaxSamples).
-	SampleEvery sim.Duration
 	// HardwareAssist selects the §5.4 MMU-offload design: no page is
 	// ever write-protected; instead the MMU signals the manager when a
 	// write sets a clear dirty bit, so the common-case first write to a
@@ -70,10 +66,8 @@ type Config struct {
 	HardwareAssist bool
 	// CleanRetryBackoff is the delay before resubmitting a clean whose
 	// SSD write failed; it doubles per consecutive failure of the same
-	// page, capped at CleanRetryMax. 0 selects 100 µs.
+	// page, capped at cleanRetryMax. 0 selects 100 µs.
 	CleanRetryBackoff sim.Duration
-	// CleanRetryMax caps the per-page backoff. 0 selects 10 ms.
-	CleanRetryMax sim.Duration
 	// DegradeAfterErrors is the number of consecutive failed cleans
 	// after which the manager enters the Degraded rung of the health
 	// ladder: the epoch task's effective cleaning threshold is halved
@@ -115,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CleanRetryBackoff == 0 {
 		c.CleanRetryBackoff = 100 * sim.Microsecond
-	}
-	if c.CleanRetryMax == 0 {
-		c.CleanRetryMax = 10 * sim.Millisecond
 	}
 	if c.DegradeAfterErrors == 0 {
 		c.DegradeAfterErrors = 3
@@ -225,25 +216,14 @@ type Manager struct {
 	free      []freeRange
 	allocInit bool
 
-	samples     []Sample
-	sampleEvent *sim.Event
-	sampleFn    func(sim.Time) // m.sampleTick, bound once
-
 	// st holds the registry-backed atomic counters/gauges/histograms
 	// (instruments.go); tr records clean operations as trace spans.
 	st *instruments
 	tr *obs.Tracer
 }
 
-// Sample is one observability data point (see Config.SampleEvery).
-type Sample struct {
-	At       sim.Time
-	Dirty    int
-	Pressure float64
-}
-
-// MaxSamples bounds the sampling ring.
-const MaxSamples = 4096
+// cleanRetryMax caps the per-page clean retry backoff.
+const cleanRetryMax = 10 * sim.Millisecond
 
 // NewManager wires a manager onto a region and backing device sharing one
 // clock and event queue, write-protects every page (paper step 1), and
@@ -289,31 +269,7 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		}
 	}
 	m.scheduleEpoch()
-	if cfg.SampleEvery > 0 {
-		m.sampleFn = m.sampleTick
-		m.sampleEvent = events.Schedule(clock.Now().Add(cfg.SampleEvery), m.sampleFn)
-	}
 	return m, nil
-}
-
-// sampleTick records one observability sample and re-arms its event.
-func (m *Manager) sampleTick(t sim.Time) {
-	if m.closed {
-		return
-	}
-	m.samples = append(m.samples, Sample{At: t, Dirty: m.dirty.len(), Pressure: m.pressure})
-	if len(m.samples) > MaxSamples {
-		m.samples = m.samples[len(m.samples)-MaxSamples:]
-	}
-	m.events.Rearm(m.sampleEvent, t.Add(m.cfg.SampleEvery), m.sampleFn)
-}
-
-// Samples returns the recorded observability ring (most recent
-// MaxSamples), oldest first.
-func (m *Manager) Samples() []Sample {
-	out := make([]Sample, len(m.samples))
-	copy(out, m.samples)
-	return out
 }
 
 // Region returns the managed NV-DRAM region.
@@ -350,7 +306,6 @@ func (m *Manager) Close() {
 	}
 	m.closed = true
 	m.events.Cancel(m.epochEvent)
-	m.events.Cancel(m.sampleEvent)
 	m.dev.WaitIdle()
 }
 
@@ -642,16 +597,13 @@ func (c *clean) complete(at sim.Time, err error) {
 
 // retryBackoff returns the delay before the attempts-th resubmission of
 // a failed clean: exponential from CleanRetryBackoff, capped at
-// CleanRetryMax.
+// cleanRetryMax.
 func (m *Manager) retryBackoff(attempts int) sim.Duration {
 	d := m.cfg.CleanRetryBackoff
-	for i := 1; i < attempts && d < m.cfg.CleanRetryMax; i++ {
+	for i := 1; i < attempts && d < cleanRetryMax; i++ {
 		d *= 2
 	}
-	if d > m.cfg.CleanRetryMax {
-		d = m.cfg.CleanRetryMax
-	}
-	return d
+	return min(d, cleanRetryMax)
 }
 
 // scheduleCleanRetry arms a resubmission of page's clean at the given
@@ -699,11 +651,6 @@ func (m *Manager) noteCleanSuccess() {
 		m.healthyStreak = 0
 	}
 }
-
-// Degraded reports whether the manager is at or above the Degraded rung:
-// recent cleans failed, so the epoch task keeps extra dirty-set headroom
-// until the device proves healthy again.
-func (m *Manager) Degraded() bool { return m.state >= StateDegraded }
 
 // ErrorStreak returns the current run of consecutive failed cleans — the
 // signal the health monitor escalates on.

@@ -174,7 +174,7 @@ type BlackBoxResult struct {
 // recorder-off healthy-overhead comparison.
 func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
 	var out BlackBoxResult
-	sw := newSweep(mode{ServeConfig: cfg, bbPages: 2})
+	sw := newSweep(mode{ServeConfig: cfg, blackBox: true})
 	err := sw.run()
 	out.Serve = sw.res
 	if err != nil {
@@ -190,7 +190,7 @@ func RunBlackBox(cfg ServeConfig) (BlackBoxResult, error) {
 	on.OpsPerClient *= on.Clients
 	on.Clients = 1
 	off := on
-	off.bbPages = 0
+	off.blackBox = false
 	offRun, offTally, err := newSweep(off).baseline()
 	if err != nil {
 		return out, err

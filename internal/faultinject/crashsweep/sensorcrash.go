@@ -172,7 +172,7 @@ func (t *telemetry) atCrash(fail failFunc) {
 		return
 	}
 	trueJ, region, dev := t.sys.Battery().EffectiveJoules(), t.sys.Manager().Region(), t.sys.SSD()
-	cover := health.BudgetPages(power.Default(), trueJ, dev.EffectiveWriteBandwidth(), region.Size(), region.PageSize(), flushReserve)
+	cover := health.BudgetPages(power.Default(), trueJ, dev.EffectiveWriteBandwidth(), region.Size(), region.PageSize(), health.FlushReserve)
 	if dirty := t.sys.DirtyCount(); dirty > cover {
 		fail("dirty %d exceeds the %d pages true energy %.4f J can flush", dirty, cover, trueJ)
 	}

@@ -118,11 +118,6 @@ const (
 	// deterministically.
 	serveBudgetPages = 8
 
-	// What viyojit.New derives a budget with when the Config leaves it
-	// alone: 0.8 of the device's write bandwidth, after 500 µs of fixed
-	// flush overhead. batteryFor inverts exactly that.
-	bandwidthDerating = 0.8
-	flushReserve      = 500 * sim.Microsecond
 	// fastDevice is the ssd package's default write bandwidth, stated so
 	// the battery is sized for the device it backs. slowDevice is what the
 	// nested and sensor modes run on: the budget formula reserves the fixed
@@ -155,9 +150,9 @@ type mode struct {
 	// cursorPages sizes the persistent recovery-cursor mapping; 0 maps no
 	// cursor (every single-crash mode). The nested sweep sets 1.
 	cursorPages int
-	// bbPages sizes the flight-recorder ring mapping; 0 runs without a
-	// recorder and its audits (blackboxcrash.go). The blackbox sweep sets 2.
-	bbPages int
+	// blackBox maps the flight recorder's viyojit.BlackBoxPages ring and
+	// runs its audits (blackboxcrash.go). The blackbox sweep sets it.
+	blackBox bool
 	// recrashDepth, budgetScale and recoveryObs are NestedConfig's: depth
 	// 0 recovers once, unarmed, on the whole battery (0 scale = 1).
 	recrashDepth int
@@ -170,13 +165,14 @@ type mode struct {
 
 // batteryFor provisions a battery whose energy flushes pages dirty pages
 // of a region of regionBytes to a device of writeBW, by the inverse of
-// viyojit.New's own derivation: the budget is never set, it falls out of
-// the joules. Depth of discharge and derating are 1, so nameplate =
+// viyojit.New's own derivation (§5.1's health.Derating and
+// health.FlushReserve): the budget is never set, it falls out of the
+// joules. Depth of discharge and derating are 1, so nameplate =
 // effective and a recovery's BudgetScale is the only derating in play.
 func batteryFor(pages int, writeBW, regionBytes int64) viyojit.BatteryConfig {
-	conservativeBW := int64(float64(writeBW) * bandwidthDerating)
+	conservativeBW := int64(float64(writeBW) * health.Derating)
 	return viyojit.BatteryConfig{
-		CapacityJoules:   health.JoulesForBudget(power.Default(), pages, conservativeBW, regionBytes, pageSize, flushReserve),
+		CapacityJoules:   health.JoulesForBudget(power.Default(), pages, conservativeBW, regionBytes, pageSize, health.FlushReserve),
 		DepthOfDischarge: 1,
 		Derating:         1,
 	}
@@ -190,13 +186,16 @@ func (m *mode) config() viyojit.Config {
 	if bw == 0 {
 		bw = fastDevice
 	}
-	region := int64(serveHeapPages+journalPages+m.cursorPages+m.bbPages) * pageSize
+	pages := serveHeapPages + journalPages + m.cursorPages
+	if m.blackBox {
+		pages += viyojit.BlackBoxPages
+	}
+	region := int64(pages) * pageSize
 	cfg := viyojit.Config{
-		NVDRAMSize:    region,
-		SSD:           viyojit.SSDConfig{WriteBandwidth: bw},
-		Battery:       batteryFor(serveBudgetPages, bw, region),
-		BlackBox:      m.bbPages > 0,
-		BlackBoxPages: m.bbPages,
+		NVDRAMSize: region,
+		SSD:        viyojit.SSDConfig{WriteBandwidth: bw},
+		Battery:    batteryFor(serveBudgetPages, bw, region),
+		BlackBox:   m.blackBox,
 	}
 	if m.gauges != nil {
 		// 2x provisioning headroom: the fixed flush-overhead reserve comes

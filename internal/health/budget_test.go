@@ -18,16 +18,16 @@ func TestBudgetRoundTrip(t *testing.T) {
 	pm := power.Default()
 	overheads := []sim.Duration{
 		0,
-		500 * sim.Microsecond,                   // viyojit.New's fixed flush overhead
+		FlushReserve,
 		17*60*sim.Microsecond + sim.Millisecond, // the crash sweep's, default device
 		17*60*sim.Microsecond + 16*sim.Millisecond + sim.Millisecond, // the same with 1 ms latency spikes
 	}
 	// Derated to §5.1's conservative 80 %: the default device, the same
 	// device worn, and the slow device of the nested and sensor sweeps.
-	derated := func(bw int64) int64 { return int64(float64(bw) * 0.8) }
+	derated := func(bw int64) int64 { return int64(float64(bw) * Derating) }
 	bandwidths := []int64{
 		derated(2 << 30),
-		derated(ssd.DegradedBandwidth(2<<30, 3, 0.04, 0.25)),
+		derated(ssd.DegradedBandwidth(2<<30, 3)),
 		derated(16 << 20),
 	}
 	rng := sim.NewRNG(0x5eed)
@@ -91,10 +91,9 @@ func TestFollowBatteryShrinkSurvivesMonitorTick(t *testing.T) {
 	// Halving the battery drains ≈ 600 synchronous cleans of ≈ 62 µs
 	// each, so the 2 ms monitor interval elapses inside the drain.
 	r := newRig(t, rigOpts{pages: 2048, budget: 1024, targetPages: 1024.3})
-	cfg := r.mon.cfg
-	bw := int64(float64(r.dev.EffectiveWriteBandwidth()) * cfg.BandwidthDerating)
+	bw := int64(float64(r.dev.EffectiveWriteBandwidth()) * Derating)
 	pagesFor := func(j float64) int {
-		return BudgetPages(r.pm, j, bw, r.region.Size(), 4096, cfg.FlushOverhead)
+		return BudgetPages(r.pm, j, bw, r.region.Size(), 4096, FlushReserve)
 	}
 	FollowBattery(r.batt, r.mgr, nil, pagesFor)
 	for p := 0; p < 1024; p++ {

@@ -25,7 +25,6 @@
 package health
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -36,12 +35,6 @@ import (
 	"viyojit/internal/sim"
 )
 
-// ErrConfig is the sentinel every monitor configuration-validation
-// error wraps; test with errors.Is. A faulty sensor or operator input
-// must be rejected here — NaN or Inf reaching BudgetPages would poison
-// the budget math silently.
-var ErrConfig = errors.New("health: invalid config")
-
 // EnergySource is the telemetry channel the monitor derives the budget
 // from: Sample returns the usable-energy estimate in joules at virtual
 // time at. *sensor.Fused implements it; when none is configured the
@@ -51,19 +44,21 @@ type EnergySource interface {
 	Sample(at sim.Time) float64
 }
 
+// §5.1's two fixed inputs to the budget: the conservative fraction of
+// the SSD's write bandwidth a flush is assumed to reach, and the flush
+// time reserved before the remaining energy is converted into pages (per-IO
+// latency, protection changes, scheduling slack). viyojit.New, the
+// monitor, the crash sweeps and cmd/battery-calc all derive with these.
+const (
+	Derating     = 0.8
+	FlushReserve = 500 * sim.Microsecond
+)
+
 // Config tunes the monitor. Zero values select the documented defaults.
 type Config struct {
 	// Interval is the sampling period on the sim clock; 0 selects 2 ms
 	// (a couple of manager epochs).
 	Interval sim.Duration
-	// BandwidthDerating is the conservative fraction applied to the
-	// bandwidth estimate before converting joules to pages (§5.1 calls
-	// for a conservative estimate); 0 selects 0.8.
-	BandwidthDerating float64
-	// FlushOverhead is the fixed flush-time allowance reserved before
-	// converting energy into pages (per-IO latency, protection changes,
-	// scheduling slack); 0 selects 500 µs.
-	FlushOverhead sim.Duration
 	// EmergencyErrorStreak is the clean-error streak at a sample that
 	// escalates to EmergencyFlush; 0 selects 6 (twice the default
 	// Degraded threshold).
@@ -78,11 +73,6 @@ type Config struct {
 	RecoverTicks int
 	// MaxSnapshots bounds the observability ring; 0 selects 1024.
 	MaxSnapshots int
-	// ScrubDegradeDetections is the number of fresh scrub corruption
-	// detections between samples that enters Degraded (extra cleaning
-	// headroom while the device proves itself); 0 selects 1 — any
-	// detection costs the device its clean bill of health.
-	ScrubDegradeDetections int
 	// ScrubQuarantineEmergency is the quarantined-page count (corrupt
 	// with no good copy to repair from) that escalates to
 	// EmergencyFlush: a device accumulating unrepairable corruption is
@@ -103,12 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = 2 * sim.Millisecond
 	}
-	if c.BandwidthDerating == 0 {
-		c.BandwidthDerating = 0.8
-	}
-	if c.FlushOverhead == 0 {
-		c.FlushOverhead = 500 * sim.Microsecond
-	}
 	if c.EmergencyErrorStreak == 0 {
 		c.EmergencyErrorStreak = 6
 	}
@@ -121,55 +105,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxSnapshots == 0 {
 		c.MaxSnapshots = 1024
 	}
-	if c.ScrubDegradeDetections == 0 {
-		c.ScrubDegradeDetections = 1
-	}
 	if c.ScrubQuarantineEmergency == 0 {
 		c.ScrubQuarantineEmergency = 8
 	}
 	return c
-}
-
-func (c Config) validate() error {
-	if c.Interval <= 0 {
-		return fmt.Errorf("%w: interval %v must be positive", ErrConfig, c.Interval)
-	}
-	// NaN fails every ordered comparison, so the range check below
-	// would wave it through; reject explicitly.
-	if math.IsNaN(c.BandwidthDerating) || c.BandwidthDerating <= 0 || c.BandwidthDerating > 1 {
-		return fmt.Errorf("%w: bandwidth derating %v outside (0,1]", ErrConfig, c.BandwidthDerating)
-	}
-	if c.FlushOverhead < 0 {
-		return fmt.Errorf("%w: flush overhead %v must be non-negative", ErrConfig, c.FlushOverhead)
-	}
-	return nil
-}
-
-// Policy is the runtime-tunable subset of Config: how conservatively
-// the monitor converts its live inputs into a budget. Operators adjust
-// it without restarting the monitor.
-type Policy struct {
-	// BandwidthDerating as in Config.BandwidthDerating.
-	BandwidthDerating float64
-	// FlushOverhead as in Config.FlushOverhead.
-	FlushOverhead sim.Duration
-}
-
-// SetPolicy replaces the monitor's derivation knobs; the next tick uses
-// them. Zero fields keep their current values.
-func (m *Monitor) SetPolicy(p Policy) error {
-	next := m.cfg
-	if p.BandwidthDerating != 0 {
-		next.BandwidthDerating = p.BandwidthDerating
-	}
-	if p.FlushOverhead != 0 {
-		next.FlushOverhead = p.FlushOverhead
-	}
-	if err := next.validate(); err != nil {
-		return err
-	}
-	m.cfg = next
-	return nil
 }
 
 // Snapshot is one monitor sample — what the monitor saw and what it did.
@@ -314,8 +253,8 @@ func (m *Monitor) AttachScrub(s ScrubStatus) {
 // and arms its first tick one Interval from now.
 func NewMonitor(events *sim.Queue, clock *sim.Clock, batt *battery.Battery, mgr *core.Manager, pm power.Model, cfg Config) (*Monitor, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if cfg.Interval <= 0 {
+		return nil, fmt.Errorf("health: interval %v must be positive", cfg.Interval)
 	}
 	m := &Monitor{
 		events:     events,
@@ -448,7 +387,7 @@ func (m *Monitor) bandwidthEstimate() (estimate, measured int64) {
 			scaled *= ratio
 		}
 	}
-	return int64(scaled * m.cfg.BandwidthDerating), measured
+	return int64(scaled * Derating), measured
 }
 
 // tick is one monitor sample: derive the budget, retune or escalate,
@@ -472,7 +411,7 @@ func (m *Monitor) tick(at sim.Time) {
 	joules = min(joules, m.batt.ProjectedJoules())
 	bw, measured := m.bandwidthEstimate()
 	region := m.mgr.Region()
-	budget := BudgetPages(m.pm, joules, bw, region.Size(), region.PageSize(), m.cfg.FlushOverhead)
+	budget := BudgetPages(m.pm, joules, bw, region.Size(), region.PageSize(), FlushReserve)
 	m.st.effectiveMillijoules.Set(int64(trueJoules * 1000))
 	m.st.budgetMillijoules.Set(int64(joules * 1000))
 	m.st.bandwidthEstimate.Set(bw)
@@ -489,8 +428,8 @@ func (m *Monitor) tick(at sim.Time) {
 	// lower rungs — the emergency path has its own wear-model gate.
 	if hs := m.mgr.HealthState(); budget < 1 && measured > 0 && m.mgr.ErrorStreak() == 0 &&
 		(hs == core.StateHealthy || hs == core.StateDegraded) {
-		wearBW := int64(float64(m.mgr.SSD().EffectiveWriteBandwidth()) * m.cfg.BandwidthDerating)
-		if wearBudget := BudgetPages(m.pm, joules, wearBW, region.Size(), region.PageSize(), m.cfg.FlushOverhead); wearBudget >= 1 {
+		wearBW := int64(float64(m.mgr.SSD().EffectiveWriteBandwidth()) * Derating)
+		if wearBudget := BudgetPages(m.pm, joules, wearBW, region.Size(), region.PageSize(), FlushReserve); wearBudget >= 1 {
 			m.mgr.SSD().ResetMeasurement()
 			m.stats.MeasurementResets++
 			m.st.measurementResets.Inc()
@@ -540,8 +479,8 @@ func (m *Monitor) tick(at sim.Time) {
 		// outage's zero-goodput samples, and with writes blocked no new
 		// samples can displace them — the completed drain is the direct
 		// evidence the device writes again.
-		wearBW := int64(float64(m.mgr.SSD().EffectiveWriteBandwidth()) * m.cfg.BandwidthDerating)
-		recoveryBudget := BudgetPages(m.pm, joules, wearBW, region.Size(), region.PageSize(), m.cfg.FlushOverhead)
+		wearBW := int64(float64(m.mgr.SSD().EffectiveWriteBandwidth()) * Derating)
+		recoveryBudget := BudgetPages(m.pm, joules, wearBW, region.Size(), region.PageSize(), FlushReserve)
 		if recoveryBudget >= 1 && m.mgr.ErrorStreak() == 0 {
 			m.recoverStreak++
 			if m.recoverStreak >= m.cfg.RecoverTicks {
@@ -580,9 +519,9 @@ func (m *Monitor) tick(at sim.Time) {
 			}
 			break
 		}
-		if freshDetections >= uint64(m.cfg.ScrubDegradeDetections) && m.mgr.HealthState() == core.StateHealthy {
-			// The scrubber caught the device silently corrupting data:
-			// take the Degraded rung's extra cleaning headroom while the
+		if freshDetections > 0 && m.mgr.HealthState() == core.StateHealthy {
+			// The scrubber caught the device silently corrupting data —
+			// any detection costs it its clean bill of health: take the Degraded rung's extra cleaning headroom while the
 			// usual success-streak/quiet-period hysteresis decides when
 			// it is trusted again.
 			m.mgr.EnterDegraded()

@@ -53,10 +53,9 @@ func newRig(t *testing.T, o rigOpts) *rig {
 		t.Fatal(err)
 	}
 	pm := power.Default()
-	hcfg := o.health.withDefaults()
-	bw := float64(dev.EffectiveWriteBandwidth()) * hcfg.BandwidthDerating
+	bw := float64(dev.EffectiveWriteBandwidth()) * Derating
 	joules := pm.FlushWatts(region.Size()) *
-		(hcfg.FlushOverhead.Seconds() + o.targetPages*4096/bw)
+		(FlushReserve.Seconds() + o.targetPages*4096/bw)
 	batt := battery.MustNew(battery.Config{CapacityJoules: joules, DepthOfDischarge: 1, Derating: 1})
 	mon, err := NewMonitor(events, clock, batt, mgr, pm, o.health)
 	if err != nil {
@@ -197,37 +196,10 @@ func TestMonitorRecoveryHysteresis(t *testing.T) {
 	}
 }
 
-func TestSetPolicy(t *testing.T) {
-	r := newRig(t, rigOpts{
-		pages: 64, budget: 32, targetPages: 32.3,
-		ssd: ssd.Config{WriteBandwidth: 16 << 20},
-	})
-	r.run(5 * sim.Millisecond)
-	if got := r.mgr.DirtyBudget(); got != 32 {
-		t.Fatalf("budget %d before policy change, want 32", got)
-	}
-	// Halving the derating halves the budget's bandwidth term on the
-	// next tick.
-	if err := r.mon.SetPolicy(Policy{BandwidthDerating: 0.4}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(4 * sim.Millisecond)
-	got := r.mgr.DirtyBudget()
-	if got >= 32 || got < 8 {
-		t.Fatalf("budget after derating 0.8→0.4 = %d, want roughly halved", got)
-	}
-	if err := r.mon.SetPolicy(Policy{BandwidthDerating: 1.5}); err == nil {
-		t.Fatal("derating 1.5 accepted")
-	}
-}
-
 func TestNewMonitorValidation(t *testing.T) {
 	r := newRig(t, rigOpts{pages: 16, budget: 4, targetPages: 4.5})
 	if _, err := NewMonitor(r.events, r.clock, r.batt, r.mgr, r.pm, Config{Interval: -1}); err == nil {
 		t.Fatal("negative interval accepted")
-	}
-	if _, err := NewMonitor(r.events, r.clock, r.batt, r.mgr, r.pm, Config{BandwidthDerating: 2}); err == nil {
-		t.Fatal("derating 2 accepted")
 	}
 }
 

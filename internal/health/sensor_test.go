@@ -1,17 +1,17 @@
 package health
 
 // Tests for the monitor's fault-tolerant-telemetry intake (the Energy
-// source) and for the poisoned-input hardening around BudgetPages and
-// config validation.
+// source) and for the poisoned-input hardening around BudgetPages.
 
 import (
-	"errors"
 	"math"
 	"testing"
 
+	"viyojit/internal/battery"
 	"viyojit/internal/core"
 	"viyojit/internal/faultinject"
 	"viyojit/internal/power"
+	"viyojit/internal/sensor"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
@@ -64,6 +64,64 @@ func TestMonitorDerivesBudgetFromEnergySource(t *testing.T) {
 	}
 	if !(last.EffectiveJoules < last.TrueJoules) {
 		t.Fatal("conservative estimate not below ground truth in snapshot")
+	}
+}
+
+// TestHealthyFusedSensorIsNeutral: with healthy gauges, a monitor reading
+// the fused sensor (wired as viyojit.New wires it) derives the same
+// energy and the same budget at every tick as one reading the battery
+// model directly, through an ageing schedule and a capacity step down,
+// with the dirty set pressing its budget throughout.
+func TestHealthyFusedSensorIsNeutral(t *testing.T) {
+	opts := rigOpts{pages: 256, budget: 64, targetPages: 64.3, ssd: ssd.Config{WriteBandwidth: 16 << 20}}
+	raw := newRig(t, opts)
+	src := &fakeEnergy{}
+	opts.health = Config{Energy: src}
+	fusedRig := newRig(t, opts)
+	b := fusedRig.batt
+	fused, err := sensor.New(sensor.Config{}, b.NameplateJoules,
+		sensor.NewCoulombCounter("coulomb", b.EffectiveJoules),
+		sensor.NewVoltageSoC("voltage", b.EffectiveJoules, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused.Sample(fusedRig.clock.Now())
+	src.fn = fused.Sample
+
+	for _, r := range []*rig{raw, fusedRig} {
+		if err := battery.ScheduleAging(r.events, r.batt, battery.AgingSchedule{
+			Start: sim.Time(3 * sim.Millisecond), Interval: 3 * sim.Millisecond, FractionPerStep: 0.05, Steps: 8,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		batt := r.batt
+		r.events.Schedule(sim.Time(13*sim.Millisecond), func(sim.Time) {
+			if err := batt.SetCapacityJoules(batt.NameplateJoules() * 0.6); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for step := 0; step < 30; step++ {
+		for _, r := range []*rig{raw, fusedRig} {
+			for p := 0; p < 8; p++ {
+				r.writePage(t, (step*8+p)%256, byte(step+1))
+			}
+			r.run(sim.Millisecond)
+		}
+	}
+
+	want, got := raw.mon.Snapshots(), fusedRig.mon.Snapshots()
+	if len(want) != len(got) || len(want) < 10 {
+		t.Fatalf("%d raw ticks vs %d fused ticks, want equal and ≥ 10", len(want), len(got))
+	}
+	for i := range want {
+		if got[i].EffectiveJoules != want[i].EffectiveJoules || got[i].Budget != want[i].Budget {
+			t.Fatalf("tick %d at %v: fused %v J → %d pages, raw %v J → %d pages",
+				i, want[i].At, got[i].EffectiveJoules, got[i].Budget, want[i].EffectiveJoules, want[i].Budget)
+		}
+	}
+	if first, last := want[0].Budget, want[len(want)-1].Budget; last >= first {
+		t.Fatalf("budget %d → %d: the ageing and the step never reached the monitor", first, last)
 	}
 }
 
@@ -146,22 +204,5 @@ func TestBudgetPagesRejectsPoisonedInputs(t *testing.T) {
 	}
 	if got := BudgetPages(pm, 50, -5, dram, pageSize, overhead); got != 0 {
 		t.Errorf("BudgetPages(bandwidth<0) = %d, want 0", got)
-	}
-}
-
-func TestConfigValidateRejectsNaN(t *testing.T) {
-	cases := []Config{
-		{BandwidthDerating: math.NaN()},
-		{BandwidthDerating: -0.5},
-		{BandwidthDerating: 1.5},
-		{FlushOverhead: -sim.Millisecond},
-	}
-	for _, c := range cases {
-		if err := c.withDefaults().validate(); !errors.Is(err, ErrConfig) {
-			t.Errorf("validate(%+v) = %v, want ErrConfig", c, err)
-		}
-	}
-	if err := (Config{}).withDefaults().validate(); err != nil {
-		t.Errorf("defaults rejected: %v", err)
 	}
 }

@@ -20,14 +20,14 @@ const (
 	// DetectBounds: reading outside physical bounds (NaN, Inf,
 	// negative, or above nameplate capacity).
 	DetectBounds DetectReason = "bounds"
-	// DetectRate: reading rose faster than MaxChargeWatts allows —
-	// catches lying-high onsets, spikes, and upward drift.
+	// DetectRate: reading rose beyond numeric noise — catches
+	// lying-high onsets, spikes, and upward drift.
 	DetectRate DetectReason = "rate"
 	// DetectStale: no successful reading for longer than StaleAfter —
 	// catches dropouts and hung gauges.
 	DetectStale DetectReason = "stale"
 	// DetectDisagree: estimators diverged by more than
-	// DisagreeFraction; the higher one is suspected.
+	// disagreeFraction; the higher one is suspected.
 	DetectDisagree DetectReason = "disagree"
 )
 
@@ -38,40 +38,42 @@ type Detection struct {
 	Reason    DetectReason
 }
 
+// The fusion policy's fixed thresholds.
+const (
+	// disagreeFraction is the relative divergence between estimators
+	// above which the higher one is suspected.
+	disagreeFraction = 0.10
+	// trustTicks is how many consecutive agreeing samples a suspect
+	// estimator must produce before it is re-trusted, and how many
+	// consecutive rate-gated rises (with cross-estimator agreement) are
+	// read as a genuine capacity restore.
+	trustTicks = 3
+	// soloFraction is the safety margin applied when redundancy is lost:
+	// with exactly one usable estimator the fused estimate is its value
+	// times this fraction, so even a gauge lying 50% high yields
+	// fused ≤ 0.975 × true.
+	soloFraction = 0.65
+)
+
 // Config tunes the fusion policy. The zero value selects safe
 // defaults for every field.
+//
+// The rate gate rejects any rise beyond numeric noise: a battery-backed
+// DRAM battery does not charge mid-discharge. Genuine capacity restores
+// are re-trusted via the hysteresis path (all live estimators
+// persistently agreeing on the higher level). Falls are always accepted
+// instantly — the safe direction.
 type Config struct {
-	// MaxChargeWatts bounds how fast a reading may RISE before the
-	// rate gate rejects it. A battery-backed DRAM battery does not
-	// charge mid-discharge, so the default 0 rejects any rise beyond
-	// numeric noise; genuine capacity restores are re-trusted via the
-	// hysteresis path (all live estimators persistently agreeing on
-	// the higher level). Falls are always accepted instantly — the
-	// safe direction.
-	MaxChargeWatts float64
 	// MaxDischargeWatts is the worst-case decline assumed while the
 	// sensor is blind (zero usable estimators): the fused estimate
 	// decays from its last value at this rate until a gauge returns.
 	// 0 selects 50 W, several times a typical flush draw.
 	MaxDischargeWatts float64
-	// DisagreeFraction is the relative divergence between estimators
-	// above which the higher one is suspected. 0 selects 0.10.
-	DisagreeFraction float64
-	// TrustTicks is how many consecutive agreeing samples a suspect
-	// estimator must produce before it is re-trusted, and how many
-	// consecutive rate-gated rises (with cross-estimator agreement)
-	// are read as a genuine capacity restore. 0 selects 3.
-	TrustTicks int
 	// StaleAfter is how long an estimator may go without a successful
 	// reading before the watchdog declares it dropped out. While
 	// within the window its last accepted value is held. 0 selects
 	// 5 ms (2.5 monitor intervals at the default 2 ms).
 	StaleAfter sim.Duration
-	// SoloFraction is the safety margin applied when redundancy is
-	// lost: with exactly one usable estimator the fused estimate is
-	// its value times this fraction, so even a gauge lying 50% high
-	// yields fused ≤ 0.975 × true at the default. 0 selects 0.65.
-	SoloFraction float64
 	// MaxDetections bounds the detection ring kept for MTTD audits.
 	// 0 selects 4096; past the cap detections are counted, not stored.
 	MaxDetections int
@@ -84,17 +86,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxDischargeWatts == 0 {
 		c.MaxDischargeWatts = 50
 	}
-	if c.DisagreeFraction == 0 {
-		c.DisagreeFraction = 0.10
-	}
-	if c.TrustTicks == 0 {
-		c.TrustTicks = 3
-	}
 	if c.StaleAfter == 0 {
 		c.StaleAfter = 5 * sim.Millisecond
-	}
-	if c.SoloFraction == 0 {
-		c.SoloFraction = 0.65
 	}
 	if c.MaxDetections == 0 {
 		c.MaxDetections = 4096
@@ -106,23 +99,11 @@ func (c Config) validate() error {
 	bad := func(field string, v float64) error {
 		return fmt.Errorf("%w: %s %v must be finite and non-negative", ErrConfig, field, v)
 	}
-	if math.IsNaN(c.MaxChargeWatts) || math.IsInf(c.MaxChargeWatts, 0) || c.MaxChargeWatts < 0 {
-		return bad("MaxChargeWatts", c.MaxChargeWatts)
-	}
 	if math.IsNaN(c.MaxDischargeWatts) || math.IsInf(c.MaxDischargeWatts, 0) || c.MaxDischargeWatts < 0 {
 		return bad("MaxDischargeWatts", c.MaxDischargeWatts)
 	}
-	if math.IsNaN(c.DisagreeFraction) || math.IsInf(c.DisagreeFraction, 0) || c.DisagreeFraction <= 0 || c.DisagreeFraction >= 1 {
-		return fmt.Errorf("%w: DisagreeFraction %v must be in (0,1)", ErrConfig, c.DisagreeFraction)
-	}
-	if math.IsNaN(c.SoloFraction) || c.SoloFraction <= 0 || c.SoloFraction > 1 {
-		return fmt.Errorf("%w: SoloFraction %v must be in (0,1]", ErrConfig, c.SoloFraction)
-	}
 	if c.StaleAfter < 0 {
 		return fmt.Errorf("%w: StaleAfter %v must be non-negative", ErrConfig, c.StaleAfter)
-	}
-	if c.TrustTicks < 0 {
-		return fmt.Errorf("%w: TrustTicks %d must be non-negative", ErrConfig, c.TrustTicks)
 	}
 	return nil
 }
@@ -138,9 +119,9 @@ type Stats struct {
 	// watchdog (past the StaleAfter grace window).
 	StaleDropouts uint64
 	// Disagreements counts samples where cross-estimator divergence
-	// exceeded DisagreeFraction.
+	// exceeded disagreeFraction.
 	Disagreements uint64
-	// Retrusts counts suspects restored to trust after TrustTicks
+	// Retrusts counts suspects restored to trust after trustTicks
 	// agreeing samples, plus hysteresis-accepted capacity rises.
 	Retrusts uint64
 	// SoloSamples / BlindSamples count samples taken with exactly one
@@ -237,9 +218,8 @@ func (f *Fused) detect(at sim.Time, est string, reason DetectReason) {
 	f.ins.detect(reason)
 }
 
-// riseEps is the numeric slack the rate gate tolerates on top of the
-// MaxChargeWatts allowance, so exact re-reads of the same value never
-// trip it.
+// riseEps is the numeric slack the rate gate tolerates, so exact
+// re-reads of the same value never trip it.
 func riseEps(v float64) float64 { return 1e-9 + 1e-9*math.Abs(v) }
 
 // Sample reads every estimator at virtual time at, applies the gates,
@@ -310,9 +290,7 @@ func (f *Fused) Sample(at sim.Time) float64 {
 		}
 
 		if s.hasAccepted {
-			dt := at.Sub(s.acceptedAt).Seconds()
-			allowed := s.accepted + f.cfg.MaxChargeWatts*dt + riseEps(s.accepted)
-			if v > allowed {
+			if v > s.accepted+riseEps(s.accepted) {
 				f.stats.RateRejects++
 				f.detect(at, e.Name(), DetectRate)
 				s.riseStreak++
@@ -356,22 +334,22 @@ func (f *Fused) Sample(at sim.Time) float64 {
 }
 
 // maybeAcceptRise implements hysteretic re-trust of a genuine capacity
-// restore: with MaxChargeWatts 0 the rate gate pins every estimator to
-// its last accepted value forever, so a real upward step (derating
+// restore: the rate gate pins every estimator to its last accepted
+// value forever, so a real upward step (derating
 // lifted, capacity re-provisioned) needs an escape hatch. A rise is
 // believed only when EVERY live estimator has been rate-gated on a
-// rise for TrustTicks consecutive samples AND their raw readings
-// mutually agree within DisagreeFraction (redundant confirmation). A
+// rise for trustTicks consecutive samples AND their raw readings
+// mutually agree within disagreeFraction (redundant confirmation). A
 // single surviving estimator has no witness, so it must persist twice
-// as long — and still lands under the SoloFraction margin.
+// as long — and still lands under the soloFraction margin.
 func (f *Fused) maybeAcceptRise(at sim.Time, usable []int, vals []float64, live int) {
 	if live == 0 {
 		return
 	}
 	held := 0
-	need := f.cfg.TrustTicks
+	need := trustTicks
 	if live == 1 {
-		need = 2 * f.cfg.TrustTicks
+		need = 2 * trustTicks
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range f.ests {
@@ -393,7 +371,7 @@ func (f *Fused) maybeAcceptRise(at sim.Time, usable []int, vals []float64, live 
 	if held == 0 {
 		return
 	}
-	if held > 1 && hi > 0 && (hi-lo)/hi > f.cfg.DisagreeFraction {
+	if held > 1 && hi > 0 && (hi-lo)/hi > disagreeFraction {
 		return
 	}
 	// Believe the rise: promote every live estimator's raw to accepted
@@ -433,7 +411,7 @@ func (f *Fused) fuse(at sim.Time, usable []int, vals []float64) float64 {
 		return dec
 	case 1:
 		f.stats.SoloSamples++
-		return vals[0] * f.cfg.SoloFraction
+		return vals[0] * soloFraction
 	}
 
 	minV, maxV, maxIdx := vals[0], vals[0], usable[0]
@@ -446,7 +424,7 @@ func (f *Fused) fuse(at sim.Time, usable []int, vals []float64) float64 {
 			maxIdx = usable[j]
 		}
 	}
-	if maxV > 0 && (maxV-minV)/maxV > f.cfg.DisagreeFraction {
+	if maxV > 0 && (maxV-minV)/maxV > disagreeFraction {
 		f.stats.Disagreements++
 		s := &f.st[maxIdx]
 		if !s.suspect {
@@ -459,7 +437,7 @@ func (f *Fused) fuse(at sim.Time, usable []int, vals []float64) float64 {
 			s := &f.st[i]
 			if s.suspect {
 				s.agreeStreak++
-				if s.agreeStreak >= f.cfg.TrustTicks {
+				if s.agreeStreak >= trustTicks {
 					s.suspect = false
 					s.agreeStreak = 0
 					f.stats.Retrusts++

@@ -11,7 +11,7 @@ package sensor_test
 // faults clear, the estimate recovers to exact truth within a couple of
 // samples (the hysteresis delays re-TRUST, not re-USE: a suspect's
 // value still participates in the min-fusion, so accuracy returns
-// immediately while trust returns on the TrustTicks schedule).
+// immediately while trust returns on the trustTicks schedule).
 
 import (
 	"testing"
@@ -78,7 +78,7 @@ func runFusionProperty(t *testing.T, seed uint64, probs [5]float64, steps int) {
 	}
 
 	// Faults clear: accuracy must return within two samples even though
-	// trust (suspect flags) follows the slower TrustTicks schedule.
+	// trust (suspect flags) follows the slower trustTicks schedule.
 	drop.Disable()
 	full.Disable()
 	sample()

@@ -14,20 +14,20 @@
 //     voltage-curve SoC), each reading the simulated battery plus an
 //     optional injected error channel (see faultinject.SensorInjector);
 //   - per-estimator plausibility gating: physical bounds against the
-//     nameplate capacity and a max rate-of-change gate (energy cannot
-//     rise faster than MaxChargeWatts);
+//     nameplate capacity and a rate-of-change gate (energy cannot rise
+//     mid-discharge);
 //   - a staleness watchdog on the sim clock that declares an estimator
 //     dropped out after StaleAfter without a successful read;
 //   - cross-estimator disagreement handling that falls back to the
 //     conservative lower bound and re-trusts a suspect only after
-//     TrustTicks consecutive agreeing samples (hysteresis);
-//   - a SoloFraction safety margin when redundancy is lost, and a
+//     three consecutive agreeing samples (hysteresis);
+//   - a 0.65 safety margin when redundancy is lost, and a
 //     worst-case discharge decay when the sensor is flying blind.
 //
 // The fused estimate may under-report true joules (costing budget
 // pages, never data) but never over-reports beyond the configured
 // bound: with an honest estimator usable, fused ≤ true; with only a
-// lying gauge left, fused ≤ true·(1+lie)·SoloFraction.
+// lying gauge left, fused ≤ true·(1+lie)·0.65.
 package sensor
 
 import (

@@ -143,7 +143,7 @@ func TestDisagreeSuspectsHigherWithoutBaseline(t *testing.T) {
 }
 
 func TestSuspectRetrustHysteresis(t *testing.T) {
-	r := newTestRig(t, Config{TrustTicks: 3})
+	r := newTestRig(t, Config{})
 	var lying bool
 	r.f.Estimator(1).SetCorruptor(corruptFn(func(_ sim.Time, truth float64) Reading {
 		if lying {
@@ -165,7 +165,7 @@ func TestSuspectRetrustHysteresis(t *testing.T) {
 	}
 	r.sample()
 	if r.f.Suspect(1) {
-		t.Fatal("not re-trusted after TrustTicks agreeing samples")
+		t.Fatal("not re-trusted after trustTicks agreeing samples")
 	}
 	if r.f.Stats().Retrusts == 0 {
 		t.Fatal("retrust not counted")
@@ -173,7 +173,7 @@ func TestSuspectRetrustHysteresis(t *testing.T) {
 }
 
 func TestStuckGaugeDetectedUnderDecliningTruth(t *testing.T) {
-	r := newTestRig(t, Config{DisagreeFraction: 0.10})
+	r := newTestRig(t, Config{})
 	r.sample()
 	// Freeze the voltage gauge at the current truth, then discharge.
 	frozen := r.truth
@@ -224,7 +224,7 @@ func TestDropoutGraceStaleAndRecovery(t *testing.T) {
 		t.Fatalf("grace window violated: %+v", st)
 	}
 	// Past StaleAfter the watchdog fires and fusion degrades to solo
-	// (honest gauge × SoloFraction).
+	// (honest gauge × soloFraction).
 	for i := 0; i < 4; i++ {
 		r.sample()
 	}
@@ -235,8 +235,8 @@ func TestDropoutGraceStaleAndRecovery(t *testing.T) {
 	if st.SoloSamples == 0 {
 		t.Fatal("fusion never degraded to solo")
 	}
-	if got, want := r.f.EffectiveJoules(), r.truth*0.65; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("solo fused %v, want %v (SoloFraction margin)", got, want)
+	if got, want := r.f.EffectiveJoules(), r.truth*soloFraction; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("solo fused %v, want %v (soloFraction margin)", got, want)
 	}
 	// Gauge returns: full redundancy and the exact value come back.
 	dark = false
@@ -294,7 +294,7 @@ func TestSoloLiarBoundedBySoloFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := f.Sample(sim.Time(tick))
-	bound := truth * 1.5 * 0.65 // (1+lie) × SoloFraction = 0.975 × truth
+	bound := truth * 1.5 * soloFraction // (1+lie) × soloFraction = 0.975 × truth
 	if math.Abs(got-bound) > 1e-9 {
 		t.Fatalf("solo liar fused %v, want %v", got, bound)
 	}
@@ -304,7 +304,7 @@ func TestSoloLiarBoundedBySoloFraction(t *testing.T) {
 }
 
 func TestCapacityRestoreRetrustedAfterPersistentAgreement(t *testing.T) {
-	r := newTestRig(t, Config{TrustTicks: 3})
+	r := newTestRig(t, Config{})
 	r.sample()
 	r.truth = 150 // genuine capacity restore (derating lifted)
 	var acceptedAt sim.Time
@@ -324,8 +324,8 @@ func TestCapacityRestoreRetrustedAfterPersistentAgreement(t *testing.T) {
 		t.Fatal("rise retrust not counted")
 	}
 	// Before acceptance the rise must have been held down for at least
-	// TrustTicks samples of rate-gating.
-	if r.f.Stats().RateRejects < 2*3 { // two estimators × TrustTicks
+	// trustTicks samples of rate-gating.
+	if r.f.Stats().RateRejects < 2*trustTicks { // two estimators × trustTicks
 		t.Fatalf("RateRejects %d, want ≥ 6 before the rise was believed", r.f.Stats().RateRejects)
 	}
 }
@@ -334,15 +334,10 @@ func TestConfigValidation(t *testing.T) {
 	truthFn := func() float64 { return 1 }
 	est := NewCoulombCounter("c", truthFn)
 	cases := []Config{
-		{MaxChargeWatts: math.NaN()},
-		{MaxChargeWatts: -1},
+		{MaxDischargeWatts: math.NaN()},
+		{MaxDischargeWatts: -1},
 		{MaxDischargeWatts: math.Inf(1)},
-		{DisagreeFraction: math.NaN()},
-		{DisagreeFraction: 1.5},
-		{SoloFraction: math.NaN()},
-		{SoloFraction: 2},
 		{StaleAfter: -sim.Millisecond},
-		{TrustTicks: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg, nil, est); !errors.Is(err, ErrConfig) {

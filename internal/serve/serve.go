@@ -157,8 +157,6 @@ type Config struct {
 	// (non-empty queue, no request retired) trip the emergency flush.
 	// 0 selects 8.
 	WatchdogStrikes int
-	// DisableWatchdog turns the stall detector off.
-	DisableWatchdog bool
 	// Obs is the observability registry the server publishes its
 	// counters, per-priority latency histograms, and request spans onto.
 	// nil creates a private registry; pass the manager's (viyojit.System
@@ -460,11 +458,9 @@ func (s *Server) Start() error {
 	}
 	// Wired under mu: a Submit that sees started may serve at once.
 	s.publish()
-	if !s.cfg.DisableWatchdog {
-		s.wdLast = s.pops.Load()
-		s.wdFn = s.watchdogTick
-		s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.wdFn)
-	}
+	s.wdLast = s.pops.Load()
+	s.wdFn = s.watchdogTick
+	s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.wdFn)
 	s.started = true
 	go s.loop()
 	return nil
@@ -494,9 +490,7 @@ func (s *Server) Stop() {
 	// The dispatch goroutine is gone; this goroutine is now the sole
 	// owner of the event queue, so cancelling the watchdog is safe.
 	s.wdDead.Store(true)
-	if s.wdEvent != nil {
-		s.events.Cancel(s.wdEvent)
-	}
+	s.events.Cancel(s.wdEvent)
 }
 
 // Now returns the published virtual time — safe from any goroutine,
@@ -1104,18 +1098,4 @@ func (s *Server) ManagerStats(ctx context.Context) (core.Stats, error) {
 		return core.Stats{}, err
 	}
 	return res.Value.(core.Stats), nil
-}
-
-// ManagerSamples reads the dirty-footprint sample ring as a request on
-// the stack's owner (see ManagerStats).
-func (s *Server) ManagerSamples(ctx context.Context) ([]core.Sample, error) {
-	res, err := s.Submit(ctx, Request{
-		Class:    ClassBackground,
-		Priority: PriorityHigh,
-		Op:       func(e Exec) (any, error) { return e.Mgr.Samples(), nil },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value.([]core.Sample), nil
 }

@@ -516,10 +516,6 @@ func TestManagerStatsRaceFree(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := h.srv.ManagerSamples(ctx); err != nil {
-					errs <- err
-					return
-				}
 			}
 			errs <- nil
 		}()

@@ -47,19 +47,22 @@ type Config struct {
 	// into the channel). 0 disables degradation; WearBytesPerCell still
 	// reports wear against any capacity the caller supplies.
 	WearCapacityBytes int64
-	// WearBandwidthDecay is the fraction of nominal write bandwidth
-	// lost per full-capacity write pass when WearCapacityBytes is set.
-	// 0 selects 0.04 (4 % per pass, roughly linearised from published
-	// NAND endurance curves).
-	WearBandwidthDecay float64
-	// WearBandwidthFloor is the lower bound on the degraded bandwidth
-	// as a fraction of nominal. 0 selects 0.25.
-	WearBandwidthFloor float64
-	// MeasureWindow is the number of recent write completions kept for
-	// the measured-bandwidth/latency estimators the health monitor
-	// samples. 0 selects 64.
-	MeasureWindow int
 }
+
+// The wear model and the measurement window, fixed.
+const (
+	// wearBandwidthDecay is the fraction of nominal write bandwidth lost
+	// per full-capacity write pass when WearCapacityBytes is set (4 % per
+	// pass, roughly linearised from published NAND endurance curves).
+	wearBandwidthDecay = 0.04
+	// wearBandwidthFloor is the lower bound on the degraded bandwidth as
+	// a fraction of nominal.
+	wearBandwidthFloor = 0.25
+	// measureWindow is the number of recent write completions kept for
+	// the measured-bandwidth/latency estimators the health monitor
+	// samples.
+	measureWindow = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.PageSize == 0 {
@@ -76,15 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 16
-	}
-	if c.WearBandwidthDecay == 0 {
-		c.WearBandwidthDecay = 0.04
-	}
-	if c.WearBandwidthFloor == 0 {
-		c.WearBandwidthFloor = 0.25
-	}
-	if c.MeasureWindow == 0 {
-		c.MeasureWindow = 64
 	}
 	return c
 }
@@ -615,14 +609,14 @@ func (d *SSD) WearCycles() float64 {
 }
 
 // DegradedBandwidth is the wear model as a pure function: nominal write
-// bandwidth reduced by decay per full-capacity write pass, floored at
-// floor×nominal. Exposed so provisioning tools (cmd/battery-calc) can
+// bandwidth reduced by 4 % per full-capacity write pass, floored at a
+// quarter of nominal. Exposed so provisioning tools (cmd/battery-calc) can
 // print the same trajectory the device — and hence the health monitor —
 // computes at runtime.
-func DegradedBandwidth(nominal int64, cycles, decay, floor float64) int64 {
-	f := 1 - decay*cycles
-	if f < floor {
-		f = floor
+func DegradedBandwidth(nominal int64, cycles float64) int64 {
+	f := 1 - wearBandwidthDecay*cycles
+	if f < wearBandwidthFloor {
+		f = wearBandwidthFloor
 	}
 	return int64(float64(nominal) * f)
 }
@@ -633,13 +627,12 @@ func (d *SSD) EffectiveWriteBandwidth() int64 {
 	if d.cfg.WearCapacityBytes <= 0 {
 		return d.cfg.WriteBandwidth
 	}
-	return DegradedBandwidth(d.cfg.WriteBandwidth, d.WearCycles(),
-		d.cfg.WearBandwidthDecay, d.cfg.WearBandwidthFloor)
+	return DegradedBandwidth(d.cfg.WriteBandwidth, d.WearCycles())
 }
 
 // recordSample appends one completed write to the measurement ring.
 func (d *SSD) recordSample(s measureSample) {
-	if len(d.window) < d.cfg.MeasureWindow {
+	if len(d.window) < measureWindow {
 		d.window = append(d.window, s)
 		return
 	}

@@ -20,7 +20,7 @@ func TestDegradedBandwidth(t *testing.T) {
 		{1000, 250}, // floor holds arbitrarily deep
 	}
 	for _, c := range cases {
-		if got := DegradedBandwidth(nominal, c.cycles, 0.04, 0.25); got != c.want {
+		if got := DegradedBandwidth(nominal, c.cycles); got != c.want {
 			t.Errorf("DegradedBandwidth(cycles=%v) = %d, want %d", c.cycles, got, c.want)
 		}
 	}
@@ -46,7 +46,7 @@ func TestEffectiveWriteBandwidthTracksWear(t *testing.T) {
 	if got := d.WearCycles(); got != 2 {
 		t.Fatalf("wear cycles = %v, want 2", got)
 	}
-	want := DegradedBandwidth(1<<20, 2, 0.04, 0.25)
+	want := DegradedBandwidth(1<<20, 2)
 	if got := d.EffectiveWriteBandwidth(); got != want {
 		t.Fatalf("worn bandwidth = %d, want %d", got, want)
 	}

@@ -34,7 +34,6 @@ import (
 	"viyojit/internal/battery"
 	"viyojit/internal/blackbox"
 	"viyojit/internal/core"
-	"viyojit/internal/faultinject"
 	"viyojit/internal/health"
 	"viyojit/internal/intent"
 	"viyojit/internal/kvstore"
@@ -54,8 +53,6 @@ import (
 type (
 	// Mapping is a named NV-DRAM range returned by System.Map.
 	Mapping = core.Mapping
-	// VictimPolicy orders dirty pages for cleaning; see LRUUpdate.
-	VictimPolicy = core.VictimPolicy
 	// ManagerStats are the dirty-budget manager's counters.
 	ManagerStats = core.Stats
 	// PowerFailReport describes a simulated power-loss flush.
@@ -64,14 +61,10 @@ type (
 	BatteryConfig = battery.Config
 	// SSDConfig describes the backing device.
 	SSDConfig = ssd.Config
-	// PowerModel is the server's flush-time power model.
-	PowerModel = power.Model
 	// Duration is virtual time in nanoseconds.
 	Duration = sim.Duration
 	// HealthConfig tunes the runtime health monitor.
 	HealthConfig = health.Config
-	// HealthSnapshot is one health-monitor sample.
-	HealthSnapshot = health.Snapshot
 	// HealthState is the manager's rung on the degradation ladder.
 	HealthState = core.HealthState
 	// ScrubConfig tunes the background integrity scrubber.
@@ -79,9 +72,6 @@ type (
 	// SensorConfig tunes the fault-tolerant energy-telemetry fusion
 	// the dirty budget is derived from (see internal/sensor).
 	SensorConfig = sensor.Config
-	// SensorFaultConfig tunes seeded gauge-fault injection
-	// (faultinject.SensorInjector) for telemetry chaos testing.
-	SensorFaultConfig = faultinject.SensorConfig
 	// ScrubStats are the scrubber's counters.
 	ScrubStats = scrub.Stats
 	// QuarantinedPage is one corrupt durable page with no repair path.
@@ -125,32 +115,14 @@ type (
 	// completed, so a re-crash during replay resumes instead of
 	// re-running (see System.NewRecoveryCursor).
 	RecoveryCursor = recovery.Cursor
-	// RecoveryProgress is a cursor's durable position.
-	RecoveryProgress = recovery.Progress
-	// RecoveryPhase names one phase of the restartable recovery
-	// pipeline (restore, WAL replay, intent redo, drain).
-	RecoveryPhase = recovery.Phase
-	// ReplayOptions parameterises the restartable, budget-aware intent
-	// replay (System.ReplayPendingWith).
-	ReplayOptions = serve.ReplayOptions
 	// ReplayStats reports what a restartable replay did.
 	ReplayStats = serve.ReplayStats
 	// MetricsRegistry is the system-wide observability registry
 	// returned by System.Metrics.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a consistent point-in-time view of every
-	// instrument (obs.Registry.Snapshot).
-	MetricsSnapshot = obs.Snapshot
-	// MetricsExport bundles a metrics snapshot with the trace-span log.
-	MetricsExport = obs.Export
-	// MetricsSink receives live instrument updates (see obs.Sink); the
-	// black-box flight recorder is the canonical implementation.
-	MetricsSink = obs.Sink
 	// BlackBoxRecorder is the crash-surviving flight recorder (enabled
 	// by Config.BlackBox; see internal/blackbox).
 	BlackBoxRecorder = blackbox.Recorder
-	// BlackBoxRecord is one decoded flight-recorder ring entry.
-	BlackBoxRecord = blackbox.Record
 	// ForensicReport is the post-failure reconstruction walked out of
 	// the flight recorder's battery-backed ring (System.Forensics).
 	ForensicReport = blackbox.Report
@@ -213,53 +185,26 @@ const (
 	StateReadOnly       = core.StateReadOnly
 )
 
-// Victim policies (the paper's choice first).
-var (
-	// LRUUpdate cleans the least recently updated page first (§5.2).
-	LRUUpdate VictimPolicy = core.LRUUpdate{}
-	// FIFO cleans pages in dirtying order.
-	FIFO VictimPolicy = core.FIFO{}
-	// LFU cleans the least frequently updated page first.
-	LFU VictimPolicy = core.LFU{}
-)
-
 // Config assembles a System. Zero values select the calibrated defaults
-// documented on each field's type.
+// documented on each field's type. What is not configurable is fixed:
+// 4 KiB pages, the server power model power.Default(), least recently
+// updated victims (§5.2), software write-protection traps, and §5.1's
+// budget inputs health.Derating and health.FlushReserve.
 type Config struct {
 	// NVDRAMSize is the battery-backed region size in bytes (required,
 	// a positive multiple of the page size).
 	NVDRAMSize int64
-	// PageSize is the dirty-tracking granularity; 0 selects 4096.
-	PageSize int
 	// Battery is the provisioned battery. If CapacityJoules is 0, the
 	// battery is provisioned for ~12.5 % of the region (the paper's
 	// "11 % battery" configuration, with conservative-bandwidth margin).
 	Battery BatteryConfig
-	// Power is the server power model; the zero value selects
-	// power.Default().
-	Power PowerModel
 	// SSD is the backing device; the zero value selects ssd defaults.
 	SSD SSDConfig
 	// Epoch is the dirty-bit scan period; 0 selects 1 ms.
 	Epoch Duration
-	// Policy selects clean victims; nil selects LRUUpdate.
-	Policy VictimPolicy
-	// SampleEvery enables dirty-footprint sampling at that period (see
-	// System.Samples); 0 disables it.
-	SampleEvery Duration
-	// HardwareAssist selects the paper's §5.4 MMU-offload design: dirty
-	// pages are counted by the (modelled) hardware instead of
-	// write-protection traps, removing the first-write trap cost and
-	// most of the tail latency. See core.Config.HardwareAssist.
-	HardwareAssist bool
-	// BandwidthDerating is the conservative fraction of the SSD's write
-	// bandwidth used when converting battery joules into the dirty
-	// budget (§5.1 calls for a conservative estimate); 0 selects 0.8.
-	BandwidthDerating float64
 	// Health tunes the runtime health monitor that re-derives the
 	// budget from the live battery and SSD and operates the degradation
-	// ladder. Zero values select the monitor's defaults (its
-	// BandwidthDerating follows this Config's unless set explicitly).
+	// ladder. Zero values select the monitor's defaults.
 	Health HealthConfig
 	// DisableHealthMonitor turns the monitor off; budget retuning then
 	// happens only through the battery's change hooks.
@@ -278,11 +223,8 @@ type Config struct {
 	// a single raw gauge. Zero values select the sensor's defaults,
 	// with StaleAfter derived from the monitor interval. With healthy
 	// gauges the fused estimate equals the battery model exactly, so
-	// enabling the layer is numerically neutral.
+	// the layer is numerically neutral.
 	Sensor SensorConfig
-	// DisableSensor reverts the budget chain to reading the raw
-	// battery gauge directly (trusting a single gauge).
-	DisableSensor bool
 	// BlackBox enables the crash-surviving flight recorder: a
 	// checksummed ring of binary event records in battery-backed pages,
 	// Map'd before any application mapping and charged against the same
@@ -290,18 +232,13 @@ type Config struct {
 	// sensor, serve, and recovery decisions into it (obs.Sink), and
 	// after Recover the ring is walked into System.Forensics(). The
 	// recorder degrades to sampling — never blocks — when the budget is
-	// tight.
+	// tight. Its ring is BlackBoxPages pages.
 	BlackBox bool
-	// BlackBoxPages sizes the recorder's ring; 0 selects 2 pages
-	// (128 records at the default page size). Only read when BlackBox
-	// is set.
-	BlackBoxPages int
 }
 
-// fixedFlushOverhead is the flush-time allowance reserved when deriving
-// the dirty budget from battery energy: per-IO latency, protection
-// changes, and scheduling slack that don't scale with the page count.
-const fixedFlushOverhead = Duration(500 * sim.Microsecond)
+// BlackBoxPages is the flight recorder's ring size in pages (128 records
+// at 4 KiB pages).
+const BlackBoxPages = 2
 
 // System is a fully wired Viyojit stack. It is not safe for concurrent
 // use: the simulation is single-goroutine (DESIGN.md §5). The lifecycle
@@ -315,7 +252,6 @@ type System struct {
 	region   *nvdram.Region
 	dev      *ssd.SSD
 	batt     *battery.Battery
-	pm       power.Model
 	manager  *core.Manager
 	monitor  *health.Monitor
 	fused    *sensor.Fused
@@ -342,20 +278,12 @@ func New(cfg Config) (*System, error) {
 	if cfg.NVDRAMSize <= 0 {
 		return nil, fmt.Errorf("viyojit: NVDRAMSize %d must be positive", cfg.NVDRAMSize)
 	}
-	if cfg.BandwidthDerating == 0 {
-		cfg.BandwidthDerating = 0.8
-	}
-	if cfg.BandwidthDerating <= 0 || cfg.BandwidthDerating > 1 {
-		return nil, fmt.Errorf("viyojit: bandwidth derating %v outside (0,1]", cfg.BandwidthDerating)
-	}
-	if cfg.Power == (power.Model{}) {
-		cfg.Power = power.Default()
-	}
+	pm := power.Default()
 
 	clock := sim.NewClock()
 	events := sim.NewQueue()
 	reg := obs.NewRegistry()
-	region, err := nvdram.New(clock, nvdram.Config{Size: cfg.NVDRAMSize, PageSize: cfg.PageSize})
+	region, err := nvdram.New(clock, nvdram.Config{Size: cfg.NVDRAMSize})
 	if err != nil {
 		return nil, err
 	}
@@ -366,13 +294,13 @@ func New(cfg Config) (*System, error) {
 	dev := ssd.New(clock, events, devCfg)
 	dev.AttachObs(reg)
 
-	conservativeBW := int64(float64(dev.Config().WriteBandwidth) * cfg.BandwidthDerating)
+	conservativeBW := int64(float64(dev.Config().WriteBandwidth) * health.Derating)
 	battCfg := cfg.Battery
 	if battCfg.CapacityJoules == 0 {
 		// Default provisioning: an effective budget of 12.5 % of the
 		// region.
-		needed := health.JoulesForBudget(cfg.Power, max(region.NumPages()/8, 1), conservativeBW,
-			region.Size(), region.PageSize(), fixedFlushOverhead)
+		needed := health.JoulesForBudget(pm, max(region.NumPages()/8, 1), conservativeBW,
+			region.Size(), region.PageSize(), health.FlushReserve)
 		battCfg = battery.Provision(needed, battCfg.DepthOfDischarge, battCfg.Derating)
 	}
 	batt, err := battery.New(battCfg)
@@ -385,7 +313,7 @@ func New(cfg Config) (*System, error) {
 	// budgets survive their own flushes. health.BudgetPages is the same
 	// derivation the runtime monitor applies each tick.
 	budgetForJoules := func(j float64) int {
-		return health.BudgetPages(cfg.Power, j, conservativeBW, region.Size(), region.PageSize(), fixedFlushOverhead)
+		return health.BudgetPages(pm, j, conservativeBW, region.Size(), region.PageSize(), health.FlushReserve)
 	}
 	budget := budgetForJoules(batt.EffectiveJoules())
 	if budget < 1 {
@@ -394,9 +322,6 @@ func New(cfg Config) (*System, error) {
 	mgr, err := core.NewManager(clock, events, region, dev, core.Config{
 		DirtyBudgetPages: budget,
 		Epoch:            cfg.Epoch,
-		Policy:           cfg.Policy,
-		SampleEvery:      cfg.SampleEvery,
-		HardwareAssist:   cfg.HardwareAssist,
 		Obs:              reg,
 	})
 	if err != nil {
@@ -412,11 +337,7 @@ func New(cfg Config) (*System, error) {
 	var recorder *blackbox.Recorder
 	var bbMap *core.Mapping
 	if cfg.BlackBox {
-		pages := cfg.BlackBoxPages
-		if pages <= 0 {
-			pages = 2
-		}
-		bbMap, err = mgr.Map("__blackbox", int64(pages)*int64(region.PageSize()))
+		bbMap, err = mgr.Map("__blackbox", BlackBoxPages*int64(region.PageSize()))
 		if err != nil {
 			return nil, err
 		}
@@ -441,42 +362,33 @@ func New(cfg Config) (*System, error) {
 	// battery (exactly, until a fault injector corrupts one), gated
 	// against the nameplate as the physical bound, so a healthy sensor
 	// is numerically identical to reading the battery directly.
-	var fused *sensor.Fused
-	if !cfg.DisableSensor {
-		scfg := cfg.Sensor
-		if scfg.Obs == nil {
-			scfg.Obs = reg
-		}
-		if scfg.StaleAfter == 0 && cfg.Health.Interval != 0 {
-			// The watchdog must outlast a few sampling periods or every
-			// monitor tick would declare the gauges stale.
-			scfg.StaleAfter = cfg.Health.Interval * 5 / 2
-		}
-		fused, err = sensor.New(scfg, batt.NameplateJoules,
-			sensor.NewCoulombCounter("coulomb", batt.EffectiveJoules),
-			sensor.NewVoltageSoC("voltage", batt.EffectiveJoules, 0))
-		if err != nil {
-			return nil, err
-		}
-		fused.Sample(clock.Now())
+	scfg := cfg.Sensor
+	if scfg.Obs == nil {
+		scfg.Obs = reg
 	}
+	if scfg.StaleAfter == 0 && cfg.Health.Interval != 0 {
+		// The watchdog must outlast a few sampling periods or every
+		// monitor tick would declare the gauges stale.
+		scfg.StaleAfter = cfg.Health.Interval * 5 / 2
+	}
+	fused, err := sensor.New(scfg, batt.NameplateJoules,
+		sensor.NewCoulombCounter("coulomb", batt.EffectiveJoules),
+		sensor.NewVoltageSoC("voltage", batt.EffectiveJoules, 0))
+	if err != nil {
+		return nil, err
+	}
+	fused.Sample(clock.Now())
 
 	var mon *health.Monitor
 	if !cfg.DisableHealthMonitor {
 		hcfg := cfg.Health
-		if hcfg.BandwidthDerating == 0 {
-			hcfg.BandwidthDerating = cfg.BandwidthDerating
-		}
-		if hcfg.FlushOverhead == 0 {
-			hcfg.FlushOverhead = fixedFlushOverhead
-		}
 		if hcfg.Obs == nil {
 			hcfg.Obs = reg
 		}
-		if hcfg.Energy == nil && fused != nil {
+		if hcfg.Energy == nil {
 			hcfg.Energy = fused
 		}
-		mon, err = health.NewMonitor(events, clock, batt, mgr, cfg.Power, hcfg)
+		mon, err = health.NewMonitor(events, clock, batt, mgr, pm, hcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +415,6 @@ func New(cfg Config) (*System, error) {
 		region:   region,
 		dev:      dev,
 		batt:     batt,
-		pm:       cfg.Power,
 		manager:  mgr,
 		monitor:  mon,
 		fused:    fused,
@@ -551,11 +462,6 @@ func (s *System) Stats() ManagerStats { return s.manager.Stats() }
 // and Snapshot/Export are safe to call concurrently with serving.
 func (s *System) Metrics() *MetricsRegistry { return s.reg }
 
-// MetricsExport captures a consistent snapshot of every instrument plus
-// the trace-span log. For a seeded single-goroutine run the export is
-// byte-for-byte deterministic.
-func (s *System) MetricsExport() MetricsExport { return s.reg.Export() }
-
 // WriteMetricsText writes the line-oriented text exposition of the
 // current metrics and trace to w.
 func (s *System) WriteMetricsText(w io.Writer) error {
@@ -567,10 +473,6 @@ func (s *System) WriteMetricsText(w io.Writer) error {
 func (s *System) WriteMetricsJSON(w io.Writer) error {
 	return s.reg.Export().WriteJSON(w)
 }
-
-// Samples returns the dirty-footprint observability ring (empty unless
-// Config.SampleEvery was set).
-func (s *System) Samples() []core.Sample { return s.manager.Samples() }
 
 // Battery returns the battery, e.g. to simulate capacity changes; the
 // dirty budget retunes automatically on change.
@@ -584,17 +486,12 @@ func (s *System) SSD() *ssd.SSD { return s.dev }
 // sag or install a crash-point hook (faultinject package).
 func (s *System) Events() *sim.Queue { return s.events }
 
-// Degraded reports whether the manager is in SSD-degraded mode (cleaning
-// more aggressively because recent cleans failed).
-func (s *System) Degraded() bool { return s.manager.Degraded() }
-
 // Health returns the runtime health monitor (nil when
 // Config.DisableHealthMonitor was set).
 func (s *System) Health() *health.Monitor { return s.monitor }
 
 // Sensor returns the fused energy-telemetry layer the budget is
-// derived from (nil when Config.DisableSensor was set). Fault
-// injectors attach to its estimators:
+// derived from. Fault injectors attach to its estimators:
 //
 //	inj := faultinject.NewSensorInjector(faultinject.SensorConfig{Seed: 1, LieProb: 0.01})
 //	sys.Sensor().Estimator(1).SetCorruptor(inj)
@@ -606,10 +503,6 @@ func (s *System) HealthState() HealthState { return s.manager.HealthState() }
 // Manager exposes the dirty-budget manager, e.g. for ladder operations
 // (Resume after an SSD replacement) or budget inspection.
 func (s *System) Manager() *core.Manager { return s.manager }
-
-// Scrubber returns the background integrity scrubber, e.g. for pacing
-// stats or the quarantine list.
-func (s *System) Scrubber() *scrub.Scrubber { return s.scrubber }
 
 // Scrub runs one full synchronous integrity pass over the durable set —
 // every page checked against its checksum, corrupt pages repaired
@@ -743,7 +636,7 @@ func (s *System) NewIntentJournal(name string, size int64, cfg IntentConfig) (*I
 // from the committed record prefix, dropping a torn tail if the crash
 // interrupted an append.
 //
-// After opening, resolve in-flight intents with ReplayPending BEFORE
+// After opening, resolve in-flight intents with ReplayPendingWith BEFORE
 // serving resumes — a journaled redo image is only sound against
 // pre-crash store state.
 func (s *System) OpenIntentJournal(name string, size int64) (*IntentJournal, error) {
@@ -754,21 +647,15 @@ func (s *System) OpenIntentJournal(name string, size int64) (*IntentJournal, err
 	return intent.Open(m, s.reg)
 }
 
-// ReplayPending applies the redo image of every journaled intent whose
-// result never committed — the requests in flight when power failed —
-// and completes them in the journal, so every retry afterwards dedups.
-// Call it between OpenIntentJournal and Serve.
-func (s *System) ReplayPending(store *kvstore.Store, j *IntentJournal) (int, error) {
-	return serve.ReplayPending(store, j)
-}
-
-// ReplayPendingWith is ReplayPending made restartable and budget-aware:
-// with a cursor (opts.Cursor) each redo's completion is durably
-// recorded before the next starts, so a power failure mid-replay
-// resumes instead of re-running; the system's manager paces the redos
-// against the current dirty budget, and the system's registry receives
-// the replay instruments. See serve.ReplayPendingWith for the full
-// contract.
+// ReplayPendingWith applies the redo image of every journaled intent
+// whose result never committed — the requests in flight when power
+// failed — and completes them in the journal, so every retry afterwards
+// dedups. Call it between OpenIntentJournal and Serve. With a cursor
+// each redo's completion is durably recorded before the next starts, so
+// a power failure mid-replay resumes instead of re-running; the system's
+// manager paces the redos against the current dirty budget, and the
+// system's registry receives the replay instruments. See
+// serve.ReplayPendingWith for the full contract.
 func (s *System) ReplayPendingWith(store *kvstore.Store, j *IntentJournal, cursor *RecoveryCursor) (ReplayStats, error) {
 	return serve.ReplayPendingWith(store, j, serve.ReplayOptions{
 		Cursor: cursor,
@@ -886,7 +773,7 @@ func (s *System) SimulatePowerFailure() PowerFailReport {
 	// Sample the battery live: a capacity change landing during the
 	// flush (scheduled ageing, cell dropout) is charged against the
 	// energy actually left at completion, not the pre-flush reading.
-	return s.manager.PowerFailWith(s.pm, s.batt.EffectiveJoules)
+	return s.manager.PowerFailWith(power.Default(), s.batt.EffectiveJoules)
 }
 
 // VerifyDurability checks byte-for-byte that the SSD holds the latest

@@ -5,15 +5,44 @@ import (
 
 	"viyojit/internal/core"
 	"viyojit/internal/health"
+	"viyojit/internal/power"
 	"viyojit/internal/sim"
 )
 
 // covered is the budget the battery's *true* effective joules back, by
-// the derivation New applies: the invariant every capacity change must
-// leave standing.
+// §5.1's formula at its two fixed inputs: the invariant every capacity
+// change must leave standing.
 func covered(sys *System) int {
-	bw := int64(float64(sys.SSD().Config().WriteBandwidth) * 0.8)
-	return health.BudgetPages(sys.pm, sys.Battery().EffectiveJoules(), bw, sys.region.Size(), sys.region.PageSize(), fixedFlushOverhead)
+	bw := int64(float64(sys.SSD().Config().WriteBandwidth) * health.Derating)
+	return health.BudgetPages(power.Default(), sys.Battery().EffectiveJoules(), bw,
+		sys.region.Size(), sys.region.PageSize(), health.FlushReserve)
+}
+
+// New installs, and a battery change retunes to, exactly §5.1's budget
+// at health.Derating and health.FlushReserve, for default and explicit
+// batteries on several region sizes and on both device speeds.
+func TestBudgetIsSection51Formula(t *testing.T) {
+	for _, size := range []int64{4 << 20, 16 << 20, 64 << 20} {
+		for _, joules := range []float64{0, 0.5, 3, 40} {
+			for _, bw := range []int64{0, 16 << 20} {
+				sys, err := New(Config{NVDRAMSize: size, Battery: BatteryConfig{CapacityJoules: joules},
+					SSD: SSDConfig{WriteBandwidth: bw}, DisableHealthMonitor: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := sys.DirtyBudget(), covered(sys); got != want {
+					t.Errorf("%d MiB, %v J, bw %d: budget %d pages, §5.1 gives %d", size>>20, joules, bw, got, want)
+				}
+				if err := sys.Battery().Age(0.3); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := sys.DirtyBudget(), max(covered(sys), 1); got != want {
+					t.Errorf("%d MiB, %v J, bw %d, aged 30%%: budget %d pages, §5.1 gives %d", size>>20, joules, bw, got, want)
+				}
+				sys.Close()
+			}
+		}
+	}
 }
 
 // §8 with the health monitor on, as examples/batterytuning runs it: the

@@ -79,8 +79,8 @@ func TestExactlyOnceAcrossPowerCycle(t *testing.T) {
 		t.Fatal("clean shutdown produced a torn journal tail")
 	}
 	// Nothing was in flight at this (clean-stop) failure.
-	if n, err := recovered.ReplayPending(store2, j2); err != nil || n != 0 {
-		t.Fatalf("ReplayPending = %d, %v; want 0, nil", n, err)
+	if st, err := recovered.ReplayPendingWith(store2, j2, nil); err != nil || st.Redone != 0 {
+		t.Fatalf("ReplayPendingWith redid %d, %v; want 0, nil", st.Redone, err)
 	}
 	if _, err := recovered.Serve(store2, ServeConfig{Journal: j2}); err != nil {
 		t.Fatal(err)

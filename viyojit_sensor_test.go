@@ -1,7 +1,7 @@
 package viyojit
 
 // Facade-level wiring of the fault-tolerant energy telemetry: the fused
-// sensor is on by default, transparent when healthy, conservative when
+// sensor is always wired, transparent when healthy, conservative when
 // a gauge lies, and the recovery path budgets from it.
 
 import (
@@ -15,32 +15,11 @@ func TestSensorDefaultWiring(t *testing.T) {
 	sys := newTestSystem(t, Config{})
 	f := sys.Sensor()
 	if f == nil {
-		t.Fatal("Sensor() nil with default config, want fused telemetry on by default")
+		t.Fatal("Sensor() nil, want fused telemetry always wired")
 	}
 	truth := sys.Battery().EffectiveJoules()
 	if got := f.Sample(sys.Now()); got != truth {
 		t.Fatalf("healthy fused sample %v, want exactly battery truth %v", got, truth)
-	}
-}
-
-func TestDisableSensorFallsBackToRawBattery(t *testing.T) {
-	sys := newTestSystem(t, Config{DisableSensor: true})
-	if sys.Sensor() != nil {
-		t.Fatal("Sensor() non-nil with DisableSensor")
-	}
-	if sys.DirtyBudget() < 1 {
-		t.Fatalf("budget %d with sensor disabled, want the usual battery-derived one", sys.DirtyBudget())
-	}
-	m, err := sys.Map("m", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteAt([]byte{1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	sys.Pump()
-	if rep := sys.SimulatePowerFailure(); !rep.Survived {
-		t.Fatalf("power failure not survived with sensor disabled: %+v", rep)
 	}
 }
 

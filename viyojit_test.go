@@ -24,9 +24,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero NVDRAMSize accepted")
 	}
-	if _, err := New(Config{NVDRAMSize: 16 << 20, BandwidthDerating: 2}); err == nil {
-		t.Fatal("derating 2 accepted")
-	}
 	if _, err := New(Config{NVDRAMSize: 16 << 20, Battery: BatteryConfig{CapacityJoules: 1e-12}}); err == nil {
 		t.Fatal("microscopic battery accepted")
 	}
@@ -237,48 +234,6 @@ func TestFacadeDurabilityProperty(t *testing.T) {
 	}
 }
 
-func TestFacadeSampling(t *testing.T) {
-	sys := newTestSystem(t, Config{SampleEvery: Duration(sim.Millisecond)})
-	m, _ := sys.Map("s", 1<<20)
-	for p := 0; p < 50; p++ {
-		if err := m.WriteAt([]byte{1}, int64(p)*4096); err != nil {
-			t.Fatal(err)
-		}
-		sys.AdvanceTime(Duration(sim.Millisecond))
-	}
-	samples := sys.Samples()
-	if len(samples) < 40 {
-		t.Fatalf("got %d samples", len(samples))
-	}
-	peak := 0
-	for _, s := range samples {
-		if s.Dirty > peak {
-			peak = s.Dirty
-		}
-	}
-	if peak == 0 {
-		t.Fatal("sampling saw no dirty pages")
-	}
-}
-
-func TestFacadeHardwareAssist(t *testing.T) {
-	sys := newTestSystem(t, Config{HardwareAssist: true})
-	m, _ := sys.Map("hw", 2<<20)
-	for p := 0; p < 200; p++ {
-		if err := m.WriteAt([]byte{byte(p + 1)}, int64(p)*4096); err != nil {
-			t.Fatal(err)
-		}
-		sys.Pump()
-	}
-	if sys.DirtyCount() > sys.DirtyBudget() {
-		t.Fatal("budget violated in hardware mode")
-	}
-	report := sys.SimulatePowerFailure()
-	if !report.Survived || sys.VerifyDurability() != nil {
-		t.Fatal("hardware mode lost data across power failure")
-	}
-}
-
 // TestFacadeScrubRepairs: the on-demand scrub detects a silently
 // corrupted durable page and repairs it through the budget-enforced
 // re-clean path; the integrity report records the episode.
@@ -324,16 +279,16 @@ func TestFacadeScrubRepairs(t *testing.T) {
 // and DisableScrubber turns it off.
 func TestFacadeBackgroundScrubberDefaultOn(t *testing.T) {
 	sys := newTestSystem(t, Config{})
-	if !sys.Scrubber().Running() {
+	if !sys.scrubber.Running() {
 		t.Fatal("background scrubber not running by default")
 	}
 	sys.Close()
-	if sys.Scrubber().Running() {
+	if sys.scrubber.Running() {
 		t.Fatal("scrubber still running after Close")
 	}
 	off := newTestSystem(t, Config{DisableScrubber: true})
 	defer off.Close()
-	if off.Scrubber().Running() {
+	if off.scrubber.Running() {
 		t.Fatal("DisableScrubber left the scrubber running")
 	}
 }
