@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"viyojit/internal/faultinject"
+	"viyojit/internal/obs"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
 )
@@ -360,5 +361,93 @@ func TestWakeAheadDerivation(t *testing.T) {
 	}
 	if got := WakeAhead(WakePages(h.dev, 0), 256); got != 16 {
 		t.Fatalf("free trap: wakeAhead %d, want the budget share 16", got)
+	}
+}
+
+// gaugeWriter is a registry sink that, once armed, writes one byte through
+// mp the next time the dirty gauge moves: the flight recorder's tee
+// without its admission gate.
+type gaugeWriter struct {
+	mp    *Mapping
+	armed bool
+	err   error
+}
+
+func (w *gaugeWriter) CounterAdd(string, uint64, uint64) {}
+func (w *gaugeWriter) SpanFinished(obs.SpanRecord)       {}
+func (w *gaugeWriter) GaugeSet(name string, _ int64) {
+	if w.armed && name == "core_dirty_pages" {
+		w.armed = false
+		w.err = w.mp.WriteAt([]byte{0x5A}, 0)
+	}
+}
+
+// An admission's dirty gauge tees a write to a clean page of a second
+// mapping, so a fault nests inside the admission after its page entered
+// the set. The nested admission reaches the wake level with the copier's
+// threshold at 0 and its collection used up, so it collects again from
+// the live set, the outer page included. The copier must pass that page
+// over: re-protecting it would fail the store about to retry with
+// mmu.ErrProtected on a healthy ladder.
+func TestNestedAdmissionKeepsAdmittedPage(t *testing.T) {
+	const budget = 4
+	reg := obs.NewRegistry()
+	h := newHarness(t, 16, Config{DirtyBudgetPages: budget, Obs: reg})
+	app, err := h.mgr.Map("app", 12*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tele, err := h.mgr.Map("tele", 4*4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &gaugeWriter{mp: tele}
+	reg.SetSink(w)
+	write := func(page int, b byte) error { return app.WriteAt([]byte{b}, int64(page)*4096) }
+
+	// Eight admissions in the first epoch: the tick's pressure estimate (6)
+	// passes the budget, so the copier cleans every page it finds, and the
+	// set is empty with the collection spent when the next epoch's writes
+	// begin.
+	for p := 0; p < 8; p++ {
+		if err := write(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.events.RunUntil(h.clock, sim.Time(sim.Millisecond+500*sim.Microsecond))
+	if h.mgr.cleanThreshold() != 0 || h.mgr.DirtyCount() != 0 || h.mgr.Stats().Epochs != 1 {
+		t.Fatalf("after the first tick: threshold %d, %d dirty, %d epochs; want 0, 0, 1",
+			h.mgr.cleanThreshold(), h.mgr.DirtyCount(), h.mgr.Stats().Epochs)
+	}
+
+	// Two admissions, then a third that stays below the wake level itself
+	// (2 + 1 < 4) but whose tee's nested admission reaches it (3 + 1).
+	for p := 8; p < 10; p++ {
+		if err := write(p, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.armed = true
+	if err := write(10, 3); err != nil {
+		t.Fatalf("outer store with the ladder %v: %v", h.mgr.HealthState(), err)
+	}
+	if w.armed || w.err != nil {
+		t.Fatalf("nested write: armed %v, err %v; want it run and succeeded", w.armed, w.err)
+	}
+	if dp := h.mgr.dirty.get(10); dp == nil || dp.cleaning {
+		t.Fatalf("page 10 after its admission: %+v; want dirty and not in flight", dp)
+	}
+	st := h.mgr.Stats()
+	if st.CopierWakesAhead != 1 || st.ProactiveCleans != 4+2 || st.Epochs != 1 {
+		t.Fatalf("wakes ahead %d, proactive cleans %d, epochs %d; want 1, 6 (tick 4, nested wake 2), 1",
+			st.CopierWakesAhead, st.ProactiveCleans, st.Epochs)
+	}
+	var b [1]byte
+	if err := app.ReadAt(b[:], 10*4096); err != nil || b[0] != 3 {
+		t.Fatalf("page 10 reads %#x, %v; want 0x03", b[0], err)
+	}
+	h.mgr.FlushAll()
+	if err := h.mgr.VerifyDurability(); err != nil {
+		t.Fatal(err)
 	}
 }

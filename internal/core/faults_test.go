@@ -95,7 +95,7 @@ func TestCleanRetryRecoversFromTransientError(t *testing.T) {
 // the second ~200 µs after the next.
 func TestCleanRetryBacksOffExponentially(t *testing.T) {
 	h, inj := newFaultedHarness(t, 4,
-		Config{DirtyBudgetPages: 4, CleanRetryBackoff: 100 * sim.Microsecond},
+		Config{DirtyBudgetPages: 4},
 		faultinject.Config{})
 	inj.FailNextWrites(2)
 
@@ -155,30 +155,31 @@ func TestBudgetEnforcedDespiteFailingCleans(t *testing.T) {
 }
 
 // TestDegradedModeEntersAndHeals: enough consecutive clean failures trip
-// degraded mode; consecutive successes heal it.
+// degraded mode; a streak of healAfterCleans successes heals it.
 func TestDegradedModeEntersAndHeals(t *testing.T) {
 	const budget = 1
-	h, inj := newFaultedHarness(t, 16,
-		Config{DirtyBudgetPages: budget, DegradeAfterErrors: 3, HealAfterCleans: 2},
-		faultinject.Config{})
-	inj.FailNextWrites(3)
+	h, inj := newFaultedHarness(t, 16, Config{DirtyBudgetPages: budget}, faultinject.Config{})
+	inj.FailNextWrites(degradeAfterErrors)
 
 	h.writePage(t, 0, 0x11)
 	h.writePage(t, 1, 0x22) // forced clean of page 0 fails 3× then lands
 	settle(t, h)
 	st := h.mgr.Stats()
-	if st.DegradedEnters != 1 {
-		t.Fatalf("DegradedEnters = %d, want 1 after 3 consecutive failures", st.DegradedEnters)
+	if st.DegradedEnters != 1 || st.CleanErrors != degradeAfterErrors {
+		t.Fatalf("DegradedEnters = %d after %d failures, want 1 after %d", st.DegradedEnters, st.CleanErrors, degradeAfterErrors)
 	}
 
-	// One success so far (the 4th attempt); one more heals.
-	if h.mgr.HealthState() < StateDegraded {
-		t.Fatal("manager healed after a single successful clean, HealAfterCleans is 2")
+	// Every success since then extends the streak; each write forces
+	// another (now healthy) clean.
+	for p := 2; h.mgr.HealthState() >= StateDegraded; p++ {
+		if got := h.mgr.Stats().CleansCompleted; got >= healAfterCleans || p == 16 {
+			t.Fatalf("manager still degraded after %d clean successes", got)
+		}
+		h.writePage(t, p, byte(p))
+		settle(t, h)
 	}
-	h.writePage(t, 2, 0x33) // forces another (now healthy) clean
-	settle(t, h)
-	if h.mgr.HealthState() >= StateDegraded {
-		t.Fatalf("manager still degraded after %d clean successes", h.mgr.Stats().CleansCompleted)
+	if got := h.mgr.Stats().CleansCompleted; got < healAfterCleans {
+		t.Fatalf("manager healed after %d clean successes, want %d", got, healAfterCleans)
 	}
 }
 
@@ -187,22 +188,20 @@ func TestDegradedModeEntersAndHeals(t *testing.T) {
 // earlier, keeping more headroom against an unreliable SSD).
 func TestDegradedEpochsCountAndExtraCleaning(t *testing.T) {
 	const budget = 8
-	h, inj := newFaultedHarness(t, 32,
-		Config{DirtyBudgetPages: budget, DegradeAfterErrors: 2, HealAfterCleans: 100},
-		faultinject.Config{})
-	inj.FailNextWrites(2)
+	h, inj := newFaultedHarness(t, 32, Config{DirtyBudgetPages: budget}, faultinject.Config{})
+	inj.FailNextWrites(degradeAfterErrors)
 
 	// Dirty past the degraded threshold (budget/2 = 4 after halving)
-	// but below the healthy one, then trip degradation via two failed
+	// but below the healthy one, then trip degradation via three failed
 	// proactive cleans.
 	for p := 0; p < 6; p++ {
 		h.writePage(t, p, byte(0x40+p))
 	}
-	h.clock.Advance(sim.Millisecond) // epoch tick → proactive cleans → 2 failures
+	h.clock.Advance(sim.Millisecond) // epoch tick → proactive cleans → 3 failures
 	h.mgr.Pump()
 	settle(t, h)
 	if h.mgr.HealthState() < StateDegraded {
-		t.Fatalf("not degraded after %d clean errors (streak threshold 2)", h.mgr.Stats().CleanErrors)
+		t.Fatalf("not degraded after %d clean errors (streak threshold %d)", h.mgr.Stats().CleanErrors, degradeAfterErrors)
 	}
 	before := h.mgr.Stats().DegradedEpochs
 	h.clock.Advance(sim.Millisecond)

@@ -157,11 +157,12 @@ func (m *Manager) setState(s HealthState) {
 }
 
 // drainOrder returns the dirty set's page IDs in ascending order — the
-// submission order of the whole-set drains (FlushAll, emergency drain),
-// which completion times, span order and exports all follow. A drain asks
-// on every event it steps; while every dirty page is already in flight
-// there is nothing to submit and the answer is nil, so the set is listed
-// and sorted only after a completion has left a page behind.
+// submission order of every drain (FlushAll, the emergency drain and
+// Unmap, all through Manager.drain), which completion times, span order
+// and exports all follow. A drain asks on every event it steps; while
+// every dirty page is already in flight there is nothing to submit and
+// the answer is nil, so the set is listed and sorted only after a
+// completion has left a page behind.
 func (m *Manager) drainOrder() []mmu.PageID {
 	if m.dirty.len() == m.inflight {
 		return nil

@@ -39,7 +39,7 @@ const (
 	// StateHealthy is normal operation.
 	StateHealthy HealthState = iota
 	// StateDegraded means recent cleans failed; the epoch task keeps
-	// extra dirty-set headroom (see Config.DegradeAfterErrors).
+	// extra dirty-set headroom (see degradeAfterErrors).
 	StateDegraded
 	// StateEmergencyFlush means writes are blocked while the dirty set
 	// is force-drained to the SSD.
@@ -110,7 +110,7 @@ func (m *Manager) unblockWrites() {
 
 // EnterEmergencyFlush escalates to the EmergencyFlush rung: writes are
 // blocked and the whole dirty set is drained with at most
-// Config.EmergencyMaxAttempts SSD writes per page. It returns the number
+// emergencyMaxAttempts SSD writes per page. It returns the number
 // of pages still dirty afterwards — 0 means everything is durable and
 // the caller may Resume; non-zero means the SSD refused even the bounded
 // drain and the caller decides between RetryDrain and EnterReadOnly.
@@ -136,37 +136,18 @@ func (m *Manager) RetryDrain() int {
 }
 
 // emergencyDrain submits every dirty page to the SSD, giving each page
-// up to EmergencyMaxAttempts tries, and blocks (in virtual time) until
+// up to emergencyMaxAttempts tries, and blocks (in virtual time) until
 // the set is empty or every remaining page has exhausted its attempts.
 // The clean-completion failure path suppresses both the unprotect and
-// the auto-retry while writes are blocked (see startClean), so attempt
-// accounting stays entirely here.
+// the auto-retry while writes are blocked (see clean.complete), so
+// attempt accounting stays with the drain.
 func (m *Manager) emergencyDrain() int {
 	for _, page := range m.dirty.list() {
 		if dp := m.dirty.get(page); !dp.cleaning {
 			dp.attempts = 0
 		}
 	}
-	for m.dirty.len() > 0 {
-		submitted := false
-		for _, page := range m.drainOrder() {
-			if dp := m.dirty.get(page); dp != nil && !dp.cleaning && dp.attempts < m.cfg.EmergencyMaxAttempts {
-				m.st.emergencyCleans.Inc()
-				m.startClean(page)
-				submitted = true
-			}
-		}
-		if !submitted && m.inflight == 0 {
-			// Every remaining page burned its attempts.
-			break
-		}
-		if !m.events.Step(m.clock) {
-			if m.inflight == 0 {
-				break
-			}
-			panic("core: emergency drain blocked with no pending events")
-		}
-	}
+	m.drain(0, mmu.PageID(m.region.NumPages()), emergencyMaxAttempts, m.st.emergencyCleans, "emergency drain")
 	return m.dirty.len()
 }
 

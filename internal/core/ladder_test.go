@@ -119,7 +119,7 @@ func TestEmergencyFlushBlocksWritesAndDrains(t *testing.T) {
 // nothing previously flushed is lost, and a repaired device recovers via
 // RetryDrain + Resume.
 func TestDeadSSDLadderToReadOnly(t *testing.T) {
-	h := newHarness(t, 16, Config{DirtyBudgetPages: 8, EmergencyMaxAttempts: 2})
+	h := newHarness(t, 16, Config{DirtyBudgetPages: 8})
 	// Two pages flushed while the device is healthy...
 	h.writePage(t, 0, 0x11)
 	h.writePage(t, 1, 0x22)
@@ -184,19 +184,15 @@ func TestDeadSSDLadderToReadOnly(t *testing.T) {
 
 // TestTimeBasedHeal (satellite fix): a degraded manager on an idle
 // system — no cleans at all, so the success-streak path can't run —
-// returns to Healthy once HealAfterQuiet of virtual time passes without
-// a clean error.
+// returns to Healthy once healAfterQuiet of virtual time passes without
+// a clean error, and not before.
 func TestTimeBasedHeal(t *testing.T) {
-	h := newHarness(t, 16, Config{
-		DirtyBudgetPages:   2,
-		DegradeAfterErrors: 2,
-		HealAfterQuiet:     5 * sim.Millisecond,
-	})
+	h := newHarness(t, 16, Config{DirtyBudgetPages: 2})
 	h.writePage(t, 0, 1)
 	h.writePage(t, 1, 2)
-	// The next admission forces a clean; the injector fails exactly two
+	// The next admission forces a clean; the injector fails exactly three
 	// of them (then runs dry), building the streak that enters Degraded.
-	inj := faultinject.New(faultinject.Config{TransientProb: 1, MaxFaults: 2})
+	inj := faultinject.New(faultinject.Config{TransientProb: 1, MaxFaults: degradeAfterErrors})
 	h.dev.SetFaultInjector(inj)
 	h.writePage(t, 2, 3)
 	if h.mgr.HealthState() < StateDegraded {
@@ -204,12 +200,15 @@ func TestTimeBasedHeal(t *testing.T) {
 			h.mgr.Stats().CleanErrors, h.mgr.ErrorStreak())
 	}
 	// Idle: just let epochs tick with no writes and no cleans.
-	for i := 0; i < 12; i++ {
+	for i := 1; i <= 25; i++ {
 		h.clock.Advance(sim.Millisecond)
 		h.mgr.Pump()
+		if i == 15 && h.mgr.HealthState() < StateDegraded {
+			t.Fatal("healed after 15 ms of quiet (healAfterQuiet 20 ms)")
+		}
 	}
 	if h.mgr.HealthState() >= StateDegraded {
-		t.Fatal("still degraded after 12 ms of quiet (HealAfterQuiet 5 ms)")
+		t.Fatal("still degraded after 25 ms of quiet (healAfterQuiet 20 ms)")
 	}
 	if h.mgr.ErrorStreak() != 0 {
 		t.Fatalf("error streak %d survived the heal", h.mgr.ErrorStreak())

@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
@@ -64,32 +65,6 @@ type Config struct {
 	// proposes this to eradicate the software implementation's tail
 	// latency; the ablation benchmarks compare both modes.
 	HardwareAssist bool
-	// CleanRetryBackoff is the delay before resubmitting a clean whose
-	// SSD write failed; it doubles per consecutive failure of the same
-	// page, capped at cleanRetryMax. 0 selects 100 µs.
-	CleanRetryBackoff sim.Duration
-	// DegradeAfterErrors is the number of consecutive failed cleans
-	// after which the manager enters the Degraded rung of the health
-	// ladder: the epoch task's effective cleaning threshold is halved
-	// (extra dirty-set headroom while the SSD is unreliable). 0
-	// selects 3.
-	DegradeAfterErrors int
-	// HealAfterCleans is the number of consecutive successful cleans
-	// that exits degraded mode — the fast heal path for a busy system.
-	// 0 selects 8.
-	HealAfterCleans int
-	// HealAfterQuiet is the hysteresis window for the time-based heal
-	// path: a degraded manager returns to Healthy once this much
-	// virtual time has passed since the last clean error, checked on
-	// epoch ticks. It exists so a mostly-idle system — too few cleans
-	// to ever accumulate HealAfterCleans successes — still heals. 0
-	// selects 20 ms.
-	HealAfterQuiet sim.Duration
-	// EmergencyMaxAttempts is the number of write attempts each dirty
-	// page gets per emergency-flush drain round before the drain gives
-	// up on it (the health monitor escalates to ReadOnly when drains
-	// keep failing). 0 selects 3.
-	EmergencyMaxAttempts int
 	// Obs is the observability registry the manager publishes its
 	// counters, gauges, histograms, and clean spans onto. nil creates a
 	// private registry so Stats() always works; pass the system-wide
@@ -107,23 +82,33 @@ func (c Config) withDefaults() Config {
 	if c.Policy == nil {
 		c.Policy = LRUUpdate{}
 	}
-	if c.CleanRetryBackoff == 0 {
-		c.CleanRetryBackoff = 100 * sim.Microsecond
-	}
-	if c.DegradeAfterErrors == 0 {
-		c.DegradeAfterErrors = 3
-	}
-	if c.HealAfterCleans == 0 {
-		c.HealAfterCleans = 8
-	}
-	if c.HealAfterQuiet == 0 {
-		c.HealAfterQuiet = 20 * sim.Millisecond
-	}
-	if c.EmergencyMaxAttempts == 0 {
-		c.EmergencyMaxAttempts = 3
-	}
 	return c
 }
+
+// The SSD-health inputs of the clean path and the ladder's bottom rungs.
+const (
+	// cleanRetryBackoff is the delay before resubmitting a clean whose SSD
+	// write failed; it doubles per consecutive failure of the same page,
+	// capped at cleanRetryMax.
+	cleanRetryBackoff = 100 * sim.Microsecond
+	cleanRetryMax     = 10 * sim.Millisecond
+	// degradeAfterErrors consecutive failed cleans enter the Degraded
+	// rung: the copier's threshold is halved, for extra dirty-set headroom
+	// while the SSD is unreliable.
+	degradeAfterErrors = 3
+	// healAfterCleans consecutive successful cleans leave Degraded: the
+	// fast heal path of a busy system.
+	healAfterCleans = 8
+	// healAfterQuiet is the time-based heal path's hysteresis: a degraded
+	// manager returns to Healthy once this much virtual time has passed
+	// since the last clean error, checked on epoch ticks, so a mostly idle
+	// system, with too few cleans to make a success streak, still heals.
+	healAfterQuiet = 20 * sim.Millisecond
+	// emergencyMaxAttempts is how many writes each dirty page gets per
+	// emergency drain before the drain gives up on it (the health monitor
+	// escalates to ReadOnly when drains keep failing).
+	emergencyMaxAttempts = 3
+)
 
 // Stats counts manager activity since construction.
 type Stats struct {
@@ -195,6 +180,10 @@ type Manager struct {
 	// longer eligible are skipped as they come out.
 	victims *victimSelector
 
+	// admitting is the sequence number of the outermost admission in
+	// progress, 0 if none: see admitPage.
+	admitting uint64
+
 	newDirtyThisEpoch int
 	pressure          float64
 	inEpoch           bool
@@ -221,9 +210,6 @@ type Manager struct {
 	st *instruments
 	tr *obs.Tracer
 }
-
-// cleanRetryMax caps the per-page clean retry backoff.
-const cleanRetryMax = 10 * sim.Millisecond
 
 // NewManager wires a manager onto a region and backing device sharing one
 // clock and event queue, write-protects every page (paper step 1), and
@@ -341,79 +327,7 @@ func (m *Manager) handleFault(page mmu.PageID) {
 		m.st.writesBlocked.Inc()
 		return
 	}
-	waitStart := m.clock.Now()
-
-	// A fault on a page that is mid-clean means the application wrote to
-	// a page whose SSD copy-out is in flight. The page was re-protected
-	// before the copy started precisely so this write traps (paper §5.1);
-	// wait for the IO to complete, after which the page is clean and the
-	// fault proceeds as a fresh dirtying.
-	if dp := m.dirty.get(page); dp != nil {
-		if !dp.cleaning {
-			// The page is dirty and unprotected; a fault here means the
-			// protection state and dirty set disagree.
-			panic(fmt.Sprintf("core: fault on dirty, unprotected page %d", page))
-		}
-		seq := dp.seq
-		for {
-			cur := m.dirty.live(page, seq)
-			if cur == nil {
-				break
-			}
-			if !cur.cleaning {
-				// The in-flight clean failed: the completion handler
-				// un-protected the page and left it in the dirty set, so
-				// the blocked write proceeds on the existing entry at no
-				// further cost (the retry will re-snapshot it later).
-				m.noteFaultWait(m.clock.Now().Sub(waitStart))
-				return
-			}
-			if !m.events.Step(m.clock) {
-				panic("core: waiting for in-flight clean with no pending events")
-			}
-		}
-	}
-
-	// Enforce the budget: admitting this page must not exceed the
-	// effective bound. During a staged shrink every clean also lowers
-	// the drain ratchet, so a fault taken mid-drain pays for the whole
-	// remaining drain — the backpressure that lets the transition make
-	// progress against a sustained write burst.
-	//
-	// A budget hit also means this epoch's pressure estimate was too low
-	// and the wake level below did not catch it (a burst faster than one
-	// admission per trap, a full device queue, a tiny budget), so the
-	// handler wakes the proactive copier before it blocks: the write
-	// resumes after one completion, the rest of the burst lands in the
-	// background and the next ≈ pressure admissions find headroom.
-	for m.dirty.len() >= m.effectiveBudget() {
-		m.st.forcedCleans.Inc()
-		m.cleanToThreshold(m.st.wakesHit)
-		if !m.cleanOneSync() {
-			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
-		}
-	}
-	m.noteFaultWait(m.clock.Now().Sub(waitStart))
-	m.wakeCopierAhead()
-
-	// Admit the page (step 8): unprotect, count, record. Update recency
-	// is NOT marked here: the paper's system learns recency only from
-	// the epoch walks (§5.2), and the post-fault write sets the PTE
-	// dirty bit that the next walk observes. (This is also what makes
-	// the §6.3 TLB ablation bite: without flushes the walk misses
-	// re-updates and hot pages look cold.)
-	m.region.PageTable().Unprotect(page)
-	m.admit(page)
-	m.newDirtyThisEpoch++
-	m.st.pagesDirtied.Inc()
-	m.noteDirtyLevel()
-	m.checkInvariant()
-}
-
-// admit enters page into the dirty set under the next sequence number.
-func (m *Manager) admit(page mmu.PageID) {
-	m.dirtySeq++
-	m.dirty.add(page, m.dirtySeq)
+	m.admitPage(page, byTrap)
 }
 
 // handleDirtyNotify is the §5.4 hardware path: the MMU signals that a
@@ -431,25 +345,139 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 		}
 		return
 	}
+	m.admitPage(page, byNotify)
+}
+
+// admitter names the path that admits a page. What sets the paths apart
+// is an argument of admitPage, the one admission step they share.
+type admitter uint8
+
+const (
+	// byTrap is the software write fault: it first waits out a clean in
+	// flight on the page, wakes the copier, and unprotects the page.
+	byTrap admitter = iota
+	// byNotify is the §5.4 dirty-bit signal: each budget hit pays the
+	// interrupt and counts as a fault; it wakes the copier too.
+	byNotify
+	// byRepair is RepairPage's re-dirty of a clean page: it wakes no
+	// copier and is not a write, so neither the pressure estimate nor
+	// PagesDirtied counts it.
+	byRepair
+)
+
+// admitPage is the one budget-enforced admission step (§5.1 steps 3–8):
+// it cleans victims until page fits under the effective bound, then
+// enters page into the dirty set. It reports whether it did: a trap
+// whose wait ends in a failed clean proceeds on the page's existing
+// entry, and a repair gives up if the wait closed the manager or blocked
+// writes.
+//
+// Re-entrancy rule: no transition nested inside an admission may choose
+// the page being admitted as a victim. Publishing the new dirty level
+// tees into the registry's sink, and the flight recorder's append there
+// can fault on a ring page; that nested admission's copier wake, or any
+// clean it runs, must not re-protect the page under the store about to
+// retry. So from the moment the outermost admission enters its page
+// until it returns, nextVictim passes over every page admitted since.
+func (m *Manager) admitPage(page mmu.PageID, by admitter) bool {
 	waitStart := m.clock.Now()
+	if by == byTrap && m.dirty.get(page) != nil && !m.awaitClean(page) {
+		m.noteFaultWait(m.clock.Now().Sub(waitStart))
+		return false
+	}
+
+	// Enforce the budget: admitting this page must not exceed the
+	// effective bound. During a staged shrink every clean also lowers
+	// the drain ratchet, so a fault taken mid-drain pays for the whole
+	// remaining drain — the backpressure that lets the transition make
+	// progress against a sustained write burst.
+	//
+	// A budget hit also means this epoch's pressure estimate was too low
+	// and the wake level below did not catch it (a burst faster than one
+	// admission per trap, a full device queue, a tiny budget), so a write
+	// wakes the proactive copier before it blocks: the write resumes
+	// after one completion, the rest of the burst lands in the background
+	// and the next ≈ pressure admissions find headroom.
 	for m.dirty.len() >= m.effectiveBudget() {
-		// The at-budget case pays the interrupt the §5.4 MMU raises.
-		m.st.faults.Inc()
-		m.clock.Advance(hwInterruptCost)
+		if by == byNotify {
+			// The at-budget case pays the interrupt the §5.4 MMU raises.
+			m.st.faults.Inc()
+			m.clock.Advance(hwInterruptCost)
+		}
 		m.st.forcedCleans.Inc()
-		m.cleanToThreshold(m.st.wakesHit)
+		if by != byRepair {
+			m.cleanToThreshold(m.st.wakesHit)
+		}
 		if !m.cleanOneSync() {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
-	m.noteFaultWait(m.clock.Now().Sub(waitStart))
-	m.wakeCopierAhead()
+	if by == byRepair {
+		// The wait stepped events; the world may have changed under it.
+		if m.closed || m.writesBlocked() {
+			return false
+		}
+	} else {
+		m.noteFaultWait(m.clock.Now().Sub(waitStart))
+		m.wakeCopierAhead()
+	}
 
-	m.admit(page)
-	m.newDirtyThisEpoch++
-	m.st.pagesDirtied.Inc()
+	// Admit the page (step 8): unprotect, count, record. Update recency
+	// is NOT marked here: the paper's system learns recency only from
+	// the epoch walks (§5.2), and the post-fault write sets the PTE
+	// dirty bit that the next walk observes. (This is also what makes
+	// the §6.3 TLB ablation bite: without flushes the walk misses
+	// re-updates and hot pages look cold.)
+	if by == byTrap {
+		m.region.PageTable().Unprotect(page)
+	}
+	m.dirtySeq++
+	m.dirty.add(page, m.dirtySeq)
+	outer := m.admitting == 0
+	if outer {
+		m.admitting = m.dirtySeq
+	}
+	if by == byRepair {
+		m.st.repairRedirties.Inc()
+	} else {
+		m.newDirtyThisEpoch++
+		m.st.pagesDirtied.Inc()
+	}
 	m.noteDirtyLevel()
 	m.checkInvariant()
+	if outer {
+		m.admitting = 0
+	}
+	return true
+}
+
+// awaitClean holds a trap on a page whose clean is in flight. The page
+// was re-protected before the copy started precisely so this write traps
+// (paper §5.1); awaitClean steps events until the IO completes and
+// reports true if the page left the set, so the write proceeds as a
+// fresh dirtying. It reports false if the clean failed: the completion
+// un-protected the page and left it in the dirty set, so the blocked
+// write proceeds on the existing entry at no further cost (the retry
+// will re-snapshot it later).
+func (m *Manager) awaitClean(page mmu.PageID) bool {
+	dp := m.dirty.get(page)
+	if !dp.cleaning {
+		// The page is dirty and unprotected; a fault here means the
+		// protection state and dirty set disagree.
+		panic(fmt.Sprintf("core: fault on dirty, unprotected page %d", page))
+	}
+	for seq := dp.seq; ; {
+		cur := m.dirty.live(page, seq)
+		if cur == nil {
+			return true
+		}
+		if !cur.cleaning {
+			return false
+		}
+		if !m.events.Step(m.clock) {
+			panic("core: waiting for in-flight clean with no pending events")
+		}
+	}
 }
 
 // hwInterruptCost is the price of the §5.4 at-budget interrupt: cheaper
@@ -458,13 +486,18 @@ func (m *Manager) handleDirtyNotify(page mmu.PageID) {
 const hwInterruptCost = 2 * sim.Microsecond
 
 // nextVictim returns the next eligible victim page in policy order, or
-// false if none is eligible (all dirty pages already cleaning).
+// false if none is eligible: all dirty pages already cleaning, or
+// admitted by an admission still in progress (admitPage's re-entrancy
+// rule).
 func (m *Manager) nextVictim() (mmu.PageID, bool) {
 	for collected := false; ; collected = true {
 		for {
 			cand, ok := m.victims.pop(&m.dirty.members)
 			if !ok {
 				break
+			}
+			if m.admitting != 0 && cand.DirtiedSeq >= m.admitting {
+				continue
 			}
 			if dp := m.dirty.live(cand.Page, cand.DirtiedSeq); dp != nil && !dp.cleaning {
 				return cand.Page, true
@@ -596,10 +629,10 @@ func (c *clean) complete(at sim.Time, err error) {
 }
 
 // retryBackoff returns the delay before the attempts-th resubmission of
-// a failed clean: exponential from CleanRetryBackoff, capped at
+// a failed clean: exponential from cleanRetryBackoff, capped at
 // cleanRetryMax.
 func (m *Manager) retryBackoff(attempts int) sim.Duration {
-	d := m.cfg.CleanRetryBackoff
+	d := cleanRetryBackoff
 	for i := 1; i < attempts && d < cleanRetryMax; i++ {
 		d *= 2
 	}
@@ -631,7 +664,7 @@ func (m *Manager) noteCleanError(at sim.Time) {
 	m.healthyStreak = 0
 	m.errorStreak++
 	m.lastErrorAt = at
-	if m.state == StateHealthy && m.errorStreak >= m.cfg.DegradeAfterErrors {
+	if m.state == StateHealthy && m.errorStreak >= degradeAfterErrors {
 		m.setState(StateDegraded)
 		m.st.degradedEnters.Inc()
 	}
@@ -646,7 +679,7 @@ func (m *Manager) noteCleanSuccess() {
 		return
 	}
 	m.healthyStreak++
-	if m.healthyStreak >= m.cfg.HealAfterCleans {
+	if m.healthyStreak >= healAfterCleans {
 		m.setState(StateHealthy)
 		m.healthyStreak = 0
 	}
@@ -718,13 +751,13 @@ func (m *Manager) epochTick(at sim.Time) {
 	m.st.epochs.Inc()
 
 	// Time-based heal (hysteresis): a degraded manager on a mostly-idle
-	// system may never see HealAfterCleans consecutive successes simply
+	// system may never see healAfterCleans consecutive successes simply
 	// because nothing needs cleaning. If no clean has *failed* for
-	// HealAfterQuiet of virtual time, return to Healthy here instead —
+	// healAfterQuiet of virtual time, return to Healthy here instead —
 	// and reset the error streak, which on an idle system has no
 	// success to reset it, so a single later error doesn't instantly
 	// re-enter Degraded off the stale count.
-	if m.state == StateDegraded && at.Sub(m.lastErrorAt) >= m.cfg.HealAfterQuiet {
+	if m.state == StateDegraded && at.Sub(m.lastErrorAt) >= healAfterQuiet {
 		m.setState(StateHealthy)
 		m.errorStreak = 0
 		m.healthyStreak = 0
@@ -836,15 +869,16 @@ func WakeAhead(wakePages, budget int) int {
 // wakeAhead is WakeAhead at the operative bound.
 func (m *Manager) wakeAhead() int { return WakeAhead(m.wakePages, m.effectiveBudget()) }
 
-// wakeCopierAhead is the high-water mark. The fault and dirty-notify
-// handlers call it once the budget check has passed and BEFORE the page
-// they are admitting enters the dirty set: if this admission leaves at
-// most wakeAhead further ones before the budget, the copier starts now, so
+// wakeCopierAhead is the high-water mark. A write's admission step calls
+// it once the budget check has passed: if this admission leaves at most
+// wakeAhead further ones before the budget, the copier starts now, so
 // that by the time a writer paying one trap per page has used them up the
 // first clean has landed — the device was idle, and the alternative is a
-// budget hit that waits for the same write. Before admission because the
-// copier may pick any dirty page as a victim, and re-protecting the page
-// under the store that is about to retry would fail that store.
+// budget hit that waits for the same write. The copier may pick any dirty
+// page as a victim except one an admission still in progress entered
+// (admitPage's re-entrancy rule): re-protecting the page under a store
+// about to retry would fail that store. That covers this admission's own
+// page too, though it enters the set only after the wake.
 func (m *Manager) wakeCopierAhead() {
 	if m.dirty.len()+1+m.wakeAhead() >= m.effectiveBudget() {
 		m.cleanToThreshold(m.st.wakesAhead)
@@ -853,19 +887,33 @@ func (m *Manager) wakeCopierAhead() {
 
 // FlushAll synchronously cleans every dirty page — the clean-shutdown
 // path. After it returns, the dirty set is empty and every page's
-// contents are durable. Pages are submitted in sorted order so flush
-// timing and the trace log are identical across same-seed runs.
+// contents are durable.
 func (m *Manager) FlushAll() {
-	for m.dirty.len() > 0 {
+	m.drain(0, mmu.PageID(m.region.NumPages()), math.MaxInt, nil, "FlushAll")
+}
+
+// drain cleans every dirty page in [first, last): it submits them in
+// drainOrder and steps events until none is left, so completion times and
+// the trace log are the same across same-seed runs. A page whose clean
+// failed, or completed after a rewrite (hardware assist), is submitted
+// again until it has used maxAttempts writes. cleans, if not nil, counts
+// the submissions; who names the caller if the drain stalls.
+func (m *Manager) drain(first, last mmu.PageID, maxAttempts int, cleans *obs.Counter, who string) {
+	in := func(page mmu.PageID) bool { return page >= first && page < last }
+	for slices.ContainsFunc(m.dirty.list(), in) {
 		started := false
 		for _, page := range m.drainOrder() {
-			if dp := m.dirty.get(page); dp != nil && !dp.cleaning {
+			if dp := m.dirty.get(page); dp != nil && in(page) && !dp.cleaning && dp.attempts < maxAttempts {
+				cleans.Inc()
 				m.startClean(page)
 				started = true
 			}
 		}
-		if !m.events.Step(m.clock) && !started {
-			panic("core: FlushAll blocked with no pending events")
+		if !started && m.inflight == 0 {
+			return // every page left has used its attempts
+		}
+		if !m.events.Step(m.clock) {
+			panic(fmt.Sprintf("core: %s blocked with no pending events", who))
 		}
 	}
 }
@@ -921,9 +969,10 @@ func (m *Manager) SetDirtyBudget(pages int) error {
 }
 
 // SetDirtyBudgetSync is SetDirtyBudget followed by CompleteDrain: it
-// returns only once the dirty set fits the new budget, restoring the
-// synchronous retune semantics the tenancy reallocator and the
-// power-fail path rely on.
+// returns only once the dirty set fits the new budget. Its callers need
+// that: tenancy.Pool.apply, so a tenant fits its grant before another
+// tenant's grows, and health.FollowBattery's shrink hook, so the set fits
+// the projected energy before the battery loses it.
 func (m *Manager) SetDirtyBudgetSync(pages int) error {
 	if err := m.SetDirtyBudget(pages); err != nil {
 		return err

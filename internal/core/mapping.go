@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"viyojit/internal/mmu"
@@ -150,31 +151,7 @@ func (m *Manager) Unmap(mp *Mapping) error {
 		return fmt.Errorf("core: double Unmap of mapping %q", mp.name)
 	}
 	first, last := mp.pageRange()
-	// Clean every in-range dirty page, restarting cleans as needed: in
-	// hardware-assist mode a page rewritten after its snapshot completes
-	// its IO while STAYING dirty, so a single pass could stall.
-	for {
-		pending := false
-		started := false
-		for page := first; page < last; page++ {
-			dp := m.dirty.get(page)
-			if dp == nil {
-				continue
-			}
-			pending = true
-			if !dp.cleaning {
-				m.st.unmapCleans.Inc()
-				m.startClean(page)
-				started = true
-			}
-		}
-		if !pending {
-			break
-		}
-		if !m.events.Step(m.clock) && !started {
-			panic("core: Unmap blocked with no pending events")
-		}
-	}
+	m.drain(first, last, math.MaxInt, m.st.unmapCleans, "Unmap")
 	mp.live = false
 	for i, cur := range m.mappings {
 		if cur == mp {

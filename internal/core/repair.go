@@ -6,7 +6,7 @@ package core
 // *should* hold), the fix is a forced re-clean — re-dirty the page and
 // push it back through the normal clean path so the standard completion
 // handling, retry/backoff, and durability bookkeeping all apply. The
-// re-dirty is budget-enforced exactly like a write fault: admitting the
+// re-dirty is the write fault's admission step (admitPage): admitting the
 // page may force other cleans first, so `dirty ≤ budget` holds at every
 // step even while repairing.
 
@@ -56,26 +56,14 @@ func (m *Manager) RepairPage(page mmu.PageID) error {
 		return nil
 	}
 
-	// Budget-enforced admission, mirroring the fault path: the repair
-	// must never push the dirty set past what the battery covers.
-	for m.dirty.len() >= m.effectiveBudget() {
-		m.st.forcedCleans.Inc()
-		if !m.cleanOneSync() {
-			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
+	// The repair must never push the dirty set past what the battery
+	// covers.
+	if !m.admitPage(page, byRepair) {
+		if m.closed {
+			return ErrRepairClosed
 		}
-	}
-	// cleanOneSync pumps events; the world may have changed under us.
-	if m.closed {
-		return ErrRepairClosed
-	}
-	if m.writesBlocked() {
 		return ErrRepairBlocked
 	}
-
-	m.admit(page)
-	m.st.repairRedirties.Inc()
-	m.noteDirtyLevel()
-	m.checkInvariant()
 	m.startClean(page)
 	return nil
 }
