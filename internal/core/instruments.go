@@ -11,7 +11,7 @@ import (
 // instruments is the manager's registry-backed metric storage. Every
 // counter the old Stats struct held as a plain field now lives on an
 // atomic obs instrument, so Stats() — and a registry Snapshot — can be
-// read from any goroutine while the dispatch loop mutates. The exported
+// read from any goroutine while the serving goroutine mutates. The exported
 // Stats shape is unchanged; it is reconstructed from atomic loads.
 type instruments struct {
 	faults          *obs.Counter

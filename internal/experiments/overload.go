@@ -198,7 +198,8 @@ func RunOverloadPoint(cfg OverloadConfig, offered float64) (ycsb.ConcurrentResul
 	}
 	res, runErr := ycsb.RunConcurrent(ccfg, srv)
 	srv.Stop()
-	// The dispatch goroutine is gone; this goroutine owns the sim again.
+	// Stop waited out the last serving client; this goroutine owns the
+	// sim again.
 	mgr.Close()
 	if runErr != nil {
 		return ycsb.ConcurrentResult{}, runErr

@@ -20,20 +20,20 @@ package crashsweep
 //  4. the journal Open rebuilds exactly the table a read-only walk of
 //     the committed record prefix implies (intent.RebuildTable).
 //
-// Crash containment is split: a power failure firing inside the dispatch
-// loop is recovered by serve.Config.RecoverCrash (clients observe
+// Crash containment is split: a power failure firing while a client
+// serves is recovered by serve.Config.RecoverCrash (clients observe
 // ErrPowerFailure); one firing during the post-Stop drain on the sweep
 // goroutine is caught by Crasher.Run. Either way the Crasher records the
 // crash point and the same post-failure protocol runs.
 //
 // Why replay is safe over a store with no transactional atomicity: the
-// dispatch loop is serial, so at most ONE kvstore mutation is mid-flight
-// when power fails — the in-doubt request the sweep replays. An in-place
-// value update torn mid-copy is overwritten by the replay's redo image;
-// a torn insert is unreachable (the chain-head pointer flip is the last,
-// page-atomic write) and the replay allocates a fresh entry. Every other
-// acknowledged mutation finished before the crash and is covered by page
-// durability alone.
+// server runs one request at a time, so at most ONE kvstore mutation is
+// mid-flight when power fails — the in-doubt request the sweep replays.
+// An in-place value update torn mid-copy is overwritten by the replay's
+// redo image; a torn insert is unreachable (the chain-head pointer flip
+// is the last, page-atomic write) and the replay allocates a fresh
+// entry. Every other acknowledged mutation finished before the crash and
+// is covered by page durability alone.
 
 import (
 	"context"
@@ -780,7 +780,7 @@ func (sw *sweep) serveArmed(i int, step uint64) (*serveRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A crash inside the dispatch loop is contained by RecoverCrash; one
+	// A crash while a client serves is contained by RecoverCrash; one
 	// firing during the post-Stop drain lands here and Run catches it.
 	run.crash, run.crashed = armed(sys.Events(), step, func(crasher *faultinject.Crasher) {
 		run.logs = driveClients(sw.ServeConfig, srv, sw.keys)

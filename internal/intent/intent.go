@@ -5,7 +5,7 @@
 // by the same powerfail path as application data — durability
 // bookkeeping is billed like any other write traffic.
 //
-// Protocol (driven by the serve dispatch loop):
+// Protocol (driven by the serve step, on whichever goroutine serves):
 //
 //	Lookup(client, seq)  -> StateNew: fresh request
 //	Begin(client, seq, opSum, redoKey, redoVal, tombstone)
@@ -132,7 +132,7 @@ var (
 	ErrJournalFull = errors.New("intent: journal full (live dedup state exceeds half capacity)")
 )
 
-// State classifies a (client, seq) pair for the dispatch loop.
+// State classifies a (client, seq) pair for the serve step.
 type State int
 
 const (
@@ -280,7 +280,8 @@ func newInstruments(r *obs.Registry) instruments {
 }
 
 // Journal is the idempotency journal. Like the rest of the simulated
-// stack it is single-goroutine: only the serve dispatch loop touches it.
+// stack it is single-goroutine: only the goroutine serving a request
+// touches it.
 type Journal struct {
 	store Store
 	// logs are the two halves' logs, nil until first opened or written;

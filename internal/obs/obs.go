@@ -10,7 +10,7 @@
 //   - Hot-path recording is cheap and allocation-free: instruments are
 //     plain atomics, spans are values finished into a preallocated ring.
 //     Recording is safe from any goroutine; Snapshot is safe to call
-//     concurrently with the serve dispatch loop.
+//     concurrently with whichever client goroutine is serving.
 //
 //   - Exposition is deterministic. The simulator is seeded and
 //     virtual-timed, so identical seeds must produce byte-identical

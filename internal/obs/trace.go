@@ -67,12 +67,12 @@ const openSpanCap = 64
 // safe from any goroutine and allocation-free; Snapshot copies under
 // the same lock Finish takes, so it is consistent and race-free.
 //
-// The "scope" is the ambient parent span: the serve dispatch loop sets
-// it around request execution so that clean and scrub operations the
-// manager starts underneath become child spans without any plumbing
-// through core's APIs. Scope is owned by the single dispatch/simulation
-// goroutine; it is stored atomically only so concurrent Snapshot calls
-// race-detect clean.
+// The "scope" is the ambient parent span: the serve step sets it around
+// request execution so that clean and scrub operations the manager
+// starts underneath become child spans without any plumbing through
+// core's APIs. Scope is owned by the one goroutine that owns the
+// simulation at a time; it is stored atomically only so concurrent
+// Snapshot calls race-detect clean.
 type Tracer struct {
 	nextID atomic.Uint64
 	scope  atomic.Uint64
@@ -173,7 +173,7 @@ func (t *Tracer) Finish(sp Span, end sim.Time, code string) {
 //	prev := tr.SetScope(sp.ID)
 //	defer tr.SetScope(prev)
 //
-// Only the dispatch/simulation goroutine should set scope.
+// Only the goroutine that owns the simulation should set scope.
 func (t *Tracer) SetScope(id SpanID) SpanID {
 	if t == nil {
 		return 0

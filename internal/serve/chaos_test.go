@@ -62,7 +62,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	const keySpace = 256
 	key := func(i int) []byte { return []byte(fmt.Sprintf("chaos%06d", i)) }
 	// Preload through the server so every heap access happens on the
-	// dispatch goroutine.
+	// goroutine that owns the stack.
 	for i := 0; i < keySpace; i++ {
 		k := key(i)
 		if _, err := srv.Submit(context.Background(), viyojit.ServeRequest{
@@ -97,7 +97,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	}
 
 	// Observability reader: hammer the registry's consistent-read paths
-	// concurrently with the dispatch loop and every client goroutine —
+	// concurrently with the serving client and every other goroutine —
 	// the race the metrics layer exists to make safe (run with -race).
 	stopSnap := make(chan struct{})
 	snapDone := make(chan struct{})
@@ -208,7 +208,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 		t.Fatalf("queue occupancy %d exceeded bound %d", st.MaxQueueObserved, maxQueue)
 	}
 	// Loose accounting: a context-cancelled request may still execute
-	// (dispatch already held it), so the retired counters can exceed
+	// (its server already held it), so the retired counters can exceed
 	// Submitted only by at most Cancelled.
 	retired := st.Completed + st.Failed + uint64(st.Shed())
 	if retired > st.Submitted {

@@ -127,7 +127,7 @@ func TestPowerFailureFailsEverythingTyped(t *testing.T) {
 
 // The recovery filter must never classify a foreign panic value as a
 // power failure — real bugs crash the process, they don't masquerade as
-// ErrPowerFailure (the filter returning false makes loop() re-panic).
+// ErrPowerFailure (the filter returning false makes step re-panic).
 func TestAsCrashRejectsForeignPanics(t *testing.T) {
 	for _, v := range []any{"boom", errors.New("bug"), 42, nil, struct{}{}} {
 		if _, ok := faultinject.AsCrash(v); ok {

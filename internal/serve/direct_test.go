@@ -33,7 +33,7 @@ func callerFuncs() string {
 }
 
 // A closed-loop client on an idle server serves its own request: the op
-// runs on the goroutine that called Submit, not on the dispatch loop.
+// runs on the goroutine that called Submit, not on a server goroutine.
 func TestSubmitRunsOnCaller(t *testing.T) {
 	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	var stack string
@@ -162,8 +162,8 @@ func TestDirectMatchesQueued(t *testing.T) {
 }
 
 // A power failure striking a request served on its caller fails that
-// request typed, kills the server exactly as one striking the dispatch
-// loop does, and leaves nothing running after Stop.
+// request typed, kills the server exactly as one striking a queued
+// request does, and leaves nothing running after Stop.
 func TestDirectPowerFailure(t *testing.T) {
 	base := runtime.NumGoroutine()
 	h, crasher, events := newCrashHarness(t, 64)
@@ -277,8 +277,8 @@ func TestDirectStopWaits(t *testing.T) {
 
 // BenchmarkSubmitRoundTrip is the host cost of one no-op request.
 // direct is a closed-loop Submit on an idle server, served on the
-// caller's goroutine; queued is SubmitAsync+Wait, the hand-off to the
-// dispatch goroutine and back that every request paid before.
+// caller's goroutine; queued is SubmitAsync+Wait, which pushes onto the
+// queue and pops the request back off on the waiting caller.
 func BenchmarkSubmitRoundTrip(b *testing.B) {
 	req := Request{Priority: PriorityNormal, Op: func(Exec) (any, error) { return nil, nil }}
 	ctx := context.Background()

@@ -148,7 +148,7 @@ func TestRMWResultSurvivesCompactionAndReopen(t *testing.T) {
 	check(h.srv, "retry", true)
 	for i := 0; i < 2; i++ {
 		if _, err := h.srv.Submit(ctx, Request{Write: true, Op: func(Exec) (any, error) {
-			return nil, h.srv.cfg.Journal.Compact() // the journal belongs to the dispatch loop
+			return nil, h.srv.cfg.Journal.Compact() // the journal belongs to the stack's owner
 		}}); err != nil {
 			t.Fatal(err)
 		}

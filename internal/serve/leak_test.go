@@ -79,9 +79,9 @@ func TestServeStartStopNoLeak(t *testing.T) {
 }
 
 func TestSystemLifecycleNoLeak(t *testing.T) {
-	// The scrubber and health monitor are event-driven (no goroutines of
-	// their own); the dispatch loop is the only goroutine the full stack
-	// spawns, and Close must take it down even with work queued.
+	// The scrubber, health monitor and server are event-driven or driven
+	// by their callers (no goroutines of their own), and Close must stop
+	// the server even with work queued.
 	verify := checkLeaks(t)
 	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 4 << 20})
 	if err != nil {

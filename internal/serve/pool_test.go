@@ -86,7 +86,7 @@ func TestPoolConcurrentWaitsOneWins(t *testing.T) {
 }
 
 // A Wait given up through its context spends the handle too, and its
-// item — on which the dispatcher may yet send — never returns to the pool.
+// item — on which the stack's owner may yet send — never returns to the pool.
 func TestPoolCancelledWaitSpendsHandle(t *testing.T) {
 	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	_, release, done := gate(t, h.srv)
@@ -118,9 +118,9 @@ func TestPoolCancelledWaitSpendsHandle(t *testing.T) {
 	}
 }
 
-// Clients cancel while the dispatcher delivers. Whichever side wins, a
+// Clients cancel while the stack's owner delivers. Whichever side wins, a
 // request that reports success reports its own outcome: an item recycled
-// while the dispatcher could still send on it would hand that send to the
+// while the owner could still send on it would hand that send to the
 // item's next request. Run under -race.
 //
 // Which side wins a given race is the scheduler's choice, and on a loaded
@@ -192,9 +192,9 @@ func TestPoolSubmitAllocations(t *testing.T) {
 	}
 }
 
-// A pacing wait that really waits recycles its waiter, channel included,
-// once it has received the wake: in steady state WaitUntil allocates
-// nothing on either goroutine.
+// A pacing wait that really waits serves the idle advance itself, on the
+// caller's goroutine, and keeps its target in the server's reused list:
+// in steady state WaitUntil allocates nothing.
 func TestWaitUntilAllocations(t *testing.T) {
 	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	next, waited := h.srv.Now(), 0
@@ -241,15 +241,15 @@ func parkWaiters(t *testing.T, srv *Server, n int) (release chan struct{}, errs 
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		return len(srv.waiters) == n
+		return len(srv.pacers) == n
 	})
 	return release, errs
 }
 
-// Waiters woken by Stop, and by a power failure, get the typed error and
-// go back to the pool spent: a later wait on another server that draws
-// them wakes at its own target with its own outcome, never a stale one.
-func TestPoolWaitersWokenByStopAndCrash(t *testing.T) {
+// WaitUntil callers blocked behind a busy stack are woken by Stop with
+// ErrServerClosed, and by a power failure with ErrPowerFailure; a wait
+// on a fresh server afterwards wakes at its own target.
+func TestWaitUntilWokenByStopAndCrash(t *testing.T) {
 	const n = 8
 	stopped := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	release, errs := parkWaiters(t, stopped.srv, n)
@@ -269,7 +269,7 @@ func TestPoolWaitersWokenByStopAndCrash(t *testing.T) {
 	}
 
 	crashed, crasher, events := newCrashHarness(t, 64)
-	crasher.ArmAt(events.Fired() + 1) // the idle advance toward the waiters fires it
+	crasher.ArmAt(events.Fired() + 1) // the idle advance a woken waiter serves fires it
 	if err := crashed.srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestRetryingClientSucceedsAfterTransientOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the dispatch loop and fill the queue, so the client's first
+	// Hold the stack and fill the queue, so the client's first
 	// attempts shed with ErrOverloaded at admission.
 	_, release, gdone := gate(t, h.srv)
 	var handles []*Handle

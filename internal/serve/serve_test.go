@@ -87,7 +87,7 @@ func get(key string) Request {
 }
 
 // gate submits a request whose Op signals entry and then blocks until
-// released — the deterministic way to hold the dispatch loop busy while
+// released — the deterministic way to hold the stack busy while
 // the test arranges queue contents.
 func gate(t *testing.T, srv *Server) (entered chan struct{}, release chan struct{}, done chan error) {
 	t.Helper()
