@@ -147,6 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return done(sweep.serve())
 	}
 
+	if !(*sag >= 0 && *sag <= 1) {
+		return fatal(fmt.Errorf("-sag %v outside (0,1]; it is a derating fraction", *sag))
+	}
 	sys, err := viyojit.New(viyojit.Config{
 		NVDRAMSize:      *size,
 		Scrub:           viyojit.ScrubConfig{BandwidthShare: *scrubShare},
@@ -183,9 +186,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "silent corruption armed: lost %.3f, misdirected %.3f, rot %.3f\n",
 				*lostProb, *misdirectProb, *rotProb)
 		}
-	}
-	if *sag < 0 || *sag > 1 {
-		return fatal(fmt.Errorf("-sag %v outside (0,1]; it is a derating fraction", *sag))
 	}
 	if *sag > 0 {
 		// Sag a third of the way into the expected run: the budget
@@ -430,7 +430,7 @@ func (n sweepNarrator) blackBox() error {
 // sagged battery, and must resume from the persistent cursor until it
 // completes and passes the exactly-once oracle.
 func (n sweepNarrator) nested(depth int, scale float64) error {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-recovery-budget-scale %v outside (0,1]", scale)
 	}
 	n.header("cascading-failure sweep")
@@ -465,11 +465,11 @@ func (n sweepNarrator) nested(depth int, scale float64) error {
 // the flush must fit TRUE energy no matter what the gauges claimed.
 func (n sweepNarrator) sensor(lie, stuck, drift, lieMax float64) error {
 	for _, p := range []float64{lie, stuck, drift} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("gauge episode probability %v outside [0,1]", p)
 		}
 	}
-	if lieMax < 0 || lieMax > 1 {
+	if !(lieMax >= 0 && lieMax <= 1) {
 		return fmt.Errorf("-gauge-lie-max %v outside [0,1]", lieMax)
 	}
 	n.header("lying-gauge crash sweep")

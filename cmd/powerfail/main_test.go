@@ -45,7 +45,15 @@ func TestBadFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-nested-sweep", "-recovery-budget-scale", "1.5"}, 1, "outside (0,1]"},
+		{[]string{"-nested-sweep", "-recovery-budget-scale", "NaN"}, 1, "outside (0,1]"},
 		{[]string{"-sensor-sweep", "-gauge-lie", "2"}, 1, "outside [0,1]"},
+		{[]string{"-sensor-sweep", "-gauge-lie", "NaN"}, 1, "outside [0,1]"},
+		{[]string{"-sensor-sweep", "-gauge-stuck", "NaN"}, 1, "outside [0,1]"},
+		{[]string{"-sensor-sweep", "-gauge-drift", "NaN"}, 1, "outside [0,1]"},
+		{[]string{"-sensor-sweep", "-gauge-lie-max", "NaN"}, 1, "outside [0,1]"},
+		{[]string{"-sag", "NaN"}, 1, "-sag NaN"},
+		{[]string{"-scrub-share", "-0.5"}, 1, "Scrub.BandwidthShare -0.5"},
+		{[]string{"-scrub-share", "NaN"}, 1, "Scrub.BandwidthShare NaN"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

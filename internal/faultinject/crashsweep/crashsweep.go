@@ -439,10 +439,7 @@ func (c Config) spikeAllowance() sim.Duration {
 	if !c.InjectFaults {
 		return 0
 	}
-	if c.Faults.SpikeLatency == 0 {
-		return sim.Millisecond
-	}
-	return c.Faults.SpikeLatency
+	return faultinject.SpikeDelay
 }
 
 // flushOverhead is the fixed flush-time allowance beyond the streaming

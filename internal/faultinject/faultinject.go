@@ -42,11 +42,8 @@ type Config struct {
 	// ssd.ErrTornWrite).
 	TornProb float64
 	// SpikeProb is the probability a write's completion is delayed by
-	// SpikeLatency.
+	// SpikeDelay.
 	SpikeProb float64
-	// SpikeLatency is the injected delay for a latency spike; 0 selects
-	// 1 ms (an SSD internal-GC stall, ~16x the default per-IO latency).
-	SpikeLatency sim.Duration
 	// MaxFaults bounds the total number of injected failures (transient
 	// + torn); 0 means unbounded. A bound guarantees retry loops
 	// converge even at TransientProb 1.0.
@@ -71,12 +68,9 @@ type Config struct {
 	RotProb float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.SpikeLatency == 0 {
-		c.SpikeLatency = sim.Millisecond
-	}
-	return c
-}
+// SpikeDelay is the injected delay of a latency spike: an SSD
+// internal-GC stall, ~16x the default per-IO latency.
+const SpikeDelay = sim.Millisecond
 
 // Stats counts what an Injector actually injected.
 type Stats struct {
@@ -105,7 +99,6 @@ type Injector struct {
 
 // New returns an enabled injector for cfg.
 func New(cfg Config) *Injector {
-	cfg = cfg.withDefaults()
 	return &Injector{
 		cfg:      cfg,
 		rng:      sim.NewRNG(cfg.Seed),
@@ -143,7 +136,7 @@ func (i *Injector) WriteFault(_ mmu.PageID, _ []byte) ssd.FaultDecision {
 		}
 	}
 	if pSpike < i.cfg.SpikeProb {
-		d.ExtraLatency = i.cfg.SpikeLatency
+		d.ExtraLatency = SpikeDelay
 	}
 	// Silent classes on their own stream, same fixed-draw discipline:
 	// every write consumes 5 draws whatever it decides, so tuning one

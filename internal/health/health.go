@@ -59,26 +59,8 @@ type Config struct {
 	// Interval is the sampling period on the sim clock; 0 selects 2 ms
 	// (a couple of manager epochs).
 	Interval sim.Duration
-	// EmergencyErrorStreak is the clean-error streak at a sample that
-	// escalates to EmergencyFlush; 0 selects 6 (twice the default
-	// Degraded threshold).
-	EmergencyErrorStreak int
-	// DrainAttempts is how many consecutive samples an emergency drain
-	// may fail to empty the dirty set before the SSD is declared dead
-	// and the ladder drops to ReadOnly; 0 selects 2.
-	DrainAttempts int
-	// RecoverTicks is the resume hysteresis: consecutive good samples
-	// (drain complete, budget positive, no fresh errors) required at
-	// EmergencyFlush before writes unblock; 0 selects 2.
-	RecoverTicks int
 	// MaxSnapshots bounds the observability ring; 0 selects 1024.
 	MaxSnapshots int
-	// ScrubQuarantineEmergency is the quarantined-page count (corrupt
-	// with no good copy to repair from) that escalates to
-	// EmergencyFlush: a device accumulating unrepairable corruption is
-	// lying about acked writes, and shrinking exposure to zero is the
-	// only safe posture. 0 selects 8.
-	ScrubQuarantineEmergency int
 	// Obs is the observability registry the monitor mirrors its
 	// counters and live inputs (battery energy, bandwidth estimate,
 	// derived budget) onto. nil disables the mirror.
@@ -93,23 +75,31 @@ func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
 		c.Interval = 2 * sim.Millisecond
 	}
-	if c.EmergencyErrorStreak == 0 {
-		c.EmergencyErrorStreak = 6
-	}
-	if c.DrainAttempts == 0 {
-		c.DrainAttempts = 2
-	}
-	if c.RecoverTicks == 0 {
-		c.RecoverTicks = 2
-	}
 	if c.MaxSnapshots == 0 {
 		c.MaxSnapshots = 1024
 	}
-	if c.ScrubQuarantineEmergency == 0 {
-		c.ScrubQuarantineEmergency = 8
-	}
 	return c
 }
+
+// The ladder's escalation and recovery thresholds.
+const (
+	// emergencyErrorStreak is the clean-error streak at a sample that
+	// escalates to EmergencyFlush: twice the manager's Degraded threshold.
+	emergencyErrorStreak = 6
+	// drainAttempts is how many consecutive samples an emergency drain
+	// may fail to empty the dirty set before the SSD is declared dead and
+	// the ladder drops to ReadOnly.
+	drainAttempts = 2
+	// recoverTicks is the resume hysteresis: consecutive good samples
+	// (drain complete, budget positive, no fresh errors) required at
+	// EmergencyFlush before writes unblock.
+	recoverTicks = 2
+	// scrubQuarantineEmergency is the quarantined-page count (corrupt with
+	// no good copy to repair from) that escalates to EmergencyFlush: a
+	// device accumulating unrepairable corruption is lying about acked
+	// writes, and shrinking exposure to zero is the only safe posture.
+	scrubQuarantineEmergency = 8
+)
 
 // Snapshot is one monitor sample — what the monitor saw and what it did.
 type Snapshot struct {
@@ -239,7 +229,7 @@ func newInstruments(r *obs.Registry) instruments {
 
 // AttachScrub wires a scrubber's error signal into the monitor's ladder
 // decisions: fresh detections between samples enter Degraded, and a
-// quarantine past ScrubQuarantineEmergency escalates to EmergencyFlush.
+// quarantine past scrubQuarantineEmergency escalates to EmergencyFlush.
 // Passing nil detaches.
 func (m *Monitor) AttachScrub(s ScrubStatus) {
 	m.scrub = s
@@ -464,7 +454,7 @@ func (m *Monitor) tick(at sim.Time) {
 			m.stats.DrainFailures++
 			m.st.drainFailures.Inc()
 			m.drainFails++
-			if m.drainFails >= m.cfg.DrainAttempts {
+			if m.drainFails >= drainAttempts {
 				m.mgr.EnterReadOnly()
 				m.stats.ReadOnlyFalls++
 				m.st.readOnlyFalls.Inc()
@@ -473,7 +463,7 @@ func (m *Monitor) tick(at sim.Time) {
 			break
 		}
 		// Drained. Resume only once the inputs support writing again,
-		// and only after RecoverTicks consecutive good samples. The
+		// and only after recoverTicks consecutive good samples. The
 		// recovery gate judges the budget on the wear-model bandwidth,
 		// not the measured one: the measurement window is full of the
 		// outage's zero-goodput samples, and with writes blocked no new
@@ -483,7 +473,7 @@ func (m *Monitor) tick(at sim.Time) {
 		recoveryBudget := BudgetPages(m.pm, joules, wearBW, region.Size(), region.PageSize(), FlushReserve)
 		if recoveryBudget >= 1 && m.mgr.ErrorStreak() == 0 {
 			m.recoverStreak++
-			if m.recoverStreak >= m.cfg.RecoverTicks {
+			if m.recoverStreak >= recoverTicks {
 				// Come back at Degraded, not Healthy: the lower rungs'
 				// own hysteresis decides when the device is trusted
 				// again. Restart measurement so the next ticks derive
@@ -501,8 +491,8 @@ func (m *Monitor) tick(at sim.Time) {
 		}
 
 	default: // Healthy, Degraded
-		scrubEmergency := quarantined >= m.cfg.ScrubQuarantineEmergency && quarantineGrew
-		if m.mgr.ErrorStreak() >= m.cfg.EmergencyErrorStreak || (budget < 1 && m.mgr.DirtyCount() > 0) ||
+		scrubEmergency := quarantined >= scrubQuarantineEmergency && quarantineGrew
+		if m.mgr.ErrorStreak() >= emergencyErrorStreak || (budget < 1 && m.mgr.DirtyCount() > 0) ||
 			scrubEmergency {
 			if scrubEmergency {
 				m.stats.ScrubEmergencies++

@@ -117,7 +117,7 @@ func TestMonitorRetunesOnBatterySag(t *testing.T) {
 func TestMonitorEscalatesToReadOnlyOnDeadSSD(t *testing.T) {
 	r := newRig(t, rigOpts{
 		pages: 16, budget: 4, targetPages: 4.5,
-		health: Config{Interval: sim.Millisecond, EmergencyErrorStreak: 3, DrainAttempts: 2},
+		health: Config{Interval: sim.Millisecond},
 	})
 	for p := 0; p < 4; p++ {
 		r.writePage(t, p, byte(p+1))
@@ -155,10 +155,7 @@ func TestMonitorEscalatesToReadOnlyOnDeadSSD(t *testing.T) {
 func TestMonitorRecoveryHysteresis(t *testing.T) {
 	r := newRig(t, rigOpts{
 		pages: 16, budget: 4, targetPages: 4.5,
-		// DrainAttempts high enough that the transient outage never
-		// condemns the device to ReadOnly.
-		health: Config{Interval: sim.Millisecond, EmergencyErrorStreak: 3,
-			DrainAttempts: 100, RecoverTicks: 2},
+		health: Config{Interval: sim.Millisecond},
 	})
 	for p := 0; p < 4; p++ {
 		r.writePage(t, p, byte(p+1))
@@ -173,7 +170,7 @@ func TestMonitorRecoveryHysteresis(t *testing.T) {
 		t.Fatalf("state %v, want EmergencyFlush before the repair", st)
 	}
 
-	// SSD comes back: the drain completes, and after RecoverTicks good
+	// SSD comes back: the drain completes, and after recoverTicks good
 	// samples the monitor resumes writes at Degraded — not instantly,
 	// and not straight to Healthy.
 	inj.Disable()
@@ -276,12 +273,11 @@ func TestMonitorScrubDetectionsEnterDegraded(t *testing.T) {
 func TestMonitorScrubQuarantineEscalates(t *testing.T) {
 	r := newRig(t, rigOpts{
 		pages: 16, budget: 4, targetPages: 4.5,
-		health: Config{ScrubQuarantineEmergency: 3},
 	})
 	fs := &fakeScrub{}
 	r.mon.AttachScrub(fs)
 	r.run(5 * sim.Millisecond)
-	fs.det, fs.q = 3, 3 // unrepairable corruption accumulating
+	fs.det, fs.q = scrubQuarantineEmergency, scrubQuarantineEmergency // unrepairable corruption accumulating
 	r.run(3 * sim.Millisecond)
 	if got := r.mgr.HealthState(); got != core.StateEmergencyFlush {
 		t.Fatalf("growing quarantine at threshold left state %v, want EmergencyFlush", got)

@@ -136,12 +136,10 @@ func TestHealthyFusedSensorIsNeutral(t *testing.T) {
 func TestPoisonedWindowResetNotEmergency(t *testing.T) {
 	r := newRig(t, rigOpts{
 		pages: 16, budget: 4, targetPages: 4.5,
-		health: Config{
-			Interval: sim.Millisecond,
-			// Keep the streak-based escalation out of the way: this test
-			// is about the budget-collapse path only.
-			EmergencyErrorStreak: 1000,
-		},
+		// The first sample comes after the whole burst has passed, so no
+		// sample sees the failure streak, which escalates on its own: this
+		// test is about the budget-collapse path only.
+		health: Config{Interval: 50 * sim.Millisecond},
 	})
 	// The very first writes the device ever sees all fail: the window's
 	// oldest samples are the burst, with no good history before it.
@@ -165,7 +163,10 @@ func TestPoisonedWindowResetNotEmergency(t *testing.T) {
 	// Healed device, poisoned window. New dirtiness must ride the
 	// wear-model budget, not trip an emergency.
 	r.writePage(t, 5, 0xAA)
-	r.run(3 * sim.Millisecond)
+	if r.mon.Stats().Ticks != 0 {
+		t.Fatal("a sample fell inside the burst")
+	}
+	r.run(50 * sim.Millisecond)
 
 	st := r.mon.Stats()
 	if st.EmergencyEnters != 0 {

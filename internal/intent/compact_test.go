@@ -16,7 +16,7 @@ func TestRMWResultSurvivesCompactionAndReopen(t *testing.T) {
 	other := bytes.Repeat([]byte("other"), 50)
 	results := map[uint64][]byte{1: image, 2: other, 3: nil}
 
-	j, ms := mustCreate(t, 1<<16, 8)
+	j, ms := mustCreate(t, 1<<16)
 	for seq, res := range results {
 		if err := j.Begin(4, seq, seq, []byte("key"), image, false); err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func (p *pageStore) WriteAt(b []byte, off int64) error {
 func TestJournalFootprintTracksLiveState(t *testing.T) {
 	const clients, ops = 16, 5000
 	ps := &pageStore{memStore: newMemStore(1 << 20), pages: map[int64]bool{}}
-	j, err := Create(ps, Config{Window: 16})
+	j, err := Create(ps, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestJournalFootprintTracksLiveState(t *testing.T) {
 		t.Errorf("journal appended %.2f bytes per payload byte (%d snapshot bytes in %d compactions), want ≤ 1.3",
 			amp, st.SnapshotBytes, st.Compactions)
 	}
-	if st.Compactions == 0 || st.LiveEntries != clients*16 {
+	if st.Compactions == 0 || st.LiveEntries != clients*DefaultWindow {
 		t.Fatalf("vacuous run: %d compactions, %d live entries", st.Compactions, st.LiveEntries)
 	}
 }
@@ -126,7 +126,7 @@ func TestCompactCrashAtEveryStoreWrite(t *testing.T) {
 	// history runs the same traffic up to one final Compact and returns
 	// the write-stream offsets at which that Compact started and ended.
 	history := func(st *cutStore) (from, to int) {
-		j, err := Create(st, Config{Window: 8})
+		j, err := Create(st, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

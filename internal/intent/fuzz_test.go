@@ -12,7 +12,7 @@ import (
 func FuzzIntentReplay(f *testing.F) {
 	// Seed 1: a healthy journal with live traffic and a compaction.
 	healthy := newMemStore(MinStoreBytes)
-	if j, err := Create(healthy, Config{Window: 4}); err == nil {
+	if j, err := Create(healthy, Config{}); err == nil {
 		for s := uint64(1); s <= 12; s++ {
 			_ = j.Begin(1, s, s*3, []byte("key"), bytes.Repeat([]byte("v"), 40), s%4 == 0)
 			if s%2 == 0 {
@@ -29,7 +29,7 @@ func FuzzIntentReplay(f *testing.F) {
 	// records, a result that is only the "redo value" flag among them;
 	// whole, and cut inside the snapshot record.
 	snapshot := newMemStore(MinStoreBytes)
-	if j, err := Create(snapshot, Config{Window: 4}); err == nil {
+	if j, err := Create(snapshot, Config{}); err == nil {
 		val := bytes.Repeat([]byte("v"), 40)
 		for s := uint64(1); s <= 6; s++ {
 			_ = j.Begin(2, s, s*3, []byte("key"), val, s%4 == 0)

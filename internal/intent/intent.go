@@ -77,7 +77,8 @@ const (
 	headerBytes = 4096 // the header owns the first page
 
 	// DefaultWindow is the per-client sliding dedup window: how many of
-	// a client's most recent sequence numbers stay retryable.
+	// a client's most recent sequence numbers stay retryable. The header
+	// records it, and Open rejects a header that holds any other.
 	DefaultWindow = 16
 
 	// MinStoreBytes is the smallest store Create accepts: a header page
@@ -209,9 +210,6 @@ type clientWin struct {
 
 // Config parameterises Create.
 type Config struct {
-	// Window is the per-client sliding dedup window (default
-	// DefaultWindow). Persisted in the header; Open restores it.
-	Window int
 	// Obs receives the journal's instruments; nil uses a private
 	// registry.
 	Obs *obs.Registry
@@ -291,7 +289,6 @@ type Journal struct {
 	log      *wal.Log
 	gen      uint64
 	halfSize int64
-	window   uint64
 
 	table map[uint64]*clientWin
 	// live is the number of entries across every client's window and
@@ -352,9 +349,6 @@ func Create(store Store, cfg Config) (*Journal, error) {
 	if store.Size() < MinStoreBytes {
 		return nil, fmt.Errorf("intent: store of %d bytes too small (min %d)", store.Size(), MinStoreBytes)
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
@@ -364,7 +358,6 @@ func Create(store Store, cfg Config) (*Journal, error) {
 		store:    store,
 		gen:      0,
 		halfSize: halfSize,
-		window:   uint64(cfg.Window),
 		table:    make(map[uint64]*clientWin),
 		st:       newInstruments(cfg.Obs),
 	}
@@ -376,7 +369,7 @@ func Create(store Store, cfg Config) (*Journal, error) {
 	var hdr [32]byte
 	binary.LittleEndian.PutUint64(hdr[offGen:], 0)
 	binary.LittleEndian.PutUint64(hdr[offHalf:], uint64(halfSize))
-	binary.LittleEndian.PutUint64(hdr[offWindow:], j.window)
+	binary.LittleEndian.PutUint64(hdr[offWindow:], DefaultWindow)
 	if err := store.WriteAt(hdr[offGen:offWindow+8], offGen); err != nil {
 		return nil, err
 	}
@@ -407,13 +400,13 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 		store:    store,
 		gen:      binary.LittleEndian.Uint64(hdr[offGen:]),
 		halfSize: int64(binary.LittleEndian.Uint64(hdr[offHalf:])),
-		window:   binary.LittleEndian.Uint64(hdr[offWindow:]),
 		table:    make(map[uint64]*clientWin),
 		st:       newInstruments(reg),
 	}
-	if j.halfSize < minHalfBytes || headerBytes+2*j.halfSize > store.Size() || j.window == 0 {
+	window := binary.LittleEndian.Uint64(hdr[offWindow:])
+	if j.halfSize < minHalfBytes || headerBytes+2*j.halfSize > store.Size() || window != DefaultWindow {
 		return nil, fmt.Errorf("intent: corrupt journal header (half=%d window=%d store=%d)",
-			j.halfSize, j.window, store.Size())
+			j.halfSize, window, store.Size())
 	}
 	l, err := wal.Open(j.half(j.gen))
 	if err != nil {
@@ -441,9 +434,6 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 // signature of a crash mid-append. The torn record's request was never
 // acked, so it is safe (and correct) that it vanished.
 func (j *Journal) TornOpen() bool { return j.torn }
-
-// Window returns the per-client dedup window.
-func (j *Journal) Window() int { return int(j.window) }
 
 // Gen returns the active half's generation (flips on compaction).
 func (j *Journal) Gen() uint64 { return j.gen }
@@ -758,10 +748,10 @@ func snapErr(err error) error {
 // invariant: a client with window W only issues seq n after every seq ≤
 // n−W has been acked, so nothing below maxSeq−W+1 can legally be retried.
 func (j *Journal) gcLocked(w *clientWin) {
-	if w.maxSeq < j.window {
+	if w.maxSeq < DefaultWindow {
 		return
 	}
-	newLow := w.maxSeq - j.window + 1
+	newLow := w.maxSeq - DefaultWindow + 1
 	if newLow <= w.low {
 		return
 	}

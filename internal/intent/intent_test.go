@@ -2,8 +2,10 @@ package intent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"viyojit/internal/obs"
@@ -32,10 +34,10 @@ func (m *memStore) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-func mustCreate(t *testing.T, size int, window int) (*Journal, *memStore) {
+func mustCreate(t *testing.T, size int) (*Journal, *memStore) {
 	t.Helper()
 	ms := newMemStore(size)
-	j, err := Create(ms, Config{Window: window})
+	j, err := Create(ms, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +57,21 @@ func TestOpenRejectsNonJournal(t *testing.T) {
 	if _, err := Open(newMemStore(1<<16), nil); !errors.Is(err, ErrNoJournal) {
 		t.Fatalf("err = %v, want ErrNoJournal", err)
 	}
+	// A header whose window is not DefaultWindow is corrupt.
+	_, ms := mustCreate(t, MinStoreBytes)
+	if _, err := Open(ms, nil); err != nil {
+		t.Fatalf("fresh journal: %v", err)
+	}
+	for _, w := range []uint64{0, 1, DefaultWindow / 2, DefaultWindow + 1, math.MaxUint64} {
+		binary.LittleEndian.PutUint64(ms.data[offWindow:], w)
+		if _, err := Open(ms, nil); err == nil || errors.Is(err, ErrNoJournal) {
+			t.Fatalf("header window %d: err = %v, want a corrupt-header error", w, err)
+		}
+	}
 }
 
 func TestProtocolStates(t *testing.T) {
-	j, _ := mustCreate(t, 1<<16, 8)
+	j, _ := mustCreate(t, 1<<16)
 
 	if _, st := j.Lookup(7, 1); st != StateNew {
 		t.Fatalf("unseen pair state = %v", st)
@@ -84,7 +97,7 @@ func TestProtocolStates(t *testing.T) {
 }
 
 func TestBeginValidation(t *testing.T) {
-	j, _ := mustCreate(t, 1<<16, 8)
+	j, _ := mustCreate(t, 1<<16)
 	if err := j.Begin(0, 1, 0, []byte("k"), nil, true); err == nil {
 		t.Fatal("zero client accepted")
 	}
@@ -100,9 +113,9 @@ func TestBeginValidation(t *testing.T) {
 }
 
 func TestWindowGC(t *testing.T) {
-	const W = 4
-	j, _ := mustCreate(t, 1<<16, W)
-	for s := uint64(1); s <= 10; s++ {
+	const W = DefaultWindow
+	j, _ := mustCreate(t, 1<<16)
+	for s := uint64(1); s <= W+6; s++ {
 		if err := j.Begin(1, s, s, []byte("k"), []byte("v"), false); err != nil {
 			t.Fatalf("seq %d: %v", s, err)
 		}
@@ -110,13 +123,13 @@ func TestWindowGC(t *testing.T) {
 			t.Fatalf("seq %d: %v", s, err)
 		}
 	}
-	// maxSeq=10, W=4 → low=7: seqs 7..10 retryable, 1..6 GC'd.
+	// maxSeq=W+6 → low=7: seqs 7..W+6 retryable, 1..6 GC'd.
 	for s := uint64(1); s <= 6; s++ {
 		if _, st := j.Lookup(1, s); st != StateBelowWindow {
 			t.Fatalf("seq %d state = %v, want below-window", s, st)
 		}
 	}
-	for s := uint64(7); s <= 10; s++ {
+	for s := uint64(7); s <= W+6; s++ {
 		if _, st := j.Lookup(1, s); st != StateDone {
 			t.Fatalf("seq %d state = %v, want done", s, st)
 		}
@@ -134,7 +147,7 @@ func TestWindowGC(t *testing.T) {
 
 func TestCompactionPreservesTableAndSurvivesReopen(t *testing.T) {
 	// Small journal so live traffic forces several compactions.
-	j, ms := mustCreate(t, MinStoreBytes+4096*4, 6)
+	j, ms := mustCreate(t, MinStoreBytes+4096*4)
 	val := bytes.Repeat([]byte("x"), 200)
 	for s := uint64(1); s <= 200; s++ {
 		client := uint64(1 + s%3)
@@ -157,13 +170,10 @@ func TestCompactionPreservesTableAndSurvivesReopen(t *testing.T) {
 	if j2.Gen() != j.Gen() {
 		t.Fatalf("reopened gen %d != live gen %d", j2.Gen(), j.Gen())
 	}
-	if j2.Window() != 6 {
-		t.Fatalf("window not persisted: %d", j2.Window())
-	}
 }
 
 func TestExplicitCompactIdempotentState(t *testing.T) {
-	j, ms := mustCreate(t, 1<<16, 8)
+	j, ms := mustCreate(t, 1<<16)
 	for s := uint64(1); s <= 5; s++ {
 		if err := j.Begin(2, s, s, []byte("k"), []byte("v"), false); err != nil {
 			t.Fatal(err)
@@ -187,7 +197,7 @@ func TestJournalFullAndUnjournaledComplete(t *testing.T) {
 	// Minimum-size journal: each half has 4096 record bytes. Two fat
 	// in-flight intents fill a half AND their compaction snapshot, so a
 	// third Begin has nowhere to go even after compaction.
-	j, _ := mustCreate(t, MinStoreBytes, 16)
+	j, _ := mustCreate(t, MinStoreBytes)
 	fat := bytes.Repeat([]byte("z"), 1800)
 	if err := j.Begin(1, 1, 1, []byte("a"), fat, false); err != nil {
 		t.Fatal(err)
@@ -304,7 +314,7 @@ func TestCrashCutPrefix(t *testing.T) {
 		acked bool
 	}
 	runHistory := func(st Store) []opRec {
-		j, err := Create(st, Config{Window: 4})
+		j, err := Create(st, Config{})
 		if err != nil {
 			return nil // header itself torn; Open must reject, checked below
 		}
@@ -375,7 +385,7 @@ func TestBeginCompleteAllocations(t *testing.T) {
 		{"redo result", func(val []byte) []byte { return val }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			j, _ := mustCreate(t, 1<<22, 8)
+			j, _ := mustCreate(t, 1<<22)
 			key, val := []byte("user0001"), bytes.Repeat([]byte{'v'}, 100)
 			result := tc.result(val)
 			seq := uint64(0)
@@ -426,7 +436,7 @@ func (j *Journal) recountLive() (entries int, snapshotBytes int64) {
 func TestLiveEntriesMatchesRecount(t *testing.T) {
 	reg := obs.NewRegistry()
 	ms := newMemStore(1 << 20)
-	j, err := Create(ms, Config{Window: 4, Obs: reg})
+	j, err := Create(ms, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

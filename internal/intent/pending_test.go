@@ -10,7 +10,7 @@ import (
 // iteration order they live under — the redo-order contract restartable
 // recovery's cursor indexes into.
 func TestPendingDeterministicOrder(t *testing.T) {
-	j, ms := mustCreate(t, 1<<16, 8)
+	j, ms := mustCreate(t, 1<<16)
 	// Interleave clients and seqs; complete some so only true
 	// in-flights remain.
 	type op struct {
@@ -76,6 +76,6 @@ func TestPendingDeterministicOrder(t *testing.T) {
 
 func mustCreateEmptyPending(t *testing.T) int {
 	t.Helper()
-	j, _ := mustCreate(t, 1<<16, 8)
+	j, _ := mustCreate(t, 1<<16)
 	return len(j.Pending())
 }

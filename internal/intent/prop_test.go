@@ -20,11 +20,11 @@ type oracleClient struct {
 	issued   map[uint64]bool
 }
 
-func (c *oracleClient) mayIssue(window uint64) bool {
-	if c.next <= window {
+func (c *oracleClient) mayIssue() bool {
+	if c.next <= DefaultWindow {
 		return true
 	}
-	for s := uint64(1); s <= c.next-window; s++ {
+	for s := uint64(1); s <= c.next-DefaultWindow; s++ {
 		if !c.observed[s] {
 			return false
 		}
@@ -53,8 +53,7 @@ func TestWindowInvariantProperty(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%#x", seed), func(t *testing.T) {
 			rng := sim.NewRNG(seed)
-			window := 2 + rng.Intn(9) // W ∈ [2,10]
-			j, _ := mustCreate(t, 1<<20, window)
+			j, _ := mustCreate(t, 1<<20)
 			clients := make([]*oracleClient, 4)
 			for i := range clients {
 				clients[i] = &oracleClient{
@@ -68,7 +67,7 @@ func TestWindowInvariantProperty(t *testing.T) {
 				c := clients[rng.Intn(len(clients))]
 				switch rng.Intn(4) {
 				case 0, 1: // issue the next request
-					if !c.mayIssue(uint64(window)) {
+					if !c.mayIssue() {
 						continue
 					}
 					s := c.next
@@ -100,8 +99,8 @@ func TestWindowInvariantProperty(t *testing.T) {
 				for _, cl := range clients {
 					for _, s := range cl.legalRetries() {
 						if _, st := j.Lookup(cl.id, s); st == StateBelowWindow {
-							t.Fatalf("step %d: window=%d client %d legal retry seq %d was GC'd (low advanced past it)",
-								step, window, cl.id, s)
+							t.Fatalf("step %d: client %d legal retry seq %d was GC'd (low advanced past it)",
+								step, cl.id, s)
 						}
 					}
 				}

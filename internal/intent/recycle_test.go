@@ -26,12 +26,11 @@ type refWin struct {
 // refTable is the dedup table as a map that owns every byte it holds:
 // what the journal's table must read as, however it recycles buffers.
 type refTable struct {
-	window uint64
-	wins   map[uint64]*refWin
+	wins map[uint64]*refWin
 }
 
 func (m *refTable) clone() *refTable {
-	c := &refTable{window: m.window, wins: make(map[uint64]*refWin, len(m.wins))}
+	c := &refTable{wins: make(map[uint64]*refWin, len(m.wins))}
 	for id, w := range m.wins {
 		cw := &refWin{low: w.low, maxSeq: w.maxSeq, entries: make(map[uint64]*refEntry, len(w.entries))}
 		for s, e := range w.entries {
@@ -51,8 +50,8 @@ func (m *refTable) begin(client, seq, sum uint64, key, val []byte, tombstone boo
 	}
 	w.entries[seq] = &refEntry{opSum: sum, tombstone: tombstone, key: bytes.Clone(key), val: bytes.Clone(val)}
 	w.maxSeq = max(w.maxSeq, seq)
-	if w.maxSeq >= m.window {
-		for ; w.low < w.maxSeq-m.window+1; w.low++ {
+	if w.maxSeq >= DefaultWindow {
+		for ; w.low < w.maxSeq-DefaultWindow+1; w.low++ {
 			delete(w.entries, w.low)
 		}
 	}
@@ -154,7 +153,7 @@ func (c *crashStore) WriteAt(p []byte, off int64) error {
 }
 
 // TestRecycledTableMatchesPrivateCopies drives a seeded script over three
-// clients with window 4 — Begin, Complete with a nil, a redo-equal and a
+// clients — Begin, Complete with a nil, a redo-equal and a
 // different result, tombstones, Lookup, Compact, Pending, and a crash cut
 // mid-Begin or mid-Complete followed by Open — and after every step
 // checks the journal's table against a model that owns private copies of
@@ -164,16 +163,16 @@ func (c *crashStore) WriteAt(p []byte, off int64) error {
 // reused without a reset, shows up here as a table or a view that
 // changed under the model.
 func TestRecycledTableMatchesPrivateCopies(t *testing.T) {
-	const window, clients = 4, 3
+	const clients = 3
 	for _, seed := range []uint64{1, 7, 0x5EED} {
 		t.Run(fmt.Sprintf("seed-%#x", seed), func(t *testing.T) {
 			rng := sim.NewRNG(seed)
 			cs := &crashStore{memStore: newMemStore(1 << 18)}
-			j, err := Create(cs, Config{Window: window})
+			j, err := Create(cs, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := &refTable{window: window, wins: map[uint64]*refWin{}}
+			ref := &refTable{wins: map[uint64]*refWin{}}
 			next := map[uint64]uint64{}
 			var views []heldView
 			randBytes := func(n int) []byte {

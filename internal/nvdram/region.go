@@ -47,12 +47,12 @@ type Config struct {
 	// Costs is the MMU cost model; the zero value selects
 	// mmu.DefaultCosts.
 	Costs mmu.Costs
-	// CopyPerPage is the virtual-time cost of moving one full page of
-	// data between a buffer and the region (DRAM bandwidth). Partial-page
-	// transfers are charged proportionally. 0 selects a default of 400 ns
-	// per 4 KiB (≈10 GB/s).
-	CopyPerPage sim.Duration
 }
+
+// copyNanosPer4KiB is the virtual-time cost of moving 4 KiB of data
+// between a buffer and the region (DRAM bandwidth, ≈10 GB/s). Other page
+// sizes and partial-page transfers are charged proportionally.
+const copyNanosPer4KiB = 400
 
 // Region is an NV-DRAM region: backing bytes plus the page table that
 // mediates access to them. It is not safe for concurrent use.
@@ -90,10 +90,6 @@ func New(clock *sim.Clock, cfg Config) (*Region, error) {
 	if costs == (mmu.Costs{}) {
 		costs = mmu.DefaultCosts()
 	}
-	cpp := cfg.CopyPerPage
-	if cpp == 0 {
-		cpp = sim.Duration(400*int64(ps)) / DefaultPageSize * sim.Nanosecond
-	}
 	numPages := int(cfg.Size / int64(ps))
 	return &Region{
 		clock:       clock,
@@ -102,7 +98,7 @@ func New(clock *sim.Clock, cfg Config) (*Region, error) {
 		zero:        make([]byte, ps),
 		size:        cfg.Size,
 		pageSize:    ps,
-		copyPerPage: cpp,
+		copyPerPage: sim.Duration(copyNanosPer4KiB*int64(ps)) / 4096 * sim.Nanosecond,
 	}, nil
 }
 

@@ -44,14 +44,8 @@ import (
 type Config struct {
 	// BandwidthShare is the fraction of the device's read bandwidth the
 	// background scan may consume, modelled by pacing. 0 selects 0.05;
-	// the share must stay in (0, 1].
+	// viyojit.New rejects a share that is negative, NaN or above 1.
 	BandwidthShare float64
-	// BurstPages is the number of pages verified per scan burst. 0
-	// selects 8.
-	BurstPages int
-	// DisableRepair makes the scrubber detect-and-quarantine only —
-	// measurement runs use it to observe raw corruption accumulation.
-	DisableRepair bool
 	// Obs is the observability registry the scrubber mirrors its
 	// counters onto and records burst spans through. nil disables the
 	// mirror (Stats still works).
@@ -62,11 +56,11 @@ func (c Config) withDefaults() Config {
 	if c.BandwidthShare == 0 {
 		c.BandwidthShare = 0.05
 	}
-	if c.BurstPages == 0 {
-		c.BurstPages = 8
-	}
 	return c
 }
+
+// burstPages is the number of pages verified per scan burst.
+const burstPages = 8
 
 // Quarantined records one page the scrubber detected as corrupt and
 // could not repair.
@@ -206,7 +200,7 @@ func (s *Scrubber) Running() bool { return s.running }
 // share × read bandwidth: the virtual time a burst's reads would occupy
 // on the device, stretched by 1/share.
 func (s *Scrubber) burstGap() sim.Duration {
-	bytes := int64(s.cfg.BurstPages) * int64(s.dev.Config().PageSize)
+	bytes := int64(burstPages) * int64(s.dev.Config().PageSize)
 	seconds := float64(bytes) / (s.cfg.BandwidthShare * float64(s.dev.Config().ReadBandwidth))
 	return sim.Duration(seconds * float64(sim.Second))
 }
@@ -281,7 +275,7 @@ func (s *Scrubber) burstEvent(sim.Time) {
 	s.scheduleNext()
 }
 
-// scanBurst verifies the next BurstPages pages of the walk: the durable
+// scanBurst verifies the next burstPages pages of the walk: the durable
 // pages above the cursor, or, when none is left there, the walk wraps
 // and the burst starts again from the lowest page. The pages are taken
 // once, before the first check — a repair pumps the event queue, and
@@ -292,10 +286,10 @@ func (s *Scrubber) burstEvent(sim.Time) {
 func (s *Scrubber) scanBurst() {
 	pages := s.burst[:0]
 	if s.started {
-		pages = s.dev.DurablePagesFrom(s.cursor+1, s.cfg.BurstPages, pages)
+		pages = s.dev.DurablePagesFrom(s.cursor+1, burstPages, pages)
 	}
 	if len(pages) == 0 {
-		pages = s.dev.DurablePagesFrom(0, s.cfg.BurstPages, pages)
+		pages = s.dev.DurablePagesFrom(0, burstPages, pages)
 		if len(pages) == 0 {
 			return
 		}
@@ -310,7 +304,7 @@ func (s *Scrubber) scanBurst() {
 		s.cursor = p
 		s.checkPage(p)
 	}
-	if len(pages) < s.cfg.BurstPages && !s.passDone {
+	if len(pages) < burstPages && !s.passDone {
 		s.notePass()
 		s.passDone = true
 	}
@@ -364,10 +358,6 @@ func (s *Scrubber) checkPage(page mmu.PageID) {
 		s.stats.timedDetections++
 	}
 
-	if s.cfg.DisableRepair {
-		s.quarantinePage(page, "repair disabled")
-		return
-	}
 	if s.mgr == nil {
 		s.quarantinePage(page, "no manager to repair through")
 		return

@@ -114,8 +114,10 @@ func TestScrubRepairRespectsBudget(t *testing.T) {
 }
 
 func TestScrubQuarantineAndClear(t *testing.T) {
-	h := newHarness(t, 8, 4, Config{DisableRepair: true})
+	h := newHarness(t, 8, 4, Config{})
 	h.seed(t, 4)
+	// With no manager to repair through, a detection is quarantined.
+	h.scr = New(h.clock, h.events, h.dev, nil, Config{})
 	h.dev.CorruptPage(2, 7, 0x10)
 	if h.scr.ScrubAll() != 1 {
 		t.Fatal("corruption not detected")
@@ -152,7 +154,7 @@ func TestScrubQuarantineAndClear(t *testing.T) {
 // passes, and a corruption planted mid-run is detected with a positive
 // mean time to detect.
 func TestScrubBackgroundPacing(t *testing.T) {
-	h := newHarness(t, 16, 4, Config{BandwidthShare: 0.5, BurstPages: 4})
+	h := newHarness(t, 16, 4, Config{BandwidthShare: 0.5})
 	h.seed(t, 12)
 	h.scr.Start()
 	if !h.scr.Running() {
@@ -257,7 +259,7 @@ func (w *refWalker) burst(pages []mmu.PageID, burst int) (visited []mmu.PageID) 
 // compares the pages visited, in order, and the cursor.
 func walkStep(t *testing.T, scr *Scrubber, dev *ssd.SSD, ref *refWalker, label string) []mmu.PageID {
 	t.Helper()
-	want := ref.burst(dev.DurablePageList(), scr.cfg.BurstPages)
+	want := ref.burst(dev.DurablePageList(), burstPages)
 	scanned := scr.stats.PagesScanned
 	scr.scanBurst()
 	got := scr.burst
@@ -285,7 +287,7 @@ func seedPages(dev *ssd.SSD, pages ...mmu.PageID) {
 func TestScanBurstWalkMatchesListReference(t *testing.T) {
 	clock, events := sim.NewClock(), sim.NewQueue()
 	dev := ssd.New(clock, events, ssd.Config{})
-	scr := New(clock, events, dev, nil, Config{BurstPages: 4})
+	scr := New(clock, events, dev, nil, Config{})
 	ref := &refWalker{}
 
 	walkStep(t, scr, dev, ref, "empty set")
@@ -313,7 +315,7 @@ func TestScanBurstWalkMatchesListReference(t *testing.T) {
 // range the burst is walking. The burst must still visit exactly the
 // pages that were durable when it started.
 func TestScanBurstSnapshotSurvivesRepair(t *testing.T) {
-	h := newHarness(t, 32, 2, Config{BurstPages: 8})
+	h := newHarness(t, 32, 2, Config{})
 	h.seed(t, 6) // durable: 0..5
 	data := make([]byte, 4096)
 	for p := mmu.PageID(10); p < 16; p++ {
@@ -355,7 +357,7 @@ func TestScrubPassCountedOnce(t *testing.T) {
 	for p := mmu.PageID(0); p < 20; p++ {
 		seedPages(dev, p)
 	}
-	scr := New(clock, events, dev, nil, Config{BurstPages: 8})
+	scr := New(clock, events, dev, nil, Config{})
 	for burst, want := range []uint64{0, 0, 1, 1, 1, 2, 2} {
 		scr.scanBurst()
 		if got := scr.Stats().Passes; got != want {
@@ -367,7 +369,7 @@ func TestScrubPassCountedOnce(t *testing.T) {
 	for p := mmu.PageID(0); p < 16; p++ {
 		seedPages(dev16, p)
 	}
-	scr = New(clock, events, dev16, nil, Config{BurstPages: 8})
+	scr = New(clock, events, dev16, nil, Config{})
 	for burst, want := range []uint64{0, 0, 1, 1, 2} {
 		scr.scanBurst()
 		if got := scr.Stats().Passes; got != want {

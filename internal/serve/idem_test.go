@@ -18,7 +18,7 @@ import (
 // newIdemHarness is newHarness plus an intent journal in a second
 // battery-backed mapping (so journal writes are budget-accounted like
 // everything else).
-func newIdemHarness(t *testing.T, budget int, journalBytes int64, window int, cfg Config) *harness {
+func newIdemHarness(t *testing.T, budget int, journalBytes int64, cfg Config) *harness {
 	t.Helper()
 	clock := sim.NewClock()
 	events := sim.NewQueue()
@@ -47,7 +47,7 @@ func newIdemHarness(t *testing.T, budget int, journalBytes int64, window int, cf
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := intent.Create(jm, intent.Config{Window: window})
+	j, err := intent.Create(jm, intent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func newIdemHarness(t *testing.T, budget int, journalBytes int64, window int, cf
 }
 
 func TestIdempotentPutDedup(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 
 	res, err := h.srv.SubmitIdempotent(ctx, 1, 1, IdemOp{Kind: IdemPut, Key: []byte("k"), Value: []byte("v1")}, Request{Priority: PriorityNormal})
@@ -98,7 +98,7 @@ func TestIdempotentPutDedup(t *testing.T) {
 // checksum proves is the one the first attempt wrote; a retry carrying a
 // different value is still a reused sequence number.
 func TestDedupPutEchoesRequestValue(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("v"), 512)
 	put := func(v []byte) (IdemResult, error) {
@@ -127,7 +127,7 @@ func TestDedupPutEchoesRequestValue(t *testing.T) {
 // away, after two compactions, and from a journal reopened on the same
 // mapping behind a new server.
 func TestRMWResultSurvivesCompactionAndReopen(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	image := bytes.Repeat([]byte("rmw"), 100)
 	calls := 0
@@ -181,7 +181,7 @@ func TestRMWResultSurvivesCompactionAndReopen(t *testing.T) {
 }
 
 func TestIdempotentRMWRunsModifyOnce(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	calls := 0
 	op := IdemOp{Kind: IdemRMW, Key: []byte("ctr"), Modify: func(old []byte, ok bool) []byte {
@@ -218,7 +218,7 @@ func TestIdempotentRMWRunsModifyOnce(t *testing.T) {
 }
 
 func TestIdempotentDeleteCachesNotFound(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	res, err := h.srv.SubmitIdempotent(ctx, 2, 1, IdemOp{Kind: IdemDelete, Key: []byte("ghost")}, Request{})
 	if err != nil {
@@ -234,7 +234,7 @@ func TestIdempotentDeleteCachesNotFound(t *testing.T) {
 }
 
 func TestSeqReuseAndStaleSeqTyped(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 4, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	if _, err := h.srv.SubmitIdempotent(ctx, 3, 1, IdemOp{Kind: IdemPut, Key: []byte("a"), Value: []byte("x")}, Request{}); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestSeqReuseAndStaleSeqTyped(t *testing.T) {
 		t.Fatalf("err = %v, want ErrSeqReuse", err)
 	}
 	// Blow past the window, then retry seq 1 → typed stale error.
-	for s := uint64(2); s <= 10; s++ {
+	for s := uint64(2); s <= intent.DefaultWindow+6; s++ {
 		if _, err := h.srv.SubmitIdempotent(ctx, 3, s, IdemOp{Kind: IdemPut, Key: []byte("a"), Value: []byte("x")}, Request{}); err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestSeqReuseAndStaleSeqTyped(t *testing.T) {
 }
 
 func TestIdemRequestValidation(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	bad := []Request{
 		{Idem: &IdemOp{Kind: IdemPut, Key: []byte("k")}},                                              // no client/seq
 		{Idem: &IdemOp{Kind: IdemPut, Key: []byte("k")}, ClientID: 1},                                 // no seq
@@ -279,7 +279,7 @@ func TestIdemRequestValidation(t *testing.T) {
 // journal draws its entry and redo image from what the window dropped,
 // and the IdemResult comes back in Result.Idem instead of boxed in Value.
 func TestIdemPutAllocations(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	req := Request{Priority: PriorityNormal, Write: true, ClientID: 1,
 		Idem: &IdemOp{Kind: IdemPut, Key: []byte("user0001"), Value: bytes.Repeat([]byte{'v'}, 1024)}}

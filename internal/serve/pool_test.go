@@ -220,7 +220,7 @@ func TestWatchdogTickAllocations(t *testing.T) {
 	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	next := h.srv.Now()
 	if allocs := testing.AllocsPerRun(200, func() {
-		next = next.Add(h.srv.Config().WatchdogInterval)
+		next = next.Add(watchdogInterval)
 		if err := h.srv.WaitUntil(next); err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func newReplayWorld(t *testing.T, budget int) *replayWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := intent.Create(jM, intent.Config{Window: 8})
+	j, err := intent.Create(jM, intent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

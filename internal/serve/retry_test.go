@@ -24,7 +24,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestRetryingClientSucceedsAfterTransientOverload(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 8, Config{MaxQueue: 4})
+	h := newIdemHarness(t, 64, 64<<10, Config{MaxQueue: 4})
 	cl, err := NewRetryingClient(h.srv, 11, 0x11, RetryConfig{MaxAttempts: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestRetryingClientExhaustsOnPersistentRejection(t *testing.T) {
 	// compaction, so every attempt draws the journal-full ErrOverloaded
 	// mapping: a persistent retryable error. (Fat Puts would not do: a
 	// done Put caches nothing.)
-	h := newIdemHarness(t, 64, intent.MinStoreBytes, 16, Config{})
+	h := newIdemHarness(t, 64, intent.MinStoreBytes, Config{})
 	ctx := context.Background()
 	fat := bytes.Repeat([]byte("z"), 1800)
 	grow := func([]byte, bool) []byte { return fat }
@@ -114,13 +114,13 @@ func TestRetryingClientExhaustsOnPersistentRejection(t *testing.T) {
 }
 
 func TestRetryingClientDoesNotRetryNonRetryable(t *testing.T) {
-	h := newIdemHarness(t, 64, 64<<10, 4, Config{})
+	h := newIdemHarness(t, 64, 64<<10, Config{})
 	ctx := context.Background()
 	cl, err := NewRetryingClient(h.srv, 7, 0x33, RetryConfig{MaxAttempts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < intent.DefaultWindow+2; i++ {
 		if _, _, err := cl.Do(ctx, IdemOp{Kind: IdemPut, Key: []byte("k"), Value: []byte("v")}); err != nil {
 			t.Fatal(err)
 		}

@@ -143,20 +143,6 @@ type Config struct {
 	// MaxQueue bounds admission-queue occupancy; a full queue sheds
 	// with ErrOverloaded. 0 selects 256.
 	MaxQueue int
-	// ShedWatermark is the occupancy fraction of MaxQueue above which
-	// PriorityLow requests are shed preemptively. 0 selects 0.75.
-	ShedWatermark float64
-	// OpServiceTime is the fixed virtual service cost charged per
-	// executed request (network, parsing, dispatch around the store).
-	// 0 selects 20 µs, matching the YCSB runner.
-	OpServiceTime sim.Duration
-	// WatchdogInterval is the virtual period of the stall detector.
-	// 0 selects 1 ms (the manager's epoch).
-	WatchdogInterval sim.Duration
-	// WatchdogStrikes is how many consecutive no-progress intervals
-	// (non-empty queue, no request retired) trip the emergency flush.
-	// 0 selects 8.
-	WatchdogStrikes int
 	// Obs is the observability registry the server publishes its
 	// counters, per-priority latency histograms, and request spans onto.
 	// nil creates a private registry; pass the manager's (viyojit.System
@@ -193,20 +179,26 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 256
 	}
-	if c.ShedWatermark == 0 {
-		c.ShedWatermark = 0.75
-	}
-	if c.OpServiceTime == 0 {
-		c.OpServiceTime = 20 * sim.Microsecond
-	}
-	if c.WatchdogInterval == 0 {
-		c.WatchdogInterval = sim.Millisecond
-	}
-	if c.WatchdogStrikes == 0 {
-		c.WatchdogStrikes = 8
-	}
 	return c
 }
+
+// ServiceTime is the fixed virtual cost charged per executed request
+// (network, parsing, dispatch around the store). The YCSB runner charges
+// it per operation too; it puts baseline throughput in the paper's
+// tens-of-K-ops/s range.
+const ServiceTime = 20 * sim.Microsecond
+
+const (
+	// shedWatermark is the occupancy fraction of MaxQueue at which
+	// PriorityLow requests are shed preemptively.
+	shedWatermark = 0.75
+	// watchdogInterval is the virtual period of the stall detector (the
+	// manager's epoch).
+	watchdogInterval = sim.Millisecond
+	// watchdogStrikes consecutive no-progress intervals (non-empty queue,
+	// no request retired) trip the emergency flush.
+	watchdogStrikes = 8
+)
 
 // Stats are the server's counters. Every Submit resolves into exactly
 // one of Completed, Failed, ShedOverload, ShedDeadline, ShedReadOnly,
@@ -417,9 +409,6 @@ func New(clock *sim.Clock, events *sim.Queue, mgr *core.Manager, store *kvstore.
 	if cfg.MaxQueue < 1 {
 		return nil, fmt.Errorf("serve: MaxQueue %d must be positive", cfg.MaxQueue)
 	}
-	if cfg.ShedWatermark <= 0 || cfg.ShedWatermark > 1 {
-		return nil, fmt.Errorf("serve: ShedWatermark %v outside (0,1]", cfg.ShedWatermark)
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -453,7 +442,7 @@ func (s *Server) Start() error {
 	s.publish()
 	s.wdLast = s.pops.Load()
 	s.wdFn = s.watchdogTick
-	s.wdEvent = s.events.Schedule(s.clock.Now().Add(s.cfg.WatchdogInterval), s.wdFn)
+	s.wdEvent = s.events.Schedule(s.clock.Now().Add(watchdogInterval), s.wdFn)
 	s.started = true
 	s.wakeLocked() // callers that came before Start
 	return nil
@@ -661,7 +650,7 @@ func (s *Server) admit(req Request, run bool) (it *item, direct bool, err error)
 		s.st.shedOverload.Inc()
 		return nil, false, fmt.Errorf("%w: queue full (%d)", ErrOverloaded, s.cfg.MaxQueue)
 	}
-	if req.Priority == PriorityLow && float64(occ) >= s.cfg.ShedWatermark*float64(s.cfg.MaxQueue) {
+	if req.Priority == PriorityLow && float64(occ) >= shedWatermark*float64(s.cfg.MaxQueue) {
 		s.st.shedOverload.Inc()
 		return nil, false, fmt.Errorf("%w: low-priority shed at watermark", ErrOverloaded)
 	}
@@ -983,7 +972,7 @@ func (s *Server) serveOne(it *item) {
 			return
 		}
 		if it.deadline != 0 {
-			if stall := s.stallEstimate(); stall > 0 && now.Add(stall+s.cfg.OpServiceTime) > it.deadline {
+			if stall := s.stallEstimate(); stall > 0 && now.Add(stall+ServiceTime) > it.deadline {
 				s.st.shedDeadline.Inc()
 				s.st.stallPredicted.Inc()
 				s.tr.Finish(sp, now, "shed_stall_predicted")
@@ -998,7 +987,7 @@ func (s *Server) serveOne(it *item) {
 	}
 	s.st.queueWait.Record(wait)
 	prevScope := s.tr.SetScope(sp.ID)
-	s.clock.Advance(s.cfg.OpServiceTime)
+	s.clock.Advance(ServiceTime)
 	ex := Exec{Store: s.store, Mgr: s.mgr, Now: s.clock.Now()}
 	var val any
 	var idem IdemResult
@@ -1037,7 +1026,7 @@ func (s *Server) serveOne(it *item) {
 // watchdogTick runs as a virtual-time event on the owning goroutine
 // (events are only ever pumped there), so it fires even while the owner
 // is "stuck" inside a virtually-blocking clean — exactly the stall it
-// exists to catch: a non-empty queue across WatchdogStrikes intervals
+// exists to catch: a non-empty queue across watchdogStrikes intervals
 // with no request retired.
 func (s *Server) watchdogTick(now sim.Time) {
 	if s.wdDead.Load() {
@@ -1046,7 +1035,7 @@ func (s *Server) watchdogTick(now sim.Time) {
 	pops := s.pops.Load()
 	if s.occupancy.Load() > 0 && pops == s.wdLast {
 		s.wdStrike++
-		if s.wdStrike == s.cfg.WatchdogStrikes {
+		if s.wdStrike == watchdogStrikes {
 			// Request the trip; the owner executes it at the next
 			// request boundary. The tick itself may be firing from a Step
 			// nested deep inside the manager's own cleaning machinery
@@ -1059,7 +1048,7 @@ func (s *Server) watchdogTick(now sim.Time) {
 		s.wdStrike = 0
 	}
 	s.wdLast = pops
-	s.events.Rearm(s.wdEvent, now.Add(s.cfg.WatchdogInterval), s.wdFn)
+	s.events.Rearm(s.wdEvent, now.Add(watchdogInterval), s.wdFn)
 }
 
 // maybeTrip executes a watchdog-requested ladder trip. It runs on the

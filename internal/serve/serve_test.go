@@ -145,7 +145,7 @@ func TestSubmitPutGet(t *testing.T) {
 }
 
 func TestQueueFullShedsOverloaded(t *testing.T) {
-	h := newHarness(t, 16, ssd.Config{}, Config{MaxQueue: 4, ShedWatermark: 1.0}, nil)
+	h := newHarness(t, 16, ssd.Config{}, Config{MaxQueue: 4}, nil)
 	_, release, done := gate(t, h.srv)
 
 	results := make(chan error, 4)
@@ -181,19 +181,19 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 }
 
 func TestWatermarkShedsLowPriorityOnly(t *testing.T) {
-	h := newHarness(t, 16, ssd.Config{}, Config{MaxQueue: 8, ShedWatermark: 0.5}, nil)
+	h := newHarness(t, 16, ssd.Config{}, Config{MaxQueue: 8}, nil)
 	_, release, done := gate(t, h.srv)
 
-	results := make(chan error, 5)
-	for i := 0; i < 4; i++ {
+	results := make(chan error, 7)
+	for i := 0; i < 6; i++ {
 		go func() {
 			_, err := h.srv.Submit(context.Background(), get("missing"))
 			results <- err
 		}()
 	}
-	waitQueueLen(t, h.srv, 4)
+	waitQueueLen(t, h.srv, 6)
 
-	// Occupancy 4 ≥ 0.5×8: low priority sheds, normal still admitted.
+	// Occupancy 6 ≥ 0.75×8: low priority sheds, normal still admitted.
 	low := get("missing")
 	low.Priority = PriorityLow
 	if _, err := h.srv.Submit(context.Background(), low); !errors.Is(err, ErrOverloaded) {
@@ -203,11 +203,11 @@ func TestWatermarkShedsLowPriorityOnly(t *testing.T) {
 		_, err := h.srv.Submit(context.Background(), get("missing"))
 		results <- err
 	}()
-	waitQueueLen(t, h.srv, 5)
+	waitQueueLen(t, h.srv, 7)
 
 	close(release)
 	<-done
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 7; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("queued op %d: %v", i, err)
 		}
@@ -215,22 +215,32 @@ func TestWatermarkShedsLowPriorityOnly(t *testing.T) {
 }
 
 func TestDeadlineMissedInQueue(t *testing.T) {
-	h := newHarness(t, 16, ssd.Config{}, Config{OpServiceTime: sim.Millisecond}, nil)
+	h := newHarness(t, 16, ssd.Config{}, Config{}, nil)
 	_, release, done := gate(t, h.srv)
 
-	// Queued behind the gate with a deadline shorter than the gate's
-	// own 1 ms service time: by dequeue the deadline has passed.
+	// Queued behind the gate and one more request, with a deadline
+	// shorter than that request's service time: by dequeue the deadline
+	// has passed.
+	ahead := make(chan error, 1)
+	go func() {
+		_, err := h.srv.Submit(context.Background(), get("missing"))
+		ahead <- err
+	}()
+	waitQueueLen(t, h.srv, 1)
 	r := get("missing")
-	r.Timeout = 500 * sim.Microsecond
+	r.Timeout = ServiceTime / 2
 	errc := make(chan error, 1)
 	go func() {
 		_, err := h.srv.Submit(context.Background(), r)
 		errc <- err
 	}()
-	waitQueueLen(t, h.srv, 1)
+	waitQueueLen(t, h.srv, 2)
 
 	close(release)
 	<-done
+	if err := <-ahead; err != nil {
+		t.Fatalf("request ahead: %v", err)
+	}
 	if err := <-errc; !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("queued past deadline: %v, want ErrDeadlineExceeded", err)
 	}
@@ -433,8 +443,7 @@ func TestWaitUntilAdvancesIdleClock(t *testing.T) {
 func TestWatchdogTripsOnStalledDispatch(t *testing.T) {
 	// Slow SSD so a full budget drain takes many watchdog intervals.
 	h := newHarness(t, 32,
-		ssd.Config{WriteBandwidth: 1 << 20, PerIOLatency: sim.Millisecond},
-		Config{WatchdogInterval: sim.Millisecond, WatchdogStrikes: 3}, nil)
+		ssd.Config{WriteBandwidth: 1 << 20, PerIOLatency: sim.Millisecond}, Config{}, nil)
 	ctx := context.Background()
 
 	// Dirty the full budget.

@@ -7,6 +7,7 @@ import (
 
 	"viyojit/internal/dist"
 	"viyojit/internal/kvstore"
+	"viyojit/internal/serve"
 	"viyojit/internal/sim"
 )
 
@@ -24,17 +25,9 @@ type Config struct {
 	ValueSize int
 	// Seed makes the run deterministic.
 	Seed uint64
-	// OpServiceTime is the fixed request-processing cost charged per
-	// operation, modelling the client/server stack around the store
-	// (network, parsing, dispatch). 0 selects 20 µs, which puts baseline
-	// throughput in the paper's tens-of-K-ops/s range.
-	OpServiceTime sim.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.OpServiceTime == 0 {
-		c.OpServiceTime = 20 * sim.Microsecond
-	}
 	if c.ValueSize == 0 {
 		c.ValueSize = 1024
 	}
@@ -195,7 +188,8 @@ func Run(cfg Config, target Target) (Result, error) {
 	for op := 0; op < cfg.OperationCount; op++ {
 		kind := ops.next()
 		t0 := target.Clock.Now()
-		target.Clock.Advance(cfg.OpServiceTime)
+		// The stack around the store, as a served request is charged.
+		target.Clock.Advance(serve.ServiceTime)
 		switch kind {
 		case OpRead:
 			k := key(chooser.Next())

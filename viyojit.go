@@ -278,6 +278,9 @@ func New(cfg Config) (*System, error) {
 	if cfg.NVDRAMSize <= 0 {
 		return nil, fmt.Errorf("viyojit: NVDRAMSize %d must be positive", cfg.NVDRAMSize)
 	}
+	if share := cfg.Scrub.BandwidthShare; !(share >= 0 && share <= 1) {
+		return nil, fmt.Errorf("viyojit: Scrub.BandwidthShare %v must be in (0, 1], or 0 for the default", share)
+	}
 	pm := power.Default()
 
 	clock := sim.NewClock()

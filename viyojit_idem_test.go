@@ -17,7 +17,7 @@ func TestExactlyOnceAcrossPowerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := sys.NewIntentJournal("intent", 64<<10, IntentConfig{Window: 8})
+	j, err := sys.NewIntentJournal("intent", 64<<10, IntentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

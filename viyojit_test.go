@@ -2,6 +2,7 @@ package viyojit
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{NVDRAMSize: 16 << 20, Battery: BatteryConfig{CapacityJoules: 1e-12}}); err == nil {
 		t.Fatal("microscopic battery accepted")
+	}
+	for _, share := range []float64{-0.5, math.NaN(), 2} {
+		if _, err := New(Config{NVDRAMSize: 16 << 20, Scrub: ScrubConfig{BandwidthShare: share}}); err == nil {
+			t.Fatalf("scrub share %v accepted", share)
+		}
 	}
 }
 
