@@ -65,6 +65,10 @@ func run(args []string, out, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := checkFlags(*ageSteps, *gaugeLie, *gaugeStuck, *gaugeDrift); err != nil {
+		fmt.Fprintln(stderr, "health-sim:", err)
+		return 1
+	}
 
 	var err error
 	switch *mode {
@@ -82,6 +86,24 @@ func run(args []string, out, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// checkFlags rejects an aging schedule with no step (0 would age the
+// battery for the life of the run) and gauge-fault probabilities outside
+// [0, 1]; each check is written so that NaN fails it.
+func checkFlags(ageSteps int, lie, stuck, drift float64) error {
+	if ageSteps < 1 {
+		return fmt.Errorf("-age-steps %d: want at least 1", ageSteps)
+	}
+	for _, g := range []struct {
+		name string
+		p    float64
+	}{{"lie", lie}, {"stuck", stuck}, {"drift", drift}} {
+		if !(g.p >= 0 && g.p <= 1) {
+			return fmt.Errorf("-gauge-%s %v outside [0,1]", g.name, g.p)
+		}
+	}
+	return nil
 }
 
 // trajectory runs a steady write workload for 100 ms of virtual time
@@ -111,8 +133,9 @@ func trajectory(out io.Writer, size int64, seed uint64, ageFrac float64, ageStep
 	}); err != nil {
 		return err
 	}
+	installJoules := sys.Battery().EffectiveJoules()
 	fmt.Fprintf(out, "NV-DRAM %d MiB, initial budget %d pages, battery %.2f J effective\n",
-		size>>20, sys.DirtyBudget(), sys.Battery().EffectiveJoules())
+		size>>20, sys.DirtyBudget(), installJoules)
 	fmt.Fprintf(out, "aging schedule: -%.0f%% capacity every 10 ms, %d steps\n\n",
 		ageFrac*100, ageSteps)
 
@@ -141,8 +164,7 @@ func trajectory(out io.Writer, size int64, seed uint64, ageFrac float64, ageStep
 	fmt.Fprintf(out, "\nmonitor: %d ticks, %d retunes; manager: %d budget shrinks, %d drains completed, state %v\n",
 		hs.Ticks, hs.Retunes, st.BudgetShrinks, st.DrainsCompleted, sys.HealthState())
 	fmt.Fprintf(out, "final budget %d pages from %.2f J effective (%.0f%% of nameplate at install)\n",
-		sys.DirtyBudget(), sys.Battery().EffectiveJoules(),
-		100*sys.Battery().EffectiveJoules()/(sys.Battery().EffectiveJoules()/pow(1-ageFrac, ageSteps)))
+		sys.DirtyBudget(), sys.Battery().EffectiveJoules(), 100*sys.Battery().EffectiveJoules()/installJoules)
 
 	if blackBox {
 		rep, err := sys.BlackBoxReport()
@@ -155,14 +177,6 @@ func trajectory(out io.Writer, size int64, seed uint64, ageFrac float64, ageStep
 		}
 	}
 	return nil
-}
-
-func pow(x float64, n int) float64 {
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= x
-	}
-	return out
 }
 
 // sensorTrajectory runs the trajectory workload with the voltage gauge

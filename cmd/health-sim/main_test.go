@@ -30,8 +30,8 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// An unknown mode is reported on stderr with exit 1; an unknown flag is a
-// usage error, exit 2.
+// An unknown mode or an out-of-range value is reported on stderr with
+// exit 1; an unknown flag is a usage error, exit 2.
 func TestBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -40,6 +40,13 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{[]string{"-mode", "no-such-mode"}, 1, `unknown -mode "no-such-mode"`},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-age-frac", "NaN"}, 1, "battery: aging fraction NaN outside [0,1)"},
+		{[]string{"-mode", "sensor", "-age-frac", "NaN"}, 1, "battery: aging fraction NaN outside [0,1)"},
+		{[]string{"-age-steps", "0"}, 1, "-age-steps 0: want at least 1"},
+		{[]string{"-age-steps", "-1"}, 1, "-age-steps -1: want at least 1"},
+		{[]string{"-mode", "sensor", "-gauge-lie", "NaN"}, 1, "-gauge-lie NaN outside [0,1]"},
+		{[]string{"-mode", "sensor", "-gauge-stuck", "2"}, 1, "-gauge-stuck 2 outside [0,1]"},
+		{[]string{"-mode", "sensor", "-gauge-drift", "-0.5"}, 1, "-gauge-drift -0.5 outside [0,1]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

@@ -322,8 +322,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "\nrebooted warm: %d pages restored in %v by one sequential read (%d verified)\n",
 		rr.PagesRestored, rr.RestoreTime, rr.Integrity.PagesVerified)
 	if !rr.Integrity.Clean() {
-		fmt.Fprintf(stdout, "restore-time integrity: %d repaired, %d quarantined %v\n",
-			len(rr.Integrity.Repaired), len(rr.Integrity.Quarantined), rr.Integrity.Quarantined)
+		fmt.Fprintf(stdout, "restore-time integrity: %d quarantined %v\n",
+			len(rr.Integrity.Quarantined), rr.Integrity.Quarantined)
 	}
 	m2, err := recovered.Map("demo-heap", heapSize)
 	if err != nil {

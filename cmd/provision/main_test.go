@@ -35,6 +35,9 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{[]string{"-file", "testdata/no-such-trace"}, 1, "provision: open testdata/no-such-trace"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-headroom", "NaN"}, 1, "advisor: headroom NaN is not a finite value ≥ 1"},
+		{[]string{"-headroom", "0.5"}, 1, "advisor: headroom 0.5 is not a finite value ≥ 1"},
+		{[]string{"-percentile", "NaN"}, 1, "advisor: percentile NaN outside (0,1]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

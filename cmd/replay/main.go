@@ -44,6 +44,9 @@ func run(args []string, out, stderr io.Writer) int {
 
 // replayVolume loads (or generates) the volume and prints the comparison.
 func replayVolume(out io.Writer, file string, budgetFrac float64, seed uint64) error {
+	if !(budgetFrac > 0 && budgetFrac <= 1) { // NaN fails too
+		return fmt.Errorf("-budget-frac %v outside (0,1]", budgetFrac)
+	}
 	var v *trace.Volume
 	var err error
 	if file != "" {

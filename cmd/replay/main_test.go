@@ -36,6 +36,10 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{[]string{"-file", "testdata/no-such-trace"}, 1, "replay: open testdata/no-such-trace"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-budget-frac", "NaN"}, 1, "replay: -budget-frac NaN outside (0,1]"},
+		{[]string{"-budget-frac", "-1"}, 1, "replay: -budget-frac -1 outside (0,1]"},
+		{[]string{"-budget-frac", "0"}, 1, "replay: -budget-frac 0 outside (0,1]"},
+		{[]string{"-budget-frac", "2"}, 1, "replay: -budget-frac 2 outside (0,1]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

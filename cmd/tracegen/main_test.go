@@ -63,6 +63,12 @@ func TestBadFlags(t *testing.T) {
 		{nil, 1, "tracegen: -out is required"},
 		{[]string{"-out", filepath.Join(dir, "a.trace"), "-skew", "flat"}, 1, `tracegen: unknown skew "flat"`},
 		{[]string{"-out", filepath.Join(dir, "b.trace"), "-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-out", filepath.Join(dir, "c.trace"), "-write-frac", "NaN"}, 1, "worst-hour fraction NaN outside (0,1]"},
+		{[]string{"-out", filepath.Join(dir, "d.trace"), "-touched", "NaN"}, 1, "touched fraction NaN outside (0,1]"},
+		{[]string{"-out", filepath.Join(dir, "e.trace"), "-hot-frac", "2"}, 1, "hot fraction 2 outside (0,1]"},
+		{[]string{"-out", filepath.Join(dir, "f.trace"), "-skew", "hot", "-hot-frac", "NaN"}, 1, "hot fraction NaN outside (0,1]"},
+		{[]string{"-out", filepath.Join(dir, "g.trace"), "-theta", "-1"}, 1, "zipf theta -1 outside (0,1)"},
+		{[]string{"-out", filepath.Join(dir, "h.trace"), "-theta", "NaN"}, 1, "zipf theta NaN outside (0,1)"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || stdout.Len() != 0 {

@@ -17,6 +17,7 @@ package advisor
 
 import (
 	"fmt"
+	"math"
 
 	"viyojit/internal/battery"
 	"viyojit/internal/power"
@@ -103,11 +104,12 @@ func Analyze(v *trace.Volume, opts Options) (Recommendation, error) {
 		return Recommendation{}, fmt.Errorf("advisor: empty volume trace")
 	}
 	opts = opts.withDefaults()
-	if opts.Percentile <= 0 || opts.Percentile > 1 {
+	// Both checks are written so that NaN fails them.
+	if !(opts.Percentile > 0 && opts.Percentile <= 1) {
 		return Recommendation{}, fmt.Errorf("advisor: percentile %v outside (0,1]", opts.Percentile)
 	}
-	if opts.Headroom < 1 {
-		return Recommendation{}, fmt.Errorf("advisor: headroom %v below 1", opts.Headroom)
+	if !(opts.Headroom >= 1) || math.IsInf(opts.Headroom, 1) {
+		return Recommendation{}, fmt.Errorf("advisor: headroom %v is not a finite value ≥ 1", opts.Headroom)
 	}
 
 	pageSize := v.Spec.PageSize

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"math"
 	"testing"
 
 	"viyojit/internal/trace"
@@ -43,6 +44,11 @@ func TestAnalyzeValidation(t *testing.T) {
 	}
 	if _, err := Analyze(v, Options{Headroom: 0.5}); err == nil {
 		t.Fatal("headroom below 1 accepted")
+	}
+	for _, bad := range []Options{{Percentile: math.NaN()}, {Headroom: math.NaN()}, {Headroom: math.Inf(1)}} {
+		if _, err := Analyze(v, bad); err == nil {
+			t.Fatalf("%+v accepted", bad)
+		}
 	}
 }
 

@@ -28,8 +28,11 @@ func (s AgingSchedule) validate() error {
 	if s.Interval <= 0 {
 		return fmt.Errorf("battery: aging interval %v must be positive", s.Interval)
 	}
-	if s.FractionPerStep < 0 || s.FractionPerStep >= 1 {
+	if !(s.FractionPerStep >= 0 && s.FractionPerStep < 1) { // NaN fails too
 		return fmt.Errorf("battery: aging fraction %v outside [0,1)", s.FractionPerStep)
+	}
+	if s.Steps < 0 {
+		return fmt.Errorf("battery: aging steps %d negative", s.Steps)
 	}
 	return nil
 }

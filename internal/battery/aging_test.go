@@ -134,6 +134,15 @@ func TestScheduleAgingValidation(t *testing.T) {
 	if err := ScheduleAging(events, b, AgingSchedule{Interval: sim.Millisecond, FractionPerStep: -0.1}); err == nil {
 		t.Fatal("negative fraction accepted")
 	}
+	if err := ScheduleAging(events, b, AgingSchedule{Interval: sim.Millisecond, FractionPerStep: math.NaN()}); err == nil {
+		t.Fatal("NaN fraction accepted")
+	}
+	if err := ScheduleAging(events, b, AgingSchedule{Interval: sim.Millisecond, FractionPerStep: 0.1, Steps: -1}); err == nil {
+		t.Fatal("negative step count accepted")
+	}
+	if events.Len() != 0 {
+		t.Fatalf("a rejected schedule left %d events queued", events.Len())
+	}
 }
 
 // ProjectedJoules is what a budget derived inside a safe-shrink drain

@@ -137,13 +137,17 @@ func TestKVStoreOnByteGranularity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A region restored from the device reopens with every record's
-	// latest value.
-	restored, _, err := recovery.RestoreRegion(h.clock, h.dev, nvdram.Config{Size: size, PageSize: mmu.SectorSize, Costs: mmu.SectorCosts()})
+	// A rebooted machine restored from the device, its heap mapped again,
+	// reopens with every record's latest value.
+	rb := newSectorHarness(t, size, budgetBytes)
+	if _, err := recovery.RestoreVerified(rb.clock, rb.region, rb.dev, h.dev); err != nil {
+		t.Fatal(err)
+	}
+	mp2, err := rb.mgr.Map("heap", size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap2, err := pheap.Open(recovery.Window(restored, mp.Base(), mp.Size()))
+	heap2, err := pheap.Open(mp2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,10 @@
 //  2. the battery-powered flush completes within the provisioned energy;
 //  3. post-flush SSD contents are byte-equal to NV-DRAM
 //     (core.Manager.VerifyDurability);
-//  4. a fresh region restored from the SSD matches it byte-for-byte
-//     (recovery.VerifyRestored);
+//  4. the machine reboots as System.RecoverWith does — a fresh region,
+//     device and manager restored by recovery.RestoreVerified — and every
+//     page it did not quarantine equals NV-DRAM at the crash; outside
+//     corruption mode a quarantined page is itself a violation;
 //  5. the write-ahead log replays to a consistent prefix of what was
 //     appended — torn tails detected and rejected, never mis-replayed;
 //  6. a ptx transactional heap reopens to an all-or-nothing state: a
@@ -26,11 +28,12 @@
 // Corruption mode (Config.Corruption) additionally injects silent
 // faults — lost writes, misdirected writes, at-rest bit rot — and runs
 // the background scrubber during the workload. Byte-equality between
-// NV-DRAM and the SSD no longer holds by construction, so invariants 3
-// and 4 are replaced by the detection guarantee: every diverging page
-// must be caught by checksum verification (repaired by the scrubber or
-// quarantined at restore), and no corrupt byte is ever restored or
-// reported durable without detection — zero silent escapes.
+// NV-DRAM and the SSD no longer holds by construction, so invariant 3
+// is replaced, and invariant 4 relaxed, by the detection guarantee:
+// every diverging page must be caught by checksum verification
+// (repaired by the scrubber or quarantined at restore), and no corrupt
+// byte is ever restored or reported durable without detection — zero
+// silent escapes.
 //
 // Every run is rebuilt from the same seed, so a failing crash point is
 // identified by (Seed, Step) alone and replays exactly: the correctness
@@ -72,8 +75,12 @@
 //	          teed in                   the crash-instant oracle    flush left; sequence
 //	                                                                continues
 //
-// Run's stack (build, below) is still wired by hand: it needs raw
-// mappings and SSD fault injection from the first write.
+// Run's pre-crash stack (build, below) is still wired by hand: it needs
+// raw mappings and SSD fault injection from the first write, and it
+// sweeps the §5.4 hardware-assisted manager, which viyojit.Config does
+// not offer. Its reboot shares that wiring (boot, mapAll) and comes up
+// the product's way: RestoreVerified onto a fresh device, the mappings
+// again in the same first-fit order, then wal.Open and ptx.Open.
 //
 // Unlike Run, a live-traffic run with more than one client is NOT
 // bit-replayable from its seed: the event step a crash lands on is
@@ -270,25 +277,64 @@ type Result struct {
 	SilentEscapes int
 }
 
-// runState is one freshly built system plus the workload's shadow model.
-type runState struct {
-	cfg    Config
+// machine is one boot of the sweep's hardware: a region, a device and a
+// manager, with the heap, WAL and ptx mappings on top.
+type machine struct {
 	clock  *sim.Clock
 	events *sim.Queue
 	region *nvdram.Region
 	dev    *ssd.SSD
 	mgr    *core.Manager
-	inj    *faultinject.Injector
-	scrub  *scrub.Scrubber // corruption mode only
+
+	heapM *core.Mapping
+	walM  *core.Mapping
+	ptxM  *core.Mapping
+}
+
+// boot wires a fresh region, device and manager for cfg, mapping nothing
+// yet. The run and the reboot after its crash both come up through it.
+func boot(cfg Config) (machine, error) {
+	m := machine{clock: sim.NewClock(), events: sim.NewQueue()}
+	regionPages := heapPages + walBytes/pageSize + ptxBytes/pageSize
+	var err error
+	if m.region, err = nvdram.New(m.clock, nvdram.Config{Size: int64(regionPages) * pageSize}); err != nil {
+		return machine{}, err
+	}
+	m.dev = ssd.New(m.clock, m.events, cfg.SSD)
+	m.mgr, err = core.NewManager(m.clock, m.events, m.region, m.dev, core.Config{
+		DirtyBudgetPages: budgetPages,
+		Epoch:            cfg.Epoch,
+		HardwareAssist:   cfg.HardwareAssist,
+	})
+	return m, err
+}
+
+// mapAll maps the heap, the WAL and the ptx heap, in that order. Mapping
+// is first-fit, so a reboot that maps them the same way finds each one
+// where the crashed run wrote it.
+func (m *machine) mapAll() error {
+	var err error
+	if m.heapM, err = m.mgr.Map("heap", heapPages*pageSize); err != nil {
+		return err
+	}
+	if m.walM, err = m.mgr.Map("wal", walBytes); err != nil {
+		return err
+	}
+	m.ptxM, err = m.mgr.Map("ptx", ptxBytes)
+	return err
+}
+
+// runState is one freshly built system plus the workload's shadow model.
+type runState struct {
+	cfg Config
+	machine
+	inj   *faultinject.Injector
+	scrub *scrub.Scrubber // corruption mode only
 
 	// Sag mode (Config.SagFraction > 0): the provisioned battery and the
 	// scheduled step-down event.
 	batt     *battery.Battery
 	sagEvent *sim.Event
-
-	heapM *core.Mapping
-	walM  *core.Mapping
-	ptxM  *core.Mapping
 
 	log     *wal.Log
 	ptxHeap *ptx.Heap
@@ -303,36 +349,17 @@ type runState struct {
 // bit-identical until the crash fires.
 func build(cfg Config) (*runState, error) {
 	st := &runState{cfg: cfg}
-	st.clock = sim.NewClock()
-	st.events = sim.NewQueue()
-	regionPages := heapPages + walBytes/pageSize + ptxBytes/pageSize
 	var err error
-	st.region, err = nvdram.New(st.clock, nvdram.Config{Size: int64(regionPages) * pageSize})
-	if err != nil {
+	if st.machine, err = boot(cfg); err != nil {
 		return nil, err
 	}
-	st.dev = ssd.New(st.clock, st.events, cfg.SSD)
 	if cfg.InjectFaults {
 		fcfg := cfg.Faults
 		fcfg.Seed = cfg.Seed ^ 0xFA17 // derived, so Config.Seed reproduces everything
 		st.inj = faultinject.New(fcfg)
 		st.dev.SetFaultInjector(st.inj)
 	}
-	st.mgr, err = core.NewManager(st.clock, st.events, st.region, st.dev, core.Config{
-		DirtyBudgetPages: budgetPages,
-		Epoch:            cfg.Epoch,
-		HardwareAssist:   cfg.HardwareAssist,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st.heapM, err = st.mgr.Map("heap", heapPages*pageSize); err != nil {
-		return nil, err
-	}
-	if st.walM, err = st.mgr.Map("wal", walBytes); err != nil {
-		return nil, err
-	}
-	if st.ptxM, err = st.mgr.Map("ptx", ptxBytes); err != nil {
+	if err := st.mapAll(); err != nil {
 		return nil, err
 	}
 	if st.log, err = wal.Create(st.walM); err != nil {
@@ -570,39 +597,53 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		}
 	}
 
-	// (4) A rebooted region restored from the SSD matches it. The restore
-	// path is always checksum-verified; in corruption mode corrupt pages
-	// must land in quarantine (reported loss) and every page that was
-	// restored must byte-match NV-DRAM truth at the crash — corrupt bytes
-	// handed back as good data are the silent escape this sweep exists to
-	// rule out.
-	rclock := sim.NewClock()
-	restored, rrep, err := recovery.RestoreRegion(rclock, st.dev, nvdram.Config{Size: st.region.Size()})
+	// (4) The machine reboots the way System.RecoverWith does: a fresh
+	// region, device and manager, every durable page verified on the
+	// crashed device and reloaded by recovery.RestoreVerified. Every page
+	// it did not quarantine must byte-match NV-DRAM truth at the crash. A
+	// quarantine is honestly reported loss in corruption mode; anywhere
+	// else nothing can corrupt a durable copy, so it is a violation. In
+	// corruption mode a diverging page that was restored is the silent
+	// escape this sweep exists to rule out.
+	rb, err := boot(cfg)
+	if err != nil {
+		fail("reboot: %v", err)
+		return out
+	}
+	defer rb.mgr.Close()
+	rrep, err := recovery.RestoreVerified(rb.clock, rb.region, rb.dev, st.dev)
 	if err != nil {
 		fail("restore: %v", err)
 		return out
 	}
 	quarantined := make(map[mmu.PageID]bool, len(rrep.Integrity.Quarantined))
+	for _, p := range rrep.Integrity.Quarantined {
+		quarantined[p] = true
+	}
 	if cfg.Corruption {
 		res.RestoreQuarantines += len(rrep.Integrity.Quarantined)
-		for _, p := range rrep.Integrity.Quarantined {
-			quarantined[p] = true
+	} else if len(quarantined) > 0 {
+		fail("restore quarantined pages %v with no corruption injected", rrep.Integrity.Quarantined)
+	}
+	for p := 0; p < st.region.NumPages(); p++ {
+		page := mmu.PageID(p)
+		if quarantined[page] || bytes.Equal(st.region.RawPage(page), rb.region.RawPage(page)) {
+			continue
 		}
-		if err := recovery.VerifyRestoredWith(restored, st.dev, rrep.Integrity); err != nil {
-			fail("restored region: %v", err)
+		if cfg.Corruption {
+			res.SilentEscapes++
+			fail("page %d: restored bytes diverge from NV-DRAM truth without detection (silent escape)", page)
+		} else {
+			fail("page %d: restored bytes diverge from NV-DRAM at the crash", page)
 		}
-		for p := 0; p < st.region.NumPages(); p++ {
-			page := mmu.PageID(p)
-			if quarantined[page] {
-				continue
-			}
-			if !bytes.Equal(st.region.RawPage(page), restored.RawPage(page)) {
-				res.SilentEscapes++
-				fail("page %d: restored bytes diverge from NV-DRAM truth without detection (silent escape)", page)
-			}
-		}
-	} else if err := recovery.VerifyRestored(restored, st.dev); err != nil {
-		fail("restored region: %v", err)
+	}
+
+	// The application comes back up as it does after System.Recover: the
+	// same mappings in the same order, then the log and the heap opened
+	// on them.
+	if err := rb.mapAll(); err != nil {
+		fail("remap: %v", err)
+		return out
 	}
 
 	// Quarantined pages overlapping the WAL or ptx mappings are honestly
@@ -619,20 +660,28 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 		}
 		return false
 	}
-	walLost := overlapsQuarantine(st.walM)
-	ptxLost := overlapsQuarantine(st.ptxM)
+	walLost := overlapsQuarantine(rb.walM)
+	ptxLost := overlapsQuarantine(rb.ptxM)
 	if walLost || ptxLost {
 		res.ReportedLosses++
 	}
 
-	// (5) WAL replays to a consistent prefix.
-	payloads, torn, err := recovery.RestoredWAL(restored, st.walM.Base(), st.walM.Size())
+	// (5) WAL replays to a consistent prefix: torn tails detected and
+	// rejected, never mis-replayed (wal package checksums).
+	var payloads [][]byte
+	l, err := wal.Open(rb.walM)
+	if err == nil {
+		err = l.Replay(func(_ uint64, payload []byte) error {
+			payloads = append(payloads, bytes.Clone(payload))
+			return nil
+		})
+	}
 	if err != nil {
 		if !walLost {
 			fail("wal open/replay: %v", err)
 		}
 	} else {
-		if torn {
+		if l.LastStop() == wal.StopTorn {
 			res.TornTails++
 		}
 		if len(payloads) < st.walCommitted && !walLost {
@@ -658,15 +707,12 @@ func verifyCrash(st *runState, step uint64, res *Result) []Violation {
 	if ptxLost {
 		return out
 	}
-	// Committed records still in the undo log are a transaction to roll
-	// back; counting them is a read-only replay (wal.Open does not write).
-	undo, _, _ := recovery.RestoredWAL(restored, st.ptxM.Base(), ptxLogBytes)
-	h, err := ptx.Open(recovery.Window(restored, st.ptxM.Base(), st.ptxM.Size()), ptxLogBytes)
+	h, err := ptx.Open(rb.ptxM, ptxLogBytes)
 	if err != nil {
 		fail("ptx open: %v", err)
 		return out
 	}
-	if len(undo) > 0 {
+	if h.RolledBack() {
 		res.Rollbacks++
 	}
 	var cells [ptxSlots * 8]byte

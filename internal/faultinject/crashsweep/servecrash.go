@@ -491,7 +491,7 @@ func (st *serveRun) beginRecovery() error {
 //	→ flush to a clean durable state → cursor Finish
 //
 // The redo runs BEFORE serving resumes because a redo image is only
-// sound against pre-crash state (see serve.ReplayPending). A mode
+// sound against pre-crash state (see serve.ReplayPendingWith). A mode
 // without a cursor skips the drain too: it exists so a re-crash right
 // after recovery has nothing to lose.
 func (st *serveRun) resolve(fail failFunc) error {

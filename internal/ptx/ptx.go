@@ -57,8 +57,9 @@ func (s *subStore) WriteAt(p []byte, off int64) error {
 
 // Heap is a transactional persistent data area.
 type Heap struct {
-	data *subStore
-	log  *wal.Log
+	data       *subStore
+	log        *wal.Log
+	rolledBack bool
 }
 
 // ErrTxTooLarge is returned when a transaction's undo records overflow
@@ -102,11 +103,15 @@ func Open(store Store, logBytes int64) (*Heap, error) {
 		data: &subStore{base: store, off: logBytes, size: store.Size() - logBytes},
 		log:  l,
 	}
-	if err := h.rollback(); err != nil {
+	if h.rolledBack, err = h.rollback(); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
+
+// RolledBack reports whether Open found a transaction in flight — undo
+// records in the log — and rolled it back.
+func (h *Heap) RolledBack() bool { return h.rolledBack }
 
 // DataSize returns the transactional data area's size.
 func (h *Heap) DataSize() int64 { return h.data.Size() }
@@ -126,25 +131,26 @@ func decodeUndo(p []byte) (int64, []byte, error) {
 	return int64(binary.LittleEndian.Uint64(p)), p[8:], nil
 }
 
-// rollback applies the undo log in reverse and resets it.
-func (h *Heap) rollback() error {
+// rollback applies the undo log in reverse and resets it, reporting
+// whether the log held any record.
+func (h *Heap) rollback() (bool, error) {
 	var undos [][]byte
 	if err := h.log.Replay(func(_ uint64, payload []byte) error {
 		undos = append(undos, append([]byte(nil), payload...))
 		return nil
 	}); err != nil {
-		return err
+		return false, err
 	}
 	for i := len(undos) - 1; i >= 0; i-- {
 		off, old, err := decodeUndo(undos[i])
 		if err != nil {
-			return err
+			return false, err
 		}
 		if err := h.data.WriteAt(old, off); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return h.log.Reset()
+	return len(undos) > 0, h.log.Reset()
 }
 
 // Tx is one in-flight transaction. It is only valid inside Update.
@@ -192,7 +198,7 @@ func (h *Heap) Update(fn func(tx *Tx) error) error {
 	err := fn(tx)
 	tx.dead = true
 	if err != nil {
-		if rbErr := h.rollback(); rbErr != nil {
+		if _, rbErr := h.rollback(); rbErr != nil {
 			return fmt.Errorf("ptx: rollback after %v failed: %w", err, rbErr)
 		}
 		return err

@@ -62,10 +62,14 @@ func TestCommitPersists(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Visible through a fresh handle over the same bytes.
+	// Visible through a fresh handle over the same bytes, with nothing
+	// to roll back.
 	h2, err := Open(ms, logPart)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h2.RolledBack() {
+		t.Fatal("Open after a commit reports a rollback")
 	}
 	got := make([]byte, 5)
 	if err := h2.View(func(tx *Tx) error { return tx.Read(got, 100) }); err != nil {
@@ -131,6 +135,17 @@ func TestCrashMidTransactionRollsBackOnOpen(t *testing.T) {
 	h2, err := Open(ms, logPart) // recovery rolls back
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !h2.RolledBack() {
+		t.Fatal("Open rolled a transaction back but RolledBack reports none")
+	}
+	// The rollback reset the log: a second reopen finds nothing in flight.
+	h3, err := Open(ms, logPart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3.RolledBack() {
+		t.Fatal("reopen after a rollback rolled back again")
 	}
 	got := make([]byte, 1000)
 	if err := h2.View(func(tx *Tx) error { return tx.Read(got, 0) }); err != nil {

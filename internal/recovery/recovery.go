@@ -11,7 +11,6 @@ import (
 	"viyojit/internal/nvdram"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
-	"viyojit/internal/wal"
 )
 
 // RestoreReport describes a region restore.
@@ -24,88 +23,48 @@ type RestoreReport struct {
 	// when the restore path does not derive one.
 	BudgetPages int
 	// Integrity is the verify-on-restore outcome: every durable page's
-	// checksum verdict and what was done about failures.
+	// checksum verdict and the pages quarantined.
 	Integrity IntegrityReport
 }
 
-// IntegrityReport is the per-page repair/quarantine accounting of a
-// verified restore. The invariant it witnesses: no page's bytes were
-// handed back to the application without either passing checksum
-// verification, being repaired from an authoritative source, or being
-// excluded and listed here.
+// IntegrityReport is the per-page quarantine accounting of a verified
+// restore. The invariant it witnesses: no page's bytes were handed back
+// to the application without either passing checksum verification or
+// being excluded and listed here.
 type IntegrityReport struct {
-	// PagesVerified counts durable pages checked (intact + repaired +
-	// quarantined).
+	// PagesVerified counts durable pages checked (intact + quarantined).
 	PagesVerified int
-	// Repaired lists pages whose SSD copy failed verification but were
-	// restored from the RepairSource. Their durable copies are still
-	// bad: the caller must re-persist them (core.Manager.RepairPage /
-	// re-dirtying) before trusting the SSD again.
-	Repaired []mmu.PageID
-	// Quarantined lists pages whose SSD copy failed verification with
-	// no good copy available. They are NOT restored — the region keeps
-	// zeroes — because returning plausible-but-corrupt bytes is the one
-	// outcome a verified restore exists to prevent.
+	// Quarantined lists pages whose SSD copy failed verification. They
+	// are NOT restored — the region keeps zeroes — because returning
+	// plausible-but-corrupt bytes is the one outcome a verified restore
+	// exists to prevent.
 	Quarantined []mmu.PageID
 }
 
 // Clean reports whether every verified page was intact.
-func (r IntegrityReport) Clean() bool {
-	return len(r.Repaired) == 0 && len(r.Quarantined) == 0
-}
+func (r IntegrityReport) Clean() bool { return len(r.Quarantined) == 0 }
 
-// RepairSource supplies authoritative page contents during a verified
-// restore, returning false when it has none for the page. A warm reboot
-// (NV-DRAM contents survived) can offer the live region; after a true
-// power cycle there is usually nothing, and corrupt pages quarantine.
-type RepairSource func(page mmu.PageID) ([]byte, bool)
-
-// RestoreRegion builds a fresh NV-DRAM region of the given configuration
-// and reloads every durable page from the SSD — the sequential-read
-// restore path after a power cycle. The read is charged to clock, so the
-// returned report carries the realistic warm-up time. Every page is
-// checksum-verified on the way through (equivalent to
-// RestoreRegionVerified with no repair source): corrupt pages are
-// quarantined in the report, never silently restored.
-func RestoreRegion(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config) (*nvdram.Region, RestoreReport, error) {
-	return RestoreRegionVerified(clock, dev, cfg, nil)
-}
-
-// RestoreRegionVerified is the verify-on-restore path onto a fresh
-// region, in place: the surviving device keeps serving the restored
-// system (RestoreVerified with dev as its own source).
-func RestoreRegionVerified(clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config, repair RepairSource) (*nvdram.Region, RestoreReport, error) {
-	region, err := nvdram.New(clock, cfg)
-	if err != nil {
-		return nil, RestoreReport{}, err
-	}
-	report, err := RestoreVerified(clock, region, dev, dev, repair)
-	if err != nil {
-		return nil, RestoreReport{}, err
-	}
-	return region, report, nil
-}
-
-// RestoreVerified is the restore walk every reboot path shares. src is
-// the device that survived the power cycle; dev is the device object of
-// the system coming up — src itself, or a fresh one standing for the same
-// physical SSD. The walk covers every page src has a durable claim about
-// (stored contents or an acked checksum — a fully lost write must be
-// detected, not skipped), in ascending order: the page is verified once
-// on src, dev adopts it with its recorded checksum (ssd.AdoptVerified),
-// and one sequential read stream over dev lands it straight in region's
-// page, the verified pages of one region chunk in one
+// RestoreVerified is the one restore walk: System.RecoverWith reboots
+// through it, and so does the crash-point sweep. src is the device that
+// survived the power cycle; dev is the device object of the system coming
+// up — src itself, or a fresh one standing for the same physical SSD. The
+// walk covers every page src has a durable claim about (stored contents
+// or an acked checksum — a fully lost write must be detected, not
+// skipped), in ascending order: the page is verified once on src, dev
+// adopts it with its recorded checksum (ssd.AdoptVerified), and one
+// sequential read stream over dev lands it straight in region's page, the
+// verified pages of one region chunk in one
 // nvdram.Region.RestoreChunkFrom call. Only bytes that pass are read and
-// restored. Failures are repaired from repair when it has the page, or
-// quarantined (left zero, listed in the report, absent from dev) when it
-// doesn't.
+// restored. A page that fails is quarantined: left zero, listed in the
+// report, absent from dev. After a power cycle there is no other copy to
+// repair it from.
 //
 // The stream is charged to clock — the reboot's clock, whichever clock
-// dev was built on — so with no repairs RestoreTime is exact: zero when
-// nothing was read, else PerIOLatency + PagesRestored × PageSize /
-// ReadBandwidth, which is Availability's FullReload over the durable
-// bytes plus the one command latency.
-func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD, repair RepairSource) (RestoreReport, error) {
+// dev was built on — so RestoreTime is exact: zero when nothing was read,
+// else PerIOLatency + PagesRestored × PageSize / ReadBandwidth, which is
+// Availability's FullReload over the durable bytes plus the one command
+// latency.
+func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD) (RestoreReport, error) {
 	if dev.Config().PageSize != region.PageSize() {
 		return RestoreReport{}, fmt.Errorf("recovery: SSD page size %d != region page size %d", dev.Config().PageSize, region.PageSize())
 	}
@@ -134,16 +93,6 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD,
 			batch = append(batch, page)
 			continue
 		}
-		if repair != nil {
-			if good, ok := repair(page); ok {
-				if err := region.RestorePage(page, good); err != nil {
-					return RestoreReport{}, err
-				}
-				report.PagesRestored++
-				integ.Repaired = append(integ.Repaired, page)
-				continue
-			}
-		}
 		integ.Quarantined = append(integ.Quarantined, page)
 	}
 	if err := reload(); err != nil {
@@ -151,84 +100,6 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD,
 	}
 	report.RestoreTime = clock.Now().Sub(start)
 	return report, nil
-}
-
-// VerifyRestored checks, byte for byte, that region matches the durable
-// store it was restored from: every durable page must equal the region's
-// copy, and every page without a durable copy must still be all zero.
-// It is the post-restore half of the durability invariant (the pre-flush
-// half is core.Manager.VerifyDurability) and is what the crash-point
-// sweep asserts after every injected power failure.
-func VerifyRestored(region *nvdram.Region, dev *ssd.SSD) error {
-	return VerifyRestoredWith(region, dev, IntegrityReport{})
-}
-
-// VerifyRestoredWith is VerifyRestored made aware of a verified
-// restore's outcome: repaired pages are excluded from the byte-equality
-// check (the region holds the authoritative copy, the SSD still holds
-// the corrupt one until a re-clean lands), and quarantined pages are
-// excluded entirely (unrestored by design, durable copy untrusted).
-// Every other page must satisfy the plain invariant.
-func VerifyRestoredWith(region *nvdram.Region, dev *ssd.SSD, report IntegrityReport) error {
-	skip := make(map[mmu.PageID]struct{}, len(report.Repaired)+len(report.Quarantined))
-	for _, p := range report.Repaired {
-		skip[p] = struct{}{}
-	}
-	for _, p := range report.Quarantined {
-		skip[p] = struct{}{}
-	}
-	for p := 0; p < region.NumPages(); p++ {
-		page := mmu.PageID(p)
-		if _, ok := skip[page]; ok {
-			continue
-		}
-		if err := region.CheckRestorable(dev, page); err != nil {
-			return fmt.Errorf("recovery: restored %w", err)
-		}
-	}
-	return nil
-}
-
-// RegionWindow adapts a byte range of a restored region to the Store
-// surfaces the wal and ptx packages consume, so a log or heap that lived
-// in a mapping can be re-opened after a power cycle without
-// reconstructing the manager's allocator state.
-type RegionWindow struct {
-	region *nvdram.Region
-	base   int64
-	size   int64
-}
-
-// Window returns the [base, base+size) window of region.
-func Window(region *nvdram.Region, base, size int64) RegionWindow {
-	return RegionWindow{region: region, base: base, size: size}
-}
-
-func (w RegionWindow) ReadAt(p []byte, off int64) error  { return w.region.ReadAt(p, w.base+off) }
-func (w RegionWindow) WriteAt(p []byte, off int64) error { return w.region.WriteAt(p, w.base+off) }
-func (w RegionWindow) Size() int64                       { return w.size }
-
-// RestoredWAL opens and replays a write-ahead log that lived at [base,
-// base+size) of a restored region: the application-level half of crash
-// recovery. It returns the committed payloads in order and whether the
-// replay stopped at a torn record (a write in flight when power failed)
-// rather than cleanly at the committed head. Torn tails are detected and
-// rejected, never mis-replayed (wal package checksums).
-func RestoredWAL(region *nvdram.Region, base, size int64) (payloads [][]byte, torn bool, err error) {
-	l, err := wal.Open(Window(region, base, size))
-	if err != nil {
-		return nil, false, err
-	}
-	err = l.Replay(func(_ uint64, payload []byte) error {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		payloads = append(payloads, cp)
-		return nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return payloads, l.LastStop() == wal.StopTorn, nil
 }
 
 // AvailabilityReport compares reboot downtime with and without dirty

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"viyojit/internal/core"
@@ -48,7 +47,7 @@ func TestRestoreRegionRoundTrip(t *testing.T) {
 	// Reboot: restore a fresh region from the SSD.
 	failedAt := clock.Now()
 	clock2 := sim.NewClock()
-	restored, rr, err := RestoreRegion(clock2, dev, regionCfg)
+	restored, rr, err := restoreInPlace(t, clock2, dev, regionCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestRestoreRegionPageSizeMismatch(t *testing.T) {
 	clock := sim.NewClock()
 	events := sim.NewQueue()
 	dev := ssd.New(clock, events, ssd.Config{PageSize: 8192})
-	if _, _, err := RestoreRegion(clock, dev, nvdram.Config{Size: 16 * 4096}); err == nil {
+	if _, _, err := restoreInPlace(t, clock, dev, nvdram.Config{Size: 16 * 4096}); err == nil {
 		t.Fatal("page-size mismatch accepted")
 	}
 }
@@ -82,7 +81,7 @@ func TestRestoreEmptySSD(t *testing.T) {
 	clock := sim.NewClock()
 	events := sim.NewQueue()
 	dev := ssd.New(clock, events, ssd.Config{})
-	region, rr, err := RestoreRegion(clock, dev, nvdram.Config{Size: 8 * 4096})
+	region, rr, err := restoreInPlace(t, clock, dev, nvdram.Config{Size: 8 * 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +197,33 @@ func seedDevice(t *testing.T, n int) (*ssd.SSD, *sim.Clock) {
 	return dev, clock
 }
 
+// restoreInPlace builds a fresh region of cfg on clock and restores it
+// from dev, which serves as its own survivor.
+func restoreInPlace(t *testing.T, clock *sim.Clock, dev *ssd.SSD, cfg nvdram.Config) (*nvdram.Region, RestoreReport, error) {
+	t.Helper()
+	region, err := nvdram.New(clock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := RestoreVerified(clock, region, dev, dev)
+	return region, rr, err
+}
+
 // TestVerifiedRestoreQuarantinesCorruptPage: a silently corrupted page
-// must never be restored as good data — it stays zero and is listed.
+// must never be restored as good data — it stays zero and is listed, and
+// the device of the system coming up carries no claim about it.
 func TestVerifiedRestoreQuarantinesCorruptPage(t *testing.T) {
 	dev, _ := seedDevice(t, 6)
 	if !dev.CorruptPage(4, 1000, 0x80) {
 		t.Fatal("nothing to corrupt")
 	}
-	restored, rr, err := RestoreRegionVerified(sim.NewClock(), dev, nvdram.Config{Size: 8 * 4096}, nil)
+	clock := sim.NewClock()
+	restored, err := nvdram.New(clock, nvdram.Config{Size: 8 * 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := ssd.New(clock, sim.NewQueue(), ssd.Config{})
+	rr, err := RestoreVerified(clock, restored, fresh, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,44 +242,16 @@ func TestVerifiedRestoreQuarantinesCorruptPage(t *testing.T) {
 			t.Fatal("quarantined page carries restored bytes")
 		}
 	}
-	// The plain invariant fails (the corrupt durable copy diverges); the
-	// report-aware one knows the divergence was detected and excluded.
-	if VerifyRestored(restored, dev) == nil {
-		t.Fatal("plain VerifyRestored ignored the quarantined divergence")
+	// Against the survivor the quarantined page diverges (its corrupt
+	// copy is still there); against the device the system comes up on,
+	// which never adopted it, every page is restorable.
+	if restored.CheckRestorable(dev, 4) == nil {
+		t.Fatal("the survivor's corrupt copy of page 4 matches the restored zeroes")
 	}
-	if err := VerifyRestoredWith(restored, dev, integ); err != nil {
-		t.Fatalf("VerifyRestoredWith: %v", err)
-	}
-}
-
-// TestVerifiedRestoreRepairsFromSource: with an authoritative copy
-// available (warm reboot), the corrupt page is repaired, not lost.
-func TestVerifiedRestoreRepairsFromSource(t *testing.T) {
-	dev, _ := seedDevice(t, 4)
-	want := bytes.Repeat([]byte{3}, 4096) // page 2's original contents
-	dev.CorruptPage(2, 9, 0x01)
-	source := func(page mmu.PageID) ([]byte, bool) {
-		if page == 2 {
-			return want, true
+	for p := 0; p < restored.NumPages(); p++ {
+		if err := restored.CheckRestorable(fresh, mmu.PageID(p)); err != nil {
+			t.Fatalf("restored region against the new device: %v", err)
 		}
-		return nil, false
-	}
-	restored, rr, err := RestoreRegionVerified(sim.NewClock(), dev, nvdram.Config{Size: 8 * 4096}, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	integ := rr.Integrity
-	if len(integ.Repaired) != 1 || integ.Repaired[0] != 2 || len(integ.Quarantined) != 0 {
-		t.Fatalf("integrity report %+v", integ)
-	}
-	if !bytes.Equal(restored.RawPage(2), want) {
-		t.Fatal("repaired page does not carry the source's bytes")
-	}
-	if rr.PagesRestored != 4 {
-		t.Fatalf("restored %d pages, want 4", rr.PagesRestored)
-	}
-	if err := VerifyRestoredWith(restored, dev, integ); err != nil {
-		t.Fatalf("VerifyRestoredWith: %v", err)
 	}
 }
 
@@ -275,7 +265,7 @@ func TestVerifiedRestoreDetectsLostWrite(t *testing.T) {
 		t.Fatalf("lost write acked with error: %v", err)
 	}
 	dev.SetFaultInjector(nil)
-	_, rr, err := RestoreRegionVerified(sim.NewClock(), dev, nvdram.Config{Size: 8 * 4096}, nil)
+	_, rr, err := restoreInPlace(t, sim.NewClock(), dev, nvdram.Config{Size: 8 * 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,52 +283,4 @@ type lostInjector struct{}
 
 func (lostInjector) WriteFault(mmu.PageID, []byte) ssd.FaultDecision {
 	return ssd.FaultDecision{Fault: ssd.FaultLost}
-}
-
-// TestVerifyRestoredPinsTheWalk is core's TestVerifyDurabilityPinsTheWalk
-// for the post-restore half: a restored region that passes stops passing,
-// at the damaged page, for data nothing durable accounts for, for a durable
-// page the restore did not bring back, and for one flipped byte. Only the
-// first of the region's backing chunks is restored into.
-func TestVerifyRestoredPinsTheWalk(t *testing.T) {
-	cases := []struct {
-		name   string
-		damage func(t *testing.T, region *nvdram.Region, dev *ssd.SSD)
-		want   string
-	}{
-		{"data with no durable copy beside restored pages", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
-			if err := region.RestorePage(5, bytes.Repeat([]byte{0, 0, 9}, 4096)[:4096]); err != nil {
-				t.Fatal(err)
-			}
-		}, "page 5 has data but no durable copy"},
-		{"durable page the region does not hold", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
-			dev.SeedDurable(200, bytes.Repeat([]byte{7}, 4096))
-		}, "page 200 diverges from durable copy"},
-		{"one byte flipped in a restored page", func(t *testing.T, region *nvdram.Region, dev *ssd.SSD) {
-			live := bytes.Clone(region.RawPage(3))
-			live[0] ^= 0x01
-			if err := region.RestorePage(3, live); err != nil {
-				t.Fatal(err)
-			}
-		}, "page 3 diverges from durable copy"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dev := ssd.New(sim.NewClock(), sim.NewQueue(), ssd.Config{})
-			for _, p := range []mmu.PageID{1, 3, 4} {
-				dev.SeedDurable(p, bytes.Repeat([]byte{byte(p)}, 4096))
-			}
-			region, rr, err := RestoreRegion(sim.NewClock(), dev, nvdram.Config{Size: 256 * 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := VerifyRestoredWith(region, dev, rr.Integrity); err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(t, region, dev)
-			if err := VerifyRestoredWith(region, dev, rr.Integrity); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("VerifyRestoredWith = %v, want an error saying %q", err, tc.want)
-			}
-		})
-	}
 }

@@ -116,14 +116,13 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 		if ref.report, err = referenceRestore(ref.region, ref.dev, ref.src); err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		if got.report, err = RestoreVerified(got.clock, got.region, got.dev, got.src, nil); err != nil {
+		if got.report, err = RestoreVerified(got.clock, got.region, got.dev, got.src); err != nil {
 			t.Fatalf("seed %d: RestoreVerified: %v", seed, err)
 		}
 
 		if got.report.PagesRestored != ref.report.PagesRestored ||
 			got.report.Integrity.PagesVerified != ref.report.Integrity.PagesVerified ||
-			!slices.Equal(got.report.Integrity.Quarantined, ref.report.Integrity.Quarantined) ||
-			len(got.report.Integrity.Repaired) != 0 {
+			!slices.Equal(got.report.Integrity.Quarantined, ref.report.Integrity.Quarantined) {
 			t.Fatalf("seed %d: report %+v, reference %+v", seed, got.report, ref.report)
 		}
 		// rot + lost overwrite + misdirected (intended and victim, which
@@ -173,8 +172,10 @@ func TestRestoreVerifiedMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: quarantined page %d has bytes in the region", seed, page)
 			}
 		}
-		if err := VerifyRestoredWith(got.region, got.dev, got.report.Integrity); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		for p := 0; p < got.region.NumPages(); p++ {
+			if err := got.region.CheckRestorable(got.dev, mmu.PageID(p)); err != nil {
+				t.Fatalf("seed %d: restored region against the new device: %v", seed, err)
+			}
 		}
 	}
 }
@@ -216,7 +217,7 @@ func TestRestoreTimeClosedForm(t *testing.T) {
 				if !inPlace {
 					dev = ssd.New(devClock, sim.NewQueue(), cfg)
 				}
-				report, err := RestoreVerified(clock, region, dev, src, nil)
+				report, err := RestoreVerified(clock, region, dev, src)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -252,7 +253,7 @@ func TestClosedFormIsFullReload(t *testing.T) {
 		for p := 0; p < n; p++ {
 			dev.SeedDurable(mmu.PageID(p), bytes.Repeat([]byte{byte(p)}, 4096))
 		}
-		_, report, err := RestoreRegion(sim.NewClock(), dev, nvdram.Config{Size: n * 4096})
+		_, report, err := restoreInPlace(t, sim.NewClock(), dev, nvdram.Config{Size: n * 4096})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,17 +97,17 @@ func opSum(op *IdemOp) uint64 {
 //
 //	crash before the intent lands   → journal has nothing; the retry is
 //	                                  fresh, and the store was untouched
-//	crash after intent, before apply → ReplayPending re-applies the redo
+//	crash after intent, before apply → ReplayPendingWith re-applies the redo
 //	                                  at recovery (no-op twice over:
 //	                                  blind Put/Delete)
-//	crash after apply, before result → ReplayPending re-applies the same
+//	crash after apply, before result → ReplayPendingWith re-applies the same
 //	                                  image idempotently — the
 //	                                  double-apply window this journal
 //	                                  exists to close
 //	crash after result               → retry is deduped from cache
 //
 // The StateInFlight branch below is the retry-time fallback for a server
-// recovered without ReplayPending; it is sound only until other
+// recovered without ReplayPendingWith; it is sound only until other
 // mutations touch the same key, which recovery-time replay avoids.
 func (s *Server) execIdem(e Exec, req Request) (IdemResult, error) {
 	j := s.cfg.Journal
@@ -211,31 +211,6 @@ func cachedResult(op *IdemOp, image []byte) []byte {
 		return nil
 	}
 	return image
-}
-
-// ReplayPending resolves every journaled intent whose result never
-// committed: the ops that were in flight when power failed. It applies
-// each one's redo image to the store and completes it in the journal, so
-// by the time the server takes traffic every entry is Done and a retry
-// can only dedup.
-//
-// Call it during recovery, after intent.Open and BEFORE serving resumes.
-// The ordering matters for correctness, not just hygiene: a redo image
-// is the post-state of the crashed attempt, so re-applying it is only
-// sound while the store still holds pre-crash state. Once new mutations
-// land on the same key, a late redo would rewind them — which is why the
-// in-flight resolution lives here and not in the retry path. (execIdem
-// keeps a retry-time redo as a fallback for servers recovered without
-// this call, with exactly that caveat.)
-//
-// Returns the number of intents redone. Under a serially-dispatched
-// server at most one intent can be in flight per crash; the loop handles
-// any number for journals with other producers. Redos run in the
-// journal's deterministic (client, seq) order; ReplayPendingWith is the
-// restartable, budget-aware form.
-func ReplayPending(store *kvstore.Store, j *intent.Journal) (int, error) {
-	stats, err := ReplayPendingWith(store, j, ReplayOptions{})
-	return stats.Redone, err
 }
 
 // applyImage blindly applies a redo image — the idempotent primitive

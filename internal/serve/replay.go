@@ -12,8 +12,8 @@ import (
 )
 
 // ReplayOptions parameterises ReplayPendingWith. Every field is
-// optional; the zero value degrades to the plain ReplayPending
-// behaviour.
+// optional; the zero value replays with no cursor, no budget pumping and
+// no instruments.
 type ReplayOptions struct {
 	// Cursor, when set, makes the replay restartable: each redo's
 	// completion is durably recorded (recovery.PhaseIntentRedo with the
@@ -38,12 +38,6 @@ type ReplayOptions struct {
 	// Obs receives the replay instruments (recovery_redo_pages,
 	// recovery_budget_stalls); nil skips them.
 	Obs *obs.Registry
-	// Step, when set, is invoked twice per redo — once after the
-	// apply+complete and once after the cursor advance — so a crash
-	// harness can plant a fault point inside each window (completion
-	// durable but cursor stale, and cursor advanced). Production
-	// callers leave it nil.
-	Step func()
 }
 
 // ReplayStats reports what a restartable replay did.
@@ -62,9 +56,25 @@ type ReplayStats struct {
 	BudgetStalls uint64
 }
 
-// ReplayPendingWith is the restartable, budget-aware form of
-// ReplayPending. It resolves in-flight intents in the journal's
-// deterministic (client, seq) order, and:
+// ReplayPendingWith resolves every journaled intent whose result never
+// committed: the ops that were in flight when power failed. It applies
+// each one's redo image to the store and completes it in the journal, so
+// by the time the server takes traffic every entry is Done and a retry
+// can only dedup. Redos run in the journal's deterministic (client, seq)
+// order. Under a serially-dispatched server at most one intent can be in
+// flight per crash; the loop handles any number for journals with other
+// producers.
+//
+// Call it during recovery, after intent.Open and BEFORE serving resumes.
+// The ordering matters for correctness, not just hygiene: a redo image
+// is the post-state of the crashed attempt, so re-applying it is only
+// sound while the store still holds pre-crash state. Once new mutations
+// land on the same key, a late redo would rewind them — which is why the
+// in-flight resolution lives here and not in the retry path. (execIdem
+// keeps a retry-time redo as a fallback for servers recovered without
+// this call, with exactly that caveat.)
+//
+// The options make the replay restartable and budget-aware:
 //
 //   - with a cursor: advances the cursor durably after every redo, so a
 //     crash mid-replay resumes with the completed count intact — the
@@ -75,9 +85,6 @@ type ReplayStats struct {
 //     budget-forced cleans drain incrementally — dirty ≤ the (possibly
 //     post-outage-shrunken) budget holds during the replay, not just
 //     after it.
-//
-// The same ordering contract as ReplayPending applies: call after
-// intent.Open and BEFORE serving resumes.
 func ReplayPendingWith(store *kvstore.Store, j *intent.Journal, opts ReplayOptions) (ReplayStats, error) {
 	var stats ReplayStats
 	if store == nil || j == nil {
@@ -124,16 +131,10 @@ func ReplayPendingWith(store *kvstore.Store, j *intent.Journal, opts ReplayOptio
 			// dirty ≤ budget throughout.
 			opts.Mgr.Pump()
 		}
-		if opts.Step != nil {
-			opts.Step()
-		}
 		if opts.Cursor != nil {
 			if err := opts.Cursor.Advance(recovery.PhaseIntentRedo, record); err != nil {
 				return stats, fmt.Errorf("serve: recording redo %d: %w", record, err)
 			}
-		}
-		if opts.Step != nil {
-			opts.Step()
 		}
 	}
 

@@ -111,22 +111,22 @@ func TestReplayPendingRunTwice(t *testing.T) {
 	w := newReplayWorld(t, 64)
 	w.seedInFlight(t, 12)
 
-	n1, err := ReplayPending(w.store, w.j)
+	first, err := ReplayPendingWith(w.store, w.j, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("first replay: %v", err)
 	}
-	if n1 != 12 {
-		t.Fatalf("first replay redid %d, want 12", n1)
+	if first.Redone != 12 {
+		t.Fatalf("first replay redid %d, want 12", first.Redone)
 	}
 	state1 := w.heapBytes(t)
 	table1 := w.j.Snapshot()
 
-	n2, err := ReplayPending(w.store, w.j)
+	second, err := ReplayPendingWith(w.store, w.j, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("second replay: %v", err)
 	}
-	if n2 != 0 {
-		t.Fatalf("second replay redid %d, want 0", n2)
+	if second.Redone != 0 {
+		t.Fatalf("second replay redid %d, want 0", second.Redone)
 	}
 	if !bytes.Equal(state1, w.heapBytes(t)) {
 		t.Fatalf("second replay mutated the store bytes")
@@ -144,8 +144,8 @@ func TestRMWResultSurvivesReplayPending(t *testing.T) {
 	w := newReplayWorld(t, 64)
 	w.seedInFlight(t, 9)
 	pending := w.j.Pending()
-	if n, err := ReplayPending(w.store, w.j); err != nil || n != len(pending) || n != 9 {
-		t.Fatalf("replay redid %d of %d, err %v", n, len(pending), err)
+	if st, err := ReplayPendingWith(w.store, w.j, ReplayOptions{}); err != nil || st.Redone != len(pending) || st.Redone != 9 {
+		t.Fatalf("replay redid %d of %d, err %v", st.Redone, len(pending), err)
 	}
 	check := func(j *intent.Journal, label string) {
 		t.Helper()
@@ -181,7 +181,7 @@ func TestReplayPendingCrashBetweenRuns(t *testing.T) {
 	w := newReplayWorld(t, 64)
 	w.seedInFlight(t, 9)
 
-	if _, err := ReplayPending(w.store, w.j); err != nil {
+	if _, err := ReplayPendingWith(w.store, w.j, ReplayOptions{}); err != nil {
 		t.Fatalf("first replay: %v", err)
 	}
 	state1 := w.heapBytes(t)
@@ -193,12 +193,12 @@ func TestReplayPendingCrashBetweenRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	n2, err := ReplayPending(w.store, j2)
+	again, err := ReplayPendingWith(w.store, j2, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("post-crash replay: %v", err)
 	}
-	if n2 != 0 {
-		t.Fatalf("post-crash replay redid %d, want 0", n2)
+	if again.Redone != 0 {
+		t.Fatalf("post-crash replay redid %d, want 0", again.Redone)
 	}
 	if !bytes.Equal(state1, w.heapBytes(t)) {
 		t.Fatalf("post-crash replay mutated the store bytes")
@@ -218,7 +218,7 @@ func TestReplayPendingCrashMidReplay(t *testing.T) {
 	// Twin A: one uninterrupted replay.
 	a := newReplayWorld(t, 64)
 	a.seedInFlight(t, n)
-	if _, err := ReplayPending(a.store, a.j); err != nil {
+	if _, err := ReplayPendingWith(a.store, a.j, ReplayOptions{}); err != nil {
 		t.Fatalf("twin replay: %v", err)
 	}
 	wantState := a.heapBytes(t)
@@ -241,12 +241,12 @@ func TestReplayPendingCrashMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	n2, err := ReplayPending(b.store, j2)
+	resumed, err := ReplayPendingWith(b.store, j2, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("resumed replay: %v", err)
 	}
-	if n2 != n-n/2 {
-		t.Fatalf("resumed replay redid %d, want %d", n2, n-n/2)
+	if resumed.Redone != n-n/2 {
+		t.Fatalf("resumed replay redid %d, want %d", resumed.Redone, n-n/2)
 	}
 	if !bytes.Equal(wantState, b.heapBytes(t)) {
 		t.Fatalf("crash-interrupted replay diverged from uninterrupted twin")

@@ -105,11 +105,19 @@ func Generate(spec VolumeSpec, duration sim.Duration, seed uint64) (*Volume, err
 	if spec.SizeBytes <= 0 || spec.SizeBytes%int64(spec.PageSize) != 0 {
 		return nil, fmt.Errorf("trace: volume %s size %d not a positive multiple of page size %d", spec.Name, spec.SizeBytes, spec.PageSize)
 	}
-	if spec.WorstHourWriteFraction <= 0 || spec.WorstHourWriteFraction > 1 {
+	// Each check is written so that NaN fails it.
+	if !(spec.WorstHourWriteFraction > 0 && spec.WorstHourWriteFraction <= 1) {
 		return nil, fmt.Errorf("trace: volume %s worst-hour fraction %v outside (0,1]", spec.Name, spec.WorstHourWriteFraction)
 	}
-	if spec.TouchedFraction <= 0 || spec.TouchedFraction > 1 {
+	if !(spec.TouchedFraction > 0 && spec.TouchedFraction <= 1) {
 		return nil, fmt.Errorf("trace: volume %s touched fraction %v outside (0,1]", spec.Name, spec.TouchedFraction)
+	}
+	// 0 selects the default for Theta and HotFraction.
+	if spec.Theta != 0 && !(spec.Theta > 0 && spec.Theta < 1) {
+		return nil, fmt.Errorf("trace: volume %s zipf theta %v outside (0,1)", spec.Name, spec.Theta)
+	}
+	if spec.HotFraction != 0 && !(spec.HotFraction > 0 && spec.HotFraction <= 1) {
+		return nil, fmt.Errorf("trace: volume %s hot fraction %v outside (0,1]", spec.Name, spec.HotFraction)
 	}
 	if duration <= 0 {
 		return nil, fmt.Errorf("trace: non-positive duration %v", duration)

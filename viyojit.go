@@ -888,8 +888,9 @@ func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err e
 	// adopted with its recorded checksum, and reloaded into NV-DRAM with
 	// the reboot's clock charged for the read. A page that fails is
 	// quarantined — listed in the report, absent from the new device and
-	// the region; after a true power cycle there is no repair source.
-	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, prev.dev, nil)
+	// the region; after a power cycle there is no other copy to repair it
+	// from.
+	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, prev.dev)
 	s.region.ReleaseSpares()
 	if err != nil {
 		return recovery.RestoreReport{}, err
