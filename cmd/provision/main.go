@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 
-	"viyojit/internal/advisor"
 	"viyojit/internal/trace"
 )
 
@@ -34,7 +33,7 @@ func run(args []string, out, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	opts := advisor.Options{Percentile: *pct, Headroom: *headroom}
+	opts := options{Percentile: *pct, Headroom: *headroom}
 
 	var err error
 	if *file != "" {
@@ -51,13 +50,13 @@ func run(args []string, out, stderr io.Writer) int {
 
 // analyzeSuite runs the advisor over the synthetic data-center
 // applications.
-func analyzeSuite(out io.Writer, seed uint64, opts advisor.Options) error {
+func analyzeSuite(out io.Writer, seed uint64, opts options) error {
 	apps, err := trace.Applications(seed)
 	if err != nil {
 		return err
 	}
 	for _, app := range apps {
-		recs, agg, err := advisor.AnalyzeApplication(app, opts)
+		recs, agg, err := analyzeApplication(app, opts)
 		if err != nil {
 			return err
 		}
@@ -72,7 +71,7 @@ func analyzeSuite(out io.Writer, seed uint64, opts advisor.Options) error {
 			fmt.Fprintf(out, "%-8s %7d pg %9.1f%% %12.2f %13.0f%% %-14s %s\n",
 				r.Volume, r.BudgetPages, r.BudgetFraction*100,
 				r.Battery.CapacityJoules,
-				advisor.Savings(r, app.Volumes[i], opts)*100,
+				savings(r, app.Volumes[i])*100,
 				r.Category, note)
 		}
 		fmt.Fprintf(out, "%-8s %7d pg %9.1f%% %12.2f\n\n",
@@ -84,7 +83,7 @@ func analyzeSuite(out io.Writer, seed uint64, opts advisor.Options) error {
 }
 
 // analyzeFile runs the advisor on one operator-supplied trace file.
-func analyzeFile(out io.Writer, path string, opts advisor.Options) error {
+func analyzeFile(out io.Writer, path string, opts options) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -94,7 +93,7 @@ func analyzeFile(out io.Writer, path string, opts advisor.Options) error {
 	if err != nil {
 		return err
 	}
-	r, err := advisor.Analyze(v, opts)
+	r, err := analyze(v, opts)
 	if err != nil {
 		return err
 	}
@@ -110,6 +109,6 @@ func analyzeFile(out io.Writer, path string, opts advisor.Options) error {
 		r.WorstHourPages, opts.Percentile*100, r.HotSetPages, r.Headroom)
 	fmt.Fprintf(out, "battery to provision: %.2f J nameplate (DoD %.0f%%)\n",
 		r.Battery.CapacityJoules, r.Battery.DepthOfDischarge*100)
-	fmt.Fprintf(out, "savings vs full-DRAM battery: %.0f%%\n", advisor.Savings(r, v, opts)*100)
+	fmt.Fprintf(out, "savings vs full-DRAM battery: %.0f%%\n", savings(r, v)*100)
 	return nil
 }

@@ -17,8 +17,7 @@ import (
 	"io"
 	"os"
 
-	"viyojit/internal/replay"
-	"viyojit/internal/ssd"
+	"viyojit/internal/experiments"
 	"viyojit/internal/trace"
 )
 
@@ -74,7 +73,7 @@ func replayVolume(out io.Writer, file string, budgetFrac float64, seed uint64) e
 	fmt.Fprintf(out, "replaying %s: %d events, %d MiB, budget %d pages (%.1f%%)\n\n",
 		v.Spec.Name, len(v.Events), v.Spec.SizeBytes>>20, budget, budgetFrac*100)
 
-	reports, err := replay.Compare(v, budget, ssd.Config{})
+	reports, err := experiments.RunReplayComparison(v, budget)
 	if err != nil {
 		return err
 	}

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -60,7 +61,19 @@ func run(args []string, out, stderr io.Writer) int {
 
 	want := map[string]bool{}
 	for _, f := range strings.Split(*figures, ",") {
-		want[strings.TrimSpace(f)] = true
+		f = strings.TrimSpace(f)
+		switch f {
+		case "7", "8", "9", "10", "ablations", "overload":
+			want[f] = true
+		default:
+			return fail(fmt.Errorf("unknown -figures name %q (want 7, 8, 9, 10, ablations or overload)", f))
+		}
+	}
+	if *clients < 0 {
+		return fail(fmt.Errorf("-clients %d is negative", *clients))
+	}
+	if *deadline < 0 {
+		return fail(fmt.Errorf("-deadline %v is negative", *deadline))
 	}
 
 	opts := experiments.SweepOptions{OperationCount: *ops, Seed: *seed}
@@ -197,7 +210,8 @@ func run(args []string, out, stderr io.Writer) int {
 			var ms []float64
 			for _, s := range strings.Split(*offered, ",") {
 				var m float64
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &m); err != nil || m <= 0 {
+				// Written so that NaN fails it too.
+				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &m); err != nil || !(m > 0) || math.IsInf(m, 1) {
 					return fail(fmt.Errorf("bad -offered-load entry %q", s))
 				}
 				ms = append(ms, m)

@@ -35,6 +35,11 @@ func TestBadFlags(t *testing.T) {
 		want string
 	}{
 		{[]string{"-figures", "overload", "-offered-load", "0.5,-1"}, 1, `bad -offered-load entry "-1"`},
+		{[]string{"-figures", "overload", "-offered-load", "NaN"}, 1, `bad -offered-load entry "NaN"`},
+		{[]string{"-figures", "overload", "-offered-load", "+Inf"}, 1, `bad -offered-load entry "+Inf"`},
+		{[]string{"-figures", "overload", "-clients", "-3"}, 1, "-clients -3 is negative"},
+		{[]string{"-figures", "overload", "-deadline", "-1ms"}, 1, "-deadline -1ms is negative"},
+		{[]string{"-figures", "11"}, 1, `unknown -figures name "11"`},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -33,6 +33,7 @@ package blackbox
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -80,18 +81,11 @@ type Record struct {
 	Args  [4]int64
 }
 
-const (
-	fnvOffset = 0xCBF29CE484222325
-	fnvPrime  = 0x100000001B3
-)
-
+// checksum is FNV-1a over b.
 func checksum(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 func encodeRecord(buf []byte, r Record) {

@@ -183,6 +183,10 @@ type Manager struct {
 	// admitting is the sequence number of the outermost admission in
 	// progress, 0 if none: see admitPage.
 	admitting uint64
+	// budgetWaiters counts the admissions blocked in admitPage's budget
+	// loop, waiting for a clean to make room; TelemetryWritable leaves
+	// them the last free page.
+	budgetWaiters int
 
 	newDirtyThisEpoch int
 	pressure          float64
@@ -398,6 +402,7 @@ func (m *Manager) admitPage(page mmu.PageID, by admitter) bool {
 	// wakes the proactive copier before it blocks: the write resumes
 	// after one completion, the rest of the burst lands in the background
 	// and the next ≈ pressure admissions find headroom.
+	m.budgetWaiters++
 	for m.dirty.len() >= m.effectiveBudget() {
 		if by == byNotify {
 			// The at-budget case pays the interrupt the §5.4 MMU raises.
@@ -412,6 +417,7 @@ func (m *Manager) admitPage(page mmu.PageID, by admitter) bool {
 			panic(fmt.Sprintf("core: dirty set %d at budget %d with no cleanable victim", m.dirty.len(), m.effectiveBudget()))
 		}
 	}
+	m.budgetWaiters--
 	if by == byRepair {
 		// The wait stepped events; the world may have changed under it.
 		if m.closed || m.writesBlocked() {
@@ -970,9 +976,9 @@ func (m *Manager) SetDirtyBudget(pages int) error {
 
 // SetDirtyBudgetSync is SetDirtyBudget followed by CompleteDrain: it
 // returns only once the dirty set fits the new budget. Its callers need
-// that: tenancy.Pool.apply, so a tenant fits its grant before another
-// tenant's grows, and health.FollowBattery's shrink hook, so the set fits
-// the projected energy before the battery loses it.
+// that: experiments' tenant pool, so a tenant fits its grant before
+// another tenant's grows, and health.FollowBattery's shrink hook, so the
+// set fits the projected energy before the battery loses it.
 func (m *Manager) SetDirtyBudgetSync(pages int) error {
 	if err := m.SetDirtyBudget(pages); err != nil {
 		return err

@@ -64,7 +64,10 @@ func (mp *Mapping) ReadAt(p []byte, off int64) error {
 // range is mid-clean (a write would stall on the in-flight IO), writes
 // are not ladder-blocked, and admitting the range's not-yet-dirty pages
 // stays within the effective dirty budget (so the fault path would not
-// force a synchronous clean). This is the admission gate for the
+// force a synchronous clean). While an admission waits for room, the
+// range may not take the last free page either: the recorder logs the
+// clean that frees it, and an append there would re-dirty the ring and
+// keep the waiter blocked for good. This is the admission gate for the
 // black-box flight recorder, which must degrade to sampling rather
 // than ever stall the goroutine feeding it. Like the rest of the
 // manager's bookkeeping it must be called from the simulation
@@ -92,6 +95,9 @@ func (mp *Mapping) TelemetryWritable(off, n int64) bool {
 	}
 	if m.writesBlocked() {
 		return false
+	}
+	if m.budgetWaiters > 0 {
+		need++
 	}
 	return m.dirty.len()+need <= m.effectiveBudget()
 }

@@ -7,7 +7,6 @@ import (
 	"viyojit/internal/dist"
 	"viyojit/internal/power"
 	"viyojit/internal/recovery"
-	"viyojit/internal/scaling"
 	"viyojit/internal/sim"
 	"viyojit/internal/trace"
 )
@@ -15,7 +14,7 @@ import (
 // FprintFig1 writes Fig 1's series: DRAM vs lithium relative growth,
 // 1990–2020.
 func FprintFig1(w io.Writer) error {
-	pts, err := scaling.GrowthSeries(1990, 2020, 5)
+	pts, err := growthSeries(1990, 2020, 5)
 	if err != nil {
 		return err
 	}
@@ -39,7 +38,7 @@ func FprintBatterySizing(w io.Writer) {
 	fmt.Fprintf(w, "%-8s %10s %10s %12s %14s %10s\n",
 		"DRAM", "Flush (s)", "Energy", "Phone-batt×", "Derated vol×", "Cost ($)")
 	for _, tb := range []int{1, 2, 4, 8} {
-		r := scaling.SizeFullBackup(pm, int64(tb)<<40, 4<<30, 0.5, 1.0)
+		r := sizeFullBackup(pm, int64(tb)<<40, 4<<30, 0.5, 1.0)
 		fmt.Fprintf(w, "%-8s %10.0f %9.0fKJ %12.1f %14.1f %10.0f\n",
 			fmt.Sprintf("%d TB", tb), r.FlushSeconds, r.EnergyJoules/1000,
 			r.PhoneBatteryRatio, r.EffectiveRatio, r.EstimatedCostUSD)

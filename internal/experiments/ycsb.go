@@ -3,7 +3,11 @@
 // dirty budgets (Figs 7–10), the trace analyses (Figs 2–4), the Zipf
 // scaling analysis (Fig 5), the technology-growth and battery-sizing
 // tables (Fig 1, §2.2), the availability model (§8), and the ablations
-// (§6.3 TLB flushing; victim policies; epoch length; queue depth).
+// (§6.3 TLB flushing; victim policies; epoch length; queue depth). The
+// systems it compares against live here too: the full-battery baseline
+// (baseline.go), the Fig 1 growth and §2.2 sizing model (scaling.go), the
+// §6.3 tenant pool (tenancy.go) and the §3 trace replayer behind
+// cmd/replay (replay.go).
 //
 // Everything here is deterministic: same seed, same numbers.
 package experiments
@@ -11,7 +15,6 @@ package experiments
 import (
 	"fmt"
 
-	"viyojit/internal/baseline"
 	"viyojit/internal/core"
 	"viyojit/internal/nvdram"
 	"viyojit/internal/obs"
@@ -240,7 +243,7 @@ func RunBaseline(cfg YCSBConfig) (Point, error) {
 		return Point{}, err
 	}
 	dev := ssd.New(clock, events, cfg.SSD)
-	mgr, err := baseline.NewManager(clock, events, region, dev)
+	mgr, err := newBaselineManager(clock, events, region, dev)
 	if err != nil {
 		return Point{}, err
 	}

@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"viyojit/internal/obs"
 	"viyojit/internal/wal"
@@ -174,12 +175,9 @@ func newCursor(store CursorStore, reg *obs.Registry) *Cursor {
 // cursorSum is FNV-1a over a slot's first 56 bytes (everything but the
 // checksum word itself).
 func cursorSum(b []byte) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for _, c := range b[:slotBytes-8] {
-		h ^= uint64(c)
-		h *= 0x100000001B3
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b[:slotBytes-8])
+	return h.Sum64()
 }
 
 func encodeSlot(p Progress) []byte {

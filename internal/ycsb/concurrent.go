@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -130,8 +131,12 @@ func RunConcurrent(cfg ConcurrentConfig, srv *serve.Server) (ConcurrentResult, e
 	if cfg.OperationCount <= 0 {
 		return ConcurrentResult{}, fmt.Errorf("ycsb: OperationCount %d must be positive", cfg.OperationCount)
 	}
-	if cfg.OfferedLoad < 0 {
-		return ConcurrentResult{}, fmt.Errorf("ycsb: OfferedLoad %v must be non-negative", cfg.OfferedLoad)
+	if cfg.Clients < 0 {
+		return ConcurrentResult{}, fmt.Errorf("ycsb: Clients %d must be non-negative", cfg.Clients)
+	}
+	// Written so that NaN fails it too.
+	if !(cfg.OfferedLoad >= 0) || math.IsInf(cfg.OfferedLoad, 1) {
+		return ConcurrentResult{}, fmt.Errorf("ycsb: OfferedLoad %v must be finite and non-negative", cfg.OfferedLoad)
 	}
 
 	records := int64(cfg.RecordCount)

@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"viyojit/internal/kvstore"
@@ -219,5 +220,21 @@ func TestWorkloadERejectedLikeThePaper(t *testing.T) {
 	_, err := Run(Config{Workload: WorkloadE, RecordCount: 10, OperationCount: 10}, target)
 	if !errors.Is(err, ErrScansUnsupported) {
 		t.Fatalf("err = %v, want ErrScansUnsupported", err)
+	}
+}
+
+// A negative client count or a non-finite offered load is refused before
+// the run starts, so no server is needed to see it.
+func TestRunConcurrentRejectsBadConfig(t *testing.T) {
+	base := Config{Workload: WorkloadA, RecordCount: 10, OperationCount: 10}
+	for _, cfg := range []ConcurrentConfig{
+		{Config: base, Clients: -3},
+		{Config: base, OfferedLoad: -1},
+		{Config: base, OfferedLoad: math.NaN()},
+		{Config: base, OfferedLoad: math.Inf(1)},
+	} {
+		if _, err := RunConcurrent(cfg, nil); err == nil {
+			t.Errorf("clients %d, offered load %v accepted", cfg.Clients, cfg.OfferedLoad)
+		}
 	}
 }

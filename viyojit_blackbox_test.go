@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"viyojit/internal/sim"
 )
@@ -145,5 +146,34 @@ func TestBlackBoxDisabledAccessors(t *testing.T) {
 	}
 	if sys.Forensics() != nil {
 		t.Fatal("Forensics non-nil on a fresh system")
+	}
+}
+
+// TestBlackBoxOnePageBudgetWriteReturns: with the recorder on and a
+// one-page budget, an application write must return. Its admission waits
+// for the ring page's clean; the recorder logs that clean's completion,
+// and an append that took the last free page would re-dirty the ring
+// and keep the dirty set from ever falling. The write runs on its own
+// goroutine so that a hang fails the test instead of stalling it.
+func TestBlackBoxOnePageBudgetWriteReturns(t *testing.T) {
+	for _, size := range []int64{16 << 10, 32 << 10, 56 << 10} {
+		sys := newTestSystem(t, Config{NVDRAMSize: size, BlackBox: true})
+		m, err := sys.Map("heap", 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- m.WriteAt([]byte("one"), 0) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("size %d: %v", size, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("size %d: the first write did not return within 10 s", size)
+		}
+		if got, budget := sys.DirtyCount(), sys.DirtyBudget(); got > budget {
+			t.Fatalf("size %d: dirty %d over budget %d", size, got, budget)
+		}
 	}
 }
