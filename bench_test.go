@@ -23,7 +23,6 @@ import (
 	"viyojit/internal/experiments"
 	"viyojit/internal/kvstore"
 	"viyojit/internal/mmu"
-	"viyojit/internal/nvfs"
 	"viyojit/internal/pheap"
 	"viyojit/internal/ptx"
 	"viyojit/internal/scrub"
@@ -825,63 +824,6 @@ func BenchmarkEpochTick(b *testing.B) {
 					st.Epochs-before.Epochs, got, st.ForcedCleans-before.ForcedCleans, b.N, sys.DirtyCount(), b.N, want, c.d-ahead)
 			}
 		})
-	}
-}
-
-func BenchmarkMicro_NVFSCreateWrite(b *testing.B) {
-	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := sys.Map("fs", 32<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs, err := nvfs.Format(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		path := fmt.Sprintf("/f%07d", i%500)
-		if i < 500 {
-			if err := fs.Create(path); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := fs.WriteFile(path, data, 0); err != nil {
-			b.Fatal(err)
-		}
-		sys.Pump()
-	}
-}
-
-func BenchmarkMicro_NVFSRead(b *testing.B) {
-	sys, err := viyojit.New(viyojit.Config{NVDRAMSize: 64 << 20, Battery: viyojit.BatteryConfig{CapacityJoules: 1e6}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := sys.Map("fs", 32<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs, err := nvfs.Format(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := fs.Create("/hot"); err != nil {
-		b.Fatal(err)
-	}
-	if err := fs.WriteFile("/hot", make([]byte, 64<<10), 0); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.ReadFile("/hot", buf, int64(i%16)*4096); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

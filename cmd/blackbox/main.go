@@ -47,6 +47,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 0 {
+		fmt.Fprintf(stderr, "blackbox: -n %d is negative\n", *n)
+		return 1
+	}
 	var err error
 	if *in != "" {
 		err = dumpImage(stdout, *in, *n)

@@ -61,7 +61,8 @@ func TestGolden(t *testing.T) {
 }
 
 // An unknown flag is a usage error, exit 2; an -in file that does not
-// exist is reported on stderr with exit 1. Neither prints a report.
+// exist, or a negative -n, is reported on stderr with exit 1. None prints
+// a report.
 func TestBadInvocations(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -70,6 +71,7 @@ func TestBadInvocations(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{[]string{"-in", filepath.Join(t.TempDir(), "missing.img")}, 1, "blackbox: open "},
+		{[]string{"-n", "-5"}, 1, "blackbox: -n -5 is negative"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || stdout.Len() != 0 {

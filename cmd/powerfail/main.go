@@ -126,6 +126,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "powerfail:", err)
 		return 1
 	}
+	// Checked before any run starts; each test is written so that NaN
+	// fails it.
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"write-error-prob", *writeErrProb}, {"torn-prob", *tornProb}, {"spike-prob", *spikeProb},
+		{"lost-prob", *lostProb}, {"misdirect-prob", *misdirectProb}, {"rot-prob", *rotProb}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fatal(fmt.Errorf("-%s %v outside [0,1]", p.flag, p.v))
+		}
+	}
+	for _, c := range []struct {
+		flag string
+		n    int
+	}{{"serve-points", *servePoints}, {"serve-clients", *serveClients}, {"recrash-depth", *recrashDepth}} {
+		if c.n < 0 {
+			return fatal(fmt.Errorf("-%s %d is negative", c.flag, c.n))
+		}
+	}
 
 	sweep := sweepNarrator{stdout: stdout, stderr: stderr, cfg: crashsweep.ServeConfig{
 		Seed: *seed, Clients: *serveClients, MaxCrashPoints: *servePoints,

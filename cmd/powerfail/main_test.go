@@ -54,6 +54,14 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-sag", "NaN"}, 1, "-sag NaN"},
 		{[]string{"-scrub-share", "-0.5"}, 1, "Scrub.BandwidthShare -0.5"},
 		{[]string{"-scrub-share", "NaN"}, 1, "Scrub.BandwidthShare NaN"},
+		{[]string{"-serve-sweep", "-serve-clients", "-2"}, 1, "-serve-clients -2 is negative"},
+		{[]string{"-serve-sweep", "-serve-points", "-1"}, 1, "-serve-points -1 is negative"},
+		{[]string{"-nested-sweep", "-recrash-depth", "-1"}, 1, "-recrash-depth -1 is negative"},
+		{[]string{"-write-error-prob", "NaN"}, 1, "-write-error-prob NaN outside [0,1]"},
+		{[]string{"-write-error-prob", "2"}, 1, "-write-error-prob 2 outside [0,1]"},
+		{[]string{"-torn-prob", "-1"}, 1, "-torn-prob -1 outside [0,1]"},
+		{[]string{"-spike-prob", "3"}, 1, "-spike-prob 3 outside [0,1]"},
+		{[]string{"-lost-prob", "NaN"}, 1, "-lost-prob NaN outside [0,1]"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer

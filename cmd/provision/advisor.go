@@ -52,23 +52,19 @@ type recommendation struct {
 	WorthIt bool
 }
 
+// The -percentile and -headroom flags' defaults.
+const (
+	defaultPercentile = 0.99
+	defaultHeadroom   = 1.25
+)
+
 // options tunes the advisor.
 type options struct {
-	// Percentile of writes the steady-state dirty set should cover;
-	// 0 selects 0.99.
+	// Percentile of writes the steady-state dirty set should cover, in
+	// (0,1].
 	Percentile float64
-	// Headroom is the multiplicative safety margin; 0 selects 1.25.
+	// Headroom is the multiplicative safety margin, at least 1.
 	Headroom float64
-}
-
-func (o options) withDefaults() options {
-	if o.Percentile == 0 {
-		o.Percentile = 0.99
-	}
-	if o.Headroom == 0 {
-		o.Headroom = 1.25
-	}
-	return o
 }
 
 // provision returns the battery whose effective energy covers
@@ -103,7 +99,6 @@ func analyze(v *trace.Volume, opts options) (recommendation, error) {
 	if v == nil || len(v.Events) == 0 {
 		return recommendation{}, fmt.Errorf("advisor: empty volume trace")
 	}
-	opts = opts.withDefaults()
 	// Both checks are written so that NaN fails them.
 	if !(opts.Percentile > 0 && opts.Percentile <= 1) {
 		return recommendation{}, fmt.Errorf("advisor: percentile %v outside (0,1]", opts.Percentile)
@@ -176,7 +171,7 @@ func analyzeApplication(app trace.Application, opts options) ([]recommendation, 
 		BudgetPages:    totalBudget,
 		BudgetFraction: float64(totalBudget) / float64(totalPages),
 		Battery:        provision(int64(totalBudget)*int64(pageSize), totalBytes),
-		Headroom:       opts.withDefaults().Headroom,
+		Headroom:       opts.Headroom,
 		WorthIt:        worthAny,
 		Category:       "aggregate",
 	}

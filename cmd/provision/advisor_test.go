@@ -34,18 +34,23 @@ func uniqueHeavy(t testing.TB) *trace.Volume {
 	})
 }
 
+// defaults is what the command passes when no flag is set.
+var defaults = options{Percentile: defaultPercentile, Headroom: defaultHeadroom}
+
 func TestAnalyzeValidation(t *testing.T) {
-	if _, err := analyze(nil, options{}); err == nil {
+	if _, err := analyze(nil, defaults); err == nil {
 		t.Fatal("nil volume accepted")
 	}
 	v := skewedLight(t)
-	if _, err := analyze(v, options{Percentile: 2}); err == nil {
-		t.Fatal("bad percentile accepted")
-	}
-	if _, err := analyze(v, options{Headroom: 0.5}); err == nil {
-		t.Fatal("headroom below 1 accepted")
-	}
-	for _, bad := range []options{{Percentile: math.NaN()}, {Headroom: math.NaN()}, {Headroom: math.Inf(1)}} {
+	for _, bad := range []options{
+		{Percentile: 2, Headroom: defaultHeadroom},
+		{Percentile: 0, Headroom: defaultHeadroom},
+		{Percentile: math.NaN(), Headroom: defaultHeadroom},
+		{Percentile: defaultPercentile, Headroom: 0.5},
+		{Percentile: defaultPercentile, Headroom: 0},
+		{Percentile: defaultPercentile, Headroom: math.NaN()},
+		{Percentile: defaultPercentile, Headroom: math.Inf(1)},
+	} {
 		if _, err := analyze(v, bad); err == nil {
 			t.Fatalf("%+v accepted", bad)
 		}
@@ -54,7 +59,7 @@ func TestAnalyzeValidation(t *testing.T) {
 
 func TestSkewedLightGetsSmallBudget(t *testing.T) {
 	v := skewedLight(t)
-	r, err := analyze(v, options{})
+	r, err := analyze(v, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestSkewedLightGetsSmallBudget(t *testing.T) {
 
 func TestUniqueHeavyFlaggedNotWorthIt(t *testing.T) {
 	v := uniqueHeavy(t)
-	r, err := analyze(v, options{})
+	r, err := analyze(v, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestUniqueHeavyFlaggedNotWorthIt(t *testing.T) {
 
 func TestBudgetCoversBothDrivers(t *testing.T) {
 	v := skewedLight(t)
-	r, err := analyze(v, options{Headroom: 1.0})
+	r, err := analyze(v, options{Percentile: defaultPercentile, Headroom: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +118,11 @@ func TestBudgetCoversBothDrivers(t *testing.T) {
 
 func TestHigherPercentileNeedsMoreBudget(t *testing.T) {
 	v := skewedLight(t)
-	lo, err := analyze(v, options{Percentile: 0.90})
+	lo, err := analyze(v, options{Percentile: 0.90, Headroom: defaultHeadroom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := analyze(v, options{Percentile: 0.999})
+	hi, err := analyze(v, options{Percentile: 0.999, Headroom: defaultHeadroom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ func TestAnalyzeApplicationAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := apps[0] // Azure blob storage
-	recs, agg, err := analyzeApplication(app, options{})
+	recs, agg, err := analyzeApplication(app, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,18 +154,18 @@ func TestAnalyzeApplicationAggregates(t *testing.T) {
 	if agg.Battery.CapacityJoules <= 0 {
 		t.Fatal("aggregate battery not provisioned")
 	}
-	if _, _, err := analyzeApplication(trace.Application{Name: "empty"}, options{}); err == nil {
+	if _, _, err := analyzeApplication(trace.Application{Name: "empty"}, defaults); err == nil {
 		t.Fatal("empty application accepted")
 	}
 }
 
 func TestBatteryConversionMonotone(t *testing.T) {
 	v := skewedLight(t)
-	small, err := analyze(v, options{Headroom: 1.0})
+	small, err := analyze(v, options{Percentile: defaultPercentile, Headroom: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := analyze(v, options{Headroom: 2.0})
+	big, err := analyze(v, options{Percentile: defaultPercentile, Headroom: 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}

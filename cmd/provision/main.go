@@ -27,8 +27,8 @@ func run(args []string, out, stderr io.Writer) int {
 	fs := flag.NewFlagSet("provision", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 1, "trace generation seed")
-	pct := fs.Float64("percentile", 0.99, "write percentile the steady-state dirty set must cover")
-	headroom := fs.Float64("headroom", 1.25, "safety margin on the recommended budget")
+	pct := fs.Float64("percentile", defaultPercentile, "write percentile the steady-state dirty set must cover")
+	headroom := fs.Float64("headroom", defaultHeadroom, "safety margin on the recommended budget")
 	file := fs.String("file", "", "analyse a single trace file (cmd/tracegen format) instead of the synthetic suite")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -38,6 +38,8 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-headroom", "NaN"}, 1, "advisor: headroom NaN is not a finite value ≥ 1"},
 		{[]string{"-headroom", "0.5"}, 1, "advisor: headroom 0.5 is not a finite value ≥ 1"},
 		{[]string{"-percentile", "NaN"}, 1, "advisor: percentile NaN outside (0,1]"},
+		{[]string{"-percentile", "0"}, 1, "advisor: percentile 0 outside (0,1]"},
+		{[]string{"-headroom", "0"}, 1, "advisor: headroom 0 is not a finite value ≥ 1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {

@@ -59,7 +59,7 @@ import (
 
 // ServeConfig parameterises a live-traffic sweep. Zero values select a
 // small configuration that still forces cleans, journal compactions, and
-// client retries under crash fire.
+// client retries under crash fire; a negative count is an error.
 type ServeConfig struct {
 	// Seed drives key selection, value mixing, and backoff jitter. Crash
 	// *points* replay from it; with more than one client, goroutine
@@ -315,6 +315,14 @@ func newSweep(m mode) *sweep {
 // step is productive here, since each run's goroutine interleaving is
 // its own.
 func (sw *sweep) run() error {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"Clients", sw.Clients}, {"OpsPerClient", sw.OpsPerClient}, {"MaxCrashPoints", sw.MaxCrashPoints}, {"RecrashDepth", sw.recrashDepth}} {
+		if c.n < 0 {
+			return fmt.Errorf("crashsweep: %s %d is negative", c.name, c.n)
+		}
+	}
 	_, base, err := sw.baseline()
 	if err != nil {
 		return err

@@ -1,6 +1,9 @@
 package crashsweep
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The acceptance sweep: ≥200 crash points under ≥8 concurrent retrying
 // clients, zero lost acks, zero double-applies, the journal's pages
@@ -79,4 +82,29 @@ func TestSweepServeCrashQuick(t *testing.T) {
 	}
 	t.Logf("quick: %d crash points, %d acked, %d in-doubt replayed, max dirty %d",
 		res.CrashPoints, res.AckedMutations, res.InDoubtReplayed, res.MaxDirtyAtCrash)
+}
+
+// A negative count is an error before any run: a negative client count
+// used to panic in makeslice, and a negative crash-point count ran no
+// point at all and reported nothing violated.
+func TestLiveSweepsRejectNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"serve MaxCrashPoints", func() error { _, err := RunServe(ServeConfig{MaxCrashPoints: -1}); return err }, "MaxCrashPoints -1"},
+		{"serve Clients", func() error { _, err := RunServe(ServeConfig{Clients: -2}); return err }, "Clients -2"},
+		{"nested RecrashDepth", func() error { _, err := RunNested(NestedConfig{RecrashDepth: -1}); return err }, "RecrashDepth -1"},
+		{"sensor OpsPerClient", func() error {
+			_, err := RunSensor(SensorSweepConfig{Serve: ServeConfig{OpsPerClient: -3}})
+			return err
+		}, "OpsPerClient -3"},
+		{"blackbox Clients", func() error { _, err := RunBlackBox(ServeConfig{Clients: -1}); return err }, "Clients -1"},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
 }
