@@ -267,7 +267,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workload()
 	}
 	if werr != nil {
-		return fatal(werr)
+		return fatal(fmt.Errorf("%w (ladder state %v)", werr, sys.HealthState()))
 	}
 
 	s := sys.Stats()

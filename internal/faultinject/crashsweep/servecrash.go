@@ -315,13 +315,9 @@ func newSweep(m mode) *sweep {
 // step is productive here, since each run's goroutine interleaving is
 // its own.
 func (sw *sweep) run() error {
-	for _, c := range []struct {
-		name string
-		n    int
-	}{{"Clients", sw.Clients}, {"OpsPerClient", sw.OpsPerClient}, {"MaxCrashPoints", sw.MaxCrashPoints}, {"RecrashDepth", sw.recrashDepth}} {
-		if c.n < 0 {
-			return fmt.Errorf("crashsweep: %s %d is negative", c.name, c.n)
-		}
+	if err := negativeCount(count{"Clients", sw.Clients}, count{"OpsPerClient", sw.OpsPerClient},
+		count{"MaxCrashPoints", sw.MaxCrashPoints}, count{"RecrashDepth", sw.recrashDepth}); err != nil {
+		return err
 	}
 	_, base, err := sw.baseline()
 	if err != nil {

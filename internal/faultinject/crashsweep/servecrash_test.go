@@ -1,6 +1,7 @@
 package crashsweep
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -85,14 +86,20 @@ func TestSweepServeCrashQuick(t *testing.T) {
 }
 
 // A negative count is an error before any run: a negative client count
-// used to panic in makeslice, and a negative crash-point count ran no
-// point at all and reported nothing violated.
+// used to panic in makeslice, and a negative crash-point or op count ran
+// no point at all and reported nothing violated. The single-goroutine
+// sweep's sag fraction must lie in [0,1) too.
 func TestLiveSweepsRejectNegativeCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func() error
 		want string
 	}{
+		{"run Ops", func() error { _, err := Run(Config{Ops: -1}); return err }, "Ops -1"},
+		{"run MaxCrashPoints", func() error { _, err := Run(Config{MaxCrashPoints: -5}); return err }, "MaxCrashPoints -5"},
+		{"run SagFraction NaN", func() error { _, err := Run(Config{SagFraction: math.NaN()}); return err }, "SagFraction NaN"},
+		{"run SagFraction 1", func() error { _, err := Run(Config{SagFraction: 1}); return err }, "SagFraction 1"},
+		{"run SagFraction -0.5", func() error { _, err := Run(Config{SagFraction: -0.5}); return err }, "SagFraction -0.5"},
 		{"serve MaxCrashPoints", func() error { _, err := RunServe(ServeConfig{MaxCrashPoints: -1}); return err }, "MaxCrashPoints -1"},
 		{"serve Clients", func() error { _, err := RunServe(ServeConfig{Clients: -2}); return err }, "Clients -2"},
 		{"nested RecrashDepth", func() error { _, err := RunNested(NestedConfig{RecrashDepth: -1}); return err }, "RecrashDepth -1"},

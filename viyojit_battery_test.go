@@ -1,12 +1,16 @@
 package viyojit
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"viyojit/internal/core"
 	"viyojit/internal/health"
+	"viyojit/internal/mmu"
 	"viyojit/internal/power"
 	"viyojit/internal/sim"
+	"viyojit/internal/ssd"
 )
 
 // covered is the budget the battery's *true* effective joules back, by
@@ -172,4 +176,53 @@ func TestBatteryChangesKeepDirtyCovered(t *testing.T) {
 func writable(sys *System) bool {
 	s := sys.HealthState()
 	return s == core.StateHealthy || s == core.StateDegraded
+}
+
+// failEvery fails every SSD page write transiently: a dead device.
+type failEvery struct{}
+
+func (failEvery) WriteFault(mmu.PageID, []byte) ssd.FaultDecision {
+	return ssd.FaultDecision{Fault: ssd.FaultTransient}
+}
+
+// An SSD that fails every write blocks writes and then ends on the
+// ReadOnly rung; a write meanwhile returns mmu.ErrProtected. The write
+// used to spin forever: the emergency drain ran nested under clean
+// submissions waiting for a device slot and waited for them to complete,
+// and the forced clean under the write restarted failed cleans without
+// end.
+func TestDeadSSDEndsReadOnly(t *testing.T) {
+	sys := newTestSystem(t, Config{NVDRAMSize: 4 << 20})
+	defer sys.Close()
+	m, err := sys.Map("heap", 2<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SSD().SetFaultInjector(failEvery{})
+	done := make(chan error, 1)
+	go func() {
+		for p := int64(0); p < m.Size()/4096; p++ {
+			if err := m.WriteAt([]byte{1}, p*4096); err != nil {
+				done <- err
+				return
+			}
+			sys.Pump()
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, mmu.ErrProtected) {
+			t.Fatalf("write on a dead SSD returned %v, want mmu.ErrProtected", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("writes to a region over a dead SSD did not return in 30 s")
+	}
+	sys.AdvanceTime(100 * sim.Millisecond)
+	if s := sys.HealthState(); s != core.StateReadOnly {
+		t.Fatalf("ladder at %v after 100 ms on a dead SSD, want ReadOnly", s)
+	}
+	if err := m.WriteAt([]byte{2}, 0); !errors.Is(err, mmu.ErrProtected) {
+		t.Fatalf("write on the ReadOnly rung returned %v, want mmu.ErrProtected", err)
+	}
 }
