@@ -69,10 +69,10 @@ func TestVerifyPageDetectsEveryModelledFault(t *testing.T) {
 	for n := 64; n <= size; n += 64 {
 		torn := bytes.Clone(image)
 		copy(torn[:n], next[:n])
-		d.putData(7, torn)
+		d.putData(7, torn, checksum(torn))
 		check(7, "torn prefix of %d bytes", n)
 	}
-	d.putData(7, bytes.Clone(image))
+	d.putData(7, bytes.Clone(image), checksum(image))
 
 	// Lost overwrite: acked, sum advanced, old bytes stay.
 	d.SetFaultInjector(&scriptInjector{decisions: []FaultDecision{{Fault: FaultLost}}})

@@ -213,3 +213,50 @@ func FuzzVerifyPage(f *testing.F) {
 		}
 	})
 }
+
+// benchPages is the durable set the verification benchmarks run over:
+// about what powerfail_cycle restores, and at 24 MiB larger than a
+// last-level cache, so a check that read the page would read cold memory.
+const benchPages = 6000
+
+// seededDevice returns a device holding benchPages distinct pages.
+func seededDevice() *SSD {
+	d, _, _ := newTestSSD(Config{})
+	img := randomPage(1, 4096)
+	for p := range benchPages {
+		img[0], img[1] = byte(p), byte(p>>8)
+		d.SeedDurable(mmu.PageID(p), img)
+	}
+	return d
+}
+
+// BenchmarkVerifyPage is the scrubber's check, one page per op, walking
+// the durable set.
+func BenchmarkVerifyPage(b *testing.B) {
+	d := seededDevice()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.VerifyPage(mmu.PageID(i % benchPages)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdoptVerified is a reboot's device hand-over, one page per op:
+// every benchPages ops a new device object adopts the whole set.
+func BenchmarkAdoptVerified(b *testing.B) {
+	src := seededDevice()
+	var d *SSD
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % benchPages
+		if p == 0 {
+			d, _, _ = newTestSSD(Config{})
+		}
+		if err := d.AdoptVerified(src, mmu.PageID(p)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

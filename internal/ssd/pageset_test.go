@@ -8,34 +8,27 @@ import (
 	"viyojit/internal/sim"
 )
 
-// The references below are what the device did before it kept page sets:
-// collect map keys, sort, index. They stay here, in the test, as the
-// specification the bitmaps must reproduce.
+// The references below walk the page table slot by slot, the way the
+// device answered before it kept page sets. They stay here, in the test,
+// as the specification the bitmaps must reproduce.
 
 func refDurablePageList(d *SSD) []mmu.PageID {
-	seen := make(map[mmu.PageID]struct{}, len(d.store)+len(d.sums))
-	out := make([]mmu.PageID, 0, len(d.store)+len(d.sums))
-	for p := range d.store {
-		seen[p] = struct{}{}
-		out = append(out, p)
-	}
-	for p := range d.sums {
-		if _, ok := seen[p]; !ok {
-			out = append(out, p)
+	var out []mmu.PageID
+	for p, s := range d.pages {
+		if s.data != nil || s.hasSum {
+			out = append(out, mmu.PageID(p))
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
 func refStoredPages(d *SSD, except mmu.PageID, skip bool) []mmu.PageID {
-	out := make([]mmu.PageID, 0, len(d.store))
-	for p := range d.store {
-		if !skip || p != except {
-			out = append(out, p)
+	var out []mmu.PageID
+	for p, s := range d.pages {
+		if s.data != nil && (!skip || mmu.PageID(p) != except) {
+			out = append(out, mmu.PageID(p))
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
