@@ -7,9 +7,9 @@ import (
 )
 
 // pageSet is a set of page numbers kept as a bitmap indexed by page. The
-// device's maps answer "what does this page hold"; a pageSet answers the
-// ordered questions the maps cannot — the next members above a page, the
-// k-th member — without visiting the whole set. Page numbers are dense (a
+// device's page table answers "what does this page hold"; a pageSet
+// answers the ordered questions — the next members above a page, the k-th
+// member — without visiting every slot. Page numbers are dense (a
 // region's pages count up from 0), so the bitmap is one bit per region
 // page.
 type pageSet struct {
@@ -36,14 +36,6 @@ func (s *pageSet) add(page mmu.PageID) {
 func (s *pageSet) has(page mmu.PageID) bool {
 	w := int(page >> 6)
 	return w < len(s.words) && s.words[w]&(1<<(page&63)) != 0
-}
-
-// remove deletes page; removing a non-member is a no-op.
-func (s *pageSet) remove(page mmu.PageID) {
-	if s.has(page) {
-		s.words[page>>6] &^= 1 << (page & 63)
-		s.n--
-	}
 }
 
 // appendFrom appends to dst, ascending, the first max members numbered
