@@ -634,9 +634,10 @@ func durableSystem(b *testing.B, pages int) *viyojit.System {
 
 // BenchmarkRecover is one power cycle through the facade at the repo
 // benchmark's scale, ≈ 8 000 durable pages: SimulatePowerFailure, then
-// Recover — every page verified once, adopted by the new device, read
-// into the new region — stack construction included. ns/page and
-// allocs/page are the cost of "one checksum, one copy per page".
+// Recover — every page verified once, adopted by the new device and
+// shared with the new region, which reads the device's image until its
+// first store — stack construction included. ns/page and allocs/page
+// are the cost of a reboot that checks every page and copies none.
 func BenchmarkRecover(b *testing.B) {
 	const pages = 8000
 	sys := durableSystem(b, pages)

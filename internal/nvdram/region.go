@@ -7,13 +7,22 @@
 // The region costs the host what it holds, not what it could hold. New
 // allocates the page table, the TLB index, a table of chunk pointers and
 // one zero page — no data bytes. A chunk of chunkPages pages is backed by
-// the first store into it (WriteAt, RestorePage, RestoreChunkFrom of pages
-// the device has) and lives as long as the region or until a successor
-// takes it over (TakeOver); a read of a chunk nothing was ever stored into
-// sees zeros and allocates nothing. Virtual time, MMU state and every byte
-// a caller can observe are those of a flat array of Size zero bytes — and
-// a region that was taken over reads as that array before any store, as
-// DRAM that lost power.
+// the first store into it (WriteAt, RestorePage) and lives as long as the
+// region or until a successor takes it over (TakeOver); a read of a chunk
+// nothing was ever stored into sees zeros and allocates nothing.
+//
+// A restore after a power cycle (RestoreFrom) copies nothing either: a
+// restored page reads the device's stored image itself, which is
+// immutable (ssd.ReadStream.SharePage), until the first store into the
+// page copies the image into the region and drops the share. That is the
+// paper's write-protected clean page (§4.2) at the byte layer: the first
+// store after a reboot is the event that pays for the page, and a store
+// that escaped the MMU trap would still land on the region's own copy.
+//
+// Virtual time, MMU state and every byte a caller can observe are those of
+// a flat array of Size zero bytes — and a region that was taken over
+// reads as that array before any store or restore, as DRAM that lost
+// power.
 package nvdram
 
 import (
@@ -27,13 +36,10 @@ import (
 const DefaultPageSize = 4096
 
 // chunkPages is how many pages one host allocation backs: 256 KiB at the
-// default page size. Backing page by page would cost a reboot one
-// allocation per restored page; a power of two keeps the chunk lookup a
-// shift and a mask of the page number. RestoreChunkFrom keeps one bit per
-// page of a chunk in a uint64, so it may not exceed 64.
+// default page size. Backing page by page would cost the first stores
+// after a reboot one allocation per page; a power of two keeps the chunk
+// lookup a shift and a mask of the page number.
 const chunkPages = 64
-
-var _ [64 - chunkPages]struct{} // compile-time check: chunkPages ≤ 64
 
 // Config describes an NV-DRAM region.
 type Config struct {
@@ -62,9 +68,15 @@ type Region struct {
 	// chunks[page/chunkPages] backs chunkPages consecutive pages (the last
 	// chunk as many as are left); nil until the first store into it.
 	chunks [][]byte
+	// shared[page] is the device image page reads as until the first
+	// store into it (RestoreFrom, own); nil where the page reads its
+	// chunk. The table is nil until the first restore and passes to the
+	// region that reboots this one (TakeOver), so a chain of reboots
+	// allocates it once.
+	shared [][]byte
 	// spares are full-size chunk buffers taken over from the region this
-	// one reboots (TakeOver), holding its stale bytes until a restore
-	// reuses them or ReleaseSpares drops them.
+	// one reboots (TakeOver), holding its stale bytes until first stores
+	// back chunks with them (back) or a successor takes them over.
 	spares      [][]byte
 	zero        []byte // what RawPage shows of an unbacked page; never written
 	size        int64
@@ -127,26 +139,75 @@ func (r *Region) checkRange(off int64, n int) error {
 	return nil
 }
 
-// Backed reports whether page's chunk has been stored into since the
-// region was made or taken over. A page that is not backed reads as zeros.
+// Backed reports whether page reads anything but zeros by construction:
+// a shared device image (RestoreFrom), or a chunk stored into since the
+// region was made or taken over. A page that is not backed reads as
+// zeros.
 func (r *Region) Backed(page mmu.PageID) bool {
-	return r.chunks[page/chunkPages] != nil
+	return r.view(page) != nil
 }
 
-// chunk returns the chunk a store into page lands in, backing it first if
-// nothing has been stored there yet. The caller has range-checked page.
-func (r *Region) chunk(page mmu.PageID) []byte {
-	ci := r.ChunkOf(page)
-	if c := r.chunks[ci]; c != nil {
-		return c
+// view returns the bytes page reads as: its shared image, its slice of a
+// backed chunk, or nil for a page that is not backed. With no shared
+// table — a region never restored into — it costs one nil check more than
+// the chunk lookup. The caller has range-checked page.
+func (r *Region) view(page mmu.PageID) []byte {
+	if r.shared != nil {
+		if img := r.shared[page]; img != nil {
+			return img
+		}
 	}
-	r.chunks[ci] = make([]byte, r.chunkLen(ci))
-	return r.chunks[ci]
+	if c := r.chunks[page/chunkPages]; c != nil {
+		i := r.pageStart(page)
+		return c[i : i+r.pageSize]
+	}
+	return nil
 }
 
-// ChunkOf returns the index of the chunk page lies in: the pages one
-// RestoreChunkFrom call reloads share it.
-func (r *Region) ChunkOf(page mmu.PageID) int { return int(page / chunkPages) }
+// own returns page's bytes in its chunk for a store, backing the chunk
+// first if nothing backs it. A page that still reads a shared image gets
+// the image copied in and the share dropped, so the store lands on the
+// region's own copy, never on the device's buffer. Every byte store into
+// the region goes through here. The caller has range-checked page.
+func (r *Region) own(page mmu.PageID) []byte {
+	ci := int(page / chunkPages)
+	c := r.chunks[ci]
+	if c == nil {
+		c = r.back(ci)
+	}
+	i := r.pageStart(page)
+	dst := c[i : i+r.pageSize]
+	if r.shared != nil {
+		if img := r.shared[page]; img != nil {
+			copy(dst, img)
+			r.shared[page] = nil
+		}
+	}
+	return dst
+}
+
+// back backs chunk ci for a first store: with a spare (TakeOver) if the
+// chunk is full-size and one is left, else with a fresh allocation. A
+// spare's pages are cleared except those that read a shared image, which
+// own fills before a store can reach them, so the chunk reads as a fresh
+// one would and no byte DRAM lost at the power cut shows through.
+func (r *Region) back(ci int) []byte {
+	var c []byte
+	if n := len(r.spares); n > 0 && r.chunkLen(ci) == chunkPages*r.pageSize {
+		c = r.spares[n-1]
+		r.spares[n-1] = nil
+		r.spares = r.spares[:n-1]
+		for i := 0; i < chunkPages; i++ {
+			if r.shared == nil || r.shared[ci*chunkPages+i] == nil {
+				clear(c[i*r.pageSize : (i+1)*r.pageSize])
+			}
+		}
+	} else {
+		c = make([]byte, r.chunkLen(ci))
+	}
+	r.chunks[ci] = c
+	return c
+}
 
 // chunkLen is the byte length of chunk ci: chunkPages pages, the last chunk
 // as many as are left.
@@ -187,7 +248,7 @@ func (r *Region) WriteAt(p []byte, off int64) error {
 		if err := r.pt.Write(page); err != nil {
 			return fmt.Errorf("nvdram: write at offset %d: %w", off, err)
 		}
-		copy(r.chunk(page)[r.pageStart(page)+pageOff:], p[:n])
+		copy(r.own(page)[pageOff:], p[:n])
 		r.chargeCopy(n)
 		p = p[n:]
 		off += int64(n)
@@ -209,8 +270,8 @@ func (r *Region) ReadAt(p []byte, off int64) error {
 			n = len(p)
 		}
 		r.pt.Read(page)
-		if c := r.chunks[page/chunkPages]; c != nil {
-			copy(p[:n], c[r.pageStart(page)+pageOff:])
+		if v := r.view(page); v != nil {
+			copy(p[:n], v[pageOff:])
 		} else {
 			clear(p[:n])
 		}
@@ -249,120 +310,88 @@ func (r *Region) RestorePage(page mmu.PageID, data []byte) error {
 	if err := r.checkRange(start, r.pageSize); err != nil {
 		return err
 	}
-	copy(r.chunk(page)[r.pageStart(page):], data)
+	copy(r.own(page), data)
 	r.chargeCopy(r.pageSize)
 	return nil
 }
 
-// PageReader is the durable device a page is reloaded from: it fills dst
-// with page's durable contents, charging its own read, and reports
-// whether it had any (*ssd.ReadStream).
+// PageReader is the durable device a page is reloaded from: it returns
+// its stored image of page, charging its own read, and reports whether it
+// had one (*ssd.ReadStream). The image is shared, not copied: it must
+// stay unchanged for as long as anything reads it.
 type PageReader interface {
-	ReadPageInto(page mmu.PageID, dst []byte) bool
+	SharePage(page mmu.PageID) ([]byte, bool)
 }
 
 // TakeOver makes r the successor of prev, a region that lost power: the
 // DRAM a reboot reloads is the DRAM that lost its contents. prev's
-// full-size chunk buffers become r's spares, which RestoreChunkFrom reuses
-// instead of allocating, and prev reads as never written from then on.
-// No page of r ever shows a spare's stale bytes: a restore clears every
-// page of a reused chunk that the device does not fill.
+// full-size chunk buffers, and the spares it never used, become r's
+// spares, which first stores into r reuse instead of allocating (back);
+// prev's shared-image table becomes r's, emptied, when r has none and the
+// sizes match; and prev reads as never written from then on. No page of r ever shows a spare's stale bytes.
 func (r *Region) TakeOver(prev *Region) {
 	full := chunkPages * r.pageSize
-	for _, c := range prev.chunks {
-		if len(c) == full {
-			r.spares = append(r.spares, c)
+	for _, cs := range [][][]byte{prev.chunks, prev.spares} {
+		for _, c := range cs {
+			if len(c) == full {
+				r.spares = append(r.spares, c)
+			}
 		}
 	}
 	clear(prev.chunks)
+	prev.spares = nil
+	if r.shared == nil && len(prev.shared) == r.NumPages() {
+		clear(prev.shared)
+		r.shared = prev.shared
+	}
+	prev.shared = nil
 }
 
-// ReleaseSpares drops the spares no restore reused, so that r pins no
-// more of its predecessor's memory than the chunks it restored into.
-func (r *Region) ReleaseSpares() { r.spares = nil }
-
-// RestoreChunkFrom reloads pages, which all lie in one chunk (ChunkOf),
-// from src, in the order given: the recovery flow's reload of durable
-// contents after a power cycle. It bypasses the MMU write path, since a
-// restored page is by definition clean and must not enter the dirty set.
-// Each read lands straight in its page, and only src's reads are charged:
-// the DRAM-side copy is DMA that overlaps the slower device transfer, as
-// in the power-fail flush, so there is no serial copy time to add. It
-// returns how many of the pages src had contents for.
-//
-// In a chunk that is already backed, a page src has nothing for is left
-// as it was. A chunk that is not backed stays so unless src has one of
-// its pages; it is then backed by a spare (TakeOver) if it is full-size
-// and one is left, else by a fresh allocation. Every page of a reused
-// spare that src did not fill is cleared, so the chunk reads exactly as a
-// fresh one would — at the cost of clearing the pages nothing was
-// restored into rather than all of them.
-func (r *Region) RestoreChunkFrom(src PageReader, pages []mmu.PageID) (int, error) {
-	if len(pages) == 0 {
-		return 0, nil
+// RestoreFrom reloads page from src: the recovery flow's reload of durable
+// contents after a power cycle. The page reads src's stored image from
+// then on, by reference, until the first store into it copies the image
+// into the region (own); nothing is copied or backed here. It bypasses
+// the MMU write path, since a restored page is by definition clean and
+// must not enter the dirty set, and only src's read is charged: the
+// DRAM-side transfer is DMA that overlaps the slower device read, as in
+// the power-fail flush. It reports whether src had contents for the page;
+// a page it has nothing for is left as it was.
+func (r *Region) RestoreFrom(src PageReader, page mmu.PageID) (bool, error) {
+	if err := r.checkRange(int64(page)*int64(r.pageSize), r.pageSize); err != nil {
+		return false, err
 	}
-	ci := r.ChunkOf(pages[0])
-	for _, page := range pages {
-		if err := r.checkRange(int64(page)*int64(r.pageSize), r.pageSize); err != nil {
-			return 0, err
-		}
-		if r.ChunkOf(page) != ci {
-			return 0, fmt.Errorf("nvdram: chunk restore of pages %d and %d, which lie in different chunks", pages[0], page)
-		}
+	img, ok := src.SharePage(page)
+	if !ok {
+		return false, nil
 	}
-	c, spare := r.chunks[ci], false
-	fresh := c == nil
-	if fresh {
-		if n := len(r.spares); n > 0 && r.chunkLen(ci) == chunkPages*r.pageSize {
-			c, r.spares, spare = r.spares[n-1], r.spares[:n-1], true
-		} else {
-			c = make([]byte, r.chunkLen(ci))
-		}
+	if len(img) != r.pageSize {
+		return false, fmt.Errorf("nvdram: restore of a %d-byte image to page of %d", len(img), r.pageSize)
 	}
-	var filled uint64 // bit i: src filled page i of the chunk
-	restored := 0
-	for _, page := range pages {
-		i := r.pageStart(page)
-		if src.ReadPageInto(page, c[i:i+r.pageSize]) {
-			filled |= 1 << (page % chunkPages)
-			restored++
-		}
+	if r.shared == nil {
+		r.shared = make([][]byte, r.NumPages())
 	}
-	switch {
-	case !fresh:
-	case restored == 0 && spare:
-		r.spares = append(r.spares, c)
-	case restored > 0:
-		if spare {
-			for i := 0; i < chunkPages; i++ {
-				if filled&(1<<i) == 0 {
-					clear(c[i*r.pageSize : (i+1)*r.pageSize])
-				}
-			}
-		}
-		r.chunks[ci] = c
-	}
-	return restored, nil
+	r.shared[page] = img
+	return true, nil
 }
 
 // RawPage returns a read-only view of a page's current bytes without
-// charging time or touching MMU state: the live backing bytes of a backed
-// page, and for a page that is not backed a zero page shared by every such
-// page of the region. Nobody may store through it — a store through the
-// zero page would show in every unbacked page, and a store is what the MMU
-// exists to see. It is for durability verification and the streaming
-// power-fail backup (whose device write copies the bytes), not for
-// application access.
+// charging time or touching MMU state: the shared device image of a
+// restored page nothing has stored into, the live backing bytes of a
+// backed page, and for a page that is not backed a zero page shared by
+// every such page of the region. Nobody may store through it — a store
+// through the zero page would show in every unbacked page, one through a
+// shared image would change the device's stored copy, and a store is
+// what the MMU exists to see. It is for durability verification and the
+// streaming power-fail backup (whose device write copies the bytes), not
+// for application access.
 func (r *Region) RawPage(page mmu.PageID) []byte {
-	c := r.chunks[page/chunkPages]
-	if c == nil {
-		if int(page) >= r.NumPages() {
-			panic(fmt.Sprintf("nvdram: page %d outside region of %d pages", page, r.NumPages()))
-		}
-		return r.zero
+	if int(page) >= r.NumPages() || int(page) < 0 {
+		panic(fmt.Sprintf("nvdram: page %d outside region of %d pages", page, r.NumPages()))
 	}
-	i := r.pageStart(page)
-	return c[i : i+r.pageSize]
+	if v := r.view(page); v != nil {
+		return v
+	}
+	return r.zero
 }
 
 // DurableStore is the device a region's pages are checked against
@@ -379,7 +408,9 @@ type DurableStore interface {
 // and a restore would leave it so — and is not compared with a page of
 // zeros to find that out. Every other page is compared byte for byte: a
 // page of a backed chunk whether or not anything was stored into that
-// page, and an unbacked page dev has a copy of.
+// page, a shared page, and an unbacked page dev has a copy of. A shared
+// page whose image is still dev's stored buffer is the same memory on
+// both sides, and the compare returns at the first pointer check.
 func (r *Region) CheckRestorable(dev DurableStore, page mmu.PageID) error {
 	if !r.Backed(page) {
 		if _, durable := dev.Durable(page); !durable {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"viyojit/internal/mmu"
@@ -73,26 +74,60 @@ func (f *flatRegion) page(page mmu.PageID) []byte {
 	return f.data[int(page)*f.ps : (int(page)+1)*f.ps]
 }
 
-// mapReader is a device holding the pages in its map, counting reads.
+// mapReader is a device holding the pages in its map, counting reads. It
+// keeps a pristine copy of every image it hands out, so a region that
+// stores into a shared image is caught.
 type mapReader struct {
-	pages map[mmu.PageID][]byte
-	reads int
+	pages  map[mmu.PageID][]byte
+	reads  int
+	handed map[*byte]handout // by the image's first byte
 }
 
-func (m *mapReader) ReadPageInto(page mmu.PageID, dst []byte) bool {
+// handout is an image a mapReader shared and the copy it kept of it.
+type handout struct {
+	img, pristine []byte
+}
+
+func newMapReader(pages map[mmu.PageID][]byte) *mapReader {
+	return &mapReader{pages: pages, handed: map[*byte]handout{}}
+}
+
+func (m *mapReader) SharePage(page mmu.PageID) ([]byte, bool) {
 	data, ok := m.pages[page]
 	if ok {
 		m.reads++
-		copy(dst, data)
+		if _, seen := m.handed[&data[0]]; !seen {
+			m.handed[&data[0]] = handout{data, bytes.Clone(data)}
+		}
 	}
-	return ok
+	return data, ok
+}
+
+// intact reports whether every image handed out still equals its
+// pristine copy.
+func (m *mapReader) intact() bool {
+	for _, h := range m.handed {
+		if !bytes.Equal(h.img, h.pristine) {
+			return false
+		}
+	}
+	return true
+}
+
+// scriptStats counts what a script reached that the flat model cannot
+// tell apart: chunks backed by a spare, and shared pages a store copied
+// into the region.
+type scriptStats struct {
+	spares, owned int
 }
 
 // driveAgainstFlat decodes ops from script and applies each to a sparse
 // region and the flat model, comparing after every one. Sizes are chosen
 // so that a region has several chunks, a short last one, and — for some
-// scripts — fewer pages than one chunk.
-func driveAgainstFlat(t *testing.T, script []byte) {
+// scripts — fewer pages than one chunk. After every op, every image the
+// device handed out is unchanged, and every page of a chunk the op backed
+// equals the model, so a spare's 0xA5 never shows through.
+func driveAgainstFlat(t *testing.T, script []byte) (st scriptStats) {
 	t.Helper()
 	next := func() int {
 		if len(script) == 0 {
@@ -122,7 +157,7 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 			}
 		})
 	}
-	dev := &mapReader{pages: map[mmu.PageID][]byte{}}
+	dev := newMapReader(map[mmu.PageID][]byte{})
 	fill := byte(1)
 	payload := func(n int) []byte {
 		buf := make([]byte, n)
@@ -150,6 +185,13 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 		op := next() % 10
 		page := mmu.PageID((next()<<8 | next()) % (numPages + 1)) // one past the end too
 		inside := int(page) < numPages
+		chunks, spares := slices.Clone(r.chunks), len(r.spares)
+		shared := 0
+		for _, img := range r.shared {
+			if img != nil {
+				shared++
+			}
+		}
 		switch op {
 		case 0, 1: // store
 			off, buf := offset(), payload(next()*next()%(3*ps))
@@ -191,44 +233,44 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 				copy(f.page(page), data)
 				f.charge(ps)
 			}
-		case 6: // chunk restore: a run of pages from page on, within its chunk
-			pages, stride, valid := []mmu.PageID{page}, mmu.PageID(next()%3+1), inside
+		case 6: // restore: a run of pages from page on, mostly within its chunk
+			pages, stride := []mmu.PageID{page}, mmu.PageID(next()%3+1)
 			for n := next() % 6; n > 0; n-- {
 				p := pages[len(pages)-1] + stride
 				if p/chunkPages != page/chunkPages {
 					break
 				}
 				pages = append(pages, p)
-				valid = valid && int(p) < numPages
 			}
 			if next()%16 == 0 { // a page of the next chunk
 				pages = append(pages, (page/chunkPages+1)*chunkPages)
-				valid = false
 			}
 			for _, p := range pages {
 				if next()%2 == 0 && int(p) < numPages {
 					dev.pages[p] = payload(ps)
 				}
 			}
-			reads := dev.reads
-			restored, err := r.RestoreChunkFrom(dev, pages)
-			if (err == nil) != valid {
-				t.Fatalf("step %d: RestoreChunkFrom(%v) = %v in a region of %d pages", step, pages, err, numPages)
-			}
-			want := 0
 			for _, p := range pages {
-				if data, has := dev.pages[p]; has && valid {
-					copy(f.page(p), data)
-					want++
+				reads := dev.reads
+				restored, err := r.RestoreFrom(dev, p)
+				valid := int(p) < numPages
+				if (err == nil) != valid {
+					t.Fatalf("step %d: RestoreFrom(%d) = %v in a region of %d pages", step, p, err, numPages)
 				}
-			}
-			if restored != want || dev.reads-reads != want {
-				t.Fatalf("step %d: RestoreChunkFrom(%v) restored %d pages with %d device reads, device has %d", step, pages, restored, dev.reads-reads, want)
-			}
-			// Every page of the chunk, so a reused spare's stale bytes show.
-			for p := page / chunkPages * chunkPages; inside && p < (page/chunkPages+1)*chunkPages && int(p) < numPages; p++ {
-				if !bytes.Equal(r.RawPage(p), f.page(p)) {
-					t.Fatalf("step %d: page %d differs from the flat model after RestoreChunkFrom(%v)", step, p, pages)
+				data, has := dev.pages[p]
+				has = has && valid
+				wantReads := 0
+				if has {
+					wantReads = 1
+				}
+				if restored != has || dev.reads-reads != wantReads {
+					t.Fatalf("step %d: RestoreFrom(%d) = %v with %d device reads, device has it: %v", step, p, restored, dev.reads-reads, has)
+				}
+				if has {
+					copy(f.page(p), data)
+					if &r.RawPage(p)[0] != &data[0] {
+						t.Fatalf("step %d: page %d restored by copy, not by reference", step, p)
+					}
 				}
 			}
 		case 7:
@@ -250,8 +292,39 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 					t.Fatalf("step %d: page %d of a region taken over is still backed or non-zero", step, p)
 				}
 			}
-		case 9:
-			r.ReleaseSpares()
+		case 9: // a one-byte store at the start of page: a first store into a shared page
+			if !inside {
+				continue
+			}
+			b := []byte{byte(page) ^ 0x5A}
+			err := r.WriteAt(b, int64(page)*int64(ps))
+			if ok := f.access(b, int64(page)*int64(ps), true); ok != (err == nil) {
+				t.Fatalf("step %d: one-byte WriteAt at page %d = %v, flat model ok=%v", step, page, err, ok)
+			}
+		}
+		if !dev.intact() {
+			t.Fatalf("step %d (op %d): an image the device handed out changed", step, op)
+		}
+		for ci, c := range r.chunks {
+			if chunks[ci] != nil || c == nil {
+				continue
+			}
+			for p := mmu.PageID(ci * chunkPages); p < mmu.PageID(min((ci+1)*chunkPages, numPages)); p++ {
+				if !bytes.Equal(r.RawPage(p), f.page(p)) {
+					t.Fatalf("step %d (op %d): page %d of chunk %d, backed by this op, differs from the flat model", step, op, p, ci)
+				}
+			}
+		}
+		if op != 8 && len(r.spares) < spares {
+			st.spares++
+		}
+		if op != 6 {
+			for _, img := range r.shared {
+				if img != nil {
+					shared--
+				}
+			}
+			st.owned += shared
 		}
 		if inside && !bytes.Equal(r.RawPage(page), f.page(page)) {
 			t.Fatalf("step %d (op %d): RawPage(%d) differs from the flat model", step, op, page)
@@ -275,20 +348,30 @@ func driveAgainstFlat(t *testing.T, script []byte) {
 	if r.Size() != size || r.NumPages() != numPages {
 		t.Fatalf("Size %d NumPages %d, want %d and %d", r.Size(), r.NumPages(), size, numPages)
 	}
+	return st
 }
 
 // TestSparseMatchesFlatModel: seeded random scripts of every region
 // operation leave a sparse region and a flat array in the same state at
 // every step.
 func TestSparseMatchesFlatModel(t *testing.T) {
+	var total scriptStats
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := sim.NewRNG(seed)
 		script := make([]byte, 2+rng.Intn(1200))
 		for i := range script {
 			script[i] = byte(rng.Uint64())
 		}
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { driveAgainstFlat(t, script) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			st := driveAgainstFlat(t, script)
+			total.spares += st.spares
+			total.owned += st.owned
+		})
 	}
+	if total.spares == 0 || total.owned == 0 {
+		t.Fatalf("the scripts backed %d chunks with spares and copied %d shared pages in: the checks saw neither path", total.spares, total.owned)
+	}
+	t.Logf("%d chunks backed by spares, %d shared pages copied in by a store", total.spares, total.owned)
 }
 
 func FuzzRegion(f *testing.F) {
@@ -376,93 +459,138 @@ func TestNewBacksNothing(t *testing.T) {
 	}
 }
 
-// TestRestoreFromSkipsAbsentPages: a chunk restore the device has nothing
-// for neither reads, nor changes the pages, nor backs their chunk.
+// TestRestoreFromSkipsAbsentPages: a restore the device has nothing for
+// neither reads, nor changes the page, nor backs it; a restore of a page
+// it has shares the device's image and backs no chunk; and a restore past
+// the end fails.
 func TestRestoreFromSkipsAbsentPages(t *testing.T) {
 	r, c := newTestRegion(t, 4*chunkPages*4096, 4096)
-	dev := &mapReader{pages: map[mmu.PageID][]byte{chunkPages + 3: bytes.Repeat([]byte{7}, 4096)}}
-	for _, pages := range [][]mmu.PageID{{0}, {1, 5}, {chunkPages + 2}, {3 * chunkPages}} {
-		if n, err := r.RestoreChunkFrom(dev, pages); n != 0 || err != nil {
-			t.Fatalf("RestoreChunkFrom(%v) = %d, %v for pages the device lacks", pages, n, err)
+	held := bytes.Repeat([]byte{7}, 4096)
+	dev := newMapReader(map[mmu.PageID][]byte{chunkPages + 3: held})
+	for _, page := range []mmu.PageID{0, 5, chunkPages + 2, 3 * chunkPages} {
+		if ok, err := r.RestoreFrom(dev, page); ok || err != nil {
+			t.Fatalf("RestoreFrom(%d) = %v, %v for a page the device lacks", page, ok, err)
 		}
-		if r.Backed(pages[0]) {
-			t.Fatalf("page %d backed by a restore the device had nothing for", pages[0])
-		}
-	}
-	if n, err := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 1, chunkPages + 3}); n != 1 || err != nil {
-		t.Fatalf("RestoreChunkFrom of one held page and one absent = %d, %v", n, err)
-	}
-	if !r.Backed(chunkPages+3) || r.Backed(0) || r.Backed(2*chunkPages) || !bytes.Equal(r.RawPage(chunkPages+3), dev.pages[chunkPages+3]) {
-		t.Fatal("restoring one held page must back its chunk alone, with the device's bytes")
-	}
-	// A miss in a backed chunk leaves its contents, and the chunk, alone.
-	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 2}); n != 0 || !r.Backed(chunkPages+2) || r.RawPage(chunkPages + 3)[0] != 7 {
-		t.Fatal("a miss inside a backed chunk disturbed it")
-	}
-	for _, pages := range [][]mmu.PageID{{4 * chunkPages}, {3, chunkPages + 3}} {
-		if _, err := r.RestoreChunkFrom(dev, pages); err == nil {
-			t.Fatalf("RestoreChunkFrom(%v), past the end or across chunks, succeeded", pages)
+		if r.Backed(page) {
+			t.Fatalf("page %d backed by a restore the device had nothing for", page)
 		}
 	}
-	if dev.reads != 1 || c.Now() != 0 {
-		t.Fatalf("%d device reads and clock %v, want one read and no region-side charge", dev.reads, c.Now())
+	if ok, err := r.RestoreFrom(dev, chunkPages+3); !ok || err != nil {
+		t.Fatalf("RestoreFrom of a held page = %v, %v", ok, err)
+	}
+	if !r.Backed(chunkPages+3) || r.Backed(chunkPages+2) || &r.RawPage(chunkPages + 3)[0] != &held[0] {
+		t.Fatal("restoring one held page must make it, and it alone, read the device's image")
+	}
+	for ci, ch := range r.chunks {
+		if ch != nil {
+			t.Fatalf("a restore backed chunk %d", ci)
+		}
+	}
+	if c.Now() != 0 {
+		t.Fatalf("restores charged the region's clock %v, want nothing", c.Now())
+	}
+	// A miss over a page stored into leaves its bytes alone.
+	if err := r.WriteAt([]byte{9}, (chunkPages+2)*4096); err != nil {
+		t.Fatal(err)
+	}
+	stored := c.Now()
+	if ok, _ := r.RestoreFrom(dev, chunkPages+2); ok || r.RawPage(chunkPages + 2)[0] != 9 || r.RawPage(chunkPages + 3)[0] != 7 {
+		t.Fatal("a miss beside a shared page disturbed a page")
+	}
+	if _, err := r.RestoreFrom(dev, 4*chunkPages); err == nil {
+		t.Fatal("RestoreFrom past the end succeeded")
+	}
+	if dev.reads != 1 || !dev.intact() || c.Now() != stored {
+		t.Fatalf("%d device reads and clock %v, want one read, an unchanged image and no region-side charge", dev.reads, c.Now())
 	}
 }
 
 // TestTakeOverReusesChunks: a region reboots into its predecessor's
-// full-size chunks. The predecessor then reads as never written, a
-// restored chunk shows the device's pages and zeros elsewhere — never the
-// stale bytes — and a chunk restore backed by a spare allocates nothing.
+// full-size chunks and its table of shared images. The predecessor then
+// reads as never written. The restore allocates nothing and backs no
+// chunk; the first store into a chunk backs it with a spare, allocating
+// nothing, and the chunk shows the shared images, the store and zeros
+// elsewhere — never the stale bytes; the short last chunk is allocated
+// as ever. A first store into a shared page
+// copies the image in and leaves the device's image as it was. With the
+// spares used up, a first store allocates a fresh chunk.
 func TestTakeOverReusesChunks(t *testing.T) {
 	const ps = 4096
-	prev, _ := newTestRegion(t, (2*chunkPages+3)*ps, ps)
+	prev, _ := newTestRegion(t, (chunkPages+3)*ps, ps)
 	if err := prev.WriteAt(bytes.Repeat([]byte{0xA5}, int(prev.Size())), 0); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := newTestRegion(t, prev.Size(), ps)
-	r.TakeOver(prev)
-	if len(r.spares) != 2 {
-		t.Fatalf("%d spares taken over, want the 2 full-size chunks and not the short last one", len(r.spares))
-	}
-	for p := 0; p < prev.NumPages(); p++ {
-		if prev.Backed(mmu.PageID(p)) || !bytes.Equal(prev.RawPage(mmu.PageID(p)), make([]byte, ps)) {
-			t.Fatalf("page %d of the region taken over is backed or non-zero", p)
-		}
-	}
 	held := bytes.Repeat([]byte{7}, ps)
-	dev := &mapReader{pages: map[mmu.PageID][]byte{2: held, 5: held, 2*chunkPages + 1: held}}
-	if got := allocated(func() {
-		if n, err := r.RestoreChunkFrom(dev, []mmu.PageID{2, 3, 5}); n != 2 || err != nil {
-			t.Fatalf("RestoreChunkFrom = %d, %v", n, err)
+	dev := newMapReader(map[mmu.PageID][]byte{2: held, 5: held, chunkPages + 1: held})
+	if ok, err := prev.RestoreFrom(dev, chunkPages+1); !ok || err != nil {
+		t.Fatalf("RestoreFrom into the predecessor = %v, %v", ok, err)
+	}
+	r, _ := newTestRegion(t, (2*chunkPages+3)*ps, ps)
+	bigger, _ := newTestRegion(t, (2*chunkPages+3)*ps, ps)
+	bigger.RestoreFrom(dev, 2)
+	table := &bigger.shared[0]
+	r.TakeOver(bigger) // its table, no chunk
+	r.TakeOver(prev)   // its chunk; its table is the wrong length
+	if len(r.spares) != 1 || r.shared == nil || &r.shared[0] != table || r.Backed(2) {
+		t.Fatalf("%d spares taken over, want the one full-size chunk and not the short last one; the table must be handed on emptied", len(r.spares))
+	}
+	for _, old := range []*Region{prev, bigger} {
+		for p := 0; p < old.NumPages(); p++ {
+			if old.Backed(mmu.PageID(p)) || !bytes.Equal(old.RawPage(mmu.PageID(p)), make([]byte, ps)) {
+				t.Fatalf("page %d of a region taken over is backed or non-zero", p)
+			}
 		}
-	}); got >= ps {
-		t.Fatalf("a chunk restore into a spare allocated %d bytes", got)
+	}
+	if got := allocated(func() {
+		for _, p := range []mmu.PageID{2, 3, 5} {
+			r.RestoreFrom(dev, p)
+		}
+	}); got != 0 || r.chunks[0] != nil {
+		t.Fatalf("a restore into a handed-on table allocated %d bytes or backed a chunk", got)
+	}
+	if err := r.WriteAt([]byte{1}, (2*chunkPages+1)*ps); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.spares) != 1 || len(r.chunks[2]) != 3*ps {
+		t.Fatal("the short last chunk took a spare")
+	}
+	spare := &r.spares[0][0]
+	if got := allocated(func() {
+		if err := r.WriteAt([]byte{1}, 3*ps+10); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= ps || &r.chunks[0][0] != spare || len(r.spares) != 0 {
+		t.Fatalf("the first store into chunk 0 allocated %d bytes or did not take the spare", got)
 	}
 	for p := 0; p < chunkPages; p++ {
 		want := make([]byte, ps)
-		if p == 2 || p == 5 {
+		switch p {
+		case 2, 5:
 			want = held
+		case 3:
+			want[10] = 1
 		}
 		if !bytes.Equal(r.RawPage(mmu.PageID(p)), want) {
-			t.Fatalf("page %d of a chunk restored into a spare: want the device's page or zeros", p)
+			t.Fatalf("page %d of a chunk backed by a spare: want the device's image, the store or zeros", p)
 		}
 	}
-	// A restore the device has nothing for hands its spare back; the short
-	// last chunk is allocated as ever.
-	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 7}); n != 0 || r.Backed(chunkPages) || len(r.spares) != 1 {
-		t.Fatalf("a restore with nothing to read backed its chunk or kept the spare (%d left)", len(r.spares))
+	if &r.RawPage(2)[0] != &held[0] {
+		t.Fatal("a store beside a shared page copied it in")
 	}
-	if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{2*chunkPages + 1}); n != 1 || len(r.spares) != 1 || len(r.RawPage(2*chunkPages+2)) != ps {
-		t.Fatal("the short last chunk took a spare")
+	if err := r.WriteAt([]byte{9}, 2*ps+100); err != nil {
+		t.Fatal(err)
 	}
-	r.ReleaseSpares()
-	dev.pages[chunkPages+5] = held
+	want := bytes.Clone(held)
+	want[100] = 9
+	if !bytes.Equal(r.RawPage(2), want) || &r.RawPage(2)[0] == &held[0] || !dev.intact() {
+		t.Fatal("the first store into a shared page must copy the image in, store the byte and leave the device's image alone")
+	}
 	if got := allocated(func() {
-		if n, _ := r.RestoreChunkFrom(dev, []mmu.PageID{chunkPages + 5}); n != 1 {
-			t.Fatal("the device's page was not restored")
+		if err := r.WriteAt([]byte{1}, (chunkPages+5)*ps); err != nil {
+			t.Fatal(err)
 		}
-	}); got < chunkPages*ps || len(r.spares) != 0 {
-		t.Fatalf("after ReleaseSpares a chunk restore allocated %d bytes, want a fresh chunk", got)
+	}); got < chunkPages*ps {
+		t.Fatalf("with no spare left a first store allocated %d bytes, want a fresh chunk", got)
 	}
 }
 

@@ -52,12 +52,11 @@ func (r IntegrityReport) Clean() bool { return len(r.Quarantined) == 0 }
 // or an acked checksum — a fully lost write must be detected, not
 // skipped), in ascending order: the page is verified once on src, dev
 // adopts it with its recorded checksum (ssd.AdoptVerified), and one
-// sequential read stream over dev lands it straight in region's page, the
-// verified pages of one region chunk in one
-// nvdram.Region.RestoreChunkFrom call. Only bytes that pass are read and
-// restored. A page that fails is quarantined: left zero, listed in the
-// report, absent from dev. After a power cycle there is no other copy to
-// repair it from.
+// sequential read stream over dev hands region the stored image
+// (nvdram.Region.RestoreFrom), which the page reads by reference until
+// its first store. Only pages that pass are read and restored. A page
+// that fails is quarantined: left zero, listed in the report, absent from
+// dev. After a power cycle there is no other copy to repair it from.
 //
 // The stream is charged to clock — the reboot's clock, whichever clock
 // dev was built on — so RestoreTime is exact: zero when nothing was read,
@@ -72,31 +71,22 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD)
 	stream := dev.OpenReadStream(clock)
 	var report RestoreReport
 	integ := &report.Integrity
-	var batch []mmu.PageID // the verified pages of the chunk the walk is in
-	reload := func() error {
-		n, err := region.RestoreChunkFrom(stream, batch)
-		report.PagesRestored += n
-		batch = batch[:0]
-		return err
-	}
 	for _, page := range src.DurablePageList() {
 		if int(page) >= region.NumPages() {
 			return RestoreReport{}, fmt.Errorf("recovery: durable page %d outside region of %d pages", page, region.NumPages())
 		}
-		if len(batch) > 0 && region.ChunkOf(page) != region.ChunkOf(batch[0]) {
-			if err := reload(); err != nil {
-				return RestoreReport{}, err
-			}
-		}
 		integ.PagesVerified++
-		if verr := dev.AdoptVerified(src, page); verr == nil {
-			batch = append(batch, page)
+		if verr := dev.AdoptVerified(src, page); verr != nil {
+			integ.Quarantined = append(integ.Quarantined, page)
 			continue
 		}
-		integ.Quarantined = append(integ.Quarantined, page)
-	}
-	if err := reload(); err != nil {
-		return RestoreReport{}, err
+		restored, err := region.RestoreFrom(stream, page)
+		if err != nil {
+			return RestoreReport{}, err
+		}
+		if restored {
+			report.PagesRestored++
+		}
 	}
 	report.RestoreTime = clock.Now().Sub(start)
 	return report, nil

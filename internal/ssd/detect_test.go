@@ -219,9 +219,9 @@ func streamCost(cfg Config, pages int) sim.Duration {
 
 // TestReadStreamClosedForm: a stream of N stored pages charges
 // PerIOLatency + N × PageSize / ReadBandwidth to the clock it was opened
-// with — not the device's — delivers the durable bytes into the caller's
-// buffer, counts one read per page, and neither charges nor writes
-// anything for a page with no stored contents.
+// with — not the device's — hands out the stored buffer itself and marks
+// its slot lent, counts one read per page, and neither charges, returns
+// nor marks anything for a page with no stored contents.
 func TestReadStreamClosedForm(t *testing.T) {
 	for _, cfg := range []Config{{}, {ReadBandwidth: 2 << 20, PerIOLatency: 5 * sim.Microsecond}} {
 		d, devClock, _ := newTestSSD(cfg)
@@ -232,20 +232,24 @@ func TestReadStreamClosedForm(t *testing.T) {
 		}
 		clock := sim.NewClock()
 		stream := d.OpenReadStream(clock)
-		absent := page(0xEE, 4096)
-		if stream.ReadPageInto(3, absent) || !bytes.Equal(absent, page(0xEE, 4096)) || clock.Now() != 0 {
-			t.Fatal("opening the stream charged time, or a page with no stored contents was reported, written or charged")
+		if img, ok := stream.SharePage(3); ok || img != nil || clock.Now() != 0 || d.pages[3].lent {
+			t.Fatal("opening the stream charged time, or a page with no stored contents was reported, returned, marked or charged")
 		}
-		buf := make([]byte, 4096)
+		if _, ok := stream.SharePage(1000); ok || clock.Now() != 0 {
+			t.Fatal("a page past the device's table was reported or charged")
+		}
 		for i, p := range stored {
 			want, _ := d.Durable(p)
-			if !stream.ReadPageInto(p, buf) || !bytes.Equal(buf, want) {
-				t.Fatalf("page %d: the stream did not deliver the durable bytes", p)
+			if img, ok := stream.SharePage(p); !ok || &img[0] != &want[0] || len(img) != len(want) {
+				t.Fatalf("page %d: the stream did not hand out the stored buffer", p)
+			}
+			if !d.pages[p].lent {
+				t.Fatalf("page %d: shared but not lent, so a later write could recycle the buffer", p)
 			}
 			if got := sim.Duration(clock.Now()); got != streamCost(cfg, i+1) {
 				t.Fatalf("after %d pages the stream has charged %v, closed form %v", i+1, got, streamCost(cfg, i+1))
 			}
-			stream.ReadPageInto(2, absent)
+			stream.SharePage(2)
 		}
 		if devClock.Now() != 0 {
 			t.Fatalf("the stream charged the device's clock %v, not the one it was opened with", devClock.Now())

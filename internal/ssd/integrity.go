@@ -186,8 +186,10 @@ func (d *SSD) verify(page mmu.PageID) (slot, error) {
 // copy (flipStored) — so neither object can change what the other holds,
 // and the held sum stays the shared bytes' checksum on both. The page is
 // marked lent on both objects, so neither returns the shared buffer to its
-// free list when a later write displaces it: the other may still hold it.
-// No IO is modelled (the charged restore read is a ReadStream over d). A
+// free list when a later write displaces it: the other may still hold it,
+// and so may the NV-DRAM region the restore shares it with (the charged
+// restore read, a ReadStream over d, hands the region this very buffer;
+// SharePage). No IO is modelled here. A
 // page that fails verification returns the error wrapping ErrCorruptPage
 // and is not adopted. d may be src itself — an in-place restore — in
 // which case verification is all there is to do.

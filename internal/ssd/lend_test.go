@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"viyojit/internal/mmu"
+	"viyojit/internal/nvdram"
 	"viyojit/internal/sim"
 )
 
@@ -118,14 +119,28 @@ func checkAgainstRef(t *testing.T, name string, d *SSD, ref *refDevice, step int
 // checkHeldSums checks that the sum d holds for each stored image, which
 // verify compares instead of reading the bytes, is the image's checksum.
 // A path that installs an image without taking its sum, or a buffer
-// written in place after its sum was taken, fails it.
-func checkHeldSums(t *testing.T, name string, d *SSD, step int, what string) {
+// written in place after its sum was taken, fails it. shared holds the
+// images an NV-DRAM region reads by reference (SharePage): a slot of d
+// that holds one of them must be lent, or a later write on d could
+// recycle the buffer under the region.
+func checkHeldSums(t *testing.T, name string, d *SSD, step int, what string, shared map[mmu.PageID][]byte) {
 	t.Helper()
 	for p, s := range d.pages {
 		if s.data != nil && uint64(s.held) != Checksum(s.data) {
 			t.Fatalf("step %d (%s): device %s page %d: held sum %#x, stored bytes sum to %#x", step, what, name, p, s.held, Checksum(s.data))
 		}
 	}
+	for p, img := range shared {
+		if holds(d, p, img) && !d.pages[p].lent {
+			t.Fatalf("step %d (%s): device %s page %d: a region reads the stored buffer, but the slot is not lent", step, what, name, p)
+		}
+	}
+}
+
+// holds reports whether img is the buffer d stores for page.
+func holds(d *SSD, page mmu.PageID, img []byte) bool {
+	data := d.slotAt(page).data
+	return data != nil && &data[0] == &img[0]
 }
 
 // TestBufferLendingMatchesPrivateCopies drives two device objects with a
@@ -139,7 +154,11 @@ func checkHeldSums(t *testing.T, name string, d *SSD, step int, what string) {
 // shows as bytes changing under a page no step touched. Every device
 // object the script ever booted, retired ones included since they share
 // buffers with their adopters, must also hold each stored image's
-// checksum (checkHeldSums).
+// checksum (checkHeldSums). An NV-DRAM region restores pages from either
+// object in place (a ReadStream's SharePage, no adoption) and stores
+// single bytes into them; after every step each page it reads equals a
+// private clone, each image it still shares is unchanged, and every
+// device slot holding a shared image is lent.
 func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xC0FFEE} {
 		rng := sim.NewRNG(seed)
@@ -171,12 +190,19 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 		boot(1)
 		img := func() []byte { return randomPage(rng.Uint64(), 4096) }
 		pick := func() mmu.PageID { return mmu.PageID(rng.Intn(lendPages)) }
-		adopts, lentSeen, recycled, rots := 0, 0, 0, 0
+		region, err := nvdram.New(sim.NewClock(), nvdram.Config{Size: lendPages * 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		regionRef := make([]byte, lendPages*4096) // what the region must read
+		shared := map[mmu.PageID][]byte{}         // the images it reads by reference
+		sharedSums := map[mmu.PageID]uint64{}     // their checksums when shared
+		adopts, lentSeen, recycled, rots, shares, outlived := 0, 0, 0, 0, 0, 0
 		for step := 0; step < 600; step++ {
 			i := rng.Intn(2)
 			d, ref := devs[i], refs[i]
 			var what string
-			switch op := rng.Intn(12); {
+			switch op := rng.Intn(14); {
 			case op < 5: // cleans: snapshot writes, up to four in flight
 				what = "WriteSnapshotAsync"
 				for n := 1 + rng.Intn(4); n > 0; n-- {
@@ -240,6 +266,26 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 						adopts++
 					}
 				}
+			case op == 12: // a restore: the region shares the device's image in place
+				what = "RestoreFrom"
+				page := pick()
+				restored, err := region.RestoreFrom(d.OpenReadStream(sim.NewClock()), page)
+				if data, ok := ref.data[page]; err != nil || restored != ok {
+					t.Fatalf("step %d: RestoreFrom(%d) = %v, %v, reference has contents = %v", step, page, restored, err, ok)
+				} else if ok {
+					copy(regionRef[int(page)*4096:], data)
+					shared[page] = region.RawPage(page)
+					sharedSums[page] = Checksum(data)
+					shares++
+				}
+			case op == 13: // a first store: one byte into a page of the region
+				what = "WriteAt"
+				off, b := rng.Intn(lendPages*4096), byte(rng.Uint64())
+				if err := region.WriteAt([]byte{b}, int64(off)); err != nil {
+					t.Fatal(err)
+				}
+				regionRef[off] = b
+				delete(shared, mmu.PageID(off/4096))
 			default:
 				what = "CorruptPage"
 				page, off, pattern := pick(), rng.Intn(4096), byte(1+rng.Intn(255))
@@ -252,7 +298,20 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				}
 			}
 			for k, d := range booted {
-				checkHeldSums(t, fmt.Sprintf("#%d", k), d, step, what)
+				checkHeldSums(t, fmt.Sprintf("#%d", k), d, step, what, shared)
+			}
+			for p, img := range shared {
+				if &region.RawPage(p)[0] != &img[0] || Checksum(img) != sharedSums[p] {
+					t.Fatalf("step %d (%s): region page %d no longer reads its shared image, or the image changed", step, what, p)
+				}
+				if !slices.ContainsFunc(booted, func(d *SSD) bool { return holds(d, p, img) }) {
+					outlived++
+				}
+			}
+			for p := mmu.PageID(0); p < lendPages; p++ {
+				if !bytes.Equal(region.RawPage(p), regionRef[int(p)*4096:int(p+1)*4096]) {
+					t.Fatalf("step %d (%s): region page %d differs from its private copy", step, what, p)
+				}
 			}
 			for k := range devs {
 				lent := 0
@@ -274,6 +333,9 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 		}
 		if adopts == 0 || lentSeen == 0 || recycled == 0 {
 			t.Fatalf("seed %d: %d adoptions, at most %d lent pages and %d free buffers: the script never lent or recycled", seed, adopts, lentSeen, recycled)
+		}
+		if shares == 0 || outlived == 0 {
+			t.Fatalf("seed %d: %d restores shared an image and %d step-images outlived every device slot: the region checks saw nothing", seed, shares, outlived)
 		}
 	}
 }

@@ -155,7 +155,7 @@ type slot struct {
 	held   uint32 // checksum of data, taken when it was installed
 	acked  uint32 // checksum of the last acked contents, if hasSum
 	hasSum bool
-	lent   bool // another device object may hold data (AdoptVerified)
+	lent   bool // another device object or a region may read data (AdoptVerified, SharePage)
 }
 
 // measureSample is one completed write in the measurement window.
@@ -196,9 +196,10 @@ func (d *SSD) slotFor(page mmu.PageID) *slot {
 // putData installs data, a buffer no other device object holds, with sum,
 // its checksum, as page's stored contents, and returns the buffer it
 // displaced: nil if the page had none, or if its buffer was lent, since
-// another object may still read a lent one. Every installation goes
-// through here: no slot loses its data or sum, so the stored and claimed
-// sets only grow, and "bit set ⇔ slot has it" holds by construction.
+// another device object or a region may still read a lent one. Every
+// installation goes through here: no slot loses its data or sum, so the
+// stored and claimed sets only grow, and "bit set ⇔ slot has it" holds by
+// construction.
 func (d *SSD) putData(page mmu.PageID, data []byte, sum uint32) (displaced []byte) {
 	s := d.slotFor(page)
 	if !s.lent {
@@ -551,18 +552,19 @@ func (d *SSD) OpenReadStream(clock *sim.Clock) *ReadStream {
 	return &ReadStream{d: d, clock: clock}
 }
 
-// ReadPageInto streams page's durable contents into the caller's
-// page-sized buffer — the NV-DRAM page being reloaded (nvdram.PageReader).
-// It reports whether the page had durable contents; a page with none is
-// not part of the stream: dst is untouched and nothing is charged.
-func (s *ReadStream) ReadPageInto(page mmu.PageID, dst []byte) bool {
+// SharePage reads page's durable contents as one page of the stream and
+// returns the device's stored buffer itself, not a copy: the image an
+// NV-DRAM region reads the page from until its first store into it
+// (nvdram.PageReader). The caller must never write through it. The slot
+// is marked lent, so no later write that displaces the buffer recycles
+// it while the region still reads it; marking it here, not only in
+// AdoptVerified, covers the in-place restore, which adopts nothing. It
+// reports whether the page had durable contents; a page with none is not
+// part of the stream: nothing is returned, marked or charged.
+func (s *ReadStream) SharePage(page mmu.PageID) ([]byte, bool) {
 	d := s.d
-	if len(dst) != d.cfg.PageSize {
-		panic(fmt.Sprintf("ssd: read into %d bytes, want page size %d", len(dst), d.cfg.PageSize))
-	}
-	data := d.slotAt(page).data
-	if data == nil {
-		return false
+	if d.slotAt(page).data == nil {
+		return nil, false
 	}
 	cost := transferTime(d.cfg.PageSize, d.cfg.ReadBandwidth)
 	if !s.issued {
@@ -571,8 +573,9 @@ func (s *ReadStream) ReadPageInto(page mmu.PageID, dst []byte) bool {
 	}
 	s.clock.Advance(cost)
 	d.noteRead()
-	copy(dst, data)
-	return true
+	sl := &d.pages[page]
+	sl.lent = true
+	return sl.data, true
 }
 
 // SeedDurable installs contents into the durable store without modelling
@@ -593,11 +596,14 @@ func (d *SSD) SeedDurable(page mmu.PageID, data []byte) {
 
 // Durable returns the stored contents of page without charging time, for
 // durability verification. The slice is the device's own buffer: it must
-// not be modified, and it is valid only until the next write that lands
-// on that page of this device (a completed write, a misdirected one, a
-// batch, a seed or an adoption), which may hand the buffer out again for
-// another page's snapshot. A caller that keeps the bytes longer copies
-// them.
+// not be modified, and unless the page is lent it is valid only until the
+// next write that lands on that page of this device (a completed write, a
+// misdirected one, a batch, a seed or an adoption), which may hand the
+// buffer out again for another page's snapshot. A caller that keeps the
+// bytes longer copies them. A lent buffer (AdoptVerified, SharePage) is
+// never handed out again: it is immutable for as long as anything holds
+// it, which is what lets a restored NV-DRAM page be the stored image
+// itself until its first store.
 func (d *SSD) Durable(page mmu.PageID) ([]byte, bool) {
 	data := d.slotAt(page).data
 	return data, data != nil

@@ -880,18 +880,17 @@ func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err e
 		}
 	}()
 	// The reboot reloads the DRAM that lost power: s's region takes over
-	// prev's chunk buffers and restores into them, clearing only what the
-	// device does not refill, and lets go of the rest when the walk ends.
+	// prev's chunk buffers, which first stores after the restore back
+	// chunks with, and its table of shared device images.
 	s.region.TakeOver(prev.region)
 	// s's device object represents the same physical SSD, whose contents
 	// survived the power cycle: each durable page is verified there,
-	// adopted with its recorded checksum, and reloaded into NV-DRAM with
-	// the reboot's clock charged for the read. A page that fails is
-	// quarantined — listed in the report, absent from the new device and
-	// the region; after a power cycle there is no other copy to repair it
-	// from.
+	// adopted with its recorded checksum, and reloaded into NV-DRAM by
+	// reference, with the reboot's clock charged for the read. A page
+	// that fails is quarantined — listed in the report, absent from the
+	// new device and the region; after a power cycle there is no other
+	// copy to repair it from.
 	report, err = recovery.RestoreVerified(s.clock, s.region, s.dev, prev.dev)
-	s.region.ReleaseSpares()
 	if err != nil {
 		return recovery.RestoreReport{}, err
 	}

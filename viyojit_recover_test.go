@@ -2,14 +2,17 @@ package viyojit
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"viyojit/internal/mmu"
 	"viyojit/internal/recovery"
 	"viyojit/internal/sim"
+	"viyojit/internal/ssd"
 )
 
 // TestCloseIdempotent: Close twice (and after a power failure) must be
@@ -263,14 +266,39 @@ func TestRecoverErrorLeavesNothingScheduled(t *testing.T) {
 	}
 }
 
+// backedChunks counts the 64-page chunks of sys's region that a store
+// has backed: a page that reads a shared device image does not count.
+func backedChunks(t *testing.T, sys *System) int {
+	t.Helper()
+	n := 0
+	for p := 0; p < sys.region.NumPages(); p += 64 {
+		for q := p; q < min(p+64, sys.region.NumPages()); q++ {
+			if sys.region.Backed(mmu.PageID(q)) && !sharesDurable(sys, mmu.PageID(q)) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// sharesDurable reports whether page reads the device's stored image
+// itself: the same memory, not a copy of it.
+func sharesDurable(sys *System, page mmu.PageID) bool {
+	durable, ok := sys.SSD().Durable(page)
+	return ok && &sys.region.RawPage(page)[0] == &durable[0]
+}
+
 // TestRecoverAllocationsPerPage is the restore walk's allocation guard:
 // beyond what building the stack costs, a recovery allocates nothing per
-// page — the new device shares each verified buffer with the survivor —
-// but the amortised growth of the device's page maps, and no bytes for the
-// part of the region nothing is restored into. It recovers one source
-// again and again; only the first call finds the source's chunks to take
-// over, so the later ones allocate fresh chunks and the byte bound holds
-// them (TestRecoverChainReusesChunks covers the reuse).
+// page — the new device shares each verified buffer with the survivor,
+// and the region reads each restored page from that buffer — but the
+// amortised growth of the device's page table and the region's one table
+// of shared images, and it backs no chunk: every restored page reads the
+// device's image, and the chunks backed are the ones New backs. It
+// recovers one source again and again; only the first call finds the
+// source's chunks to take over (TestRecoverChainReusesChunks covers the
+// reuse).
 func TestRecoverAllocationsPerPage(t *testing.T) {
 	cfg := Config{NVDRAMSize: 16 << 20}
 	sys := newTestSystem(t, cfg)
@@ -288,6 +316,9 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 	if rep := sys.SimulatePowerFailure(); !rep.Survived {
 		t.Fatalf("power failure not survived: %+v", rep)
 	}
+	fresh := newTestSystem(t, cfg)
+	newBacks := backedChunks(t, fresh)
+	fresh.Close()
 	build := testing.AllocsPerRun(5, func() {
 		s, err := New(cfg)
 		if err != nil {
@@ -295,8 +326,18 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 		}
 		s.Close()
 	})
-	restored := 0
-	var before, after runtime.MemStats
+	var start, built, before, after runtime.MemStats
+	runtime.ReadMemStats(&start)
+	for i := 0; i < 6; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	runtime.ReadMemStats(&built)
+	perBuild := (built.TotalAlloc - start.TotalAlloc) / 6
+	restored, backed, unshared := 0, 0, 0
 	runtime.ReadMemStats(&before)
 	rec := testing.AllocsPerRun(5, func() {
 		ns, rr, err := sys.Recover()
@@ -304,29 +345,41 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored = rr.PagesRestored
+		backed = backedChunks(t, ns)
+		unshared = 0
+		for _, p := range ns.SSD().DurablePageList() {
+			if !sharesDurable(ns, p) {
+				unshared++
+			}
+		}
 		ns.Close()
 	})
 	runtime.ReadMemStats(&after)
 	if restored < 1500 {
 		t.Fatalf("restored %d pages, want at least the 1500 written", restored)
 	}
-	// A reboot costs what it restores: the chunks the ≈ 6 MiB of durable
-	// pages land in, not the 16 MiB the region could hold.
-	if perRecover := (after.TotalAlloc - before.TotalAlloc) / 6; perRecover >= 8<<20 {
-		t.Fatalf("Recover of %d pages into a 16 MiB region allocates %d bytes, stack construction included, want under 8 MiB",
-			restored, perRecover)
+	if backed != newBacks || unshared != 0 {
+		t.Fatalf("after Recover %d chunks are backed (New backs %d) and %d restored pages read a copy: the restore backed memory",
+			backed, newBacks, unshared)
 	}
-	if perPage := (rec - build) / float64(restored); perPage > 0.1 {
-		t.Fatalf("Recover allocates %.2f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.1",
+	// A reboot costs the stack and two page-indexed tables, not the
+	// ≈ 6 MiB of durable pages nor the 16 MiB the region could hold.
+	if perRecover := (after.TotalAlloc - before.TotalAlloc) / 6; perRecover >= perBuild+1<<20 {
+		t.Fatalf("Recover of %d pages into a 16 MiB region allocates %d bytes, stack construction (%d) included, want under 1 MiB more",
+			restored, perRecover, perBuild)
+	}
+	if perPage := (rec - build) / float64(restored); perPage > 0.02 {
+		t.Fatalf("Recover allocates %.3f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.02",
 			perPage, rec, build, restored)
 	}
 }
 
-// TestRecoverChainReusesChunks: a reboot of a reboot restores into the
-// memory its predecessor lost instead of allocating it again. sys → r1 →
-// r2: r2's Recover allocates under 1 KiB per restored page, stack
-// construction included, where fresh chunks alone would cost the 4 KiB
-// page itself.
+// TestRecoverChainReusesChunks: a reboot of a reboot restores without
+// allocating what its predecessor lost again. sys → r1 → r2: r2's Recover
+// allocates under 1 KiB per restored page, stack construction included,
+// where fresh chunks alone would cost the 4 KiB page itself, and the
+// first stores after it — one into every restored page — land in the
+// chunks r1 lost.
 func TestRecoverChainReusesChunks(t *testing.T) {
 	sys := newTestSystem(t, Config{NVDRAMSize: 16 << 20})
 	m, err := sys.Map("heap", 8<<20)
@@ -347,8 +400,25 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// r1 stores into every page it restored, so its chunks are backed
+	// when it loses power.
+	m1, err := r1.Map("heap", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		if err := m1.WriteAt([]byte{byte(i >> 8)}, int64(i)*4096+1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if rep := r1.SimulatePowerFailure(); !rep.Survived {
 		t.Fatalf("second power failure not survived: %+v", rep)
+	}
+	lost := map[*byte]bool{} // where each page of r1's backed chunks lives
+	for p := mmu.PageID(0); int(p) < r1.region.NumPages(); p++ {
+		if r1.region.Backed(p) && !sharesDurable(r1, p) {
+			lost[&r1.region.RawPage(p)[0]] = true
+		}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -363,9 +433,23 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 	}
 	perPage := (after.TotalAlloc - before.TotalAlloc) / uint64(rr.PagesRestored)
 	if perPage > 1024 {
-		t.Fatalf("the second Recover allocates %d bytes per restored page, want ≤ 1 KiB: the chunks were not reused", perPage)
+		t.Fatalf("the second Recover allocates %d bytes per restored page, want ≤ 1 KiB", perPage)
 	}
 	t.Logf("the second Recover allocates %d bytes per restored page", perPage)
+	m2, err := r2.Map("heap", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1500; i++ {
+		off := int64(i)*4096 + 2
+		if err := m2.WriteAt([]byte{byte(i)}, off); err != nil {
+			t.Fatal(err)
+		}
+		if p := r2.region.PageOf(m2.Base() + off); !lost[&r2.region.RawPage(p)[0]] {
+			t.Fatalf("the first store into page %d after the second Recover backed a chunk r1 did not lose", p)
+		}
+	}
+	r2.FlushAll()
 	if err := r2.VerifyDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,8 +459,11 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 // the memory its predecessor lost, and no byte of that memory survives in
 // a page without a trusted durable copy. The old region holds a pattern
 // in a page whose durable copy rots after the flush (quarantined) and in
-// never-durable pages beside it; after Recover every one of them reads
-// zero, from a reused chunk, and the old region reads as never written.
+// never-durable pages beside it. After Recover the restore has backed
+// nothing; the first store into one never-durable page of that chunk
+// backs the chunk with one the old region lost, and every lost page still
+// reads zero (the stored one but for its byte). The old region reads as
+// never written.
 func TestRecoverTakeoverLeaksNoLostByte(t *testing.T) {
 	sys := newTestSystem(t, Config{DisableScrubber: true})
 	m, err := sys.Map("heap", 1<<20)
@@ -414,10 +501,10 @@ func TestRecoverTakeoverLeaksNoLostByte(t *testing.T) {
 			lost = append(lost, p)
 		}
 	}
-	oldChunks := map[*byte]bool{}
-	for p := mmu.PageID(0); int(p) < sys.region.NumPages(); p += chunkPages {
+	oldPages := map[*byte]bool{} // where each page of a backed chunk lives
+	for p := mmu.PageID(0); int(p) < sys.region.NumPages(); p++ {
 		if sys.region.Backed(p) {
-			oldChunks[&sys.region.RawPage(p)[0]] = true
+			oldPages[&sys.region.RawPage(p)[0]] = true
 		}
 	}
 
@@ -429,12 +516,23 @@ func TestRecoverTakeoverLeaksNoLostByte(t *testing.T) {
 	if len(rr.Integrity.Quarantined) != 1 || rr.Integrity.Quarantined[0] != bad {
 		t.Fatalf("integrity report %+v, want page %d quarantined", rr.Integrity, bad)
 	}
-	if !oldChunks[&ns.region.RawPage(first)[0]] {
-		t.Fatal("the restore did not reuse a chunk the old region lost: the test would prove nothing")
+	written := lost[1]
+	if ns.region.Backed(written) {
+		t.Fatalf("page %d, never durable, is backed after Recover: the restore backed its chunk", written)
+	}
+	if err := ns.region.WriteAt([]byte{0x3C}, int64(written)*4096); err != nil {
+		t.Fatal(err)
+	}
+	if !oldPages[&ns.region.RawPage(written)[0]] {
+		t.Fatal("the first store did not reuse a chunk the old region lost: the test would prove nothing")
 	}
 	zero := make([]byte, 4096)
 	for _, p := range lost {
-		if !bytes.Equal(ns.region.RawPage(p), zero) {
+		want := zero
+		if p == written {
+			want = append([]byte{0x3C}, zero[1:]...)
+		}
+		if !bytes.Equal(ns.region.RawPage(p), want) {
 			t.Fatalf("page %d holds bytes DRAM lost at the power cut, want zeros", p)
 		}
 	}
@@ -443,9 +541,92 @@ func TestRecoverTakeoverLeaksNoLostByte(t *testing.T) {
 			t.Fatalf("page %d of the region taken over is still backed or non-zero", p)
 		}
 	}
+	ns.FlushAll()
 	if err := ns.VerifyDurability(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverSharesUntilFirstStore: through a chain of reboots, every
+// restored page reads the device's stored image itself, and a one-byte
+// store into one copies the image into NV-DRAM first: the device's bytes
+// and sum stay as they were, the page reads the image with the byte
+// changed, and VerifyDurability fails on that page — so a real compare
+// ran — until FlushAll makes the new bytes durable.
+func TestRecoverSharesUntilFirstStore(t *testing.T) {
+	sys := newTestSystem(t, Config{DisableScrubber: true})
+	m, err := sys.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pages 0–39 and 200–203 of the heap: a reboot's first store then
+	// backs its chunk with the spare the higher chunk left, whose stale
+	// bytes are not the restored image, so a store that skipped copying
+	// the image in would show.
+	written := []int{200, 201, 202, 203}
+	for i := 0; i < 40; i++ {
+		written = append(written, i)
+	}
+	for _, i := range written {
+		if err := m.WriteAt(bytes.Repeat([]byte{byte(i + 1)}, 4096), int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for reboot := 0; reboot < 3; reboot++ {
+		if rep := sys.SimulatePowerFailure(); !rep.Survived {
+			t.Fatalf("reboot %d: power failure not survived: %+v", reboot, rep)
+		}
+		ns, rr, err := sys.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys = ns
+		if rr.PagesRestored < 40 {
+			t.Fatalf("reboot %d: restored %d pages, want the 40 written", reboot, rr.PagesRestored)
+		}
+		for _, p := range sys.SSD().DurablePageList() {
+			if !sharesDurable(sys, p) {
+				t.Fatalf("reboot %d: restored page %d reads a copy, not the device's image", reboot, p)
+			}
+		}
+		if err := sys.VerifyDurability(); err != nil {
+			t.Fatalf("reboot %d: %v", reboot, err)
+		}
+		if m, err = sys.Map("heap", 1<<20); err != nil {
+			t.Fatal(err)
+		}
+		off := int64(7+reboot)*4096 + 100
+		page := sys.region.PageOf(m.Base() + off)
+		durable, _ := sys.SSD().Durable(page)
+		image := bytes.Clone(durable)
+		sum, _ := sys.SSD().DurableChecksum(page)
+		if err := m.WriteAt([]byte{0xEE}, off); err != nil {
+			t.Fatal(err)
+		}
+		if now, _ := sys.SSD().Durable(page); !bytes.Equal(now, image) || ssd.Checksum(now) != sum || sys.SSD().VerifyPage(page) != nil {
+			t.Fatalf("reboot %d: a store into restored page %d changed the device's stored image", reboot, page)
+		}
+		if got, _ := sys.SSD().DurableChecksum(page); got != sum {
+			t.Fatalf("reboot %d: a store into restored page %d moved the acked sum", reboot, page)
+		}
+		want := bytes.Clone(image)
+		want[100] = 0xEE
+		if !bytes.Equal(sys.region.RawPage(page), want) {
+			t.Fatalf("reboot %d: page %d after a one-byte store is not the restored image with that byte changed", reboot, page)
+		}
+		err = sys.VerifyDurability()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("page %d ", page)) {
+			t.Fatalf("reboot %d: VerifyDurability = %v after a store into page %d that is not durable yet", reboot, err, page)
+		}
+		sys.FlushAll()
+		if err := sys.VerifyDurability(); err != nil {
+			t.Fatalf("reboot %d: after FlushAll: %v", reboot, err)
+		}
+		if now, _ := sys.SSD().Durable(page); !bytes.Equal(now, want) {
+			t.Fatalf("reboot %d: FlushAll did not make page %d's store durable", reboot, page)
+		}
+	}
+	sys.Close()
 }
 
 // TestRecoverCarriesBatteryOver: the recovered system comes up on the
