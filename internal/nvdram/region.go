@@ -323,17 +323,19 @@ type PageReader interface {
 	SharePage(page mmu.PageID) ([]byte, bool)
 }
 
-// TakeOver makes r the successor of prev, a region that lost power: the
-// DRAM a reboot reloads is the DRAM that lost its contents. prev's
-// full-size chunk buffers, and the spares it never used, become r's
-// spares, which first stores into r reuse instead of allocating (back);
-// prev's shared-image table becomes r's, emptied, when r has none and the
-// sizes match; and prev reads as never written from then on. No page of r ever shows a spare's stale bytes.
+// TakeOver makes r the successor of prev, a region that lost power or
+// whose system was retired: the DRAM a reboot reloads is the DRAM that
+// lost its contents. prev's full-size chunk buffers, and the spares it
+// never used, become r's spares, which first stores into r reuse instead
+// of allocating (back), up to one spare per chunk of r; prev's
+// shared-image table becomes r's, emptied, when r has none and the sizes
+// match; and prev reads as never written from then on, sharing nothing.
+// No page of r ever shows a spare's stale bytes.
 func (r *Region) TakeOver(prev *Region) {
 	full := chunkPages * r.pageSize
 	for _, cs := range [][][]byte{prev.chunks, prev.spares} {
 		for _, c := range cs {
-			if len(c) == full {
+			if len(c) == full && len(r.spares) < len(r.chunks) {
 				r.spares = append(r.spares, c)
 			}
 		}
@@ -372,6 +374,17 @@ func (r *Region) RestoreFrom(src PageReader, page mmu.PageID) (bool, error) {
 	}
 	r.shared[page] = img
 	return true, nil
+}
+
+// Shares reports whether page reads img, a device image, by reference
+// (RestoreFrom): what a device object checks before it hands a buffer it
+// lent out again (ssd.SSD.Retire).
+func (r *Region) Shares(page mmu.PageID, img []byte) bool {
+	if page >= mmu.PageID(len(r.shared)) {
+		return false
+	}
+	s := r.shared[page]
+	return s != nil && &s[0] == &img[0]
 }
 
 // RawPage returns a read-only view of a page's current bytes without

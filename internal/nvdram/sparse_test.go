@@ -594,6 +594,32 @@ func TestTakeOverReusesChunks(t *testing.T) {
 	}
 }
 
+// TestTakeOverKeepsOneSparePerChunk: a region that takes over more full
+// chunks than it has chunks — a reboot's predecessor and the regions of
+// the Systems it retires — keeps one spare per chunk, and every region
+// it took over reads as never written.
+func TestTakeOverKeepsOneSparePerChunk(t *testing.T) {
+	const ps = 4096
+	r, _ := newTestRegion(t, 2*chunkPages*ps, ps)
+	var olds []*Region
+	for i := 0; i < 3; i++ {
+		old, _ := newTestRegion(t, 2*chunkPages*ps, ps)
+		if err := old.WriteAt(bytes.Repeat([]byte{0xA5}, int(old.Size())), 0); err != nil {
+			t.Fatal(err)
+		}
+		r.TakeOver(old)
+		olds = append(olds, old)
+	}
+	if len(r.spares) != 2 {
+		t.Fatalf("%d spares after taking over six full chunks, want one per chunk of the region (2)", len(r.spares))
+	}
+	for _, old := range olds {
+		if old.Backed(0) || old.Backed(chunkPages) {
+			t.Fatal("a region taken over is still backed")
+		}
+	}
+}
+
 // fakeStore is a DurableStore that counts what it is asked to compare.
 type fakeStore struct {
 	pages    map[mmu.PageID][]byte

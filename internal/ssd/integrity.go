@@ -99,6 +99,7 @@ func (d *SSD) clearCorrupt(page mmu.PageID) {
 // corruption landed. It is measurement oracle, not host state: use it for
 // MTTD accounting and sweep assertions only.
 func (d *SSD) CorruptedSince(page mmu.PageID) (sim.Time, bool) {
+	d.mustLive()
 	at, ok := d.corruptAt[page]
 	return at, ok
 }
@@ -107,6 +108,7 @@ func (d *SSD) CorruptedSince(page mmu.PageID) (sim.Time, bool) {
 // diverges from its last acked contents because of injected corruption.
 // Like CorruptedSince it exists for sweeps and stats, not recovery.
 func (d *SSD) CorruptOracle() []mmu.PageID {
+	d.mustLive()
 	out := make([]mmu.PageID, 0, len(d.corruptAt))
 	for p := range d.corruptAt {
 		out = append(out, p)
@@ -121,6 +123,7 @@ func (d *SSD) CorruptOracle() []mmu.PageID {
 // and full scrub passes walk this list so a fully lost write (checksum
 // recorded, nothing in the store) is still visited and detected.
 func (d *SSD) DurablePageList() []mmu.PageID {
+	d.mustLive()
 	return d.claimed.appendFrom(make([]mmu.PageID, 0, d.claimed.n), 0, d.claimed.n)
 }
 
@@ -130,6 +133,7 @@ func (d *SSD) DurablePageList() []mmu.PageID {
 // pages returned, not the size of the durable set, and it allocates
 // only if buf lacks the capacity.
 func (d *SSD) DurablePagesFrom(from mmu.PageID, max int, buf []mmu.PageID) []mmu.PageID {
+	d.mustLive()
 	return d.claimed.appendFrom(buf, from, max)
 }
 
@@ -189,7 +193,8 @@ func (d *SSD) verify(page mmu.PageID) (slot, error) {
 // free list when a later write displaces it: the other may still hold it,
 // and so may the NV-DRAM region the restore shares it with (the charged
 // restore read, a ReadStream over d, hands the region this very buffer;
-// SharePage). No IO is modelled here. A
+// SharePage). It comes back when the objects are retired and nothing kept
+// reads it (Retire). No IO is modelled here. A
 // page that fails verification returns the error wrapping ErrCorruptPage
 // and is not adopted. d may be src itself — an in-place restore — in
 // which case verification is all there is to do.
@@ -258,9 +263,11 @@ func (d *SSD) CorruptPage(page mmu.PageID, off int, pattern byte) bool {
 // mutation behind both at-rest corruption hooks. It flips a private copy
 // and installs that, because the stored buffer may be shared with another
 // device object (AdoptVerified) and damage injected into one must not
-// reach the other. The displaced buffer is left to the collector rather
-// than recycled: damage is not a write, so a Durable slice of the page
-// stays as it was. The copy's own sum no longer matches the acked one.
+// reach the other. The displaced buffer is not recycled here: damage is
+// not a write, so a Durable slice of the page stays as it was. If another
+// device object stores it, that object's retirement may recycle it
+// (Retire); otherwise it is left to the collector. The copy's own sum no
+// longer matches the acked one.
 func (d *SSD) flipStored(page mmu.PageID, i int, mask byte) {
 	data := d.copyBuffer(d.pages[page].data)
 	data[i] ^= mask

@@ -131,20 +131,20 @@ func checkHeldSums(t *testing.T, name string, d *SSD, step int, what string, sha
 		}
 	}
 	for p, img := range shared {
-		if holds(d, p, img) && !d.pages[p].lent {
+		if storesImage(d, p, img) && !d.pages[p].lent {
 			t.Fatalf("step %d (%s): device %s page %d: a region reads the stored buffer, but the slot is not lent", step, what, name, p)
 		}
 	}
 }
 
-// holds reports whether img is the buffer d stores for page.
-func holds(d *SSD, page mmu.PageID, img []byte) bool {
+// storesImage reports whether img is the buffer d stores for page.
+func storesImage(d *SSD, page mmu.PageID, img []byte) bool {
 	data := d.slotAt(page).data
 	return data != nil && &data[0] == &img[0]
 }
 
-// TestBufferLendingMatchesPrivateCopies drives two device objects with a
-// seeded script of every path that installs, displaces, lends or damages
+// TestBufferLendingMatchesPrivateCopies drives two lanes of device objects
+// with a seeded script of every path that installs, displaces, lends or damages
 // a stored buffer — cleans' snapshot writes under every injected fault
 // class, streaming batches, seeding, adoption in both directions, a
 // reboot that adopts a whole device, and at-rest corruption — and checks
@@ -152,23 +152,33 @@ func holds(d *SSD, page mmu.PageID, img []byte) bool {
 // reference that owns a private clone of every image. A buffer recycled
 // while another object still held it, or while it was still stored,
 // shows as bytes changing under a page no step touched. Every device
-// object the script ever booted, retired ones included since they share
-// buffers with their adopters, must also hold each stored image's
-// checksum (checkHeldSums). An NV-DRAM region restores pages from either
-// object in place (a ReadStream's SharePage, no adoption) and stores
+// object the script booted and has not retired, old ones included since
+// they share buffers with their adopters, must also hold each stored
+// image's checksum (checkHeldSums). An NV-DRAM region restores pages from
+// either lane in place (a ReadStream's SharePage, no adoption) and stores
 // single bytes into them; after every step each page it reads equals a
 // private clone, each image it still shares is unchanged, and every
 // device slot holding a shared image is lent.
+//
+// Objects the two lanes leave behind are retired (Retire) over chains of
+// three and more: a reboot first retires every object left behind before
+// the one it replaces, and a retire step retires any object left behind
+// into a lane. Each retirement must put on the free list at least every
+// buffer the retiree stored that no object still alive stores at that
+// page and the region does not share there, as the script's own records
+// say — fewer is an allocation the recycling should have saved — and a
+// retired object must panic on use. A buffer recycled while something
+// still reads it shows in the byte checks above once a write reuses it.
 func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 0xC0FFEE} {
 		rng := sim.NewRNG(seed)
-		var devs [2]*SSD
+		var devs [2]*SSD // the two lanes
 		var queues [2]*sim.Queue
 		var clocks [2]*sim.Clock
 		var injs [2]*recordingInjector
 		var refs [2]*refDevice
-		var booted []*SSD // every device object the script used
-		var st Stats      // fault counts of every device object the script used
+		var alive []*SSD // every device object the script booted and has not retired
+		var st Stats     // fault counts of every device object the script used
 		count := func(d *SSD) {
 			s := d.Stats()
 			st.TornWrites += s.TornWrites
@@ -181,7 +191,7 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				count(devs[i])
 			}
 			devs[i], clocks[i], queues[i] = newTestSSD(Config{})
-			booted = append(booted, devs[i])
+			alive = append(alive, devs[i])
 			injs[i] = &recordingInjector{seededInjector: seededInjector{rng: sim.NewRNG(seed ^ uint64(i+1)*0xFA17)}}
 			devs[i].SetFaultInjector(injs[i])
 			refs[i] = newRefDevice()
@@ -198,11 +208,49 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 		shared := map[mmu.PageID][]byte{}         // the images it reads by reference
 		sharedSums := map[mmu.PageID]uint64{}     // their checksums when shared
 		adopts, lentSeen, recycled, rots, shares, outlived := 0, 0, 0, 0, 0, 0
+		retires, handedBack, regionKept := 0, 0, 0
+		// retire retires old into d and checks what came back.
+		retire := func(d, old *SSD, step int, what string) {
+			var kept []*SSD
+			for _, k := range alive {
+				if k != d && k != old {
+					kept = append(kept, k)
+				}
+			}
+			want := len(old.free)
+			for p, s := range old.pages {
+				page := mmu.PageID(p)
+				switch {
+				case s.data == nil || storesImage(d, page, s.data) ||
+					slices.ContainsFunc(kept, func(k *SSD) bool { return storesImage(k, page, s.data) }):
+				case shared[page] != nil && &shared[page][0] == &s.data[0]:
+					regionKept++
+				default:
+					want++
+				}
+			}
+			before := len(d.free)
+			d.Retire(old, kept, []Sharer{region})
+			if got := len(d.free) - before; got < want {
+				t.Fatalf("step %d (%s): the retirement put %d buffers on the free list, want at least the %d nothing alive reads", step, what, got, want)
+			}
+			retires++
+			handedBack += want
+			alive = slices.DeleteFunc(alive, func(k *SSD) bool { return k == old })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("step %d (%s): a retired device object served a read", step, what)
+					}
+				}()
+				old.Durable(0)
+			}()
+		}
 		for step := 0; step < 600; step++ {
 			i := rng.Intn(2)
 			d, ref := devs[i], refs[i]
 			var what string
-			switch op := rng.Intn(14); {
+			switch op := rng.Intn(15); {
 			case op < 5: // cleans: snapshot writes, up to four in flight
 				what = "WriteSnapshotAsync"
 				for n := 1 + rng.Intn(4); n > 0; n-- {
@@ -252,9 +300,16 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				}
 			case op == 9: // a reboot: a new object adopts every page of the other
 				what = "reboot"
-				src, srcRef := devs[1-i], refs[1-i]
+				src, srcRef, replaced := devs[1-i], refs[1-i], devs[i]
 				boot(i)
 				d, ref = devs[i], refs[i]
+				// Before its walk the reboot retires every object left
+				// behind before the one it replaces.
+				for _, old := range slices.Clone(alive) {
+					if old != replaced && old != devs[0] && old != devs[1] {
+						retire(d, old, step, what)
+					}
+				}
 				for _, page := range src.DurablePageList() {
 					err := d.AdoptVerified(src, page)
 					if (err == nil) != srcRef.verdict(page) {
@@ -278,6 +333,14 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 					sharedSums[page] = Checksum(data)
 					shares++
 				}
+			case op == 14: // a retirement of an object left behind into a lane
+				what = "Retire"
+				for _, old := range alive {
+					if old != devs[0] && old != devs[1] {
+						retire(d, old, step, what)
+						break
+					}
+				}
 			case op == 13: // a first store: one byte into a page of the region
 				what = "WriteAt"
 				off, b := rng.Intn(lendPages*4096), byte(rng.Uint64())
@@ -297,14 +360,14 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 					ref.data[page][off] ^= pattern
 				}
 			}
-			for k, d := range booted {
+			for k, d := range alive {
 				checkHeldSums(t, fmt.Sprintf("#%d", k), d, step, what, shared)
 			}
 			for p, img := range shared {
 				if &region.RawPage(p)[0] != &img[0] || Checksum(img) != sharedSums[p] {
 					t.Fatalf("step %d (%s): region page %d no longer reads its shared image, or the image changed", step, what, p)
 				}
-				if !slices.ContainsFunc(booted, func(d *SSD) bool { return holds(d, p, img) }) {
+				if !slices.ContainsFunc(alive, func(d *SSD) bool { return storesImage(d, p, img) }) {
 					outlived++
 				}
 			}
@@ -337,5 +400,78 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 		if shares == 0 || outlived == 0 {
 			t.Fatalf("seed %d: %d restores shared an image and %d step-images outlived every device slot: the region checks saw nothing", seed, shares, outlived)
 		}
+		if retires == 0 || handedBack == 0 || regionKept == 0 {
+			t.Fatalf("seed %d: %d retirements handed back %d buffers and kept %d for the region alone: the retire checks saw nothing", seed, retires, handedBack, regionKept)
+		}
+		t.Logf("seed %d: %d retirements handed back %d buffers and kept %d for the region alone", seed, retires, handedBack, regionKept)
+	}
+}
+
+// TestRetireHandsOnWhatNothingReads: b adopts every page of a, a region
+// restores pages 1 and 2 from b, and b's writes then displace a's images
+// of pages 0 and 1. Retiring a into c, a fresh object, hands c a's image
+// of page 0 alone: b still stores pages 2 and 3, and the region still
+// shares page 1. c gets a's slot table, cleared, and a panics on use but
+// for its counters.
+func TestRetireHandsOnWhatNothingReads(t *testing.T) {
+	a, _, _ := newTestSSD(Config{})
+	for p := mmu.PageID(0); p < 4; p++ {
+		a.SeedDurable(p, page(byte(p+1), 4096))
+	}
+	b, clock, _ := newTestSSD(Config{})
+	for p := mmu.PageID(0); p < 4; p++ {
+		if err := b.AdoptVerified(a, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	region, err := nvdram.New(clock, nvdram.Config{Size: 4 * 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := b.OpenReadStream(clock)
+	for _, p := range []mmu.PageID{1, 2} {
+		if ok, err := region.RestoreFrom(stream, p); !ok || err != nil {
+			t.Fatalf("RestoreFrom(%d) = %v, %v", p, ok, err)
+		}
+	}
+	images := make([][]byte, 4)
+	for p := range images {
+		images[p], _ = a.Durable(mmu.PageID(p))
+	}
+	for _, p := range []mmu.PageID{0, 1} {
+		if _, err := b.WritePageSync(p, page(0xB0, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := a.pages
+	c, _, _ := newTestSSD(Config{})
+	c.Retire(a, []*SSD{b}, []Sharer{region})
+	if len(c.free) != 1 || &c.free[0][0] != &images[0][0] {
+		t.Fatalf("c's free list holds %d buffers, want a's image of page 0 alone", len(c.free))
+	}
+	if &c.pages[0] != &table[0] || slices.ContainsFunc(c.pages, func(s slot) bool { return s.data != nil || s.hasSum || s.lent }) {
+		t.Fatal("c did not get a's slot table, cleared")
+	}
+	if !bytes.Equal(region.RawPage(1), page(2, 4096)) || !bytes.Equal(region.RawPage(2), page(3, 4096)) {
+		t.Fatal("the region's shared pages changed")
+	}
+	if a.Stats().VerifyChecks != 4 {
+		t.Fatalf("a retired object's counters read %d verifications, want b's 4 adoptions", a.Stats().VerifyChecks)
+	}
+	for name, use := range map[string]func(){
+		"Durable":         func() { a.Durable(3) },
+		"DurablePageList": func() { a.DurablePageList() },
+		"PageBuffer":      func() { a.PageBuffer() },
+		"AdoptVerified":   func() { _ = c.AdoptVerified(a, 3) },
+		"Retire":          func() { c.Retire(a, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a retired device object did not panic", name)
+				}
+			}()
+			use()
+		}()
 	}
 }

@@ -138,6 +138,9 @@ type SSD struct {
 	free [][]byte
 	// writes holds the write records not in flight (newWrite).
 	writes []*write
+	// retired is set once another device object has taken this one's
+	// buffers (Retire): every use of its pages panics from then on.
+	retired bool
 
 	// window is the ring of recent write completions backing the
 	// measured-bandwidth/latency estimators (see MeasuredWriteBandwidth).
@@ -155,7 +158,7 @@ type slot struct {
 	held   uint32 // checksum of data, taken when it was installed
 	acked  uint32 // checksum of the last acked contents, if hasSum
 	hasSum bool
-	lent   bool // another device object or a region may read data (AdoptVerified, SharePage)
+	lent   bool // another device object or a region may read data (AdoptVerified, SharePage), until this object is retired (Retire)
 }
 
 // measureSample is one completed write in the measurement window.
@@ -177,8 +180,17 @@ func New(clock *sim.Clock, events *sim.Queue, cfg Config) *SSD {
 	}
 }
 
+// mustLive panics if d is retired: its buffers may already hold other
+// pages' bytes, so a read would pass quietly with the wrong ones.
+func (d *SSD) mustLive() {
+	if d.retired {
+		panic("ssd: use of a retired device object")
+	}
+}
+
 // slotAt returns page's slot, or a zero slot for a page past the table.
 func (d *SSD) slotAt(page mmu.PageID) slot {
+	d.mustLive()
 	if page < mmu.PageID(len(d.pages)) {
 		return d.pages[page]
 	}
@@ -187,6 +199,7 @@ func (d *SSD) slotAt(page mmu.PageID) slot {
 
 // slotFor returns page's slot for writing, growing the table to reach it.
 func (d *SSD) slotFor(page mmu.PageID) *slot {
+	d.mustLive()
 	if n := int(page) + 1; n > len(d.pages) {
 		d.pages = append(d.pages, make([]slot, n-len(d.pages))...)
 	}
@@ -196,7 +209,9 @@ func (d *SSD) slotFor(page mmu.PageID) *slot {
 // putData installs data, a buffer no other device object holds, with sum,
 // its checksum, as page's stored contents, and returns the buffer it
 // displaced: nil if the page had none, or if its buffer was lent, since
-// another device object or a region may still read a lent one. Every
+// another device object or a region may still read a lent one; such a
+// buffer comes back when the last device object that stores it is
+// retired and nothing else reads it (Retire). Every
 // installation goes through here: no slot loses its data or sum, so the
 // stored and claimed sets only grow, and "bit set ⇔ slot has it" holds by
 // construction.
@@ -216,6 +231,7 @@ func (d *SSD) putData(page mmu.PageID, data []byte, sum uint32) (displaced []byt
 // whatever it last held, so the caller overwrites all of it and then
 // passes it to WriteSnapshotAsync.
 func (d *SSD) PageBuffer() []byte {
+	d.mustLive()
 	n := len(d.free)
 	if n == 0 {
 		return make([]byte, d.cfg.PageSize)
@@ -232,6 +248,75 @@ func (d *SSD) recycle(buf []byte) {
 	if buf != nil {
 		d.free = append(d.free, buf)
 	}
+}
+
+// Sharer reads a device's stored images by reference: an NV-DRAM region
+// restored from the device (nvdram.Region.Shares).
+type Sharer interface {
+	// Shares reports whether page reads img by reference.
+	Shares(page mmu.PageID, img []byte) bool
+}
+
+// holds reports whether buf is the buffer d stores for page.
+func (d *SSD) holds(page mmu.PageID, buf []byte) bool {
+	data := d.slotAt(page).data
+	return data != nil && &data[0] == &buf[0]
+}
+
+// Retire ends old, an earlier device object of the same physical SSD that
+// nothing will use again, and gives d what it held. This is where "lent"
+// ends: a buffer old stores goes to d's free list unless something kept
+// may still read it: d or one of devs storing it at that page, or one of
+// regions sharing it there. A buffer only ever sits at one page index, so
+// pointers compare page by page. devs must list every device object but d
+// and old that is not retired, the ones still to be retired included, and
+// regions every region that may still share one of their images. old's
+// free list goes to d as well, and so does its slot table, cleared: both
+// whole when d has none yet, so a reboot that retires before its restore
+// walk adopts into a table, and recycles into a list, it did not
+// allocate. old is empty afterwards: its counters still read, and every
+// other use of it panics.
+func (d *SSD) Retire(old *SSD, devs []*SSD, regions []Sharer) {
+	d.mustLive()
+	old.mustLive()
+	if old == d || old.inflight > 0 || old.cfg.PageSize != d.cfg.PageSize {
+		panic("ssd: retiring the device itself, one with writes in flight, or one of another page size")
+	}
+	if len(d.free) == 0 {
+		d.free, old.free = old.free, nil // with the capacity it grew to
+	}
+	for p, s := range old.pages {
+		page := mmu.PageID(p)
+		if s.data == nil || d.holds(page, s.data) || readBy(page, s.data, devs, regions) {
+			continue // nothing stored, or something kept still reads it
+		}
+		d.free = append(d.free, s.data)
+	}
+	d.free = append(d.free, old.free...)
+	if len(d.pages) == 0 {
+		clear(old.pages)
+		d.pages = old.pages
+	}
+	old.pages, old.free, old.writes = nil, nil, nil
+	old.stored, old.claimed = pageSet{}, pageSet{}
+	old.corruptAt, old.dedup = nil, nil
+	old.retired = true
+}
+
+// readBy reports whether one of devs stores buf for page, or one of
+// regions shares it there.
+func readBy(page mmu.PageID, buf []byte, devs []*SSD, regions []Sharer) bool {
+	for _, k := range devs {
+		if k.holds(page, buf) {
+			return true
+		}
+	}
+	for _, r := range regions {
+		if r.Shares(page, buf) {
+			return true
+		}
+	}
+	return false
 }
 
 // copyBuffer returns a page buffer holding a copy of data.
@@ -297,6 +382,7 @@ func (d *SSD) checkWriteSize(n int) {
 // durable contents, or returns it to the free list if the write stores
 // nothing. The caller must not read or write data afterwards.
 func (d *SSD) WriteSnapshotAsync(page mmu.PageID, data []byte, onComplete func(sim.Time, error)) {
+	d.mustLive()
 	d.checkWriteSize(len(data))
 	for d.inflight >= d.cfg.MaxOutstanding {
 		d.stats.SubmitStalls++
@@ -485,6 +571,7 @@ func (d *SSD) WaitIdle() {
 // random IOs. It waits for in-flight IOs first, charges one PerIOLatency
 // plus the aggregate transfer time, and returns the completion time.
 func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
+	d.mustLive()
 	d.WaitIdle()
 	total := 0
 	for page, data := range pages {
@@ -549,6 +636,7 @@ type ReadStream struct {
 
 // OpenReadStream starts a sequential read of d charged to clock.
 func (d *SSD) OpenReadStream(clock *sim.Clock) *ReadStream {
+	d.mustLive()
 	return &ReadStream{d: d, clock: clock}
 }
 
@@ -601,16 +689,20 @@ func (d *SSD) SeedDurable(page mmu.PageID, data []byte) {
 // misdirected one, a batch, a seed or an adoption), which may hand the
 // buffer out again for another page's snapshot. A caller that keeps the
 // bytes longer copies them. A lent buffer (AdoptVerified, SharePage) is
-// never handed out again: it is immutable for as long as anything holds
-// it, which is what lets a restored NV-DRAM page be the stored image
-// itself until its first store.
+// immutable until the device object that lent it is retired (Retire), and
+// even then it is handed out again only if no kept device object stores
+// it and no kept region shares it: that is what lets a restored NV-DRAM
+// page be the stored image itself until its first store.
 func (d *SSD) Durable(page mmu.PageID) ([]byte, bool) {
 	data := d.slotAt(page).data
 	return data, data != nil
 }
 
 // DurablePages returns the number of pages with durable contents.
-func (d *SSD) DurablePages() int { return d.stored.n }
+func (d *SSD) DurablePages() int {
+	d.mustLive()
+	return d.stored.n
+}
 
 // FlushTimeFor returns the time needed to write n pages back-to-back at
 // the device's sustained (wear-degraded) bandwidth — the quantity battery

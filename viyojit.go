@@ -27,8 +27,10 @@ package viyojit
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"viyojit/internal/battery"
@@ -171,6 +173,13 @@ var (
 	ErrSeqReuse = serve.ErrSeqReuse
 )
 
+// ErrRetired is what Recover and RecoverWith return on a retired System:
+// one a later reboot retired, because a System recovered from it was
+// itself recovered from, or because it was closed beside the source of a
+// reboot or beside the reboot itself (see Recover). Its device object has handed its page
+// buffers on, so it has nothing left to restore from.
+var ErrRetired = errors.New("viyojit: system retired by a later reboot")
+
 // Retryable reports whether a serving-layer error is safe to retry:
 // the request was never executed (overload/deadline shed) or its
 // execution state is knowable through the intent journal (power
@@ -243,9 +252,10 @@ const BlackBoxPages = 2
 // System is a fully wired Viyojit stack. It is not safe for concurrent
 // use: the simulation is single-goroutine (DESIGN.md §5). The lifecycle
 // entry points — Close, Recover, RecoverWith — are the one exception:
-// they serialise on an internal mutex and are idempotent, so shutdown
-// paths that race (a defer against an explicit Close, a crash handler
-// against a recovery loop) cannot double-stop the stack.
+// they serialise on a mutex the System shares with every System of its
+// lineage and are idempotent, so shutdown paths that race (a defer
+// against an explicit Close, a crash handler against a recovery loop)
+// cannot double-stop the stack.
 type System struct {
 	clock    *sim.Clock
 	events   *sim.Queue
@@ -267,8 +277,24 @@ type System struct {
 	bbMap     *core.Mapping
 	forensics *blackbox.Report
 
-	lifecycle sync.Mutex
-	closed    bool
+	// lin is the lineage this System belongs to and parent the System
+	// it was recovered from (nil for one New built). lin.mu, the
+	// lifecycle lock, guards parent, closed and retired.
+	lin     *lineage
+	parent  *System
+	closed  bool
+	retired bool
+}
+
+// lineage is one machine's succession of Systems: one New built and every
+// System recovered from it, directly or not. They stand for the same
+// NV-DRAM and the same SSD, and their device objects share page buffers
+// (ssd.SSD.AdoptVerified), so one mutex orders their lifecycles and live
+// lists the members not retired: the ones whose device objects and
+// regions may still read a buffer.
+type lineage struct {
+	mu   sync.Mutex
+	live []*System
 }
 
 // New builds a System: region, device, battery, and manager, with the
@@ -412,7 +438,7 @@ func New(cfg Config) (*System, error) {
 		mon.AttachScrub(scr)
 	}
 
-	return &System{
+	s := &System{
 		clock:    clock,
 		events:   events,
 		region:   region,
@@ -426,7 +452,9 @@ func New(cfg Config) (*System, error) {
 		cfg:      cfg,
 		recorder: recorder,
 		bbMap:    bbMap,
-	}, nil
+	}
+	s.lin = &lineage{live: []*System{s}}
+	return s, nil
 }
 
 // Map allocates a named NV-DRAM mapping (the paper's mmap-like API).
@@ -824,7 +852,16 @@ type RecoverOptions struct {
 // and its own checks against the device (VerifyDurability) no longer
 // hold. Calling Recover again afterwards is safe — the durable source is
 // read-only here, so each call yields an independent fresh System with
-// the same restored bytes.
+// the same restored bytes — until this System is retired. A reboot
+// retires the System its source was recovered from, and the closed
+// Systems recovered from that one or from its source. So this System
+// retires when a System recovered from it is itself recovered from, or,
+// once closed, when its source or a System beside it is recovered from.
+// A retired System's Recover returns ErrRetired, and its SSD panics on
+// any use but Stats. The retirement is what hands the retired device
+// objects' page buffers on, so cleans after a chain of reboots allocate
+// none. It happens before the restore walk, so a reboot that fails still
+// retires.
 func (s *System) Recover() (*System, recovery.RestoreReport, error) {
 	return s.RecoverWith(RecoverOptions{})
 }
@@ -850,9 +887,12 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	// one critical section, so racing Recover calls serialise instead
 	// of interleaving reads of the source device with each other (its
 	// verify counters are not concurrency-safe) or with a Close.
-	s.lifecycle.Lock()
-	defer s.lifecycle.Unlock()
+	s.lin.mu.Lock()
+	defer s.lin.mu.Unlock()
 	s.closeLocked()
+	if s.retired {
+		return nil, recovery.RestoreReport{}, ErrRetired
+	}
 
 	cfg := s.cfg
 	cfg.Battery = s.batt.Config()
@@ -865,6 +905,8 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
+	ns.lin, ns.parent = s.lin, s
+	s.lin.live = append(s.lin.live, ns)
 	return ns, report, nil
 }
 
@@ -873,12 +915,14 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 // flight recorder's pre-crash timeline. On any error s is closed — a
 // half-built system's health monitor, scrubber and epoch task are
 // already armed on its queue and must not outlive a failed recovery.
+// What s retired first stays retired.
 func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err error) {
 	defer func() {
 		if err != nil {
 			s.Close()
 		}
 	}()
+	s.retire(prev)
 	// The reboot reloads the DRAM that lost power: s's region takes over
 	// prev's chunk buffers, which first stores after the restore back
 	// chunks with, and its table of shared device images.
@@ -913,14 +957,55 @@ func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err e
 	return report, nil
 }
 
+// retire retires, as s comes up as prev's reboot, prev's parent and the
+// closed Systems beside prev and beside s: those recovered from prev's
+// parent or from prev. The second kind keeps a lineage from holding every
+// closed attempt recovered from one source. s's region takes theirs over,
+// and s's device object their buffers, free lists and one slot table
+// (ssd.SSD.Retire): kept are the device objects and regions of every
+// System still live in the lineage — prev, open Systems, and any System
+// recovered from a retiree — and, for each walk, the retirees not yet
+// walked. The caller holds prev.lin.mu.
+func (s *System) retire(prev *System) {
+	lin := prev.lin
+	var gone []*System
+	for _, m := range lin.live {
+		if m == prev.parent || (m != prev && m.closed && (m.parent == prev || prev.parent != nil && m.parent == prev.parent)) {
+			m.retired = true
+			gone = append(gone, m)
+		}
+	}
+	if len(gone) == 0 {
+		return
+	}
+	live := slices.DeleteFunc(lin.live, func(m *System) bool { return m.retired })
+	lin.live = live
+	// devs is the retirees in walk order, then the live members, so the
+	// devices kept during walk i are devs[i+1:].
+	devs := make([]*ssd.SSD, 0, len(gone)+len(live))
+	regions := make([]ssd.Sharer, 0, len(live))
+	for _, m := range gone {
+		devs = append(devs, m.dev)
+		s.region.TakeOver(m.region)
+	}
+	for _, m := range live {
+		devs = append(devs, m.dev)
+		regions = append(regions, m.region)
+	}
+	for i, m := range gone {
+		s.dev.Retire(m.dev, devs[i+1:], regions)
+		m.parent = nil
+	}
+}
+
 // Close stops the serving front-end (if any), the health monitor, the
 // scrubber, and the background epoch task, and drains in-flight IO.
 // Close is idempotent and safe to race against itself and against
 // Recover/RecoverWith: the first caller stops the stack, the rest
 // return immediately.
 func (s *System) Close() {
-	s.lifecycle.Lock()
-	defer s.lifecycle.Unlock()
+	s.lin.mu.Lock()
+	defer s.lin.mu.Unlock()
 	s.closeLocked()
 }
 

@@ -2,6 +2,7 @@ package viyojit
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -298,7 +299,8 @@ func sharesDurable(sys *System, page mmu.PageID) bool {
 // device's image, and the chunks backed are the ones New backs. It
 // recovers one source again and again; only the first call finds the
 // source's chunks to take over (TestRecoverChainReusesChunks covers the
-// reuse).
+// reuse). Each call retires the closed attempt before it, so the lineage
+// holds two Systems, not every attempt.
 func TestRecoverAllocationsPerPage(t *testing.T) {
 	cfg := Config{NVDRAMSize: 16 << 20}
 	sys := newTestSystem(t, cfg)
@@ -372,6 +374,11 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 		t.Fatalf("Recover allocates %.3f times per restored page beyond stack construction (%.0f − %.0f over %d pages), want under 0.02",
 			perPage, rec, build, restored)
 	}
+	// Each Recover retired the attempt before it, closed: the lineage
+	// holds the source and the last attempt, not all six.
+	if n := len(sys.lin.live); n != 2 {
+		t.Fatalf("the lineage holds %d Systems after six recoveries from one source, each closed, want 2", n)
+	}
 }
 
 // TestRecoverChainReusesChunks: a reboot of a reboot restores without
@@ -379,7 +386,9 @@ func TestRecoverAllocationsPerPage(t *testing.T) {
 // allocates under 1 KiB per restored page, stack construction included,
 // where fresh chunks alone would cost the 4 KiB page itself, and the
 // first stores after it — one into every restored page — land in the
-// chunks r1 lost.
+// chunks r1 lost. Every clean of r2's stores and the FlushAll after them
+// takes a device buffer the reboot recycled, so together they allocate
+// under 512 bytes per clean.
 func TestRecoverChainReusesChunks(t *testing.T) {
 	sys := newTestSystem(t, Config{NVDRAMSize: 16 << 20})
 	m, err := sys.Map("heap", 8<<20)
@@ -440,6 +449,8 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cleans := r2.Stats().CleansCompleted
+	runtime.ReadMemStats(&before)
 	for i := 0; i < 1500; i++ {
 		off := int64(i)*4096 + 2
 		if err := m2.WriteAt([]byte{byte(i)}, off); err != nil {
@@ -450,8 +461,209 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 		}
 	}
 	r2.FlushAll()
+	runtime.ReadMemStats(&after)
+	// Every clean after the second reboot takes its device buffer from
+	// the ones the reboot recycled when it retired sys, whose flush
+	// images r1 displaced: a clean that allocated its buffer would cost
+	// the 4 KiB page itself.
+	cleans = r2.Stats().CleansCompleted - cleans
+	if cleans < 1500 {
+		t.Fatalf("%d cleans after the second Recover, want one per page stored into", cleans)
+	}
+	perClean := (after.TotalAlloc - before.TotalAlloc) / cleans
+	if perClean > 512 {
+		t.Fatalf("r2's stores and FlushAll allocate %d bytes per clean, want ≤ 512", perClean)
+	}
+	t.Logf("r2's stores and FlushAll allocate %d bytes per clean", perClean)
 	if err := r2.VerifyDurability(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRetiresGrandparent: a reboot of a reboot retires the System
+// its source was recovered from, and the closed Systems recovered from
+// that one beside its source, and recycles their device buffers into the
+// new device, while every System still in use keeps its bytes. sys is
+// recovered three times: r1, a sibling closed at once, and one left open.
+// r1's reboot r2 retires sys and the closed sibling: their Recover returns
+// ErrRetired and their devices panic on use. r1 stays recoverable, twice
+// (a and b), with the same bytes; a third reboot of r1, closed, retires
+// when r1 is recovered from a fourth time. The open sibling stays
+// recoverable too, and its reboot c in turn retires r1, closed beside it. r2 and then c clean every page
+// with buffers their retirements handed on; afterwards a, b and the open
+// sibling still read what they restored, and a durable page of r1's that
+// only a's and b's device objects still store is unchanged.
+func TestRecoverRetiresGrandparent(t *testing.T) {
+	sys := newTestSystem(t, Config{DisableScrubber: true})
+	m, err := sys.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 40
+	for i := 0; i < pages; i++ {
+		if err := m.WriteAt(bytes.Repeat([]byte{byte(i + 1)}, 4096), int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := sys.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("power failure not survived: %+v", rep)
+	}
+	r1, _, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	closedSib, _, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	openSib, _, err := sys.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer openSib.Close()
+	closedSib.Close()
+	// r1 and the open sibling each rewrite the even pages and flush them,
+	// so sys's images of those are read by nothing live, and of the odd
+	// ones by both.
+	for k, s := range []*System{r1, openSib} {
+		m, err := s.Map("heap", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pages; i += 2 {
+			if err := m.WriteAt(bytes.Repeat([]byte{byte(0x40*(k+1) + i)}, 4096), int64(i)*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	openSib.FlushAll()
+	if rep := r1.SimulatePowerFailure(); !rep.Survived {
+		t.Fatalf("second power failure not survived: %+v", rep)
+	}
+	image := func(s *System) []byte {
+		t.Helper()
+		out := make([]byte, 0, pages*4096)
+		for p := mmu.PageID(0); p < pages; p++ {
+			out = append(out, s.region.RawPage(p)...)
+		}
+		return out
+	}
+	r2, _, err := r1.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	want := image(r2)
+	for name, gone := range map[string]*System{"sys": sys, "the closed sibling": closedSib} {
+		if ns, _, err := gone.Recover(); !errors.Is(err, ErrRetired) || ns != nil {
+			t.Fatalf("Recover of %s after r2: system %v, err %v, want ErrRetired", name, ns, err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s's device served a read after it was retired", name)
+				}
+			}()
+			gone.SSD().Durable(0)
+		}()
+	}
+	a, _, err := r1.Recover()
+	if err != nil {
+		t.Fatalf("first Recover of r1 after r2: %v", err)
+	}
+	defer a.Close()
+	b, _, err := r1.Recover()
+	if err != nil {
+		t.Fatalf("second Recover of r1 after r2: %v", err)
+	}
+	defer b.Close()
+	// A closed System retires when its source is recovered from again.
+	d, _, err := r1.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	e, _, err := r1.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, _, err := d.Recover(); !errors.Is(err, ErrRetired) {
+		t.Fatalf("Recover of a closed System after its source's next reboot: %v, want ErrRetired", err)
+	}
+	openImage := image(openSib)
+	// r2 stores into every page and cleans them all: those cleans take
+	// the buffers retiring sys and the closed sibling handed r2.
+	m2, err := r2.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if err := m2.WriteAt(bytes.Repeat([]byte{0xF0}, 4096), int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2.FlushAll()
+	if err := r2.VerifyDurability(); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*System{"r1's first reboot": a, "r1's second reboot": b, "r1's fourth reboot": e} {
+		if !bytes.Equal(image(s), want) {
+			t.Fatalf("%s does not read the bytes r2 restored", name)
+		}
+		if err := s.VerifyDurability(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if !bytes.Equal(image(openSib), openImage) {
+		t.Fatal("the open sibling's bytes changed under r2's cleans")
+	}
+	if err := openSib.VerifyDurability(); err != nil {
+		t.Fatalf("open sibling: %v", err)
+	}
+	// a and b store into page 0 and leave it dirty, so r1's image of it
+	// is read by their device objects alone. The open sibling is
+	// recoverable, and its reboot c retires r1, closed beside it; c's
+	// cleans take the buffers r1 handed on, and none of them is that one.
+	kept := map[*System][]byte{}
+	for _, s := range []*System{a, b} {
+		if err := s.region.WriteAt([]byte{0x3C}, 7); err != nil {
+			t.Fatal(err)
+		}
+		durable, _ := s.SSD().Durable(0)
+		kept[s] = bytes.Clone(durable)
+	}
+	c, _, err := openSib.Recover()
+	if err != nil {
+		t.Fatalf("Recover of the open sibling: %v", err)
+	}
+	defer c.Close()
+	if !bytes.Equal(image(c), openImage) {
+		t.Fatal("the open sibling's reboot does not read what it held")
+	}
+	mc, err := c.Map("heap", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pages; i++ {
+		if err := mc.WriteAt(bytes.Repeat([]byte{0x0F}, 4096), int64(i)*4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.FlushAll()
+	if _, _, err := r1.Recover(); !errors.Is(err, ErrRetired) {
+		t.Fatalf("Recover of r1 after its sibling's reboot: %v, want ErrRetired", err)
+	}
+	for s, want := range kept {
+		if durable, _ := s.SSD().Durable(0); !bytes.Equal(durable, want) {
+			t.Fatal("a durable page that only r1's reboots stored changed when r1 retired")
+		}
+		s.FlushAll()
+	}
+	for name, s := range map[string]*System{"r2": r2, "r1's first reboot": a, "r1's second reboot": b, "c": c} {
+		if err := s.VerifyDurability(); err != nil {
+			t.Fatalf("%s after r1 retired: %v", name, err)
+		}
 	}
 }
 
