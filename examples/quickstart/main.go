@@ -3,7 +3,9 @@
 // It provisions battery-backed DRAM whose battery only covers a fraction
 // of the capacity, writes durable data through the mmap-like API, cuts
 // the power, and recovers — showing that the whole region is durable even
-// though the battery is small.
+// though the battery is small. Last, like munmap and mmap again, it
+// detaches the mapping and maps it anew, and checks the bytes are still
+// there; it exits non-zero if they are not.
 //
 // Run with:
 //
@@ -11,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -61,4 +64,22 @@ func main() {
 	}
 	fmt.Printf("recovered %d pages in %v; data: %q\n",
 		restore.PagesRestored, restore.RestoreTime, buf)
+
+	// Unmap cleans the mapping's dirty pages to the SSD and releases its
+	// range; mapping the name again reads the same bytes.
+	if err := recovered.Unmap(m2); err != nil {
+		log.Fatal(err)
+	}
+	m3, err := recovered.Map("my-data", 1<<20)
+	if err != nil {
+		log.Fatal(err)
+	}
+	again := make([]byte, len(buf))
+	if err := m3.ReadAt(again, 0); err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(again, buf) {
+		log.Fatalf("re-mapped data %q, want %q", again, buf)
+	}
+	fmt.Printf("unmapped and re-mapped; data: %q\n", again)
 }

@@ -199,9 +199,6 @@ func (b *Battery) SetDerating(d float64) error {
 	return nil
 }
 
-// Derating returns the current runtime derating factor.
-func (b *Battery) Derating() float64 { return b.cfg.Derating }
-
 // Age reduces the nameplate capacity by the given fraction (0 ≤ f < 1)
 // and notifies observers. Shrink observers run before the change applies.
 func (b *Battery) Age(fraction float64) error {

@@ -11,11 +11,12 @@
 //
 // Three properties shape the design, each inherited from a neighbour:
 //
-//   - Torn-tail tolerance (from internal/recovery's cursor): every
-//     64-byte slot carries an FNV-1a checksum and its own sequence
-//     number, and the sequence fixes the slot ((seq-1) mod nslots), so
-//     Walk adopts exactly the set of intact records, drops a torn tail,
-//     and can never invent or resurrect a record into the wrong place.
+//   - Torn-tail tolerance: every 64-byte slot carries an FNV-1a
+//     checksum and its own sequence number, and the sequence fixes the
+//     slot ((seq-1) mod nslots), so Walk adopts exactly the set of
+//     intact records, drops a torn tail, and can never invent or
+//     resurrect a record into the wrong place. internal/recovery's
+//     cursor is a two-slot ring in the same format (EncodeRecord, Walk).
 //
 //   - Budget honesty (from internal/core): the ring's pages are Map'd
 //     like any heap page and charged against the same dirty budget.
@@ -88,7 +89,10 @@ func checksum(b []byte) uint64 {
 	return h.Sum64()
 }
 
-func encodeRecord(buf []byte, r Record) {
+// EncodeRecord writes r into buf's first SlotBytes bytes in the slot
+// layout above, checksum included. The recovery cursor stores its
+// two-slot ring in the same format.
+func EncodeRecord(buf []byte, r Record) {
 	binary.LittleEndian.PutUint64(buf[0:], r.Seq)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(r.At))
 	binary.LittleEndian.PutUint16(buf[16:], r.Kind)
@@ -288,7 +292,7 @@ func (r *Recorder) appendLocked(kind, code uint16, a0, a1, a2, a3 int64) {
 		r.drops.Add(1)
 		return
 	}
-	encodeRecord(r.buf[:], Record{
+	EncodeRecord(r.buf[:], Record{
 		Seq:   seq,
 		At:    r.now(),
 		Kind:  kind,

@@ -279,7 +279,7 @@ func verifyNoInvention(t *testing.T, data []byte, w WalkResult) {
 	var buf [SlotBytes]byte
 	for _, rec := range w.Records {
 		slot := (rec.Seq - 1) % nslots
-		encodeRecord(buf[:], rec)
+		EncodeRecord(buf[:], rec)
 		if !bytes.Equal(buf[:], data[slot*SlotBytes:(slot+1)*SlotBytes]) {
 			t.Fatalf("invented record: seq %d does not byte-match slot %d", rec.Seq, slot)
 		}
@@ -568,7 +568,7 @@ func FuzzBlackBoxWalk(f *testing.F) {
 			}
 			prev = rec.Seq
 			slot := (rec.Seq - 1) % nslots
-			encodeRecord(buf[:], rec)
+			EncodeRecord(buf[:], rec)
 			if !bytes.Equal(buf[:], data[slot*SlotBytes:(slot+1)*SlotBytes]) {
 				t.Fatalf("adopted record seq %d not literally present in slot %d", rec.Seq, slot)
 			}

@@ -327,16 +327,16 @@ func TestEpochsAdvance(t *testing.T) {
 // tick and a fresh period, not one replayed tick per period missed.
 func TestEpochChainKeepsPeriodButSkipsMissedOnes(t *testing.T) {
 	h := newHarness(t, 8, Config{DirtyBudgetPages: 4, Epoch: sim.Millisecond})
-	first, _ := h.events.NextAt()
+	first := h.mgr.epochEvent.At
 	h.clock.AdvanceTo(first.Add(300 * sim.Microsecond)) // the first tick fires 0.3 ms late
 	h.mgr.Pump()
-	if next, _ := h.events.NextAt(); h.mgr.Stats().Epochs != 1 || next != first.Add(sim.Millisecond) {
+	if next := h.mgr.epochEvent.At; h.mgr.Stats().Epochs != 1 || next != first.Add(sim.Millisecond) {
 		t.Fatalf("late tick: %d epochs, next at %v, want 1 and %v", h.mgr.Stats().Epochs, next, first.Add(sim.Millisecond))
 	}
 	h.clock.Advance(10 * sim.Millisecond)
 	h.mgr.Pump()
 	now := h.clock.Now()
-	if next, _ := h.events.NextAt(); h.mgr.Stats().Epochs != 2 || next != now.Add(sim.Millisecond) {
+	if next := h.mgr.epochEvent.At; h.mgr.Stats().Epochs != 2 || next != now.Add(sim.Millisecond) {
 		t.Fatalf("after a 10 ms jump: %d epochs, next at %v (now %v), want 2 and one period from now", h.mgr.Stats().Epochs, next, now)
 	}
 }

@@ -167,9 +167,6 @@ func (l *Latest) AddItem() {
 	l.z.grow(l.items)
 }
 
-// Items returns the current window size.
-func (l *Latest) Items() int64 { return l.items }
-
 // Next implements Generator.
 func (l *Latest) Next() int64 {
 	v := l.items - 1 - l.z.Next()

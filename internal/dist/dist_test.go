@@ -128,8 +128,8 @@ func TestLatestGrowsWithInserts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.AddItem()
 	}
-	if l.Items() != 200 {
-		t.Fatalf("items = %d, want 200", l.Items())
+	if l.items != 200 {
+		t.Fatalf("items = %d, want 200", l.items)
 	}
 	counts := drawCounts(l, 200, 50000)
 	for v := range counts {

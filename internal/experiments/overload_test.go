@@ -10,8 +10,9 @@ func TestOverloadPointBelowSaturationShedsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 4_000 || res.Shed() != 0 || res.OtherErrors+res.Cancelled != 0 {
+	shed := res.ShedOverload + res.ShedDeadline + res.ShedReadOnly
+	if res.Completed != 4_000 || shed != 0 || res.OtherErrors+res.Cancelled != 0 {
 		t.Fatalf("at 16 k ops/s: %d of 4000 completed, %d shed (%d overload, %d deadline), %d other",
-			res.Completed, res.Shed(), res.ShedOverload, res.ShedDeadline, res.OtherErrors+res.Cancelled)
+			res.Completed, shed, res.ShedOverload, res.ShedDeadline, res.OtherErrors+res.Cancelled)
 	}
 }

@@ -208,10 +208,6 @@ func (i *Injector) Disable() { i.enabled = false }
 // Enable re-arms a disabled injector.
 func (i *Injector) Enable() { i.enabled = true }
 
-// Writes returns the number of write submissions observed (including
-// while disabled, so ScriptAt indices stay aligned).
-func (i *Injector) Writes() uint64 { return i.next }
-
 // Stats returns what was actually injected.
 func (i *Injector) Stats() Stats { return i.stats }
 

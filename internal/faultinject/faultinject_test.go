@@ -87,8 +87,8 @@ func TestInjectorDisable(t *testing.T) {
 	if d := inj.WriteFault(0, nil); d.Fault != ssd.FaultNone {
 		t.Fatalf("disabled injector still injected")
 	}
-	if inj.Writes() != 2 {
-		t.Fatalf("Writes() = %d, want 2 (disabled writes still count for script alignment)", inj.Writes())
+	if inj.next != 2 {
+		t.Fatalf("writes seen = %d, want 2 (disabled writes still count for script alignment)", inj.next)
 	}
 	inj.Enable()
 	if d := inj.WriteFault(0, nil); d.Fault != ssd.FaultTransient {

@@ -172,7 +172,6 @@ type Monitor struct {
 	pm     power.Model
 	cfg    Config
 
-	lastBudget    int
 	drainFails    int
 	recoverStreak int
 	snapshots     []Snapshot
@@ -247,13 +246,12 @@ func NewMonitor(events *sim.Queue, clock *sim.Clock, batt *battery.Battery, mgr 
 		return nil, fmt.Errorf("health: interval %v must be positive", cfg.Interval)
 	}
 	m := &Monitor{
-		events:     events,
-		batt:       batt,
-		mgr:        mgr,
-		pm:         pm,
-		cfg:        cfg,
-		lastBudget: mgr.DirtyBudget(),
-		st:         newInstruments(cfg.Obs),
+		events: events,
+		batt:   batt,
+		mgr:    mgr,
+		pm:     pm,
+		cfg:    cfg,
+		st:     newInstruments(cfg.Obs),
 	}
 	m.fireFn = m.fire
 	m.event = events.Schedule(clock.Now().Add(cfg.Interval), m.fireFn)
@@ -278,9 +276,6 @@ func (m *Monitor) Snapshots() []Snapshot {
 	copy(out, m.snapshots)
 	return out
 }
-
-// LastBudget returns the most recent budget the monitor derived.
-func (m *Monitor) LastBudget() int { return m.lastBudget }
 
 // fire runs one monitor tick and re-arms the monitor's event.
 func (m *Monitor) fire(t sim.Time) {
@@ -426,7 +421,6 @@ func (m *Monitor) tick(at sim.Time) {
 			budget, bw = wearBudget, wearBW
 		}
 	}
-	m.lastBudget = budget
 	m.st.derivedBudget.Set(int64(budget))
 
 	// Sample the scrub signal every tick so the fresh-detection delta

@@ -9,6 +9,7 @@ import (
 	"viyojit/internal/faultinject"
 	"viyojit/internal/mmu"
 	"viyojit/internal/nvdram"
+	"viyojit/internal/obs"
 	"viyojit/internal/power"
 	"viyojit/internal/sim"
 	"viyojit/internal/ssd"
@@ -84,7 +85,8 @@ func TestMonitorRetunesOnBatterySag(t *testing.T) {
 		pages: 64, budget: 32, targetPages: 32.3,
 		// Slow device so the transfer term dominates the fixed overhead
 		// and a halved battery still covers a nonzero budget.
-		ssd: ssd.Config{WriteBandwidth: 16 << 20},
+		ssd:    ssd.Config{WriteBandwidth: 16 << 20},
+		health: Config{Obs: obs.NewRegistry()},
 	})
 	r.run(5 * sim.Millisecond) // two default-interval ticks
 	if got := r.mgr.DirtyBudget(); got != 32 {
@@ -98,8 +100,8 @@ func TestMonitorRetunesOnBatterySag(t *testing.T) {
 	if got >= 32 || got < 1 {
 		t.Fatalf("budget after 50%% battery sag = %d, want shrunk into [1,32)", got)
 	}
-	if r.mon.LastBudget() != got {
-		t.Fatalf("LastBudget %d diverges from manager budget %d", r.mon.LastBudget(), got)
+	if derived := r.mon.st.derivedBudget.Value(); derived != int64(got) {
+		t.Fatalf("derived budget %d diverges from manager budget %d", derived, got)
 	}
 	if r.mon.Stats().Retunes == 0 {
 		t.Fatal("no retune counted")

@@ -10,6 +10,7 @@ import (
 	"viyojit/internal/battery"
 	"viyojit/internal/core"
 	"viyojit/internal/faultinject"
+	"viyojit/internal/obs"
 	"viyojit/internal/power"
 	"viyojit/internal/sensor"
 	"viyojit/internal/sim"
@@ -139,7 +140,7 @@ func TestPoisonedWindowResetNotEmergency(t *testing.T) {
 		// The first sample comes after the whole burst has passed, so no
 		// sample sees the failure streak, which escalates on its own: this
 		// test is about the budget-collapse path only.
-		health: Config{Interval: 50 * sim.Millisecond},
+		health: Config{Interval: 50 * sim.Millisecond, Obs: obs.NewRegistry()},
 	})
 	// The very first writes the device ever sees all fail: the window's
 	// oldest samples are the burst, with no good history before it.
@@ -178,7 +179,7 @@ func TestPoisonedWindowResetNotEmergency(t *testing.T) {
 	if hs := r.mgr.HealthState(); hs != core.StateHealthy && hs != core.StateDegraded {
 		t.Fatalf("state %v, want Healthy or Degraded", hs)
 	}
-	if b := r.mon.LastBudget(); b < 1 {
+	if b := r.mon.st.derivedBudget.Value(); b < 1 {
 		t.Fatalf("budget %d after reset, want >= 1", b)
 	}
 }

@@ -148,7 +148,7 @@ func TestCompactCrashAtEveryStoreWrite(t *testing.T) {
 				}
 			}
 		}
-		want, oldGen = j.Snapshot(), j.Gen()
+		want, oldGen = j.Snapshot(), j.gen
 		from = st.spent()
 		if err := j.Compact(); err != nil {
 			t.Fatal(err)
@@ -167,9 +167,9 @@ func TestCompactCrashAtEveryStoreWrite(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		if j2.TornOpen() {
-			t.Fatalf("cut %d: reopened on a torn half (gen %d)", cut, j2.Gen())
+			t.Fatalf("cut %d: reopened on a torn half (gen %d)", cut, j2.gen)
 		}
-		if g := j2.Gen(); g != oldGen && g != oldGen+1 || cut == to && g != oldGen+1 {
+		if g := j2.gen; g != oldGen && g != oldGen+1 || cut == to && g != oldGen+1 {
 			t.Fatalf("cut %d of [%d, %d]: reopened at gen %d from gen %d", cut, from, to, g, oldGen)
 		}
 		assertSnapshotsEqual(t, want, j2.Snapshot())

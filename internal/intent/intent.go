@@ -435,9 +435,6 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 // acked, so it is safe (and correct) that it vanished.
 func (j *Journal) TornOpen() bool { return j.torn }
 
-// Gen returns the active half's generation (flips on compaction).
-func (j *Journal) Gen() uint64 { return j.gen }
-
 // Stats returns a snapshot of journal activity.
 func (j *Journal) Stats() Stats {
 	s := j.stats

@@ -167,8 +167,8 @@ func TestCompactionPreservesTableAndSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSnapshotsEqual(t, before, j2.Snapshot())
-	if j2.Gen() != j.Gen() {
-		t.Fatalf("reopened gen %d != live gen %d", j2.Gen(), j.Gen())
+	if j2.gen != j.gen {
+		t.Fatalf("reopened gen %d != live gen %d", j2.gen, j.gen)
 	}
 }
 
@@ -179,12 +179,12 @@ func TestExplicitCompactIdempotentState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gen := j.Gen()
+	gen := j.gen
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Gen() != gen+1 {
-		t.Fatalf("gen after compact = %d, want %d", j.Gen(), gen+1)
+	if j.gen != gen+1 {
+		t.Fatalf("gen after compact = %d, want %d", j.gen, gen+1)
 	}
 	j2, err := Open(ms, nil)
 	if err != nil {

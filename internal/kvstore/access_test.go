@@ -62,7 +62,7 @@ func (r *recStore) WriteAt(p []byte, off int64) error {
 
 // TestAccessSequenceGolden pins the region accesses (read/write, offset,
 // length, written bytes) a seeded script of Create/Put/Get/Delete/grow/
-// ForEach/Len/Open issues, each one a charged mapping call
+// forEach/Len/Open issues, each one a charged mapping call
 // (kvstore.mapping_calls_per_op) and a possible page fault. Two goldens
 // say what may move:
 //
@@ -84,7 +84,7 @@ func TestAccessSequenceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetMetaInterval(4)
+	s.metaInterval = 4 // every 4th hit writes entry metadata
 	rng := rand.New(rand.NewSource(15))
 	shadow := map[string][]byte{}
 	key := func() []byte { return []byte(fmt.Sprintf("key-%03d", rng.Intn(300))) }
@@ -127,9 +127,9 @@ func TestAccessSequenceGolden(t *testing.T) {
 	}
 	walk := func(st *Store) {
 		n := 0
-		err := st.ForEach(func(k, v []byte) error {
+		err := st.forEach(func(k, v []byte) error {
 			if !bytes.Equal(shadow[string(k)], v) {
-				return fmt.Errorf("ForEach: %s = %q, want %q", k, v, shadow[string(k)])
+				return fmt.Errorf("forEach: %s = %q, want %q", k, v, shadow[string(k)])
 			}
 			n++
 			return nil
@@ -245,9 +245,45 @@ func TestCorruptEntryHeaderRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "corrupt entry") {
 			t.Errorf("%s: Get error = %v, want a corrupt-entry error", tc.name, err)
 		}
-		err = s.ForEach(func(k, v []byte) error { return nil })
+		err = s.forEach(func(k, v []byte) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "corrupt entry") {
-			t.Errorf("%s: ForEach error = %v, want a corrupt-entry error", tc.name, err)
+			t.Errorf("%s: forEach error = %v, want a corrupt-entry error", tc.name, err)
 		}
 	}
+}
+
+// forEach invokes fn for every record in bucket order, passing copies of
+// the key and value; fn returning an error aborts the walk. Its region
+// reads are part of TestAccessSequenceGolden's full sequence.
+func (s *Store) forEach(fn func(key, value []byte) error) error {
+	for _, seg := range s.segments {
+		segBuckets := bucketsPerSegment
+		// The last segment may be shorter.
+		if usable, err := s.heap.UsableSize(seg); err != nil {
+			return err
+		} else if usable/8 < segBuckets {
+			segBuckets = usable / 8
+		}
+		for b := 0; b < segBuckets; b++ {
+			cur, err := s.readPtr(seg, b*8)
+			if err != nil {
+				return err
+			}
+			for cur != 0 {
+				next, kl, vl, err := s.entryHeader(cur)
+				if err != nil {
+					return err
+				}
+				kv := make([]byte, kl+vl)
+				if err := s.heap.Read(cur, entryHeaderSize, kv); err != nil {
+					return err
+				}
+				if err := fn(kv[:kl:kl], kv[kl:]); err != nil {
+					return err
+				}
+				cur = next
+			}
+		}
+	}
+	return nil
 }

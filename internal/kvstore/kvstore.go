@@ -57,7 +57,7 @@ type Store struct {
 	// Scratch for region accesses. A buffer handed to the heap escapes
 	// through the pheap.Store interface, so a local one costs a heap
 	// allocation per access; these are reused instead. Nothing a caller
-	// receives aliases them: Get and ForEach return fresh copies.
+	// receives aliases them: Get returns fresh copies.
 	word [8]byte               // pointers, counters, the access clock
 	hdr  [entryHeaderSize]byte // entryHeader
 	buf  []byte                // grow-only: key compare, writeEntry's image
@@ -67,17 +67,6 @@ type Store struct {
 func (s *Store) scratch(n int) []byte {
 	s.buf = slices.Grow(s.buf[:0], n)[:n]
 	return s.buf
-}
-
-// SetMetaInterval overrides how often reads write per-entry metadata: an
-// entry's meta field is written on every k-th hit (k=1 writes on every
-// hit, the conservative extreme; k=0 resets to the default).
-func (s *Store) SetMetaInterval(k int) {
-	if k <= 0 {
-		s.metaInterval = DefaultMetaInterval
-		return
-	}
-	s.metaInterval = uint64(k)
 }
 
 // Stats counts store operations since the handle was created.
@@ -168,9 +157,6 @@ func Open(heap *pheap.Heap) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Stats returns a snapshot of the operation counters.
-func (s *Store) Stats() Stats { return s.stats }
 
 // hashKey is FNV-1a over the key bytes.
 func hashKey(key []byte) uint64 {
@@ -412,41 +398,4 @@ func (s *Store) adjustCount(delta int64) error {
 	c = uint64(int64(c) + delta)
 	binary.LittleEndian.PutUint64(s.word[:], c)
 	return s.heap.Write(s.root, 8, s.word[:])
-}
-
-// ForEach invokes fn for every record (in unspecified order), passing
-// copies of the key and value. fn returning an error aborts the walk.
-// It is the verification/export walk a recovery procedure runs after
-// reopening a store.
-func (s *Store) ForEach(fn func(key, value []byte) error) error {
-	for _, seg := range s.segments {
-		segBuckets := bucketsPerSegment
-		// The last segment may be shorter.
-		if usable, err := s.heap.UsableSize(seg); err != nil {
-			return err
-		} else if usable/8 < segBuckets {
-			segBuckets = usable / 8
-		}
-		for b := 0; b < segBuckets; b++ {
-			cur, err := s.readPtr(seg, b*8)
-			if err != nil {
-				return err
-			}
-			for cur != 0 {
-				next, kl, vl, err := s.entryHeader(cur)
-				if err != nil {
-					return err
-				}
-				kv := make([]byte, kl+vl)
-				if err := s.heap.Read(cur, entryHeaderSize, kv); err != nil {
-					return err
-				}
-				if err := fn(kv[:kl:kl], kv[kl:]); err != nil {
-					return err
-				}
-				cur = next
-			}
-		}
-	}
-	return nil
 }

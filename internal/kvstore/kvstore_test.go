@@ -89,8 +89,8 @@ func TestUpdateInPlace(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("len = %d, want 1", n)
 	}
-	if s.Stats().Updates != 1 || s.Stats().Inserts != 1 {
-		t.Fatalf("stats = %+v", s.Stats())
+	if s.stats.Updates != 1 || s.stats.Inserts != 1 {
+		t.Fatalf("stats = %+v", s.stats)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestChainCollisions(t *testing.T) {
 			t.Fatalf("key %d: %q ok=%v err=%v", i, v, ok, err)
 		}
 	}
-	if s.Stats().ChainSteps == 0 {
+	if s.stats.ChainSteps == 0 {
 		t.Fatal("no chain traversal recorded on a single-bucket store")
 	}
 }
@@ -324,37 +324,5 @@ func TestShadowMapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	s, _ := newTestStore(t, 1<<21, 64)
-	want := map[string]string{}
-	for i := 0; i < 100; i++ {
-		k, v := fmt.Sprintf("key%03d", i), fmt.Sprintf("val%03d", i)
-		if err := s.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	got := map[string]string{}
-	if err := s.ForEach(func(k, v []byte) error {
-		got[string(k)] = string(v)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("walked %d records, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("record %s = %q, want %q", k, got[k], v)
-		}
-	}
-	// Abort propagates.
-	boom := errors.New("stop")
-	if err := s.ForEach(func(k, v []byte) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("abort error = %v", err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package mmu implements a software memory-management unit: a page table
-// with present / write-protect / dirty / accessed bits, a TLB model, and
+// with present / write-protect / dirty bits, a TLB model, and
 // delivery of write-protection faults to a registered handler.
 //
 // The Viyojit paper manipulates real x86-64 page tables from a kernel
@@ -89,7 +89,6 @@ type entry struct {
 	present        bool
 	writeProtected bool
 	dirty          bool
-	accessed       bool
 }
 
 // FaultHandler is invoked when a write hits a write-protected page. The
@@ -107,7 +106,7 @@ type FaultHandler func(page PageID)
 // would) but carries no trap cost in the common case.
 type DirtyNotifier func(page PageID)
 
-// Stats counts MMU events since construction (or the last ResetStats).
+// Stats counts MMU events since construction.
 type Stats struct {
 	Reads            uint64
 	Writes           uint64
@@ -169,9 +168,6 @@ func (pt *PageTable) SetDirtyNotifier(n DirtyNotifier) { pt.notifier = n }
 // Stats returns a snapshot of the event counters.
 func (pt *PageTable) Stats() Stats { return pt.stats }
 
-// ResetStats zeroes the event counters.
-func (pt *PageTable) ResetStats() { pt.stats = Stats{} }
-
 func (pt *PageTable) check(page PageID) {
 	if int(page) >= len(pt.entries) {
 		panic(fmt.Sprintf("mmu: page %d out of range [0,%d)", page, len(pt.entries)))
@@ -231,14 +227,12 @@ func (pt *PageTable) translate(page PageID) *tlbEntry {
 	return pt.tlb.fill(page, e.writeProtected)
 }
 
-// Read models a load from the page: it fills the TLB as needed and sets
-// the accessed bit.
+// Read models a load from the page: it fills the TLB as needed.
 func (pt *PageTable) Read(page PageID) {
 	pt.check(page)
 	pt.stats.Reads++
 	pt.clock.Advance(pt.costs.Access)
 	pt.translate(page)
-	pt.entries[page].accessed = true
 }
 
 // Write models a store to the page. If the page is write-protected the
@@ -278,7 +272,6 @@ func (pt *PageTable) Write(page PageID) error {
 			}
 		}
 	}
-	pt.entries[page].accessed = true
 	return nil
 }
 
@@ -295,44 +288,18 @@ func (pt *PageTable) FlushTLB() {
 	pt.tlb.flush()
 }
 
-// ScanAndClearDirty walks the whole page table, appending the PageID of
-// every page whose dirty bit is set to dst, and clears those dirty bits.
-// It returns the extended slice. If flushTLB is true the TLB is flushed
-// first, so the bits read are precise; if false, the scan is cheaper but
-// pages written through still-cached translations since the last scan may
-// be missed (paper §5.2 and §6.3).
-//
-// The walk charges WalkPerPage per page plus one PTEUpdate per cleared
-// bit.
-func (pt *PageTable) ScanAndClearDirty(dst []PageID, flushTLB bool) []PageID {
-	if flushTLB {
-		pt.FlushTLB()
-	}
-	pt.stats.Walks++
-	pt.clock.Advance(pt.costs.WalkPerPage * sim.Duration(len(pt.entries)))
-	cleared := 0
-	for i := range pt.entries {
-		if pt.entries[i].dirty {
-			dst = append(dst, PageID(i))
-			pt.entries[i].dirty = false
-			cleared++
-		}
-	}
-	if cleared > 0 {
-		pt.stats.PTEUpdates += uint64(cleared)
-		pt.clock.Advance(pt.costs.PTEUpdate * sim.Duration(cleared))
-	}
-	return dst
-}
-
 // CheckAndClearDirtyPages reads and clears the dirty bits of just the
 // given pages, appending to dst the index in pages of each updated one.
 // This is the scan Viyojit actually performs each epoch: clean pages are
 // write-protected and cannot have been dirtied without a fault, so only
 // the known-to-be-dirty pages need checking (paper §1: "periodically
 // checking and clearing the page table dirty bits for known-to-be-dirty
-// pages"). The TLB-precision caveat of ScanAndClearDirty applies: without
-// flushTLB, pages written through still-cached translations are missed.
+// pages"). If flushTLB is true the TLB is flushed first, so the bits read
+// are precise; without it, pages written through still-cached
+// translations since the last scan are missed (paper §5.2 and §6.3).
+//
+// The walk charges WalkPerPage per checked page plus one PTEUpdate per
+// cleared bit.
 func (pt *PageTable) CheckAndClearDirtyPages(pages []PageID, dst []int, flushTLB bool) []int {
 	if flushTLB {
 		pt.FlushTLB()
@@ -351,25 +318,6 @@ func (pt *PageTable) CheckAndClearDirtyPages(pages []PageID, dst []int, flushTLB
 	if cleared > 0 {
 		pt.stats.PTEUpdates += uint64(cleared)
 		pt.clock.Advance(pt.costs.PTEUpdate * sim.Duration(cleared))
-	}
-	return dst
-}
-
-// ScanAndClearAccessed walks the page table collecting and clearing
-// accessed bits, with the same TLB-precision caveat as
-// ScanAndClearDirty. It exists for LRU-style policies over reads and for
-// completeness of the MMU model.
-func (pt *PageTable) ScanAndClearAccessed(dst []PageID, flushTLB bool) []PageID {
-	if flushTLB {
-		pt.FlushTLB()
-	}
-	pt.stats.Walks++
-	pt.clock.Advance(pt.costs.WalkPerPage * sim.Duration(len(pt.entries)))
-	for i := range pt.entries {
-		if pt.entries[i].accessed {
-			dst = append(dst, PageID(i))
-			pt.entries[i].accessed = false
-		}
 	}
 	return dst
 }

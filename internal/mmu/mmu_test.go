@@ -71,29 +71,6 @@ func TestWriteHandlerLeavesProtectedFails(t *testing.T) {
 	}
 }
 
-func TestScanAndClearDirty(t *testing.T) {
-	pt, _ := newTestPT(16)
-	for _, p := range []PageID{1, 4, 9} {
-		if err := pt.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := pt.ScanAndClearDirty(nil, true)
-	want := map[PageID]bool{1: true, 4: true, 9: true}
-	if len(got) != 3 {
-		t.Fatalf("scan returned %v, want 3 pages", got)
-	}
-	for _, p := range got {
-		if !want[p] {
-			t.Fatalf("scan returned unexpected page %d", p)
-		}
-	}
-	// Bits were cleared.
-	if again := pt.ScanAndClearDirty(nil, true); len(again) != 0 {
-		t.Fatalf("second scan returned %v, want empty", again)
-	}
-}
-
 // The stale-dirty-bit effect: after a scan that clears dirty bits WITHOUT
 // flushing the TLB, a page whose translation is still cached does not get
 // its PTE dirty bit re-set on subsequent writes, so the next scan misses
@@ -105,11 +82,11 @@ func TestStaleDirtyBitsWithoutTLBFlush(t *testing.T) {
 	if err := pt.Write(2); err != nil {
 		t.Fatal(err)
 	}
-	pt.ScanAndClearDirty(nil, false) // clears PTE bit, TLB entry survives
+	pt.CheckAndClearDirtyPages([]PageID{2}, nil, false) // clears PTE bit, TLB entry survives
 	if err := pt.Write(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := pt.ScanAndClearDirty(nil, false); len(got) != 0 {
+	if got := pt.CheckAndClearDirtyPages([]PageID{2}, nil, false); len(got) != 0 {
 		t.Fatalf("unflushed scan saw %v; cached translation should hide the write", got)
 	}
 
@@ -118,13 +95,13 @@ func TestStaleDirtyBitsWithoutTLBFlush(t *testing.T) {
 	if err := pt2.Write(2); err != nil {
 		t.Fatal(err)
 	}
-	pt2.ScanAndClearDirty(nil, true)
+	pt2.CheckAndClearDirtyPages([]PageID{2}, nil, true)
 	if err := pt2.Write(2); err != nil {
 		t.Fatal(err)
 	}
-	got := pt2.ScanAndClearDirty(nil, true)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("flushed scan saw %v, want [2]", got)
+	got := pt2.CheckAndClearDirtyPages([]PageID{2}, nil, true)
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("flushed scan saw %v, want [0] (page 2)", got)
 	}
 }
 
@@ -162,25 +139,6 @@ func TestClearDirtySinglePage(t *testing.T) {
 	}
 	if !pt.IsDirty(6) {
 		t.Fatal("dirty bit not re-set after ClearDirty+write")
-	}
-}
-
-func TestAccessedBits(t *testing.T) {
-	pt, _ := newTestPT(8)
-	pt.Read(3)
-	if err := pt.Write(5); err != nil {
-		t.Fatal(err)
-	}
-	got := pt.ScanAndClearAccessed(nil, true)
-	seen := map[PageID]bool{}
-	for _, p := range got {
-		seen[p] = true
-	}
-	if !seen[3] || !seen[5] || len(got) != 2 {
-		t.Fatalf("accessed scan = %v, want pages 3 and 5", got)
-	}
-	if again := pt.ScanAndClearAccessed(nil, true); len(again) != 0 {
-		t.Fatalf("accessed bits not cleared: %v", again)
 	}
 }
 
@@ -242,10 +200,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.Writes != 1 || s.Reads != 1 || s.Faults != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	pt.ResetStats()
-	if pt.Stats() != (Stats{}) {
-		t.Fatalf("ResetStats left %+v", pt.Stats())
-	}
 }
 
 // Property: a write to an unprotected page always results in the dirty bit
@@ -258,7 +212,11 @@ func TestDirtyVisibleAfterFlushedScanProperty(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			_ = pt.Write(PageID(rng.Intn(256)))
 		}
-		pt.ScanAndClearDirty(nil, true)
+		all := make([]PageID, 256)
+		for i := range all {
+			all[i] = PageID(i)
+		}
+		pt.CheckAndClearDirtyPages(all, nil, true)
 		want := map[PageID]bool{}
 		for _, w := range writes {
 			p := PageID(w)
@@ -267,12 +225,12 @@ func TestDirtyVisibleAfterFlushedScanProperty(t *testing.T) {
 			}
 			want[p] = true
 		}
-		got := pt.ScanAndClearDirty(nil, true)
+		got := pt.CheckAndClearDirtyPages(all, nil, true)
 		if len(got) != len(want) {
 			return false
 		}
-		for _, p := range got {
-			if !want[p] {
+		for _, i := range got {
+			if !want[all[i]] {
 				return false
 			}
 		}

@@ -85,14 +85,6 @@ func (h *Histogram) Record(d sim.Duration) {
 	}
 }
 
-// Count returns the number of samples; 0 on nil.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // snap freezes the histogram into an exportable summary. Only non-empty
 // buckets are exported, keeping golden files and JSON payloads small.
 func (h *Histogram) snap(name string) HistogramSnap {
@@ -117,26 +109,6 @@ func (h *Histogram) snap(name string) HistogramSnap {
 	s.P99 = quantile(&counts, s.Count, s.Min, s.Max, 0.99)
 	s.P999 = quantile(&counts, s.Count, s.Min, s.Max, 0.999)
 	return s
-}
-
-// Quantile returns the approximate q-quantile (q in [0,1]) of the live
-// histogram. Intended for tests and ad-hoc inspection; exports use snap
-// so all quantiles derive from one consistent bucket read.
-func (h *Histogram) Quantile(q float64) sim.Duration {
-	if h == nil {
-		return 0
-	}
-	var counts [numBuckets]uint64
-	var total uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		counts[i] = c
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	return sim.Duration(quantile(&counts, total, h.min.Load(), h.max.Load(), q))
 }
 
 // quantile walks the cumulative bucket counts to the target rank and

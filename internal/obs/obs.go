@@ -115,17 +115,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta (which may be negative). No-op on nil.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	v := g.v.Add(delta)
-	if g.sink != nil && delta != 0 {
-		g.sink.GaugeSet(g.name, v)
-	}
-}
-
 // SetMax raises the gauge to v if v exceeds the current value — a
 // high-water mark (max dirty observed, max queue depth). No-op on nil.
 func (g *Gauge) SetMax(v int64) {

@@ -45,8 +45,7 @@ func TestNilCounterNoops(t *testing.T) {
 
 func TestGaugeBasics(t *testing.T) {
 	var g Gauge
-	g.Set(10)
-	g.Add(-15)
+	g.Set(-5)
 	if g.Value() != -5 {
 		t.Fatalf("gauge = %d, want -5", g.Value())
 	}
@@ -60,24 +59,9 @@ func TestGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestGaugeOverflowSemantics(t *testing.T) {
-	// Add wraps modulo 2^64 like any Go atomic; Set always wins.
-	var g Gauge
-	g.Set(math.MaxInt64)
-	g.Add(1)
-	if g.Value() != math.MinInt64 {
-		t.Fatalf("MaxInt64+1 = %d, want MinInt64 wrap", g.Value())
-	}
-	g.Set(0)
-	if g.Value() != 0 {
-		t.Fatalf("Set(0) after wrap = %d, want 0", g.Value())
-	}
-}
-
 func TestNilGaugeNoops(t *testing.T) {
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	g.SetMax(1)
 	if g.Value() != 0 {
 		t.Fatalf("nil gauge Value = %d, want 0", g.Value())
@@ -193,9 +177,6 @@ func TestHistogramEdgeCases(t *testing.T) {
 				if len(s.Buckets) != 0 || s.Min != 0 || s.Max != 0 {
 					t.Fatalf("empty histogram must export a bare snap, got %+v", s)
 				}
-				if q := h.Quantile(0.5); q != 0 {
-					t.Fatalf("empty quantile = %v, want 0", q)
-				}
 				return
 			}
 			if s.Min != tc.min || s.Max != tc.max {
@@ -226,9 +207,10 @@ func TestHistogramEdgeCases(t *testing.T) {
 func TestHistogramSingleSampleQuantilesExact(t *testing.T) {
 	h := newHistogram()
 	h.Record(7777)
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if got := h.Quantile(q); got != 7777 {
-			t.Fatalf("Quantile(%v) = %v, want exactly 7777", q, got)
+	s := h.snap("h")
+	for _, got := range []int64{s.Min, s.P50, s.P90, s.P99, s.P999, s.Max} {
+		if got != 7777 {
+			t.Fatalf("snap %+v, want every quantile exactly 7777", s)
 		}
 	}
 }
@@ -244,19 +226,20 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(1_000_000)
 	}
-	p50 := int64(h.Quantile(0.50))
+	s := h.snap("h")
+	p50 := s.P50
 	if p50 < 1000 || p50 > 1100 {
 		t.Fatalf("p50 = %d, want within one bucket of 1000", p50)
 	}
-	p99 := int64(h.Quantile(0.99))
+	p99 := s.P99
 	if p99 < 930_000 || p99 > 1_000_000 {
 		t.Fatalf("p99 = %d, want within one bucket of 1e6 (clamped at max)", p99)
 	}
-	if q0 := int64(h.Quantile(0)); q0 != 1000 {
-		t.Fatalf("Quantile(0) = %d, want min 1000", q0)
+	if q0 := quantile(&[numBuckets]uint64{}, 1, s.Min, s.Max, 0); q0 != 1000 {
+		t.Fatalf("quantile 0 = %d, want min 1000", q0)
 	}
-	if q1 := int64(h.Quantile(1)); q1 != 1_000_000 {
-		t.Fatalf("Quantile(1) = %d, want max 1e6", q1)
+	if q1 := quantile(&[numBuckets]uint64{}, 1, s.Min, s.Max, 1); q1 != 1_000_000 {
+		t.Fatalf("quantile 1 = %d, want max 1e6", q1)
 	}
 }
 
@@ -385,7 +368,6 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 		c.Inc()
 		c.Add(2)
 		g.Set(9)
-		g.Add(-1)
 		g.SetMax(12)
 		h.Record(12345)
 		sp := tr.Begin("op", 1)
@@ -439,7 +421,7 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 	if got := r.Counter("c").Value(); got != goroutines*per {
 		t.Fatalf("counter = %d, want %d", got, goroutines*per)
 	}
-	if got := r.Histogram("h").Count(); got != goroutines*per {
+	if got := r.Histogram("h").count.Load(); got != goroutines*per {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*per)
 	}
 }

@@ -66,7 +66,6 @@ func TestSinkGaugeTeeFiresOnlyOnChange(t *testing.T) {
 	g.Set(5)
 	g.Set(5) // no change: silent
 	g.Set(6)
-	g.Add(0)    // no change: silent
 	g.SetMax(4) // below current: silent
 	g.SetMax(9)
 	if len(sink.gauges) != 3 {

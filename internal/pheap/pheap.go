@@ -329,45 +329,3 @@ func (h *Heap) Root() (Ptr, error) {
 	v, err := h.readU64(offRoot)
 	return Ptr(v), err
 }
-
-// Stats describes heap occupancy.
-type Stats struct {
-	// BumpOffset is the high-water mark of fresh allocation.
-	BumpOffset int64
-	// HeapSize is the store size.
-	HeapSize int64
-	// FreeBlocks counts blocks on the per-class free lists.
-	FreeBlocks [numClasses]int
-}
-
-// NumClasses reports the number of size classes (for tooling).
-func NumClasses() int { return numClasses }
-
-// ClassSize reports the payload size of class c (for tooling).
-func ClassSize(c int) int { return classSize(c) }
-
-// Stats walks the free lists and returns occupancy numbers.
-func (h *Heap) Stats() (Stats, error) {
-	var s Stats
-	bump, err := h.readU64(offBump)
-	if err != nil {
-		return s, err
-	}
-	s.BumpOffset = int64(bump)
-	s.HeapSize = h.store.Size()
-	for c := 0; c < numClasses; c++ {
-		head, err := h.readU64(offFree + int64(8*c))
-		if err != nil {
-			return s, err
-		}
-		for head != 0 {
-			s.FreeBlocks[c]++
-			next, err := h.readU64(int64(head))
-			if err != nil {
-				return s, err
-			}
-			head = next
-		}
-	}
-	return s, nil
-}

@@ -193,7 +193,7 @@ func TestStats(t *testing.T) {
 	if err := h.Free(p2); err != nil {
 		t.Fatal(err)
 	}
-	s, err := h.Stats()
+	s, err := h.stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +286,11 @@ func TestNoOverlapProperty(t *testing.T) {
 }
 
 func TestClassHelpers(t *testing.T) {
-	if NumClasses() != numClasses {
-		t.Fatal("NumClasses mismatch")
+	if classSize(0) != 32 {
+		t.Fatalf("classSize(0) = %d", classSize(0))
 	}
-	if ClassSize(0) != 32 {
-		t.Fatalf("ClassSize(0) = %d", ClassSize(0))
-	}
-	for c := 1; c < NumClasses(); c++ {
-		if ClassSize(c) != 2*ClassSize(c-1) {
+	for c := 1; c < numClasses; c++ {
+		if classSize(c) != 2*classSize(c-1) {
 			t.Fatalf("class sizes not doubling at %d", c)
 		}
 	}
@@ -342,4 +339,40 @@ func TestReadWriteAllocations(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Alloc+Free allocate %v times, want 0", allocs)
 	}
+}
+
+// heapStats describes heap occupancy.
+type heapStats struct {
+	// BumpOffset is the high-water mark of fresh allocation.
+	BumpOffset int64
+	// HeapSize is the store size.
+	HeapSize int64
+	// FreeBlocks counts blocks on the per-class free lists.
+	FreeBlocks [numClasses]int
+}
+
+// stats walks the free lists and returns occupancy numbers.
+func (h *Heap) stats() (heapStats, error) {
+	var s heapStats
+	bump, err := h.readU64(offBump)
+	if err != nil {
+		return s, err
+	}
+	s.BumpOffset = int64(bump)
+	s.HeapSize = h.store.Size()
+	for c := 0; c < numClasses; c++ {
+		head, err := h.readU64(offFree + int64(8*c))
+		if err != nil {
+			return s, err
+		}
+		for head != 0 {
+			s.FreeBlocks[c]++
+			next, err := h.readU64(int64(head))
+			if err != nil {
+				return s, err
+			}
+			head = next
+		}
+	}
+	return s, nil
 }

@@ -185,7 +185,7 @@ func driveHeap(t testing.TB, script []byte, storeSize int) driveCounts {
 					t.Fatalf("step %d: UsableSize(%d) = %d, %v; want %d", step, p, got, err, len(img))
 				}
 			}
-			s, err := h.Stats()
+			s, err := h.stats()
 			if err != nil || s.FreeBlocks != m.free || s.HeapSize != int64(storeSize) {
 				t.Fatalf("step %d: Stats = %+v, %v; want free lists %v over %d bytes", step, s, err, m.free, storeSize)
 			}

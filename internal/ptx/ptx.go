@@ -113,9 +113,6 @@ func Open(store Store, logBytes int64) (*Heap, error) {
 // records in the log — and rolled it back.
 func (h *Heap) RolledBack() bool { return h.rolledBack }
 
-// DataSize returns the transactional data area's size.
-func (h *Heap) DataSize() int64 { return h.data.Size() }
-
 // undo record payload: [off u64][old bytes].
 func encodeUndo(off int64, old []byte) []byte {
 	buf := make([]byte, 8+len(old))

@@ -220,7 +220,7 @@ func TestAtomicityProperty(t *testing.T) {
 			return false
 		}
 		rng := sim.NewRNG(seed)
-		shadow := make([]byte, h.DataSize())
+		shadow := make([]byte, h.data.Size())
 		for i := 0; i < int(nTxs)%25+1; i++ {
 			// Build a candidate set of writes.
 			type w struct {
@@ -230,7 +230,7 @@ func TestAtomicityProperty(t *testing.T) {
 			var writes []w
 			for j := 0; j < rng.Intn(5)+1; j++ {
 				n := rng.Intn(300) + 1
-				off := rng.Int63n(h.DataSize() - int64(n))
+				off := rng.Int63n(h.data.Size() - int64(n))
 				data := make([]byte, n)
 				for k := range data {
 					data[k] = byte(rng.Uint64()) | 1
@@ -280,7 +280,7 @@ func TestAtomicityProperty(t *testing.T) {
 				h = h2
 			}
 		}
-		got := make([]byte, h.DataSize())
+		got := make([]byte, h.data.Size())
 		if err := h.View(func(tx *Tx) error { return tx.Read(got, 0) }); err != nil {
 			return false
 		}

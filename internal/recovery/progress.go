@@ -6,10 +6,12 @@
 //
 // The cursor lives in an ordinary NV-DRAM mapping, so its writes are
 // dirty-budget-accounted and flushed by the same power-fail path as the
-// data whose recovery it tracks. Durability is two-slot atomic: each
-// write encodes a full checksummed snapshot into the slot its sequence
-// number selects (alternating), so a write torn by yet another outage
-// leaves the other slot valid. A cursor whose both slots fail
+// data whose recovery it tracks. Durability is two-slot atomic: the
+// cursor is a two-slot ring of flight-recorder records (blackbox's
+// 64-byte checksummed format, kind KindCursor), each write a full
+// snapshot in the slot its sequence number selects ((Seq-1) mod 2,
+// alternating), so a write torn by yet another outage leaves the other
+// slot valid. A cursor whose both slots fail
 // verification is not an error: OpenCursor falls back to a fresh cursor
 // and the caller runs a full from-scratch recovery — the one behaviour
 // that is always safe — rather than ever trusting a partial record.
@@ -31,11 +33,10 @@
 package recovery
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
+	"viyojit/internal/blackbox"
 	"viyojit/internal/obs"
 	"viyojit/internal/wal"
 )
@@ -131,9 +132,7 @@ func (p Progress) Less(q Progress) bool {
 }
 
 const (
-	cursorMagic uint64 = 0x56494A5243555253 // "VIJRCURS"
-
-	slotBytes = 64
+	slotBytes = blackbox.SlotBytes
 	// MinCursorBytes is the smallest store a cursor accepts: two slots.
 	MinCursorBytes = 2 * slotBytes
 )
@@ -172,51 +171,31 @@ func newCursor(store CursorStore, reg *obs.Registry) *Cursor {
 	}
 }
 
-// cursorSum is FNV-1a over a slot's first 56 bytes (everything but the
-// checksum word itself).
-func cursorSum(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b[:slotBytes-8])
-	return h.Sum64()
+// record is p as a flight-recorder record: Seq is the record's seq,
+// Phase its code, and the args carry (Incarnation, Attempt, Record,
+// BudgetPages).
+func record(p Progress) blackbox.Record {
+	return blackbox.Record{
+		Seq:  p.Seq,
+		Kind: blackbox.KindCursor,
+		Code: uint16(p.Phase),
+		Args: [4]int64{int64(p.Incarnation), int64(p.Attempt), int64(p.Record), int64(p.BudgetPages)},
+	}
 }
 
-func encodeSlot(p Progress) []byte {
-	var b [slotBytes]byte
-	binary.LittleEndian.PutUint64(b[0:], cursorMagic)
-	binary.LittleEndian.PutUint64(b[8:], p.Seq)
-	binary.LittleEndian.PutUint64(b[16:], p.Incarnation)
-	binary.LittleEndian.PutUint64(b[24:], p.Attempt)
-	binary.LittleEndian.PutUint64(b[32:], uint64(p.Phase))
-	binary.LittleEndian.PutUint64(b[40:], p.Record)
-	binary.LittleEndian.PutUint64(b[48:], p.BudgetPages)
-	binary.LittleEndian.PutUint64(b[56:], cursorSum(b[:]))
-	return b[:]
-}
-
-// decodeSlot validates one slot. ok is false for bad magic, bad
-// checksum, or a phase outside the enum — anything a torn write, a bit
-// flip, or a truncated store could produce.
-func decodeSlot(b []byte) (Progress, bool) {
-	if len(b) < slotBytes {
-		return Progress{}, false
-	}
-	if binary.LittleEndian.Uint64(b[0:]) != cursorMagic {
-		return Progress{}, false
-	}
-	if binary.LittleEndian.Uint64(b[56:]) != cursorSum(b) {
-		return Progress{}, false
-	}
-	phase := binary.LittleEndian.Uint64(b[32:])
-	if phase > uint64(PhaseDone) {
+// progress reads a cursor back out of r. ok is false for a record of
+// another kind or a phase outside the enum.
+func progress(r blackbox.Record) (Progress, bool) {
+	if r.Kind != blackbox.KindCursor || r.Code > uint16(PhaseDone) {
 		return Progress{}, false
 	}
 	return Progress{
-		Seq:         binary.LittleEndian.Uint64(b[8:]),
-		Incarnation: binary.LittleEndian.Uint64(b[16:]),
-		Attempt:     binary.LittleEndian.Uint64(b[24:]),
-		Phase:       Phase(phase),
-		Record:      binary.LittleEndian.Uint64(b[40:]),
-		BudgetPages: binary.LittleEndian.Uint64(b[48:]),
+		Seq:         r.Seq,
+		Incarnation: uint64(r.Args[0]),
+		Attempt:     uint64(r.Args[1]),
+		Phase:       Phase(r.Code),
+		Record:      uint64(r.Args[2]),
+		BudgetPages: uint64(r.Args[3]),
 	}, true
 }
 
@@ -226,24 +205,18 @@ func CreateCursor(store CursorStore, reg *obs.Registry) (*Cursor, error) {
 		return nil, fmt.Errorf("recovery: cursor store of %d bytes too small (min %d)", store.Size(), MinCursorBytes)
 	}
 	c := newCursor(store, reg)
-	c.cur = Progress{Seq: 1, Phase: PhaseNone}
-	// Invalidate the other slot first so stale bytes from a previous
-	// tenant of the store can never outrank the fresh record.
-	var zero [slotBytes]byte
-	if err := store.WriteAt(zero[:], slotBytes); err != nil {
-		return nil, err
-	}
-	if err := c.write(); err != nil {
+	if err := c.format(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
 // OpenCursor attaches to an existing cursor (the recovery path). It
-// reads both slots, validates each, and adopts the one with the higher
-// sequence number; a write torn by a mid-recovery outage therefore costs
-// at most that one write, never the cursor. If neither slot validates —
-// truncated store, bit flips, or bytes that were never a cursor — it
+// walks both slots (blackbox.Walk: checksum, nonzero seq, seq bound to
+// its slot) and adopts the newest cursor record among them; a write torn
+// by a mid-recovery outage therefore costs at most that one write, never
+// the cursor. If neither slot validates — truncated store, bit flips,
+// or bytes that were never a cursor — it
 // falls back to formatting a fresh cursor (FellBack reports this) so the
 // caller runs a full from-scratch recovery instead of trusting a partial
 // record. reg may be nil.
@@ -255,32 +228,19 @@ func OpenCursor(store CursorStore, reg *obs.Registry) (*Cursor, error) {
 	if err := store.ReadAt(raw[:], 0); err != nil {
 		return nil, err
 	}
-	p0, ok0 := decodeSlot(raw[:slotBytes])
-	p1, ok1 := decodeSlot(raw[slotBytes:])
 	c := newCursor(store, reg)
-	switch {
-	case ok0 && ok1:
-		if p1.Seq > p0.Seq {
-			c.cur = p1
-		} else {
-			c.cur = p0
-		}
-	case ok0:
-		c.cur = p0
-	case ok1:
-		c.cur = p1
-	default:
+	recs := blackbox.Walk(raw[:]).Records
+	found := false
+	for i := len(recs) - 1; i >= 0 && !found; i-- {
+		c.cur, found = progress(recs[i])
+	}
+	if !found {
 		// Corrupt beyond recovery: format fresh and force a full
 		// from-scratch recovery. Never resume from a record that did not
 		// verify.
 		c.fellBack = true
 		c.fallbacks.Inc()
-		c.cur = Progress{Seq: 1, Phase: PhaseNone}
-		var zero [slotBytes]byte
-		if err := store.WriteAt(zero[:], slotBytes); err != nil {
-			return nil, err
-		}
-		if err := c.write(); err != nil {
+		if err := c.format(); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -292,9 +252,23 @@ func OpenCursor(store CursorStore, reg *obs.Registry) (*Cursor, error) {
 	return c, nil
 }
 
+// format writes a fresh cursor (Seq 1, slot 0). It invalidates the
+// other slot first, so stale bytes from a previous tenant of the store
+// can never outrank the fresh record.
+func (c *Cursor) format() error {
+	c.cur = Progress{Seq: 1, Phase: PhaseNone}
+	var zero [slotBytes]byte
+	if err := c.store.WriteAt(zero[:], slotBytes); err != nil {
+		return err
+	}
+	return c.write()
+}
+
 // write persists the current progress into the slot its Seq selects.
 func (c *Cursor) write() error {
-	return c.store.WriteAt(encodeSlot(c.cur), int64(c.cur.Seq%2)*slotBytes)
+	var b [slotBytes]byte
+	blackbox.EncodeRecord(b[:], record(c.cur))
+	return c.store.WriteAt(b[:], int64((c.cur.Seq-1)%2)*slotBytes)
 }
 
 // Progress returns the cursor's current durable record.
@@ -348,7 +322,7 @@ func (c *Cursor) Advance(phase Phase, record uint64) error {
 	if !c.cur.InRecovery() {
 		return ErrNotRecovering
 	}
-	if phase < c.cur.Phase || (phase == c.cur.Phase && record < c.cur.Record) || record < c.cur.Record {
+	if phase < c.cur.Phase || record < c.cur.Record {
 		return fmt.Errorf("%w: at %v/%d, asked %v/%d", ErrCursorRegression, c.cur.Phase, c.cur.Record, phase, record)
 	}
 	if phase >= PhaseDone {

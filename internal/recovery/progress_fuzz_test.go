@@ -3,6 +3,8 @@ package recovery
 import (
 	"bytes"
 	"testing"
+
+	"viyojit/internal/blackbox"
 )
 
 // FuzzRecoveryCursor throws arbitrary bytes — truncations, bit flips,
@@ -36,6 +38,9 @@ func FuzzRecoveryCursor(f *testing.F) {
 	f.Add(mk(func(b []byte) { b[12] ^= 0x01 }))           // bit flip in slot 0
 	f.Add(mk(func(b []byte) { b[slotBytes+12] ^= 0x80 })) // bit flip in slot 1
 	f.Add(mk(func(b []byte) { copy(b[slotBytes:], make([]byte, 32)) }))
+	other := make([]byte, MinCursorBytes) // a valid record, but not a cursor
+	blackbox.EncodeRecord(other, blackbox.Record{Seq: 1, Kind: blackbox.KindMark, Code: 1})
+	f.Add(other)
 	f.Add(make([]byte, MinCursorBytes))    // all zeros
 	f.Add(bytes.Repeat([]byte{0xFF}, 200)) // all ones, odd size
 	f.Add([]byte{1, 2, 3})                 // truncated below minimum
@@ -53,23 +58,28 @@ func FuzzRecoveryCursor(f *testing.F) {
 			t.Fatalf("OpenCursor on %d-byte store: %v", st.Size(), err)
 		}
 
+		// The newest cursor record the walk of both slots adopts
+		// (checksum, and Seq bound to slot (Seq-1) mod 2), if any.
+		var want blackbox.Record
+		ok := false
+		for _, r := range blackbox.Walk(raw[:MinCursorBytes]).Records {
+			if r.Kind == blackbox.KindCursor && r.Code <= uint16(PhaseDone) {
+				want, ok = r, true
+			}
+		}
 		p := c.Progress()
 		if c.FellBack() {
-			// Fallback must mean from-scratch: nothing to resume.
-			if c.Resumed() || p.InRecovery() || p.Incarnation != 0 || p.Record != 0 {
-				t.Fatalf("fallback cursor still carries state: resumed=%v %+v", c.Resumed(), p)
+			// Fallback must mean from-scratch: nothing to resume, and
+			// nothing that verifies was passed over.
+			if ok || c.Resumed() || p.InRecovery() || p.Incarnation != 0 || p.Record != 0 {
+				t.Fatalf("fallback cursor (valid record %v) still carries state: resumed=%v %+v", ok, c.Resumed(), p)
 			}
 		} else {
-			// The adopted record must be one that verifies: re-decode the
-			// slot its Seq selects and demand an exact match. This is the
-			// "never trust a partial record" property.
-			var slot [slotBytes]byte
-			if err := st.ReadAt(slot[:], int64(p.Seq%2)*slotBytes); err != nil {
-				t.Fatalf("re-read adopted slot: %v", err)
-			}
-			dec, ok := decodeSlot(slot[:])
-			if !ok || dec != p {
-				t.Fatalf("cursor adopted a record that does not verify: %+v (decoded ok=%v %+v)", p, ok, dec)
+			// The adopted record must be that one: the "never trust a
+			// partial record" property.
+			args := [4]int64{int64(p.Incarnation), int64(p.Attempt), int64(p.Record), int64(p.BudgetPages)}
+			if !ok || want.Seq != p.Seq || want.Code != uint16(p.Phase) || want.Args != args {
+				t.Fatalf("cursor adopted a record that does not verify: %+v (walk ok=%v %+v)", p, ok, want)
 			}
 			if c.Resumed() != p.InRecovery() {
 				t.Fatalf("resumed=%v disagrees with progress %+v", c.Resumed(), p)

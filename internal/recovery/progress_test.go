@@ -179,8 +179,8 @@ func TestCursorTornWriteKeepsPriorSlot(t *testing.T) {
 	if err := c.Advance(PhaseDrain, 9); err != nil {
 		t.Fatalf("Advance: %v", err)
 	}
-	tornSlot := int64(c.Progress().Seq%2) * slotBytes
-	for i := int64(8); i < 24; i++ { // shred seq+incarnation words
+	tornSlot := int64((c.Progress().Seq-1)%2) * slotBytes
+	for i := int64(8); i < 24; i++ { // shred the time, kind, code and drops words
 		st.b[tornSlot+i] ^= 0xFF
 	}
 
@@ -193,6 +193,34 @@ func TestCursorTornWriteKeepsPriorSlot(t *testing.T) {
 	}
 	if got := c2.Progress(); got != want {
 		t.Fatalf("after torn write: got %+v, want prior slot %+v", got, want)
+	}
+}
+
+// TestCreateCursorOutranksStaleTenant: formatting a cursor over a store
+// whose previous cursor was mid-recovery leaves no slot that outranks the
+// fresh record, whichever slot the old cursor's newest write took.
+func TestCreateCursorOutranksStaleTenant(t *testing.T) {
+	for advances := 1; advances <= 2; advances++ {
+		st := newMemStore(MinCursorBytes)
+		old, _ := CreateCursor(st, nil)
+		if _, _, err := old.BeginRecovery(8); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < advances; i++ {
+			if err := old.Advance(PhaseIntentRedo, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := CreateCursor(st, nil); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCursor(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Progress(); c.Resumed() || got != (Progress{Seq: 1, Phase: PhaseNone}) {
+			t.Fatalf("after %d advances, the re-formatted cursor opens at %+v (resumed %v), want the fresh record", advances, got, c.Resumed())
+		}
 	}
 }
 

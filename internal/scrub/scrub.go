@@ -174,9 +174,6 @@ func New(clock *sim.Clock, events *sim.Queue, dev *ssd.SSD, mgr *core.Manager, c
 	return s
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Scrubber) Config() Config { return s.cfg }
-
 // Stats returns a snapshot of the counters.
 func (s *Scrubber) Stats() Stats { return s.stats }
 
@@ -189,12 +186,6 @@ func (s *Scrubber) Quarantine() []Quarantined {
 	sort.Slice(out, func(i, j int) bool { return out[i].Page < out[j].Page })
 	return out
 }
-
-// QuarantineCount returns the number of quarantined pages.
-func (s *Scrubber) QuarantineCount() int { return len(s.quarantine) }
-
-// Running reports whether the background scan is armed.
-func (s *Scrubber) Running() bool { return s.running }
 
 // burstGap is the pacing interval that pins the scan rate to
 // share × read bandwidth: the virtual time a burst's reads would occupy

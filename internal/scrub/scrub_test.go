@@ -122,8 +122,8 @@ func TestScrubQuarantineAndClear(t *testing.T) {
 	if h.scr.ScrubAll() != 1 {
 		t.Fatal("corruption not detected")
 	}
-	if h.scr.QuarantineCount() != 1 {
-		t.Fatalf("quarantine size %d, want 1", h.scr.QuarantineCount())
+	if len(h.scr.quarantine) != 1 {
+		t.Fatalf("quarantine size %d, want 1", len(h.scr.quarantine))
 	}
 	q := h.scr.Quarantine()
 	if len(q) != 1 || q[0].Page != 2 || q[0].Reason == "" {
@@ -143,9 +143,9 @@ func TestScrubQuarantineAndClear(t *testing.T) {
 	h.mgr.Pump()
 	h.mgr.FlushAll()
 	h.scr.ScrubAll()
-	if h.scr.QuarantineCount() != 0 || h.scr.Stats().Cleared != 1 {
+	if len(h.scr.quarantine) != 0 || h.scr.Stats().Cleared != 1 {
 		t.Fatalf("quarantine not cleared after rewrite: count=%d cleared=%d",
-			h.scr.QuarantineCount(), h.scr.Stats().Cleared)
+			len(h.scr.quarantine), h.scr.Stats().Cleared)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestScrubBackgroundPacing(t *testing.T) {
 	h := newHarness(t, 16, 4, Config{BandwidthShare: 0.5})
 	h.seed(t, 12)
 	h.scr.Start()
-	if !h.scr.Running() {
+	if !h.scr.running {
 		t.Fatal("scrubber not running after Start")
 	}
 	h.dev.CorruptPage(9, 100, 0x42)
@@ -184,7 +184,7 @@ func TestScrubBackgroundPacing(t *testing.T) {
 		t.Fatal("scan never completed a pass")
 	}
 	h.scr.Stop()
-	if h.scr.Running() {
+	if h.scr.running {
 		t.Fatal("scrubber still running after Stop")
 	}
 	before := h.scr.Stats().Bursts
@@ -212,7 +212,7 @@ func TestScrubVerifyOnly(t *testing.T) {
 	if scr.ScrubAll() != 1 {
 		t.Fatal("corruption not detected")
 	}
-	if scr.QuarantineCount() != 1 || scr.Stats().Repairs != 0 {
+	if len(scr.quarantine) != 1 || scr.Stats().Repairs != 0 {
 		t.Fatalf("verify-only scrubber did not quarantine: %+v", scr.Stats())
 	}
 	det, q := scr.ScrubErrors()

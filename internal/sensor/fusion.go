@@ -448,9 +448,6 @@ func (f *Fused) fuse(at sim.Time, usable []int, vals []float64) float64 {
 	return minV
 }
 
-// Suspect reports whether estimator i is currently distrusted.
-func (f *Fused) Suspect(i int) bool { return f.st[i].suspect }
-
 // fusedInstruments mirrors fusion state onto an obs.Registry. All
 // methods are nil-safe: a Fused built without Obs skips publication.
 type fusedInstruments struct {

@@ -59,12 +59,10 @@ type Corruptor interface {
 // joule estimate from the physical model and passes it through an
 // optional fault corruptor.
 type Estimator struct {
-	name     string
-	truth    func() float64
-	quantum  float64
-	corr     Corruptor
-	reads    uint64
-	dropouts uint64
+	name    string
+	truth   func() float64
+	quantum float64
+	corr    Corruptor
 }
 
 // NewCoulombCounter models a coulomb-counting integrator: in the sim
@@ -105,13 +103,5 @@ func (e *Estimator) Read(at sim.Time) Reading {
 	if e.corr != nil {
 		r = e.corr.Corrupt(at, v)
 	}
-	e.reads++
-	if !r.OK {
-		e.dropouts++
-	}
 	return r
 }
-
-// Reads returns how many samples were taken and how many of those were
-// dropouts (no reading produced).
-func (e *Estimator) Reads() (total, dropouts uint64) { return e.reads, e.dropouts }

@@ -134,10 +134,10 @@ func TestDisagreeSuspectsHigherWithoutBaseline(t *testing.T) {
 	if r.f.Stats().Disagreements == 0 {
 		t.Fatal("40% divergence not flagged")
 	}
-	if !r.f.Suspect(1) {
+	if !r.f.st[1].suspect {
 		t.Fatal("the higher estimator was not suspected")
 	}
-	if r.f.Suspect(0) {
+	if r.f.st[0].suspect {
 		t.Fatal("the honest lower estimator was suspected")
 	}
 }
@@ -153,18 +153,18 @@ func TestSuspectRetrustHysteresis(t *testing.T) {
 	}))
 	lying = true
 	r.sample()
-	if !r.f.Suspect(1) {
+	if !r.f.st[1].suspect {
 		t.Fatal("liar not suspected")
 	}
 	lying = false
 	// One or two agreeing samples are not enough.
 	r.sample()
 	r.sample()
-	if !r.f.Suspect(1) {
+	if !r.f.st[1].suspect {
 		t.Fatal("re-trusted after 2 agreeing samples, want 3 (hysteresis)")
 	}
 	r.sample()
-	if r.f.Suspect(1) {
+	if r.f.st[1].suspect {
 		t.Fatal("not re-trusted after trustTicks agreeing samples")
 	}
 	if r.f.Stats().Retrusts == 0 {

@@ -140,9 +140,14 @@ func TestChaosConcurrentClients(t *testing.T) {
 				}
 				if op%37 == 36 {
 					// Observer path: sample manager state concurrently.
-					if _, err := srv.ManagerStats(context.Background()); err != nil && !typed(err) {
+					_, err := srv.Submit(context.Background(), viyojit.ServeRequest{
+						Class:    viyojit.ClassBackground,
+						Priority: viyojit.PriorityHigh,
+						Op:       func(e viyojit.ServeExec) (any, error) { return e.Mgr.Stats(), nil },
+					})
+					if err != nil && !typed(err) {
 						untyped.Add(1)
-						firstBad.CompareAndSwap(nil, fmt.Sprintf("ManagerStats: %v", err))
+						firstBad.CompareAndSwap(nil, fmt.Sprintf("manager stats: %v", err))
 					}
 					continue
 				}
@@ -210,7 +215,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	// Loose accounting: a context-cancelled request may still execute
 	// (its server already held it), so the retired counters can exceed
 	// Submitted only by at most Cancelled.
-	retired := st.Completed + st.Failed + uint64(st.Shed())
+	retired := st.Completed + st.Failed + st.ShedOverload + st.ShedDeadline + st.ShedReadOnly
 	if retired > st.Submitted {
 		t.Fatalf("retired %d > submitted %d", retired, st.Submitted)
 	}

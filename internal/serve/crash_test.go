@@ -15,6 +15,13 @@ import (
 	"viyojit/internal/ssd"
 )
 
+// powerFailed reports whether a simulated power failure killed s.
+func powerFailed(s *Server) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.crashed
+}
+
 // newCrashHarness builds a stack with a Crasher installed before Start
 // and the server wired to recover its signal.
 func newCrashHarness(t *testing.T, budget int) (*harness, *faultinject.Crasher, *sim.Queue) {
@@ -110,8 +117,8 @@ func TestPowerFailureFailsEverythingTyped(t *testing.T) {
 	if err := <-waitErr; !errors.Is(err, ErrPowerFailure) {
 		t.Fatalf("waiter err = %v, want ErrPowerFailure", err)
 	}
-	if !h.srv.PowerFailed() {
-		t.Fatal("PowerFailed() = false after crash")
+	if !powerFailed(h.srv) {
+		t.Fatal("no power failure recorded after crash")
 	}
 	if _, err := h.srv.SubmitAsync(put("x", "y")); !errors.Is(err, ErrPowerFailure) {
 		t.Fatalf("post-crash submit err = %v, want ErrPowerFailure", err)

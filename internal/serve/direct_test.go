@@ -183,7 +183,7 @@ func TestDirectPowerFailure(t *testing.T) {
 	if !strings.Contains(stack, "TestDirectPowerFailure") {
 		t.Fatalf("the op did not run on its caller's goroutine:\n%s", stack)
 	}
-	if _, crashed := crasher.Crashed(); !crashed || !h.srv.PowerFailed() {
+	if _, crashed := crasher.Crashed(); !crashed || !powerFailed(h.srv) {
 		t.Fatal("the power failure was not recorded")
 	}
 	if _, err := h.srv.SubmitAsync(put("x", "y")); !errors.Is(err, ErrPowerFailure) {
@@ -222,7 +222,7 @@ func TestDirectForeignPanic(t *testing.T) {
 	if got != "boom" {
 		t.Fatalf("recovered %v, want the op's own panic", got)
 	}
-	if h.srv.PowerFailed() {
+	if powerFailed(h.srv) {
 		t.Fatal("a foreign panic was taken for a power failure")
 	}
 	if _, err := h.srv.Submit(context.Background(), get("k")); !errors.Is(err, ErrServerClosed) {

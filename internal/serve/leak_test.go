@@ -91,14 +91,15 @@ func TestSystemLifecycleNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Serve(store, viyojit.ServeConfig{}); err != nil {
+	srv, err := sys.Serve(store, viyojit.ServeConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			_, err := sys.Submit(context.Background(), viyojit.ServeRequest{
+			_, err := srv.Submit(context.Background(), viyojit.ServeRequest{
 				Write: true,
 				Op: func(e viyojit.ServeExec) (any, error) {
 					return nil, e.Store.Put([]byte("key"), []byte("value"))

@@ -363,7 +363,7 @@ func TestPacedForeignPanic(t *testing.T) {
 	if got != "boom" {
 		t.Fatalf("recovered %v, want the op's own panic", got)
 	}
-	if h.srv.PowerFailed() {
+	if powerFailed(h.srv) {
 		t.Fatal("a foreign panic was taken for a power failure")
 	}
 	if _, err := behind.Wait(context.Background()); !errors.Is(err, ErrServerClosed) {

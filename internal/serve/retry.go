@@ -60,10 +60,9 @@ type RetryingClient struct {
 	rng  *sim.RNG
 	next uint64
 
-	// Atomics: harnesses sample these from observer goroutines while
-	// the client goroutine runs.
-	attempts atomic.Uint64 // total submit attempts
-	retries  atomic.Uint64 // attempts beyond the first per op
+	// retries counts attempts beyond the first per op; harnesses sample
+	// it from observer goroutines while the client goroutine runs.
+	retries atomic.Uint64
 }
 
 // NewRetryingClient builds a client. id must be non-zero and unique per
@@ -78,20 +77,12 @@ func NewRetryingClient(srv *Server, id uint64, seed uint64, cfg RetryConfig) (*R
 	return &RetryingClient{srv: srv, id: id, cfg: cfg.withDefaults(), rng: sim.NewRNG(seed), next: 1}, nil
 }
 
-// ID returns the client's journal identity.
-func (c *RetryingClient) ID() uint64 { return c.id }
-
 // NextSeq returns the sequence number the next Do will use.
 func (c *RetryingClient) NextSeq() uint64 { return c.next }
 
-// SetNextSeq positions the sequence counter — the recovery path: a
-// client resuming against a recovered server continues its own stream.
-func (c *RetryingClient) SetNextSeq(seq uint64) { c.next = seq }
-
-// Attempts and Retries report total submit attempts and how many were
-// retries. Safe from any goroutine.
-func (c *RetryingClient) Attempts() uint64 { return c.attempts.Load() }
-func (c *RetryingClient) Retries() uint64  { return c.retries.Load() }
+// Retries reports how many submit attempts were retries. Safe from any
+// goroutine.
+func (c *RetryingClient) Retries() uint64 { return c.retries.Load() }
 
 // Do issues the next sequence number and runs op to completion with
 // retries. It returns the seq used (even on error, so a caller can
@@ -124,7 +115,6 @@ func (c *RetryingClient) DoSeq(ctx context.Context, seq uint64, op IdemOp) (Idem
 				return IdemResult{}, err
 			}
 		}
-		c.attempts.Add(1)
 		tried++
 		res, err := c.srv.SubmitIdempotent(ctx, c.id, seq, op, Request{
 			Priority: c.cfg.Priority,

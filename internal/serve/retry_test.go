@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,11 +56,11 @@ func TestRetryingClientSucceedsAfterTransientOverload(t *testing.T) {
 
 	// Wait until the client has drawn at least one overload rejection,
 	// then unblock the queue so a later attempt lands.
-	waitFor(t, func() bool { return cl.Attempts() >= 1 && h.srv.Stats().ShedOverload >= 1 })
+	waitFor(t, func() bool { return h.srv.Stats().ShedOverload >= 1 })
 	close(release)
 	o := <-doDone
 	if o.err != nil {
-		t.Fatalf("Do failed: %v (attempts %d)", o.err, cl.Attempts())
+		t.Fatalf("Do failed: %v (retries %d)", o.err, cl.Retries())
 	}
 	if o.seq != 1 || cl.NextSeq() != 2 {
 		t.Fatalf("seq accounting: used %d next %d", o.seq, cl.NextSeq())
@@ -108,8 +109,8 @@ func TestRetryingClientExhaustsOnPersistentRejection(t *testing.T) {
 	if !errors.Is(derr, ErrRetriesExhausted) || !errors.Is(derr, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrOverloaded", derr)
 	}
-	if got := cl.Attempts(); got != 4 {
-		t.Fatalf("attempts = %d, want 4", got)
+	if !strings.Contains(derr.Error(), "after 4 attempts") || cl.Retries() != 3 {
+		t.Fatalf("err = %v after %d retries, want 4 attempts", derr, cl.Retries())
 	}
 }
 
@@ -126,12 +127,12 @@ func TestRetryingClientDoesNotRetryNonRetryable(t *testing.T) {
 		}
 	}
 	// Replaying a GC'd seq is a protocol violation: typed, not retried.
-	before := cl.Attempts()
+	before := cl.Retries()
 	if _, err := cl.DoSeq(ctx, 1, IdemOp{Kind: IdemPut, Key: []byte("k"), Value: []byte("v")}); !errors.Is(err, ErrStaleSeq) {
 		t.Fatalf("err = %v, want ErrStaleSeq", err)
 	}
-	if cl.Attempts() != before+1 {
-		t.Fatalf("non-retryable error was retried: %d attempts", cl.Attempts()-before)
+	if cl.Retries() != before {
+		t.Fatalf("non-retryable error was retried: %d retries", cl.Retries()-before)
 	}
 }
 

@@ -227,9 +227,6 @@ type Stats struct {
 	MaxQueueObserved int
 }
 
-// Shed returns the total typed rejections.
-func (s Stats) Shed() uint64 { return s.ShedOverload + s.ShedDeadline + s.ShedReadOnly }
-
 type outcome struct {
 	res Result
 	err error
@@ -470,9 +467,6 @@ func (s *Server) Stop() {
 // Now returns the published virtual time — safe from any goroutine,
 // possibly a beat behind the owner's live clock.
 func (s *Server) Now() sim.Time { return sim.Time(s.pubNow.Load()) }
-
-// HealthState returns the published degradation-ladder rung.
-func (s *Server) HealthState() core.HealthState { return core.HealthState(s.pubState.Load()) }
 
 // QueueLen returns current admission-queue occupancy.
 func (s *Server) QueueLen() int { return int(s.occupancy.Load()) }
@@ -880,14 +874,6 @@ func (s *Server) noteCrash() {
 	s.mu.Unlock()
 }
 
-// PowerFailed reports whether a simulated power failure killed the
-// server (see Config.RecoverCrash).
-func (s *Server) PowerFailed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
-}
-
 // publish refreshes the atomic mirrors clients read.
 func (s *Server) publish() {
 	s.pubNow.Store(int64(s.clock.Now()))
@@ -1066,24 +1052,4 @@ func (s *Server) maybeTrip() {
 		s.mgr.EnterReadOnly()
 	}
 	s.publish()
-}
-
-// Tripped reports whether the watchdog has ever forced an emergency
-// flush.
-func (s *Server) Tripped() bool { return s.st.watchdogTrips.Value() > 0 }
-
-// ManagerStats reads the manager's counters as a request, on whichever
-// goroutine owns the stack (this caller when the server is idle) — the
-// race-free way for a concurrent observer to sample them while the
-// server owns the core.
-func (s *Server) ManagerStats(ctx context.Context) (core.Stats, error) {
-	res, err := s.Submit(ctx, Request{
-		Class:    ClassBackground,
-		Priority: PriorityHigh,
-		Op:       func(e Exec) (any, error) { return e.Mgr.Stats(), nil },
-	})
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return res.Value.(core.Stats), nil
 }

@@ -139,7 +139,7 @@ func TestSubmitPutGet(t *testing.T) {
 		t.Fatalf("latency %v, want > 0", res.Latency)
 	}
 	st := h.srv.Stats()
-	if st.Completed != 2 || st.Submitted != 2 || st.Shed() != 0 {
+	if st.Completed != 2 || st.Submitted != 2 || st.ShedOverload+st.ShedDeadline+st.ShedReadOnly != 0 {
 		t.Fatalf("stats %+v, want 2 submitted/completed, 0 shed", st)
 	}
 }
@@ -310,8 +310,8 @@ func TestReadOnlyRejectsWritesServesReads(t *testing.T) {
 	if st.ShedReadOnly != 1 {
 		t.Fatalf("ShedReadOnly = %d, want 1", st.ShedReadOnly)
 	}
-	if h.srv.HealthState() != core.StateReadOnly {
-		t.Fatalf("published state %v, want ReadOnly", h.srv.HealthState())
+	if got := core.HealthState(h.srv.pubState.Load()); got != core.StateReadOnly {
+		t.Fatalf("published state %v, want ReadOnly", got)
 	}
 }
 
@@ -489,9 +489,6 @@ func TestWatchdogTripsOnStalledDispatch(t *testing.T) {
 	if err := <-queuedErr; err != nil {
 		t.Fatalf("queued read: %v", err)
 	}
-	if !h.srv.Tripped() {
-		t.Fatal("watchdog did not trip during the stalled drain")
-	}
 	if st := h.srv.Stats(); st.WatchdogTrips < 1 {
 		t.Fatalf("WatchdogTrips = %d, want >= 1", st.WatchdogTrips)
 	}
@@ -502,6 +499,21 @@ func TestWatchdogTripsOnStalledDispatch(t *testing.T) {
 	if got := h.mgr.DirtyCount(); got != 0 {
 		t.Fatalf("dirty = %d after emergency drain, want 0", got)
 	}
+}
+
+// managerStats reads the manager's counters as a request, on whichever
+// goroutine owns the stack: the race-free way for a concurrent observer
+// to sample them while the server owns the core.
+func managerStats(ctx context.Context, s *Server) (core.Stats, error) {
+	res, err := s.Submit(ctx, Request{
+		Class:    ClassBackground,
+		Priority: PriorityHigh,
+		Op:       func(e Exec) (any, error) { return e.Mgr.Stats(), nil },
+	})
+	if err != nil {
+		return core.Stats{}, err
+	}
+	return res.Value.(core.Stats), nil
 }
 
 func TestManagerStatsRaceFree(t *testing.T) {
@@ -521,7 +533,7 @@ func TestManagerStatsRaceFree(t *testing.T) {
 		}(i)
 		go func() {
 			for j := 0; j < 20; j++ {
-				if _, err := h.srv.ManagerStats(ctx); err != nil {
+				if _, err := managerStats(ctx, h.srv); err != nil {
 					errs <- err
 					return
 				}

@@ -83,15 +83,6 @@ func (q *Queue) Cancel(e *Event) {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.events) }
 
-// NextAt returns the virtual time of the earliest pending event. The
-// second result is false if the queue is empty.
-func (q *Queue) NextAt() (Time, bool) {
-	if len(q.events) == 0 {
-		return 0, false
-	}
-	return q.events[0].At, true
-}
-
 // RunUntil fires, in order, every event scheduled at or before t, advancing
 // the clock to each event's time before invoking it. Events may schedule
 // further events; newly scheduled events at or before t also fire. After
@@ -149,10 +140,6 @@ func (q *Queue) Step(c *Clock) bool {
 	fn(at)
 	return true
 }
-
-// Dispatching reports whether an event handler is currently on the stack
-// (the state the reentrancy guard tracks).
-func (q *Queue) Dispatching() bool { return q.dispatching }
 
 // Drain fires every pending event in time order, advancing the clock along
 // the way, until the queue is empty. Like RunUntil, it must not be called

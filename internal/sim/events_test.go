@@ -57,9 +57,8 @@ func TestQueueRunUntilLeavesLaterEvents(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("queue len = %d, want 1", q.Len())
 	}
-	at, ok := q.NextAt()
-	if !ok || at != 200 {
-		t.Fatalf("NextAt() = %v, %v; want 200, true", at, ok)
+	if at := q.events[0].At; at != 200 {
+		t.Fatalf("next event at %v, want 200", at)
 	}
 }
 
@@ -211,15 +210,15 @@ func TestQueueRunUntilReentryPanics(t *testing.T) {
 	q := NewQueue()
 	c := NewClock()
 	q.Schedule(10, func(Time) {
-		if !q.Dispatching() {
-			t.Error("Dispatching() = false inside a handler")
+		if !q.dispatching {
+			t.Error("dispatching = false inside a handler")
 		}
 		mustPanic("RunUntil", func() { q.RunUntil(c, 100) })
 		mustPanic("Drain", func() { q.Drain(c) })
 	})
 	q.RunUntil(c, 100)
-	if q.Dispatching() {
-		t.Fatal("Dispatching() stuck true after RunUntil returned")
+	if q.dispatching {
+		t.Fatal("dispatching stuck true after RunUntil returned")
 	}
 
 	// Step from inside a handler is the sanctioned way to virtually block.
@@ -249,7 +248,7 @@ func TestQueueRunUntilReentryPanics(t *testing.T) {
 		defer func() { recover() }()
 		q3.RunUntil(c3, 100)
 	}()
-	if q3.Dispatching() {
+	if q3.dispatching {
 		t.Fatal("guard stuck after panic unwound RunUntil")
 	}
 	q3.SetFireHook(nil)

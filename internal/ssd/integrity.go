@@ -65,12 +65,6 @@ var ErrCorruptPage = errors.New("ssd: page contents do not match checksum (silen
 // which the seeded sweeps require.
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the integrity checksum of a page image — exposed so
-// tests and recovery tooling can compute the same fingerprint the device
-// records. The 32-bit CRC is widened into the uint64 the exported sums
-// are carried in; the device keeps it at 32 bits.
-func Checksum(data []byte) uint64 { return uint64(checksum(data)) }
-
 // checksum is the CRC32C of data.
 func checksum(data []byte) uint32 { return crc32.Checksum(data, crcTab) }
 

@@ -28,7 +28,7 @@ func newRefDevice() *refDevice {
 // store records a full page image landing with its sum.
 func (r *refDevice) store(page mmu.PageID, img []byte) {
 	r.data[page] = bytes.Clone(img)
-	r.sums[page] = Checksum(img)
+	r.sums[page] = uint64(checksum(img))
 }
 
 // storedPages returns, ascending, the pages with contents, without except
@@ -48,7 +48,7 @@ func (r *refDevice) storedPages(except mmu.PageID, skip bool) []mmu.PageID {
 func (r *refDevice) verdict(page mmu.PageID) bool {
 	data, hasData := r.data[page]
 	sum, hasSum := r.sums[page]
-	return hasData == hasSum && (!hasData || Checksum(data) == sum)
+	return hasData == hasSum && (!hasData || uint64(checksum(data)) == sum)
 }
 
 // complete applies one write's recorded fate, as its completion does.
@@ -61,9 +61,9 @@ func (r *refDevice) complete(page mmu.PageID, img []byte, dec FaultDecision, pag
 		copy(torn[:pageSize/2], img)
 		r.data[page] = torn
 	case FaultLost:
-		r.sums[page] = Checksum(img)
+		r.sums[page] = uint64(checksum(img))
 	case FaultMisdirected:
-		r.sums[page] = Checksum(img)
+		r.sums[page] = uint64(checksum(img))
 		if others := r.storedPages(page, true); len(others) > 0 {
 			r.data[others[dec.MisdirectSeed%uint64(len(others))]] = bytes.Clone(img)
 		}
@@ -126,8 +126,8 @@ func checkAgainstRef(t *testing.T, name string, d *SSD, ref *refDevice, step int
 func checkHeldSums(t *testing.T, name string, d *SSD, step int, what string, shared map[mmu.PageID][]byte) {
 	t.Helper()
 	for p, s := range d.pages {
-		if s.data != nil && uint64(s.held) != Checksum(s.data) {
-			t.Fatalf("step %d (%s): device %s page %d: held sum %#x, stored bytes sum to %#x", step, what, name, p, s.held, Checksum(s.data))
+		if s.data != nil && uint64(s.held) != uint64(checksum(s.data)) {
+			t.Fatalf("step %d (%s): device %s page %d: held sum %#x, stored bytes sum to %#x", step, what, name, p, s.held, uint64(checksum(s.data)))
 		}
 	}
 	for p, img := range shared {
@@ -330,7 +330,7 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				} else if ok {
 					copy(regionRef[int(page)*4096:], data)
 					shared[page] = region.RawPage(page)
-					sharedSums[page] = Checksum(data)
+					sharedSums[page] = uint64(checksum(data))
 					shares++
 				}
 			case op == 14: // a retirement of an object left behind into a lane
@@ -364,7 +364,7 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				checkHeldSums(t, fmt.Sprintf("#%d", k), d, step, what, shared)
 			}
 			for p, img := range shared {
-				if &region.RawPage(p)[0] != &img[0] || Checksum(img) != sharedSums[p] {
+				if &region.RawPage(p)[0] != &img[0] || uint64(checksum(img)) != sharedSums[p] {
 					t.Fatalf("step %d (%s): region page %d no longer reads its shared image, or the image changed", step, what, p)
 				}
 				if !slices.ContainsFunc(alive, func(d *SSD) bool { return storesImage(d, p, img) }) {

@@ -102,16 +102,6 @@ type Stats struct {
 	MaxQueueDepth   int
 	BusyUntil       sim.Time // device busy horizon (for utilisation)
 	TotalWriteLag   sim.Duration
-	completedForAvg uint64
-}
-
-// AvgWriteLatency returns the mean submit-to-completion latency of
-// completed writes.
-func (s Stats) AvgWriteLatency() sim.Duration {
-	if s.completedForAvg == 0 {
-		return 0
-	}
-	return s.TotalWriteLag / sim.Duration(s.completedForAvg)
 }
 
 // SSD is the device model. It is not safe for concurrent use; all activity
@@ -525,7 +515,6 @@ func (w *write) complete(at sim.Time) {
 	d.inflight--
 	d.stats.WritesCompleted++
 	d.stats.TotalWriteLag += at.Sub(submitted)
-	d.stats.completedForAvg++
 	d.st.writesCompleted.Inc()
 	d.st.bytesWritten.Add(uint64(goodput))
 	d.st.queueDepth.Set(int64(d.inflight))
@@ -698,12 +687,6 @@ func (d *SSD) Durable(page mmu.PageID) ([]byte, bool) {
 	return data, data != nil
 }
 
-// DurablePages returns the number of pages with durable contents.
-func (d *SSD) DurablePages() int {
-	d.mustLive()
-	return d.stored.n
-}
-
 // FlushTimeFor returns the time needed to write n pages back-to-back at
 // the device's sustained (wear-degraded) bandwidth — the quantity battery
 // provisioning is computed from (paper §5.1).
@@ -795,17 +778,4 @@ func (d *SSD) MeasuredWriteBandwidth() int64 {
 func (d *SSD) ResetMeasurement() {
 	d.window = d.window[:0]
 	d.winPos = 0
-}
-
-// MeasuredWriteLatency returns the mean submit-to-completion latency over
-// the measurement window (0 with no samples).
-func (d *SSD) MeasuredWriteLatency() sim.Duration {
-	if len(d.window) == 0 {
-		return 0
-	}
-	var total sim.Duration
-	for _, s := range d.window {
-		total += s.done.Sub(s.submitted)
-	}
-	return total / sim.Duration(len(d.window))
 }

@@ -108,8 +108,8 @@ func TestWaitIdle(t *testing.T) {
 	if d.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after WaitIdle", d.Outstanding())
 	}
-	if d.DurablePages() != 5 {
-		t.Fatalf("durable pages = %d, want 5", d.DurablePages())
+	if d.stored.n != 5 {
+		t.Fatalf("durable pages = %d, want 5", d.stored.n)
 	}
 }
 
@@ -143,8 +143,8 @@ func TestOverwriteKeepsLatest(t *testing.T) {
 	if got[0] != 0x02 {
 		t.Fatal("overwrite did not keep latest contents")
 	}
-	if d.DurablePages() != 1 {
-		t.Fatalf("durable pages = %d, want 1", d.DurablePages())
+	if d.stored.n != 1 {
+		t.Fatalf("durable pages = %d, want 1", d.stored.n)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestStatsAndWear(t *testing.T) {
 	if s.BytesWritten != 10*4096 {
 		t.Fatalf("bytes written = %d", s.BytesWritten)
 	}
-	if s.AvgWriteLatency() <= 0 {
+	if s.TotalWriteLag <= 0 {
 		t.Fatal("average write latency not tracked")
 	}
 	if w := d.WearBytesPerCell(10 * 4096); w != 1.0 {

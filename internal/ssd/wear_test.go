@@ -92,7 +92,7 @@ func TestMeasuredWriteBandwidthIgnoresIdleGaps(t *testing.T) {
 	if got < 40<<20 || got > 100<<20 {
 		t.Fatalf("measured bandwidth = %d B/s, want ~66 MB/s (busy-time accounting)", got)
 	}
-	if lat := d.MeasuredWriteLatency(); lat < 60*sim.Microsecond || lat > 70*sim.Microsecond {
+	if lat := meanWindowLatency(d); lat < 60*sim.Microsecond || lat > 70*sim.Microsecond {
 		t.Fatalf("measured latency = %v, want ~62 µs", lat)
 	}
 }
@@ -114,7 +114,7 @@ func TestMeasuredWriteBandwidthFailedWritesCountNoGoodput(t *testing.T) {
 	if got := d.MeasuredWriteBandwidth(); got != 0 {
 		t.Fatalf("measured goodput on an all-failing device = %d, want 0", got)
 	}
-	if lat := d.MeasuredWriteLatency(); lat <= 0 {
+	if lat := meanWindowLatency(d); lat <= 0 {
 		t.Fatal("failed writes recorded no latency")
 	}
 }
@@ -125,4 +125,17 @@ type failEverything struct{}
 
 func (failEverything) WriteFault(mmu.PageID, []byte) FaultDecision {
 	return FaultDecision{Fault: FaultTransient}
+}
+
+// meanWindowLatency is the mean submit-to-completion latency over d's
+// measurement window (0 with no samples).
+func meanWindowLatency(d *SSD) sim.Duration {
+	if len(d.window) == 0 {
+		return 0
+	}
+	var total sim.Duration
+	for _, s := range d.window {
+		total += s.done.Sub(s.submitted)
+	}
+	return total / sim.Duration(len(d.window))
 }

@@ -76,12 +76,6 @@ func (v *Volume) SkewTotal(percentiles []float64) []float64 {
 	return out
 }
 
-// TouchedPages returns the number of distinct pages read or written.
-func (v *Volume) TouchedPages() int {
-	_, touched := v.writeCounts()
-	return len(touched)
-}
-
 // WriteEvents returns the number of write events in the trace.
 func (v *Volume) WriteEvents() int {
 	n := 0

@@ -208,10 +208,11 @@ func TestHelperCounters(t *testing.T) {
 	if v.WriteEvents() == 0 {
 		t.Fatal("no write events counted")
 	}
-	if v.TouchedPages() == 0 {
+	_, touched := v.writeCounts()
+	if len(touched) == 0 {
 		t.Fatal("no touched pages counted")
 	}
-	if v.TouchedPages() > int(v.TotalPages()) {
+	if len(touched) > int(v.TotalPages()) {
 		t.Fatal("touched pages exceed volume pages")
 	}
 }

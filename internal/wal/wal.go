@@ -253,19 +253,8 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 // LastStop reports why the most recent Replay stopped: cleanly at the
 // committed head, or at a torn/corrupt record (the crash-recovery
 // signal). Meaningful only after a Replay (directly or via Open's
-// rebuild or Records).
+// rebuild).
 func (l *Log) LastStop() StopReason { return l.lastStop }
-
-// Records returns the number of committed records (by replaying the
-// metadata only; O(records)).
-func (l *Log) Records() (int, error) {
-	n := 0
-	err := l.Replay(func(uint64, []byte) error {
-		n++
-		return nil
-	})
-	return n, err
-}
 
 // Head returns the next append offset (for occupancy accounting).
 func (l *Log) Head() int64 { return l.head }

@@ -67,9 +67,6 @@ type ConcurrentResult struct {
 	MaxQueueObserved int
 }
 
-// Shed returns the total typed rejections.
-func (r ConcurrentResult) Shed() int { return r.ShedOverload + r.ShedDeadline + r.ShedReadOnly }
-
 // client is one simulated client's generators and schedule.
 type client struct {
 	st      *clientState

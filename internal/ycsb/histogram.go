@@ -62,9 +62,6 @@ func (h *Histogram) Record(d sim.Duration) {
 	}
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
 // Mean returns the exact mean of the recorded samples.
 func (h *Histogram) Mean() sim.Duration {
 	if h.count == 0 {
@@ -72,12 +69,6 @@ func (h *Histogram) Mean() sim.Duration {
 	}
 	return h.sum / sim.Duration(h.count)
 }
-
-// Min and Max return the extreme samples.
-func (h *Histogram) Min() sim.Duration { return h.min }
-
-// Max returns the largest recorded sample.
-func (h *Histogram) Max() sim.Duration { return h.max }
 
 // Quantile returns the approximate q-quantile (q in [0,1]); q = 0.99
 // gives the 99th percentile the paper reports.
@@ -131,26 +122,4 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count += other.count
 	h.sum += other.sum
-}
-
-// Summary is a fixed set of distribution statistics for reporting and
-// plotting tools.
-type Summary struct {
-	Count               uint64
-	Mean, Min, Max      sim.Duration
-	P50, P90, P99, P999 sim.Duration
-}
-
-// Snapshot returns the histogram's summary statistics.
-func (h *Histogram) Snapshot() Summary {
-	return Summary{
-		Count: h.count,
-		Mean:  h.Mean(),
-		Min:   h.min,
-		Max:   h.max,
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
 }

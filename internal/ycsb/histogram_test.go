@@ -8,7 +8,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.99) != 0 || h.Count() != 0 {
+	if h.Mean() != 0 || h.Quantile(0.99) != 0 || h.count != 0 {
 		t.Fatal("empty histogram returned non-zero stats")
 	}
 }
@@ -21,11 +21,11 @@ func TestHistogramMeanExact(t *testing.T) {
 	if h.Mean() != 200 {
 		t.Fatalf("mean = %v, want 200", h.Mean())
 	}
-	if h.Min() != 100 || h.Max() != 300 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min != 100 || h.max != 300 {
+		t.Fatalf("min/max = %v/%v", h.min, h.max)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 3 {
+		t.Fatalf("count = %d", h.count)
 	}
 }
 
@@ -51,10 +51,10 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Record(sim.Duration(i) * sim.Microsecond)
 	}
-	if h.Quantile(0) != h.Min() {
+	if h.Quantile(0) != h.min {
 		t.Fatal("Quantile(0) != min")
 	}
-	if h.Quantile(1) != h.Max() {
+	if h.Quantile(1) != h.max {
 		t.Fatal("Quantile(1) != max")
 	}
 	p99 := h.Quantile(0.99)
@@ -82,8 +82,8 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Record(-5)
-	if h.Min() != 0 {
-		t.Fatalf("negative sample recorded as %v", h.Min())
+	if h.min != 0 {
+		t.Fatalf("negative sample recorded as %v", h.min)
 	}
 }
 
@@ -92,18 +92,18 @@ func TestHistogramMerge(t *testing.T) {
 	a.Record(100)
 	b.Record(300)
 	a.Merge(&b)
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d", a.Count())
+	if a.count != 2 {
+		t.Fatalf("merged count = %d", a.count)
 	}
 	if a.Mean() != 200 {
 		t.Fatalf("merged mean = %v", a.Mean())
 	}
-	if a.Min() != 100 || a.Max() != 300 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	if a.min != 100 || a.max != 300 {
+		t.Fatalf("merged min/max = %v/%v", a.min, a.max)
 	}
 	var empty Histogram
 	a.Merge(&empty) // no-op
-	if a.Count() != 2 {
+	if a.count != 2 {
 		t.Fatal("merging empty changed count")
 	}
 }
@@ -111,11 +111,11 @@ func TestHistogramMerge(t *testing.T) {
 func TestHistogramHugeSampleClamped(t *testing.T) {
 	var h Histogram
 	h.Record(1 << 62) // beyond the bucket range
-	if h.Count() != 1 {
+	if h.count != 1 {
 		t.Fatal("huge sample lost")
 	}
-	if h.Quantile(0.5) != h.Max() {
-		t.Fatalf("quantile of single huge sample = %v, want max %v", h.Quantile(0.5), h.Max())
+	if h.Quantile(0.5) != h.max {
+		t.Fatalf("quantile of single huge sample = %v, want max %v", h.Quantile(0.5), h.max)
 	}
 }
 
@@ -124,14 +124,14 @@ func TestHistogramSnapshot(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Record(sim.Duration(i) * sim.Microsecond)
 	}
-	s := h.Snapshot()
-	if s.Count != 1000 || s.Min != sim.Microsecond || s.Max != 1000*sim.Microsecond {
-		t.Fatalf("snapshot basics wrong: %+v", s)
+	if h.count != 1000 || h.min != sim.Microsecond || h.max != 1000*sim.Microsecond {
+		t.Fatalf("count/min/max = %d/%v/%v", h.count, h.min, h.max)
 	}
-	if !(s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.P999) {
-		t.Fatalf("percentiles not ordered: %+v", s)
+	p50, p90, p99, p999 := h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Quantile(0.999)
+	if !(p50 <= p90 && p90 <= p99 && p99 <= p999) {
+		t.Fatalf("percentiles not ordered: %v %v %v %v", p50, p90, p99, p999)
 	}
-	if s.P50 < 400*sim.Microsecond || s.P50 > 600*sim.Microsecond {
-		t.Fatalf("p50 = %v, want ~500us", s.P50)
+	if p50 < 400*sim.Microsecond || p50 > 600*sim.Microsecond {
+		t.Fatalf("p50 = %v, want ~500us", p50)
 	}
 }

@@ -102,7 +102,7 @@ func TestLoadThenRunAllWorkloads(t *testing.T) {
 			if res.Throughput <= 0 {
 				t.Fatal("throughput not positive")
 			}
-			if res.LatencyOf(w.PrimaryOp).Count() == 0 && w.Name != "YCSB-C" {
+			if res.LatencyOf(w.PrimaryOp).count == 0 && w.Name != "YCSB-C" {
 				t.Fatalf("no samples for primary op %v", w.PrimaryOp)
 			}
 		})
@@ -125,8 +125,8 @@ func TestRunOpMixMatchesProportions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := float64(res.LatencyOf(OpRead).Count())
-	updates := float64(res.LatencyOf(OpUpdate).Count())
+	reads := float64(res.LatencyOf(OpRead).count)
+	updates := float64(res.LatencyOf(OpUpdate).count)
 	frac := updates / (reads + updates)
 	if frac < 0.03 || frac > 0.08 {
 		t.Fatalf("update fraction = %v, want ~0.05", frac)
@@ -143,11 +143,11 @@ func TestRunReadOnlyWorkloadIssuesOnlyReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LatencyOf(OpRead).Count() != 1000 {
-		t.Fatalf("reads = %d, want 1000", res.LatencyOf(OpRead).Count())
+	if res.LatencyOf(OpRead).count != 1000 {
+		t.Fatalf("reads = %d, want 1000", res.LatencyOf(OpRead).count)
 	}
 	for _, k := range []OpKind{OpUpdate, OpInsert, OpReadModifyWrite} {
-		if res.LatencyOf(k).Count() != 0 {
+		if res.LatencyOf(k).count != 0 {
 			t.Fatalf("%v issued under YCSB-C", k)
 		}
 	}
@@ -163,7 +163,7 @@ func TestRunInsertsGrowStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserts := res.LatencyOf(OpInsert).Count()
+	inserts := res.LatencyOf(OpInsert).count
 	if inserts == 0 {
 		t.Fatal("YCSB-D issued no inserts")
 	}

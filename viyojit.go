@@ -739,15 +739,15 @@ func (s *System) NewRetryingClient(id, seed uint64, cfg RetryConfig) (*RetryingC
 
 // Serve starts the concurrent request front-end over this system: the
 // server takes ownership of the clock, event queue, manager, and store,
-// and many client goroutines submit through System.Submit (or the
-// returned server). One goroutine at a time owns that stack, and it is
+// and many client goroutines submit through the returned server (also
+// Server()). One goroutine at a time owns that stack, and it is
 // always a client blocked on the server: the server starts no goroutine.
 // store may be nil when requests only need the manager.
 //
 // While serving, the single-goroutine System methods (Pump,
 // AdvanceTime, Map, Scrub, ...) must not be called concurrently with
-// the server — route that work through Submit as ClassBackground
-// requests instead. Stop serving with Server().Stop() or Close.
+// the server — route that work through the server's Submit as
+// ClassBackground requests instead. Stop serving with Server().Stop() or Close.
 //
 // An open-loop client paces with Server().WaitUntil and admits with
 // Server().SubmitAsync. Once WaitUntil returns, the clock is held: no
@@ -775,19 +775,6 @@ func (s *System) Serve(store *kvstore.Store, cfg ServeConfig) (*serve.Server, er
 
 // Server returns the running front-end (nil before Serve).
 func (s *System) Server() *serve.Server { return s.server }
-
-// Submit routes one request through the serving front-end. On an idle
-// server the request runs on the calling goroutine, to completion (ctx
-// can abandon only a request still queued); otherwise it queues and the
-// caller serves the queue whenever the stack is free, until its own
-// request is answered. Either way it sees the same virtual timeline. It
-// errors if Serve has not been called.
-func (s *System) Submit(ctx context.Context, req ServeRequest) (ServeResult, error) {
-	if s.server == nil {
-		return ServeResult{}, fmt.Errorf("viyojit: not serving; call Serve first")
-	}
-	return s.server.Submit(ctx, req)
-}
 
 // FlushAll synchronously cleans every dirty page (clean shutdown).
 // The flight recorder is quiesced for the drain — the dirty gauge

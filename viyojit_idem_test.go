@@ -82,7 +82,8 @@ func TestExactlyOnceAcrossPowerCycle(t *testing.T) {
 	if st, err := recovered.ReplayPendingWith(store2, j2, nil); err != nil || st.Redone != 0 {
 		t.Fatalf("ReplayPendingWith redid %d, %v; want 0, nil", st.Redone, err)
 	}
-	if _, err := recovered.Serve(store2, ServeConfig{Journal: j2}); err != nil {
+	srv2, err := recovered.Serve(store2, ServeConfig{Journal: j2})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,12 +103,11 @@ func TestExactlyOnceAcrossPowerCycle(t *testing.T) {
 		}
 	}
 	// New work continues the stream exactly where it left off.
-	cl2.SetNextSeq(seqs[len(seqs)-1] + 1)
-	res, _, err := cl2.Do(ctx, inc())
+	res, err := cl2.DoSeq(ctx, seqs[len(seqs)-1]+1, inc())
 	if err != nil || !bytes.Equal(res.Value, []byte{4}) {
 		t.Fatalf("post-recovery increment: %+v err %v", res, err)
 	}
-	v, err := recovered.Submit(ctx, ServeRequest{Class: ClassBackground, Priority: PriorityHigh, Op: func(e ServeExec) (any, error) {
+	v, err := srv2.Submit(ctx, ServeRequest{Class: ClassBackground, Priority: PriorityHigh, Op: func(e ServeExec) (any, error) {
 		val, ok, err := e.Store.Get([]byte("ctr"))
 		if err != nil || !ok {
 			return nil, err

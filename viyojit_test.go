@@ -284,17 +284,21 @@ func TestFacadeScrubRepairs(t *testing.T) {
 // TestFacadeBackgroundScrubberDefaultOn: the scrubber runs by default
 // and DisableScrubber turns it off.
 func TestFacadeBackgroundScrubberDefaultOn(t *testing.T) {
+	bursts := func(s *System) uint64 {
+		s.AdvanceTime(100 * sim.Millisecond)
+		return s.scrubber.Stats().Bursts
+	}
 	sys := newTestSystem(t, Config{})
-	if !sys.scrubber.Running() {
+	if bursts(sys) == 0 {
 		t.Fatal("background scrubber not running by default")
 	}
 	sys.Close()
-	if sys.scrubber.Running() {
+	if before := sys.scrubber.Stats().Bursts; bursts(sys) != before {
 		t.Fatal("scrubber still running after Close")
 	}
 	off := newTestSystem(t, Config{DisableScrubber: true})
 	defer off.Close()
-	if off.scrubber.Running() {
+	if bursts(off) != 0 {
 		t.Fatal("DisableScrubber left the scrubber running")
 	}
 }
