@@ -242,28 +242,6 @@ func TestSweepAndPrinters(t *testing.T) {
 	}
 }
 
-func TestStaticFigurePrinters(t *testing.T) {
-	var buf bytes.Buffer
-	if err := FprintFig1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	FprintBatterySizing(&buf)
-	FprintFig5(&buf)
-	if err := FprintAvailability(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunBatteryRetune(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	FprintBatteryRetune(&buf, r)
-	for _, want := range []string{"Figure 1", "Battery sizing", "Figure 5", "availability", "retuning"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("static output missing %q", want)
-		}
-	}
-}
-
 func TestTracePrinters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace generation is moderately slow")
@@ -310,21 +288,6 @@ func TestParamAblations(t *testing.T) {
 	FprintFig10(&buf, []Fig10Row{{Workload: "YCSB-A"}})
 	if buf.Len() == 0 {
 		t.Fatal("printer output empty")
-	}
-}
-
-func TestRunViyojitDeterministic(t *testing.T) {
-	cfg := YCSBConfig{Workload: ycsb.WorkloadA, Seed: 9, OperationCount: 5_000}
-	a, err := RunViyojit(cfg, BudgetPages(cfg, 0.23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunViyojit(cfg, BudgetPages(cfg, 0.23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.Throughput != b.Result.Throughput || a.FaultsTaken != b.FaultsTaken {
-		t.Fatal("same-seed runs diverged")
 	}
 }
 
