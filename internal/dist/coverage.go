@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ZipfCoverage returns the fraction of items (of n total) needed to
@@ -12,22 +14,7 @@ import (
 //
 // percentile is in (0, 1], e.g. 0.90 for "90% of the writes".
 func ZipfCoverage(n int64, theta, percentile float64) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("dist: ZipfCoverage with n=%d", n))
-	}
-	if percentile <= 0 || percentile > 1 {
-		panic(fmt.Sprintf("dist: ZipfCoverage percentile %v outside (0,1]", percentile))
-	}
-	total := zetaStatic(n, theta)
-	target := percentile * total
-	sum := 0.0
-	for i := int64(1); i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
-		if sum >= target {
-			return float64(i) / float64(n)
-		}
-	}
-	return 1.0
+	return ZipfCoverageSeries([]int64{n}, theta, []float64{percentile})[0][0].Fraction
 }
 
 // CoveragePoint is one (totalItems → coverage fraction) sample in a Fig-5
@@ -40,14 +27,57 @@ type CoveragePoint struct {
 // ZipfCoverageSeries computes Fig 5's series: for each item count, the
 // fraction of items covering each percentile of draws. The result is
 // indexed [percentile][point].
+//
+// Every point reads the same running sum of 1/i^theta, so the series
+// takes two passes over it whatever its size: the first records ζ(n) at
+// each item count, the second finds each point's crossing of
+// percentile·ζ(n), in ascending order of those targets.
 func ZipfCoverageSeries(itemCounts []int64, theta float64, percentiles []float64) [][]CoveragePoint {
+	var maxN int64
+	for _, n := range itemCounts {
+		if n <= 0 {
+			panic(fmt.Sprintf("dist: ZipfCoverage with n=%d", n))
+		}
+		maxN = max(maxN, n)
+	}
+	for _, p := range percentiles {
+		if p <= 0 || p > 1 {
+			panic(fmt.Sprintf("dist: ZipfCoverage percentile %v outside (0,1]", p))
+		}
+	}
+	counts := slices.Clone(itemCounts)
+	slices.Sort(counts)
+	zeta := make(map[int64]float64, len(counts))
+	sum := 0.0
+	for i, k := int64(1), 0; k < len(counts); i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+		for ; k < len(counts) && counts[k] == i; k++ {
+			zeta[i] = sum
+		}
+	}
+
+	type crossing struct {
+		target float64
+		pi, ni int
+	}
+	var targets []crossing
 	out := make([][]CoveragePoint, len(percentiles))
 	for pi, p := range percentiles {
-		series := make([]CoveragePoint, len(itemCounts))
+		out[pi] = make([]CoveragePoint, len(itemCounts))
 		for ni, n := range itemCounts {
-			series[ni] = CoveragePoint{TotalItems: n, Fraction: ZipfCoverage(n, theta, p)}
+			// A target no partial sum reaches (theta NaN) covers everything.
+			out[pi][ni] = CoveragePoint{TotalItems: n, Fraction: 1}
+			targets = append(targets, crossing{p * zeta[n], pi, ni})
 		}
-		out[pi] = series
+	}
+	slices.SortFunc(targets, func(a, b crossing) int { return cmp.Compare(a.target, b.target) })
+	sum = 0
+	for i, k := int64(1), 0; i <= maxN && k < len(targets); i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+		for ; k < len(targets) && sum >= targets[k].target; k++ {
+			c := targets[k]
+			out[c.pi][c.ni].Fraction = float64(i) / float64(itemCounts[c.ni])
+		}
 	}
 	return out
 }

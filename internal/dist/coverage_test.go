@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -146,4 +147,40 @@ func TestSortDescending(t *testing.T) {
 		}
 	}
 	sortDescending(nil) // must not panic
+}
+
+// naiveZipfCoverage is the two-step reference: sum ζ(n) from 1, then
+// walk the partial sums again until they reach percentile·ζ(n).
+func naiveZipfCoverage(n int64, theta, percentile float64) float64 {
+	total := 0.0
+	for i := int64(1); i <= n; i++ {
+		total += 1 / math.Pow(float64(i), theta)
+	}
+	target := percentile * total
+	sum := 0.0
+	for i := int64(1); i <= n; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+		if sum >= target {
+			return float64(i) / float64(n)
+		}
+	}
+	return 1.0
+}
+
+// The one-pass series sums in the reference's order, so every point
+// equals the reference bit for bit, whatever the order of its inputs.
+func TestZipfCoverageSeriesMatchesNaive(t *testing.T) {
+	counts := []int64{100_000, 1, 7, 1_000, 2, 12_345, 1_000, 100}
+	pcts := []float64{0.99, 0.5, 1, 0.9, 0.95, 0.01}
+	for _, theta := range []float64{0, 0.5, 0.99, 1.2, math.NaN()} {
+		series := ZipfCoverageSeries(counts, theta, pcts)
+		for pi, p := range pcts {
+			for ni, n := range counts {
+				got, want := series[pi][ni], naiveZipfCoverage(n, theta, p)
+				if got.TotalItems != n || math.Float64bits(got.Fraction) != math.Float64bits(want) {
+					t.Errorf("θ=%v n=%d p=%v: got %v (n=%d), reference %v", theta, n, p, got.Fraction, got.TotalItems, want)
+				}
+			}
+		}
+	}
 }

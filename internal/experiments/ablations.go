@@ -153,48 +153,50 @@ type ParamRow struct {
 // fixes 1 ms and reports insensitivity nearby; very long epochs should
 // degrade (stale histories, late pressure estimates).
 func RunEpochAblation(opts SweepOptions, fraction float64, epochs []sim.Duration) ([]ParamRow, error) {
-	opts = opts.withDefaults()
-	var rows []ParamRow
-	for _, e := range epochs {
-		cfg := YCSBConfig{
-			Workload:       ycsb.WorkloadA,
-			HeapBytes:      opts.HeapBytes,
-			OperationCount: opts.OperationCount,
-			Seed:           opts.Seed,
-			Epoch:          e,
-		}
-		p, err := RunViyojit(cfg, BudgetPages(cfg, fraction))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ParamRow{
-			Label:          e.String(),
-			ThroughputKOps: p.Result.ThroughputKOps(),
-			P99:            p.Result.LatencyOf(ycsb.OpUpdate).Quantile(0.99),
-		})
-	}
-	return rows, nil
+	return runParamAblation(opts, fraction, epochs, func(cfg *YCSBConfig, e sim.Duration) string {
+		cfg.Epoch = e
+		return e.String()
+	})
 }
 
 // RunQueueDepthAblation sweeps the SSD's outstanding-IO bound (the paper
 // fixes 16 and reports insensitivity).
 func RunQueueDepthAblation(opts SweepOptions, fraction float64, depths []int) ([]ParamRow, error) {
-	opts = opts.withDefaults()
+	return runParamAblation(opts, fraction, depths, func(cfg *YCSBConfig, d int) string {
+		cfg.SSD = ssd.Config{MaxOutstanding: d}
+		return fmt.Sprintf("%d IOs", d)
+	})
+}
+
+// RunEWMAAblation sweeps the dirty-page-pressure weight (the paper fixes
+// 0.75 on the current epoch's observation, §5.3). Low weights react
+// slowly to bursts (more forced cleans); a weight of 1 forgets history
+// entirely.
+func RunEWMAAblation(opts SweepOptions, fraction float64, weights []float64) ([]ParamRow, error) {
+	return runParamAblation(opts, fraction, weights, func(cfg *YCSBConfig, w float64) string {
+		cfg.EWMAWeight = w
+		return fmt.Sprintf("w=%.2f", w)
+	})
+}
+
+// runParamAblation runs YCSB-A at fraction of the heap once per setting:
+// set applies the setting to the run's config and returns its label.
+func runParamAblation[T any](opts SweepOptions, fraction float64, settings []T, set func(*YCSBConfig, T) string) ([]ParamRow, error) {
 	var rows []ParamRow
-	for _, d := range depths {
+	for _, v := range settings {
 		cfg := YCSBConfig{
 			Workload:       ycsb.WorkloadA,
 			HeapBytes:      opts.HeapBytes,
 			OperationCount: opts.OperationCount,
 			Seed:           opts.Seed,
-			SSD:            ssd.Config{MaxOutstanding: d},
 		}
+		label := set(&cfg, v)
 		p, err := RunViyojit(cfg, BudgetPages(cfg, fraction))
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, ParamRow{
-			Label:          fmt.Sprintf("%d IOs", d),
+			Label:          label,
 			ThroughputKOps: p.Result.ThroughputKOps(),
 			P99:            p.Result.LatencyOf(ycsb.OpUpdate).Quantile(0.99),
 		})
@@ -416,32 +418,4 @@ func FprintSSDReduction(w io.Writer, rows []ReductionRow) {
 		fmt.Fprintf(w, "%-10s %10.1fK %12.2f %12d %13d KB\n",
 			r.Label, r.ThroughputKOps, r.TransferRatio, r.DedupHits, r.CompressionSaved>>10)
 	}
-}
-
-// RunEWMAAblation sweeps the dirty-page-pressure weight (the paper fixes
-// 0.75 on the current epoch's observation, §5.3). Low weights react
-// slowly to bursts (more forced cleans); a weight of 1 forgets history
-// entirely.
-func RunEWMAAblation(opts SweepOptions, fraction float64, weights []float64) ([]ParamRow, error) {
-	opts = opts.withDefaults()
-	var rows []ParamRow
-	for _, w := range weights {
-		cfg := YCSBConfig{
-			Workload:       ycsb.WorkloadA,
-			HeapBytes:      opts.HeapBytes,
-			OperationCount: opts.OperationCount,
-			Seed:           opts.Seed,
-		}
-		cfg.EWMAWeight = w
-		p, err := RunViyojit(cfg, BudgetPages(cfg, fraction))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ParamRow{
-			Label:          fmt.Sprintf("w=%.2f", w),
-			ThroughputKOps: p.Result.ThroughputKOps(),
-			P99:            p.Result.LatencyOf(ycsb.OpUpdate).Quantile(0.99),
-		})
-	}
-	return rows, nil
 }

@@ -274,7 +274,12 @@ func digest(v any) string {
 // ordinal, so shared and cyclic structures encode finitely.
 type canon struct {
 	b    []byte
-	seen map[uintptr]uint64
+	seen map[canonPtr]uint64
+}
+
+type canonPtr struct {
+	addr uintptr
+	typ  reflect.Type
 }
 
 func (c *canon) u64(x uint64) { c.b = binary.LittleEndian.AppendUint64(c.b, x) }
@@ -331,14 +336,15 @@ func (c *canon) value(v reflect.Value) {
 			return
 		}
 		if c.seen == nil {
-			c.seen = map[uintptr]uint64{}
+			c.seen = map[canonPtr]uint64{}
 		}
-		if id, ok := c.seen[v.Pointer()]; ok {
+		p := canonPtr{v.Pointer(), v.Type()}
+		if id, ok := c.seen[p]; ok {
 			c.b = append(c.b, 2)
 			c.u64(id)
 			return
 		}
-		c.seen[v.Pointer()] = uint64(len(c.seen))
+		c.seen[p] = uint64(len(c.seen))
 		c.b = append(c.b, 1)
 		c.value(v.Elem())
 	case reflect.Interface:

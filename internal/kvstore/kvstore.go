@@ -52,7 +52,7 @@ type Store struct {
 	segments []pheap.Ptr
 
 	metaInterval uint64
-	stats        Stats
+	hits         uint64 // Gets that found their key; paces touch's meta writes
 
 	// Scratch for region accesses. A buffer handed to the heap escapes
 	// through the pheap.Store interface, so a local one costs a heap
@@ -67,17 +67,6 @@ type Store struct {
 func (s *Store) scratch(n int) []byte {
 	s.buf = slices.Grow(s.buf[:0], n)[:n]
 	return s.buf
-}
-
-// Stats counts store operations since the handle was created.
-type Stats struct {
-	Gets       uint64
-	Hits       uint64
-	Puts       uint64
-	Inserts    uint64 // subset of Puts that created a record
-	Updates    uint64 // subset of Puts that replaced a value
-	Deletes    uint64
-	ChainSteps uint64 // hash-chain links traversed
 }
 
 // Create formats a store with nBuckets hash buckets inside an
@@ -213,7 +202,6 @@ func (s *Store) findEntry(key []byte) (entry pheap.Ptr, prevBlock pheap.Ptr, pre
 		return 0, 0, 0, 0, false, err
 	}
 	for cur != 0 {
-		s.stats.ChainSteps++
 		next, kl, vl, err := s.entryHeader(cur)
 		if err != nil {
 			return 0, 0, 0, 0, false, err
@@ -248,7 +236,7 @@ func (s *Store) touch(entry pheap.Ptr) error {
 	if err := s.heap.Write(s.root, 16, clk); err != nil {
 		return err
 	}
-	if s.metaInterval <= 1 || s.stats.Hits%s.metaInterval == 1 {
+	if s.metaInterval <= 1 || s.hits%s.metaInterval == 1 {
 		return s.heap.Write(entry, 8, clk) // entry meta = current clock
 	}
 	return nil
@@ -257,12 +245,11 @@ func (s *Store) touch(entry pheap.Ptr) error {
 // Get returns a copy of key's value, or ok=false on miss. A hit writes
 // access metadata (see touch).
 func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
-	s.stats.Gets++
 	entry, _, _, valLen, found, err := s.findEntry(key)
 	if err != nil || !found {
 		return nil, false, err
 	}
-	s.stats.Hits++
+	s.hits++
 	value = make([]byte, valLen)
 	if err := s.heap.Read(entry, entryHeaderSize+len(key), value); err != nil {
 		return nil, false, err
@@ -275,7 +262,6 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 
 // Put stores value under key, inserting or updating as needed.
 func (s *Store) Put(key, value []byte) error {
-	s.stats.Puts++
 	if len(key) == 0 {
 		return fmt.Errorf("kvstore: empty key")
 	}
@@ -284,7 +270,6 @@ func (s *Store) Put(key, value []byte) error {
 		return err
 	}
 	if found {
-		s.stats.Updates++
 		usable, err := s.heap.UsableSize(entry)
 		if err != nil {
 			return err
@@ -316,7 +301,6 @@ func (s *Store) Put(key, value []byte) error {
 		return s.heap.Free(entry)
 	}
 	// Insert at chain head.
-	s.stats.Inserts++
 	segPtr, off := s.bucketLoc(key)
 	head, err := s.readPtr(segPtr, off)
 	if err != nil {
@@ -354,7 +338,6 @@ func (s *Store) writeEntry(next pheap.Ptr, key, value []byte) (pheap.Ptr, error)
 
 // Delete removes key, reporting whether it existed.
 func (s *Store) Delete(key []byte) (bool, error) {
-	s.stats.Deletes++
 	entry, prevBlock, prevOff, _, found, err := s.findEntry(key)
 	if err != nil || !found {
 		return false, err

@@ -89,9 +89,6 @@ func TestUpdateInPlace(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("len = %d, want 1", n)
 	}
-	if s.stats.Updates != 1 || s.stats.Inserts != 1 {
-		t.Fatalf("stats = %+v", s.stats)
-	}
 }
 
 func TestUpdateGrowsRecord(t *testing.T) {
@@ -186,9 +183,6 @@ func TestChainCollisions(t *testing.T) {
 		if err != nil || !ok || string(v) != fmt.Sprintf("val-%03d", i) {
 			t.Fatalf("key %d: %q ok=%v err=%v", i, v, ok, err)
 		}
-	}
-	if s.stats.ChainSteps == 0 {
-		t.Fatal("no chain traversal recorded on a single-bucket store")
 	}
 }
 
