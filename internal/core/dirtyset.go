@@ -39,6 +39,19 @@ func newDirtySet(numPages int) dirtySet {
 	return dirtySet{entries: make([]dirtyPage, numPages), parked: make([]uint64, numPages), parkedAt: make([]uint64, numPages)}
 }
 
+// recycle returns a set on s's tables that reads as a new one — no
+// entries, no parked histories, epoch 0 — with the capacity Pages and
+// State grew to, and leaves s without tables. parkedAt is read only
+// beside a parked history, and a zero history reads zero at any age.
+func (s *dirtySet) recycle() dirtySet {
+	clear(s.entries)
+	clear(s.parked)
+	r := *s
+	r.Pages, r.State, r.Epoch = s.Pages[:0], s.State[:0], 0
+	*s = dirtySet{}
+	return r
+}
+
 // len returns the number of dirty pages.
 func (s *dirtySet) len() int { return len(s.Pages) }
 

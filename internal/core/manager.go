@@ -70,6 +70,10 @@ type Config struct {
 	// private registry so Stats() always works; pass the system-wide
 	// registry (viyojit.System does) to aggregate across subsystems.
 	Obs *obs.Registry
+	// Retired, if set, is a manager a reboot retires: if it is closed
+	// and the page counts match, the dirty set is built on its tables,
+	// and its entry points that read them panic from then on.
+	Retired *Manager
 }
 
 func (c Config) withDefaults() Config {
@@ -233,6 +237,13 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	var dirty dirtySet
+	if old := cfg.Retired; old != nil && old.closed && len(old.dirty.entries) == region.NumPages() {
+		dirty = old.dirty.recycle()
+	} else {
+		dirty = newDirtySet(region.NumPages())
+	}
+	cfg.Retired = nil
 	m := &Manager{
 		clock:     clock,
 		events:    events,
@@ -241,7 +252,7 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		cfg:       cfg,
 		budget:    cfg.DirtyBudgetPages,
 		wakePages: WakePages(dev, region.PageTable().Costs().Trap),
-		dirty:     newDirtySet(region.NumPages()),
+		dirty:     dirty,
 		victims:   newVictimSelector(cfg.Policy),
 		st:        newInstruments(reg),
 		tr:        reg.Tracer(),
@@ -273,7 +284,17 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // DirtyCount returns the current size of the dirty set (including pages
 // in flight to the SSD, whose latest contents are not yet durable).
-func (m *Manager) DirtyCount() int { return m.dirty.len() }
+func (m *Manager) DirtyCount() int {
+	m.mustLive()
+	return m.dirty.len()
+}
+
+// mustLive panics if m's tables went to a reboot (Config.Retired).
+func (m *Manager) mustLive() {
+	if m.dirty.entries == nil {
+		panic("core: use of a manager retired by a reboot (Config.Retired)")
+	}
+}
 
 // DirtyBudget returns the current budget in pages.
 func (m *Manager) DirtyBudget() int { return m.budget }
@@ -910,6 +931,7 @@ func (m *Manager) wakeCopierAhead() {
 // path. After it returns, the dirty set is empty and every page's
 // contents are durable.
 func (m *Manager) FlushAll() {
+	m.mustLive()
 	m.drain(0, mmu.PageID(m.region.NumPages()), math.MaxInt, nil, "FlushAll")
 }
 

@@ -122,6 +122,7 @@ type freeRange struct {
 // (or re-protected when a previous mapping was unmapped), so the first
 // write to each page traps as the design requires.
 func (m *Manager) Map(name string, size int64) (*Mapping, error) {
+	m.mustLive()
 	if size <= 0 {
 		return nil, fmt.Errorf("core: Map %q with size %d", name, size)
 	}

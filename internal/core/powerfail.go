@@ -58,6 +58,7 @@ func (m *Manager) PowerFail(pm power.Model, availableJoules float64) PowerFailRe
 // the two samples — the conservative reading of "did the battery cover
 // it".
 func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerFailReport {
+	m.mustLive()
 	report := PowerFailReport{
 		DirtyAtFailure:        m.dirty.len(),
 		EnergyAvailableJoules: available(),
@@ -122,6 +123,7 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 // recoverable, and a descriptive error naming the first divergent page
 // otherwise.
 func (m *Manager) VerifyDurability() error {
+	m.mustLive()
 	for p := 0; p < m.region.NumPages(); p++ {
 		page := mmu.PageID(p)
 		if err := m.region.CheckRestorable(m.dev, page); err != nil {

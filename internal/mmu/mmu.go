@@ -138,19 +138,36 @@ func NewPageTable(clock *sim.Clock, costs Costs, numPages int, tlbEntries int) *
 	if numPages <= 0 {
 		panic(fmt.Sprintf("mmu: NewPageTable with numPages=%d", numPages))
 	}
+	return newPageTable(clock, costs, make([]entry, numPages), &tlb{slots: make([]tlbEntry, numPages)}, tlbEntries)
+}
+
+// Recycle returns a page table that reads as NewPageTable(clock, costs,
+// pt.NumPages(), tlbEntries) would, built on pt's entries and TLB slots;
+// the TLB empties in O(1), its generation passing every slot's stamp.
+// pt panics on any page access or TLB flush from then on.
+func (pt *PageTable) Recycle(clock *sim.Clock, costs Costs, tlbEntries int) *PageTable {
+	t := &tlb{slots: pt.tlb.slots, gen: pt.tlb.gen, fifo: pt.tlb.fifo[:0]}
+	nt := newPageTable(clock, costs, pt.entries, t, tlbEntries)
+	pt.entries, pt.tlb = nil, nil
+	return nt
+}
+
+func newPageTable(clock *sim.Clock, costs Costs, entries []entry, t *tlb, tlbEntries int) *PageTable {
 	if tlbEntries <= 0 {
 		tlbEntries = 1536
 	}
-	pt := &PageTable{
-		clock:   clock,
-		costs:   costs,
-		entries: make([]entry, numPages),
-		tlb:     newTLB(tlbEntries, numPages),
+	t.capacity, t.gen = tlbEntries, t.gen+1
+	for i := range entries {
+		entries[i] = entry{present: true}
 	}
-	for i := range pt.entries {
-		pt.entries[i].present = true
+	return &PageTable{clock: clock, costs: costs, entries: entries, tlb: t}
+}
+
+// mustLive panics if pt's tables went to a reboot (Recycle).
+func (pt *PageTable) mustLive() {
+	if pt.tlb == nil {
+		panic("mmu: use of a page table retired by a reboot (Recycle)")
 	}
-	return pt
 }
 
 // NumPages returns the number of pages the table covers.
@@ -170,8 +187,16 @@ func (pt *PageTable) Stats() Stats { return pt.stats }
 
 func (pt *PageTable) check(page PageID) {
 	if int(page) >= len(pt.entries) {
-		panic(fmt.Sprintf("mmu: page %d out of range [0,%d)", page, len(pt.entries)))
+		panic(pt.badPage(page))
 	}
+}
+
+// badPage is check's panic message, out of line so that check inlines.
+//
+//go:noinline
+func (pt *PageTable) badPage(page PageID) string {
+	pt.mustLive()
+	return fmt.Sprintf("mmu: page %d out of range [0,%d)", page, len(pt.entries))
 }
 
 // Protect write-protects a page and invalidates its TLB entry, as required
@@ -283,6 +308,7 @@ var ErrProtected = fmt.Errorf("mmu: write to protected page not resolved by faul
 // write to any page goes through a page walk and re-sets the PTE dirty
 // bit, so a subsequent scan sees fresh information.
 func (pt *PageTable) FlushTLB() {
+	pt.mustLive()
 	pt.stats.TLBFlushes++
 	pt.clock.Advance(pt.costs.TLBFlush)
 	pt.tlb.flush()

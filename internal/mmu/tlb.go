@@ -32,14 +32,6 @@ type tlb struct {
 	head     int        // index of oldest live slot in fifo
 }
 
-func newTLB(capacity, numPages int) *tlb {
-	return &tlb{
-		capacity: capacity,
-		slots:    make([]tlbEntry, numPages),
-		gen:      1,
-	}
-}
-
 // lookup returns the cached translation for page, or nil on a miss.
 func (t *tlb) lookup(page PageID) *tlbEntry {
 	if e := &t.slots[page]; e.gen == t.gen {

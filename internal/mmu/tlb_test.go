@@ -2,6 +2,10 @@ package mmu
 
 import "testing"
 
+func newTLB(capacity, numPages int) *tlb {
+	return &tlb{capacity: capacity, slots: make([]tlbEntry, numPages), gen: 1}
+}
+
 func TestTLBFillAndLookup(t *testing.T) {
 	tl := newTLB(4, 16)
 	tl.fill(10, false)

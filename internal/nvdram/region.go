@@ -5,8 +5,9 @@
 // implementation.
 //
 // The region costs the host what it holds, not what it could hold. New
-// allocates the page table, the TLB index, a table of chunk pointers and
-// one zero page — no data bytes. A chunk of chunkPages pages is backed by
+// allocates the page table and TLB index (or recycles a retired region's,
+// Config.Retired), a table of chunk pointers and one zero page — no data
+// bytes. A chunk of chunkPages pages is backed by
 // the first store into it (WriteAt, RestorePage) and lives as long as the
 // region or until a successor takes it over (TakeOver); a read of a chunk
 // nothing was ever stored into sees zeros and allocates nothing.
@@ -53,6 +54,10 @@ type Config struct {
 	// Costs is the MMU cost model; the zero value selects
 	// mmu.DefaultCosts.
 	Costs mmu.Costs
+	// Retired, if set, is a region a reboot retires: the page table is
+	// built on its table's arrays (mmu.PageTable.Recycle) if the page
+	// counts match.
+	Retired *Region
 }
 
 // copyNanosPer4KiB is the virtual-time cost of moving 4 KiB of data
@@ -103,9 +108,15 @@ func New(clock *sim.Clock, cfg Config) (*Region, error) {
 		costs = mmu.DefaultCosts()
 	}
 	numPages := int(cfg.Size / int64(ps))
+	var pt *mmu.PageTable
+	if old := cfg.Retired; old != nil && old.NumPages() == numPages {
+		pt = old.pt.Recycle(clock, costs, cfg.TLBEntries)
+	} else {
+		pt = mmu.NewPageTable(clock, costs, numPages, cfg.TLBEntries)
+	}
 	return &Region{
 		clock:       clock,
-		pt:          mmu.NewPageTable(clock, costs, numPages, cfg.TLBEntries),
+		pt:          pt,
 		chunks:      make([][]byte, (numPages+chunkPages-1)/chunkPages),
 		zero:        make([]byte, ps),
 		size:        cfg.Size,

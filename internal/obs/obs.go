@@ -157,12 +157,28 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with an attached tracer.
-func NewRegistry() *Registry {
+func NewRegistry() *Registry { return newRegistry(newTracer(defaultSpanCap)) }
+
+// Recycle returns an empty registry, as NewRegistry does, whose tracer
+// is built on r's span ring and open-span table: what a reboot takes
+// from the system it retires. r's instruments still read; any use of its
+// tracer panics from then on.
+func (r *Registry) Recycle() *Registry {
+	t := r.tracer
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.mustLive()
+	nr := newRegistry(&Tracer{ring: t.ring, open: t.open})
+	t.ring, t.open = nil, nil
+	return nr
+}
+
+func newRegistry(t *Tracer) *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
-		tracer: newTracer(defaultSpanCap),
+		tracer: t,
 	}
 }
 

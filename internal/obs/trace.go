@@ -101,6 +101,13 @@ func newTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]SpanRecord, capacity), open: make([]Span, openSpanCap)}
 }
 
+// mustLive panics if t's tables went to a reboot (Registry.Recycle).
+func (t *Tracer) mustLive() {
+	if t.ring == nil {
+		panic("obs: use of a tracer retired by a reboot (Registry.Recycle)")
+	}
+}
+
 func (t *Tracer) setSink(s Sink) {
 	if t != nil {
 		t.sink = s
@@ -124,6 +131,7 @@ func (t *Tracer) Begin(name string, at sim.Time) Span {
 }
 
 func (t *Tracer) trackOpen(sp Span) {
+	t.mustLive()
 	t.mu.Lock()
 	if t.openN < len(t.open) {
 		t.open[t.openN] = sp
@@ -140,6 +148,7 @@ func (t *Tracer) Finish(sp Span, end sim.Time, code string) {
 	if t == nil || sp.ID == 0 {
 		return
 	}
+	t.mustLive()
 	t.mu.Lock()
 	for i := 0; i < t.openN; i++ {
 		if t.open[i].ID == sp.ID {
@@ -189,6 +198,7 @@ func (t *Tracer) Snapshot() TraceSnapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.mustLive()
 	out := TraceSnapshot{Evicted: t.evicted, OpenDropped: t.openDropped}
 	if t.n > 0 {
 		out.Spans = make([]SpanRecord, t.n)

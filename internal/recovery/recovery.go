@@ -71,7 +71,16 @@ func RestoreVerified(clock *sim.Clock, region *nvdram.Region, dev, src *ssd.SSD)
 	stream := dev.OpenReadStream(clock)
 	var report RestoreReport
 	integ := &report.Integrity
-	for _, page := range src.DurablePageList() {
+	// buf takes src's durable pages a batch at a time: no list is made.
+	var buf [256]mmu.PageID
+	for pages, next := buf[:0], mmu.PageID(0); ; pages = pages[1:] {
+		if len(pages) == 0 {
+			if pages = src.DurablePagesFrom(next, len(buf), buf[:0]); len(pages) == 0 {
+				break
+			}
+			next = pages[len(pages)-1] + 1
+		}
+		page := pages[0]
 		if int(page) >= region.NumPages() {
 			return RestoreReport{}, fmt.Errorf("recovery: durable page %d outside region of %d pages", page, region.NumPages())
 		}

@@ -300,7 +300,13 @@ type lineage struct {
 // New builds a System: region, device, battery, and manager, with the
 // dirty budget derived from the battery and auto-retuned whenever the
 // battery's capacity changes (§8).
-func New(cfg Config) (*System, error) {
+func New(cfg Config) (*System, error) { return build(cfg, nil, nil) }
+
+// build is New, or a reboot in lin that retires gone (lineage.retire):
+// that is built on the first retiree's span ring, page table, TLB and
+// dirty set, so it allocates nothing sized by the region, and last takes
+// over what every retiree leaves (takeOver).
+func build(cfg Config, lin *lineage, gone []*System) (*System, error) {
 	if cfg.NVDRAMSize <= 0 {
 		return nil, fmt.Errorf("viyojit: NVDRAMSize %d must be positive", cfg.NVDRAMSize)
 	}
@@ -311,8 +317,15 @@ func New(cfg Config) (*System, error) {
 
 	clock := sim.NewClock()
 	events := sim.NewQueue()
-	reg := obs.NewRegistry()
-	region, err := nvdram.New(clock, nvdram.Config{Size: cfg.NVDRAMSize})
+	regionCfg := nvdram.Config{Size: cfg.NVDRAMSize}
+	var reg *obs.Registry
+	var oldMgr *core.Manager
+	if len(gone) > 0 {
+		reg, regionCfg.Retired, oldMgr = gone[0].reg.Recycle(), gone[0].region, gone[0].manager
+	} else {
+		reg = obs.NewRegistry()
+	}
+	region, err := nvdram.New(clock, regionCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -352,6 +365,7 @@ func New(cfg Config) (*System, error) {
 		DirtyBudgetPages: budget,
 		Epoch:            cfg.Epoch,
 		Obs:              reg,
+		Retired:          oldMgr,
 	})
 	if err != nil {
 		return nil, err
@@ -454,6 +468,9 @@ func New(cfg Config) (*System, error) {
 		bbMap:    bbMap,
 	}
 	s.lin = &lineage{live: []*System{s}}
+	if len(gone) > 0 {
+		s.takeOver(lin, gone)
+	}
 	return s, nil
 }
 
@@ -845,10 +862,11 @@ type RecoverOptions struct {
 // retires when a System recovered from it is itself recovered from, or,
 // once closed, when its source or a System beside it is recovered from.
 // A retired System's Recover returns ErrRetired, and its SSD panics on
-// any use but Stats. The retirement is what hands the retired device
-// objects' page buffers on, so cleans after a chain of reboots allocate
-// none. It happens before the restore walk, so a reboot that fails still
-// retires.
+// any use but Stats; the reboot is built on the first retiree's tables,
+// whose manager and mappings then panic too, its Stats and Metrics
+// still reading. Retirement hands the retired device objects' page
+// buffers on, so cleans after a chain of reboots allocate none. It comes
+// before the reboot is built, so a reboot that fails still retires.
 func (s *System) Recover() (*System, recovery.RestoreReport, error) {
 	return s.RecoverWith(RecoverOptions{})
 }
@@ -884,7 +902,8 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	cfg := s.cfg
 	cfg.Battery = s.batt.Config()
 	cfg.Battery.Derating *= scale
-	ns, err := New(cfg)
+	// The reboot retires before it is built, on the first retiree's tables.
+	ns, err := build(cfg, s.lin, s.lin.retire(s))
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
@@ -902,14 +921,13 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 // flight recorder's pre-crash timeline. On any error s is closed — a
 // half-built system's health monitor, scrubber and epoch task are
 // already armed on its queue and must not outlive a failed recovery.
-// What s retired first stays retired.
+// What the reboot retired stays retired.
 func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err error) {
 	defer func() {
 		if err != nil {
 			s.Close()
 		}
 	}()
-	s.retire(prev)
 	// The reboot reloads the DRAM that lost power: s's region takes over
 	// prev's chunk buffers, which first stores after the restore back
 	// chunks with, and its table of shared device images.
@@ -944,44 +962,41 @@ func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err e
 	return report, nil
 }
 
-// retire retires, as s comes up as prev's reboot, prev's parent and the
-// closed Systems beside prev and beside s: those recovered from prev's
-// parent or from prev. The second kind keeps a lineage from holding every
-// closed attempt recovered from one source. s's region takes theirs over,
-// and s's device object their buffers, free lists and one slot table
-// (ssd.SSD.Retire): kept are the device objects and regions of every
-// System still live in the lineage — prev, open Systems, and any System
-// recovered from a retiree — and, for each walk, the retirees not yet
-// walked. The caller holds prev.lin.mu.
-func (s *System) retire(prev *System) {
-	lin := prev.lin
+// retire retires and returns, as a reboot of prev comes up, prev's
+// parent and the closed Systems recovered from it or from prev: the
+// second kind keeps a lineage from holding every closed attempt
+// recovered from one source. The caller holds lin.mu.
+func (lin *lineage) retire(prev *System) []*System {
 	var gone []*System
 	for _, m := range lin.live {
 		if m == prev.parent || (m != prev && m.closed && (m.parent == prev || prev.parent != nil && m.parent == prev.parent)) {
-			m.retired = true
+			m.retired, m.parent = true, nil
 			gone = append(gone, m)
 		}
 	}
-	if len(gone) == 0 {
-		return
-	}
-	live := slices.DeleteFunc(lin.live, func(m *System) bool { return m.retired })
-	lin.live = live
+	lin.live = slices.DeleteFunc(lin.live, func(m *System) bool { return m.retired })
+	return gone
+}
+
+// takeOver gives s, a reboot in lin, what the Systems it retired leave:
+// their regions, and their buffers, free lists and one slot table
+// (ssd.SSD.Retire), but what a device object or region still live in lin
+// — or a retiree not yet walked — reads. The caller holds lin.mu.
+func (s *System) takeOver(lin *lineage, gone []*System) {
 	// devs is the retirees in walk order, then the live members, so the
 	// devices kept during walk i are devs[i+1:].
-	devs := make([]*ssd.SSD, 0, len(gone)+len(live))
-	regions := make([]ssd.Sharer, 0, len(live))
+	devs := make([]*ssd.SSD, 0, len(gone)+len(lin.live))
+	regions := make([]ssd.Sharer, 0, len(lin.live))
 	for _, m := range gone {
 		devs = append(devs, m.dev)
 		s.region.TakeOver(m.region)
 	}
-	for _, m := range live {
+	for _, m := range lin.live {
 		devs = append(devs, m.dev)
 		regions = append(regions, m.region)
 	}
 	for i, m := range gone {
 		s.dev.Retire(m.dev, devs[i+1:], regions)
-		m.parent = nil
 	}
 }
 

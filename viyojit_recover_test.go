@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -480,13 +481,69 @@ func TestRecoverChainReusesChunks(t *testing.T) {
 	}
 }
 
+// TestRecoverAllocatesNothingRegionSized: a reboot that retires a System
+// is built on the retiree's capacity-sized tables — dirty set, page table
+// and TLB, span ring — and restores through no list of durable pages, so
+// it allocates a small fraction of what one page-indexed table of a
+// 64 MiB region costs. sys → r1 → r2 → r3 → r4, each losing power with a
+// few thousand pages written: r1's Recover retires nothing and builds
+// afresh; from r2's on, each retires its grandparent and must allocate
+// ≤ 256 KiB, where building the tables anew costs ≈ 1.3 MiB.
+func TestRecoverAllocatesNothingRegionSized(t *testing.T) {
+	const size, pages = 64 << 20, 3000
+	sys := newTestSystem(t, Config{NVDRAMSize: size, DisableScrubber: true})
+	page := make([]byte, 4096)
+	write := func(s *System, round int) {
+		t.Helper()
+		m, err := s.Map("heap", pages*4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := round; i < pages; i += 1 + round {
+			page[0], page[1], page[2] = byte(i), byte(i>>8), byte(round)
+			if err := m.WriteAt(page, int64(i)*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rep := s.SimulatePowerFailure(); !rep.Survived {
+			t.Fatalf("power failure %d not survived: %+v", round, rep)
+		}
+	}
+	cur := sys
+	for round := 0; round < 4; round++ {
+		write(cur, round)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		next, rr, err := cur.Recover()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.PagesRestored < pages {
+			t.Fatalf("reboot %d restored %d pages, want at least %d", round+1, rr.PagesRestored, pages)
+		}
+		n := after.TotalAlloc - before.TotalAlloc
+		t.Logf("Recover %d allocates %d bytes", round+1, n)
+		if round > 0 && n > 256<<10 {
+			t.Fatalf("Recover %d, which retires a System, allocates %d bytes, want ≤ 256 KiB", round+1, n)
+		}
+		cur = next
+	}
+	defer cur.Close()
+	if err := cur.VerifyDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoverRetiresGrandparent: a reboot of a reboot retires the System
 // its source was recovered from, and the closed Systems recovered from
 // that one beside its source, and recycles their device buffers into the
 // new device, while every System still in use keeps its bytes. sys is
 // recovered three times: r1, a sibling closed at once, and one left open.
 // r1's reboot r2 retires sys and the closed sibling: their Recover returns
-// ErrRetired and their devices panic on use. r1 stays recoverable, twice
+// ErrRetired and their devices panic on use; r2 is built on sys's
+// tables, so sys's mapping and manager panic too, while its counters
+// still read. r1 stays recoverable, twice
 // (a and b), with the same bytes; a third reboot of r1, closed, retires
 // when r1 is recovered from a fourth time. The open sibling stays
 // recoverable too, and its reboot c in turn retires r1, closed beside it. r2 and then c clean every page
@@ -548,6 +605,7 @@ func TestRecoverRetiresGrandparent(t *testing.T) {
 		}
 		return out
 	}
+	sysStats, sysMetrics := sys.Stats(), sys.Metrics().Snapshot()
 	r2, _, err := r1.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -566,6 +624,28 @@ func TestRecoverRetiresGrandparent(t *testing.T) {
 			}()
 			gone.SSD().Durable(0)
 		}()
+	}
+	// r2 was built on the tables of sys, the first System it retired:
+	// sys's mapping and manager panic, naming retirement, and its
+	// counters still read what they did.
+	for what, use := range map[string]func(){
+		"a mapping write": func() { _ = m.WriteAt([]byte{1}, 0) },
+		"DirtyCount":      func() { sys.DirtyCount() },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "retired") {
+					t.Fatalf("%s on sys after r2 was built on its tables: panic %v, want one naming retirement", what, r)
+				}
+			}()
+			use()
+		}()
+	}
+	if got := sys.Stats(); got != sysStats {
+		t.Fatalf("sys's Stats after the hand-off: %+v, want %+v", got, sysStats)
+	}
+	if got := sys.Metrics().Snapshot(); !reflect.DeepEqual(got, sysMetrics) {
+		t.Fatal("sys's Metrics snapshot changed across the hand-off")
 	}
 	a, _, err := r1.Recover()
 	if err != nil {
