@@ -79,17 +79,15 @@ func (m *Manager) PowerFailWith(pm power.Model, available func() float64) PowerF
 	// wire); the remainder of the dirty set streams out as one
 	// sequential backup write at full device bandwidth.
 	m.dev.WaitIdle()
-	batch := make(map[mmu.PageID][]byte, m.dirty.len())
 	pt := m.region.PageTable()
 	for _, page := range m.dirty.list() {
 		pt.Protect(page) // no further mutation during the backup
-		// RawPage, not CopyPage: during the streaming backup the
-		// DRAM-side copy is DMA that overlaps the (5× slower) device
-		// transfer, so no serial copy time is charged. WriteBatch copies
-		// the bytes before returning.
-		batch[page] = m.region.RawPage(page)
 	}
-	m.dev.WriteBatch(batch)
+	// RawPage, not CopyPage: during the streaming backup the DRAM-side
+	// copy is DMA that overlaps the (5× slower) device transfer, so no
+	// serial copy time is charged. WriteBatch copies the bytes before
+	// returning.
+	m.dev.WriteBatch(m.dirty.list(), m.region.RawPage)
 	for m.dirty.len() > 0 {
 		page := m.dirty.list()[m.dirty.len()-1]
 		m.dirty.remove(page)

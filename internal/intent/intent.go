@@ -190,10 +190,9 @@ type entry struct {
 	tombstone bool
 	key, val  []byte // redo image, cleared once done
 	result    []byte
-	// img is the journal's buffer key and val are cut from, nil for an
-	// entry rebuilt by replay (whose slices are decoded copies). finish
-	// hands it back, unless the result is the redo value and so lives in
-	// it: then it goes back when the entry leaves the window.
+	// img is the journal's buffer key and val are cut from. finish hands
+	// it back, unless the result is the redo value and so lives in it:
+	// then it goes back when the entry leaves the window.
 	img []byte
 }
 
@@ -309,9 +308,16 @@ type Journal struct {
 
 	// Free lists the dedup table draws from, so a steady stream of
 	// Begin/Complete pairs allocates nothing: redo-image buffers handed
-	// back by finish and gcLocked, and entries gcLocked dropped.
+	// back by finish and gcLocked, entries gcLocked dropped, and a
+	// retired journal's client windows, each with its entries map
+	// cleared (OpenOn).
 	imgs  [][]byte
 	spare []*entry
+	wins  []*clientWin
+	// retiredLogs are a retired journal's logs, whose buffers the first
+	// log opened or created on each half is built on (wal.OpenOn,
+	// wal.CreateOn).
+	retiredLogs [2]*wal.Log
 
 	st    instruments
 	stats Stats
@@ -385,7 +391,15 @@ func Create(store Store, cfg Config) (*Journal, error) {
 // the dedup table by replaying the active half's committed prefix.
 // Torn tails are tolerated: the record torn by the crash is the one
 // whose request was never acked, so dropping it is exactly right.
-func Open(store Store, reg *obs.Registry) (*Journal, error) {
+func Open(store Store, reg *obs.Registry) (*Journal, error) { return OpenOn(store, reg, nil) }
+
+// OpenOn is Open on the tables and buffers of retired, the journal a
+// reboot retired, or Open itself when retired is nil: its dedup table
+// and client windows, cleared, its entries and redo-image buffers, its
+// record and compaction buffers, and its two logs' buffers. The table is
+// rebuilt by the same replay, with the same charged reads, as Open's.
+// retired panics on use from then on; its Stats still read.
+func OpenOn(store Store, reg *obs.Registry, retired *Journal) (*Journal, error) {
 	var hdr [32]byte
 	if err := store.ReadAt(hdr[:], 0); err != nil {
 		return nil, err
@@ -396,23 +410,19 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	j := &Journal{
-		store:    store,
-		gen:      binary.LittleEndian.Uint64(hdr[offGen:]),
-		halfSize: int64(binary.LittleEndian.Uint64(hdr[offHalf:])),
-		table:    make(map[uint64]*clientWin),
-		st:       newInstruments(reg),
-	}
+	gen, halfSize := binary.LittleEndian.Uint64(hdr[offGen:]), int64(binary.LittleEndian.Uint64(hdr[offHalf:]))
 	window := binary.LittleEndian.Uint64(hdr[offWindow:])
-	if j.halfSize < minHalfBytes || headerBytes+2*j.halfSize > store.Size() || window != DefaultWindow {
+	if halfSize < minHalfBytes || headerBytes+2*halfSize > store.Size() || window != DefaultWindow {
 		return nil, fmt.Errorf("intent: corrupt journal header (half=%d window=%d store=%d)",
-			j.halfSize, window, store.Size())
+			halfSize, window, store.Size())
 	}
-	l, err := wal.Open(j.half(j.gen))
+	j := retired.recycle()
+	j.store, j.gen, j.halfSize, j.st = store, gen, halfSize, newInstruments(reg)
+	l, err := wal.OpenOn(j.half(j.gen), j.retiredLogs[j.gen&1])
 	if err != nil {
 		return nil, fmt.Errorf("intent: active half: %w", err)
 	}
-	j.log, j.logs[j.gen&1] = l, l
+	j.log, j.logs[j.gen&1], j.retiredLogs[j.gen&1] = l, l, nil
 	err = l.Replay(func(seq uint64, payload []byte) error {
 		j.stats.Replayed++
 		j.st.replayed.Inc()
@@ -430,6 +440,46 @@ func Open(store Store, reg *obs.Registry) (*Journal, error) {
 	return j, nil
 }
 
+// recycle returns an empty journal with no store, built on j's tables and
+// buffers, and retires j; a nil j yields a new one.
+func (j *Journal) recycle() *Journal {
+	if j == nil {
+		return &Journal{table: make(map[uint64]*clientWin)}
+	}
+	j.mustLive()
+	nj := &Journal{
+		table:       j.table,
+		rec:         j.rec[:0],
+		snap:        j.snap[:0],
+		clients:     j.clients[:0],
+		seqs:        j.seqs[:0],
+		imgs:        j.imgs,
+		spare:       j.spare,
+		wins:        j.wins,
+		retiredLogs: j.logs,
+	}
+	for _, w := range j.table {
+		for _, e := range w.entries {
+			nj.releaseImg(e)
+			nj.spare = append(nj.spare, e)
+		}
+		clear(w.entries)
+		nj.wins = append(nj.wins, w)
+	}
+	j.stats.Clients = len(j.table)
+	clear(nj.table)
+	*j = Journal{log: j.log, gen: j.gen, halfSize: j.halfSize, live: j.live, liveBytes: j.liveBytes,
+		torn: j.torn, st: j.st, stats: j.stats}
+	return nj
+}
+
+// mustLive panics if j's tables went to a reboot (OpenOn).
+func (j *Journal) mustLive() {
+	if j.table == nil {
+		panic("intent: use of a journal retired by a reboot (OpenOn)")
+	}
+}
+
 // TornOpen reports whether the last Open stopped on a torn tail — the
 // signature of a crash mid-append. The torn record's request was never
 // acked, so it is safe (and correct) that it vanished.
@@ -441,7 +491,9 @@ func (j *Journal) Stats() Stats {
 	s.Gen = j.gen
 	s.HeadBytes = j.log.Head()
 	s.HalfBytes = j.halfSize
-	s.Clients = len(j.table)
+	if j.table != nil { // a retired journal's count is frozen in j.stats
+		s.Clients = len(j.table)
+	}
 	s.LiveEntries = j.live
 	s.LiveBytes = j.snapshotBytes()
 	s.RunLimitBytes = j.runLimit()
@@ -536,7 +588,12 @@ func (j *Journal) releaseImg(e *entry) {
 func (j *Journal) win(client uint64) *clientWin {
 	w := j.table[client]
 	if w == nil {
-		w = &clientWin{low: 1, entries: make(map[uint64]*entry)}
+		if n := len(j.wins); n > 0 {
+			w, j.wins = j.wins[n-1], j.wins[:n-1]
+			w.low, w.maxSeq = 1, 0
+		} else {
+			w = &clientWin{low: 1, entries: make(map[uint64]*entry)}
+		}
 		j.table[client] = w
 		j.liveBytes += snapClientBytes
 	}
@@ -548,6 +605,7 @@ func (j *Journal) win(client uint64) *clientWin {
 // result), and its slices are views with the lives Entry documents: a
 // redo image must be copied before the Complete that retires it.
 func (j *Journal) Lookup(client, seq uint64) (Entry, State) {
+	j.mustLive()
 	w := j.table[client]
 	if w == nil {
 		return Entry{}, StateNew
@@ -572,6 +630,7 @@ func (j *Journal) Lookup(client, seq uint64) (Entry, State) {
 // post-crash retry will re-apply. Must be called before the mutation
 // touches the store.
 func (j *Journal) Begin(client, seq, opSum uint64, redoKey, redoVal []byte, tombstone bool) error {
+	j.mustLive()
 	if client == 0 || seq == 0 {
 		return fmt.Errorf("intent: client and seq must be non-zero")
 	}
@@ -614,6 +673,7 @@ func (j *Journal) Begin(client, seq, opSum uint64, redoKey, redoVal []byte, tomb
 // condition is counted: losing a result record at a crash only costs an
 // extra redo re-apply on retry, never a double-apply.
 func (j *Journal) Complete(client, seq uint64, code byte, result []byte) error {
+	j.mustLive()
 	w := j.table[client]
 	if w == nil {
 		return fmt.Errorf("intent: Complete for unknown client %d", client)
@@ -678,8 +738,8 @@ func (j *Journal) freshLog(gen uint64) (*wal.Log, error) {
 	if l := j.logs[gen&1]; l != nil {
 		return l, l.Reset()
 	}
-	l, err := wal.Create(j.half(gen))
-	j.logs[gen&1] = l
+	l, err := wal.CreateOn(j.half(gen), j.retiredLogs[gen&1])
+	j.logs[gen&1], j.retiredLogs[gen&1] = l, nil
 	return l, err
 }
 
@@ -691,6 +751,7 @@ func (j *Journal) freshLog(gen uint64) (*wal.Log, error) {
 // crash anywhere during compaction leaves exactly one valid journal:
 // the old half (flip not yet visible) or the new one (flip landed).
 func (j *Journal) Compact() error {
+	j.mustLive()
 	j.clients = j.clients[:0]
 	for c := range j.table {
 		j.clients = append(j.clients, c)
@@ -788,7 +849,8 @@ func (j *Journal) apply(rec Record) {
 			return
 		}
 		e := j.newEntry()
-		e.opSum, e.tombstone, e.key, e.val = rec.OpSum, rec.Tombstone, rec.Key, rec.Val
+		e.opSum, e.tombstone = rec.OpSum, rec.Tombstone
+		j.setImage(e, rec.Key, rec.Val)
 		j.put(w, rec.Seq, e)
 		if rec.Seq > w.maxSeq {
 			w.maxSeq = rec.Seq
@@ -807,6 +869,8 @@ func (j *Journal) apply(rec Record) {
 		}
 		if rec.IsRedo {
 			rec.Result = e.val
+		} else {
+			rec.Result = append([]byte(nil), rec.Result...)
 		}
 		j.finish(e, rec.Code, rec.Result, rec.IsRedo)
 	case kSnapClient:
@@ -828,9 +892,9 @@ func (j *Journal) apply(rec Record) {
 		if rec.Done {
 			e.done = true
 			e.code = rec.Code
-			e.result = rec.Result
+			e.result = append([]byte(nil), rec.Result...)
 		} else {
-			e.key, e.val = rec.Key, rec.Val
+			j.setImage(e, rec.Key, rec.Val)
 		}
 		j.put(w, rec.Seq, e)
 		if rec.Seq > w.maxSeq {
@@ -854,6 +918,7 @@ type ClientSnapshot struct {
 // Snapshot exports the whole dedup table (deep-copied) so harnesses can
 // compare a rebuilt table against the journal prefix.
 func (j *Journal) Snapshot() map[uint64]ClientSnapshot {
+	j.mustLive()
 	out := make(map[uint64]ClientSnapshot, len(j.table))
 	for c, w := range j.table {
 		cs := ClientSnapshot{Low: w.low, MaxSeq: w.maxSeq, Entries: make(map[uint64]Entry, len(w.entries))}
@@ -883,6 +948,7 @@ type PendingIntent struct {
 // counting completed redos identifies exactly which intents a resumed
 // recovery may skip. Entry slices are deep-copied.
 func (j *Journal) Pending() []PendingIntent {
+	j.mustLive()
 	var out []PendingIntent
 	for c, w := range j.table {
 		for s, e := range w.entries {

@@ -125,7 +125,8 @@ type Record struct {
 
 // decode parses the record at the head of p and returns it with its
 // encoded length; 0 means the bytes do not start a well-shaped intent,
-// result or snapshot-part record. Slices are copies.
+// result or snapshot-part record. Slices alias p, whose replay buffer the
+// next record overwrites (wal.Log.Replay): apply copies what it keeps.
 func decode(p []byte) (Record, int) {
 	if len(p) == 0 {
 		return Record{}, 0
@@ -146,8 +147,8 @@ func decode(p []byte) (Record, int) {
 			Seq:       binary.LittleEndian.Uint64(p[9:]),
 			OpSum:     binary.LittleEndian.Uint64(p[17:]),
 			Tombstone: p[25]&flagTombstone != 0,
-			Key:       append([]byte(nil), p[32:32+kl]...),
-			Val:       append([]byte(nil), p[32+kl:32+kl+vl]...),
+			Key:       part(p[32 : 32+kl]),
+			Val:       part(p[32+kl : 32+kl+vl]),
 		}, 32 + kl + vl
 	case kResult:
 		if len(p) < 23 {
@@ -164,7 +165,7 @@ func decode(p []byte) (Record, int) {
 			Done:   true,
 			Code:   p[17],
 			IsRedo: p[18]&flagResultIsRedo != 0,
-			Result: append([]byte(nil), p[23:23+rl]...),
+			Result: part(p[23 : 23+rl]),
 		}, 23 + rl
 	case kSnapClient:
 		if len(p) < snapClientBytes {
@@ -195,9 +196,9 @@ func decode(p []byte) (Record, int) {
 			OpSum:     binary.LittleEndian.Uint64(p[18:]),
 			Code:      p[26],
 			Tombstone: p[27]&flagTombstone != 0,
-			Key:       append([]byte(nil), p[off:off+kl]...),
-			Val:       append([]byte(nil), p[off+kl:off+kl+vl]...),
-			Result:    append([]byte(nil), p[off+kl+vl:off+kl+vl+rl]...),
+			Key:       part(p[off : off+kl]),
+			Val:       part(p[off+kl : off+kl+vl]),
+			Result:    part(p[off+kl+vl : off+kl+vl+rl]),
 		}, snapEntryBytes + kl + vl + rl
 	}
 	return Record{}, 0

@@ -15,8 +15,9 @@
 // every header store goes through the Heap, a block Write is
 // bounds-checked to its payload, and exactly one Heap is open per
 // mapping: never Format or Open a second Heap over a Store while another
-// is in use. A reopened Heap starts with an empty table, so after a
-// reboot each block's header is validated from NV-DRAM once again.
+// is in use. A reopened Heap starts with its table cleared (OpenOn reuses
+// a retired Heap's), so after a reboot each block's header is validated
+// from NV-DRAM once again.
 // Pointers handed to the heap must be ones it returned; a wild pointer
 // into a payload was never safe (a Write through it can overwrite a
 // neighbour's header) and is not made so.
@@ -88,9 +89,20 @@ type Heap struct {
 	// classes is the class table: block pointer → header word, for every
 	// block this Heap has allocated, freed or validated. It is filled
 	// where the header is stored (writeHeader) or first read
-	// (blockClass), and starts empty at Format and Open.
+	// (blockClass), and starts empty at Format and Open, cleared at
+	// OpenOn.
 	classes map[Ptr]uint64
 }
+
+// retiredStore is the store of a Heap whose class table went to a reboot
+// (OpenOn): every access panics.
+type retiredStore struct{}
+
+const retiredMsg = "pheap: use of a heap retired by a reboot (OpenOn)"
+
+func (retiredStore) ReadAt([]byte, int64) error  { panic(retiredMsg) }
+func (retiredStore) WriteAt([]byte, int64) error { panic(retiredMsg) }
+func (retiredStore) Size() int64                 { panic(retiredMsg) }
 
 // classFor returns the size-class index for an allocation of n bytes.
 func classFor(n int) (int, error) {
@@ -141,8 +153,23 @@ func Format(store Store) (*Heap, error) {
 
 // Open attaches to an existing heap (e.g. after power-failure recovery),
 // validating the magic number and recorded size.
-func Open(store Store) (*Heap, error) {
-	h := &Heap{store: store, classes: map[Ptr]uint64{}}
+func Open(store Store) (*Heap, error) { return OpenOn(store, nil) }
+
+// OpenOn is Open on the class table of retired, the Heap a reboot
+// retired, cleared, or Open itself when retired is nil. Every block's
+// header is then validated from the store once, as after Open. retired
+// panics on any access from then on.
+func OpenOn(store Store, retired *Heap) (*Heap, error) {
+	h := &Heap{store: store}
+	if retired != nil {
+		if retired.classes == nil {
+			panic(retiredMsg)
+		}
+		h.classes, retired.classes, retired.store = retired.classes, nil, retiredStore{}
+		clear(h.classes)
+	} else {
+		h.classes = map[Ptr]uint64{}
+	}
 	m, err := h.readU64(offMagic)
 	if err != nil {
 		return nil, err

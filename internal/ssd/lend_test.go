@@ -274,7 +274,7 @@ func TestBufferLendingMatchesPrivateCopies(t *testing.T) {
 				if a == b {
 					ib = ia
 				}
-				d.WriteBatch(map[mmu.PageID][]byte{a: ia, b: ib})
+				d.WriteBatch(batch(map[mmu.PageID][]byte{a: ia, b: ib}))
 				ref.store(a, ia)
 				ref.store(b, ib)
 			case op == 6:

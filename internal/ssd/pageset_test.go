@@ -113,7 +113,7 @@ func TestPageIndexMatchesMapReference(t *testing.T) {
 			case 0:
 				d.SeedDurable(pg, data)
 			case 1:
-				d.WriteBatch(map[mmu.PageID][]byte{pg: data, pg + 2: data})
+				d.WriteBatch(batch(map[mmu.PageID][]byte{pg: data, pg + 2: data}))
 			default:
 				d.WritePageSync(pg, data)
 			}

@@ -554,16 +554,20 @@ func (d *SSD) WaitIdle() {
 	}
 }
 
-// WriteBatch durably stores a set of pages as one streaming write: the
-// backup path taken on power failure, where pages are written out
-// sequentially at full device bandwidth rather than as latency-bound
-// random IOs. It waits for in-flight IOs first, charges one PerIOLatency
-// plus the aggregate transfer time, and returns the completion time.
-func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
+// WriteBatch durably stores pages, none repeated, as one streaming
+// write: the backup path taken on power failure, where pages are written
+// out sequentially at full device bandwidth rather than as
+// latency-bound random IOs. image reads a page's contents; each is
+// copied into a page buffer (PageBuffer), in pages' order, before
+// WriteBatch returns, so image may return the caller's live memory. It
+// waits for in-flight IOs first, charges one PerIOLatency plus the
+// aggregate transfer time, and returns the completion time.
+func (d *SSD) WriteBatch(pages []mmu.PageID, image func(mmu.PageID) []byte) sim.Time {
 	d.mustLive()
 	d.WaitIdle()
 	total := 0
-	for page, data := range pages {
+	for _, page := range pages {
+		data := image(page)
 		if len(data) != d.cfg.PageSize {
 			panic(fmt.Sprintf("ssd: batch write of %d bytes to page %d, want page size %d", len(data), page, d.cfg.PageSize))
 		}
@@ -573,18 +577,18 @@ func (d *SSD) WriteBatch(pages map[mmu.PageID][]byte) sim.Time {
 		return d.clock.Now()
 	}
 	d.clock.Advance(d.cfg.PerIOLatency + transferTime(total, d.EffectiveWriteBandwidth()))
-	for page, data := range pages {
-		// Sum the copy, not data: the copy has just been written, so the
-		// CRC reads cache, where over cold NV-DRAM it would stall.
-		cp := d.copyBuffer(data)
+	for _, page := range pages {
+		// Sum the copy, not the image: the copy has just been written, so
+		// the CRC reads cache, where over cold NV-DRAM it would stall.
+		cp := d.copyBuffer(image(page))
 		sum := checksum(cp)
 		d.recycle(d.putData(page, cp, sum))
 		d.putSum(page, sum)
 		d.clearCorrupt(page)
-		d.stats.BytesWritten += uint64(len(data))
+		d.stats.BytesWritten += uint64(len(cp))
 		d.stats.WritesCompleted++
 		d.stats.WritesSubmitted++
-		d.st.bytesWritten.Add(uint64(len(data)))
+		d.st.bytesWritten.Add(uint64(len(cp)))
 		d.st.writesCompleted.Inc()
 		d.st.writesSubmitted.Inc()
 	}

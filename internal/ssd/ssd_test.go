@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"viyojit/internal/mmu"
@@ -12,6 +13,17 @@ func newTestSSD(cfg Config) (*SSD, *sim.Clock, *sim.Queue) {
 	c := sim.NewClock()
 	q := sim.NewQueue()
 	return New(c, q, cfg), c, q
+}
+
+// batch is WriteBatch's arguments for images: its pages in ascending
+// order and a reader of each page's image.
+func batch(images map[mmu.PageID][]byte) ([]mmu.PageID, func(mmu.PageID) []byte) {
+	pages := make([]mmu.PageID, 0, len(images))
+	for p := range images {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	return pages, func(p mmu.PageID) []byte { return images[p] }
 }
 
 func page(b byte, size int) []byte {
@@ -214,12 +226,12 @@ func TestSeedDurable(t *testing.T) {
 
 func TestWriteBatchStreaming(t *testing.T) {
 	d, c, _ := newTestSSD(Config{WriteBandwidth: 1 << 20, PerIOLatency: sim.Millisecond})
-	batch := map[mmu.PageID][]byte{}
+	images := map[mmu.PageID][]byte{}
 	for i := 0; i < 8; i++ {
-		batch[mmu.PageID(i)] = page(byte(i+1), 4096)
+		images[mmu.PageID(i)] = page(byte(i+1), 4096)
 	}
 	t0 := c.Now()
-	d.WriteBatch(batch)
+	d.WriteBatch(batch(images))
 	elapsed := c.Now().Sub(t0)
 	// One latency + aggregate transfer, NOT one latency per page.
 	xfer := sim.Duration(8 * 4096 * int64(sim.Second) / (1 << 20))
@@ -235,7 +247,7 @@ func TestWriteBatchStreaming(t *testing.T) {
 	}
 	// Empty batch is free.
 	t1 := c.Now()
-	d.WriteBatch(nil)
+	d.WriteBatch(nil, nil)
 	if c.Now() != t1 {
 		t.Fatal("empty batch charged time")
 	}

@@ -102,6 +102,31 @@ type Log struct {
 	// interface, so locals would cost two heap allocations per record.
 	hdr [16]byte // writeHeader's head ‖ seq image
 	rec []byte   // grow-only: the record being appended
+	// Replay's scratch: rhdr is the record header being read and payload
+	// the grow-only buffer every record's payload is read into.
+	rhdr    [recordHeaderSize]byte
+	payload []byte
+}
+
+// retiredStore is the store of a Log whose buffers went to another
+// (CreateOn, OpenOn): every access panics.
+type retiredStore struct{}
+
+const retiredMsg = "wal: use of a log retired by a reboot (CreateOn, OpenOn)"
+
+func (retiredStore) ReadAt([]byte, int64) error  { panic(retiredMsg) }
+func (retiredStore) WriteAt([]byte, int64) error { panic(retiredMsg) }
+func (retiredStore) Size() int64                 { panic(retiredMsg) }
+
+// newLog returns a Log over store, built on retired's buffers when
+// retired is not nil; retired panics on any store access from then on.
+func newLog(store Store, retired *Log) *Log {
+	l := &Log{store: store}
+	if retired != nil {
+		l.rec, l.payload = retired.rec[:0], retired.payload[:0]
+		*retired = Log{store: retiredStore{}, head: retired.head, seq: retired.seq, lastStop: retired.lastStop}
+	}
+	return l
 }
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
@@ -115,11 +140,18 @@ func checksum(seqField, payload []byte) uint64 {
 }
 
 // Create formats a fresh, empty log across the store.
-func Create(store Store) (*Log, error) {
+func Create(store Store) (*Log, error) { return CreateOn(store, nil) }
+
+// CreateOn is Create on the append and replay buffers of retired, a Log
+// whose store a reboot retired, or Create itself when retired is nil.
+// retired panics on any access to its store from then on; its Head and
+// LastStop still read.
+func CreateOn(store Store, retired *Log) (*Log, error) {
 	if store.Size() < recordBase+recordHeaderSize+1 {
 		return nil, fmt.Errorf("wal: store of %d bytes too small", store.Size())
 	}
-	l := &Log{store: store, head: recordBase, seq: 1}
+	l := newLog(store, retired)
+	l.head, l.seq = recordBase, 1
 	if err := l.writeHeader(); err != nil {
 		return nil, err
 	}
@@ -135,7 +167,10 @@ func Create(store Store) (*Log, error) {
 // head and sequence from the persisted header and validating the magic.
 // If the header's head itself was torn (it is 8 bytes, but be paranoid),
 // Open falls back to scanning records from the base.
-func Open(store Store) (*Log, error) {
+func Open(store Store) (*Log, error) { return OpenOn(store, nil) }
+
+// OpenOn is Open on the buffers of retired, as CreateOn is Create.
+func OpenOn(store Store, retired *Log) (*Log, error) {
 	var m [8]byte
 	if err := store.ReadAt(m[:], offMagic); err != nil {
 		return nil, err
@@ -147,11 +182,9 @@ func Open(store Store) (*Log, error) {
 	if err := store.ReadAt(hdr[:], offHead); err != nil {
 		return nil, err
 	}
-	l := &Log{
-		store: store,
-		head:  int64(binary.LittleEndian.Uint64(hdr[0:])),
-		seq:   binary.LittleEndian.Uint64(hdr[8:]),
-	}
+	l := newLog(store, retired)
+	l.head = int64(binary.LittleEndian.Uint64(hdr[0:]))
+	l.seq = binary.LittleEndian.Uint64(hdr[8:])
 	if l.head < recordBase || l.head > store.Size() || l.seq == 0 {
 		// Corrupt header: rebuild by scanning.
 		if err := l.rebuild(); err != nil {
@@ -209,17 +242,21 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 // cleanly at the head (or, after a crash that tore the header, at the
 // first record that fails validation). fn returning an error aborts the
 // replay with that error.
+//
+// Every record is read into one grow-only buffer the Log owns, so the
+// payload handed to fn is valid only until fn returns: the next record
+// overwrites it. fn must copy what it keeps.
 func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	off := int64(recordBase)
 	expect := uint64(1)
 	l.lastStop = StopEnd
+	hdr := l.rhdr[:]
 	for off+recordHeaderSize <= l.store.Size() {
 		if l.head >= recordBase && off >= l.head {
 			l.lastStop = StopHead
 			break // reached the committed head
 		}
-		var hdr [recordHeaderSize]byte
-		if err := l.store.ReadAt(hdr[:], off); err != nil {
+		if err := l.store.ReadAt(hdr, off); err != nil {
 			return err
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:])
@@ -229,7 +266,8 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 			l.lastStop = StopTorn
 			break // torn or never written
 		}
-		payload := make([]byte, length)
+		l.payload = slices.Grow(l.payload[:0], int(length))[:length]
+		payload := l.payload
 		if err := l.store.ReadAt(payload, off+recordHeaderSize); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -361,7 +362,7 @@ func TestEveryBitFlipOfARecordStopsReplay(t *testing.T) {
 		}
 		var got [][]byte
 		if err := lg.Replay(func(_ uint64, p []byte) error {
-			got = append(got, p)
+			got = append(got, bytes.Clone(p))
 			return nil
 		}); err != nil {
 			t.Fatalf("bit %d: replay errored instead of stopping: %v", bit, err)
@@ -398,6 +399,107 @@ func TestAppendAllocations(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Append allocates %v times per record, want 0", allocs)
+	}
+}
+
+// TestReplayReusesPayloadBuffer: Replay reads every record into one
+// buffer the Log owns. A payload kept past fn without a copy is the same
+// memory as the next one, and reads the next record's bytes once that is
+// read; a steady-state Replay allocates nothing.
+func TestReplayReusesPayloadBuffer(t *testing.T) {
+	l, err := Create(newMemStore(1 << 14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := bytes.Repeat([]byte{'a'}, 64), bytes.Repeat([]byte{'b'}, 48)
+	for _, p := range [][]byte{first, second} {
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept [][]byte
+	var copies [][]byte
+	if err := l.Replay(func(_ uint64, p []byte) error {
+		kept = append(kept, p)
+		copies = append(copies, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 2 || !bytes.Equal(copies[0], first) || !bytes.Equal(copies[1], second) {
+		t.Fatalf("replayed %q, want the two records appended", copies)
+	}
+	if &kept[0][0] != &kept[1][0] || !bytes.Equal(kept[0][:len(second)], second) {
+		t.Fatalf("the first payload, kept uncopied, reads %q after the second was read: the buffer was not reused", kept[0])
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := countRecords(l); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Replay allocates %v times, want 0", allocs)
+	}
+}
+
+// TestOpenOnRetiresDonor: a log opened or created on a retired log's
+// buffers uses them, reads what Open and Create would, and leaves the
+// donor panicking, naming retirement, on any access to its store, while
+// its Head still reads.
+func TestOpenOnRetiresDonor(t *testing.T) {
+	ms := newMemStore(1 << 14)
+	donor, err := Create(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{[]byte("one"), bytes.Repeat([]byte{'x'}, 300), []byte("three")}
+	for _, p := range want {
+		if _, err := donor.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := countRecords(donor); err != nil {
+		t.Fatal(err)
+	}
+	rec, payload, head := &donor.rec[0], &donor.payload[0], donor.Head()
+	l, err := OpenOn(ms, donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	if err := l.Replay(func(_ uint64, p []byte) error {
+		got = append(got, bytes.Clone(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || l.LastStop() != StopHead {
+		t.Fatalf("the log opened on the donor's buffers replays %q (stop %v), want %q", got, l.LastStop(), want)
+	}
+	if &l.payload[0] != payload || &l.rec[:1][0] != rec {
+		t.Fatal("OpenOn did not take the donor's buffers")
+	}
+	if donor.Head() != head {
+		t.Fatalf("the donor's Head reads %d after the hand-off, want %d", donor.Head(), head)
+	}
+	for what, use := range map[string]func(){
+		"Append": func() { _, _ = donor.Append([]byte("late")) },
+		"Replay": func() { _, _ = countRecords(donor) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "retired") {
+					t.Fatalf("%s on the donor: panic %v, want one naming retirement", what, r)
+				}
+			}()
+			use()
+		}()
+	}
+	fresh, err := CreateOn(newMemStore(1<<14), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := countRecords(fresh); err != nil || n != 0 || &fresh.payload[:1][0] != payload {
+		t.Fatalf("a log created on the buffers holds %d records (err %v), or did not take them", n, err)
 	}
 }
 

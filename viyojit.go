@@ -277,6 +277,13 @@ type System struct {
 	bbMap     *core.Mapping
 	forensics *blackbox.Report
 
+	// heaps and journals are the heaps and intent journals this System
+	// opened, by mapping name. A reboot built on this System's tables
+	// takes both maps (build), and its OpenStore and OpenIntentJournal
+	// reopen on the entry of the same name and replace it.
+	heaps    map[string]*pheap.Heap
+	journals map[string]*intent.Journal
+
 	// lin is the lineage this System belongs to and parent the System
 	// it was recovered from (nil for one New built). lin.mu, the
 	// lifecycle lock, guards parent, closed and retired.
@@ -304,8 +311,9 @@ func New(cfg Config) (*System, error) { return build(cfg, nil, nil) }
 
 // build is New, or a reboot in lin that retires gone (lineage.retire):
 // that is built on the first retiree's span ring, page table, TLB and
-// dirty set, so it allocates nothing sized by the region, and last takes
-// over what every retiree leaves (takeOver).
+// dirty set, so it allocates nothing sized by the region, takes its heaps
+// and journals for OpenStore and OpenIntentJournal to reopen on, and last
+// takes over what every retiree leaves (takeOver).
 func build(cfg Config, lin *lineage, gone []*System) (*System, error) {
 	if cfg.NVDRAMSize <= 0 {
 		return nil, fmt.Errorf("viyojit: NVDRAMSize %d must be positive", cfg.NVDRAMSize)
@@ -469,6 +477,8 @@ func build(cfg Config, lin *lineage, gone []*System) (*System, error) {
 	}
 	s.lin = &lineage{live: []*System{s}}
 	if len(gone) > 0 {
+		s.heaps, s.journals = gone[0].heaps, gone[0].journals
+		gone[0].heaps, gone[0].journals = nil, nil
 		s.takeOver(lin, gone)
 	}
 	return s, nil
@@ -639,6 +649,7 @@ func (s *System) NewStore(name string, size int64) (*kvstore.Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.heaps = keep(s.heaps, name, heap)
 	buckets := int(size / 8192)
 	if buckets < 64 {
 		buckets = 64
@@ -651,17 +662,37 @@ func (s *System) NewStore(name string, size int64) (*kvstore.Store, error) {
 // with the SAME name and size, and in the same order relative to other
 // Map/NewStore/NewIntentJournal calls as at creation — mapping layout is
 // first-fit, so identical call order re-attaches each mapping to its
-// restored bytes.
+// restored bytes. On a reboot the heap reopens on the class table of the
+// one its first retiree opened under name (pheap.OpenOn).
 func (s *System) OpenStore(name string, size int64) (*kvstore.Store, error) {
 	m, err := s.Map(name, size)
 	if err != nil {
 		return nil, err
 	}
-	heap, err := pheap.Open(m)
+	heap, err := pheap.OpenOn(m, take(s.heaps, name))
 	if err != nil {
 		return nil, err
 	}
+	s.heaps = keep(s.heaps, name, heap)
 	return kvstore.Open(heap)
+}
+
+// take removes and returns tables[name]: a retired heap or journal is
+// handed to one reopen only, whether or not it succeeds.
+func take[T any](tables map[string]*T, name string) *T {
+	t := tables[name]
+	delete(tables, name)
+	return t
+}
+
+// keep records t as the table opened under name, making the map if it
+// is nil.
+func keep[T any](tables map[string]*T, name string, t *T) map[string]*T {
+	if tables == nil {
+		tables = make(map[string]*T)
+	}
+	tables[name] = t
+	return tables
 }
 
 // NewIntentJournal formats a request intent journal on a fresh mapping.
@@ -676,13 +707,21 @@ func (s *System) NewIntentJournal(name string, size int64, cfg IntentConfig) (*I
 	if cfg.Obs == nil {
 		cfg.Obs = s.reg
 	}
-	return intent.Create(m, cfg)
+	j, err := intent.Create(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.journals = keep(s.journals, name, j)
+	return j, nil
 }
 
 // OpenIntentJournal reopens a journal after Recover (same name, size,
 // and call-order contract as OpenStore) and rebuilds the dedup table
 // from the committed record prefix, dropping a torn tail if the crash
 // interrupted an append.
+//
+// On a reboot the journal reopens on the tables and buffers of the one
+// its first retiree opened under name (intent.OpenOn).
 //
 // After opening, resolve in-flight intents with ReplayPendingWith BEFORE
 // serving resumes — a journaled redo image is only sound against
@@ -692,7 +731,12 @@ func (s *System) OpenIntentJournal(name string, size int64) (*IntentJournal, err
 	if err != nil {
 		return nil, err
 	}
-	return intent.Open(m, s.reg)
+	j, err := intent.OpenOn(m, s.reg, take(s.journals, name))
+	if err != nil {
+		return nil, err
+	}
+	s.journals = keep(s.journals, name, j)
+	return j, nil
 }
 
 // ReplayPendingWith applies the redo image of every journaled intent
