@@ -52,8 +52,8 @@ type instruments struct {
 	cleanLatency *obs.Histogram // submit→durable latency of completed cleans
 }
 
-func newInstruments(r *obs.Registry) *instruments {
-	return &instruments{
+func newInstruments(r *obs.Registry) instruments {
+	return instruments{
 		faults:          r.Counter("core_faults_total"),
 		pagesDirtied:    r.Counter("core_pages_dirtied_total"),
 		forcedCleans:    r.Counter("core_forced_cleans_total"),

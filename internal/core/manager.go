@@ -72,7 +72,8 @@ type Config struct {
 	Obs *obs.Registry
 	// Retired, if set, is a manager a reboot retires: if it is closed
 	// and the page counts match, the dirty set is built on its tables,
-	// and its entry points that read them panic from then on.
+	// the clean records and the epoch scan's buffer are its own, and its
+	// entry points that read them panic from then on.
 	Retired *Manager
 }
 
@@ -215,7 +216,7 @@ type Manager struct {
 
 	// st holds the registry-backed atomic counters/gauges/histograms
 	// (instruments.go); tr records clean operations as trace spans.
-	st *instruments
+	st instruments
 	tr *obs.Tracer
 }
 
@@ -237,12 +238,7 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var dirty dirtySet
-	if old := cfg.Retired; old != nil && old.closed && len(old.dirty.entries) == region.NumPages() {
-		dirty = old.dirty.recycle()
-	} else {
-		dirty = newDirtySet(region.NumPages())
-	}
+	old := cfg.Retired
 	cfg.Retired = nil
 	m := &Manager{
 		clock:     clock,
@@ -252,10 +248,24 @@ func NewManager(clock *sim.Clock, events *sim.Queue, region *nvdram.Region, dev 
 		cfg:       cfg,
 		budget:    cfg.DirtyBudgetPages,
 		wakePages: WakePages(dev, region.PageTable().Costs().Trap),
-		dirty:     dirty,
-		victims:   newVictimSelector(cfg.Policy),
 		st:        newInstruments(reg),
 		tr:        reg.Tracer(),
+	}
+	if old != nil && old.closed && len(old.dirty.entries) == region.NumPages() {
+		// old is closed, so no clean of its is in flight: every record
+		// is in its pool, and a completion reads the manager through c.m.
+		m.dirty = old.dirty.recycle()
+		m.cleans, m.scanBuf = old.cleans, old.scanBuf[:0]
+		for _, c := range m.cleans {
+			c.m = m
+		}
+		m.victims = old.victims.recycle(cfg.Policy)
+		clear(old.mappings)
+		m.mappings, m.free = old.mappings[:0], old.free[:0]
+		old.cleans, old.scanBuf, old.victims, old.mappings, old.free = nil, nil, nil, nil, nil
+	} else {
+		m.dirty = newDirtySet(region.NumPages())
+		m.victims = newVictimSelector(cfg.Policy)
 	}
 	m.noteBudgetLevel()
 	pt := region.PageTable()

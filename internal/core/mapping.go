@@ -185,7 +185,7 @@ func (m *Manager) initAllocator() {
 		return
 	}
 	m.allocInit = true
-	m.free = []freeRange{{startPage: 0, pages: int64(m.region.NumPages())}}
+	m.free = append(m.free[:0], freeRange{startPage: 0, pages: int64(m.region.NumPages())})
 }
 
 // freeExtent returns a page extent to the allocator, coalescing

@@ -45,8 +45,8 @@ func runScript(t *testing.T, h *harness, seed uint64, steps int) writeLog {
 }
 
 // TestRecycledDirtySetMatchesFresh: a manager built on a retired
-// manager's dirty-set tables (Config.Retired) behaves as one built
-// afresh. The donor runs a schedule that leaves pages dirty, histories
+// manager's dirty-set tables and clean records (Config.Retired) behaves
+// as one built afresh. The donor runs a schedule that leaves pages dirty, histories
 // parked for pages it cleaned and the member slices grown; then one
 // seeded schedule runs on the recycled manager and on a fresh one, and
 // the victim order, the counters, the virtual time and the dirty set
@@ -91,6 +91,9 @@ func TestRecycledDirtySetMatchesFresh(t *testing.T) {
 		}
 		if &mgr.dirty.entries[0] != entries || mgr.cfg.Retired != nil {
 			t.Fatalf("seed %d: the new manager did not take the donor's tables, or keeps the donor", seed)
+		}
+		if len(mgr.cleans) == 0 || slices.ContainsFunc(mgr.cleans, func(c *clean) bool { return c.m != mgr }) {
+			t.Fatalf("seed %d: the new manager did not take the donor's clean records, each pointing at it", seed)
 		}
 		func() {
 			defer func() {

@@ -76,6 +76,13 @@ func newVictimSelector(policy VictimPolicy) *victimSelector {
 	return &victimSelector{policy: policy, gen: 1, batch: make([]victim, 0, victimBatch)}
 }
 
+// recycle returns v as newVictimSelector(policy) would build it, on v's
+// batch: what a reboot takes from the manager it retires.
+func (v *victimSelector) recycle(policy VictimPolicy) *victimSelector {
+	*v = victimSelector{policy: policy, gen: 1, batch: v.batch[:0]}
+	return v
+}
+
 // collect starts a new collection: the members admitted at or before
 // cutoff that are not in flight now.
 func (s *victimSelector) collect(cutoff uint64) {

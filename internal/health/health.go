@@ -174,11 +174,14 @@ type Monitor struct {
 
 	drainFails    int
 	recoverStreak int
-	snapshots     []Snapshot
-	event         *sim.Event
-	fireFn        func(sim.Time) // m.fire, bound once
-	closed        bool
-	stats         Stats
+	// snapshots is the sample ring: it grows to MaxSnapshots, then each
+	// sample overwrites the oldest, at snapHead.
+	snapshots []Snapshot
+	snapHead  int
+	event     *sim.Event
+	fireFn    func(sim.Time) // m.fire, bound once
+	closed    bool
+	stats     Stats
 
 	scrub           ScrubStatus // nil = no scrub signal
 	lastDetections  uint64      // detections seen at the previous sample
@@ -258,6 +261,17 @@ func NewMonitor(events *sim.Queue, clock *sim.Clock, batt *battery.Battery, mgr 
 	return m, nil
 }
 
+// Retire ends old, the closed monitor of a system a reboot retires, and
+// gives m, if it has recorded nothing yet, old's snapshot ring emptied,
+// so the reboot's history fills the capacity old's grew to. old reports
+// no snapshots from then on.
+func (m *Monitor) Retire(old *Monitor) {
+	if len(m.snapshots) == 0 && old.closed {
+		m.snapshots = old.snapshots[:0]
+	}
+	old.snapshots, old.snapHead = nil, 0
+}
+
 // Close disarms the monitor.
 func (m *Monitor) Close() {
 	if m.closed {
@@ -272,9 +286,8 @@ func (m *Monitor) Stats() Stats { return m.stats }
 
 // Snapshots returns the recorded sample ring, oldest first.
 func (m *Monitor) Snapshots() []Snapshot {
-	out := make([]Snapshot, len(m.snapshots))
-	copy(out, m.snapshots)
-	return out
+	out := make([]Snapshot, 0, len(m.snapshots))
+	return append(append(out, m.snapshots[m.snapHead:]...), m.snapshots[:m.snapHead]...)
 }
 
 // fire runs one monitor tick and re-arms the monitor's event.
@@ -545,8 +558,10 @@ func (m *Monitor) retune(budget int) {
 }
 
 func (m *Monitor) record(s Snapshot) {
-	m.snapshots = append(m.snapshots, s)
-	if len(m.snapshots) > m.cfg.MaxSnapshots {
-		m.snapshots = m.snapshots[len(m.snapshots)-m.cfg.MaxSnapshots:]
+	if len(m.snapshots) < m.cfg.MaxSnapshots {
+		m.snapshots = append(m.snapshots, s)
+		return
 	}
+	m.snapshots[m.snapHead] = s
+	m.snapHead = (m.snapHead + 1) % len(m.snapshots)
 }

@@ -2,6 +2,7 @@ package health
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"viyojit/internal/battery"
@@ -297,11 +298,68 @@ func TestMonitorTickZeroAlloc(t *testing.T) {
 	for i := 0; i < 2*r.mon.cfg.MaxSnapshots; i++ {
 		r.run(interval) // fill the snapshot ring
 	}
+	// A whole lap of the ring and one tick more, counted in total: an
+	// average per tick would round a reallocation every few hundred
+	// ticks down to zero.
+	ticks := r.mon.cfg.MaxSnapshots + 1
 	before := r.mon.Stats().Ticks
-	if allocs := testing.AllocsPerRun(200, func() { r.run(interval) }); allocs != 0 {
-		t.Fatalf("an uneventful monitor tick allocates %.0f times, want 0", allocs)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < ticks; i++ {
+		r.run(interval)
 	}
-	if st := r.mon.Stats(); st.Ticks-before < 200 || st.Retunes != 0 {
-		t.Fatalf("%d ticks, %d retunes over 200 intervals", st.Ticks-before, st.Retunes)
+	runtime.ReadMemStats(&ms1)
+	if n := ms1.Mallocs - ms0.Mallocs; n != 0 {
+		t.Fatalf("%d uneventful monitor ticks allocate %d times, want 0", ticks, n)
+	}
+	if st := r.mon.Stats(); st.Ticks-before < uint64(ticks) || st.Retunes != 0 {
+		t.Fatalf("%d ticks, %d retunes over %d intervals", st.Ticks-before, st.Retunes, ticks)
+	}
+}
+
+// TestSnapshotRingKeepsNewestInOrder: the snapshot history grows to
+// MaxSnapshots and then overwrites its oldest sample, and Snapshots
+// lists what it holds oldest first — before the wrap, across it, and
+// after a monitor built on a retired one's ring (Retire), which starts
+// empty and leaves the retired monitor reporting nothing.
+func TestSnapshotRingKeepsNewestInOrder(t *testing.T) {
+	const keep = 5
+	r := newRig(t, rigOpts{pages: 64, budget: 32, targetPages: 32.3, health: Config{MaxSnapshots: keep}})
+	interval := r.mon.cfg.Interval
+	var newest sim.Time
+	check := func(m *Monitor, ticks int) {
+		t.Helper()
+		snaps := m.Snapshots()
+		if want := min(ticks, keep); len(snaps) != want {
+			t.Fatalf("after %d ticks the history holds %d snapshots, want %d", ticks, len(snaps), want)
+		}
+		for i := 1; i < len(snaps); i++ {
+			if snaps[i].At-snaps[i-1].At != sim.Time(interval) {
+				t.Fatalf("after %d ticks snapshot %d is at %v, %d before it at %v: not consecutive, oldest first",
+					ticks, i, snaps[i].At, i-1, snaps[i-1].At)
+			}
+		}
+		if at := snaps[len(snaps)-1].At; at <= newest {
+			t.Fatalf("after %d ticks the newest snapshot is at %v, no later than the last tick's %v", ticks, at, newest)
+		}
+		newest = snaps[len(snaps)-1].At
+	}
+	for ticks := 1; ticks <= 3*keep+2; ticks++ {
+		r.run(interval)
+		check(r.mon, ticks)
+	}
+	old := r.mon
+	old.Close()
+	next, err := NewMonitor(r.events, r.clock, r.batt, r.mgr, r.pm, Config{MaxSnapshots: keep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Retire(old)
+	if n := len(old.Snapshots()); n != 0 {
+		t.Fatalf("the retired monitor still reports %d snapshots", n)
+	}
+	for ticks := 1; ticks <= keep+2; ticks++ {
+		r.run(interval)
+		check(next, ticks)
 	}
 }

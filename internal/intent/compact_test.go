@@ -175,3 +175,41 @@ func TestCompactCrashAtEveryStoreWrite(t *testing.T) {
 		assertSnapshotsEqual(t, want, j2.Snapshot())
 	}
 }
+
+// TestCompactAllocatesNothing: once both halves' logs exist and the
+// snapshot buffers are sized, a compaction — the snapshot, the inactive
+// half's reset and the generation flip — allocates nothing: the log's
+// zero header and the journal's generation word are owned scratch, not
+// locals escaping through the Store interface.
+func TestCompactAllocatesNothing(t *testing.T) {
+	j, _ := mustCreate(t, 1<<16)
+	for c := uint64(1); c <= 4; c++ {
+		for seq := uint64(1); seq <= 3; seq++ {
+			if err := j.Begin(c, seq, seq, []byte("key"), []byte("value"), false); err != nil {
+				t.Fatal(err)
+			}
+			if seq < 3 {
+				if err := j.Complete(c, seq, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 2; i++ { // open both halves' logs, size the buffers
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := j.Stats().Compactions
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a compaction allocates %v times, want 0", allocs)
+	}
+	if n := j.Stats().Compactions - before; n < 50 {
+		t.Fatalf("%d compactions in the measured run, want 51", n)
+	}
+}

@@ -51,12 +51,12 @@ package intent
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"viyojit/internal/obs"
 	"viyojit/internal/wal"
@@ -305,6 +305,10 @@ type Journal struct {
 	snap    []byte   // Compact's snapshot record
 	clients []uint64 // Compact's sorted client ids
 	seqs    []uint64 // Compact's sorted seqs of one client
+	// word is Compact's generation-word image: a buffer handed to the
+	// store escapes through the interface, so a local would cost a heap
+	// allocation per compaction.
+	word [8]byte
 
 	// Free lists the dedup table draws from, so a steady stream of
 	// Begin/Complete pairs allocates nothing: redo-image buffers handed
@@ -778,9 +782,8 @@ func (j *Journal) Compact() error {
 		return snapErr(err)
 	}
 	// Commit point: flip the generation word.
-	var g [8]byte
-	binary.LittleEndian.PutUint64(g[:], j.gen+1)
-	if err := j.store.WriteAt(g[:], offGen); err != nil {
+	binary.LittleEndian.PutUint64(j.word[:], j.gen+1)
+	if err := j.store.WriteAt(j.word[:], offGen); err != nil {
 		return err
 	}
 	j.gen++
@@ -946,28 +949,52 @@ type PendingIntent struct {
 // the canonical redo order for restartable recovery: replaying the list
 // by index is deterministic across attempts, so a persistent cursor
 // counting completed redos identifies exactly which intents a resumed
-// recovery may skip. Entry slices are deep-copied.
+// recovery may skip. Entry slices are deep-copied, all of them into one
+// buffer.
 func (j *Journal) Pending() []PendingIntent {
 	j.mustLive()
-	var out []PendingIntent
+	n, size := 0, 0
+	for _, w := range j.table {
+		for _, e := range w.entries {
+			if !e.done {
+				n, size = n+1, size+len(e.key)+len(e.val)
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]PendingIntent, 0, n)
+	buf := make([]byte, 0, size)
 	for c, w := range j.table {
 		for s, e := range w.entries {
 			if e.done {
 				continue
 			}
 			view := Entry{OpSum: e.opSum, Done: e.done, Code: e.code, Tombstone: e.tombstone}
-			view.RedoKey = append([]byte(nil), e.key...)
-			view.RedoVal = append([]byte(nil), e.val...)
+			view.RedoKey, buf = copyOnto(buf, e.key)
+			view.RedoVal, buf = copyOnto(buf, e.val)
 			out = append(out, PendingIntent{Client: c, Seq: s, Entry: view})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Client != out[b].Client {
-			return out[a].Client < out[b].Client
+	slices.SortFunc(out, func(a, b PendingIntent) int {
+		if a.Client != b.Client {
+			return cmp.Compare(a.Client, b.Client)
 		}
-		return out[a].Seq < out[b].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return out
+}
+
+// copyOnto copies p onto the end of buf and returns the copy, capped so
+// an append to it cannot reach the next one, and buf; nil for an empty p.
+func copyOnto(buf, p []byte) ([]byte, []byte) {
+	if len(p) == 0 {
+		return nil, buf
+	}
+	i := len(buf)
+	buf = append(buf, p...)
+	return buf[i:len(buf):len(buf)], buf
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -126,23 +126,23 @@ func Open(heap *pheap.Heap) (*Store, error) {
 	if root == 0 {
 		return nil, fmt.Errorf("kvstore: heap has no root; use Create")
 	}
-	var hdr [rootHeaderSize]byte
-	if err := heap.Read(root, 0, hdr[:]); err != nil {
+	// The root header and the segment pointers are read through the
+	// store's own scratch (rootHeaderSize ≤ entryHeaderSize).
+	s := &Store{heap: heap, root: root, metaInterval: DefaultMetaInterval}
+	if err := heap.Read(root, 0, s.hdr[:rootHeaderSize]); err != nil {
 		return nil, err
 	}
-	nBuckets := binary.LittleEndian.Uint64(hdr[0:])
-	if nBuckets == 0 {
+	s.nBuckets = binary.LittleEndian.Uint64(s.hdr[0:])
+	if s.nBuckets == 0 {
 		return nil, fmt.Errorf("kvstore: corrupt root: zero buckets")
 	}
-	s := &Store{heap: heap, root: root, nBuckets: nBuckets, metaInterval: DefaultMetaInterval}
-	nSegs := (int(nBuckets) + bucketsPerSegment - 1) / bucketsPerSegment
+	nSegs := (int(s.nBuckets) + bucketsPerSegment - 1) / bucketsPerSegment
 	s.segments = make([]pheap.Ptr, nSegs)
 	for i := range s.segments {
-		var p [8]byte
-		if err := heap.Read(root, rootHeaderSize+8*i, p[:]); err != nil {
+		if err := heap.Read(root, rootHeaderSize+8*i, s.word[:]); err != nil {
 			return nil, err
 		}
-		s.segments[i] = pheap.Ptr(binary.LittleEndian.Uint64(p[:]))
+		s.segments[i] = pheap.Ptr(binary.LittleEndian.Uint64(s.word[:]))
 	}
 	return s, nil
 }

@@ -54,9 +54,10 @@ type Config struct {
 	// Costs is the MMU cost model; the zero value selects
 	// mmu.DefaultCosts.
 	Costs mmu.Costs
-	// Retired, if set, is a region a reboot retires: the page table is
-	// built on its table's arrays (mmu.PageTable.Recycle) if the page
-	// counts match.
+	// Retired, if set, is a region a reboot retires. If the page counts
+	// and sizes match, the new region is built on its tables: the page
+	// table on its arrays (mmu.PageTable.Recycle), and its chunk table and
+	// zero page as they are; it takes Retired over (TakeOver) at once.
 	Retired *Region
 }
 
@@ -108,21 +109,25 @@ func New(clock *sim.Clock, cfg Config) (*Region, error) {
 		costs = mmu.DefaultCosts()
 	}
 	numPages := int(cfg.Size / int64(ps))
-	var pt *mmu.PageTable
-	if old := cfg.Retired; old != nil && old.NumPages() == numPages {
-		pt = old.pt.Recycle(clock, costs, cfg.TLBEntries)
-	} else {
-		pt = mmu.NewPageTable(clock, costs, numPages, cfg.TLBEntries)
-	}
-	return &Region{
+	r := &Region{
 		clock:       clock,
-		pt:          pt,
-		chunks:      make([][]byte, (numPages+chunkPages-1)/chunkPages),
-		zero:        make([]byte, ps),
 		size:        cfg.Size,
 		pageSize:    ps,
 		copyPerPage: sim.Duration(copyNanosPer4KiB*int64(ps)) / 4096 * sim.Nanosecond,
-	}, nil
+	}
+	if old := cfg.Retired; old != nil && old.size == cfg.Size && old.pageSize == ps {
+		// TakeOver moves old's chunk buffers to r's spares and clears the
+		// chunk table r shares with it until old lets it go.
+		r.pt = old.pt.Recycle(clock, costs, cfg.TLBEntries)
+		r.chunks, r.zero = old.chunks, old.zero
+		r.TakeOver(old)
+		old.chunks, old.zero = nil, nil
+		return r, nil
+	}
+	r.pt = mmu.NewPageTable(clock, costs, numPages, cfg.TLBEntries)
+	r.chunks = make([][]byte, (numPages+chunkPages-1)/chunkPages)
+	r.zero = make([]byte, ps)
+	return r, nil
 }
 
 // Size returns the region size in bytes.
@@ -338,12 +343,18 @@ type PageReader interface {
 // whose system was retired: the DRAM a reboot reloads is the DRAM that
 // lost its contents. prev's full-size chunk buffers, and the spares it
 // never used, become r's spares, which first stores into r reuse instead
-// of allocating (back), up to one spare per chunk of r; prev's
-// shared-image table becomes r's, emptied, when r has none and the sizes
-// match; and prev reads as never written from then on, sharing nothing.
-// No page of r ever shows a spare's stale bytes.
+// of allocating (back), up to one spare per chunk of r, in prev's spare
+// list itself when r has none; prev's shared-image table becomes r's,
+// emptied, when r has none and the sizes match; and prev reads as never
+// written from then on, sharing nothing. No page of r ever shows a
+// spare's stale bytes.
 func (r *Region) TakeOver(prev *Region) {
 	full := chunkPages * r.pageSize
+	if r.spares == nil && prev.pageSize == r.pageSize && len(prev.spares) <= len(r.chunks) {
+		// Every spare is full-size: take the list with the capacity it
+		// grew to.
+		r.spares, prev.spares = prev.spares, nil
+	}
 	for _, cs := range [][][]byte{prev.chunks, prev.spares} {
 		for _, c := range cs {
 			if len(c) == full && len(r.spares) < len(r.chunks) {

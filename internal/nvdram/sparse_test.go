@@ -664,3 +664,46 @@ func TestCheckRestorableSkipsOnlyTheVacuousCase(t *testing.T) {
 		t.Fatalf("failed pages %v, want only the durable page the region does not hold", failed)
 	}
 }
+
+// TestNewOnRetiredRegion: a region built on a retired one of the same
+// size (Config.Retired) takes its chunk table and zero page as they are
+// and takes it over at once: the chunk buffers the table held become
+// spares, cleared before they back a page, so the new region reads as
+// never written, and a first store reuses a spare instead of allocating.
+func TestNewOnRetiredRegion(t *testing.T) {
+	const ps = 4096
+	old, _ := newTestRegion(t, (2*chunkPages+3)*ps, ps)
+	if err := old.WriteAt(bytes.Repeat([]byte{0xA5}, int(old.Size())), 0); err != nil {
+		t.Fatal(err)
+	}
+	table, zero := &old.chunks[0], &old.zero[0]
+	r, err := New(sim.NewClock(), Config{Size: old.Size(), PageSize: ps, Retired: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &r.chunks[0] != table || &r.zero[0] != zero || old.chunks != nil {
+		t.Fatal("the region was not built on the retired region's chunk table and zero page, or shares them with it")
+	}
+	if len(r.spares) != 2 {
+		t.Fatalf("%d spares, want the retired region's two full chunks", len(r.spares))
+	}
+	for p := 0; p < r.NumPages(); p++ {
+		if r.Backed(mmu.PageID(p)) || !bytes.Equal(r.RawPage(mmu.PageID(p)), make([]byte, ps)) {
+			t.Fatalf("page %d of the new region is backed or shows the retired region's bytes", p)
+		}
+	}
+	if got := allocated(func() {
+		if err := r.WriteAt([]byte{1}, 3*ps+10); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= ps || len(r.spares) != 1 {
+		t.Fatalf("a first store allocated %d bytes with a spare on hand", got)
+	}
+	want := make([]byte, ps)
+	want[10] = 1
+	for p := 0; p < chunkPages; p++ {
+		if p == 3 && !bytes.Equal(r.RawPage(3), want) || p != 3 && !bytes.Equal(r.RawPage(mmu.PageID(p)), make([]byte, ps)) {
+			t.Fatalf("page %d of the chunk a spare backs shows a stale byte", p)
+		}
+	}
+}

@@ -29,11 +29,10 @@ const (
 	numBuckets = bucketsPerOctave * maxOctaves
 )
 
-func newHistogram() *Histogram {
-	h := &Histogram{}
+// init empties a zero Histogram.
+func (h *Histogram) init() {
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
-	return h
 }
 
 // bucketIndex maps a duration to its bucket. Durations below 1 ns land

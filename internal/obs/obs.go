@@ -154,32 +154,66 @@ type Registry struct {
 	hists  map[string]*Histogram
 	tracer *Tracer
 	sink   Sink
+
+	// The unused tails of the blocks new instruments are carved from:
+	// one allocation per block, not one per instrument.
+	countBlock []Counter
+	gaugeBlock []Gauge
+	histBlock  []Histogram
 }
 
+// Instrument block sizes. A recycled registry's first blocks hold as
+// many instruments as its donor's instead.
+const (
+	countBlockSize = 64
+	gaugeBlockSize = 32
+	histBlockSize  = 4
+)
+
 // NewRegistry returns an empty registry with an attached tracer.
-func NewRegistry() *Registry { return newRegistry(newTracer(defaultSpanCap)) }
+func NewRegistry() *Registry { return newRegistry(newTracer(defaultSpanCap), 0, 0, 0) }
 
 // Recycle returns an empty registry, as NewRegistry does, whose tracer
 // is built on r's span ring and open-span table: what a reboot takes
-// from the system it retires. r's instruments still read; any use of its
-// tracer panics from then on.
+// from the system it retires. Its maps and its first instrument blocks
+// are sized to r's instruments, which a reboot creates again, so it
+// allocates a handful of objects however many that is. r's instruments
+// still read and are not the new registry's; any use of r's tracer
+// panics from then on.
 func (r *Registry) Recycle() *Registry {
+	r.mu.RLock()
+	nc, ng, nh := len(r.counts), len(r.gauges), len(r.hists)
+	r.mu.RUnlock()
 	t := r.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mustLive()
-	nr := newRegistry(&Tracer{ring: t.ring, open: t.open})
+	nr := newRegistry(&Tracer{ring: t.ring, open: t.open}, nc, ng, nh)
 	t.ring, t.open = nil, nil
 	return nr
 }
 
-func newRegistry(t *Tracer) *Registry {
+func newRegistry(t *Tracer, nc, ng, nh int) *Registry {
 	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-		tracer: t,
+		counts:     make(map[string]*Counter, nc),
+		gauges:     make(map[string]*Gauge, ng),
+		hists:      make(map[string]*Histogram, nh),
+		tracer:     t,
+		countBlock: make([]Counter, nc),
+		gaugeBlock: make([]Gauge, ng),
+		histBlock:  make([]Histogram, nh),
 	}
+}
+
+// carve hands out the first instrument of *block, refilling it with a
+// block of size instruments when it is empty. The caller holds r.mu.
+func carve[T any](block *[]T, size int) *T {
+	if len(*block) == 0 {
+		*block = make([]T, size)
+	}
+	p := &(*block)[0]
+	*block = (*block)[1:]
+	return p
 }
 
 // Counter returns the named counter, creating it on first use. A nil
@@ -197,7 +231,8 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counts[name]; c == nil {
-		c = &Counter{name: name, sink: r.sink}
+		c = carve(&r.countBlock, countBlockSize)
+		c.name, c.sink = name, r.sink
 		r.counts[name] = c
 	}
 	return c
@@ -218,7 +253,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name, sink: r.sink}
+		g = carve(&r.gaugeBlock, gaugeBlockSize)
+		g.name, g.sink = name, r.sink
 		r.gauges[name] = g
 	}
 	return g
@@ -239,7 +275,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram()
+		h = carve(&r.histBlock, histBlockSize)
+		h.init()
 		r.hists[name] = h
 	}
 	return h

@@ -425,3 +425,9 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*per)
 	}
 }
+
+func newHistogram() *Histogram {
+	h := &Histogram{}
+	h.init()
+	return h
+}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -98,5 +99,70 @@ func TestRecycledTracerMatchesFresh(t *testing.T) {
 			t.Fatalf("seed %d: snapshots differ: recycled %d spans, %d evicted, %d open; fresh %d, %d, %d",
 				seed, len(got.Spans), got.Evicted, len(got.Open), len(want.Spans), want.Evicted, len(want.Open))
 		}
+	}
+}
+
+// TestRecycledRegistryKeepsDonorInstruments: a registry recycled from a
+// retired one hands out new instruments under the donor's names, carved
+// from blocks sized to the donor's, and leaves the donor's alone: each
+// donor instrument still reads what it was last given and is not the
+// recycled registry's instrument of that name, whose records it never
+// sees. Building the donor's whole set again costs a handful of
+// allocations, not one per instrument.
+func TestRecycledRegistryKeepsDonorInstruments(t *testing.T) {
+	const n = 100 // more than one fresh block of each kind
+	name := func(kind string, i int) string { return fmt.Sprintf("%s_%03d", kind, i) }
+	donor := NewRegistry()
+	for i := 0; i < n; i++ {
+		donor.Counter(name("c", i)).Add(uint64(i + 1))
+		donor.Gauge(name("g", i)).Set(int64(-i))
+		if i < 10 {
+			donor.Histogram(name("h", i)).Record(sim.Duration(1000 + i))
+		}
+	}
+	want := donor.Snapshot()
+
+	names := make([][3]string, n)
+	for i := range names {
+		names[i] = [3]string{name("c", i), name("g", i), name("h", i)}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	recycled := donor.Recycle()
+	for i, nm := range names {
+		recycled.Counter(nm[0])
+		recycled.Gauge(nm[1])
+		if i < 10 {
+			recycled.Histogram(nm[2])
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if allocs := ms1.Mallocs - ms0.Mallocs; allocs > 24 {
+		t.Fatalf("recycling a registry and building its %d instruments again allocates %d times, want ≤ 24", 2*n+10, allocs)
+	}
+	for i := 0; i < n; i++ {
+		dc, rc := donor.Counter(name("c", i)), recycled.Counter(name("c", i))
+		dg, rg := donor.Gauge(name("g", i)), recycled.Gauge(name("g", i))
+		if dc == rc || dg == rg {
+			t.Fatalf("instrument %d is shared between the donor and the recycled registry", i)
+		}
+		if rc.Value() != 0 || rg.Value() != 0 {
+			t.Fatalf("recycled instrument %d reads %d, %d, want a fresh zero", i, rc.Value(), rg.Value())
+		}
+		rc.Add(1000)
+		rg.Set(1000)
+		if i < 10 {
+			dh, rh := donor.Histogram(name("h", i)), recycled.Histogram(name("h", i))
+			if dh == rh {
+				t.Fatalf("histogram %d is shared between the donor and the recycled registry", i)
+			}
+			if s := rh.snap(""); s.Count != 0 {
+				t.Fatalf("recycled histogram %d holds %d samples, want none", i, s.Count)
+			}
+			rh.Record(5)
+		}
+	}
+	if got := donor.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the donor's instruments changed after the recycled registry's were recorded")
 	}
 }

@@ -108,10 +108,10 @@ type Scrubber struct {
 	mgr    *core.Manager // nil = verify/quarantine only
 	cfg    Config
 
-	cursor     mmu.PageID   // walk position: next burst starts above this page
-	started    bool         // cursor is meaningful (mid-pass)
-	passDone   bool         // the walk reached the end of the set (pass counted) and has not wrapped yet
-	burst      []mmu.PageID // the pages of the burst in progress; reused
+	cursor     mmu.PageID             // walk position: next burst starts above this page
+	started    bool                   // cursor is meaningful (mid-pass)
+	passDone   bool                   // the walk reached the end of the set (pass counted) and has not wrapped yet
+	burst      [burstPages]mmu.PageID // the pages of the burst in progress
 	running    bool
 	inBurst    bool // re-entrancy guard: RepairPage pumps events
 	next       *sim.Event
@@ -161,14 +161,13 @@ func newInstruments(r *obs.Registry) instruments {
 func New(clock *sim.Clock, events *sim.Queue, dev *ssd.SSD, mgr *core.Manager, cfg Config) *Scrubber {
 	cfg = cfg.withDefaults()
 	s := &Scrubber{
-		clock:      clock,
-		events:     events,
-		dev:        dev,
-		mgr:        mgr,
-		cfg:        cfg,
-		quarantine: make(map[mmu.PageID]Quarantined),
-		st:         newInstruments(cfg.Obs),
-		tr:         cfg.Obs.Tracer(),
+		clock:  clock,
+		events: events,
+		dev:    dev,
+		mgr:    mgr,
+		cfg:    cfg,
+		st:     newInstruments(cfg.Obs),
+		tr:     cfg.Obs.Tracer(),
 	}
 	s.burstFn = s.burstEvent
 	return s
@@ -289,7 +288,6 @@ func (s *Scrubber) scanBurst() {
 		}
 		s.passDone = false
 	}
-	s.burst = pages
 	s.started = true
 	for _, p := range pages {
 		s.cursor = p
@@ -370,6 +368,9 @@ func (s *Scrubber) checkPage(page mmu.PageID) {
 func (s *Scrubber) quarantinePage(page mmu.PageID, reason string) {
 	s.stats.Quarantines++
 	s.st.quarantines.Inc()
+	if s.quarantine == nil {
+		s.quarantine = make(map[mmu.PageID]Quarantined)
+	}
 	s.quarantine[page] = Quarantined{Page: page, At: s.clock.Now(), Reason: reason}
 	s.st.quarantined.Set(int64(len(s.quarantine)))
 }

@@ -262,8 +262,9 @@ func walkStep(t *testing.T, scr *Scrubber, dev *ssd.SSD, ref *refWalker, label s
 	want := ref.burst(dev.DurablePageList(), burstPages)
 	scanned := scr.stats.PagesScanned
 	scr.scanBurst()
-	got := scr.burst
-	if n := int(scr.stats.PagesScanned - scanned); n != len(want) {
+	n := int(scr.stats.PagesScanned - scanned)
+	got := scr.burst[:n]
+	if n != len(want) {
 		t.Fatalf("%s: burst checked %d pages, reference %v", label, n, want)
 	}
 	if len(want) > 0 && (!slices.Equal(got, want) || scr.cursor != ref.cursor) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"viyojit/internal/obs"
 	"viyojit/internal/sim"
@@ -145,6 +146,9 @@ type estState struct {
 	riseStreak  int
 	lastRaw     Reading
 	rateHeld    bool // this sample's raw was rate-rejected and held
+
+	// milli and suspectG publish this estimator's state (nil without Obs).
+	milli, suspectG *obs.Gauge
 }
 
 // Fused is the conservative fusion of redundant energy estimators.
@@ -184,7 +188,7 @@ func New(cfg Config, capBound func() float64, ests ...*Estimator) (*Fused, error
 	}
 	f := &Fused{cfg: cfg, cap: capBound, ests: ests, st: make([]estState, len(ests)),
 		usable: make([]int, 0, len(ests)), vals: make([]float64, 0, len(ests))}
-	f.ins.attach(cfg.Obs, ests)
+	f.ins.attach(cfg.Obs, f)
 	return f, nil
 }
 
@@ -457,12 +461,35 @@ type fusedInstruments struct {
 	solo       *obs.Counter
 	blind      *obs.Counter
 	retrusts   *obs.Counter
-	byReason   map[DetectReason]*obs.Counter
-	estMilli   []*obs.Gauge
-	estSuspect []*obs.Gauge
+	// Detections by reason.
+	rejBounds, rejRate, rejStale, rejDisagree *obs.Counter
 }
 
-func (ins *fusedInstruments) attach(reg *obs.Registry, ests []*Estimator) {
+// estGaugeNames memoises each estimator name's two gauge names: every
+// boot builds its estimators anew under the same names. It only ever
+// maps a name to the same two strings, so no caller sees another's use.
+var estGaugeNames struct {
+	sync.Mutex
+	m map[string][2]string
+}
+
+// gaugeNames returns the millijoules and suspect gauge names of the
+// estimator called name.
+func gaugeNames(name string) [2]string {
+	estGaugeNames.Lock()
+	defer estGaugeNames.Unlock()
+	n, ok := estGaugeNames.m[name]
+	if !ok {
+		n = [2]string{"sensor_est_" + name + "_millijoules", "sensor_est_" + name + "_suspect"}
+		if estGaugeNames.m == nil {
+			estGaugeNames.m = make(map[string][2]string)
+		}
+		estGaugeNames.m[name] = n
+	}
+	return n
+}
+
+func (ins *fusedInstruments) attach(reg *obs.Registry, f *Fused) {
 	if reg == nil {
 		return
 	}
@@ -472,24 +499,26 @@ func (ins *fusedInstruments) attach(reg *obs.Registry, ests []*Estimator) {
 	ins.solo = reg.Counter("sensor_solo_samples_total")
 	ins.blind = reg.Counter("sensor_blind_samples_total")
 	ins.retrusts = reg.Counter("sensor_retrusts_total")
-	ins.byReason = map[DetectReason]*obs.Counter{
-		DetectBounds:   reg.Counter("sensor_rejects_bounds_total"),
-		DetectRate:     reg.Counter("sensor_rejects_rate_total"),
-		DetectStale:    reg.Counter("sensor_rejects_stale_total"),
-		DetectDisagree: reg.Counter("sensor_rejects_disagree_total"),
-	}
-	for _, e := range ests {
-		ins.estMilli = append(ins.estMilli, reg.Gauge("sensor_est_"+e.Name()+"_millijoules"))
-		ins.estSuspect = append(ins.estSuspect, reg.Gauge("sensor_est_"+e.Name()+"_suspect"))
+	ins.rejBounds = reg.Counter("sensor_rejects_bounds_total")
+	ins.rejRate = reg.Counter("sensor_rejects_rate_total")
+	ins.rejStale = reg.Counter("sensor_rejects_stale_total")
+	ins.rejDisagree = reg.Counter("sensor_rejects_disagree_total")
+	for i, e := range f.ests {
+		n := gaugeNames(e.Name())
+		f.st[i].milli, f.st[i].suspectG = reg.Gauge(n[0]), reg.Gauge(n[1])
 	}
 }
 
 func (ins *fusedInstruments) detect(reason DetectReason) {
-	if ins.byReason == nil {
-		return
-	}
-	if c, ok := ins.byReason[reason]; ok {
-		c.Inc()
+	switch reason {
+	case DetectBounds:
+		ins.rejBounds.Inc()
+	case DetectRate:
+		ins.rejRate.Inc()
+	case DetectStale:
+		ins.rejStale.Inc()
+	case DetectDisagree:
+		ins.rejDisagree.Inc()
 	}
 }
 
@@ -507,15 +536,15 @@ func (ins *fusedInstruments) sample(f *Fused, usable []int) {
 		ins.solo.Inc()
 	}
 	ins.retrusts.Add(f.stats.Retrusts - ins.retrusts.Value())
-	for i := range f.ests {
+	for i := range f.st {
 		s := &f.st[i]
 		if s.hasAccepted {
-			ins.estMilli[i].Set(int64(s.accepted * 1000))
+			s.milli.Set(int64(s.accepted * 1000))
 		}
 		if s.suspect {
-			ins.estSuspect[i].Set(1)
+			s.suspectG.Set(1)
 		} else {
-			ins.estSuspect[i].Set(0)
+			s.suspectG.Set(0)
 		}
 	}
 }

@@ -314,7 +314,7 @@ type Server struct {
 	// A blocked WaitUntil (or Stop) waits on cond; a blocked Submit or
 	// Handle.Wait, which a context may abandon, selects on turn
 	// (buffered(1)) beside its item. parked counts the latter.
-	cond   *sync.Cond
+	cond   sync.Cond // L is &mu
 	turn   chan struct{}
 	parked int
 
@@ -338,7 +338,7 @@ type Server struct {
 
 	// st holds the registry-backed atomic counters, gauges, and
 	// per-priority latency histograms; tr records request spans.
-	st *instruments
+	st instruments
 	tr *obs.Tracer
 }
 
@@ -369,8 +369,8 @@ type instruments struct {
 	latency [int(PriorityHigh) + 1]*obs.Histogram
 }
 
-func newInstruments(r *obs.Registry) *instruments {
-	return &instruments{
+func newInstruments(r *obs.Registry) instruments {
+	return instruments{
 		submitted:      r.Counter("serve_submitted_total"),
 		completed:      r.Counter("serve_completed_total"),
 		failed:         r.Counter("serve_failed_total"),
@@ -420,7 +420,7 @@ func New(clock *sim.Clock, events *sim.Queue, mgr *core.Manager, store *kvstore.
 		st:     newInstruments(reg),
 		tr:     reg.Tracer(),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.cond.L = &s.mu
 	return s, nil
 }
 

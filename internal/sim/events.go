@@ -46,6 +46,19 @@ func (q *Queue) SetFireHook(fn func(step uint64, at Time)) { q.fireHook = fn }
 // NewQueue returns an empty event queue.
 func NewQueue() *Queue { return &Queue{} }
 
+// Recycle returns an empty queue, as NewQueue does, on q's heap array:
+// what a reboot takes from the system it retires. q is empty afterwards,
+// and the events still pending on it read as cancelled and never fire.
+func (q *Queue) Recycle() *Queue {
+	for i, e := range q.events {
+		e.index, e.Fn = -1, nil
+		q.events[i] = nil
+	}
+	nq := &Queue{events: q.events[:0]}
+	q.events = nil
+	return nq
+}
+
 // Schedule registers fn to run at time at and returns a handle that can be
 // passed to Cancel.
 func (q *Queue) Schedule(at Time, fn func(Time)) *Event {

@@ -324,3 +324,37 @@ func TestQueueRearmReusesFiredEvent(t *testing.T) {
 	}()
 	q.Rearm(tick, 300, fn)
 }
+
+// TestQueueRecycle: a recycled queue is empty and behaves as a new one,
+// on its donor's heap array, and the events left pending on the donor
+// read as cancelled, never fire, and cancel as a no-op.
+func TestQueueRecycle(t *testing.T) {
+	c := NewClock()
+	donor := NewQueue()
+	fired := 0
+	count := func(Time) { fired++ }
+	var pending []*Event
+	for i := 0; i < 8; i++ {
+		pending = append(pending, donor.Schedule(Time(10+i), count))
+	}
+	donor.RunUntil(c, 12) // three fire, five stay pending
+	q := donor.Recycle()
+	if q.Len() != 0 || donor.Len() != 0 {
+		t.Fatalf("recycled queue holds %d events and its donor %d, want none", q.Len(), donor.Len())
+	}
+	for _, e := range pending {
+		if !e.Cancelled() {
+			t.Fatal("an event pending on the donor does not read as cancelled")
+		}
+		donor.Cancel(e)
+	}
+	donor.Drain(c)
+	var order []int
+	for i := 3; i > 0; i-- {
+		q.Schedule(Time(20+i), func(Time) { order = append(order, i) })
+	}
+	q.Drain(c)
+	if fired != 3 || len(order) != 3 || order[0] != 1 || order[2] != 3 {
+		t.Fatalf("donor fired %d events, recycled queue fired %v: want 3 and [1 2 3]", fired, order)
+	}
+}

@@ -475,3 +475,45 @@ func TestRetireHandsOnWhatNothingReads(t *testing.T) {
 		}()
 	}
 }
+
+// TestRetireHandsOnPoolsAndBitmaps: a device object that retires another
+// before it has written takes its write records, re-pointed at itself,
+// its stored and claimed bitmaps, cleared, and its measurement window,
+// emptied; writes through it then complete on its own queue and count in
+// its own sets, and the retired object's counters stand.
+func TestRetireHandsOnPoolsAndBitmaps(t *testing.T) {
+	a, aClock, aEvents := newTestSSD(Config{})
+	for p := mmu.PageID(0); p < 200; p += 10 {
+		a.WritePageAsync(p, page(byte(p), 4096), nil)
+	}
+	aEvents.Drain(aClock)
+	records, words := len(a.writes), &a.stored.words[0]
+	if records < 2 || a.stored.n != 20 || len(a.window) == 0 {
+		t.Fatalf("a holds %d write records, %d stored pages and %d window samples: the test would prove nothing",
+			records, a.stored.n, len(a.window))
+	}
+	aStats := a.Stats()
+	b, bClock, bEvents := newTestSSD(Config{})
+	b.Retire(a, nil, nil)
+	if len(b.writes) != records || slices.ContainsFunc(b.writes, func(w *write) bool { return w.d != b }) {
+		t.Fatal("b did not take a's write records, each pointing at b")
+	}
+	if &b.stored.words[0] != words || b.stored.n != 0 || b.claimed.n != 0 ||
+		slices.ContainsFunc(b.stored.words, func(w uint64) bool { return w != 0 }) ||
+		slices.ContainsFunc(b.claimed.words, func(w uint64) bool { return w != 0 }) {
+		t.Fatal("b did not take a's bitmaps, cleared")
+	}
+	if len(b.window) != 0 || cap(b.window) == 0 || a.window != nil {
+		t.Fatal("b did not take a's measurement window, emptied")
+	}
+	for _, p := range []mmu.PageID{70, 3} {
+		b.WritePageAsync(p, page(byte(p), 4096), nil)
+	}
+	bEvents.Drain(bClock)
+	if got := b.DurablePageList(); !slices.Equal(got, []mmu.PageID{3, 70}) || b.Stats().WritesCompleted != 2 {
+		t.Fatalf("b lists durable pages %v after %d completions, want [3 70] after 2", got, b.Stats().WritesCompleted)
+	}
+	if a.Stats() != aStats {
+		t.Fatal("b's writes moved a's counters")
+	}
+}

@@ -32,6 +32,16 @@ func (s *pageSet) add(page mmu.PageID) {
 	}
 }
 
+// takeOver makes s, if it is empty and has no words yet, an empty set on
+// old's words, cleared; old is empty afterwards either way.
+func (s *pageSet) takeOver(old *pageSet) {
+	if s.n == 0 && len(s.words) == 0 {
+		clear(old.words)
+		s.words = old.words
+	}
+	*old = pageSet{}
+}
+
 // has reports whether page is a member.
 func (s *pageSet) has(page mmu.PageID) bool {
 	w := int(page >> 6)

@@ -261,11 +261,12 @@ func (d *SSD) holds(page mmu.PageID, buf []byte) bool {
 // pointers compare page by page. devs must list every device object but d
 // and old that is not retired, the ones still to be retired included, and
 // regions every region that may still share one of their images. old's
-// free list goes to d as well, and so does its slot table, cleared: both
-// whole when d has none yet, so a reboot that retires before its restore
-// walk adopts into a table, and recycles into a list, it did not
-// allocate. old is empty afterwards: its counters still read, and every
-// other use of it panics.
+// free list goes to d as well, and so does each table d has not started
+// yet, cleared: its slot table, its stored and claimed bitmaps, its write
+// records and its measurement window. So a reboot that retires before its
+// restore walk adopts into tables, recycles into a list, and writes
+// through records it did not allocate. old is empty afterwards: its
+// counters still read, and every other use of it panics.
 func (d *SSD) Retire(old *SSD, devs []*SSD, regions []Sharer) {
 	d.mustLive()
 	old.mustLive()
@@ -287,7 +288,20 @@ func (d *SSD) Retire(old *SSD, devs []*SSD, regions []Sharer) {
 		clear(old.pages)
 		d.pages = old.pages
 	}
-	old.pages, old.free, old.writes = nil, nil, nil
+	d.stored.takeOver(&old.stored)
+	d.claimed.takeOver(&old.claimed)
+	if len(d.writes) == 0 && d.inflight == 0 {
+		// Nothing of old's is in flight: each record's event has fired,
+		// and its completion reads the device through w.d.
+		for _, w := range old.writes {
+			w.d = d
+		}
+		d.writes = old.writes
+	}
+	if len(d.window) == 0 {
+		d.window = old.window[:0]
+	}
+	old.pages, old.free, old.writes, old.window = nil, nil, nil, nil
 	old.stored, old.claimed = pageSet{}, pageSet{}
 	old.corruptAt, old.dedup = nil, nil
 	old.retired = true

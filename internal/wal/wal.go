@@ -100,8 +100,9 @@ type Log struct {
 
 	// Append's scratch: a buffer handed to the store escapes through the
 	// interface, so locals would cost two heap allocations per record.
-	hdr [16]byte // writeHeader's head ‖ seq image
-	rec []byte   // grow-only: the record being appended
+	hdr  [16]byte               // writeHeader's head ‖ seq image
+	zero [recordHeaderSize]byte // Reset's: always zero, the header it writes
+	rec  []byte                 // grow-only: the record being appended
 	// Replay's scratch: rhdr is the record header being read and payload
 	// the grow-only buffer every record's payload is read into.
 	rhdr    [recordHeaderSize]byte
@@ -309,8 +310,7 @@ func (l *Log) Reset() error {
 	l.lastStop = StopHead
 	// Invalidate the first record header so a replay after reset stops
 	// immediately even if old bytes follow.
-	var zero [recordHeaderSize]byte
-	if err := l.store.WriteAt(zero[:], recordBase); err != nil {
+	if err := l.store.WriteAt(l.zero[:], recordBase); err != nil {
 		return err
 	}
 	return l.writeHeader()

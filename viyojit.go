@@ -324,14 +324,15 @@ func build(cfg Config, lin *lineage, gone []*System) (*System, error) {
 	pm := power.Default()
 
 	clock := sim.NewClock()
-	events := sim.NewQueue()
 	regionCfg := nvdram.Config{Size: cfg.NVDRAMSize}
+	var events *sim.Queue
 	var reg *obs.Registry
 	var oldMgr *core.Manager
 	if len(gone) > 0 {
-		reg, regionCfg.Retired, oldMgr = gone[0].reg.Recycle(), gone[0].region, gone[0].manager
+		events, reg = gone[0].events.Recycle(), gone[0].reg.Recycle()
+		regionCfg.Retired, oldMgr = gone[0].region, gone[0].manager
 	} else {
-		reg = obs.NewRegistry()
+		events, reg = sim.NewQueue(), obs.NewRegistry()
 	}
 	region, err := nvdram.New(clock, regionCfg)
 	if err != nil {
@@ -475,10 +476,17 @@ func build(cfg Config, lin *lineage, gone []*System) (*System, error) {
 		recorder: recorder,
 		bbMap:    bbMap,
 	}
-	s.lin = &lineage{live: []*System{s}}
+	if lin == nil {
+		s.lin = &lineage{live: []*System{s}}
+	} else {
+		s.lin = lin // a member once RecoverWith's restore succeeds
+	}
 	if len(gone) > 0 {
 		s.heaps, s.journals = gone[0].heaps, gone[0].journals
 		gone[0].heaps, gone[0].journals = nil, nil
+		if mon != nil && gone[0].monitor != nil {
+			mon.Retire(gone[0].monitor)
+		}
 		s.takeOver(lin, gone)
 	}
 	return s, nil
@@ -955,7 +963,7 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 	if err != nil {
 		return nil, recovery.RestoreReport{}, err
 	}
-	ns.lin, ns.parent = s.lin, s
+	ns.parent = s
 	s.lin.live = append(s.lin.live, ns)
 	return ns, report, nil
 }
@@ -965,11 +973,11 @@ func (s *System) RecoverWith(opts RecoverOptions) (*System, recovery.RestoreRepo
 // flight recorder's pre-crash timeline. On any error s is closed — a
 // half-built system's health monitor, scrubber and epoch task are
 // already armed on its queue and must not outlive a failed recovery.
-// What the reboot retired stays retired.
+// What the reboot retired stays retired. The caller holds s.lin.mu.
 func (s *System) restoreFrom(prev *System) (report recovery.RestoreReport, err error) {
 	defer func() {
 		if err != nil {
-			s.Close()
+			s.closeLocked()
 		}
 	}()
 	// The reboot reloads the DRAM that lost power: s's region takes over
@@ -1029,8 +1037,9 @@ func (lin *lineage) retire(prev *System) []*System {
 func (s *System) takeOver(lin *lineage, gone []*System) {
 	// devs is the retirees in walk order, then the live members, so the
 	// devices kept during walk i are devs[i+1:].
-	devs := make([]*ssd.SSD, 0, len(gone)+len(lin.live))
-	regions := make([]ssd.Sharer, 0, len(lin.live))
+	var devBuf [8]*ssd.SSD
+	var regionBuf [8]ssd.Sharer
+	devs, regions := devBuf[:0], regionBuf[:0]
 	for _, m := range gone {
 		devs = append(devs, m.dev)
 		s.region.TakeOver(m.region)
