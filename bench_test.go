@@ -435,16 +435,15 @@ func TestObsRecordPathZeroAlloc(t *testing.T) {
 	g := reg.Gauge("serve_queue_depth")
 	h := reg.Histogram("serve_latency_normal_ns")
 	tr := reg.Tracer()
-	allocs := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		c.Inc()
 		g.Set(3)
 		g.SetMax(5)
 		h.Record(12345)
 		sp := tr.Begin("serve.request", 1)
 		tr.Finish(sp, 2, "ok")
-	})
-	if allocs != 0 {
-		t.Fatalf("obs record path allocates %.1f/op; the serve hot path must stay allocation-free", allocs)
+	}); n != 0 {
+		t.Fatalf("1000 passes over the obs record path allocate %d times; the serve hot path must stay allocation-free", n)
 	}
 }
 
@@ -885,4 +884,22 @@ func BenchmarkMicro_PTXUpdate(b *testing.B) {
 		}
 		sys.Pump()
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

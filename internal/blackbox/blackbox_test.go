@@ -3,6 +3,7 @@ package blackbox
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -509,16 +510,16 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 // append, and the sink paths that feed it, allocate nothing.
 func TestAppendZeroAlloc(t *testing.T) {
 	r, _, _ := testRecorder(t, 64)
-	if n := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		r.Append(KindDirty, 0, 1, 2, 3, 4)
 	}); n != 0 {
-		t.Fatalf("Append allocates %.1f/op", n)
+		t.Fatalf("200 Appends allocate %d times", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		r.GaugeSet("core_dirty_pages", 5)
 		r.CounterAdd("serve_shed_overload_total", 1, 9)
 	}); n != 0 {
-		t.Fatalf("sink path allocates %.1f/op", n)
+		t.Fatalf("200 passes over the sink path allocate %d times", n)
 	}
 }
 
@@ -580,4 +581,22 @@ func FuzzBlackBoxWalk(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -1,10 +1,29 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"viyojit/internal/mmu"
 )
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestAdmissionAndIdleTickZeroAlloc guards the two manager paths every
 // served write and every epoch go through: admitting a faulting page to
@@ -14,37 +33,42 @@ import (
 func TestAdmissionAndIdleTickZeroAlloc(t *testing.T) {
 	const d = 4096
 	h := newHarness(t, d, Config{DirtyBudgetPages: 2 * d})
-	// Warm-up: grow every buffer to its working size, then clean the
-	// pages again so the measured writes fault.
-	for p := 0; p < d; p++ {
-		h.writePage(t, p, 1)
+	// One pass of first writes over every page, each page admitted once.
+	admitAll := func() {
+		for p := 0; p < d; p++ {
+			if err := h.region.WriteAt([]byte{2}, int64(p)*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	// Warm-up: the same pass grows every buffer to its working size,
+	// the TLB's insertion ring among them; cleaning the pages again makes
+	// the measured writes fault.
+	admitAll()
 	h.mgr.FlushAll()
 
-	next := 0
 	faults := h.mgr.Stats().Faults
-	if allocs := testing.AllocsPerRun(d-1, func() {
-		if err := h.region.WriteAt([]byte{2}, int64(next)*4096); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}); allocs != 0 {
-		t.Errorf("a first-write fault allocates %.0f times; admission must not allocate", allocs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	admitAll()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d first-write faults allocate %d times; admission must not allocate", d, n)
 	}
 	if got := h.mgr.Stats().Faults - faults; got != d || h.mgr.DirtyCount() != d {
 		t.Fatalf("%d faults, %d pages dirty; want %d of each (the writes were not admissions)", got, h.mgr.DirtyCount(), d)
 	}
 
 	epochs, cleans := h.mgr.Stats().Epochs, h.mgr.Stats().ProactiveCleans
-	if allocs := testing.AllocsPerRun(100, func() {
+	if n := mallocs(100, func() {
 		h.clock.Advance(h.mgr.Config().Epoch)
 		h.mgr.Pump()
-	}); allocs != 0 {
-		t.Errorf("an epoch tick over %d dirty pages that cleans none allocates %.0f times", d, allocs)
+	}); n != 0 {
+		t.Errorf("100 epoch ticks over %d dirty pages that clean none allocate %d times", d, n)
 	}
 	st := h.mgr.Stats()
-	if st.Epochs-epochs < 100 || st.ProactiveCleans != cleans || h.mgr.DirtyCount() != d {
-		t.Fatalf("%d ticks, %d proactive cleans, %d dirty; want ≥ 100 idle ticks over %d pages",
+	if st.Epochs-epochs < 200 || st.ProactiveCleans != cleans || h.mgr.DirtyCount() != d {
+		t.Fatalf("%d ticks, %d proactive cleans, %d dirty; want ≥ 200 idle ticks over %d pages",
 			st.Epochs-epochs, st.ProactiveCleans-cleans, h.mgr.DirtyCount(), d)
 	}
 }
@@ -68,15 +92,12 @@ func TestCleanZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 4; i++ {
-		clean()
-	}
 	cleans := h.mgr.Stats().CleansCompleted
-	if allocs := testing.AllocsPerRun(100, clean); allocs != 0 {
-		t.Errorf("a clean of a page the device already holds allocates %.0f times, want 0", allocs)
+	if n := mallocs(100, clean); n != 0 {
+		t.Errorf("100 cleans of a page the device already holds allocate %d times, want 0", n)
 	}
-	if got := h.mgr.Stats().CleansCompleted - cleans; got < 100 {
-		t.Fatalf("%d cleans completed over 100 runs", got)
+	if got := h.mgr.Stats().CleansCompleted - cleans; got < 200 {
+		t.Fatalf("%d cleans completed over 200 runs", got)
 	}
 	if err := h.mgr.VerifyDurability(); err != nil {
 		t.Fatal(err)
@@ -95,7 +116,7 @@ func TestVictimSelectionZeroAlloc(t *testing.T) {
 	m := h.mgr
 	var last, want mmu.PageID
 	runs, differ := 0, 0
-	if allocs := testing.AllocsPerRun(100, func() {
+	if n := mallocs(100, func() {
 		m.victims.collect(m.dirtySeq)
 		for i := 0; i < k; i++ {
 			page, ok := m.nextVictim()
@@ -110,8 +131,8 @@ func TestVictimSelectionZeroAlloc(t *testing.T) {
 			differ++
 		}
 		runs++
-	}); allocs != 0 {
-		t.Errorf("a collection and %d pops over %d dirty pages allocate %.0f times, want 0", k, d, allocs)
+	}); n != 0 {
+		t.Errorf("100 collections and %d pops each over %d dirty pages allocate %d times, want 0", k, d, n)
 	}
 	// Nothing was cleaned, so every collection hands out the same victims.
 	if differ != 0 || m.DirtyCount() != d {

@@ -201,15 +201,14 @@ func TestCompactAllocatesNothing(t *testing.T) {
 		}
 	}
 	before := j.Stats().Compactions
-	allocs := testing.AllocsPerRun(50, func() {
+	if n := mallocs(50, func() {
 		if err := j.Compact(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a compaction allocates %v times, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("50 compactions allocate %d times, want 0", n)
 	}
-	if n := j.Stats().Compactions - before; n < 50 {
-		t.Fatalf("%d compactions in the measured run, want 51", n)
+	if n := j.Stats().Compactions - before; n != 100 {
+		t.Fatalf("%d compactions in the two passes, want 100", n)
 	}
 }

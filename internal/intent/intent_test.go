@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"viyojit/internal/obs"
@@ -402,8 +403,8 @@ func TestBeginCompleteAllocations(t *testing.T) {
 				pair() // fill the window, size the buffers, reach both halves' logs
 			}
 			before := j.Stats().Compactions
-			if allocs := testing.AllocsPerRun(500, pair); allocs != 0 {
-				t.Fatalf("Begin+Complete allocate %v times, want 0", allocs)
+			if n := mallocs(500, pair); n != 0 {
+				t.Fatalf("500 Begin+Complete pairs allocate %d times, want 0", n)
 			}
 			if j.Stats().Compactions == before {
 				t.Fatal("no compaction inside the measured run")
@@ -496,4 +497,22 @@ func TestLiveEntriesMatchesRecount(t *testing.T) {
 		t.Fatalf("schedule missed a path: %d reopens, %d compactions, %d dropped, %d replayed, %d live",
 			reopens, compactions, dropped, replayed, j.live)
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

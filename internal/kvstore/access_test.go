@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,31 +168,31 @@ func TestHotPathAllocations(t *testing.T) {
 	}
 	val := bytes.Repeat([]byte{'w'}, 100)
 	i := 0
-	get := testing.AllocsPerRun(200, func() {
+	get := mallocs(200, func() {
 		i++
 		if _, ok, err := s.Get(keys[i%len(keys)]); err != nil || !ok {
 			t.Fatalf("get: %v %v", ok, err)
 		}
 	})
-	if get != 1 { // the returned value
-		t.Errorf("Get hit: %v allocs, want 1 (the value it returns)", get)
+	if get != 200 { // the returned values
+		t.Errorf("200 Get hits: %d allocs, want 200 (the values they return)", get)
 	}
-	miss := testing.AllocsPerRun(200, func() {
+	miss := mallocs(200, func() {
 		if _, ok, err := s.Get([]byte("user-not-there")); err != nil || ok {
 			t.Fatalf("miss: %v %v", ok, err)
 		}
 	})
 	if miss != 0 {
-		t.Errorf("Get miss: %v allocs, want 0", miss)
+		t.Errorf("200 Get misses: %d allocs, want 0", miss)
 	}
-	put := testing.AllocsPerRun(200, func() {
+	put := mallocs(200, func() {
 		i++
 		if err := s.Put(keys[i%len(keys)], val); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if put != 0 {
-		t.Errorf("in-place Put: %v allocs, want 0", put)
+		t.Errorf("200 in-place Puts: %d allocs, want 0", put)
 	}
 }
 
@@ -286,4 +287,22 @@ func (s *Store) forEach(fn func(key, value []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -364,7 +365,7 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	g := r.Gauge("g")
 	h := r.Histogram("h")
 	tr := r.Tracer()
-	allocs := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		c.Inc()
 		c.Add(2)
 		g.Set(9)
@@ -372,9 +373,8 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 		h.Record(12345)
 		sp := tr.Begin("op", 1)
 		tr.Finish(sp, 2, "ok")
-	})
-	if allocs != 0 {
-		t.Fatalf("record path allocates %.1f times per op, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("1000 passes over the record path allocate %d times, want 0", n)
 	}
 }
 
@@ -430,4 +430,22 @@ func newHistogram() *Histogram {
 	h := &Histogram{}
 	h.init()
 	return h
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

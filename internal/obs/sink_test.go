@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,7 +205,7 @@ func TestSinkedRecordPathZeroAlloc(t *testing.T) {
 	h := reg.Histogram("zero_alloc_hist")
 	tr := reg.Tracer()
 	var lvl int64
-	if n := testing.AllocsPerRun(200, func() {
+	record := func() {
 		c.Inc()
 		lvl++
 		g.Set(lvl)
@@ -212,8 +213,20 @@ func TestSinkedRecordPathZeroAlloc(t *testing.T) {
 		h.Record(sim.Duration(lvl))
 		sp := tr.Begin("zero.alloc", sim.Time(lvl))
 		tr.Finish(sp, sim.Time(lvl+1), "ok")
-	}); n != 0 {
-		t.Fatalf("record path with sink attached allocates %.1f/op", n)
+	}
+	// Counted in total after as many warm-up passes as measured ones:
+	// testing.AllocsPerRun's integer average would hide up to 199.
+	for i := 0; i < 200; i++ {
+		record()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		record()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("200 passes over the record path with a sink attached allocate %d times", n)
 	}
 }
 

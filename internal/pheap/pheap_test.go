@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -318,17 +319,17 @@ func TestReadWriteAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 100)
-	if allocs := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		if err := h.Write(p, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Read(p, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Write+Read allocate %v times, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("200 Write+Read pairs allocate %d times, want 0", n)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
+	if n := mallocs(200, func() {
 		q, err := h.Alloc(100)
 		if err != nil {
 			t.Fatal(err)
@@ -336,8 +337,8 @@ func TestReadWriteAllocations(t *testing.T) {
 		if err := h.Free(q); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Alloc+Free allocate %v times, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("200 Alloc+Free pairs allocate %d times, want 0", n)
 	}
 }
 
@@ -375,4 +376,22 @@ func (h *Heap) stats() (heapStats, error) {
 		}
 	}
 	return s, nil
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -1,6 +1,7 @@
 package scrub
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -390,11 +391,10 @@ func TestScanBurstZeroAlloc(t *testing.T) {
 		dev.SeedDurable(p, data)
 	}
 	scr := New(clock, events, dev, nil, Config{})
-	scr.scanBurst() // sizes the reused buffer
-	if allocs := testing.AllocsPerRun(200, scr.scanBurst); allocs != 0 {
-		t.Fatalf("clean scan burst over 8192 durable pages allocates %.1f times, want 0", allocs)
+	if n := mallocs(200, scr.scanBurst); n != 0 {
+		t.Fatalf("200 clean scan bursts over 8192 durable pages allocate %d times, want 0", n)
 	}
-	if st := scr.Stats(); st.Detections != 0 || st.PagesScanned != 8*202 {
+	if st := scr.Stats(); st.Detections != 0 || st.PagesScanned != 8*400 {
 		t.Fatalf("bursts did not scan cleanly: %+v", st)
 	}
 }
@@ -410,12 +410,29 @@ func TestBackgroundBurstZeroAlloc(t *testing.T) {
 		h.clock.Advance(gap)
 		h.mgr.Pump()
 	}
-	burst() // sizes the reused buffer
 	before := h.scr.Stats().Bursts
-	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
-		t.Fatalf("a clean background burst allocates %.0f times, want 0", allocs)
+	if n := mallocs(200, burst); n != 0 {
+		t.Fatalf("200 clean background bursts allocate %d times, want 0", n)
 	}
-	if st := h.scr.Stats(); st.Bursts-before < 200 || st.Detections != 0 {
+	if st := h.scr.Stats(); st.Bursts-before < 400 || st.Detections != 0 {
 		t.Fatalf("%d bursts, %d detections over 200 gaps", st.Bursts-before, st.Detections)
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -3,6 +3,7 @@ package sensor
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"viyojit/internal/obs"
@@ -388,11 +389,28 @@ func TestObsInstrumentsPublished(t *testing.T) {
 // pays nothing for reading the gauges.
 func TestSampleZeroAlloc(t *testing.T) {
 	r := newTestRig(t, Config{})
-	r.sample()
-	if allocs := testing.AllocsPerRun(200, func() { r.sample() }); allocs != 0 {
-		t.Fatalf("a healthy sample allocates %.0f times, want 0", allocs)
+	if n := mallocs(200, func() { r.sample() }); n != 0 {
+		t.Fatalf("200 healthy samples allocate %d times, want 0", n)
 	}
-	if got := r.f.Stats().Samples; got < 201 {
+	if got := r.f.Stats().Samples; got < 400 {
 		t.Fatalf("%d samples taken", got)
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -311,11 +312,11 @@ func TestQueueRearmReusesFiredEvent(t *testing.T) {
 	}
 
 	q.Rearm(tick, 200, fn)
-	if allocs := testing.AllocsPerRun(100, func() {
+	if n := mallocs(100, func() {
 		q.Cancel(tick)
 		q.Rearm(tick, 200, fn)
-	}); allocs != 0 {
-		t.Fatalf("Rearm allocates %.0f per call", allocs)
+	}); n != 0 {
+		t.Fatalf("100 Rearms allocate %d times, want 0", n)
 	}
 	defer func() {
 		if recover() == nil {
@@ -357,4 +358,22 @@ func TestQueueRecycle(t *testing.T) {
 	if fired != 3 || len(order) != 3 || order[0] != 1 || order[2] != 3 {
 		t.Fatalf("donor fired %d events, recycled queue fired %v: want 3 and [1 2 3]", fired, order)
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

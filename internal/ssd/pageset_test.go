@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -134,10 +135,28 @@ func TestDurablePagesFromReusesBuffer(t *testing.T) {
 		d.SeedDurable(mmu.PageID(p), data)
 	}
 	buf := make([]mmu.PageID, 0, 8)
-	allocs := testing.AllocsPerRun(100, func() {
+	n := mallocs(100, func() {
 		buf = d.DurablePagesFrom(5000, 8, buf[:0])
 	})
-	if allocs != 0 || len(buf) != 8 || buf[0] != 5000 || buf[7] != 5007 {
-		t.Fatalf("DurablePagesFrom: %.1f allocs, got %v", allocs, buf)
+	if n != 0 || len(buf) != 8 || buf[0] != 5000 || buf[7] != 5007 {
+		t.Fatalf("100 DurablePagesFrom calls: %d allocs, got %v", n, buf)
 	}
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -75,14 +75,3 @@ func (v *Volume) SkewTotal(percentiles []float64) []float64 {
 	}
 	return out
 }
-
-// WriteEvents returns the number of write events in the trace.
-func (v *Volume) WriteEvents() int {
-	n := 0
-	for _, e := range v.Events {
-		if e.Write {
-			n++
-		}
-	}
-	return n
-}

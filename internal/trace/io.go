@@ -11,8 +11,8 @@ import (
 
 // Volume traces serialise to a compact binary format so operators can
 // capture real file-system traces externally, convert them, and feed
-// them to the analysis tools (cmd/trace-analysis, cmd/provision) and the
-// replay example. The format is versioned and self-describing:
+// them to the sizing tool (cmd/provision) and the replayer (cmd/replay).
+// The format is versioned and self-describing:
 //
 //	magic  "VIYTRACE"           8 bytes
 //	version u32                 (currently 1)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"viyojit/internal/sim"
@@ -205,8 +206,8 @@ func TestWorstIntervalPanicsOnBadInterval(t *testing.T) {
 
 func TestHelperCounters(t *testing.T) {
 	v := mustGenerate(t, spec("v", 0.1, SkewZipf, 0.9, 0, 0.5), Hour, 1)
-	if v.WriteEvents() == 0 {
-		t.Fatal("no write events counted")
+	if !slices.ContainsFunc(v.Events, func(e Event) bool { return e.Write }) {
+		t.Fatal("no write events generated")
 	}
 	_, touched := v.writeCounts()
 	if len(touched) == 0 {

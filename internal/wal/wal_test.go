@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -393,12 +394,12 @@ func TestAppendAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 1024)
-	if allocs := testing.AllocsPerRun(1000, func() {
+	if n := mallocs(1000, func() {
 		if _, err := l.Append(payload); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Append allocates %v times per record, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("1000 Appends allocate %d times, want 0", n)
 	}
 }
 
@@ -432,12 +433,12 @@ func TestReplayReusesPayloadBuffer(t *testing.T) {
 	if &kept[0][0] != &kept[1][0] || !bytes.Equal(kept[0][:len(second)], second) {
 		t.Fatalf("the first payload, kept uncopied, reads %q after the second was read: the buffer was not reused", kept[0])
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
+	if n := mallocs(100, func() {
 		if _, err := countRecords(l); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("Replay allocates %v times, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("100 Replays allocate %d times, want 0", n)
 	}
 }
 
@@ -511,4 +512,22 @@ func countRecords(l *Log) (int, error) {
 		return nil
 	})
 	return n, err
+}
+
+// mallocs runs f runs times to reach steady state, then runs times more,
+// and returns what the second pass allocated in total:
+// testing.AllocsPerRun's integer average would hide up to runs-1
+// allocations.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

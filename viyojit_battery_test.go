@@ -49,7 +49,7 @@ func TestBudgetIsSection51Formula(t *testing.T) {
 	}
 }
 
-// §8 with the health monitor on, as examples/batterytuning runs it: the
+// §8 with the health monitor on, as Example_batterytuning runs it: the
 // dirty set at its budget, then four years of ageing and a failed cell.
 // The safe shrink's drain steps the event queue, so monitor ticks fire
 // inside it; each must budget for the energy the shrink leaves, or its
