@@ -103,15 +103,15 @@ func run(args []string, out, stderr io.Writer) int {
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 	}
+	opsSet := false
+	fs.Visit(func(f *flag.Flag) { opsSet = opsSet || f.Name == "ops" })
 	opts := experiments.SweepOptions{OperationCount: *ops, Seed: *seed}
 	if *quick {
 		opts = experiments.QuickSweepOptions()
 		opts.Seed = *seed
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "ops" {
-				opts.OperationCount = *ops
-			}
-		})
+		if opsSet {
+			opts.OperationCount = *ops
+		}
 	}
 	opts.Obs = reg
 
@@ -266,6 +266,9 @@ func run(args []string, out, stderr io.Writer) int {
 		if *quick {
 			ocfg.OperationCount = 5_000
 			ocfg.Multipliers = []float64{0.5, 1, 2}
+		}
+		if opsSet {
+			ocfg.OperationCount = *ops
 		}
 		if multipliers != nil {
 			ocfg.Multipliers = multipliers

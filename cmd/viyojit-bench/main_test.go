@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,38 @@ func TestQuickHonoursOps(t *testing.T) {
 	}
 	if bytes.Equal(stdout.Bytes(), golden) {
 		t.Error("-quick -ops 2000 printed the 15 000-op sweep")
+	}
+}
+
+// An explicit -ops sets the length of each overload run as it does the
+// sweep's: every row's requests (done, shed or failed) add up to it.
+func TestOverloadHonoursOps(t *testing.T) {
+	const ops = 400
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-figures", "overload", "-ops", strconv.Itoa(ops), "-offered-load", "1"}, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("exit %d, stderr %q", code, &stderr)
+	}
+	rows := 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 10 || (f[0] != "closed" && f[0] != "1.00x") {
+			continue
+		}
+		rows++
+		sum := 0
+		for _, col := range f[3:8] {
+			n, err := strconv.Atoi(col)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			sum += n
+		}
+		if sum != ops {
+			t.Errorf("row %q accounts for %d requests, want %d", line, sum, ops)
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("found %d rows, want the closed loop and 1.00x:\n%s", rows, &stdout)
 	}
 }
 

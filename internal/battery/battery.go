@@ -222,7 +222,8 @@ func JoulesForPages(m power.Model, nPages int, writeBandwidth, dramBytes int64, 
 
 // ProvisionFor returns a battery Config whose *effective* capacity (after
 // depth-of-discharge dod and derating) covers flushing flushBytes. It is
-// the sizing helper behind cmd/battery-calc.
+// the sizing helper behind provision's advisor and viyojit-bench -figures
+// sizing.
 func ProvisionFor(m power.Model, flushBytes, writeBandwidth, dramBytes int64, dod, derating float64) Config {
 	return Provision(m.FlushEnergyJoules(flushBytes, writeBandwidth, dramBytes), dod, derating)
 }

@@ -412,6 +412,23 @@ func TestSinkTeeRules(t *testing.T) {
 	}
 }
 
+// The registry tees the recorder exactly the instruments of the rules
+// table: the served path's busiest counters and gauges are not among
+// them, so their updates never reach it.
+func TestRecorderKeepsRuleInstruments(t *testing.T) {
+	r, _, _ := testRecorder(t, 16)
+	for name := range instrumentRules {
+		if !r.Keeps(name) {
+			t.Errorf("rule instrument %q not kept", name)
+		}
+	}
+	for _, name := range []string{"serve_submitted_total", "serve_completed_total", "serve_queue_depth", "unrelated_total"} {
+		if r.Keeps(name) {
+			t.Errorf("%q kept, but no rule names it", name)
+		}
+	}
+}
+
 func TestLadderRecordCarriesStateInCode(t *testing.T) {
 	r, st, _ := testRecorder(t, 16)
 	reg := obs.NewRegistry()

@@ -48,7 +48,8 @@ type EnergySource interface {
 // the SSD's write bandwidth a flush is assumed to reach, and the flush
 // time reserved before the remaining energy is converted into pages (per-IO
 // latency, protection changes, scheduling slack). viyojit.New, the
-// monitor, the crash sweeps and cmd/battery-calc all derive with these.
+// monitor, the crash sweeps and provision -age/-wear all derive with
+// these.
 const (
 	Derating     = 0.8
 	FlushReserve = 500 * sim.Microsecond
@@ -303,8 +304,8 @@ func (m *Monitor) fire(t sim.Time) {
 // dirty budget: reserve the fixed flush overhead, convert the remaining
 // runtime into bytes at the (already derated) bandwidth, cap at the
 // region size. viyojit.New, the monitor, the crash sweeps and
-// cmd/battery-calc all derive the budget through it; JoulesForBudget is
-// its exact inverse.
+// provision -age/-wear all derive the budget through it; JoulesForBudget
+// is its exact inverse.
 func BudgetPages(pm power.Model, effectiveJoules float64, bandwidth, dramBytes int64, pageSize int, overhead sim.Duration) int {
 	if bandwidth <= 0 || pageSize <= 0 {
 		return 0

@@ -297,9 +297,16 @@ func TestIdemPutAllocations(t *testing.T) {
 	for j.Stats().Compactions < 3 {
 		put() // fill the window, size the buffers, reach both halves' logs
 	}
-	before := j.Stats().Compactions
-	if allocs := testing.AllocsPerRun(500, put); allocs != 0 {
-		t.Fatalf("a served IdemPut allocates %v times, want 0", allocs)
+	const runs = 500
+	calls, before := 0, uint64(0)
+	if n := mallocs(runs, func() {
+		if calls == runs { // the measured pass starts
+			before = j.Stats().Compactions
+		}
+		calls++
+		put()
+	}); n != 0 {
+		t.Fatalf("%d served IdemPuts allocate %d objects, want 0", runs, n)
 	}
 	if j.Stats().Compactions == before {
 		t.Fatal("no compaction inside the measured run")

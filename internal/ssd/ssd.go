@@ -21,7 +21,8 @@ type Config struct {
 	PageSize int
 	// WriteBandwidth is the sustained write bandwidth in bytes/second.
 	// 0 selects 2 GB/s (a mid-range datacenter NVMe drive; the paper's
-	// sizing example assumes 4 GB/s, which cmd/battery-calc uses).
+	// sizing example assumes 4 GB/s, which viyojit-bench -figures sizing
+	// uses).
 	WriteBandwidth int64
 	// ReadBandwidth is the sustained read bandwidth in bytes/second.
 	// 0 selects 3 GB/s.
@@ -732,8 +733,8 @@ func (d *SSD) WearCycles() float64 {
 
 // DegradedBandwidth is the wear model as a pure function: nominal write
 // bandwidth reduced by 4 % per full-capacity write pass, floored at a
-// quarter of nominal. Exposed so provisioning tools (cmd/battery-calc) can
-// print the same trajectory the device — and hence the health monitor —
+// quarter of nominal. Exposed so provisioning tools (provision -age/-wear)
+// can print the same trajectory the device — and hence the health monitor —
 // computes at runtime.
 func DegradedBandwidth(nominal int64, cycles float64) int64 {
 	f := 1 - wearBandwidthDecay*cycles

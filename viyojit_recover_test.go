@@ -647,7 +647,9 @@ func TestPowerCycleReopenAllocatesLittle(t *testing.T) {
 // retiree's instruments, pools and tables instead of re-warming them.
 // On a linux/amd64 box with Go 1.24 a cycle allocated 535 objects while
 // every reboot rebuilt them and 70 since, almost all of them one object
-// per component a boot builds; the bound is 100.
+// per component a boot builds; each cycle's new Server adds its one item
+// and channel (73). The bound is 100, under -race too, since nothing on
+// the path recycles through a sync.Pool.
 func TestServedPowerCycleAllocatesLittle(t *testing.T) {
 	const (
 		size, heapBytes, journalBytes = 64 << 20, 32 << 20, 1 << 20
@@ -730,7 +732,7 @@ func TestServedPowerCycleAllocatesLittle(t *testing.T) {
 	defer sys.Close()
 	n := (after.Mallocs - before.Mallocs) / cycles
 	t.Logf("a warm served power cycle allocates %d objects and %d bytes", n, (after.TotalAlloc-before.TotalAlloc)/cycles)
-	if n > 100 && !raceEnabled { // sync.Pool drops items under -race
+	if n > 100 {
 		t.Fatalf("a warm served power cycle allocates %d objects, want ≤ 100", n)
 	}
 }
