@@ -375,6 +375,7 @@ type gaugeWriter struct {
 
 func (w *gaugeWriter) CounterAdd(string, uint64, uint64) {}
 func (w *gaugeWriter) SpanFinished(obs.SpanRecord)       {}
+func (w *gaugeWriter) Keeps(string) bool                 { return true }
 func (w *gaugeWriter) GaugeSet(name string, _ int64) {
 	if w.armed && name == "core_dirty_pages" {
 		w.armed = false

@@ -16,6 +16,7 @@ type nopSink struct{}
 func (nopSink) CounterAdd(string, uint64, uint64) {}
 func (nopSink) GaugeSet(string, int64)            {}
 func (nopSink) SpanFinished(SpanRecord)           {}
+func (nopSink) Keeps(string) bool                 { return true }
 
 // runTraceScript drives tr through a seeded schedule of nested spans —
 // scoped children, finishes out of begin order, spans left open — and
